@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet race bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet race bench-build bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
 
 all: vet build test
 
@@ -32,15 +32,24 @@ race:
 vet:
 	$(GO) vet ./...
 
+# bench-build compiles and tests the frozen benchmark harness. benchmark/
+# is its own module (`replace oblivmc => ../`), so `go build ./...` and
+# `go test ./...` at the root never see it, yet it calls straight into
+# internal/ — this is the leg that catches a signature change breaking it.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # bench regenerates the relational-layer trend artifact: elems/s for
 # Compact/GroupBy (narrow, wide, and per sort backend)/Join/JoinAll, the
 # end-to-end query (staged vs planner-fused, per backend), and the graph
 # pipeline (connected components per backend, MSF) at
-# n ∈ {2^12, 2^16, 2^20}. CI uploads the artifact on every push so the perf
-# trajectory is tracked per commit. BENCH_ARGS can bound the sweep, e.g.
-# make bench BENCH_ARGS="-max 65536".
+# n ∈ {2^12, 2^16, 2^20}, into the git-ignored BENCH_HEAD.json (the
+# committed BENCH_8.json baseline and BENCH_9.json latest are never
+# overwritten; promote a run by copying it). CI uploads the artifact on
+# every push so the perf trajectory is tracked per commit. BENCH_ARGS can
+# bound the sweep, e.g. make bench BENCH_ARGS="-max 65536".
 bench:
-	$(GO) run ./cmd/relbench -out BENCH_9.json $(BENCH_ARGS)
+	$(GO) run ./cmd/relbench -out BENCH_HEAD.json $(BENCH_ARGS)
 
 # bench-sweep records the multicore scaling curve: every point measured
 # once per -procs pool size into one artifact (per-result workers field).

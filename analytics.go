@@ -40,27 +40,21 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 		// The two sorts run the configured relational backend: both are
 		// (key, position) schedules with distinct effective keys, so the
 		// shuffle composition applies above its crossover.
-		srt := relSorter(cfg)
 		w := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(n))
 		for i := 0; i < n; i++ {
 			w.Data()[i] = obliv.Elem{Key: groups[i], Val: values[i], Aux: uint64(i), Kind: obliv.Real}
 		}
 		m := w.Len()
-		ks := obliv.AllocKeySchedule(sp, m, 1)
-		kscr := obliv.AllocKeySchedule(sp, m, 1)
-		ks.Tie, kscr.Tie = obliv.TiePos, obliv.TiePos
-		scr := mem.Alloc[obliv.Elem](sp, m)
+		ksort := obliv.NewKeyedSort(sp, m, obliv.TiePos, relSorter(cfg))
 		// (key, position) order: one cached key plane, the position
 		// tie-break read in-register (TiePos) — deterministic under
 		// duplicate group keys, fillers (InfKey sentinel) last.
-		obliv.BuildKeySchedule(c, w, ks, 0, m, func(e obliv.Elem, kw []uint64) {
+		ksort.Sort(c, w, 0, m, func(e obliv.Elem) uint64 {
 			if e.Kind != obliv.Real {
-				kw[0] = obliv.InfKey
-				return
+				return obliv.InfKey
 			}
-			kw[0] = e.Key
+			return e.Key
 		})
-		srt.SortScheduled(c, sp, w, ks, scr, kscr, 0, m)
 		sameGroup := func(x, y obliv.Elem) bool {
 			return x.Kind == y.Kind && (x.Kind != obliv.Real || x.Key == y.Key)
 		}
@@ -82,14 +76,12 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 				return e
 			})
 		// Back to input order (single-word position schedule).
-		obliv.BuildKeySchedule(c, w, ks, 0, m, func(e obliv.Elem, kw []uint64) {
+		ksort.Sort(c, w, 0, m, func(e obliv.Elem) uint64 {
 			if e.Kind != obliv.Real {
-				kw[0] = obliv.InfKey
-				return
+				return obliv.InfKey
 			}
-			kw[0] = e.Aux
+			return e.Aux
 		})
-		srt.SortScheduled(c, sp, w, ks, scr, kscr, 0, m)
 		for i := 0; i < n; i++ {
 			out[i] = w.Data()[i].Lbl
 		}

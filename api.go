@@ -70,9 +70,7 @@ func ListRank(cfg Config, succ []int, weights []uint64) ([]uint64, *Report, erro
 	}
 	var out []uint64
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, p)
+		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, cfg.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err
@@ -105,9 +103,7 @@ func TreeFunctions(cfg Config, n int, edges [][2]int, root int) (TreeInfo, *Repo
 	}
 	var tf graph.TreeFuncs
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, p)
+		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, cfg.graphParams())
 	})
 	if err != nil {
 		return TreeInfo{}, nil, err
@@ -143,9 +139,7 @@ func EvaluateExpressionTree(cfg Config, t ExpressionTree) (uint64, *Report, erro
 	}
 	var out uint64
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, p)
+		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, cfg.graphParams())
 	})
 	if err != nil {
 		return 0, nil, err
@@ -168,9 +162,7 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 	}
 	var out []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, p)
+		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, cfg.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err
@@ -205,9 +197,7 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 	}
 	var out []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, p)
+		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err

@@ -12,12 +12,12 @@ import (
 )
 
 // TestSortBackendsAgree runs the same queries under every backend setting
-// (bitonic, forced shuffle, auto with a crossover the table straddles) and
+// (bitonic, forced shuffle, auto on a table above the public crossover) and
 // requires identical results — the public half of the backend-equivalence
 // property.
 func TestSortBackendsAgree(t *testing.T) {
 	src := prng.New(77)
-	rows := make([]Row, 3000) // pads to 4096 slots
+	rows := make([]Row, 10000) // pads to 2^14 slots, above core.DefaultShuffleCrossover
 	for i := range rows {
 		rows[i] = Row{Key: src.Uint64n(40), Val: src.Uint64n(1 << 20)}
 	}
@@ -31,7 +31,7 @@ func TestSortBackendsAgree(t *testing.T) {
 	cfgs := []Config{
 		{Mode: ModeSerial, Seed: 3, SortBackend: SortBitonic},
 		{Mode: ModeSerial, Seed: 3, SortBackend: SortShuffle}, // default seeding: fresh crypto/rand coins per sort
-		{Mode: ModeSerial, Seed: 3, SortBackend: SortAuto, SortCrossover: 1024},
+		{Mode: ModeSerial, Seed: 3, SortBackend: SortAuto},
 		{Mode: ModeSerial, Seed: 9, SortBackend: SortShuffle},                             // different Seed must not change results
 		{Mode: ModeSerial, Seed: 9, SortBackend: SortShuffle, DeterministicShuffle: true}, // nor the seed-pinned trace mode
 	}

@@ -429,7 +429,7 @@ func BenchmarkORBA_Meta(b *testing.B)            { benchORBA(b, true, core.Param
 var relopsSizes = []int{1 << 12, 1 << 16, 1 << 20}
 
 // benchRecords is the canonical workload shared with cmd/relbench, so the
-// BENCH_2.json trend artifact stays comparable with these benchmarks.
+// BENCH_*.json trend artifacts stays comparable with these benchmarks.
 func benchRecords(n int) []relops.Record { return benchdata.Records(n) }
 
 func benchLoad(b *testing.B, sp *mem.Space, recs []relops.Record) relops.Rel {

@@ -21,8 +21,8 @@
 //
 // Usage:
 //
-//	benchdiff -base BENCH_7.json -new BENCH_8.json
-//	benchdiff -base BENCH_7.json -new BENCH_8.json -threshold 0.30 -warn
+//	benchdiff -base BENCH_8.json -new BENCH_9.json
+//	benchdiff -base BENCH_8.json -new BENCH_9.json -threshold 0.30 -warn
 package main
 
 import (
@@ -207,8 +207,8 @@ func load(path string) (File, error) {
 }
 
 func main() {
-	basePath := flag.String("base", "BENCH_2.json", "baseline artifact")
-	newPath := flag.String("new", "BENCH_3.json", "new artifact")
+	basePath := flag.String("base", "BENCH_8.json", "baseline artifact")
+	newPath := flag.String("new", "BENCH_9.json", "new artifact")
 	threshold := flag.Float64("threshold", 0.20, "flag matched points slower than base by more than this fraction")
 	warn := flag.Bool("warn", false, "report regressions but exit 0 (CI trend mode)")
 	gate := flag.String("gate", "join_all", "benchmark name whose regressions fail even under -warn (empty disables)")

@@ -49,7 +49,7 @@ import (
 // "u v w" rows, or the canonical benchmark graph of n edges), run the
 // operator, report like the relational path.
 func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit int,
-	seed uint64, workers int, backend string, crossover int, detShuffle bool) {
+	seed uint64, workers int, backend string, detShuffle bool) {
 	var gop oblivmc.GraphOp
 	switch op {
 	case "cc":
@@ -102,7 +102,7 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 		fmt.Fprintf(os.Stderr, "plan: %s\n", pl)
 	}
 
-	cfg := oblivmc.Config{Seed: seed, Workers: workers, SortCrossover: crossover, DeterministicShuffle: detShuffle}
+	cfg := oblivmc.Config{Seed: seed, Workers: workers, DeterministicShuffle: detShuffle}
 	switch backend {
 	case "auto":
 		cfg.SortBackend = oblivmc.SortAuto
@@ -181,7 +181,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "randomness seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	backend := flag.String("backend", "auto", "relational sort backend: auto|bitonic|shuffle (auto switches at the size crossover)")
-	crossover := flag.Int("crossover", 0, "auto-backend size crossover override (0 = default)")
 	detShuffle := flag.Bool("det-shuffle", false, "derive the shuffle backend's permutations from -seed for reproducible traces (testing only: a known seed forfeits the backend's obliviousness guarantee)")
 	graphOp := flag.String("graph", "", "graph workload over an edge table: cc, msf, pagerank (-n counts edges; -stdin reads \"u v w\" rows)")
 	rounds := flag.Int("rounds", 0, "graph round parameter: fixed cc rounds (0 = converge) or pagerank iterations (0 = 5)")
@@ -189,7 +188,7 @@ func main() {
 
 	if *graphOp != "" {
 		runGraph(*graphOp, *rounds, *n, *useStdin, *explain, *metered, *limit,
-			*seed, *workers, *backend, *crossover, *detShuffle)
+			*seed, *workers, *backend, *detShuffle)
 		return
 	}
 
@@ -329,7 +328,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plan: %s\n", pl)
 	}
 
-	cfg := oblivmc.Config{Seed: *seed, Workers: *workers, SortCrossover: *crossover, DeterministicShuffle: *detShuffle}
+	cfg := oblivmc.Config{Seed: *seed, Workers: *workers, DeterministicShuffle: *detShuffle}
 	switch *backend {
 	case "auto":
 		cfg.SortBackend = oblivmc.SortAuto

@@ -99,9 +99,9 @@ func rows(n int) []oblivmc.Row {
 // hidden, and exactly the mode the library defaults away from.
 var benchSeed uint64 = 1
 
-func autoSorter() obliv.Sorter    { return &core.ShuffleSorter{FixedSeed: &benchSeed} }
-func bitonicSorter() obliv.Sorter { return bitonic.CacheAgnostic{} }
-func shuffleSorter() obliv.Sorter {
+func autoSorter() obliv.ScheduledSorter    { return &core.ShuffleSorter{FixedSeed: &benchSeed} }
+func bitonicSorter() obliv.ScheduledSorter { return bitonic.CacheAgnostic{} }
+func shuffleSorter() obliv.ScheduledSorter {
 	return &core.ShuffleSorter{FixedSeed: &benchSeed, Crossover: 2}
 }
 
@@ -218,7 +218,7 @@ func main() {
 				log.Fatal(err)
 			}
 
-			groupby := func(srt func() obliv.Sorter) func() {
+			groupby := func(srt func() obliv.ScheduledSorter) func() {
 				return func() {
 					pool.Run(func(c *forkjoin.Ctx) {
 						sp := mem.NewSpace()

@@ -157,9 +157,7 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 	}
 	var labels []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, p)
+		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, cfg.graphParams())
 	})
 	if err != nil {
 		return Table{}, nil, err
@@ -203,9 +201,7 @@ func MSF(cfg Config, edges Table) (Table, *Report, error) {
 	}
 	var chosen []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, p)
+		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams())
 	})
 	if err != nil {
 		return Table{}, nil, err

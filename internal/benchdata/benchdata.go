@@ -1,5 +1,5 @@
 // Package benchdata defines the canonical relational benchmark workload
-// shared by the in-repo benchmarks (bench_test.go) and the BENCH_2.json
+// shared by the in-repo benchmarks (bench_test.go) and the BENCH_*.json
 // trend tool (cmd/relbench). Keeping one definition makes the CI artifact
 // comparable with `go test -bench` numbers across commits — edit here, and
 // both surfaces move together.

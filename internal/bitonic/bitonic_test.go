@@ -235,12 +235,12 @@ func TestTraceObliviousAllVariants(t *testing.T) {
 	}
 }
 
-// TestScheduledMatchesClosureSort pins the keysched contract for all three
-// networks: SortScheduled against a cached key schedule must produce
+// TestScheduledMatchesClosureSort pins the keysched contract of the
+// production network: SortScheduled against a cached key schedule must produce
 // exactly the permutation the closure-keyed Sort produces (same comparator
 // schedule, same outcomes), and must keep the key array in lockstep.
 func TestScheduledMatchesClosureSort(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, Naive{}, OddEven{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}}
 	for _, v := range variants {
 		for _, n := range []int{1, 2, 8, 64, 256, 1024} {
 			for seed := uint64(0); seed < 3; seed++ {
@@ -274,7 +274,7 @@ func TestScheduledMatchesClosureSort(t *testing.T) {
 
 // TestScheduledSubrange checks the keyed networks honor [lo, lo+n) bounds.
 func TestScheduledSubrange(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{Leaf: 4}, Naive{}, OddEven{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{Leaf: 4}}
 	for _, v := range variants {
 		raw := randElems(17, 96)
 		s := mem.NewSpace()
@@ -303,7 +303,7 @@ func TestScheduledSubrange(t *testing.T) {
 // positions, so the view must be data-independent.
 func TestScheduledTraceOblivious(t *testing.T) {
 	const n = 128
-	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, Naive{}, OddEven{}} {
+	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}} {
 		run := func(seed uint64) *forkjoin.Metrics {
 			raw := randElems(seed, n)
 			s := mem.NewSpace()
@@ -451,11 +451,11 @@ func randWideElems(seed uint64, n int) []obliv.Elem {
 }
 
 // TestScheduledWideKeysMatchReference pins the width-2 schedule contract
-// for all three networks: sorting against a two-word schedule must order
+// (production network and the selection-network oracle): sorting against a two-word schedule must order
 // elements by (Key, Key2) lexicographically and keep both planes in
 // lockstep.
 func TestScheduledWideKeysMatchReference(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, Naive{}, OddEven{}, obliv.SelectionNetwork{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, obliv.SelectionNetwork{}}
 	for _, v := range variants {
 		for _, n := range []int{1, 2, 8, 64, 256} {
 			raw := randWideElems(uint64(n)*7+1, n)
@@ -495,7 +495,7 @@ func TestScheduledWideKeysMatchReference(t *testing.T) {
 // unconditionally, so the view must be data-independent at any width.
 func TestScheduledWideTraceOblivious(t *testing.T) {
 	const n = 128
-	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, Naive{}, OddEven{}} {
+	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}} {
 		run := func(seed uint64) *forkjoin.Metrics {
 			raw := randWideElems(seed, n)
 			s := mem.NewSpace()
@@ -520,7 +520,7 @@ func TestScheduledWideTraceOblivious(t *testing.T) {
 // original position, with fillers at the tail — i.e. behave like a stable
 // sort — for every network.
 func TestScheduledTiePosIsStable(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, Naive{}, OddEven{}, obliv.SelectionNetwork{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, obliv.SelectionNetwork{}}
 	for _, v := range variants {
 		for _, n := range []int{2, 8, 64, 256} {
 			src := prng.New(uint64(n) * 13)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestKeyedCancelSite pins the cancellation checkpoint of the keyed
-// networks: a tripped token aborts at the public "bitonic.layer" site
+// network: a tripped token aborts at the public "bitonic.layer" site
 // before any layer runs, and an untripped token leaves the sort intact.
 func TestKeyedCancelSite(t *testing.T) {
 	const n = 128
@@ -18,31 +18,27 @@ func TestKeyedCancelSite(t *testing.T) {
 	ks := obliv.AllocKeySchedule(s, n, 1)
 	obliv.BuildKeySchedule(forkjoin.Serial(), a, ks, 0, n, keyWords)
 
+	scr := mem.Alloc[obliv.Elem](s, n)
+	kscr := obliv.AllocKeySchedule(s, n, 1)
+	sortKeyed := func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }
+
 	cn := new(forkjoin.Cancel)
 	cn.Cancel()
-	for _, tc := range []struct {
-		name string
-		run  func(c *forkjoin.Ctx)
-	}{
-		{"iterative", func(c *forkjoin.Ctx) { SortIterativeKeyed(c, a, ks, 0, n, true) }},
-		{"oddeven", func(c *forkjoin.Ctx) { SortOddEvenKeyed(c, a, ks, 0, n) }},
-	} {
-		var caught any
-		func() {
-			defer func() { caught = recover() }()
-			tc.run(forkjoin.SerialCancel(cn))
-		}()
-		ce, ok := caught.(*forkjoin.CanceledError)
-		if !ok {
-			t.Fatalf("%s with tripped token panicked %T (%v), want *CanceledError", tc.name, caught, caught)
-		}
-		if ce.Site != "bitonic.layer" {
-			t.Fatalf("%s aborted at site %q, want bitonic.layer", tc.name, ce.Site)
-		}
+	var caught any
+	func() {
+		defer func() { caught = recover() }()
+		sortKeyed(forkjoin.SerialCancel(cn))
+	}()
+	ce, ok := caught.(*forkjoin.CanceledError)
+	if !ok {
+		t.Fatalf("tripped token panicked %T (%v), want *CanceledError", caught, caught)
+	}
+	if ce.Site != "bitonic.layer" {
+		t.Fatalf("aborted at site %q, want bitonic.layer", ce.Site)
 	}
 
 	// The abort fired before the first layer, so the array is untouched; an
 	// untripped token must now run the sort to completion.
-	SortIterativeKeyed(forkjoin.SerialCancel(new(forkjoin.Cancel)), a, ks, 0, n, true)
+	sortKeyed(forkjoin.SerialCancel(new(forkjoin.Cancel)))
 	assertSorted(t, a.Data(), "keyed sort with untripped token")
 }

@@ -1,13 +1,14 @@
-// Keyed (key-schedule) variants of the three sorting networks: the
-// comparator schedule is identical to the closure-keyed networks — same
-// layers, same positions, same directions — but each comparator reads the
-// cached key words built by obliv.BuildKeySchedule instead of invoking the
-// key closure twice. The key schedule moves in lockstep with the element
-// array (including through the cache-agnostic merge's transposes, applied
-// plane by plane), so the resulting permutation is exactly the one the
-// closure network produces.
+// Keyed (key-schedule) variant of the cache-agnostic network — the one
+// production network; the Naive and OddEven ablation networks stay
+// closure-only. The comparator schedule is identical to the closure-keyed
+// network — same layers, same positions, same directions — but each
+// comparator reads the cached key words built by obliv.BuildKeySchedule
+// instead of invoking the key closure twice. The key schedule moves in
+// lockstep with the element array (including through the cache-agnostic
+// merge's transposes, applied plane by plane), so the resulting permutation
+// is exactly the one the closure network produces.
 //
-// The networks are width-generic: a schedule of W words per element widens
+// The network is width-generic: a schedule of W words per element widens
 // each comparator's fixed read/write set and nothing else — the comparator
 // positions and directions are functions of n alone, so the trace shape is
 // the same at every width, and width 1 runs the identical single-word
@@ -20,35 +21,6 @@ import (
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
 )
-
-// SortIterativeKeyed is SortIterative against a cached key schedule. ks is
-// indexed identically to a: ks words at i cache the key of a[i].
-func SortIterativeKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, n int, asc bool) {
-	if !obliv.IsPow2(n) {
-		panic("bitonic: n must be a power of two")
-	}
-	for k := 2; k <= n; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			// Cancellation checkpoint between comparator layers: the layer
-			// schedule is a function of n alone, so an abort reveals only
-			// the public layer index.
-			c.Check("bitonic.layer")
-			layerKeyed(c, a, ks, lo, n, k, j, asc)
-		}
-	}
-}
-
-func layerKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, n, k, j int, asc bool) {
-	forkjoin.ParallelRange(c, 0, n, layerGrain, func(c *forkjoin.Ctx, from, to int) {
-		for i := from; i < to; i++ {
-			if i&j != 0 {
-				continue
-			}
-			dir := (i&k == 0) == asc
-			obliv.CompareExchangeCachedW(c, a, ks, lo+i, lo+(i|j), dir)
-		}
-	})
-}
 
 func mergeSerialKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, m int, asc bool) {
 	for j := m >> 1; j > 0; j >>= 1 {
@@ -152,32 +124,4 @@ func mergeCAKeyedRec(c *forkjoin.Ctx, buf, scr *mem.Array[obliv.Elem], kbuf, ksc
 	forkjoin.ParallelFor(c, 0, m1, 1, func(c *forkjoin.Ctx, i int) {
 		mergeCAKeyedRec(c, buf, scr, kbuf, kscr, lo+i*m2, m2, asc, leaf)
 	})
-}
-
-// SortOddEvenKeyed is Batcher's odd–even merge network against a cached key
-// schedule. n must be a power of two.
-func SortOddEvenKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, n int) {
-	if !obliv.IsPow2(n) {
-		panic("bitonic: n must be a power of two")
-	}
-	for p := 1; p < n; p <<= 1 {
-		for k := p; k >= 1; k >>= 1 {
-			c.Check("bitonic.layer")
-			off := k % p
-			forkjoin.ParallelRange(c, 0, n-k, layerGrain, func(c *forkjoin.Ctx, from, to int) {
-				for t := from; t < to; t++ {
-					if t < off {
-						continue
-					}
-					if ((t-off)/k)%2 != 0 {
-						continue
-					}
-					if t/(2*p) != (t+k)/(2*p) {
-						continue
-					}
-					obliv.CompareExchangeCachedW(c, a, ks, lo+t, lo+t+k, true)
-				}
-			})
-		}
-	}
 }

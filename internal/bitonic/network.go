@@ -56,21 +56,9 @@ func layer(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n, k, j int, asc bool,
 	})
 }
 
-// mergeIterative applies the log2(m) butterfly layers of a single bitonic
-// merge over a[lo:lo+m] in direction asc. The input must be bitonic.
-func mergeIterative(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, m int, asc bool, key func(obliv.Elem) uint64) {
-	for j := m >> 1; j > 0; j >>= 1 {
-		forkjoin.ParallelRange(c, 0, m, layerGrain, func(c *forkjoin.Ctx, from, to int) {
-			for i := from; i < to; i++ {
-				if i&j == 0 {
-					obliv.CompareExchange(c, a, lo+i, lo+(i|j), asc, key)
-				}
-			}
-		})
-	}
-}
-
-// mergeSerial is mergeIterative without forking, used at recursion leaves.
+// mergeSerial applies the log2(m) butterfly layers of a single bitonic
+// merge over a[lo:lo+m] in direction asc, without forking (recursion
+// leaves). The input must be bitonic.
 func mergeSerial(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, m int, asc bool, key func(obliv.Elem) uint64) {
 	for j := m >> 1; j > 0; j >>= 1 {
 		for i := 0; i < m; i++ {

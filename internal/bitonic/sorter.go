@@ -30,6 +30,8 @@ type CacheAgnostic struct {
 	Leaf int
 }
 
+var _ obliv.ScheduledSorter = CacheAgnostic{}
+
 // Name implements obliv.Sorter.
 func (CacheAgnostic) Name() string { return "bitonic-cache-agnostic" }
 
@@ -70,16 +72,6 @@ func (Naive) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, 
 	SortIterative(c, a, lo, n, true, key)
 }
 
-// SortScheduled implements obliv.ScheduledSorter (in-place network; the
-// space and scratch arguments are ignored).
-func (Naive) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, _ *mem.Array[obliv.Elem], _ *obliv.KeySchedule, lo, n int) {
-	if n <= 1 {
-		return
-	}
-	networkCalls.Add(1)
-	SortIterativeKeyed(c, a, ks, lo, n, true)
-}
-
 // OddEven is the obliv.Sorter backed by Batcher's odd–even merge network.
 // n must be a power of two.
 type OddEven struct{}
@@ -94,14 +86,4 @@ func (OddEven) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo
 	}
 	networkCalls.Add(1)
 	SortOddEven(c, a, lo, n, key)
-}
-
-// SortScheduled implements obliv.ScheduledSorter (in-place network; the
-// space and scratch arguments are ignored).
-func (OddEven) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, _ *mem.Array[obliv.Elem], _ *obliv.KeySchedule, lo, n int) {
-	if n <= 1 {
-		return
-	}
-	networkCalls.Add(1)
-	SortOddEvenKeyed(c, a, ks, lo, n)
 }

@@ -5,7 +5,6 @@ import (
 
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
-	"oblivmc/internal/obliv"
 	"oblivmc/internal/prng"
 )
 
@@ -38,8 +37,9 @@ func TestBenesCancelSites(t *testing.T) {
 	c := forkjoin.SerialCancel(cn)
 
 	shuf := &ShuffleSorter{FixedSeed: fixedSeed(3), Crossover: 2}
+	scr, kscr := sortScratch(sp, ks, n)
 	if site := caughtSite(t, "tripped SortScheduled", func() {
-		shuf.SortScheduled(c, sp, a, ks, nil, nil, 0, n)
+		shuf.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
 	}); site != "benes.route" {
 		t.Fatalf("tripped shuffle sort aborted at %q, want benes.route", site)
 	}
@@ -51,8 +51,6 @@ func TestBenesCancelSites(t *testing.T) {
 		p[i] = i
 	}
 	pl := routeBenes(p)
-	scr := mem.Alloc[obliv.Elem](sp, n)
-	kscr := obliv.AllocKeySchedule(sp, n, 1)
 	if site := caughtSite(t, "tripped apply", func() {
 		pl.apply(c, a, scr, ks, kscr)
 	}); site != "benes.level" {

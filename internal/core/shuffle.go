@@ -68,7 +68,7 @@ const DefaultShuffleCrossover = 1 << 13
 // (internal/spms) ordering by (cached key words, TiePos triple, random tie
 // word). Arrays below Crossover — and arrays whose length is not a power
 // of two, which never arise from the relational layer's padded relations —
-// are delegated to Fallback.
+// are delegated to the cache-agnostic bitonic network.
 //
 // By default every sort draws its permutation and tie coins from a fresh
 // crypto/rand-keyed ChaCha8 stream, so the insecure stage's trace — which
@@ -101,8 +101,6 @@ type ShuffleSorter struct {
 	// composition (0 = DefaultShuffleCrossover; 2 forces the shuffle path
 	// at every power-of-two length).
 	Crossover int
-	// Fallback sorts arrays below Crossover (nil = bitonic.CacheAgnostic).
-	Fallback obliv.ScheduledSorter
 
 	// calls counts the sorts of a FixedSeed pipeline (each draws the next
 	// deterministic tape). Plain state, like the scratch cache below: a
@@ -130,6 +128,8 @@ type ShuffleSorter struct {
 	permBuf []int
 }
 
+var _ obliv.ScheduledSorter = (*ShuffleSorter)(nil)
+
 // Name implements obliv.Sorter.
 func (s *ShuffleSorter) Name() string { return "shuffle-samplesort" }
 
@@ -137,17 +137,7 @@ func (s *ShuffleSorter) crossover() int {
 	if s.Crossover <= 0 {
 		return DefaultShuffleCrossover
 	}
-	if s.Crossover < 2 {
-		return 2
-	}
 	return s.Crossover
-}
-
-func (s *ShuffleSorter) fallback() obliv.ScheduledSorter {
-	if s.Fallback != nil {
-		return s.Fallback
-	}
-	return bitonic.CacheAgnostic{}
 }
 
 // sortCoins is one sort's randomness: Intn draws the ORP permutation's
@@ -233,40 +223,22 @@ func (s *ShuffleSorter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.
 		return
 	}
 	if n < s.crossover() || !obliv.IsPow2(n) {
-		s.fallback().Sort(c, sp, a, lo, n, key)
+		bitonic.CacheAgnostic{}.Sort(c, sp, a, lo, n, key)
 		return
 	}
-	// Work on the [lo, lo+n) view so the freshly built schedule and the
-	// sorted range stay index-aligned at any lo.
-	av := a.View(lo, n)
-	ks := obliv.AllocKeySchedule(sp, n, 1)
-	ks.Tie = obliv.TiePos
-	obliv.BuildKeySchedule(c, av, ks, 0, n, func(e obliv.Elem, out []uint64) { out[0] = key(e) })
-	s.SortScheduled(c, sp, av, ks, nil, nil, 0, n)
+	obliv.NewKeyedSort(sp, n, obliv.TiePos, s).Sort(c, a, lo, n, key)
 }
 
 // SortScheduled implements obliv.ScheduledSorter: Beneš-permute a[lo:lo+n)
 // and ks[lo:lo+n) in lockstep with a fresh uniform permutation, then sample
 // sort the permuted sequence by its cached keys. scr/kscr serve as the
-// network's double buffer and the sample sort's scratch (nil = allocated
-// from sp).
+// network's double buffer and the sample sort's scratch.
 func (s *ShuffleSorter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
 	if n <= 1 {
 		return
 	}
-	w := ks.Width()
-	// Both branches need the element/key scratch: the shuffle path as its
-	// network double-buffer, the fallback per the ScheduledSorter
-	// caller-scratch contract.
-	if scr == nil {
-		scr = mem.Alloc[obliv.Elem](sp, n)
-	}
-	if kscr == nil {
-		kscr = obliv.AllocKeySchedule(sp, n, w)
-		kscr.Tie = ks.Tie // cache-agnostic merges swap the schedule roles
-	}
 	if n < s.crossover() || !obliv.IsPow2(n) {
-		s.fallback().SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
+		bitonic.CacheAgnostic{}.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 		return
 	}
 	av, ksv := a.View(lo, n), ks.View(lo, n)

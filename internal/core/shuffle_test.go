@@ -109,6 +109,13 @@ func shuffleInput(sp *mem.Space, src *prng.Source, n, nReal, w int) (*mem.Array[
 	return a, ks
 }
 
+// sortScratch allocates the caller-side scratch SortScheduled requires.
+func sortScratch(sp *mem.Space, ks *obliv.KeySchedule, n int) (*mem.Array[obliv.Elem], *obliv.KeySchedule) {
+	kscr := obliv.AllocKeySchedule(sp, n, ks.Width())
+	kscr.Tie = ks.Tie // the cache-agnostic merge swaps schedule roles
+	return mem.Alloc[obliv.Elem](sp, n), kscr
+}
+
 // TestShuffleSorterMatchesBitonic is the backend-equivalence property: on
 // the relational (keys..., TiePos) schedules the shuffle composition must
 // produce the identical array the keyed bitonic network produces —
@@ -129,14 +136,13 @@ func TestShuffleSorterMatchesBitonic(t *testing.T) {
 				}
 
 				sp1, a1, ks1 := mk()
-				scr1 := mem.Alloc[obliv.Elem](sp1, n)
-				kscr1 := obliv.AllocKeySchedule(sp1, n, w)
-				kscr1.Tie = obliv.TiePos // the cache-agnostic merge swaps schedule roles
+				scr1, kscr1 := sortScratch(sp1, ks1, n)
 				bitonic.CacheAgnostic{}.SortScheduled(forkjoin.Serial(), sp1, a1, ks1, scr1, kscr1, 0, n)
 
 				sp2, a2, ks2 := mk()
 				shuf := &ShuffleSorter{FixedSeed: fixedSeed(7), Crossover: 2}
-				shuf.SortScheduled(forkjoin.Serial(), sp2, a2, ks2, nil, nil, 0, n)
+				scr2, kscr2 := sortScratch(sp2, ks2, n)
+				shuf.SortScheduled(forkjoin.Serial(), sp2, a2, ks2, scr2, kscr2, 0, n)
 
 				for i := 0; i < n; i++ {
 					if a1.Data()[i] != a2.Data()[i] {
@@ -211,8 +217,9 @@ func TestShuffleSorterTraceShapeSensitive(t *testing.T) {
 		sp := mem.NewSpace()
 		a, ks := shuffleInput(sp, prng.New(3), n, n, 1)
 		shuf := &ShuffleSorter{FixedSeed: fixedSeed(9), Crossover: 2}
+		scr, kscr := sortScratch(sp, ks, n)
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			shuf.SortScheduled(c, sp, a, ks, nil, nil, 0, n)
+			shuf.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
 		})
 	}
 	if run(64).Trace.Equal(run(128).Trace) {
@@ -317,8 +324,9 @@ func TestShuffleSorterDefaultSecretCoins(t *testing.T) {
 		sp := mem.NewSpace()
 		a, ks := shuffleInput(sp, prng.New(6), n, n, 1)
 		shuf := &ShuffleSorter{Crossover: 2}
+		scr, kscr := sortScratch(sp, ks, n)
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			shuf.SortScheduled(c, sp, a, ks, nil, nil, 0, n)
+			shuf.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
 		})
 		for i := 1; i < n; i++ {
 			x, y := a.Data()[i-1], a.Data()[i]
@@ -451,11 +459,12 @@ func TestShuffleSortParallelMatchesSerial(t *testing.T) {
 		src := prng.New(7)
 		a, ks := shuffleInput(sp, src, n, n-100, w)
 		shuf := &ShuffleSorter{FixedSeed: fixedSeed(5), Crossover: 2}
+		scr, kscr := sortScratch(sp, ks, n)
 		if workers == 0 {
-			shuf.SortScheduled(forkjoin.Serial(), sp, a, ks, nil, nil, 0, n)
+			shuf.SortScheduled(forkjoin.Serial(), sp, a, ks, scr, kscr, 0, n)
 		} else {
 			forkjoin.RunParallel(workers, func(c *forkjoin.Ctx) {
-				shuf.SortScheduled(c, sp, a, ks, nil, nil, 0, n)
+				shuf.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
 			})
 		}
 		return append([]obliv.Elem(nil), a.Data()...)

@@ -77,8 +77,6 @@ type MeterOpts struct {
 	CacheM, CacheB int
 	// EnableTrace turns on access-pattern recording.
 	EnableTrace bool
-	// TraceKeep retains this many raw events for diagnostics.
-	TraceKeep int
 	// Cancel, when non-nil, arms the run's cooperative cancellation token
 	// (see Ctx.Check). An untripped token leaves the metered trace and
 	// metrics byte-identical to a run with no token.
@@ -97,28 +95,11 @@ func RunMetered(o MeterOpts, fn func(*Ctx)) *Metrics {
 		m.cache = cachesim.New(o.CacheM, b)
 	}
 	if o.EnableTrace {
-		m.rec = trace.NewRecorder(o.TraceKeep)
+		m.rec = trace.NewRecorder(0)
 	}
 	c := &Ctx{m: m, cancel: o.Cancel}
 	fn(c)
 	return m.snapshot()
-}
-
-// RunMeteredRecorder is like RunMetered but also returns the raw trace
-// recorder so callers can inspect retained prefixes.
-func RunMeteredRecorder(o MeterOpts, fn func(*Ctx)) (*Metrics, *trace.Recorder) {
-	m := &Meter{}
-	if o.CacheM > 0 {
-		b := o.CacheB
-		if b <= 0 {
-			b = 1
-		}
-		m.cache = cachesim.New(o.CacheM, b)
-	}
-	m.rec = trace.NewRecorder(o.TraceKeep)
-	c := &Ctx{m: m, cancel: o.Cancel}
-	fn(c)
-	return m.snapshot(), m.rec
 }
 
 func (m *Meter) snapshot() *Metrics {

@@ -73,21 +73,17 @@ func distOp(x, y distVal) distVal {
 // arithmetic only).
 //
 // outLen must be in [1, MaxKey) — destinations become sort-key words below
-// the InfKey sentinel. srt must be a ScheduledSorter: the destination of an
-// element is carried through the network as its cached schedule word and
-// read back afterwards, which no closure key can express. The access
-// pattern depends only on (len(sources), outLen), never on the
-// destinations or the element contents.
+// the InfKey sentinel. The destination of an element is carried through
+// the network as its cached schedule word and read back afterwards, which
+// no closure key can express. The access pattern depends only on
+// (len(sources), outLen), never on the destinations or the element
+// contents.
 func Distribute(
 	c *forkjoin.Ctx, sp *mem.Space,
 	sources *mem.Array[Elem], dests *mem.Array[uint64], outLen int,
 	apply func(slot, d uint64, src Elem, ok bool) Elem,
-	srt Sorter,
+	srt ScheduledSorter,
 ) *mem.Array[Elem] {
-	ss, ok := srt.(ScheduledSorter)
-	if !ok {
-		panic(fmt.Sprintf("obliv: sorter %s does not support key schedules (ScheduledSorter); Distribute recovers destinations from the schedule", srt.Name()))
-	}
 	if outLen < 1 || uint64(outLen) >= MaxKey {
 		panic(fmt.Sprintf("obliv: Distribute outLen %d out of range [1, 2^62)", outLen))
 	}
@@ -97,10 +93,8 @@ func Distribute(
 	nIn := sources.Len()
 	wLen := NextPow2(nIn + outLen)
 	w := mem.Alloc[Elem](sp, wLen)
-	ks := AllocKeySchedule(sp, wLen, 1)
-	kscr := AllocKeySchedule(sp, wLen, 1)
-	scr := mem.Alloc[Elem](sp, wLen)
-	plane := ks.Plane(0)
+	ksort := NewKeyedSort(sp, wLen, TieNetwork, srt)
+	plane := ksort.Keys()
 
 	// Participants are keyed d<<1 and slots s<<1|1, so the governing
 	// participant of slot s sorts immediately before it; everything else
@@ -132,7 +126,7 @@ func Distribute(
 		}
 	})
 
-	ss.SortScheduled(c, sp, w, ks, scr, kscr, 0, wLen)
+	ksort.SortLoaded(c, w, wLen)
 
 	// Latest-participant scan: position p learns the participant with the
 	// largest destination at or before p. The schedule moved through the

@@ -99,19 +99,15 @@ func CompareExchange(c *forkjoin.Ctx, a *mem.Array[Elem], i, j int, asc bool, ke
 	a.Set(c, j, y)
 }
 
-// Select returns b if cond else a, in straight-line code (no instrumented
-// memory traffic; the branch operates on register values only).
-func Select(cond bool, a, b uint64) uint64 {
-	if cond {
-		return b
-	}
-	return a
-}
-
 // Sorter sorts a[lo:lo+n] ascending by key using a data-independent
 // network. Implementations state their n requirements (the network sorters
 // in internal/bitonic require n to be a power of two; callers pad with
 // Filler elements keyed InfKey).
+//
+// Sorter is the closure-key seam of the paper reproduction only — BinPlace,
+// core's REC-ORBA/ORP/REC-SORT, internal/oram, the experiments and the
+// bitonic ablation — where the key is recomputed per comparator as the
+// paper's cost model counts it. Everything else takes ScheduledSorter.
 type Sorter interface {
 	Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64)
 	Name() string

@@ -282,18 +282,21 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // must not alias a or ks; sorters that sort strictly in place ignore them
 // (nil is then permitted).
 //
-// Callers that hold a multi-pass scratch arena use this interface to avoid
-// both the per-comparator key recomputation and the per-sort scratch
-// allocation of Sorter.Sort.
+// This is the production sorter seam: the relational, graph, PRAM and
+// serving layers take a ScheduledSorter and nothing else, so handing them
+// a closure-only Sorter is a compile error. It embeds Sorter because the
+// paper reproduction's closure-key call sites (see Sorter) run on the same
+// configured backend.
 type ScheduledSorter interface {
 	Sorter
 	SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, lo, n int)
 }
 
+var _ ScheduledSorter = SelectionNetwork{}
+
 // SortScheduled implements ScheduledSorter for the selection network: all
-// pairs through the cached comparator, any n, space and scratch ignored. It
-// exists so the tiny reference sorter remains usable wherever the
-// relational layer now requires schedule support.
+// pairs through the cached comparator, any n, space and scratch ignored —
+// the test oracle for every ScheduledSorter call site.
 func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[Elem], ks *KeySchedule, _ *mem.Array[Elem], _ *KeySchedule, lo, n int) {
 	for i := 0; i < n-1; i++ {
 		for j := i + 1; j < n; j++ {
@@ -302,25 +305,62 @@ func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Arra
 	}
 }
 
+// KeyedSort is the keyed-sort recipe of every call site without a
+// relops.Arena (the graph and PRAM bulk steps, send-receive, Distribute,
+// the closure-key shim of the shuffle backend): it owns one width-1 key
+// schedule, its scratch twin — held to the same tie rule, since the
+// cache-agnostic merges swap the two schedules' roles — and the element
+// scratch, and reuses all three across a caller's consecutive sorts.
+type KeyedSort struct {
+	sp       *mem.Space
+	srt      ScheduledSorter
+	ks, kscr *KeySchedule
+	scr      *mem.Array[Elem]
+}
+
+// NewKeyedSort allocates from sp (the space srt also draws its working
+// memory from) the buffers for sorts of up to n elements through srt: key
+// plane, key scratch, element scratch, in that order (addresses are part
+// of the trace, so the order is fixed).
+func NewKeyedSort(sp *mem.Space, n int, tie TieBreak, srt ScheduledSorter) KeyedSort {
+	ks := AllocKeySchedule(sp, n, 1)
+	kscr := AllocKeySchedule(sp, n, 1)
+	ks.Tie, kscr.Tie = tie, tie
+	return KeyedSort{sp: sp, srt: srt, ks: ks, kscr: kscr, scr: mem.Alloc[Elem](sp, n)}
+}
+
+// Sort sorts a[lo:lo+n) ascending by the single-word closure key: the key
+// words are materialized once into the schedule (one fixed elementwise
+// pass) and the backend orders the cached words, so every caller inherits
+// backend selection and the cached-key comparators.
+func (k KeyedSort) Sort(c *forkjoin.Ctx, a *mem.Array[Elem], lo, n int, key func(Elem) uint64) {
+	if lo != 0 {
+		// Keep the schedule and the sorted range index-aligned.
+		a = a.View(lo, n)
+	}
+	BuildKeySchedule(c, a, k.ks, 0, n, func(e Elem, out []uint64) { out[0] = key(e) })
+	k.SortLoaded(c, a, n)
+}
+
+// Keys returns the key plane, indexed identically to the sorted array, for
+// callers that write the key words themselves (SortLoaded) or read them
+// back after a sort — the plane moves through the network in lockstep with
+// the elements.
+func (k KeyedSort) Keys() *mem.Array[uint64] { return k.ks.Plane(0) }
+
+// SortLoaded sorts a[0:n) ascending by the words currently in Keys().
+func (k KeyedSort) SortLoaded(c *forkjoin.Ctx, a *mem.Array[Elem], n int) {
+	k.srt.SortScheduled(c, k.sp, a, k.ks, k.scr, k.kscr, 0, n)
+}
+
 // SortKeyed sorts a[0:n) ascending by the single-word closure key with the
-// deterministic TiePos tie-break, through the sorter's key-schedule path:
-// the key words are materialized once into a fresh width-1 schedule (one
-// fixed elementwise pass) and the backend orders the cached words, so every
-// caller inherits backend selection and the cached-key comparators. TiePos
+// deterministic TiePos tie-break, through a one-shot KeyedSort. TiePos
 // makes the output permutation a deterministic function of the input
 // regardless of backend — key ties resolve by the elements' (Kind, Tag,
-// Aux) triple, never by network topology. This is the migration shim for
-// call sites without a multi-pass scratch arena (the graph and PRAM bulk
-// steps); relational code uses the arena-backed relops sortSched instead.
+// Aux) triple, never by network topology.
 func SortKeyed(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], n int, key func(Elem) uint64, srt ScheduledSorter) {
 	if n <= 1 {
 		return
 	}
-	ks := AllocKeySchedule(sp, n, 1)
-	ks.Tie = TiePos
-	kscr := AllocKeySchedule(sp, n, 1)
-	kscr.Tie = TiePos
-	scr := mem.Alloc[Elem](sp, n)
-	BuildKeySchedule(c, a, ks, 0, n, func(e Elem, out []uint64) { out[0] = key(e) })
-	srt.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
+	NewKeyedSort(sp, n, TiePos, srt).Sort(c, a, 0, n, key)
 }

@@ -62,22 +62,16 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		}
 	})
 
-	// One width-1 TiePos schedule plus scratch, shared by both sorts.
-	ks := AllocKeySchedule(sp, wLen, 1)
-	ks.Tie = TiePos
-	kscr := AllocKeySchedule(sp, wLen, 1)
-	kscr.Tie = TiePos
-	scr := mem.Alloc[Elem](sp, wLen)
+	// One TiePos schedule plus scratch, shared by both sorts.
+	ksort := NewKeyedSort(sp, wLen, TiePos, srt)
 
 	// Sort by key with sources before destinations at equal keys.
-	key1 := func(e Elem) uint64 {
+	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
 		if e.Kind == Filler {
 			return InfKey
 		}
 		return e.Key<<1 | uint64(e.Tag)
-	}
-	BuildKeySchedule(c, w, ks, 0, wLen, func(e Elem, out []uint64) { out[0] = key1(e) })
-	srt.SortScheduled(c, sp, w, ks, scr, kscr, 0, wLen)
+	})
 
 	// Propagate each key-group's source value to the whole group.
 	groupOf := func(e Elem) uint64 {
@@ -102,14 +96,12 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		})
 
 	// Sort destinations back to request order; sources and fillers last.
-	key2 := func(e Elem) uint64 {
+	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
 		if e.Kind == Real && e.Tag == tagDest {
 			return e.Aux
 		}
 		return InfKey
-	}
-	BuildKeySchedule(c, w, ks, 0, wLen, func(e Elem, out []uint64) { out[0] = key2(e) })
-	srt.SortScheduled(c, sp, w, ks, scr, kscr, 0, wLen)
+	})
 
 	out := mem.Alloc[Elem](sp, nd)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {

@@ -147,9 +147,6 @@ func NewTape(seed uint64, n int) *Tape {
 	return &Tape{words: w}
 }
 
-// TapeFromWords wraps an existing word slice (used by tests).
-func TapeFromWords(w []uint64) *Tape { return &Tape{words: w} }
-
 // Next returns the next word on the tape. It panics if the tape is
 // exhausted: the caller is responsible for sizing tapes, and silently
 // recycling coins would invalidate the obliviousness analysis.

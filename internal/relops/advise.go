@@ -34,7 +34,7 @@ type capPair struct{ l, r uint64 }
 // When the bound exceeds MaxRows the error wraps ErrCapTooLarge and the
 // returned value is MaxRows+1 (saturated): no legal capacity can hold the
 // join. ar supplies reusable scratch (nil = allocate fresh).
-func JoinCapAdvise(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.Sorter) (int64, error) {
+func JoinCapAdvise(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.ScheduledSorter) (int64, error) {
 	if left.W != right.W {
 		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
 	}

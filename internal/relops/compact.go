@@ -16,7 +16,7 @@ import (
 // values, not memory). The rest of the operator is one data-independent
 // sort plus elementwise passes, so the trace depends only on r's shape.
 // ar supplies reusable scratch (nil = allocate fresh).
-func Compact(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pred func(Record) bool, srt obliv.Sorter) int {
+func Compact(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pred func(Record) bool, srt obliv.ScheduledSorter) int {
 	a := r.A
 	forkjoin.ParallelRange(c, 0, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -16,7 +16,7 @@ import (
 // neighbor-compare pass, then compact the marked records — two
 // data-independent sorts and two elementwise passes, trace a function of
 // r's shape only. ar supplies reusable scratch (nil = allocate fresh).
-func Distinct(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, srt obliv.Sorter) int {
+func Distinct(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, srt obliv.ScheduledSorter) int {
 	sortSched(c, sp, ar, r.A, keyIdxSched(r.W), srt)
 	markBoundaries(c, sp, ar, r)
 	return compactMarked(c, sp, ar, r.A, srt)

@@ -146,7 +146,7 @@ func aggregateGroups(c *forkjoin.Ctx, sp *mem.Space, r Rel, agg AggKind) {
 // only the heads. All phases are data-independent; the trace depends only
 // on (len, width, agg) — all public. ar supplies reusable scratch (nil =
 // allocate fresh).
-func GroupBy(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, srt obliv.Sorter) int {
+func GroupBy(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, srt obliv.ScheduledSorter) int {
 	sortSched(c, sp, ar, r.A, keyIdxSched(r.W), srt)
 
 	aggregateGroups(c, sp, r, agg)

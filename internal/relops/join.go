@@ -41,7 +41,7 @@ const (
 // suffix of the logical order is the obliv.TiePos tie-break — the
 // elements' (Tag, Aux) read in registers — so the schedule carries only
 // the key columns. ar supplies reusable scratch (nil = allocate fresh).
-func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.Sorter) (Rel, int) {
+func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.ScheduledSorter) (Rel, int) {
 	if left.W != right.W {
 		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
 	}

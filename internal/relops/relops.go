@@ -46,8 +46,8 @@
 // (Compact, Distinct, GroupBy, Join, TopK) and the fused executor
 // (Execute, engine.go) that runs the pass sequence produced by the
 // internal/plan sort-fusion planner. Both sort through the key-schedule
-// fast path (obliv.ScheduledSorter — now a hard requirement of the
-// relational sorts), and both draw their scratch from an Arena when one is
+// fast path (obliv.ScheduledSorter, the only sorter type the relational
+// layer accepts), and both draw their scratch from an Arena when one is
 // supplied.
 package relops
 
@@ -321,9 +321,9 @@ func sameGroup(w int) func(x, y obliv.Elem) bool {
 
 // sortSched sorts all of a ascending by the lexicographic schedule sc. The
 // key words are materialized once into an arena-backed obliv.KeySchedule
-// (one fixed linear pass) and the sorter orders by the cached vectors — the
-// relational sorts require obliv.ScheduledSorter since no single closure
-// word can express a multi-word schedule. Backend selection happens inside
+// (one fixed linear pass) and the sorter orders by the cached vectors — no
+// single closure word can express a multi-word schedule, which is why the
+// relational layer takes obliv.ScheduledSorter. Backend selection happens inside
 // the sorter: the keyed bitonic networks run everywhere, and the
 // shuffle-then-sort backend (core.ShuffleSorter) switches between its
 // composition and its bitonic fallback at a public size crossover — a
@@ -333,7 +333,7 @@ func sameGroup(w int) func(x, y obliv.Elem) bool {
 // (length, sc.w) exactly for the networks, (length, sc.w, coins, permuted
 // key order) for the shuffle composition (input-independent in
 // distribution over its secret permutation; see core.ShuffleSorter).
-func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], sc schedule, srt obliv.Sorter) {
+func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], sc schedule, srt obliv.ScheduledSorter) {
 	n := a.Len()
 	if n <= 1 {
 		return
@@ -342,16 +342,12 @@ func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Ele
 	// injection point (a no-op unless a test armed it).
 	c.Check("relops.sort")
 	faultinject.Hit("sort.pass")
-	ss, ok := srt.(obliv.ScheduledSorter)
-	if !ok {
-		panic(fmt.Sprintf("relops: sorter %s does not support key schedules (obliv.ScheduledSorter)", srt.Name()))
-	}
 	ks := ar.Keys(sp, n, sc.w)
 	ks.Tie = sc.tie
 	kscr := ar.KeyScratch(sp, n, sc.w)
 	kscr.Tie = sc.tie // cache-agnostic merges swap the schedule roles
 	obliv.BuildKeySchedule(c, a, ks, 0, n, sc.emit)
-	ss.SortScheduled(c, sp, a, ks, ar.ElemScratch(sp, n), kscr, 0, n)
+	srt.SortScheduled(c, sp, a, ks, ar.ElemScratch(sp, n), kscr, 0, n)
 }
 
 // markBoundaries sets Mark=1 on every real element whose predecessor
@@ -397,7 +393,7 @@ func markBoundaries(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel) {
 // read, outside the adversary's view). This is the oblivious tight
 // compaction at the heart of the stand-alone operators: one
 // data-independent sort plus one elementwise pass.
-func compactMarked(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], srt obliv.Sorter) int {
+func compactMarked(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) int {
 	sortSched(c, sp, ar, a, markSched(), srt)
 	forkjoin.ParallelRange(c, 0, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {

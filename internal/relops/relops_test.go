@@ -65,7 +65,7 @@ func mustLoadW(t testing.TB, sp *mem.Space, recs []Record, w int) Rel {
 // (The trace-fingerprint tests pin their backends explicitly and do not go
 // through this helper: the shuffle backend's per-seed trace determinism is
 // weaker, and its fingerprint guarantees are asserted by its own tests.)
-func testSorter(n int) obliv.Sorter {
+func testSorter(n int) obliv.ScheduledSorter {
 	if os.Getenv("OBLIVMC_SORT_BACKEND") == "shuffle" {
 		seed := uint64(0x7e57)
 		return &core.ShuffleSorter{FixedSeed: &seed, Crossover: 2}

@@ -25,7 +25,7 @@ import (
 
 // shuffleSorter forces the shuffle composition at every size; fresh per
 // run (the sorter counts its sorts).
-func shuffleSorter(seed uint64) obliv.Sorter {
+func shuffleSorter(seed uint64) obliv.ScheduledSorter {
 	return &core.ShuffleSorter{FixedSeed: &seed, Crossover: 2}
 }
 
@@ -36,7 +36,7 @@ func checkGroupByBackends(t testing.TB, seed, sortSeed uint64, n, w, dist int, a
 	t.Helper()
 	src := prng.New(seed)
 	recs := genRecords(src, n, w, dist)
-	run := func(srt obliv.Sorter) []Record {
+	run := func(srt obliv.ScheduledSorter) []Record {
 		sp := mem.NewSpace()
 		a := mustLoadW(t, sp, recs, w)
 		GroupBy(testCtx(), sp, NewArena(), a, agg, srt)
@@ -60,16 +60,16 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 
 				src := prng.New(seed ^ 0xD15)
 				recs := genRecords(src, n, w, dist)
-				runOp := func(srt obliv.Sorter, op func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter)) []Record {
+				runOp := func(srt obliv.ScheduledSorter, op func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter)) []Record {
 					sp := mem.NewSpace()
 					r := mustLoadW(t, sp, recs, w)
 					op(testCtx(), sp, r, srt)
 					return Unload(r)
 				}
-				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter) {
+				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
 					Distinct(c, sp, NewArena(), r, srt)
 				}
-				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter) {
+				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
 					Compact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
 				}
 				checkRecords(t, runOp(shuffleSorter(seed), distinct), runOp(bitonic.CacheAgnostic{}, distinct), "Distinct backends")
@@ -78,7 +78,7 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				if n >= 2 {
 					lrecs := genRecords(src, (n+1)/2, w, dist)
 					maxOut := len(lrecs)*n + 1
-					runJoin := func(srt obliv.Sorter) []Joined {
+					runJoin := func(srt obliv.ScheduledSorter) []Joined {
 						sp := mem.NewSpace()
 						l := mustLoadW(t, sp, lrecs, w)
 						r := mustLoadW(t, sp, recs, w)

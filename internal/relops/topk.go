@@ -20,7 +20,7 @@ import (
 // record, which every operator in this package tolerates (fillers carry
 // the InfKey sentinel in every schedule word).
 // ar supplies reusable scratch (nil = allocate fresh).
-func TopK(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, k int, srt obliv.Sorter) int {
+func TopK(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, k int, srt obliv.ScheduledSorter) int {
 	sortSched(c, sp, ar, r.A, descValSched(), srt)
 	rankCut(c, sp, ar, r.A, k)
 	return countReal(r.A)

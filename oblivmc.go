@@ -103,9 +103,6 @@ type Config struct {
 	Seed uint64
 	// SortBackend selects the relational sort backend (default SortAuto).
 	SortBackend SortBackend
-	// SortCrossover overrides the SortAuto size threshold
-	// (0 = core.DefaultShuffleCrossover).
-	SortCrossover int
 	// DeterministicShuffle derives the shuffle backend's permutations and
 	// tie words from Seed (plus a per-run sort counter) instead of the
 	// default fresh crypto/rand secret per sort. This makes the shuffle
@@ -145,6 +142,15 @@ func (t Tuning) params() core.Params {
 		SampleRate: t.SampleRate, PivotSpacing: t.PivotSpacing,
 		BinCapFactor: t.BinCapFactor,
 	}
+}
+
+// graphParams is cfg's tuning with a fresh sorter of the configured backend
+// attached — the parameters every graph / PRAM entry point runs under (one
+// sorter per run; see relSorter).
+func (cfg Config) graphParams() core.Params {
+	p := cfg.Tuning.params()
+	p.Sorter = relSorter(cfg)
+	return p
 }
 
 // Report carries the metrics of a metered run; nil in other modes.

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -126,6 +125,8 @@ type passCounter struct {
 	n     *int
 }
 
+var _ obliv.ScheduledSorter = passCounter{}
+
 func (s passCounter) Name() string { return s.inner.Name() }
 
 func (s passCounter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
@@ -157,12 +158,12 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 // and the cross-query order tokens a Session feeds back into the planner
 // are themselves functions of prior public shapes.
 type Session struct {
-	cfg     Config
-	pool    *forkjoin.Pool
-	sp      *mem.Space
-	arena   *relops.Arena
-	shuffle *core.ShuffleSorter
-	closed  bool
+	cfg    Config
+	pool   *forkjoin.Pool
+	sp     *mem.Space
+	arena  *relops.Arena
+	srt    obliv.ScheduledSorter
+	closed bool
 
 	// cur is the in-flight query's cancellation token (nil when idle) —
 	// the seam Interrupt trips from other goroutines.
@@ -179,20 +180,12 @@ type Session struct {
 // default) it owns a long-lived work-stealing pool of cfg.Workers workers
 // (GOMAXPROCS when zero); call Close to release it.
 func NewSession(cfg Config) *Session {
-	s := &Session{cfg: cfg, sp: mem.NewSpace(), arena: relops.NewArena()}
+	// One persistent sorter per session: the shuffle backend is stateful,
+	// and its caches — tie planes, Beneš level buffers — are what make
+	// cross-request pooling worthwhile (the bitonic backend is stateless).
+	s := &Session{cfg: cfg, sp: mem.NewSpace(), arena: relops.NewArena(), srt: relSorter(cfg)}
 	if cfg.Mode == ModeParallel {
 		s.pool = forkjoin.NewPool(cfg.Workers)
-	}
-	// One persistent shuffle sorter per session (it is the stateful
-	// backend whose caches — tie planes, Beneš level buffers — make
-	// cross-request pooling worthwhile). The bitonic backend is stateless,
-	// so sessions hand out the same value every run.
-	switch cfg.SortBackend {
-	case SortBitonic:
-	case SortShuffle:
-		s.shuffle = &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: 2}
-	default:
-		s.shuffle = &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: cfg.SortCrossover}
 	}
 	return s
 }
@@ -215,14 +208,6 @@ func (s *Session) Close() {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-}
-
-// sorter returns the session's scheduled sorter for one run.
-func (s *Session) sorter() obliv.ScheduledSorter {
-	if s.shuffle != nil {
-		return s.shuffle
-	}
-	return relSorter(s.cfg)
 }
 
 // exec assembles the session's execution environment.
@@ -285,7 +270,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 		return Table{}, QueryStats{}, err
 	}
 	passes := 0
-	srt := passCounter{inner: s.sorter(), n: &passes}
+	srt := passCounter{inner: s.srt, n: &passes}
 	cn := new(forkjoin.Cancel)
 	s.cur.Store(cn)
 	defer s.cur.Store(nil)

@@ -19,8 +19,8 @@ import (
 // construct it once at an operator entry point (Filter/Distinct/GroupBy/
 // TopK/RunQuery, the join surfaces, GroupTotals) and thread it through
 // runTableOp to the stages — never construct per stage. Selection — and,
-// for SortAuto, the per-sort size crossover inside the shuffle sorter —
-// is a function of public shape only.
+// for SortAuto, the per-sort size crossover inside the shuffle sorter
+// (core.DefaultShuffleCrossover) — is a function of public shape only.
 func relSorter(cfg Config) obliv.ScheduledSorter {
 	switch cfg.SortBackend {
 	case SortBitonic:
@@ -28,7 +28,7 @@ func relSorter(cfg Config) obliv.ScheduledSorter {
 	case SortShuffle:
 		return &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: 2}
 	default:
-		return &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: cfg.SortCrossover}
+		return &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg)}
 	}
 }
 
@@ -307,7 +307,7 @@ func (a Agg) kind() (relops.AggKind, error) {
 // back (usually r itself; the join stage replaces it with the expanded
 // relation) at its width. A body error aborts the run without converting a
 // result.
-func runTableOp(e exec, t Table, srt obliv.Sorter, body func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error)) (Table, *Report, error) {
+func runTableOp(e exec, t Table, srt obliv.ScheduledSorter, body func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error)) (Table, *Report, error) {
 	var out Table
 	var runErr error
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
@@ -405,7 +405,7 @@ func FilterRows(cfg Config, t Table, pred func(WideRow) bool) (Table, *Report, e
 		return Table{}, nil, fmt.Errorf("oblivmc: FilterRows requires a predicate")
 	}
 	w := t.Width()
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(wideRowOf(rec, w)) }, srt)
 		return r, nil
 	})
@@ -424,7 +424,7 @@ func Filter(cfg Config, t Table, pred func(Row) bool) (Table, *Report, error) {
 	if t.Width() > 1 {
 		return Table{}, nil, errWideFilter("Filter")
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(Row{Key: rec.Key, Val: rec.Val}) }, srt)
 		return r, nil
 	})
@@ -436,7 +436,7 @@ func Distinct(cfg Config, t Table) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		relops.Distinct(c, sp, ar, r, srt)
 		return r, nil
 	})
@@ -456,7 +456,7 @@ func GroupByCols(cfg Config, t Table, agg Agg) (Table, *Report, error) {
 	if err != nil {
 		return Table{}, nil, err
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		relops.GroupBy(c, sp, ar, r, kind, srt)
 		return r, nil
 	})
@@ -478,7 +478,7 @@ func TopK(cfg Config, t Table, k int) (Table, *Report, error) {
 	if k < 0 {
 		return Table{}, nil, fmt.Errorf("oblivmc: negative k %d", k)
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		relops.TopK(c, sp, ar, r, k, srt)
 		return r, nil
 	})
@@ -583,7 +583,7 @@ func checkJoinTables(left, right Table, maxOut int) error {
 // relations (one extra sorting pass inside the same run); anything else
 // passes through untouched. An advised bound of zero still needs one
 // output slot to be a legal capacity.
-func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared int, l, r relops.Rel, srt obliv.Sorter) (int, error) {
+func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared int, l, r relops.Rel, srt obliv.ScheduledSorter) (int, error) {
 	if declared != JoinCapAuto {
 		return declared, nil
 	}
@@ -874,7 +874,7 @@ func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
 // join's propagate+compact tail because a later pass re-sorts anyway).
 // The returned error is the public ErrJoinOverflow wrap used by
 // JoinAllRows, carrying the true match count for the retry.
-func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.Sorter) (relops.Rel, error) {
+func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.ScheduledSorter) (relops.Rel, error) {
 	l, err := relops.Load(sp, recordsOf(j.Left), r.W)
 	if err != nil {
 		return relops.Rel{}, err
@@ -907,10 +907,10 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 // both relations — peels it off the plan's head and hands Execute the
 // remaining unary passes over the expanded relation. The result table is
 // stamped with the plan's output order token.
-func runQueryPlanned(e exec, t Table, q Query, kind relops.AggKind, srt obliv.Sorter) (Table, *Report, error) {
+func runQueryPlanned(e exec, t Table, q Query, kind relops.AggKind, srt obliv.ScheduledSorter) (Table, *Report, error) {
 	pl := plan.Build(q.shape(kind, t.Width(), t.order))
 	pred := q.pred(t.Width())
-	out, rep, err := runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	out, rep, err := runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		rest := pl
 		if q.Join != nil {
 			jop := rest.Ops[0] // plan.Build puts OpJoinAll first
@@ -936,11 +936,11 @@ func runQueryPlanned(e exec, t Table, q Query, kind relops.AggKind, srt obliv.So
 // same schedule path as everything else — the packed-composite closure
 // comparator no longer exists — so the A/B difference it isolates is
 // purely the planner's pass structure.)
-func runQueryStaged(e exec, t Table, q Query, kind relops.AggKind, srt obliv.Sorter) (Table, *Report, error) {
+func runQueryStaged(e exec, t Table, q Query, kind relops.AggKind, srt obliv.ScheduledSorter) (Table, *Report, error) {
 	// The unary operators run with nil scratch (per-call allocation), as
 	// the pre-planner baseline always has; only the join uses the per-run
 	// arena.
-	return runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	return runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
 		if q.Join != nil {
 			// The stand-alone operator pays its full three sorts.
 			var err error
