@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet race bench-build bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet race check-inline bench-build bench-kernels bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
 
 all: vet build test
 
@@ -31,6 +31,29 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# check-inline pins the claim in the internal/mem package doc: outside
+# metered mode Get/Set are a nil check and a slice index. That holds only
+# while forkjoin.(*Ctx).Access and, through it, mem.Array.Get/Set stay under
+# the compiler's inlining budget (Set sits exactly on it), so fail loudly
+# when a change to any of them pushes one over.
+check-inline:
+	@$(GO) build -gcflags=-m ./internal/forkjoin 2>&1 | grep -q 'can inline (\*Ctx).Access' \
+		|| { echo 'forkjoin.(*Ctx).Access is no longer inlinable'; exit 1; }
+	@out=$$($(GO) build -gcflags=-m ./internal/obliv 2>&1); for m in Get Set; do \
+		echo "$$out" | grep -q "inlining call to mem.(\*Array\[go.shape.uint64\]).$$m" \
+			|| { echo "mem.(*Array).$$m is no longer inlined into internal/obliv"; exit 1; }; \
+	done
+
+# bench-kernels runs the in-package micro-benchmarks that sit next to the
+# block kernels: the branchless comparator run over sorted / random /
+# reverse keys (the three must cost the same), the keyed bitonic sort per
+# leaf size, a routed Beneš network, a transpose, and the bitonic-vs-shuffle
+# backend ratio around the crossover. BENCH_KERNELS_ARGS bounds it, e.g.
+# make bench-kernels BENCH_KERNELS_ARGS="-benchtime 1x" (the CI smoke run).
+BENCH_KERNELS_ARGS ?= -benchtime 20x
+bench-kernels:
+	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/matrix -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
 
 # bench-build compiles and tests the frozen benchmark harness. benchmark/
 # is its own module (`replace oblivmc => ../`), so `go build ./...` and

@@ -22,26 +22,33 @@ import (
 	"oblivmc/internal/obliv"
 )
 
+// mergeSerialKeyed and sortSerialKeyed are the serial leaves in block form:
+// a leaf is a fixed sequence of butterfly layers, each handed whole to the
+// block comparator, which decides once per leaf whether it runs per access
+// or over raw slices and issues the comparators of the per-pair loop
+// `for i { if i&j == 0 { cex(i, i|j, dir) } }` in the same order.
 func mergeSerialKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, m int, asc bool) {
+	kern := obliv.NewCexKernel(c, a, ks)
 	for j := m >> 1; j > 0; j >>= 1 {
-		for i := 0; i < m; i++ {
-			if i&j == 0 {
-				obliv.CompareExchangeCachedW(c, a, ks, lo+i, lo+(i|j), asc)
-			}
-		}
+		kern.Layer(lo, m, j, 0, asc)
 	}
 }
 
+// sortSerialKeyed is the network the recursion above it unrolls to, layer
+// by layer: sorted sequences of length k < n alternate ascending and
+// descending whatever asc is (sortCAKeyedRec sorts its first half ascending
+// and its second descending), and only the final merge runs in direction
+// asc. A leaf therefore leaves the same permutation — ties included — as
+// the fully forked leaf-2 network a metered run executes.
 func sortSerialKeyed(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, lo, n int, asc bool) {
-	for k := 2; k <= n; k <<= 1 {
+	kern := obliv.NewCexKernel(c, a, ks)
+	for k := 2; k < n; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < n; i++ {
-				if i&j == 0 {
-					dir := (i&k == 0) == asc
-					obliv.CompareExchangeCachedW(c, a, ks, lo+i, lo+(i|j), dir)
-				}
-			}
+			kern.Layer(lo, n, j, k, true)
 		}
+	}
+	for j := n >> 1; j > 0; j >>= 1 {
+		kern.Layer(lo, n, j, 0, asc)
 	}
 }
 

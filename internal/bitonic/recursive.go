@@ -8,9 +8,18 @@ import (
 )
 
 // DefaultLeaf is the subproblem size below which the recursion switches to
-// the serial iterative network. It only affects constants; the recursion is
-// cache-agnostic either way.
-const DefaultLeaf = 32
+// the serial iterative network outside metered mode. It is sized to a cache
+// block of work, not to the cost model: a leaf is where the raw block
+// comparator runs straight-line over ~56 KiB of elements and key words
+// (L1/L2-resident), and everything above it — forks, transposes, their
+// closures — is bookkeeping a stolen task has to pay for. Measured with
+// BenchmarkBitonicLeaf (2^15 elements): the sort flattens out between 512
+// and 2048 (leaf 32 is ~1.5× slower, 4096 gains a few percent and halves the
+// tasks a 2^13 sort offers a pool); 1024 keeps a 2^13-element sort 8-way
+// splittable. Metered runs ignore it and fork down to leaf 2 — the
+// recursion is cache-agnostic either way and the trace never moves with
+// this constant (TestMeteredIgnoresLeafConstant).
+const DefaultLeaf = 1024
 
 // SortCA is the paper's cache-agnostic, binary fork-join BITONIC-SORT
 // (§E.1.1): recursively sort the two halves in opposite directions, then

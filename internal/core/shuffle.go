@@ -56,10 +56,28 @@ import (
 // shuffle-then-sort composition, smaller ones the keyed bitonic network
 // (whose lower fixed costs win on small arrays). The crossover is a
 // function of the array length alone — public query shape, like the length
-// itself — so backend selection never depends on the data. The default was
-// measured on the relational benchmarks (cmd/relbench): the backends break
-// even between 2^12 and 2^13 and the shuffle composition pulls ahead ~1.5×
-// at 2^14, ~1.8× at 2^20.
+// itself — so backend selection never depends on the data.
+//
+// The value predates the block kernels; it was re-measured after them and
+// deliberately left where it was (ROADMAP item 2 follow-up). It was set
+// when the backends broke even between 2^12 and 2^13 and the shuffle
+// composition pulled ahead ~1.5× at 2^14, ~1.8× at 2^20 (cmd/relbench).
+// The kernels sped the networks up more than the composition — whose
+// routing, tie-word and pivot stages are partly serial — and
+// BenchmarkBackendCrossover (width 1, TiePos, 2-CPU box) now reads
+// bitonic ÷ shuffle time as
+//
+//	n       1 worker   2 workers
+//	2^13    0.92       0.63
+//	2^15    1.09       0.74
+//	2^17    1.17       0.87
+//
+// i.e. single-threaded the break-even moved up to ~2^14, and on two workers
+// the network wins through 2^17 (the frozen benchmark's
+// core.bitonic_vs_shuffle_x reads 0.5–1.0 at 2^17, was 1.2–1.3). Which
+// sizes run which backend stays fixed in the change that landed the
+// kernels so that its gain is attributable; moving the constant is its own
+// change with its own claim.
 const DefaultShuffleCrossover = 1 << 13
 
 // ShuffleSorter is the obliv.ScheduledSorter implementing the Theorem 3.2
@@ -478,83 +496,118 @@ func (pl *benesPlan) apply(c *forkjoin.Ctx, a, scr *mem.Array[obliv.Elem], ks, k
 	if a.Len() != n || scr.Len() != n {
 		panic("core: Beneš apply length mismatch")
 	}
-	w := ks.Width()
 	k := obliv.Log2(n)
-	cura, nxta := a, scr
-	curk, nxtk := ks, kscr
-	move := func(c *forkjoin.Ctx, swap bool, i0, i1, o0, o1 int) {
-		c.Op(1)
-		x, y := cura.Get(c, i0), cura.Get(c, i1)
-		if swap {
-			x, y = y, x
-		}
-		nxta.Set(c, o0, x)
-		nxta.Set(c, o1, y)
-		for p := 0; p < w; p++ {
-			kx, ky := curk.Plane(p).Get(c, i0), curk.Plane(p).Get(c, i1)
-			if swap {
-				kx, ky = ky, kx
-			}
-			nxtk.Plane(p).Set(c, o0, kx)
-			nxtk.Plane(p).Set(c, o1, ky)
-		}
-	}
+	cur, nxt := benesBuf{a, ks}, benesBuf{scr, kscr}
 	for l := 0; l < k-1; l++ {
 		// Cancellation checkpoint between network layers: the layer
 		// boundary is a function of n alone, so an abort reveals only the
 		// public layer index (never a partial-layer position).
 		c.Check("benes.level")
-		m := n >> l
-		h := m / 2
-		set := pl.layers[l]
-		forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-			for t := from; t < to; t++ {
-				off := 2 * t / m * m
-				j := t - off/2
-				move(c, set[t], off+2*j, off+2*j+1, off+j, off+h+j)
-			}
-		})
-		cura, nxta = nxta, cura
-		curk, nxtk = nxtk, curk
+		benesLayer(c, pl.layers[l], n>>(l+1), true, nxt, cur)
+		cur, nxt = nxt, cur
 	}
+	// The middle layer of adjacent conditional swaps is a split layer at
+	// half-block 1, whose halves are the pairs themselves: it runs in place.
 	c.Check("benes.level")
-	mid := pl.layers[k-1]
-	forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
+	benesLayer(c, pl.layers[k-1], 1, true, cur, cur)
+	for l := k - 2; l >= 0; l-- {
+		c.Check("benes.level")
+		benesLayer(c, pl.layers[2*k-2-l], n>>(l+1), false, nxt, cur)
+		cur, nxt = nxt, cur
+	}
+	if cur.a != a {
+		panic("core: Beneš apply did not return to the home buffer")
+	}
+}
+
+// benesBuf is one side of the network's double buffer: the element array
+// and its key schedule, indexed identically.
+type benesBuf struct {
+	a  *mem.Array[obliv.Elem]
+	ks *obliv.KeySchedule
+}
+
+// benesLayer applies one layer of switches, reading src and writing dst
+// (the same buffer for the in-place middle layer). Switch t of a layer at
+// half-block h connects the adjacent pair (2t, 2t+1) with the positions
+// (p, p+h), p = t + ⌊t/h⌋·h, of the two half-blocks: a split layer
+// (split == true) reads the pair and writes the halves, a merge layer the
+// reverse. A set switch crosses its two inputs.
+//
+// Under metering a leaf task walks its switches one at a time through the
+// per-access path — element, then every key plane. The serial and pool
+// executors run the same leaf plane by plane over raw slices, the switch
+// bit widened to a select mask, so a leaf touches the same addresses and
+// executes the same instructions whichever way its switches are set.
+func benesLayer(c *forkjoin.Ctx, set []bool, h int, split bool, dst, src benesBuf) {
+	w := src.ks.Width()
+	forkjoin.ParallelRange(c, 0, len(set), benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
+		if se := src.a.Raw(c); se != nil {
+			switchElems(dst.a.Raw(c), se, set, h, split, from, to)
+			for p := 0; p < w; p++ {
+				switchWords(dst.ks.Plane(p).Raw(c), src.ks.Plane(p).Raw(c), set, h, split, from, to)
+			}
+			return
+		}
 		for t := from; t < to; t++ {
+			i0, i1, o0, o1 := switchPorts(t, h, split)
 			c.Op(1)
-			i0, i1 := 2*t, 2*t+1
-			x, y := cura.Get(c, i0), cura.Get(c, i1)
-			if mid[t] {
+			x, y := src.a.Get(c, i0), src.a.Get(c, i1)
+			if set[t] {
 				x, y = y, x
 			}
-			cura.Set(c, i0, x)
-			cura.Set(c, i1, y)
+			dst.a.Set(c, o0, x)
+			dst.a.Set(c, o1, y)
 			for p := 0; p < w; p++ {
-				kx, ky := curk.Plane(p).Get(c, i0), curk.Plane(p).Get(c, i1)
-				if mid[t] {
+				sp, dp := src.ks.Plane(p), dst.ks.Plane(p)
+				kx, ky := sp.Get(c, i0), sp.Get(c, i1)
+				if set[t] {
 					kx, ky = ky, kx
 				}
-				curk.Plane(p).Set(c, i0, kx)
-				curk.Plane(p).Set(c, i1, ky)
+				dp.Set(c, o0, kx)
+				dp.Set(c, o1, ky)
 			}
 		}
 	})
-	for l := k - 2; l >= 0; l-- {
-		c.Check("benes.level")
-		m := n >> l
-		h := m / 2
-		set := pl.layers[2*k-2-l]
-		forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-			for t := from; t < to; t++ {
-				off := 2 * t / m * m
-				j := t - off/2
-				move(c, set[t], off+j, off+h+j, off+2*j, off+2*j+1)
-			}
-		})
-		cura, nxta = nxta, cura
-		curk, nxtk = nxtk, curk
+}
+
+// switchPorts returns the input and output positions of switch t.
+func switchPorts(t, h int, split bool) (i0, i1, o0, o1 int) {
+	p := t + t&^(h-1)
+	if split {
+		return 2 * t, 2*t + 1, p, p + h
 	}
-	if cura != a {
-		panic("core: Beneš apply did not return to the home buffer")
+	return p, p + h, 2 * t, 2*t + 1
+}
+
+// switchMask widens a switch bit to an all-ones / all-zero select mask.
+// The bool-to-integer conversion compiles to a zero-extending move, not a
+// branch.
+func switchMask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = 1
+	}
+	return -m
+}
+
+// switchWords applies switches [from, to) to one key plane.
+func switchWords(dst, src []uint64, set []bool, h int, split bool, from, to int) {
+	for t := from; t < to; t++ {
+		i0, i1, o0, o1 := switchPorts(t, h, split)
+		x, y := src[i0], src[i1]
+		d := (x ^ y) & switchMask(set[t])
+		dst[o0], dst[o1] = x^d, y^d
+	}
+}
+
+// switchElems applies switches [from, to) to the element array: both
+// inputs are copied straight across, then exchanged in place under the
+// mask.
+func switchElems(dst, src []obliv.Elem, set []bool, h int, split bool, from, to int) {
+	for t := from; t < to; t++ {
+		i0, i1, o0, o1 := switchPorts(t, h, split)
+		dst[o0], dst[o1] = src[i0], src[i1]
+		obliv.CondSwap(&dst[o0], &dst[o1], switchMask(set[t]))
 	}
 }

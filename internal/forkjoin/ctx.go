@@ -168,12 +168,21 @@ func (c *Ctx) Op(n int64) {
 }
 
 // Access records one instrumented memory operation at element address addr.
-// It is called by the mem package.
+// It is called by the mem package on every Get and Set, so it is split to
+// stay under the compiler's inlining budget: the unmetered executors pay a
+// nil check at the call site and nothing else, and only a metered run makes
+// the call into the out-of-line accounting below (CI fails unless
+// `go build -gcflags=-m ./internal/forkjoin` reports it inlinable).
 func (c *Ctx) Access(addr uint64, write bool) {
-	m := c.m
-	if m == nil {
-		return
+	if c.m != nil {
+		c.access(addr, write)
 	}
+}
+
+// access is the metered body of Access: one unit of work and span, one
+// memory operation, one ideal-cache touch, one trace record.
+func (c *Ctx) access(addr uint64, write bool) {
+	m := c.m
 	m.work++
 	m.span++
 	m.memOps++

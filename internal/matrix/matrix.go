@@ -15,11 +15,14 @@ import (
 	"oblivmc/internal/mem"
 )
 
-// transposeLeaf is the tile size below which we copy directly in parallel
-// mode. Metered runs fork all the way down to single cells so that the
-// measured span is the span of the fully forked computation the paper's
-// bounds describe (matching ParallelFor's grain-1 policy).
-const transposeLeaf = 8
+// transposeLeaf is the tile side below which the serial and pool executors
+// stop forking and move the tile with one raw loop nest: a 32×32 tile is
+// ~1k element moves, a block of work large enough for a stolen task to pay
+// for itself, while both its source rows and its destination rows still sit
+// in L1. Metered runs ignore it and fork all the way down to single cells so
+// that the measured span is the span of the fully forked computation the
+// paper's bounds describe (matching ParallelFor's grain-1 policy).
+const transposeLeaf = 32
 
 // Transpose writes the transpose of src (rows×cols, row-major) into dst
 // (cols×rows, row-major). dst must not alias src.
@@ -38,6 +41,20 @@ func Transpose[T any](c *forkjoin.Ctx, dst, src *mem.Array[T], rows, cols int) {
 func transposeRec[T any](c *forkjoin.Ctx, dst, src *mem.Array[T], r0, r1, c0, c1, rows, cols, leaf int) {
 	dr, dc := r1-r0, c1-c0
 	if dr <= leaf && dc <= leaf {
+		if s := src.Raw(c); s != nil {
+			// Destination-major: the writes of a tile are sequential and
+			// the strided side is the reads. Rows of a power-of-two matrix
+			// are a multiple of 4 KiB apart, so strided *writes* would all
+			// land in one L1 set and stall on each other (2.3× slower).
+			d := dst.Raw(c)
+			for j := c0; j < c1; j++ {
+				row := d[j*rows+r0 : j*rows+r1]
+				for i := range row {
+					row[i] = s[(r0+i)*cols+j]
+				}
+			}
+			return
+		}
 		for i := r0; i < r1; i++ {
 			for j := c0; j < c1; j++ {
 				dst.Set(c, j*rows+i, src.Get(c, i*cols+j))

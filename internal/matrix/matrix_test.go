@@ -1,11 +1,13 @@
 package matrix
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv/oblivtest"
 )
 
 func transposeRef(src []int, rows, cols int) []int {
@@ -187,4 +189,45 @@ func TestTransposeShortArrayPanics(t *testing.T) {
 		}
 	}()
 	Transpose(forkjoin.Serial(), dst, src, 3, 3)
+}
+
+// TestTransposeMatchesPerAccess is the differential test of the raw
+// transpose tile: square, non-square, thinner and wider than a tile, and
+// sizes that leave ragged tiles at the edges, under the metered executor
+// (per-access, single cells) and the serial and pool executors (raw tiles).
+func TestTransposeMatchesPerAccess(t *testing.T) {
+	type entry struct {
+		a, b uint64
+		c    uint8
+	}
+	shapes := [][2]int{{1, 1}, {1, 70}, {70, 1}, {3, 5}, {32, 32}, {33, 31}, {64, 128}, {100, 37}, {129, 65}}
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("%dx%d", rows, cols), func(c *forkjoin.Ctx, sp *mem.Space) []entry {
+			src, dst := mem.Alloc[entry](sp, rows*cols), mem.Alloc[entry](sp, rows*cols+3)
+			for i := range src.Data() {
+				src.Data()[i] = entry{uint64(i), uint64(i) * 3, uint8(i)}
+			}
+			Transpose(c, dst, src, rows, cols)
+			return append([]entry(nil), dst.Data()...)
+		})
+	}
+}
+
+// TestMeteredIgnoresTileConstant pins that the tile side is an unmetered
+// tuning constant only: a metered Transpose is the single-cell recursion.
+func TestMeteredIgnoresTileConstant(t *testing.T) {
+	const rows, cols = 40, 24
+	run := func(body func(c *forkjoin.Ctx, dst, src *mem.Array[uint64])) *forkjoin.Metrics {
+		return oblivtest.Metered(func(c *forkjoin.Ctx, sp *mem.Space) {
+			body(c, mem.Alloc[uint64](sp, rows*cols), mem.Alloc[uint64](sp, rows*cols))
+		})
+	}
+	got := run(func(c *forkjoin.Ctx, dst, src *mem.Array[uint64]) { Transpose(c, dst, src, rows, cols) })
+	want := run(func(c *forkjoin.Ctx, dst, src *mem.Array[uint64]) {
+		transposeRec(c, dst, src, 0, rows, 0, cols, rows, cols, 1)
+	})
+	if *got != *want {
+		t.Fatalf("metered Transpose %+v is not the single-cell recursion %+v", got, want)
+	}
 }

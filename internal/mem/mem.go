@@ -8,8 +8,13 @@
 // element occupies one address ("word"); the cache block size B is measured
 // in elements (see DESIGN.md §5, deviation 5).
 //
-// In parallel (uninstrumented) mode Get/Set compile down to a nil check and
-// a slice index.
+// Outside metered mode Get/Set compile down to a nil check and a slice
+// index (forkjoin.(*Ctx).Access inlines; CI pins that), and hot leaves go
+// one step further: Array.Raw hands an unmetered executor the backing slice
+// so a block kernel decides "instrumented or not" once per block instead of
+// once per word. The per-access path stays the specification — what a
+// metered run executes and what the differential tests hold every raw
+// kernel equal to.
 package mem
 
 import (
@@ -99,13 +104,38 @@ func (a *Array[T]) View(lo, n int) *Array[T] {
 // outside the adversary's view); algorithm code must not use it.
 func (a *Array[T]) Data() []T { return a.data }
 
+// Raw is the one door through which algorithm code reaches the backing
+// slice: it returns nil under the metered executor, whose every access must
+// go through Get/Set, and the slice under the serial and pool executors,
+// which record nothing. A block kernel written behind it must touch, per
+// leaf, exactly the addresses its per-access twin touches, so the
+// computation above the leaf and the per-leaf address set stay those of the
+// specification.
+func (a *Array[T]) Raw(c *forkjoin.Ctx) []T {
+	if c.Metered() {
+		return nil
+	}
+	return a.data
+}
+
 // Base returns the first address of the array (used in tests).
 func (a *Array[T]) Base() uint64 { return a.base }
 
+// copyGrain is the element count per leaf of the parallel copy and fill
+// outside metered mode (which forks to single elements): a leaf is one
+// memmove, so it has to be a few cache blocks long before a stolen task
+// pays for itself.
+const copyGrain = 1 << 12
+
 // Copy copies n elements from src[slo:] to dst[dlo:], element by element,
-// with instrumentation. The copy is sequential; callers needing parallelism
-// wrap it in ParallelRange via CopyPar.
+// with instrumentation (outside metered mode, one memmove). The ranges must
+// not overlap. The copy is sequential; callers needing parallelism wrap it
+// in ParallelRange via CopyPar.
 func Copy[T any](c *forkjoin.Ctx, dst *Array[T], dlo int, src *Array[T], slo, n int) {
+	if d := dst.Raw(c); d != nil {
+		copy(d[dlo:dlo+n], src.data[slo:slo+n])
+		return
+	}
 	for k := 0; k < n; k++ {
 		dst.Set(c, dlo+k, src.Get(c, slo+k))
 	}
@@ -113,16 +143,21 @@ func Copy[T any](c *forkjoin.Ctx, dst *Array[T], dlo int, src *Array[T], slo, n 
 
 // CopyPar is a parallel instrumented copy.
 func CopyPar[T any](c *forkjoin.Ctx, dst *Array[T], dlo int, src *Array[T], slo, n int) {
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			dst.Set(c, dlo+k, src.Get(c, slo+k))
-		}
+	forkjoin.ParallelRange(c, 0, n, copyGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		Copy(c, dst, dlo+lo, src, slo+lo, hi-lo)
 	})
 }
 
 // Fill sets every element of a to v, in parallel.
 func Fill[T any](c *forkjoin.Ctx, a *Array[T], v T) {
-	forkjoin.ParallelRange(c, 0, a.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
+	forkjoin.ParallelRange(c, 0, a.Len(), copyGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		if d := a.Raw(c); d != nil {
+			d = d[lo:hi]
+			for i := range d {
+				d[i] = v
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
 			a.Set(c, i, v)
 		}

@@ -306,10 +306,16 @@ func DistributeOrdered(
 func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int) {
 	for j := n >> 1; j > 0; j >>= 1 {
 		forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i&j == 0 {
-					CompareExchangeCachedW(c, a, ks, i, i|j, true)
-				}
+			// The leaves of a power-of-two range are aligned blocks of one
+			// power-of-two size g: at stride j >= g a block is one run (the
+			// low or the high side of its pairs; the low side does the
+			// work), below that it holds whole runs.
+			kern := NewCexKernel(c, a, ks)
+			switch g := hi - lo; {
+			case j < g:
+				kern.Layer(lo, g, j, 0, true)
+			case lo&j == 0:
+				kern.Run(lo, j, g, true)
 			}
 		})
 	}

@@ -1,0 +1,157 @@
+package obliv
+
+import (
+	"fmt"
+	"testing"
+
+	"oblivmc/internal/forkjoin"
+	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv/oblivtest"
+	"oblivmc/internal/prng"
+)
+
+// The differential tests of this package's block kernels: each runs under
+// the metered executor (the per-access specification), the serial executor
+// and a 2-worker pool (the raw kernels) and must leave identical bytes.
+
+// keyedState is a snapshot of an element array and its key planes.
+type keyedState struct {
+	Elems  []Elem
+	Planes [][]uint64
+}
+
+func snapshotKeyed(a *mem.Array[Elem], ks *KeySchedule) keyedState {
+	st := keyedState{Elems: append([]Elem(nil), a.Data()...)}
+	for p := 0; p < ks.Width(); p++ {
+		st.Planes = append(st.Planes, append([]uint64(nil), ks.Plane(p).Data()...))
+	}
+	return st
+}
+
+// dupHeavyInput allocates n elements over very few distinct key words,
+// tags and positions (so word ties, TiePos ties and full ties all occur),
+// about one in five a filler, every field populated, with a width-w
+// schedule of equally repetitive words.
+func dupHeavyInput(sp *mem.Space, seed uint64, n, w int, tie TieBreak) (*mem.Array[Elem], *KeySchedule) {
+	src := prng.New(seed)
+	a := mem.Alloc[Elem](sp, n)
+	ks := AllocKeySchedule(sp, n, w)
+	ks.Tie = tie
+	for i := 0; i < n; i++ {
+		e := Elem{
+			Key: src.Uint64n(4), Key2: src.Uint64n(3), Val: src.Uint64(), Aux: src.Uint64n(5),
+			Lbl: src.Uint64(), Tag: uint32(src.Uint64n(2)), Kind: Real, Mark: uint8(src.Uint64n(2)),
+		}
+		switch src.Uint64n(10) {
+		case 0:
+			e.Kind = Filler
+		case 1:
+			e.Kind = Temp
+		}
+		a.Data()[i] = e
+		for p := 0; p < w; p++ {
+			ks.Plane(p).Data()[i] = src.Uint64n(3) << (61 * src.Uint64n(2)) // low and high words
+		}
+	}
+	return a, ks
+}
+
+func TestCexKernelMatchesPerAccess(t *testing.T) {
+	for _, w := range []int{1, 2, 3} { // 3: the generic-width fallback
+		for _, tie := range []TieBreak{TieNetwork, TiePos} {
+			for _, asc := range []bool{true, false} {
+				label := fmt.Sprintf("w=%d tie=%d asc=%v", w, tie, asc)
+				oblivtest.SameOnEveryExecutor(t, "run "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+					a, ks := dupHeavyInput(sp, 21, 160, w, tie)
+					kern := NewCexKernel(c, a, ks)
+					kern.Run(3, 61, 57, asc)
+					kern.Run(0, 1, 1, asc)
+					return snapshotKeyed(a, ks)
+				})
+				oblivtest.SameOnEveryExecutor(t, "layers "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+					a, ks := dupHeavyInput(sp, 22, 140, w, tie)
+					kern := NewCexKernel(c, a, ks)
+					for j := 64; j > 0; j >>= 1 {
+						kern.Layer(5, 128, j, 0, asc) // a merge
+					}
+					for j := 8; j > 0; j >>= 1 {
+						kern.Layer(5, 128, j, 16, asc) // a sort layer group: direction flips every 16
+					}
+					return snapshotKeyed(a, ks)
+				})
+			}
+		}
+	}
+}
+
+// TestCexKernelOrdersLikeComparator pins the raw comparator's outcome
+// against first principles rather than against the per-access code: after a
+// run every pair is ordered by (words, then the tie rule).
+func TestCexKernelOrdersLikeComparator(t *testing.T) {
+	sp := mem.NewSpace()
+	a, ks := dupHeavyInput(sp, 23, 512, 2, TiePos)
+	kern := NewCexKernel(forkjoin.Serial(), a, ks)
+	kern.Run(0, 256, 256, true)
+	for i := 0; i < 256; i++ {
+		x, y := a.Data()[i], a.Data()[i+256]
+		for p := 0; p < 2; p++ {
+			kx, ky := ks.Plane(p).Data()[i], ks.Plane(p).Data()[i+256]
+			if kx != ky {
+				if kx > ky {
+					t.Fatalf("pair %d out of order on word %d", i, p)
+				}
+				break
+			}
+			if p == 1 && PosAfter(x, y) {
+				t.Fatalf("pair %d: equal words, TiePos order violated", i)
+			}
+		}
+	}
+}
+
+func TestMergeBitonicMatchesPerAccess(t *testing.T) {
+	for n := 2; n <= 4096; n <<= 1 {
+		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("mergeBitonic n=%d", n), func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+			a, ks := dupHeavyInput(sp, uint64(n), n, 1, TieNetwork)
+			mergeBitonic(c, a, ks, n)
+			return snapshotKeyed(a, ks)
+		})
+	}
+}
+
+func TestScansMatchPerAccess(t *testing.T) {
+	type pair struct{ v, first uint64 }
+	for _, n := range []int{1, 2, 7, 511, 512, 513, 5000} {
+		for _, inclusive := range []bool{true, false} {
+			label := fmt.Sprintf("n=%d inclusive=%v", n, inclusive)
+			oblivtest.SameOnEveryExecutor(t, "PrefixSumU64 "+label, func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
+				src := prng.New(uint64(n))
+				a := mem.Alloc[uint64](sp, n)
+				for i := range a.Data() {
+					a.Data()[i] = src.Uint64n(9)
+				}
+				PrefixSumU64(c, sp, a, inclusive)
+				return append([]uint64(nil), a.Data()...)
+			})
+			// A non-commutative combine over a struct carrier.
+			oblivtest.SameOnEveryExecutor(t, "ScanOp "+label, func(c *forkjoin.Ctx, sp *mem.Space) []pair {
+				src := prng.New(uint64(n) + 1)
+				a := mem.Alloc[pair](sp, n)
+				for i := range a.Data() {
+					a.Data()[i] = pair{v: src.Uint64n(9), first: uint64(i)}
+				}
+				ScanOp(c, sp, a, func(x, y pair) pair { return pair{v: 3*x.v + y.v, first: x.first} }, pair{first: ^uint64(0)}, inclusive)
+				return append([]pair(nil), a.Data()...)
+			})
+		}
+		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("AggregateSuffixBy n=%d", n), func(c *forkjoin.Ctx, sp *mem.Space) []Elem {
+			a, _ := dupHeavyInput(sp, uint64(n)+2, n, 1, TieNetwork)
+			AggregateSuffixBy(c, sp, a,
+				func(x, y Elem) bool { return x.Key == y.Key },
+				func(e Elem) uint64 { return e.Val >> 8 },
+				func(x, y uint64) uint64 { return x + y },
+				func(e Elem, _ int, agg uint64) Elem { e.Val = agg; return e })
+			return append([]Elem(nil), a.Data()...)
+		})
+	}
+}

@@ -13,9 +13,15 @@
 //
 // Bodies run under forkjoin.RunMetered with tracing enabled and a fresh
 // mem.Space, exactly like the operators run in production metered mode.
+//
+// SameOnEveryExecutor is the other half of the contract: the metered
+// per-access path is the specification, the serial and pool executors run
+// raw block kernels behind mem.Array.Raw, and the two must leave the same
+// bytes.
 package oblivtest
 
 import (
+	"reflect"
 	"testing"
 
 	"oblivmc/internal/forkjoin"
@@ -117,5 +123,27 @@ func Lockstep(
 					label, r, v, fp.Hash, fp.Count, ref.Hash, ref.Count)
 			}
 		}
+	}
+}
+
+// SameOnEveryExecutor is the differential check of the raw block kernels.
+// run builds its input from scratch in sp, executes the code under test
+// under c and returns a snapshot of every array the code may have written
+// (copies of the element arrays and key planes, not the arrays themselves).
+// It is called three times — under the metered executor, whose Get/Set path
+// is the specification; on the serial executor and on a 2-worker pool, which
+// both run the raw kernels, the pool with real concurrency for -race — and
+// the three snapshots must be deeply equal.
+func SameOnEveryExecutor[S any](t testing.TB, label string, run func(c *forkjoin.Ctx, sp *mem.Space) S) {
+	t.Helper()
+	var spec, serial, pooled S
+	forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) { spec = run(c, mem.NewSpace()) })
+	serial = run(forkjoin.Serial(), mem.NewSpace())
+	forkjoin.RunParallel(2, func(c *forkjoin.Ctx) { pooled = run(c, mem.NewSpace()) })
+	if !reflect.DeepEqual(serial, spec) {
+		t.Fatalf("%s: the serial executor's raw kernels disagree with the metered per-access path", label)
+	}
+	if !reflect.DeepEqual(pooled, spec) {
+		t.Fatalf("%s: the pool executor's raw kernels disagree with the metered per-access path", label)
 	}
 }

@@ -53,8 +53,8 @@ func scanUp[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, lo
 		tree.Set(c, pos, a.Get(c, lo))
 		return
 	}
-	if hi-lo <= scanGrain && !c.Metered() {
-		scanUpSerial(c, a, tree, pos, lo, hi, op)
+	if av := a.Raw(c); av != nil && hi-lo <= scanGrain {
+		scanUpSerial(av, tree.Raw(c), pos, lo, hi, op)
 		return
 	}
 	mid := lo + (hi-lo)/2
@@ -70,22 +70,20 @@ func scanUp[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, lo
 	tree.Set(c, pos, op(l, r))
 }
 
-// scanUpSerial is scanUp without forks or fork closures: the identical
-// pre-order tree fill (same slots, same combine order), recursed by plain
-// calls. Only reached outside metered mode.
-func scanUpSerial[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, lo, hi int, op func(T, T) T) {
+// scanUpSerial is scanUp without forks or fork closures, over the raw
+// slices: the identical pre-order tree fill (same slots, same combine
+// order), recursed by plain calls. Only reached outside metered mode.
+func scanUpSerial[T any](a, tree []T, pos, lo, hi int, op func(T, T) T) {
 	if hi-lo == 1 {
-		tree.Set(c, pos, a.Get(c, lo))
+		tree[pos] = a[lo]
 		return
 	}
 	mid := lo + (hi-lo)/2
 	leftPos := pos + 1
 	rightPos := pos + 2*(mid-lo)
-	scanUpSerial(c, a, tree, leftPos, lo, mid, op)
-	scanUpSerial(c, a, tree, rightPos, mid, hi, op)
-	l := tree.Get(c, leftPos)
-	r := tree.Get(c, rightPos)
-	tree.Set(c, pos, op(l, r))
+	scanUpSerial(a, tree, leftPos, lo, mid, op)
+	scanUpSerial(a, tree, rightPos, mid, hi, op)
+	tree[pos] = op(tree[leftPos], tree[rightPos])
 }
 
 func scanDown[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, lo, hi int, carry T, op func(T, T) T, inclusive bool) {
@@ -99,8 +97,8 @@ func scanDown[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, 
 		}
 		return
 	}
-	if hi-lo <= scanGrain && !c.Metered() {
-		scanDownSerial(c, a, tree, pos, lo, hi, carry, op, inclusive)
+	if av := a.Raw(c); av != nil && hi-lo <= scanGrain {
+		scanDownSerial(av, tree.Raw(c), pos, lo, hi, carry, op, inclusive)
 		return
 	}
 	mid := lo + (hi-lo)/2
@@ -115,25 +113,23 @@ func scanDown[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, 
 	)
 }
 
-// scanDownSerial is scanDown without forks or fork closures; see
-// scanUpSerial.
-func scanDownSerial[T any](c *forkjoin.Ctx, a *mem.Array[T], tree *mem.Array[T], pos, lo, hi int, carry T, op func(T, T) T, inclusive bool) {
+// scanDownSerial is scanDown without forks or fork closures, over the raw
+// slices; see scanUpSerial.
+func scanDownSerial[T any](a, tree []T, pos, lo, hi int, carry T, op func(T, T) T, inclusive bool) {
 	if hi-lo == 1 {
 		if inclusive {
-			v := tree.Get(c, pos) // original a[lo]
-			a.Set(c, lo, op(carry, v))
+			a[lo] = op(carry, tree[pos]) // tree[pos] is the original a[lo]
 		} else {
-			a.Set(c, lo, carry)
+			a[lo] = carry
 		}
 		return
 	}
 	mid := lo + (hi-lo)/2
 	leftPos := pos + 1
 	rightPos := pos + 2*(mid-lo)
-	leftSum := tree.Get(c, leftPos)
-	rightCarry := op(carry, leftSum)
-	scanDownSerial(c, a, tree, leftPos, lo, mid, carry, op, inclusive)
-	scanDownSerial(c, a, tree, rightPos, mid, hi, rightCarry, op, inclusive)
+	rightCarry := op(carry, tree[leftPos])
+	scanDownSerial(a, tree, leftPos, lo, mid, carry, op, inclusive)
+	scanDownSerial(a, tree, rightPos, mid, hi, rightCarry, op, inclusive)
 }
 
 // PrefixSumU64 computes the prefix sum of a in place.

@@ -98,6 +98,60 @@ func after(x, y *krow, w int) bool {
 	return x.t > y.t
 }
 
+// rawSeq is a kseq seen through mem.Array.Raw: what the serial and pool
+// executors, which record nothing, sort over. Its kernels compare and move
+// rows in place by index — a comparison usually reads one key word per side
+// and never the 48-byte element — where the per-access path, the
+// specification a metered run executes, loads and stores whole krow values.
+type rawSeq struct {
+	e   []obliv.Elem
+	k   [obliv.MaxScheduleWidth][]uint64
+	tie []uint64
+	w   int
+}
+
+// raw returns the raw view of s, or ok == false under the metered executor.
+func (s kseq) raw(c *forkjoin.Ctx) (r rawSeq, ok bool) {
+	if r.e = s.a.Raw(c); r.e == nil {
+		return r, false
+	}
+	for p := 0; p < s.w; p++ {
+		r.k[p] = s.ks.Plane(p).Raw(c)
+	}
+	r.tie, r.w = s.tie.Raw(c), s.w
+	return r, true
+}
+
+// afterAt reports whether row i of s sorts strictly after row j of t: the
+// order of after, read in place.
+func afterAt(s *rawSeq, i int, t *rawSeq, j int) bool {
+	for p := 0; p < s.w; p++ {
+		if x, y := s.k[p][i], t.k[p][j]; x != y {
+			return x > y
+		}
+	}
+	x, y := &s.e[i], &t.e[j]
+	if xf, yf := x.Kind != obliv.Real, y.Kind != obliv.Real; xf != yf {
+		return xf
+	}
+	if x.Tag != y.Tag {
+		return x.Tag > y.Tag
+	}
+	if x.Aux != y.Aux {
+		return x.Aux > y.Aux
+	}
+	return s.tie[i] > t.tie[j]
+}
+
+// moveRow copies row i of src over row o of dst.
+func moveRow(dst *rawSeq, o int, src *rawSeq, i int) {
+	dst.e[o] = src.e[i]
+	for p := 0; p < src.w; p++ {
+		dst.k[p][o] = src.k[p][i]
+	}
+	dst.tie[o] = src.tie[i]
+}
+
 // SampleSortScheduled sorts a[lo:lo+n) ascending by (cached schedule words,
 // TiePos triple, tie word), keeping every plane of ks and the tie plane in
 // lockstep with the elements. tie must cover the same index range as a.
@@ -129,8 +183,26 @@ func SampleSortScheduled(
 	sampleSortRecK(c, sp, s, scratch, 0, n, prng.Mix64(seed), 0)
 }
 
-// insertionSortK sorts s[lo:hi) serially (instrumented).
-func insertionSortK(c *forkjoin.Ctx, s kseq, lo, hi int) {
+// insertionSortK sorts s[lo:hi) serially: per access under metering, in
+// place by index otherwise, with row lo of scratch — free while its range
+// of s is a leaf — holding the row being inserted.
+func insertionSortK(c *forkjoin.Ctx, s, scratch kseq, lo, hi int) {
+	if rs, ok := s.raw(c); ok {
+		tmp, _ := scratch.raw(c)
+		for i := lo + 1; i < hi; i++ {
+			if !afterAt(&rs, i-1, &rs, i) {
+				continue
+			}
+			moveRow(&tmp, lo, &rs, i)
+			j := i - 1
+			for j >= lo && afterAt(&rs, j, &tmp, lo) {
+				moveRow(&rs, j+1, &rs, j)
+				j--
+			}
+			moveRow(&rs, j+1, &tmp, lo)
+		}
+		return
+	}
 	for i := lo + 1; i < hi; i++ {
 		r := s.load(c, i)
 		j := i - 1
@@ -153,7 +225,7 @@ func insertionSortK(c *forkjoin.Ctx, s kseq, lo, hi int) {
 // the mergesort fallback keeping the span polylog on small ranges.
 func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, seed uint64, depth int) {
 	if n <= leafFor(c) {
-		insertionSortK(c, s, lo, lo+n)
+		insertionSortK(c, s, scratch, lo, lo+n)
 		return
 	}
 	if n <= 64 || depth > 12 {
@@ -183,10 +255,7 @@ func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, 
 	sampScratch := allocKseq(sp, sn, s.w)
 	sampleSortRecK(c, sp, samp, sampScratch, 0, sn, prng.Mix64(seed+1), depth+1)
 
-	pivots := make([]krow, q-1)
-	for t := range pivots {
-		pivots[t] = samp.load(c, (t+1)*sn/q)
-	}
+	pivots := loadPivots(c, samp, sn, q)
 
 	// Partition into q buckets with one stable q-way scatter.
 	bounds := make([]int, q+1)
@@ -201,14 +270,56 @@ func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, 
 	})
 }
 
-// bucketOf returns the bucket of r under pivots: the first b with
-// r <= pivots[b] (bucket t holds keys in (pivot[t-1], pivot[t]]), found by
+// pivotTable holds the q−1 pivots of one partition — rows (t+1)·sn/q of the
+// sorted sample — in harness memory: as in-register krow copies for the
+// per-access path, gathered plane by plane for the raw one.
+type pivotTable struct {
+	rows []krow
+	raw  rawSeq
+	n    int
+}
+
+func loadPivots(c *forkjoin.Ctx, samp kseq, sn, q int) pivotTable {
+	pv := pivotTable{n: q - 1}
+	if rs, ok := samp.raw(c); ok {
+		pv.raw = rawSeq{e: make([]obliv.Elem, q-1), tie: make([]uint64, q-1), w: rs.w}
+		for p := 0; p < rs.w; p++ {
+			pv.raw.k[p] = make([]uint64, q-1)
+		}
+		for t := 0; t < q-1; t++ {
+			moveRow(&pv.raw, t, &rs, (t+1)*sn/q)
+		}
+		return pv
+	}
+	pv.rows = make([]krow, q-1)
+	for t := range pv.rows {
+		pv.rows[t] = samp.load(c, (t+1)*sn/q)
+	}
+	return pv
+}
+
+// bucketOf returns the bucket of r under the pivots: the first b with
+// r <= pivot[b] (bucket t holds keys in (pivot[t-1], pivot[t]]), found by
 // binary search over the in-register pivot copies — no memory traffic.
-func bucketOf(r *krow, pivots []krow, w int) int {
-	lo, hi := 0, len(pivots)
+func (pv *pivotTable) bucketOf(r *krow, w int) int {
+	lo, hi := 0, pv.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if after(r, &pivots[mid], w) {
+		if after(r, &pv.rows[mid], w) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// bucketAt is bucketOf for row i of the raw sequence s.
+func (pv *pivotTable) bucketAt(s *rawSeq, i int) int {
+	lo, hi := 0, pv.n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if afterAt(s, i, &pv.raw, mid) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -229,16 +340,16 @@ const (
 	prefixBucketGrain  = 16
 )
 
-// partitionK stably partitions s[lo:lo+n) into len(pivots)+1 buckets,
-// filling bounds (offsets relative to lo, len(pivots)+2 entries) and
+// partitionK stably partitions s[lo:lo+n) into pivots.n+1 buckets,
+// filling bounds (offsets relative to lo, pivots.n+2 entries) and
 // leaving the buckets contiguous in s. Two element passes: chunk-local
 // histograms (classification is a register binary search per element),
 // then a stable scatter through scratch at offsets derived from the
 // histogram prefix, plus the copy back. The counters live in harness
 // memory like the pivot table — this is the insecure stage, so only the
 // element traffic is instrumented.
-func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, bounds []int) {
-	q := len(pivots) + 1
+func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots pivotTable, bounds []int) {
+	q := pivots.n + 1
 	chunks := (n + partitionChunk - 1) / partitionChunk
 	counts := make([]int, chunks*q)
 	forkjoin.ParallelFor(c, 0, chunks, 1, func(c *forkjoin.Ctx, ch int) {
@@ -247,10 +358,16 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, boun
 			to = n
 		}
 		local := counts[ch*q : (ch+1)*q]
+		if rs, ok := s.raw(c); ok {
+			for i := from; i < to; i++ {
+				local[pivots.bucketAt(&rs, lo+i)]++
+			}
+			return
+		}
 		for i := from; i < to; i++ {
 			r := s.load(c, lo+i)
 			c.Op(1)
-			local[bucketOf(&r, pivots, s.w)]++
+			local[pivots.bucketOf(&r, s.w)]++
 		}
 	})
 	// Exclusive prefix in (bucket, chunk) order: chunk ch of bucket b
@@ -304,10 +421,19 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, boun
 			to = n
 		}
 		next := counts[ch*q : (ch+1)*q]
+		if rs, ok := s.raw(c); ok {
+			rscr, _ := scratch.raw(c)
+			for i := from; i < to; i++ {
+				b := pivots.bucketAt(&rs, lo+i)
+				moveRow(&rscr, lo+next[b], &rs, lo+i)
+				next[b]++
+			}
+			return
+		}
 		for i := from; i < to; i++ {
 			r := s.load(c, lo+i)
 			c.Op(1)
-			b := bucketOf(&r, pivots, s.w)
+			b := pivots.bucketOf(&r, s.w)
 			scratch.store(c, lo+next[b], r)
 			next[b]++
 		}
@@ -327,7 +453,7 @@ func copyK(c *forkjoin.Ctx, s, scratch kseq, lo, n int) {
 // mergeSortRecK is the cache-agnostic parallel mergesort fallback.
 func mergeSortRecK(c *forkjoin.Ctx, s, scratch kseq, lo, n int) {
 	if n <= leafFor(c) {
-		insertionSortK(c, s, lo, lo+n)
+		insertionSortK(c, s, scratch, lo, lo+n)
 		return
 	}
 	half := n / 2
