@@ -63,9 +63,9 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench regenerates the relational-layer trend artifact: elems/s for
-# Compact/GroupBy (narrow, wide, and per sort backend)/Join/JoinAll, the
-# end-to-end query (staged vs planner-fused, per backend), and the graph
-# pipeline (connected components per backend, MSF) at
+# the one-stage filter (compact) and group-by plans (narrow, wide, and per
+# sort backend), Join/JoinAll, the planner-fused end-to-end query (per
+# backend), and the graph pipeline (connected components per backend, MSF) at
 # n ∈ {2^12, 2^16, 2^20}, into the git-ignored BENCH_HEAD.json (the
 # committed BENCH_8.json baseline and BENCH_9.json latest are never
 # overwritten; promote a run by copying it). CI uploads the artifact on
@@ -89,7 +89,8 @@ bench-sweep:
 # benchdiff measures the CURRENT build (a bounded fresh sweep into the
 # uncommitted BENCH_HEAD.json) and compares it against the latest committed
 # baseline, flagging elems/s regressions beyond the noise threshold
-# (warn-only in CI; drop -warn locally to gate). BENCHDIFF_ARGS widens the
+# (warn-only: the baseline was recorded on another machine, so nothing here
+# hard-fails; drop -warn locally to gate). BENCHDIFF_ARGS widens the
 # sweep, e.g. BENCHDIFF_ARGS="" for the full sizes.
 BENCHDIFF_BASE ?= BENCH_9.json
 BENCHDIFF_ARGS ?= -max 65536

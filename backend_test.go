@@ -97,8 +97,8 @@ func TestFilterRowsWide(t *testing.T) {
 
 // TestQueryFilterWide runs a filtered wide-table pipeline end to end — the
 // public surface the ROADMAP's "wide filters" follow-on called for — in
-// both planned and staged form, including the key-only pushdown
-// declaration.
+// both fused and staged (one public operator at a time) form, including
+// the key-only pushdown declaration.
 func TestQueryFilterWide(t *testing.T) {
 	rows := wideQueryRows(150)
 	tab := mustWideTable(t, rows)
@@ -120,11 +120,7 @@ func TestQueryFilterWide(t *testing.T) {
 		}
 		checkWideRows(t, got.WideRows(), want, "Query.FilterWide planned")
 
-		q.NoOptimize = true
-		staged, _, err := RunQuery(Config{Mode: ModeSerial}, tab, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		staged := runStaged(t, Config{Mode: ModeSerial}, tab, q)
 		checkWideRows(t, staged.WideRows(), want, "Query.FilterWide staged")
 	}
 

@@ -18,6 +18,7 @@ import (
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
 	"oblivmc/internal/oram"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/pram"
 	"oblivmc/internal/prng"
 	"oblivmc/internal/relops"
@@ -444,6 +445,13 @@ func benchLoadW(b *testing.B, sp *mem.Space, recs []relops.Record, w int) relops
 	return r
 }
 
+// benchOneStage runs the one-stage plan of shape s over a — the engine path
+// a stand-alone Filter / GroupBy takes — on the bitonic backend.
+func benchOneStage(c *forkjoin.Ctx, sp *mem.Space, a relops.Rel, s plan.Shape, pred func(relops.Record) bool) {
+	s.KeyCols = a.W
+	relops.Execute(c, sp, relops.NewArena(), a, plan.Build(s), pred, bitonic.CacheAgnostic{})
+}
+
 func benchRelop(b *testing.B, n int, op func(c *forkjoin.Ctx, sp *mem.Space, recs []relops.Record)) {
 	recs := benchRecords(n)
 	b.ResetTimer()
@@ -460,7 +468,7 @@ func BenchmarkCompact(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRelop(b, n, func(c *forkjoin.Ctx, sp *mem.Space, recs []relops.Record) {
 				a := benchLoad(b, sp, recs)
-				relops.Compact(c, sp, relops.NewArena(), a, func(r relops.Record) bool { return r.Val%2 == 0 }, bitonic.CacheAgnostic{})
+				benchOneStage(c, sp, a, plan.Shape{Filter: true}, func(r relops.Record) bool { return r.Val%2 == 0 })
 			})
 		})
 	}
@@ -471,7 +479,7 @@ func BenchmarkGroupBy(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRelop(b, n, func(c *forkjoin.Ctx, sp *mem.Space, recs []relops.Record) {
 				a := benchLoad(b, sp, recs)
-				relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggSum, bitonic.CacheAgnostic{})
+				benchOneStage(c, sp, a, plan.Shape{GroupBy: true, Agg: uint8(relops.AggSum)}, nil)
 			})
 		})
 	}
@@ -489,7 +497,7 @@ func BenchmarkGroupByWide(b *testing.B) {
 				benchPool.Run(func(c *forkjoin.Ctx) {
 					sp := mem.NewSpace()
 					a := benchLoadW(b, sp, wrecs, 2)
-					relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggAvg, bitonic.CacheAgnostic{})
+					benchOneStage(c, sp, a, plan.Shape{GroupBy: true, Agg: uint8(relops.AggAvg)}, nil)
 				})
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
@@ -548,12 +556,12 @@ func BenchmarkJoinAll(b *testing.B) {
 	}
 }
 
-// --- End-to-end query pipeline: planner (fused) vs staged baseline ------------
+// --- End-to-end query pipeline: planner (fused) vs one operator at a time -----
 //
 // The multi-stage Filter→Distinct→GroupBy→TopK pipeline the sort-fusion
-// planner targets: 6 staged sorting-network passes collapse to 2 fused
-// ones (see internal/plan), with the remaining sorts on the cached-key
-// comparator fast path.
+// planner targets: the 6 sorting-network passes of the four public
+// one-stage calls collapse to 2 fused ones (see internal/plan), with the
+// remaining sorts on the cached-key comparator fast path.
 
 func benchQuery(n int) (Table, Query) {
 	recs := benchRecords(n)
@@ -573,13 +581,23 @@ func benchQuery(n int) (Table, Query) {
 	}
 }
 
-func benchRunQuery(b *testing.B, n int, optimize bool) {
+// benchRunQuery times q over the benchmark table: fused — one RunQuery — or
+// staged, the chain of q's public one-stage calls through Tables.
+func benchRunQuery(b *testing.B, n int, staged bool) {
 	t, q := benchQuery(n)
-	q.NoOptimize = !optimize
+	chain := []stage{{run: func(cfg Config, t Table) (Table, *Report, error) { return RunQuery(cfg, t, q) }}}
+	if staged {
+		chain = stagesOf(q)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunQuery(Config{}, t, q); err != nil {
-			b.Fatal(err)
+		cur := t
+		for _, st := range chain {
+			out, _, err := st.run(Config{}, cur)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur = out
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
@@ -587,13 +605,13 @@ func benchRunQuery(b *testing.B, n int, optimize bool) {
 
 func BenchmarkQueryFused(b *testing.B) {
 	for _, n := range relopsSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRunQuery(b, n, true) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRunQuery(b, n, false) })
 	}
 }
 
 func BenchmarkQueryStaged(b *testing.B) {
 	for _, n := range relopsSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRunQuery(b, n, false) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRunQuery(b, n, true) })
 	}
 }
 

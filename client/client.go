@@ -56,7 +56,6 @@ type Spec struct {
 	GroupBy     string  `json:"group_by,omitempty"`
 	TopK        int     `json:"top_k,omitempty"`
 	KeyOrderOut bool    `json:"key_order_out,omitempty"`
-	NoOptimize  bool    `json:"no_optimize,omitempty"`
 	As          string  `json:"as,omitempty"`
 	Graph       string  `json:"graph,omitempty"`
 	GraphRounds int     `json:"graph_rounds,omitempty"`

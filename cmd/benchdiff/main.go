@@ -14,10 +14,7 @@
 // individual point is within the noise threshold. Exit status is 1 when
 // any matched point regresses beyond the threshold, unless -warn is set
 // (CI runs warn-only: shared runners are noisy and the artifact is a trend
-// indicator, not a gate). The exception is the gated benchmark (-gate,
-// default join_all): a gated point slower than base by more than
-// -gate-threshold fails the run even under -warn, so the join_all
-// recovery can never silently regress.
+// indicator, not a gate).
 //
 // Usage:
 //
@@ -211,8 +208,6 @@ func main() {
 	newPath := flag.String("new", "BENCH_9.json", "new artifact")
 	threshold := flag.Float64("threshold", 0.20, "flag matched points slower than base by more than this fraction")
 	warn := flag.Bool("warn", false, "report regressions but exit 0 (CI trend mode)")
-	gate := flag.String("gate", "join_all", "benchmark name whose regressions fail even under -warn (empty disables)")
-	gateThreshold := flag.Float64("gate-threshold", 0.15, "hard-failure fraction for the gated benchmark")
 	flag.Parse()
 
 	base, err := load(*basePath)
@@ -225,17 +220,13 @@ func main() {
 	}
 
 	lines, onlyBase, onlyNew := diff(base, cur, *threshold)
-	regressions, gated := 0, 0
+	regressions := 0
 	fmt.Printf("%-22s %10s %4s %14s %14s %8s\n", "benchmark", "n", "w", "base elems/s", "new elems/s", "ratio")
 	for _, l := range lines {
 		flagStr := ""
 		if l.Regression {
 			flagStr = "  << REGRESSION"
 			regressions++
-		}
-		if *gate != "" && l.Key.Name == *gate && l.Base > 0 && l.Ratio < 1-*gateThreshold {
-			flagStr = "  << GATED REGRESSION"
-			gated++
 		}
 		fmt.Printf("%-22s %10d %4d %14.0f %14.0f %7.2fx%s\n", l.Key.Name, l.Key.N, l.Key.Workers, l.Base, l.New, l.Ratio, flagStr)
 	}
@@ -249,11 +240,6 @@ func main() {
 	printCurves("base", base)
 	printCurves("new", cur)
 
-	if gated > 0 {
-		fmt.Printf("\n%d %s point(s) regressed beyond the %.0f%% gate (%s → %s) — failing even in warn mode\n",
-			gated, *gate, *gateThreshold*100, base.Generated, cur.Generated)
-		os.Exit(1)
-	}
 	if regressions > 0 {
 		fmt.Printf("\n%d point(s) regressed beyond %.0f%% (%s → %s)\n",
 			regressions, *threshold*100, base.Generated, cur.Generated)

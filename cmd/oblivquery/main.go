@@ -173,7 +173,6 @@ func main() {
 	minKey := flag.Uint64("minkey", 0, "key-only filter: keep rows with key column 0 >= minkey (0 = none; plannable below distinct/group-by; any width)")
 	distinct := flag.Bool("distinct", false, "deduplicate rows by key tuple before aggregating")
 	explain := flag.Bool("explain", false, "print the planner's physical pass sequence before running")
-	noOpt := flag.Bool("noopt", false, "bypass the sort-fusion planner (staged baseline execution)")
 	agg := flag.String("agg", "sum", "aggregation: sum|count|min|max|avg|var|none")
 	top := flag.Int("top", 0, "keep only the k largest-value result rows (0 = all)")
 	limit := flag.Int("limit", 20, "print at most this many result rows")
@@ -250,7 +249,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	q := oblivmc.Query{Distinct: *distinct, TopK: *top, NoOptimize: *noOpt}
+	q := oblivmc.Query{Distinct: *distinct, TopK: *top}
 	if *joinN > 0 {
 		// The dimension table's keys repeat (same -groups space as the fact
 		// table), so the expansion is genuinely many-to-many.

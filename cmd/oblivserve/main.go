@@ -183,7 +183,6 @@ func specFlags(fs *flag.FlagSet) (*string, func() client.Spec) {
 	topK := fs.Int("top", 0, "keep the k largest-value rows")
 	keyOrder := fs.Bool("keyorder", false, "materialize in key order with the OrderKeys token (cross-query sort skipping)")
 	as := fs.String("as", "", "store the result as this table")
-	staged := fs.Bool("no-optimize", false, "run the pre-fusion staged baseline")
 	graph := fs.String("graph", "", "graph operator over a width-2 edge table: cc, msf, pagerank (excludes the relational clauses)")
 	rounds := fs.Int("rounds", 0, "graph round parameter: fixed cc rounds (0 = converge) or pagerank iterations (0 = 5)")
 	return addr, func() client.Spec {
@@ -192,7 +191,7 @@ func specFlags(fs *flag.FlagSet) (*string, func() client.Spec) {
 		}
 		spec := client.Spec{
 			Table: *table, Distinct: *distinct, GroupBy: *agg,
-			TopK: *topK, KeyOrderOut: *keyOrder, As: *as, NoOptimize: *staged,
+			TopK: *topK, KeyOrderOut: *keyOrder, As: *as,
 			Graph: *graph, GraphRounds: *rounds,
 		}
 		if *join != "" {

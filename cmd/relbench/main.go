@@ -1,8 +1,8 @@
 // Command relbench measures the wall-clock throughput (elements/second) of
-// the oblivious relational layer — Compact, GroupBy (narrow and wide),
-// Join, the many-to-many JoinAll, and the end-to-end
-// Filter→Distinct→GroupBy→TopK query pipeline in both its planner-fused
-// and staged-baseline form — at n ∈ {2^12, 2^16, 2^20}, and writes the
+// the oblivious relational layer — the one-stage filter (compact) and
+// group-by plans (narrow and wide), Join, the many-to-many JoinAll, and the
+// end-to-end planner-fused Filter→Distinct→GroupBy→TopK query pipeline —
+// at n ∈ {2^12, 2^16, 2^20}, and writes the
 // results as JSON (the BENCH_*.json trend artifact CI uploads). The graph
 // points (graph_cc_bitonic / graph_cc_shuffle / graph_msf) run the
 // edge-table workloads over the canonical benchmark graph at 2^16 and 2^20
@@ -50,6 +50,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
@@ -218,17 +219,24 @@ func main() {
 				log.Fatal(err)
 			}
 
-			groupby := func(srt func() obliv.ScheduledSorter) func() {
+			// oneStage runs the one-stage plan of shape s over recs at
+			// width w straight through the pass engine.
+			oneStage := func(recs []relops.Record, w int, s plan.Shape, pred func(relops.Record) bool, srt func() obliv.ScheduledSorter) func() {
+				s.KeyCols = w
+				pl := plan.Build(s)
 				return func() {
 					pool.Run(func(c *forkjoin.Ctx) {
 						sp := mem.NewSpace()
-						a, err := relops.Load(sp, recs, 1)
+						a, err := relops.Load(sp, recs, w)
 						if err != nil {
 							log.Fatal(err)
 						}
-						relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggSum, srt())
+						relops.Execute(c, sp, relops.NewArena(), a, pl, pred, srt())
 					})
 				}
+			}
+			groupby := func(srt func() obliv.ScheduledSorter) func() {
+				return oneStage(recs, 1, plan.Shape{GroupBy: true, Agg: uint8(relops.AggSum)}, nil, srt)
 			}
 			queryFused := func(b oblivmc.SortBackend) func() {
 				return func() {
@@ -242,29 +250,12 @@ func main() {
 				name string
 				body func()
 			}{
-				{"compact", func() {
-					pool.Run(func(c *forkjoin.Ctx) {
-						sp := mem.NewSpace()
-						a, err := relops.Load(sp, recs, 1)
-						if err != nil {
-							log.Fatal(err)
-						}
-						relops.Compact(c, sp, relops.NewArena(), a, func(r relops.Record) bool { return r.Val%2 == 0 }, autoSorter())
-					})
-				}},
+				{"compact", oneStage(recs, 1, plan.Shape{Filter: true},
+					func(r relops.Record) bool { return r.Val%2 == 0 }, autoSorter)},
 				{"groupby", groupby(autoSorter)},
 				{"groupby_bitonic", groupby(bitonicSorter)},
 				{"groupby_shuffle", groupby(shuffleSorter)},
-				{"groupby_w2", func() {
-					pool.Run(func(c *forkjoin.Ctx) {
-						sp := mem.NewSpace()
-						a, err := relops.Load(sp, wrecs, 2)
-						if err != nil {
-							log.Fatal(err)
-						}
-						relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggAvg, autoSorter())
-					})
-				}},
+				{"groupby_w2", oneStage(wrecs, 2, plan.Shape{GroupBy: true, Agg: uint8(relops.AggAvg)}, nil, autoSorter)},
 				{"join", func() {
 					pool.Run(func(c *forkjoin.Ctx) {
 						sp := mem.NewSpace()
@@ -295,13 +286,6 @@ func main() {
 							log.Fatal(err)
 						}
 					})
-				}},
-				{"query_staged", func() {
-					q := query
-					q.NoOptimize = true
-					if _, _, err := oblivmc.RunQuery(queryCfg(oblivmc.SortAuto), table, q); err != nil {
-						log.Fatal(err)
-					}
 				}},
 				{"query_fused", queryFused(oblivmc.SortAuto)},
 				{"query_fused_bitonic", queryFused(oblivmc.SortBitonic)},

@@ -12,9 +12,9 @@
 // Obliviousness: every planner decision is a pure function of the *query
 // shape* — which stages are present, the aggregation kind, k, and the
 // declared key-only-ness of the filter — never of the relation contents.
-// The physical passes themselves are the same data-independent primitives
-// the stand-alone operators use (sorting networks, segmented scans, fixed
-// elementwise passes), so a planned pipeline's trace remains a function of
+// The physical passes themselves are data-independent primitives (sorting
+// networks, segmented scans, fixed elementwise passes) whatever the number
+// of stages, so a planned pipeline's trace remains a function of
 // the relation size and the public query shape only. Rewriting *which*
 // sorts run is safe precisely because comparator schedules are
 // data-independent (the property the paper's §E.1 bitonic construction and
@@ -229,7 +229,8 @@ type Plan struct {
 	// SortPasses counts the full sorting-network passes the plan runs.
 	SortPasses int
 	// StagedSortPasses counts the sorts the same shape costs when executed
-	// one stand-alone operator at a time (the pre-planner baseline).
+	// one stage at a time — the sum of its one-stage plans' sorts, the
+	// baseline fusion is measured against.
 	StagedSortPasses int
 	// ColdSortPasses counts the sorts the same shape plans with no input
 	// order token (InputOrder = OrderInput) — the cold-plan baseline the
@@ -307,7 +308,25 @@ func (op Op) SortCost() int {
 // part of the shape, so order chaining across queries preserves that
 // property.
 func Build(s Shape) Plan {
-	var ops []Op
+	p := compile(s)
+	p.StagedSortPasses = stagedSorts(s)
+	p.ColdSortPasses = p.SortPasses
+	if s.InputOrder != OrderInput && s.InputOrder != OrderPos {
+		cold := s
+		cold.InputOrder = OrderInput
+		p.ColdSortPasses = compile(cold).SortPasses
+	}
+	return p
+}
+
+// compile applies the rewrite rules to s: the pass sequence, its sort
+// count and its order tokens. Build adds the staged and cold baselines,
+// which are themselves sort counts of other shapes' compilations.
+func compile(s Shape) Plan {
+	// Six ops is the longest plan (join, filter-mark, key sort, group pass,
+	// value sort, top-k): one allocation per compile, of which Build runs
+	// six — five of them one-stage.
+	ops := make([]Op, 0, 6)
 	keyCols := s.KeyCols
 	if keyCols < 1 {
 		keyCols = 1
@@ -411,39 +430,31 @@ func Build(s Shape) Plan {
 		}
 	}
 
-	p := Plan{Ops: ops, KeyCols: keyCols, StagedSortPasses: stagedSorts(s),
-		Input: s.InputOrder, Output: output}
+	p := Plan{Ops: ops, KeyCols: keyCols, Input: s.InputOrder, Output: output}
 	for _, op := range ops {
 		p.SortPasses += op.SortCost()
-	}
-	p.ColdSortPasses = p.SortPasses
-	if s.InputOrder != OrderInput && s.InputOrder != OrderPos {
-		cold := s
-		cold.InputOrder = OrderInput
-		p.ColdSortPasses = Build(cold).SortPasses
 	}
 	return p
 }
 
-// stagedSorts counts the sorting passes of the pre-planner execution: each
-// stand-alone operator pays its own sorts (JoinAll 3, Filter 1, Distinct 2,
-// GroupBy 2, TopK 1 — see internal/relops).
+// stagedSorts counts the sorting passes s costs when each of its stages
+// runs as a query of its own over a cold input: the sum of the one-stage
+// plans' sorts (a stand-alone join compiles to its full joinSorts). An
+// absent stage leaves the zero shape — the identity plan, no sorts — and
+// is skipped; neither the key width nor the filter's key-only-ness moves a
+// one-stage plan's count.
 func stagedSorts(s Shape) int {
 	n := 0
-	if s.Join {
-		n += joinSorts
-	}
-	if s.Filter {
-		n++
-	}
-	if s.Distinct {
-		n += 2
-	}
-	if s.GroupBy {
-		n += 2
-	}
-	if s.TopK > 0 {
-		n++
+	for _, one := range []Shape{
+		{Join: s.Join},
+		{Filter: s.Filter},
+		{Distinct: s.Distinct},
+		{GroupBy: s.GroupBy},
+		{TopK: s.TopK},
+	} {
+		if one != (Shape{}) {
+			n += compile(one).SortPasses
+		}
 	}
 	return n
 }

@@ -30,6 +30,45 @@ func TestPlansNeverBeatenByStaged(t *testing.T) {
 	}
 }
 
+// TestStagedIsSumOfOneStagePlans pins the staged baseline to what running a
+// shape one stage at a time really costs: the sum of the sort passes of
+// its one-stage plans (a stand-alone join = joinSorts), at both key widths
+// and with or without a join — 6 for Filter→Distinct→GroupBy→TopK.
+func TestStagedIsSumOfOneStagePlans(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		for _, join := range []bool{false, true} {
+			for _, s := range shapes() {
+				s.KeyCols, s.Join = w, join
+				want := 0
+				if s.Join {
+					want += joinSorts
+				}
+				if s.Filter {
+					want += Build(Shape{KeyCols: w, Filter: true, FilterKeyOnly: s.FilterKeyOnly}).SortPasses
+				}
+				if s.Distinct {
+					want += Build(Shape{KeyCols: w, Distinct: true}).SortPasses
+				}
+				if s.GroupBy {
+					want += Build(Shape{KeyCols: w, GroupBy: true, Agg: s.Agg}).SortPasses
+				}
+				if s.TopK > 0 {
+					want += Build(Shape{KeyCols: w, TopK: s.TopK}).SortPasses
+				}
+				if got := Build(s).StagedSortPasses; got != want {
+					t.Errorf("shape %+v: staged %d, one-stage plans sum to %d", s, got, want)
+				}
+			}
+		}
+	}
+	if got := Build(Shape{Filter: true, Distinct: true, GroupBy: true, TopK: 3}).StagedSortPasses; got != 6 {
+		t.Fatalf("F→D→G→T staged = %d, want 6", got)
+	}
+	if got := Build(Shape{Join: true}).SortPasses; got != joinSorts {
+		t.Fatalf("stand-alone join plans %d sorts, want joinSorts = %d", got, joinSorts)
+	}
+}
+
 func TestMultiStagePlansSaveSorts(t *testing.T) {
 	// Any shape with >= 2 stages must run strictly fewer sorts than the
 	// staged baseline — that is the planner's whole point.

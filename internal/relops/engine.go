@@ -13,11 +13,11 @@ import (
 // referenced by OpFilterMark / WithFilter ops (nil when the shape has no
 // filter); it must be a pure function of the record.
 //
-// Every pass is one of the same data-independent primitives the
-// stand-alone operators are built from, so the trace of a planned pipeline
-// is a function of (len(r), r.W, pl) only — and pl itself is a function of
-// the public query shape, which includes the key width. ar supplies
-// reusable scratch (nil = allocate fresh).
+// Every pass is a data-independent primitive — a sort, a segmented scan or
+// a fixed elementwise pass (§F) — so the trace of a planned pipeline is a
+// function of (len(r), r.W, pl) only — and pl itself is a function of the
+// public query shape, which includes the key width. ar supplies reusable
+// scratch (nil = allocate fresh).
 func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pred func(Record) bool, srt obliv.ScheduledSorter) int {
 	for _, op := range pl.Ops {
 		// Cancellation checkpoint between passes: the pass boundary is
@@ -60,6 +60,11 @@ func filterOf(op plan.Op, pred func(Record) bool) func(Record) bool {
 		return pred
 	}
 	return nil
+}
+
+// recordOf extracts the relational record carried by a real element.
+func recordOf(e obliv.Elem) Record {
+	return Record{Key: e.Key, Key2: e.Key2, Val: e.Val}
 }
 
 // filterMark drops records failing pred to fillers in one fixed

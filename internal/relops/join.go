@@ -72,22 +72,24 @@ func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.
 	sortSched(c, sp, ar, wrk.A, keyIdxSched(w), srt)
 
 	// Propagate each key group's left value to the group's right records;
-	// matched right records get Mark=1, everything else Mark=0.
+	// matched right records keep it in Lbl, everything else (left records,
+	// unmatched right records) drops to a filler in the same pass.
 	obliv.PropagateFirstBy(c, sp, wrk.A, sameGroup(w),
 		func(e obliv.Elem, i int) (uint64, bool) {
 			return e.Val, e.Kind == obliv.Real && e.Tag == tagLeft
 		},
 		func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
-			e.Mark = 0
-			if e.Kind == obliv.Real && e.Tag == tagRight && ok {
-				e.Lbl = v
-				e.Mark = 1
+			if e.Kind != obliv.Real || e.Tag != tagRight || !ok {
+				return obliv.Elem{}
 			}
+			e.Lbl = v
 			return e
 		})
 
-	matched := compactMarked(c, sp, ar, wrk.A, srt)
-	return wrk, matched
+	// Only matched right records are real now, so the position sort alone
+	// compacts them to the front in right's original order.
+	sortSched(c, sp, ar, wrk.A, posSched(), srt)
+	return wrk, countReal(wrk.A)
 }
 
 // UnloadJoined extracts the real joined records of a Join result in array

@@ -68,7 +68,7 @@ func TestCompactObliviousTrace(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
 	oblivtest.FingerprintEqual(t, "Compact", opBodies(t, traceInputs(64), 1,
 		func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-			Compact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%2 == 0 }, srt)
+			runCompact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%2 == 0 }, srt)
 		})...)
 }
 
@@ -76,7 +76,7 @@ func TestDistinctObliviousTrace(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
 	oblivtest.FingerprintEqual(t, "Distinct", opBodies(t, traceInputs(64), 1,
 		func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-			Distinct(c, sp, NewArena(), r, srt)
+			runDistinct(c, sp, NewArena(), r, srt)
 		})...)
 }
 
@@ -85,7 +85,7 @@ func TestGroupByObliviousTrace(t *testing.T) {
 	for _, agg := range allAggs {
 		oblivtest.FingerprintEqual(t, "GroupBy", opBodies(t, traceInputs(64), 1,
 			func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-				GroupBy(c, sp, NewArena(), r, agg, srt)
+				runGroupBy(c, sp, NewArena(), r, agg, srt)
 			})...)
 	}
 }
@@ -100,12 +100,12 @@ func TestWideKeyObliviousTrace(t *testing.T) {
 	for _, agg := range allAggs {
 		oblivtest.FingerprintEqual(t, "GroupBy wide", opBodies(t, inputs, 2,
 			func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-				GroupBy(c, sp, NewArena(), r, agg, srt)
+				runGroupBy(c, sp, NewArena(), r, agg, srt)
 			})...)
 	}
 	oblivtest.FingerprintEqual(t, "Distinct wide", opBodies(t, inputs, 2,
 		func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-			Distinct(c, sp, NewArena(), r, srt)
+			runDistinct(c, sp, NewArena(), r, srt)
 		})...)
 }
 
@@ -118,7 +118,7 @@ func TestWideTraceDependsOnWidth(t *testing.T) {
 	recs := traceInputs(64)[2]
 	body := func(w int) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
-			GroupBy(c, sp, NewArena(), mustLoadW(t, sp, recs, w), AggSum, srt)
+			runGroupBy(c, sp, NewArena(), mustLoadW(t, sp, recs, w), AggSum, srt)
 		}
 	}
 	oblivtest.Different(t, "GroupBy width", body(1), body(2))
@@ -266,7 +266,7 @@ func TestTopKObliviousTrace(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
 	oblivtest.FingerprintEqual(t, "TopK", opBodies(t, traceInputs(64), 1,
 		func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-			TopK(c, sp, NewArena(), r, 5, srt)
+			runTopK(c, sp, NewArena(), r, 5, srt)
 		})...)
 }
 
@@ -277,7 +277,7 @@ func TestTraceDependsOnShape(t *testing.T) {
 	body := func(n int) oblivtest.Body {
 		recs := traceInputs(n)[2]
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
-			GroupBy(c, sp, NewArena(), mustLoad(t, sp, recs), AggSum, srt)
+			runGroupBy(c, sp, NewArena(), mustLoad(t, sp, recs), AggSum, srt)
 		}
 	}
 	oblivtest.Different(t, "GroupBy size", body(32), body(64))
@@ -292,7 +292,7 @@ func TestScheduleWordBounds(t *testing.T) {
 	e := obliv.Elem{Key: KeyLimit - 1, Key2: KeyLimit - 1, Aux: MaxRows - 1, Tag: 1, Kind: obliv.Real}
 	var buf, fill [obliv.MaxScheduleWidth]uint64
 	for _, sc := range []schedule{
-		keyIdxSched(1), keyIdxSched(2), posSched(), descValSched(), markSched(),
+		keyIdxSched(1), keyIdxSched(2), posSched(), descValSched(),
 		joinLiSched(1), joinLiSched(2),
 	} {
 		if sc.w > obliv.MaxScheduleWidth {

@@ -22,7 +22,7 @@
 //	Val  — the record's payload value
 //	Aux  — the record's original position (stable tie-break, < MaxRows)
 //	Lbl  — scratch (aggregates, joined values)
-//	Mark — scratch survivor flag used by the compaction passes
+//	Mark — scratch survivor flag (group heads, join matches)
 //
 // Sort keys are no longer packed into one word: every sort materializes a
 // width-parameterized obliv.KeySchedule — one cached word plane per key
@@ -42,13 +42,14 @@
 // memory outside the adversary's view (harness diagnostics, same
 // convention as obliv.BinPlace's overflow count).
 //
-// Two execution surfaces share these passes: the stand-alone operators
-// (Compact, Distinct, GroupBy, Join, TopK) and the fused executor
-// (Execute, engine.go) that runs the pass sequence produced by the
-// internal/plan sort-fusion planner. Both sort through the key-schedule
-// fast path (obliv.ScheduledSorter, the only sorter type the relational
-// layer accepts), and both draw their scratch from an Arena when one is
-// supplied.
+// The unary operators have one execution surface: the executor (Execute,
+// engine.go) running the pass sequence the internal/plan sort-fusion
+// planner compiles from a query shape — a stand-alone Filter, Distinct,
+// GroupBy or TopK is simply a one-stage shape. The binary joins (Join,
+// JoinAll) are operators of their own. Everything sorts through the
+// key-schedule fast path (obliv.ScheduledSorter, the only sorter type the
+// relational layer accepts) and draws its scratch from an Arena when one
+// is supplied.
 package relops
 
 import (
@@ -270,7 +271,7 @@ func posSched() schedule {
 }
 
 // descValSched orders real elements by descending value with fillers last
-// (TopK's schedule; a record with Val == 0 shares obliv.InfKey with the
+// (the top-k schedule; a record with Val == 0 shares obliv.InfKey with the
 // fillers, which every pass here tolerates).
 func descValSched() schedule {
 	return schedule{w: 1, emit: func(e obliv.Elem, out []uint64) {
@@ -279,18 +280,6 @@ func descValSched() schedule {
 			return
 		}
 		out[0] = ^e.Val
-	}}
-}
-
-// markSched orders marked real elements by original position and sends
-// everything else to the filler tail — compactMarked's schedule.
-func markSched() schedule {
-	return schedule{w: 1, emit: func(e obliv.Elem, out []uint64) {
-		if e.Kind != obliv.Real || e.Mark == 0 {
-			out[0] = obliv.InfKey
-			return
-		}
-		out[0] = e.Aux
 	}}
 }
 
@@ -385,26 +374,4 @@ func markBoundaries(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel) {
 			a.Set(c, i, e)
 		}
 	})
-}
-
-// compactMarked obliviously compacts a in place: records with Mark==1 move
-// to the front ordered by original position (Aux), everything else becomes
-// a filler, and all marks are cleared. Returns the survivor count (raw
-// read, outside the adversary's view). This is the oblivious tight
-// compaction at the heart of the stand-alone operators: one
-// data-independent sort plus one elementwise pass.
-func compactMarked(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) int {
-	sortSched(c, sp, ar, a, markSched(), srt)
-	forkjoin.ParallelRange(c, 0, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := a.Get(c, i)
-			c.Op(1)
-			if e.Kind != obliv.Real || e.Mark == 0 {
-				e = obliv.Elem{}
-			}
-			e.Mark = 0
-			a.Set(c, i, e)
-		}
-	})
-	return countReal(a)
 }

@@ -13,6 +13,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/prng"
 )
 
@@ -76,6 +77,32 @@ func testSorter(n int) obliv.ScheduledSorter {
 	return bitonic.CacheAgnostic{}
 }
 
+// oneStage runs the one-stage plan of shape s over r — how production
+// executes a stand-alone Filter, Distinct, GroupBy or TopK: plan.Build on
+// the shape, then Execute. The run* helpers below name the four shapes.
+func oneStage(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, s plan.Shape, pred func(Record) bool, srt obliv.ScheduledSorter) int {
+	s.KeyCols = r.W
+	return Execute(c, sp, ar, r, plan.Build(s), pred, srt)
+}
+
+func runCompact(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pred func(Record) bool, srt obliv.ScheduledSorter) int {
+	return oneStage(c, sp, ar, r, plan.Shape{Filter: true}, pred, srt)
+}
+
+func runDistinct(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, srt obliv.ScheduledSorter) int {
+	return oneStage(c, sp, ar, r, plan.Shape{Distinct: true}, nil, srt)
+}
+
+func runGroupBy(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, srt obliv.ScheduledSorter) int {
+	return oneStage(c, sp, ar, r, plan.Shape{GroupBy: true, Agg: uint8(agg)}, nil, srt)
+}
+
+// runTopK needs k >= 1: a shape reads TopK == 0 as "no top-k stage" (the
+// public TopK wrapper answers k == 0 itself, before any run).
+func runTopK(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, k int, srt obliv.ScheduledSorter) int {
+	return oneStage(c, sp, ar, r, plan.Shape{TopK: k}, nil, srt)
+}
+
 func randRecords(src *prng.Source, n int, keySpread, valSpread uint64) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
@@ -126,7 +153,7 @@ func TestCompactRandom(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := Compact(testCtx(), sp, NewArena(), a, pred, testSorter(a.Len()))
+		count := runCompact(testCtx(), sp, NewArena(), a, pred, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: Compact count = %d, want %d", n, count, len(want))
 		}
@@ -137,7 +164,7 @@ func TestCompactRandom(t *testing.T) {
 func TestCompactNoneSurvive(t *testing.T) {
 	sp := mem.NewSpace()
 	a := mustLoad(t, sp, randRecords(prng.New(5), 16, 10, 10))
-	count := Compact(testCtx(), sp, NewArena(), a, func(Record) bool { return false }, obliv.SelectionNetwork{})
+	count := runCompact(testCtx(), sp, NewArena(), a, func(Record) bool { return false }, obliv.SelectionNetwork{})
 	if count != 0 || len(Unload(a)) != 0 {
 		t.Fatalf("expected empty result, got count=%d records=%v", count, Unload(a))
 	}
@@ -157,7 +184,7 @@ func TestDistinctRandom(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := Distinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
+		count := runDistinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: Distinct count = %d, want %d", n, count, len(want))
 		}
@@ -183,7 +210,7 @@ func TestDistinctWideKeys(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoadW(t, sp, recs, 2)
-		count := Distinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
+		count := runDistinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: wide Distinct count = %d, want %d", n, count, len(want))
 		}
@@ -261,7 +288,7 @@ func TestGroupByRandom(t *testing.T) {
 			want := refGroupBy(recs, agg, false)
 			sp := mem.NewSpace()
 			a := mustLoad(t, sp, recs)
-			count := GroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
+			count := runGroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
 			if count != len(want) {
 				t.Fatalf("agg=%d n=%d: GroupBy count = %d, want %d", agg, n, count, len(want))
 			}
@@ -280,7 +307,7 @@ func TestGroupByWideKeys(t *testing.T) {
 			want := refGroupBy(recs, agg, true)
 			sp := mem.NewSpace()
 			a := mustLoadW(t, sp, recs, 2)
-			count := GroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
+			count := runGroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
 			if count != len(want) {
 				t.Fatalf("agg=%d n=%d: wide GroupBy count = %d, want %d", agg, n, count, len(want))
 			}
@@ -303,7 +330,7 @@ func TestGroupByMaxLegalKeys(t *testing.T) {
 	}
 	sp := mem.NewSpace()
 	a := mustLoadW(t, sp, recs, 2)
-	count := GroupBy(testCtx(), sp, NewArena(), a, AggAvg, obliv.SelectionNetwork{})
+	count := runGroupBy(testCtx(), sp, NewArena(), a, AggAvg, obliv.SelectionNetwork{})
 	want := []Record{
 		{Key: maxKey, Key2: maxKey, Val: 20},
 		{Key: 0, Key2: 1, Val: 1},
@@ -412,7 +439,7 @@ func TestJoinNoMatches(t *testing.T) {
 func TestTopKRandom(t *testing.T) {
 	src := prng.New(505)
 	for _, n := range testSizes {
-		for _, k := range []int{0, 1, n / 2, n, n + 5} {
+		for _, k := range []int{1, (n + 1) / 2, n, n + 5} {
 			recs := make([]Record, n)
 			seen := map[uint64]bool{}
 			for i := range recs {
@@ -431,7 +458,7 @@ func TestTopKRandom(t *testing.T) {
 
 			sp := mem.NewSpace()
 			a := mustLoad(t, sp, recs)
-			count := TopK(testCtx(), sp, NewArena(), a, k, testSorter(a.Len()))
+			count := runTopK(testCtx(), sp, NewArena(), a, k, testSorter(a.Len()))
 			wantCount := k
 			if wantCount > n {
 				wantCount = n
@@ -450,7 +477,7 @@ func TestTopKTiesAndZeros(t *testing.T) {
 	src := prng.New(606)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + src.Intn(20)
-		k := src.Intn(n + 2)
+		k := 1 + src.Intn(n+1)
 		recs := make([]Record, n)
 		for i := range recs {
 			recs[i] = Record{Key: uint64(i), Val: src.Uint64n(3)} // many ties, many zeros
@@ -463,7 +490,7 @@ func TestTopKTiesAndZeros(t *testing.T) {
 
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := TopK(testCtx(), sp, NewArena(), a, k, obliv.SelectionNetwork{})
+		count := runTopK(testCtx(), sp, NewArena(), a, k, obliv.SelectionNetwork{})
 		got := Unload(a)
 		wantCount := k
 		if wantCount > n {
@@ -552,9 +579,9 @@ func TestArenaReuseMatchesFreshScratch(t *testing.T) {
 		sp := mem.NewSpace()
 		srt := bitonic.CacheAgnostic{}
 		a := mustLoad(t, sp, recs)
-		Distinct(testCtx(), sp, ar, a, srt)
+		runDistinct(testCtx(), sp, ar, a, srt)
 		b := mustLoad(t, sp, recs)
-		GroupBy(testCtx(), sp, ar, b, AggSum, srt)
+		runGroupBy(testCtx(), sp, ar, b, AggSum, srt)
 		return Unload(a), Unload(b)
 	}
 	d1, g1 := run(NewArena())
@@ -575,11 +602,11 @@ func TestArenaMixedWidths(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
 
 	a := mustLoad(t, sp, narrow)
-	GroupBy(testCtx(), sp, ar, a, AggSum, srt)
+	runGroupBy(testCtx(), sp, ar, a, AggSum, srt)
 	b := mustLoadW(t, sp, wide, 2)
-	GroupBy(testCtx(), sp, ar, b, AggAvg, srt)
+	runGroupBy(testCtx(), sp, ar, b, AggAvg, srt)
 	c := mustLoad(t, sp, narrow)
-	GroupBy(testCtx(), sp, ar, c, AggSum, srt)
+	runGroupBy(testCtx(), sp, ar, c, AggSum, srt)
 
 	checkRecords(t, Unload(a), refGroupBy(narrow, AggSum, false), "narrow before wide")
 	checkRecords(t, Unload(b), refGroupBy(wide, AggAvg, true), "wide between narrows")
@@ -612,7 +639,7 @@ func TestArenaRebindsAcrossSpaces(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		GroupBy(testCtx(), sp, arr, a, AggSum, bitonic.CacheAgnostic{})
+		runGroupBy(testCtx(), sp, arr, a, AggSum, bitonic.CacheAgnostic{})
 		got[round] = Unload(a)
 	}
 	checkRecords(t, got[1], got[0], "arena across spaces")
@@ -628,7 +655,7 @@ func TestMarkBoundariesParallelRace(t *testing.T) {
 		sp := mem.NewSpace()
 		srt := bitonic.CacheAgnostic{}
 		a := mustLoad(t, sp, recs)
-		if got, want := Distinct(c, sp, NewArena(), a, srt), 64; got != want {
+		if got, want := runDistinct(c, sp, NewArena(), a, srt), 64; got != want {
 			t.Errorf("Distinct under parallel pool: %d keys, want %d", got, want)
 		}
 	})
@@ -646,19 +673,19 @@ func TestOperatorsParallel(t *testing.T) {
 		srt := bitonic.CacheAgnostic{}
 
 		a := mustLoad(t, sp, recs)
-		Compact(c, sp, NewArena(), a, func(r Record) bool { return r.Val%2 == 0 }, srt)
+		runCompact(c, sp, NewArena(), a, func(r Record) bool { return r.Val%2 == 0 }, srt)
 
 		b := mustLoad(t, sp, recs)
-		Distinct(c, sp, nil, b, srt)
+		runDistinct(c, sp, nil, b, srt)
 
 		g := mustLoad(t, sp, recs)
-		GroupBy(c, sp, NewArena(), g, AggSum, srt)
+		runGroupBy(c, sp, NewArena(), g, AggSum, srt)
 
 		gw := mustLoadW(t, sp, wrecs, 2)
-		GroupBy(c, sp, NewArena(), gw, AggVar, srt)
+		runGroupBy(c, sp, NewArena(), gw, AggVar, srt)
 
 		tk := mustLoad(t, sp, recs)
-		TopK(c, sp, NewArena(), tk, 10, srt)
+		runTopK(c, sp, NewArena(), tk, 10, srt)
 
 		left := mustLoad(t, sp, []Record{{Key: 1, Val: 5}, {Key: 2, Val: 6}})
 		right := mustLoad(t, sp, recs[:50])

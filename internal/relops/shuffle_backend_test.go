@@ -39,7 +39,7 @@ func checkGroupByBackends(t testing.TB, seed, sortSeed uint64, n, w, dist int, a
 	run := func(srt obliv.ScheduledSorter) []Record {
 		sp := mem.NewSpace()
 		a := mustLoadW(t, sp, recs, w)
-		GroupBy(testCtx(), sp, NewArena(), a, agg, srt)
+		runGroupBy(testCtx(), sp, NewArena(), a, agg, srt)
 		return Unload(a)
 	}
 	checkRecords(t, run(shuffleSorter(sortSeed)), run(bitonic.CacheAgnostic{}), "GroupBy backends")
@@ -67,10 +67,10 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 					return Unload(r)
 				}
 				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
-					Distinct(c, sp, NewArena(), r, srt)
+					runDistinct(c, sp, NewArena(), r, srt)
 				}
 				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
-					Compact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
+					runCompact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
 				}
 				checkRecords(t, runOp(shuffleSorter(seed), distinct), runOp(bitonic.CacheAgnostic{}, distinct), "Distinct backends")
 				checkRecords(t, runOp(shuffleSorter(seed), compact), runOp(bitonic.CacheAgnostic{}, compact), "Compact backends")
@@ -123,7 +123,7 @@ func TestShuffleBackendFixedSeedTraceValueIndependent(t *testing.T) {
 			body := func(scale, bias, valSeed uint64) oblivtest.Body {
 				return func(c *forkjoin.Ctx, sp *mem.Space) {
 					r := mustLoadW(t, sp, rankedRecords(n, w, scale, bias, valSeed), w)
-					GroupBy(c, sp, NewArena(), r, agg, shuffleSorter(0xF00D))
+					runGroupBy(c, sp, NewArena(), r, agg, shuffleSorter(0xF00D))
 				}
 			}
 			oblivtest.FingerprintEqual(t, "GroupBy shuffle backend",
@@ -155,7 +155,7 @@ func TestShuffleBackendLockstep(t *testing.T) {
 				}
 			}
 			r := mustLoadW(t, sp, recs, w)
-			GroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(0xCAFE))
+			runGroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(0xCAFE))
 		})
 }
 
@@ -165,7 +165,7 @@ func TestShuffleBackendTraceShapeSensitive(t *testing.T) {
 	body := func(n int) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
 			r := mustLoadW(t, sp, rankedRecords(n, 1, 1, 0, 1), 1)
-			GroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(1))
+			runGroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(1))
 		}
 	}
 	oblivtest.Different(t, "GroupBy shuffle size", body(24), body(48))

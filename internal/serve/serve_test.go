@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"oblivmc"
+	"oblivmc/client"
 	"oblivmc/internal/prng"
 )
 
@@ -288,6 +290,28 @@ func TestHTTPSurface(t *testing.T) {
 		t.Fatalf("explain: HTTP %d plan %q", code, ex.Plan)
 	}
 
+	// A misspelled ("topk" for top_k) or retired clause — any field the
+	// spec does not declare — must be refused by name, not dropped from a
+	// query that then runs without it.
+	for _, path := range []string{"/v1/query", "/v1/explain"} {
+		for _, field := range []string{"topk", "retired_clause"} {
+			body := fmt.Sprintf(`{"table": "t", "group_by": "sum", %q: 1}`, field)
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, field) ||
+				!strings.Contains(er.Error, ErrBadSpec.Error()) {
+				t.Fatalf("%s with unknown field %q: HTTP %d %q, want 400 ErrBadSpec naming the field", path, field, resp.StatusCode, er.Error)
+			}
+		}
+	}
+
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/tables/t", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -299,6 +323,34 @@ func TestHTTPSurface(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/query", QuerySpec{Table: "t"}, nil); code != http.StatusNotFound {
 		t.Fatalf("query after drop: HTTP %d, want 404", code)
+	}
+}
+
+// jsonFields lists the wire names a struct type exposes.
+func jsonFields(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestClientSpecMirrorsQuerySpec holds the hand-mirrored wire types of the
+// client package to the server's: with strict decoding a field the client
+// sends and the server lacks fails every request, and the reverse is a
+// clause no Go caller can reach.
+func TestClientSpecMirrorsQuerySpec(t *testing.T) {
+	for _, pair := range [][2]any{
+		{client.Spec{}, QuerySpec{}},
+		{client.Join{}, JoinSpec{}},
+		{client.Filter{}, FilterSpec{}},
+	} {
+		c, s := reflect.TypeOf(pair[0]), reflect.TypeOf(pair[1])
+		if cf, sf := jsonFields(c), jsonFields(s); !reflect.DeepEqual(cf, sf) {
+			t.Errorf("%v fields %v, %v fields %v", c, cf, s, sf)
+		}
 	}
 }
 

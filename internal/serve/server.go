@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -656,6 +657,19 @@ func statusOf(err error) int {
 	}
 }
 
+// decodeSpec decodes a QuerySpec strictly: an unknown field — a misspelled
+// or retired clause — is a bad spec naming the field, never a clause
+// silently dropped from the query that then runs.
+func decodeSpec(body io.Reader) (QuerySpec, error) {
+	var spec QuerySpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return QuerySpec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return spec, nil
+}
+
 func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
 }
@@ -716,9 +730,9 @@ func (s *Server) Handler() http.Handler {
 			w.WriteHeader(http.StatusMethodNotAllowed)
 			return
 		}
-		var spec QuerySpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		spec, err := decodeSpec(r.Body)
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
 		res, err := s.ExecuteCtx(r.Context(), spec)
@@ -736,9 +750,9 @@ func (s *Server) Handler() http.Handler {
 			w.WriteHeader(http.StatusMethodNotAllowed)
 			return
 		}
-		var spec QuerySpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		spec, err := decodeSpec(r.Body)
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
 		plan, err := s.ExplainSpec(spec)

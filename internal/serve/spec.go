@@ -51,8 +51,6 @@ type QuerySpec struct {
 	// KeyOrderOut materializes the result in key order with the OrderKeys
 	// token (the cross-query sort-skipping seam; see oblivmc.Query).
 	KeyOrderOut bool `json:"key_order_out,omitempty"`
-	// NoOptimize runs the pre-fusion staged baseline.
-	NoOptimize bool `json:"no_optimize,omitempty"`
 	// As, when set, stores the result in the registry under this name
 	// (replacing any existing binding — its version bumps). Not part of
 	// the cache key: it names the result, it does not change it.
@@ -61,7 +59,7 @@ type QuerySpec struct {
 	// instead of the relational pipeline: "cc" (min-hook connected
 	// components), "msf" (minimum spanning forest), or "pagerank".
 	// Mutually exclusive with the relational clauses (Join, Filter,
-	// Distinct, GroupBy, TopK, KeyOrderOut, NoOptimize); As still stores
+	// Distinct, GroupBy, TopK, KeyOrderOut); As still stores
 	// the result. Like every relational field, the pair (Graph,
 	// GraphRounds) is public request shape and part of the cache key.
 	Graph string `json:"graph,omitempty"`
@@ -90,7 +88,7 @@ func (s QuerySpec) compileGraph(reg *Registry) (oblivmc.Table, oblivmc.GraphOp, 
 		return fail(fmt.Errorf("%w: unknown graph op %q (cc, msf, pagerank)", ErrBadSpec, s.Graph))
 	}
 	if s.Join != nil || s.Filter != nil || s.Distinct || s.GroupBy != "" ||
-		s.TopK != 0 || s.KeyOrderOut || s.NoOptimize {
+		s.TopK != 0 || s.KeyOrderOut {
 		return fail(fmt.Errorf("%w: graph %q excludes the relational clauses", ErrBadSpec, s.Graph))
 	}
 	if s.GraphRounds < 0 {
@@ -183,7 +181,6 @@ func (s QuerySpec) compile(reg *Registry) (oblivmc.Table, oblivmc.Query, string,
 		GroupBy:     agg,
 		TopK:        s.TopK,
 		KeyOrderOut: s.KeyOrderOut,
-		NoOptimize:  s.NoOptimize,
 	}
 	if s.Join != nil {
 		left, lver, err := reg.Get(s.Join.Table)
@@ -216,7 +213,7 @@ func (s QuerySpec) compile(reg *Registry) (oblivmc.Table, oblivmc.Query, string,
 		q.FilterKeyOnly = keyOnly
 		fmt.Fprintf(&key, "|f=%d %s %d", s.Filter.Col, s.Filter.Op, s.Filter.Value)
 	}
-	fmt.Fprintf(&key, "|d=%t|g=%s|k=%d|o=%t|n=%t",
-		s.Distinct, s.GroupBy, s.TopK, s.KeyOrderOut, s.NoOptimize)
+	fmt.Fprintf(&key, "|d=%t|g=%s|k=%d|o=%t",
+		s.Distinct, s.GroupBy, s.TopK, s.KeyOrderOut)
 	return tab, q, key.String(), nil
 }

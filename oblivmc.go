@@ -118,9 +118,8 @@ type Config struct {
 	Tuning Tuning
 	// Cancel, when non-nil, arms the run's cooperative cancellation token:
 	// tripping it aborts the execution with ErrCanceled at the next
-	// public-shape checkpoint. Composite operators (PageRank, the staged
-	// query path) pass the config through, so one token covers all their
-	// constituent runs. An untripped token leaves every trace
+	// public-shape checkpoint. Composite operators (PageRank) pass the
+	// config through, so one token covers all their constituent runs. An untripped token leaves every trace
 	// byte-identical to a run with no token. Use a fresh token per run.
 	Cancel *Cancel
 }

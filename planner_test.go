@@ -1,10 +1,12 @@
 package oblivmc
 
 // Planner-level tests: the sort-fusion planner must (a) produce the same
-// rows as the staged reference for every query shape, (b) run strictly
-// fewer sorting-network passes than the staged execution on multi-stage
-// pipelines, and (c) keep the trace a function of (row count, query shape)
-// only — fusing and reordering passes must not let record contents leak.
+// rows as the plain-Go reference — and as the staged execution, the same
+// stages run one public operator at a time — for every query shape, (b)
+// run strictly fewer sorting-network passes than the staged execution on
+// multi-stage pipelines, and (c) keep the trace a function of (row count,
+// query shape) only — fusing and reordering passes must not let record
+// contents leak.
 
 import (
 	"errors"
@@ -40,6 +42,89 @@ func (s countingSorter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.
 func (s countingSorter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
 	*s.n++
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
+}
+
+// stage is one step of a staged execution: a public one-operator call and
+// the one-stage Query it is specified to equal
+// (TestPublicOperatorIsOneStageQuery).
+type stage struct {
+	q   Query
+	run func(Config, Table) (Table, *Report, error)
+}
+
+// stagesOf splits q into its stages in pipeline order — Join, Filter,
+// Distinct, GroupBy, TopK. The join has no Table-returning operator of its
+// own, so its stage is the one-stage RunQuery.
+func stagesOf(q Query) []stage {
+	var out []stage
+	if j := q.Join; j != nil {
+		out = append(out, stage{Query{Join: j}, func(cfg Config, t Table) (Table, *Report, error) {
+			return RunQuery(cfg, t, Query{Join: j})
+		}})
+	}
+	if f := q.Filter; f != nil {
+		out = append(out, stage{Query{Filter: f}, func(cfg Config, t Table) (Table, *Report, error) {
+			return Filter(cfg, t, f)
+		}})
+	}
+	if f := q.FilterWide; f != nil {
+		out = append(out, stage{Query{FilterWide: f}, func(cfg Config, t Table) (Table, *Report, error) {
+			return FilterRows(cfg, t, f)
+		}})
+	}
+	if q.Distinct {
+		out = append(out, stage{Query{Distinct: true}, Distinct})
+	}
+	if agg := q.GroupBy; agg != AggNone {
+		out = append(out, stage{Query{GroupBy: agg}, func(cfg Config, t Table) (Table, *Report, error) {
+			return GroupBy(cfg, t, agg)
+		}})
+	}
+	if k := q.TopK; k > 0 {
+		out = append(out, stage{Query{TopK: k}, func(cfg Config, t Table) (Table, *Report, error) {
+			return TopK(cfg, t, k)
+		}})
+	}
+	return out
+}
+
+// runStaged is the un-fused execution of q: a chain of public one-stage
+// calls through Tables, each a run of its own paying its own sorts. An
+// intermediate result with no rows ends the chain (no later stage can
+// revive a row, and the operators reject empty tables).
+func runStaged(t *testing.T, cfg Config, tab Table, q Query) Table {
+	t.Helper()
+	for _, st := range stagesOf(q) {
+		if tab.Len() == 0 {
+			break
+		}
+		out, _, err := st.run(cfg, tab)
+		if err != nil {
+			t.Fatalf("staged %+v: %v", st.q, err)
+		}
+		tab = out
+	}
+	return tab
+}
+
+// sortsOf counts the sorting passes q executes over tab: fused — one
+// runQuery — or staged, summed over the chain of its one-stage queries.
+func sortsOf(t *testing.T, tab Table, q Query, staged bool) int {
+	t.Helper()
+	n := 0
+	srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
+	chain := []stage{{q: q}}
+	if staged {
+		chain = stagesOf(q)
+	}
+	for _, st := range chain {
+		out, _, _, err := runQuery(exec{cfg: Config{Mode: ModeSerial}}, tab, st.q, srt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab = out
+	}
+	return n
 }
 
 // queryShapes enumerates every stage combination, with both filter
@@ -129,8 +214,8 @@ func checkQueryResult(t *testing.T, label string, got, rows []Row, q Query) {
 	}
 }
 
-// TestPlannedMatchesReferenceAllShapes runs every query shape through the
-// fused planner path and the staged baseline and compares both against the
+// TestPlannedMatchesReferenceAllShapes runs every query shape fused and
+// staged (one public operator at a time) and compares both against the
 // plain-Go reference semantics.
 func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 	rows := queryRows(96)
@@ -143,12 +228,7 @@ func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fused: %v", label, err)
 		}
-		staged := q
-		staged.NoOptimize = true
-		base, _, err := RunQuery(Config{Mode: ModeSerial}, tab, staged)
-		if err != nil {
-			t.Fatalf("%s: staged: %v", label, err)
-		}
+		base := runStaged(t, Config{Mode: ModeSerial}, tab, q)
 		checkQueryResult(t, label+" fused", fused.Rows(), rows, q)
 		checkQueryResult(t, label+" staged", base.Rows(), rows, q)
 	}
@@ -156,29 +236,11 @@ func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 
 // TestFusedRunsFewerSorts is the sort-pass counter test: the fused
 // Filter→Distinct→GroupBy→TopK pipeline must run strictly fewer sorts than
-// the staged seed path — concretely 2 against 6 — and every multi-stage
-// shape must save at least one sort.
+// the same stages run one operator at a time — concretely 2 against 6 —
+// and every multi-stage shape must save at least one sort.
 func TestFusedRunsFewerSorts(t *testing.T) {
 	rows := queryRows(64)
 	tab := mustTable(t, rows)
-
-	sortsOf := func(q Query, staged bool) int {
-		n := 0
-		srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
-		kind, err := queryAgg(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if staged {
-			_, _, err = runQueryStaged(exec{cfg: Config{Mode: ModeSerial}}, tab, q, kind, srt)
-		} else {
-			_, _, err = runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, tab, q, kind, srt)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
 
 	full := Query{
 		Filter:   func(r Row) bool { return r.Val%2 == 0 },
@@ -186,7 +248,7 @@ func TestFusedRunsFewerSorts(t *testing.T) {
 		GroupBy:  AggSum,
 		TopK:     5,
 	}
-	if fused, staged := sortsOf(full, false), sortsOf(full, true); fused != 2 || staged != 6 {
+	if fused, staged := sortsOf(t, tab, full, false), sortsOf(t, tab, full, true); fused != 2 || staged != 6 {
 		t.Fatalf("full pipeline: fused %d sorts, staged %d — want 2 and 6", fused, staged)
 	}
 
@@ -200,7 +262,7 @@ func TestFusedRunsFewerSorts(t *testing.T) {
 		if stages < 2 {
 			continue
 		}
-		if fused, staged := sortsOf(q, false), sortsOf(q, true); fused >= staged {
+		if fused, staged := sortsOf(t, tab, q, false), sortsOf(t, tab, q, true); fused >= staged {
 			t.Errorf("shape %d: fused %d sorts >= staged %d", i, fused, staged)
 		}
 	}
@@ -229,30 +291,14 @@ func TestWidthOneQueriesKeepTwoPassSchedule(t *testing.T) {
 	}
 
 	// Executed pass count, width 1: the full pipeline runs 2 sorts.
-	tab := mustTable(t, queryRows(64))
-	n := 0
-	if _, _, err := runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, tab, q,
-		kind, countingSorter{inner: obliv.SelectionNetwork{}, n: &n}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := sortsOf(t, mustTable(t, queryRows(64)), q, false); n != 2 {
 		t.Fatalf("width-1 fused pipeline executed %d sorts, want 2", n)
 	}
 
 	// Executed pass count, width 2 (no filter — wide filters are a
 	// follow-on): Distinct→GroupBy→TopK fuses to the same 2 sorts.
 	wq := Query{Distinct: true, GroupBy: AggAvg, TopK: 5}
-	wkind, err := queryAgg(wq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wtab := mustWideTable(t, wideQueryRows(64))
-	n = 0
-	if _, _, err := runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, wtab, wq,
-		wkind, countingSorter{inner: obliv.SelectionNetwork{}, n: &n}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := sortsOf(t, mustWideTable(t, wideQueryRows(64)), wq, false); n != 2 {
 		t.Fatalf("width-2 fused pipeline executed %d sorts, want 2", n)
 	}
 }
@@ -331,15 +377,6 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("Explain = %q, want %q", got, want)
 	}
 
-	// A NoOptimize query explains what actually runs: the staged sequence.
-	got, err = Explain(Query{Distinct: true, GroupBy: AggSum, TopK: 2, NoOptimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "staged: distinct → group-by → top-k [5 sorts]"; got != want {
-		t.Fatalf("Explain(NoOptimize) = %q, want %q", got, want)
-	}
-
 	// Explain validates like RunQuery.
 	if _, err := Explain(Query{TopK: -1}); err == nil {
 		t.Fatal("Explain accepted negative k")
@@ -413,9 +450,9 @@ func joinedQueryTables(t *testing.T, n int) (Table, Table, []Row, []Row) {
 	return mustTable(t, left), mustTable(t, rows), left, rows
 }
 
-// TestJoinedQueryMatchesReference runs joined query shapes through both
-// the planned and the staged path and compares against the expand-then-ref
-// semantics.
+// TestJoinedQueryMatchesReference runs joined query shapes fused and
+// staged (the stand-alone join, then one public operator at a time) and
+// compares both against the expand-then-ref semantics.
 func TestJoinedQueryMatchesReference(t *testing.T) {
 	lt, rt, left, rows := joinedQueryTables(t, 48)
 	expanded := refJoinedRows(left, rows)
@@ -435,12 +472,7 @@ func TestJoinedQueryMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fused: %v", label, err)
 		}
-		staged := q
-		staged.NoOptimize = true
-		base, _, err := RunQuery(Config{Mode: ModeSerial}, rt, staged)
-		if err != nil {
-			t.Fatalf("%s: staged: %v", label, err)
-		}
+		base := runStaged(t, Config{Mode: ModeSerial}, rt, q)
 		unary := q
 		unary.Join = nil
 		checkQueryResult(t, label+" fused", fused.Rows(), expanded, unary)
@@ -448,7 +480,7 @@ func TestJoinedQueryMatchesReference(t *testing.T) {
 	}
 }
 
-// TestJoinedQueryWide compares the planned and staged paths over a
+// TestJoinedQueryWide compares the fused and staged executions over a
 // two-column joined query (the reference semantics are pinned at width 1;
 // width only widens the schedules).
 func TestJoinedQueryWide(t *testing.T) {
@@ -477,12 +509,7 @@ func TestJoinedQueryWide(t *testing.T) {
 			t.Fatalf("joined wide group-by row %v, want counts %v", r, want)
 		}
 	}
-	staged := q
-	staged.NoOptimize = true
-	base, _, err := RunQuery(Config{Mode: ModeSerial}, rt, staged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runStaged(t, Config{Mode: ModeSerial}, rt, q)
 	if fmt.Sprint(base.WideRows()) != fmt.Sprint(fused.WideRows()) {
 		t.Fatalf("staged joined wide result %v differs from fused %v", base.WideRows(), fused.WideRows())
 	}
@@ -531,24 +558,7 @@ func TestJoinPlanSortPasses(t *testing.T) {
 func TestJoinedQueryExecutedSorts(t *testing.T) {
 	lt, rt, left, rows := joinedQueryTables(t, 32)
 	q := Query{Join: &JoinSpec{Left: lt, MaxOut: len(refJoinedRows(left, rows)) + 1}, GroupBy: AggSum}
-	kind, err := queryAgg(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortsOf := func(staged bool) int {
-		n := 0
-		srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
-		if staged {
-			_, _, err = runQueryStaged(exec{cfg: Config{Mode: ModeSerial}}, rt, q, kind, srt)
-		} else {
-			_, _, err = runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, rt, q, kind, srt)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if fused, staged := sortsOf(false), sortsOf(true); fused != 3 || staged != 5 {
+	if fused, staged := sortsOf(t, rt, q, false), sortsOf(t, rt, q, true); fused != 3 || staged != 5 {
 		t.Fatalf("joined group-by pipeline: fused %d sorts, staged %d — want 3 and 5", fused, staged)
 	}
 }
@@ -629,11 +639,9 @@ func TestJoinCapAuto(t *testing.T) {
 		t.Fatalf("auto-capacity rows %v differ from exact-capacity rows %v", auto.Rows(), exact.Rows())
 	}
 
-	// The staged path resolves the sentinel through the same seam.
-	staged, _, err := RunQuery(Config{Mode: ModeSerial}, rt, Query{Join: &JoinSpec{Left: lt, MaxOut: JoinCapAuto}, GroupBy: AggSum, NoOptimize: true})
-	if err != nil {
-		t.Fatalf("JoinCapAuto staged query: %v", err)
-	}
+	// The stand-alone (un-deferred) join resolves the sentinel through the
+	// same seam.
+	staged := runStaged(t, Config{Mode: ModeSerial}, rt, Query{Join: &JoinSpec{Left: lt, MaxOut: JoinCapAuto}, GroupBy: AggSum})
 	if fmt.Sprint(staged.Rows()) != fmt.Sprint(exact.Rows()) {
 		t.Fatalf("staged auto-capacity rows %v differ from exact %v", staged.Rows(), exact.Rows())
 	}
@@ -671,14 +679,15 @@ func TestJoinedQueryBoundaryErrors(t *testing.T) {
 	}
 
 	// Four true matches (two lefts × two key-1 rights): maxOut 3 overflows
-	// on both paths, and the wrapped message carries the retry numbers.
-	for _, noOpt := range []bool{false, true} {
-		_, _, err := RunQuery(Config{Mode: ModeSerial}, rt, Query{Join: &JoinSpec{Left: lt, MaxOut: 3}, NoOptimize: noOpt})
+	// in both join forms — stand-alone and deferred under a later stage —
+	// and the wrapped message carries the retry numbers.
+	for _, agg := range []Agg{AggNone, AggSum} {
+		_, _, err := RunQuery(Config{Mode: ModeSerial}, rt, Query{Join: &JoinSpec{Left: lt, MaxOut: 3}, GroupBy: agg})
 		if !errors.Is(err, ErrJoinOverflow) || !errors.Is(err, relops.ErrJoinOverflow) {
-			t.Fatalf("noOpt=%v: err = %v, want ErrJoinOverflow at both layers", noOpt, err)
+			t.Fatalf("agg=%v: err = %v, want ErrJoinOverflow at both layers", agg, err)
 		}
 		if got := err.Error(); !strings.Contains(got, "4 matches, capacity 3") {
-			t.Fatalf("noOpt=%v: overflow error %q does not carry the true count", noOpt, got)
+			t.Fatalf("agg=%v: overflow error %q does not carry the true count", agg, got)
 		}
 	}
 	if _, _, err := RunQuery(Config{Mode: ModeSerial}, rt, Query{Join: &JoinSpec{Left: lt, MaxOut: 4}}); err != nil {

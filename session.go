@@ -11,7 +11,6 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
-	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
@@ -254,21 +253,6 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	if ctx != nil && ctx.Err() != nil {
 		return Table{}, QueryStats{}, ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled))
 	}
-	if t.Len() == 0 {
-		return Table{}, QueryStats{}, ErrEmptyInput
-	}
-	if q.Filter != nil && t.Width() > 1 {
-		return Table{}, QueryStats{}, errWideFilter("Query.Filter")
-	}
-	if q.Join != nil {
-		if err := checkJoinTables(q.Join.Left, t, q.Join.MaxOut); err != nil {
-			return Table{}, QueryStats{}, err
-		}
-	}
-	kind, err := queryAgg(q)
-	if err != nil {
-		return Table{}, QueryStats{}, err
-	}
 	passes := 0
 	srt := passCounter{inner: s.srt, n: &passes}
 	cn := new(forkjoin.Cancel)
@@ -278,15 +262,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	defer stop()
 	e := s.exec()
 	e.cancel = cn
-	var (
-		out Table
-		rep *Report
-	)
-	if q.NoOptimize {
-		out, rep, err = runQueryStaged(e, t, q, kind, srt)
-	} else {
-		out, rep, err = runQueryPlanned(e, t, q, kind, srt)
-	}
+	out, rep, pl, err := runQuery(e, t, q, srt)
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			s.poisoned.Store(true)
@@ -297,19 +273,13 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 		}
 		return Table{}, QueryStats{}, err
 	}
-	pl := plan.Build(q.shape(kind, t.Width(), t.order))
-	stats := QueryStats{
+	return out, QueryStats{
 		SortPasses:     passes,
 		ColdSortPasses: pl.ColdSortPasses,
 		Plan:           pl.String(),
 		Order:          out.order,
 		Report:         rep,
-	}
-	if q.NoOptimize {
-		stats.ColdSortPasses = pl.StagedSortPasses
-		stats.Plan = fmt.Sprintf("staged: %d sorts", pl.StagedSortPasses)
-	}
-	return out, stats, nil
+	}, nil
 }
 
 // Explain renders the order-aware plan q would execute over t in this

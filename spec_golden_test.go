@@ -15,7 +15,10 @@ import (
 // transpose tile 8 — and a function of the public shape alone. They hold
 // unchanged at the block-sized leaf constants because metered runs ignore
 // those; a change that moves one of them changed the specification, not a
-// kernel.
+// kernel. The four one-operator rows are the spec of the public Filter /
+// Distinct / GroupBy / TopK — each a one-stage query — recorded from
+// RunQuery of that one-stage Query at commit dce8244, the last one where
+// the wrappers still ran a second operator family.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -75,6 +78,39 @@ func TestMeteredSpecGolden(t *testing.T) {
 			t.Fatalf("RunQuery F→D→G→T on 2^12 rows: %+v, recorded %+v", got, want)
 		}
 	})
+	for _, op := range []struct {
+		name string
+		run  func(Config, Table) (Table, *Report, error)
+		want specCounts
+	}{
+		{"filter", func(cfg Config, tab Table) (Table, *Report, error) {
+			return Filter(cfg, tab, func(r Row) bool { return r.Val >= 1<<18 })
+		}, specCounts{Work: 5702790, Span: 3636, MemOps: 3457024, Forks: 1038915,
+			Trace: trace.Fingerprint{Hash: 6518450721149442630, Count: 5534854}}},
+		{"distinct", Distinct,
+			specCounts{Work: 11430152, Span: 7300, MemOps: 6930431, Forks: 2081925,
+				Trace: trace.Fingerprint{Hash: 6811358394835245318, Count: 11094281}}},
+		{"group_by", func(cfg Config, tab Table) (Table, *Report, error) { return GroupBy(cfg, tab, AggSum) },
+			specCounts{Work: 11540728, Span: 7481, MemOps: 6987770, Forks: 2098305,
+				Trace: trace.Fingerprint{Hash: 14211492601299617204, Count: 11184380}}},
+		{"top_k", func(cfg Config, tab Table) (Table, *Report, error) { return TopK(cfg, tab, 10) },
+			specCounts{Work: 5788794, Span: 3789, MemOps: 3502076, Forks: 1051200,
+				Trace: trace.Fingerprint{Hash: 154281921879917165, Count: 5604476}}},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			tab, err := NewTable(specRows(3, 1<<12, 400))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := op.run(specConfig(), tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := countsOf(rep); got != op.want {
+				t.Fatalf("%s on 2^12 rows: %+v, recorded %+v", op.name, got, op.want)
+			}
+		})
+	}
 	t.Run("join_all", func(t *testing.T) {
 		left, err := NewTable(specRows(5, 1<<8, 64))
 		if err != nil {

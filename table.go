@@ -16,9 +16,9 @@ import (
 // relSorter resolves cfg's relational sort backend to a fresh scheduled
 // sorter for one run. The shuffle backend is stateful (its sort counter
 // and scratch cache), so exactly one instance must exist per run:
-// construct it once at an operator entry point (Filter/Distinct/GroupBy/
-// TopK/RunQuery, the join surfaces, GroupTotals) and thread it through
-// runTableOp to the stages — never construct per stage. Selection — and,
+// construct it once at an operator entry point (RunQuery, the join
+// surfaces, GroupTotals) and thread it through runQuery to the passes —
+// never construct per pass. Selection — and,
 // for SortAuto, the per-sort size crossover inside the shuffle sorter
 // (core.DefaultShuffleCrossover) — is a function of public shape only.
 func relSorter(cfg Config) obliv.ScheduledSorter {
@@ -102,7 +102,8 @@ type WideRow struct {
 // TableOrder is the public "sorted-by" token a Table carries across
 // queries — the cross-query planning seam. Tables built by NewTable /
 // NewWideTable carry OrderNone; tables returned by RunQuery (and
-// Session.RunQuery) carry the token of their plan's output order. The
+// Session.RunQuery, and the one-operator functions, which are one-stage
+// queries) carry the token of their plan's output order. The
 // token is a pure function of the producing query's public shape, never of
 // the table contents, so feeding it into the next query's plan (which
 // RunQuery does automatically) keeps every trace a function of public
@@ -110,7 +111,7 @@ type WideRow struct {
 type TableOrder int
 
 const (
-	// OrderNone — no known order (fresh loads, staged executions).
+	// OrderNone — no known order (fresh loads, position-ordered results).
 	OrderNone TableOrder = iota
 	// OrderKeys — ascending (key tuple, first-occurrence) order: the
 	// output of a KeyOrderOut Distinct/GroupBy query. A follow-up query
@@ -299,44 +300,6 @@ func (a Agg) kind() (relops.AggKind, error) {
 	}
 }
 
-// runTableOp moves a table into the oblivious element representation and
-// runs body on it under e's executor with a scratch arena (e's persistent
-// arena when it has one, else per-run) and the run's one sorter (srt — the
-// shuffle backend is stateful, so exactly one instance must serve all of a
-// run's sorts), returning the surviving rows of the relation body hands
-// back (usually r itself; the join stage replaces it with the expanded
-// relation) at its width. A body error aborts the run without converting a
-// result.
-func runTableOp(e exec, t Table, srt obliv.ScheduledSorter, body func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error)) (Table, *Report, error) {
-	var out Table
-	var runErr error
-	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		r, err := relops.Load(sp, recordsOf(t), t.Width())
-		if err != nil {
-			// Unreachable via NewTable/NewWideTable, but Load re-checks its
-			// own bounds.
-			runErr = err
-			return
-		}
-		ar := e.arena
-		if ar == nil {
-			ar = relops.NewArena()
-		}
-		if r, err = body(c, sp, ar, r, srt); err != nil {
-			runErr = err
-			return
-		}
-		out = tableOf(r)
-	})
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if runErr != nil {
-		return Table{}, nil, runErr
-	}
-	return out, rep, nil
-}
-
 // tableOf converts surviving records back to a table of the relation's
 // width (harness operation, outside the adversary's view).
 func tableOf(r relops.Rel) Table {
@@ -392,23 +355,21 @@ func wideRowOf(rec relops.Record, w int) WideRow {
 	return WideRow{Keys: keys, Val: rec.Val}
 }
 
+// errNilPredicate is what Filter and FilterRows return for a nil predicate:
+// inside a Query nil means "no filter stage", so the wrappers own the check.
+var errNilPredicate = errors.New("oblivmc: filter requires a predicate")
+
 // FilterRows obliviously selects the rows satisfying pred at any key
 // width, preserving input order — the wide-predicate form of Filter (the
 // ROADMAP "wide filters" follow-on). pred must be a pure function of the
 // row; the access pattern depends only on the row count and width, never
-// on the contents or the survivor count.
+// on the contents or the survivor count. It is the one-stage
+// Query{FilterWide: pred}.
 func FilterRows(cfg Config, t Table, pred func(WideRow) bool) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
 	if pred == nil {
-		return Table{}, nil, fmt.Errorf("oblivmc: FilterRows requires a predicate")
+		return Table{}, nil, errNilPredicate
 	}
-	w := t.Width()
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(wideRowOf(rec, w)) }, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{FilterWide: pred})
 }
 
 // Filter obliviously selects the rows satisfying pred, preserving input
@@ -416,30 +377,20 @@ func FilterRows(cfg Config, t Table, pred func(WideRow) bool) (Table, *Report, e
 // values; it is never handed memory). The access pattern depends only on
 // the number of rows — not on the contents, and not on how many rows
 // survive (the survivor count is only visible in the returned Table).
-// Width-1 tables only (see ROADMAP for wide filters).
+// Width-1 tables only (see ROADMAP for wide filters). It is the one-stage
+// Query{Filter: pred}.
 func Filter(cfg Config, t Table, pred func(Row) bool) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
+	if pred == nil {
+		return Table{}, nil, errNilPredicate
 	}
-	if t.Width() > 1 {
-		return Table{}, nil, errWideFilter("Filter")
-	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(Row{Key: rec.Key, Val: rec.Val}) }, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{Filter: pred})
 }
 
 // Distinct obliviously deduplicates the table by its key tuple: the
-// earliest row of each key survives, in first-occurrence order.
+// earliest row of each key survives, in first-occurrence order. It is the
+// one-stage Query{Distinct: true}.
 func Distinct(cfg Config, t Table) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		relops.Distinct(c, sp, ar, r, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{Distinct: true})
 }
 
 // GroupByCols obliviously aggregates the table by its full key tuple —
@@ -447,19 +398,14 @@ func Distinct(cfg Config, t Table) (Table, *Report, error) {
 // distinct key tuple whose Val is the aggregate of the group under agg, in
 // first-occurrence order. Values are unbounded uint64s and sums wrap
 // modulo 2^64 (AggVar additionally sums squares — keep values below 2^32
-// if exact variances are required).
+// if exact variances are required). It is the one-stage Query{GroupBy:
+// agg}; AggNone, which a Query reads as "no group-by stage", is rejected
+// here.
 func GroupByCols(cfg Config, t Table, agg Agg) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	kind, err := agg.kind()
-	if err != nil {
+	if _, err := agg.kind(); err != nil {
 		return Table{}, nil, err
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		relops.GroupBy(c, sp, ar, r, kind, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{GroupBy: agg})
 }
 
 // GroupBy is GroupByCols under its historical name: for width-1 tables the
@@ -470,18 +416,18 @@ func GroupBy(cfg Config, t Table, agg Agg) (Table, *Report, error) {
 
 // TopK obliviously keeps the k rows with the largest values, in descending
 // value order (ties broken deterministically but arbitrarily). k is public
-// query shape, not data; the access pattern depends on (rows, k) only.
+// query shape, not data; the access pattern depends on (rows, k) only. It
+// is the one-stage Query{TopK: k}. A Query reads k == 0 as "no top-k
+// stage", so TopK answers it here with an empty table of t's width and no
+// run: k is public, so answering before the run leaks nothing.
 func TopK(cfg Config, t Table, k int) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
 	}
-	if k < 0 {
-		return Table{}, nil, fmt.Errorf("oblivmc: negative k %d", k)
+	if k == 0 {
+		return Table{width: t.Width()}, nil, nil
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		relops.TopK(c, sp, ar, r, k, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{TopK: k})
 }
 
 // JoinedRow is one output row of Join: a right row paired with the value
@@ -686,9 +632,9 @@ type JoinSpec struct {
 // share one sorting pass, and a filter declared FilterKeyOnly is pushed
 // below Distinct/GroupBy into their existing passes. A multi-stage query
 // therefore runs strictly fewer O(n log² n) sorting-network passes than
-// calling the stand-alone operators in sequence (the full four-stage
-// pipeline: 2 sorts instead of 6) while producing the same rows — at
-// every key width.
+// calling the stand-alone operators (Filter, Distinct, GroupBy, TopK — each
+// a one-stage Query) in sequence (the full four-stage pipeline: 2 sorts
+// instead of 6) while producing the same rows — at every key width.
 type Query struct {
 	// Join, when non-nil, prepends a many-to-many equi-join stage: the
 	// queried table (the join's right side) is expanded to one row per
@@ -731,10 +677,6 @@ type Query struct {
 	// stored result skips its own key sort via the token. The requested
 	// order is public query shape, like every other field here.
 	KeyOrderOut bool
-	// NoOptimize executes the stages one stand-alone operator at a time,
-	// bypassing the planner — the pre-fusion baseline kept for A/B
-	// benchmarking and differential testing.
-	NoOptimize bool
 }
 
 // shape extracts the public planner shape of q over a width-w table whose
@@ -759,9 +701,8 @@ func (q Query) shape(kind relops.AggKind, w int, ord TableOrder) plan.Shape {
 // Explain returns the pass sequence q will execute over a width-1 table
 // (ExplainWidth renders other widths), e.g.
 // "filter-mark → sort(key,pos) → dedup+aggregate → sort(val↓) → topk
-// [2 sorts, staged 6]" — or, for a NoOptimize query, the staged operator
-// sequence. It validates q exactly like RunQuery and depends only on the
-// query shape.
+// [2 sorts, staged 6]". It validates q exactly like RunQuery and depends
+// only on the query shape.
 func Explain(q Query) (string, error) {
 	return ExplainWidth(q, 1)
 }
@@ -784,33 +725,7 @@ func explainOrdered(q Query, w int, ord TableOrder) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl := plan.Build(q.shape(kind, w, ord))
-	if !q.NoOptimize {
-		return pl.String(), nil
-	}
-	s := ""
-	for _, st := range []struct {
-		on   bool
-		name string
-	}{
-		{q.Join != nil, "join-all"},
-		{q.Filter != nil || q.FilterWide != nil, "filter"},
-		{q.Distinct, "distinct"},
-		{q.GroupBy != AggNone, "group-by"},
-		{q.TopK > 0, "top-k"},
-	} {
-		if !st.on {
-			continue
-		}
-		if s != "" {
-			s += " → "
-		}
-		s += st.name
-	}
-	if s == "" {
-		s = "identity"
-	}
-	return fmt.Sprintf("staged: %s [%d sorts]", s, pl.StagedSortPasses), nil
+	return plan.Build(q.shape(kind, w, ord)).String(), nil
 }
 
 // pred resolves q's filter (either form) to a relational-record predicate
@@ -846,25 +761,8 @@ func queryAgg(q Query) (relops.AggKind, error) {
 // RunQuery executes q over t under one executor run, so a metered Config
 // yields a single Report covering the whole pipeline.
 func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	if q.Filter != nil && t.Width() > 1 {
-		return Table{}, nil, errWideFilter("Query.Filter")
-	}
-	if q.Join != nil {
-		if err := checkJoinTables(q.Join.Left, t, q.Join.MaxOut); err != nil {
-			return Table{}, nil, err
-		}
-	}
-	kind, err := queryAgg(q)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if q.NoOptimize {
-		return runQueryStaged(exec{cfg: cfg}, t, q, kind, relSorter(cfg))
-	}
-	return runQueryPlanned(exec{cfg: cfg}, t, q, kind, relSorter(cfg))
+	out, rep, _, err := runQuery(exec{cfg: cfg}, t, q, relSorter(cfg))
+	return out, rep, err
 }
 
 // queryJoin runs q's join stage over the loaded right relation r (the
@@ -901,65 +799,70 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 	return joined, nil
 }
 
-// runQueryPlanned compiles q's shape — including the input table's
-// sorted-by token, the cross-query seam — and executes the fused pass
-// sequence. The join stage is binary, so the query layer — which holds
-// both relations — peels it off the plan's head and hands Execute the
-// remaining unary passes over the expanded relation. The result table is
-// stamped with the plan's output order token.
-func runQueryPlanned(e exec, t Table, q Query, kind relops.AggKind, srt obliv.ScheduledSorter) (Table, *Report, error) {
+// runQuery is the one relational execution path: RunQuery, the
+// one-operator wrappers and Session.RunQueryCtx all land here. It validates
+// q against t, compiles q's shape — including the input table's sorted-by
+// token, the cross-query seam — and executes the fused pass sequence under
+// e's executor with a scratch arena (e's persistent arena when it has one,
+// else per-run) and the run's one sorter (srt — the shuffle backend is
+// stateful, so exactly one instance must serve all of a run's sorts). The
+// join stage is binary, so this layer — which holds both relations — peels
+// it off the plan's head and hands Execute the remaining unary passes over
+// the expanded relation. The result table is stamped with the plan's
+// output order token; the plan is returned for the caller's bookkeeping.
+func runQuery(e exec, t Table, q Query, srt obliv.ScheduledSorter) (Table, *Report, plan.Plan, error) {
+	fail := func(err error) (Table, *Report, plan.Plan, error) {
+		return Table{}, nil, plan.Plan{}, err
+	}
+	if t.Len() == 0 {
+		return fail(ErrEmptyInput)
+	}
+	if q.Filter != nil && t.Width() > 1 {
+		return fail(errWideFilter("Query.Filter"))
+	}
+	if q.Join != nil {
+		if err := checkJoinTables(q.Join.Left, t, q.Join.MaxOut); err != nil {
+			return fail(err)
+		}
+	}
+	kind, err := queryAgg(q)
+	if err != nil {
+		return fail(err)
+	}
 	pl := plan.Build(q.shape(kind, t.Width(), t.order))
 	pred := q.pred(t.Width())
-	out, rep, err := runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
+	var out Table
+	var runErr error
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		r, err := relops.Load(sp, recordsOf(t), t.Width())
+		if err != nil {
+			// Unreachable via NewTable/NewWideTable, but Load re-checks its
+			// own bounds.
+			runErr = err
+			return
+		}
+		ar := e.arena
+		if ar == nil {
+			ar = relops.NewArena()
+		}
 		rest := pl
 		if q.Join != nil {
 			jop := rest.Ops[0] // plan.Build puts OpJoinAll first
 			rest.Ops = rest.Ops[1:]
-			var err error
 			if r, err = queryJoin(c, sp, ar, q.Join, r, jop.Deferred, srt); err != nil {
-				return relops.Rel{}, err
+				runErr = err
+				return
 			}
 		}
 		relops.Execute(c, sp, ar, r, rest, pred, srt)
-		return r, nil
+		out = tableOf(r)
 	})
 	if err != nil {
-		return Table{}, nil, err
+		return fail(err)
+	}
+	if runErr != nil {
+		return fail(runErr)
 	}
 	out.order = tableOrderOf(pl.Output)
-	return out, rep, nil
-}
-
-// runQueryStaged is the pre-planner execution: each stage is a stand-alone
-// operator paying its own sorts and per-call scratch — the pre-fusion
-// behavior, kept as the benchmarking baseline. (Its sorts now run the
-// same schedule path as everything else — the packed-composite closure
-// comparator no longer exists — so the A/B difference it isolates is
-// purely the planner's pass structure.)
-func runQueryStaged(e exec, t Table, q Query, kind relops.AggKind, srt obliv.ScheduledSorter) (Table, *Report, error) {
-	// The unary operators run with nil scratch (per-call allocation), as
-	// the pre-planner baseline always has; only the join uses the per-run
-	// arena.
-	return runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.ScheduledSorter) (relops.Rel, error) {
-		if q.Join != nil {
-			// The stand-alone operator pays its full three sorts.
-			var err error
-			if r, err = queryJoin(c, sp, ar, q.Join, r, false, srt); err != nil {
-				return relops.Rel{}, err
-			}
-		}
-		if pred := q.pred(r.W); pred != nil {
-			relops.Compact(c, sp, nil, r, pred, srt)
-		}
-		if q.Distinct {
-			relops.Distinct(c, sp, nil, r, srt)
-		}
-		if q.GroupBy != AggNone {
-			relops.GroupBy(c, sp, nil, r, kind, srt)
-		}
-		if q.TopK > 0 {
-			relops.TopK(c, sp, nil, r, q.TopK, srt)
-		}
-		return r, nil
-	})
+	return out, rep, pl, nil
 }

@@ -1,7 +1,9 @@
 package oblivmc
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"oblivmc/internal/prng"
@@ -92,6 +94,106 @@ func TestDistinctTable(t *testing.T) {
 	for i, r := range want {
 		if got.Rows()[i] != r {
 			t.Fatalf("got %v, want %v", got.Rows(), want)
+		}
+	}
+}
+
+// TestOperatorArgumentEdges pins the argument values a Query reads as "no
+// such stage" — nil predicate, AggNone, k == 0 — at the one-operator
+// wrappers, which must answer them before any run.
+func TestOperatorArgumentEdges(t *testing.T) {
+	cfg := Config{Mode: ModeMetered}
+	narrow := mustTable(t, []Row{{1, 10}, {2, 25}, {1, 30}})
+	wide := mustWideTable(t, []WideRow{{Keys: []uint64{1, 2}, Val: 3}, {Keys: []uint64{1, 2}, Val: 4}})
+	for _, tc := range []struct {
+		name      string
+		run       func() (Table, *Report, error)
+		wantErr   string // "" = success with an empty table of wantWidth
+		wantWidth int
+	}{
+		{"Filter nil predicate", func() (Table, *Report, error) { return Filter(cfg, narrow, nil) },
+			errNilPredicate.Error(), 0},
+		{"FilterRows nil predicate", func() (Table, *Report, error) { return FilterRows(cfg, wide, nil) },
+			errNilPredicate.Error(), 0},
+		{"GroupByCols AggNone", func() (Table, *Report, error) { return GroupByCols(cfg, narrow, AggNone) },
+			"oblivmc: invalid aggregation 0", 0},
+		{"TopK 0 narrow", func() (Table, *Report, error) { return TopK(cfg, narrow, 0) }, "", 1},
+		{"TopK 0 wide", func() (Table, *Report, error) { return TopK(cfg, wide, 0) }, "", 2},
+	} {
+		got, rep, err := tc.run()
+		if rep != nil {
+			t.Errorf("%s: metered report %+v — the answer must precede any run", tc.name, rep)
+		}
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr || errors.Is(err, ErrInternal) {
+				t.Errorf("%s: err = %v, want the plain argument error %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got.Len() != 0 || got.Width() != tc.wantWidth {
+			t.Errorf("%s: %d rows of width %d, err %v — want an empty width-%d table", tc.name, got.Len(), got.Width(), err, tc.wantWidth)
+		}
+	}
+}
+
+// TestPublicOperatorIsOneStageQuery is the spec of the one-operator
+// functions: each is RunQuery of its one-stage Query — same rows, same
+// order token out (fresh and token-carrying inputs alike), and, metered,
+// the same Report to the digit.
+func TestPublicOperatorIsOneStageQuery(t *testing.T) {
+	cfg := Config{Mode: ModeMetered, Trace: true, Seed: 1, SortBackend: SortBitonic}
+	narrowPred := func(r Row) bool { return r.Val%3 != 0 }
+	widePred := func(r WideRow) bool { return r.Val%3 != 0 }
+	ops := []struct {
+		name   string
+		q      Query
+		run    func(Table) (Table, *Report, error)
+		widths []int
+	}{
+		{"Filter", Query{Filter: narrowPred},
+			func(t Table) (Table, *Report, error) { return Filter(cfg, t, narrowPred) }, []int{1}}, // narrow predicate: width 1 only
+		{"FilterRows", Query{FilterWide: widePred},
+			func(t Table) (Table, *Report, error) { return FilterRows(cfg, t, widePred) }, []int{1, 2}},
+		{"Distinct", Query{Distinct: true},
+			func(t Table) (Table, *Report, error) { return Distinct(cfg, t) }, []int{1, 2}},
+		{"GroupByCols", Query{GroupBy: AggAvg},
+			func(t Table) (Table, *Report, error) { return GroupByCols(cfg, t, AggAvg) }, []int{1, 2}},
+		{"TopK", Query{TopK: 7},
+			func(t Table) (Table, *Report, error) { return TopK(cfg, t, 7) }, []int{1, 2}},
+	}
+	// Per width: a fresh load, and the same table materialized in key
+	// order — the wrapper must ride the input's token exactly as RunQuery
+	// does.
+	inputs := map[int][]Table{}
+	for w, fresh := range map[int]Table{1: mustTable(t, queryRows(100)), 2: mustWideTable(t, wideQueryRows(100))} {
+		keyed, _, err := RunQuery(cfg, fresh, Query{Distinct: true, KeyOrderOut: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[w] = []Table{fresh, keyed}
+	}
+	for _, op := range ops {
+		for _, w := range op.widths {
+			for _, in := range inputs[w] {
+				label := fmt.Sprintf("%s width %d input order %v", op.name, w, in.Order())
+				got, gotRep, err := op.run(in)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, wantRep, err := RunQuery(cfg, in, op.q)
+				if err != nil {
+					t.Fatalf("%s: one-stage RunQuery: %v", label, err)
+				}
+				if !reflect.DeepEqual(got.WideRows(), want.WideRows()) {
+					t.Errorf("%s: rows %v, one-stage query %v", label, got.WideRows(), want.WideRows())
+				}
+				if got.Order() != want.Order() {
+					t.Errorf("%s: order token %v, one-stage query %v", label, got.Order(), want.Order())
+				}
+				if *gotRep != *wantRep {
+					t.Errorf("%s: report %+v, one-stage query %+v", label, *gotRep, *wantRep)
+				}
+			}
 		}
 	}
 }
@@ -406,8 +508,8 @@ func TestAvgVarNarrow(t *testing.T) {
 }
 
 // TestWideQueryPipeline runs the fused Distinct→GroupBy→TopK pipeline over
-// a two-column table and checks it against the staged baseline and the
-// plain-Go reference.
+// a two-column table and checks it against the staged execution (one
+// public operator at a time) and the plain-Go reference.
 func TestWideQueryPipeline(t *testing.T) {
 	rows := wideQueryRows(120)
 	for i := range rows {
@@ -420,12 +522,7 @@ func TestWideQueryPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged := q
-	staged.NoOptimize = true
-	base, _, err := RunQuery(Config{Mode: ModeSerial}, tab, staged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runStaged(t, Config{Mode: ModeSerial}, tab, q)
 	// Distinct keeps each tuple's earliest (distinct) value; the singleton
 	// sums stay distinct, so the top-3 is unique and both paths must agree
 	// exactly.
