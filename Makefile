@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet race check-inline bench-build bench-kernels bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke docker clean
 
 all: vet build test
 
@@ -61,42 +61,6 @@ bench-kernels:
 # internal/ — this is the leg that catches a signature change breaking it.
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# bench regenerates the relational-layer trend artifact: elems/s for
-# the one-stage filter (compact) and group-by plans (narrow, wide, and per
-# sort backend), Join/JoinAll, the planner-fused end-to-end query (per
-# backend), and the graph pipeline (connected components per backend, MSF) at
-# n ∈ {2^12, 2^16, 2^20}, into the git-ignored BENCH_HEAD.json (the
-# committed BENCH_8.json baseline and BENCH_9.json latest are never
-# overwritten; promote a run by copying it). CI uploads the artifact on
-# every push so the perf trajectory is tracked per commit. BENCH_ARGS can
-# bound the sweep, e.g. make bench BENCH_ARGS="-max 65536".
-bench:
-	$(GO) run ./cmd/relbench -out BENCH_HEAD.json $(BENCH_ARGS)
-
-# bench-sweep records the multicore scaling curve: every point measured
-# once per -procs pool size into one artifact (per-result workers field).
-# CI runs it bounded to 2^16 on the shared runner and uploads
-# BENCH_HEAD.json; run it unbounded on a quiet many-core machine for the
-# committed BENCH_*.json scaling baselines. SWEEP_PROCS must not exceed
-# GOMAXPROCS (relbench fails fast; -oversubscribe overrides).
-SWEEP_PROCS ?= 1,2,4
-SWEEP_ARGS ?= -max 65536
-bench-sweep:
-	$(GO) run ./cmd/relbench -procs $(SWEEP_PROCS) $(SWEEP_ARGS) -out BENCH_HEAD.json
-	$(GO) run ./cmd/benchdiff -base BENCH_HEAD.json -new BENCH_HEAD.json -warn
-
-# benchdiff measures the CURRENT build (a bounded fresh sweep into the
-# uncommitted BENCH_HEAD.json) and compares it against the latest committed
-# baseline, flagging elems/s regressions beyond the noise threshold
-# (warn-only: the baseline was recorded on another machine, so nothing here
-# hard-fails; drop -warn locally to gate). BENCHDIFF_ARGS widens the
-# sweep, e.g. BENCHDIFF_ARGS="" for the full sizes.
-BENCHDIFF_BASE ?= BENCH_9.json
-BENCHDIFF_ARGS ?= -max 65536
-benchdiff:
-	$(GO) run ./cmd/relbench -procs 1 -out BENCH_HEAD.json $(BENCHDIFF_ARGS)
-	$(GO) run ./cmd/benchdiff -base $(BENCHDIFF_BASE) -new BENCH_HEAD.json -warn
 
 # fuzz-smoke runs each native fuzz target (operator vs plain-Go reference,
 # see internal/relops/fuzz_test.go and internal/graph/fuzz_test.go) for a

@@ -70,7 +70,7 @@ func ListRank(cfg Config, succ []int, weights []uint64) ([]uint64, *Report, erro
 	}
 	var out []uint64
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, cfg.graphParams())
+		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return nil, nil, err
@@ -103,7 +103,7 @@ func TreeFunctions(cfg Config, n int, edges [][2]int, root int) (TreeInfo, *Repo
 	}
 	var tf graph.TreeFuncs
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, cfg.graphParams())
+		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return TreeInfo{}, nil, err
@@ -139,7 +139,7 @@ func EvaluateExpressionTree(cfg Config, t ExpressionTree) (uint64, *Report, erro
 	}
 	var out uint64
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, cfg.graphParams())
+		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return 0, nil, err
@@ -162,7 +162,7 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 	}
 	var out []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, cfg.graphParams())
+		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return nil, nil, err
@@ -197,7 +197,7 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 	}
 	var out []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams())
+		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return nil, nil, err

@@ -429,8 +429,8 @@ func BenchmarkORBA_Meta(b *testing.B)            { benchORBA(b, true, core.Param
 
 var relopsSizes = []int{1 << 12, 1 << 16, 1 << 20}
 
-// benchRecords is the canonical workload shared with cmd/relbench, so the
-// BENCH_*.json trend artifacts stays comparable with these benchmarks.
+// benchRecords is the canonical workload (internal/benchdata), so numbers
+// from these benchmarks stay comparable across commits.
 func benchRecords(n int) []relops.Record { return benchdata.Records(n) }
 
 func benchLoad(b *testing.B, sp *mem.Space, recs []relops.Record) relops.Rel {
@@ -532,8 +532,8 @@ func BenchmarkJoin(b *testing.B) {
 // expansion's bitonic merge run over the
 // NextPow2(NextPow2(nl+n)+NextPow2(n)) work relation at full occupancy.
 // The sorter is the size-adaptive shuffle-then-sort backend (the library
-// default at these sizes), matching cmd/relbench's join_all point; the
-// seed is pinned so iterations measure identical traces.
+// default at these sizes); the seed is pinned so iterations measure
+// identical traces.
 func BenchmarkJoinAll(b *testing.B) {
 	var seed uint64 = 1
 	for _, n := range relopsSizes {
@@ -617,8 +617,7 @@ func BenchmarkQueryStaged(b *testing.B) {
 
 // --- Graph workloads over edge tables -------------------------------------------
 //
-// The edge-table graph points matching cmd/relbench's graph_cc_* /
-// graph_msf entries: the canonical benchmark graph (m edges, m/16
+// The edge-table graph points: the canonical benchmark graph (m edges, m/16
 // vertices), min-hook connected components on both sort backends and the
 // Borůvka MSF on the default backend. "n" counts edges. MSF stops at 2^16
 // edges — its revealed iteration count makes 2^20 a multi-hour point —

@@ -2,8 +2,9 @@
 // (internal/serve): load and drop relations, run declarative query specs,
 // and read the per-query execution stats the server reports — the cached
 // flag and executed sort-pass counts the cross-query planner is judged
-// by. The wire structs mirror the server's; both sides are exercised
-// against each other by the serve-smoke CI job.
+// by. The wire structs declared here are the server's too (internal/serve
+// aliases them), so the two ends cannot drift; both are exercised against
+// each other by the serve-smoke CI job.
 package client
 
 import (
@@ -24,53 +25,82 @@ type Row struct {
 	Val  uint64   `json:"val"`
 }
 
-// Filter is the declarative filter clause: compare column Col (a key
-// column by index, or the value column when -1) against Value with Op
-// (eq, ne, lt, le, gt, ge).
+// Filter is the declarative filter clause. Col selects the compared
+// column: a key column by index, or the value column when Col == -1. A
+// key-column filter is declared key-only to the planner (it drops whole
+// key groups), which is what lets it push below Distinct/GroupBy.
 type Filter struct {
 	Col   int    `json:"col"`
-	Op    string `json:"op"`
+	Op    string `json:"op"` // eq, ne, lt, le, gt, ge
 	Value uint64 `json:"value"`
 }
 
-// Join is the declarative join clause against a loaded relation. Set
-// MaxOut to a public output capacity, or JoinCap to "auto" to let the
-// server's capacity advisor size the output at the worst-case match bound
-// (mutually exclusive).
+// Join is the declarative join clause: the named registered relation
+// becomes the query's join-left side, MaxOut its public output capacity.
+// JoinCap may name the "auto" capacity mode instead of MaxOut: the engine's
+// advisor sizes the output at the worst-case match bound (which cannot
+// overflow), revealing that bound as public shape. Setting both is an
+// error.
 type Join struct {
 	Table   string `json:"table"`
 	MaxOut  int    `json:"max_out,omitempty"`
 	JoinCap string `json:"join_cap,omitempty"`
 }
 
-// Spec is one declarative query over a loaded relation. Graph, when set
-// to "cc", "msf", or "pagerank", runs that graph operator over the named
-// width-2 edge table instead of the relational pipeline (the relational
-// clauses must then be absent); GraphRounds is the fixed round count for
-// "cc" (0 = converge) and the iteration count for "pagerank".
+// Spec is the wire form of one query: a declarative mirror of
+// oblivmc.Query with relation references by registered name. The server
+// decodes it strictly — an unknown field is a bad spec, never a clause
+// silently dropped.
 type Spec struct {
-	Table       string  `json:"table"`
-	Join        *Join   `json:"join,omitempty"`
-	Filter      *Filter `json:"filter,omitempty"`
-	Distinct    bool    `json:"distinct,omitempty"`
-	GroupBy     string  `json:"group_by,omitempty"`
-	TopK        int     `json:"top_k,omitempty"`
-	KeyOrderOut bool    `json:"key_order_out,omitempty"`
-	As          string  `json:"as,omitempty"`
-	Graph       string  `json:"graph,omitempty"`
-	GraphRounds int     `json:"graph_rounds,omitempty"`
+	// Table names the queried relation.
+	Table string `json:"table"`
+	// Join, Filter, Distinct, GroupBy, TopK mirror oblivmc.Query. GroupBy
+	// is the aggregation name: sum, count, min, max, avg, var.
+	Join     *Join   `json:"join,omitempty"`
+	Filter   *Filter `json:"filter,omitempty"`
+	Distinct bool    `json:"distinct,omitempty"`
+	GroupBy  string  `json:"group_by,omitempty"`
+	TopK     int     `json:"top_k,omitempty"`
+	// KeyOrderOut materializes the result in key order with the OrderKeys
+	// token (the cross-query sort-skipping seam; see oblivmc.Query).
+	KeyOrderOut bool `json:"key_order_out,omitempty"`
+	// As, when set, stores the result in the registry under this name
+	// (replacing any existing binding — its version bumps). Not part of
+	// the cache key: it names the result, it does not change it.
+	As string `json:"as,omitempty"`
+	// Graph runs a graph operator over the named width-2 edge table
+	// instead of the relational pipeline: "cc" (min-hook connected
+	// components), "msf" (minimum spanning forest), or "pagerank".
+	// Mutually exclusive with the relational clauses (Join, Filter,
+	// Distinct, GroupBy, TopK, KeyOrderOut); As still stores
+	// the result. Like every relational field, the pair (Graph,
+	// GraphRounds) is public request shape and part of the cache key.
+	Graph string `json:"graph,omitempty"`
+	// GraphRounds is the workload's round parameter: for "cc" a positive
+	// value runs exactly that many fixed rounds (0 = run to convergence);
+	// for "pagerank" the iteration count (0 = 5); "msf" ignores it.
+	GraphRounds int `json:"graph_rounds,omitempty"`
 }
 
-// Stats is the server's per-query execution accounting.
+// Stats is the public execution accounting of one served query.
 type Stats struct {
-	Cached         bool   `json:"cached"`
-	SortPasses     int    `json:"sort_passes"`
-	ColdSortPasses int    `json:"cold_sort_passes"`
-	Plan           string `json:"plan"`
-	Order          string `json:"order"`
+	// Cached reports a result-cache hit: the query ran zero oblivious
+	// sorts (or any other passes) — the response is the materialization.
+	Cached bool `json:"cached"`
+	// SortPasses is the executed sort-pass count, measured at the sorter
+	// seam for queries and graph operators alike (0 on a cache hit).
+	SortPasses int `json:"sort_passes"`
+	// ColdSortPasses is the plan's cost with no input-order token — the
+	// baseline the cross-query skip is measured against.
+	ColdSortPasses int `json:"cold_sort_passes"`
+	// Plan is the rendered plan of the executed (or cached) query.
+	Plan string `json:"plan"`
+	// Order is the result's sorted-by token.
+	Order string `json:"order"`
 }
 
-// TableInfo is the public metadata of one loaded relation.
+// TableInfo is the public metadata of one loaded relation: public shape
+// only (Order is the sorted-by token's name).
 type TableInfo struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`

@@ -18,7 +18,8 @@ var (
 	// layer name that is a function of public shape), never data.
 	ErrCanceled = errors.New("oblivmc: execution canceled")
 	// ErrDeadline is returned when a context deadline caused the
-	// cancellation (Session.RunQueryCtx with a deadline context).
+	// cancellation (Session.RunQueryCtx / RunGraphCtx with a deadline
+	// context).
 	ErrDeadline = errors.New("oblivmc: execution deadline exceeded")
 	// ErrInternal is returned when an execution panicked. The concrete
 	// error is a *PanicError wrapping this sentinel; the session that ran

@@ -6,6 +6,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/graph"
 	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
 	"oblivmc/internal/plan"
 	"oblivmc/internal/pram"
 	"oblivmc/internal/relops"
@@ -40,6 +41,11 @@ func (op GraphOp) planKind() plan.GraphKind {
 	return plan.GraphCC
 }
 
+// plan is the operator's sort-pass accounting at the public shape.
+func (op GraphOp) plan(n, m, rounds int) plan.GraphPlan {
+	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds})
+}
+
 // GraphExplain renders the sort-pass accounting of a graph operator at the
 // public shape (n vertices, m edges, rounds — the fixed round count for
 // Components, the iteration count for PageRank, ignored otherwise), e.g.
@@ -50,7 +56,7 @@ func (op GraphOp) planKind() plan.GraphKind {
 // Like Explain for relational queries, the output is a pure function of
 // the shape — the same accounting the metered-run tests pin.
 func GraphExplain(op GraphOp, n, m, rounds int) string {
-	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds}).String()
+	return op.plan(n, m, rounds).String()
 }
 
 // GraphExplainTable is GraphExplain against a concrete edge table: the
@@ -61,15 +67,6 @@ func GraphExplainTable(op GraphOp, edges Table, rounds int) (string, error) {
 		return "", err
 	}
 	return GraphExplain(op, graphShape(el), len(el), rounds), nil
-}
-
-// GraphSorts returns the operator's total sort-pass count at the public
-// shape: exact for fixed-round workloads (Components with rounds > 0,
-// PageRank, the AS components' fixed iteration bound), the worst-case
-// bound for MSF's revealed early-exit loop, and -1 for a convergence loop
-// with no a-priori bound (Components with rounds == 0).
-func GraphSorts(op GraphOp, n, m, rounds int) int {
-	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds}).TotalSorts()
 }
 
 // NewEdgeTable wraps a weighted edge list in a width-2 Table: key column 0
@@ -120,6 +117,44 @@ func graphShape(edges []WeightedEdge) int {
 	return n
 }
 
+// runGraph is the one graph execution path: the public Components / MSF /
+// PageRank and Session.RunGraphCtx all land here, as the relational
+// surfaces land in runQuery. It converts the edge table once, derives the
+// public shape, and runs op under e's executor with the run's sorter (srt —
+// nil only from the one-shot PageRank, see pageRank). The returned plan is
+// the operator's accounting at that shape, for the caller's bookkeeping.
+func runGraph(e exec, edges Table, op GraphOp, rounds int, srt obliv.ScheduledSorter) (Table, *Report, plan.GraphPlan, error) {
+	fail := func(err error) (Table, *Report, plan.GraphPlan, error) {
+		return Table{}, nil, plan.GraphPlan{}, err
+	}
+	el, err := edges.Edges()
+	if err != nil {
+		return fail(err)
+	}
+	if len(el) == 0 {
+		return fail(ErrEmptyInput)
+	}
+	n := graphShape(el)
+	var (
+		out Table
+		rep *Report
+	)
+	switch op {
+	case GraphOpComponents:
+		out, rep, err = components(e, srt, n, el, rounds)
+	case GraphOpMSF:
+		out, rep, err = msf(e, srt, n, el)
+	case GraphOpPageRank:
+		out, rep, err = pageRank(e, srt, n, el, rounds)
+	default:
+		err = fmt.Errorf("oblivmc: graph operator %d has no edge-table form", op)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return out, rep, op.plan(n, len(el), rounds), nil
+}
+
 // Components obliviously labels the connected components of the undirected
 // graph carried by a width-2 edge table and returns a width-1 table mapping
 // every vertex 0..n-1 (n = one past the largest endpoint) to the minimum
@@ -137,27 +172,24 @@ func graphShape(edges []WeightedEdge) int {
 //
 // Requirement: n <= 2^21 (labels double as scatter priorities).
 func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
-	el, err := edges.Edges()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if len(el) == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
+	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpComponents, rounds, relSorter(cfg))
+	return out, rep, err
+}
+
+func components(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, rounds int) (Table, *Report, error) {
 	if rounds < 0 {
 		return Table{}, nil, fmt.Errorf("oblivmc: negative round count %d", rounds)
 	}
-	n := graphShape(el)
 	if n > pram.MaxPrio {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph has %d vertices, max %d", n, pram.MaxPrio)
 	}
 	pairs := make([][2]int, len(el))
-	for i, e := range el {
-		pairs[i] = [2]int{e.U, e.V}
+	for i, ed := range el {
+		pairs[i] = [2]int{ed.U, ed.V}
 	}
 	var labels []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, cfg.graphParams())
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, e.cfg.graphParams(srt))
 	})
 	if err != nil {
 		return Table{}, nil, err
@@ -181,34 +213,31 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 // (Config.SortBackend). Requirements: vertices and edges < 2^21, weights
 // < 2^20.
 func MSF(cfg Config, edges Table) (Table, *Report, error) {
-	el, err := edges.Edges()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if len(el) == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	n := graphShape(el)
+	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpMSF, 0, relSorter(cfg))
+	return out, rep, err
+}
+
+func msf(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge) (Table, *Report, error) {
 	if n >= 1<<21 || len(el) >= 1<<21 {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(el))
 	}
 	ge := make([]graph.WEdge, len(el))
-	for i, e := range el {
-		if e.W >= 1<<20 {
-			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, e.W)
+	for i, ed := range el {
+		if ed.W >= 1<<20 {
+			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, ed.W)
 		}
-		ge[i] = graph.WEdge{U: e.U, V: e.V, W: e.W}
+		ge[i] = graph.WEdge{U: ed.U, V: ed.V, W: ed.W}
 	}
 	var chosen []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams())
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, e.cfg.graphParams(srt))
 	})
 	if err != nil {
 		return Table{}, nil, err
 	}
 	rows := make([]WideRow, len(chosen))
-	for i, e := range chosen {
-		rows[i] = WideRow{Keys: []uint64{uint64(el[e].U), uint64(el[e].V)}, Val: el[e].W}
+	for i, ci := range chosen {
+		rows[i] = WideRow{Keys: []uint64{uint64(el[ci].U), uint64(el[ci].V)}, Val: el[ci].W}
 	}
 	if len(rows) == 0 {
 		// A forest with no edges (self-loop-only input): no Table to build.
@@ -253,23 +282,43 @@ const (
 // returned Report is the counter-sum over all 1+2·iters operator runs, with
 // a combined trace fingerprint (nil outside ModeMetered).
 func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
-	el, err := edges.Edges()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if len(el) == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
+	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpPageRank, iters, nil)
+	return out, rep, err
+}
+
+// pageRank runs the 1+2·iters constituent operators under e. A Session lends
+// its one persistent sorter (srt) to all of them, alongside its pool, space
+// and arena; the one-shot form passes nil and every constituent run gets a
+// fresh relSorter, as each did when it was a separate public call — the
+// deterministic shuffle's sort counter restarts per run, which the one-shot
+// metered fingerprints pin.
+func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters int) (Table, *Report, error) {
 	if iters < 1 {
 		return Table{}, nil, fmt.Errorf("oblivmc: PageRank needs at least 1 iteration, got %d", iters)
 	}
-	n := graphShape(el)
 	m := len(el)
 	if int64(n+m) > relops.MaxRows {
 		return Table{}, nil, fmt.Errorf("%w (%d vertices + %d edges)", ErrTooManyRows, n, m)
 	}
-
+	sorter := func() obliv.ScheduledSorter {
+		if srt != nil {
+			return srt
+		}
+		return relSorter(e.cfg)
+	}
 	var total *Report
+	groupSum := func(rows []Row) ([]Row, error) {
+		tbl, err := NewTable(rows)
+		if err != nil {
+			return nil, err
+		}
+		out, rep, _, err := runQuery(e, tbl, Query{GroupBy: AggSum}, sorter())
+		if err != nil {
+			return nil, err
+		}
+		mergeReport(&total, rep)
+		return out.Rows(), nil
+	}
 
 	// Out-degrees: one grouped count over a unit row per edge source plus a
 	// zero sentinel per vertex, so every vertex appears and the key-sorted
@@ -278,26 +327,21 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	for v := 0; v < n; v++ {
 		degRows = append(degRows, Row{Key: uint64(v), Val: 0})
 	}
-	for _, e := range el {
-		degRows = append(degRows, Row{Key: uint64(e.U), Val: 1})
+	for _, ed := range el {
+		degRows = append(degRows, Row{Key: uint64(ed.U), Val: 1})
 	}
-	degTbl, err := NewTable(degRows)
+	degOut, err := groupSum(degRows)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	degOut, rep, err := GroupByCols(cfg, degTbl, AggSum)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	mergeReport(&total, rep)
 	deg := make([]uint64, n)
-	for _, r := range degOut.Rows() {
+	for _, r := range degOut {
 		deg[r.Key] = r.Val
 	}
 
 	edgeRows := make([]Row, m)
-	for i, e := range el {
-		edgeRows[i] = Row{Key: uint64(e.U), Val: uint64(e.V)}
+	for i, ed := range el {
+		edgeRows[i] = Row{Key: uint64(ed.U), Val: uint64(ed.V)}
 	}
 	edgeTbl, err := NewTable(edgeRows)
 	if err != nil {
@@ -325,7 +369,7 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 		}
 		// Every edge row matches exactly one share row (shares cover all
 		// vertices, with distinct keys), so m is the exact public capacity.
-		joined, rep, err := JoinAllRows(cfg, shareTbl, edgeTbl, m)
+		joined, rep, err := joinAllRows(e, sorter(), shareTbl, edgeTbl, m)
 		if err != nil {
 			return Table{}, nil, err
 		}
@@ -338,16 +382,11 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 		for _, j := range joined {
 			contribRows = append(contribRows, Row{Key: j.RightVal, Val: j.LeftVal})
 		}
-		contribTbl, err := NewTable(contribRows)
+		summed, err := groupSum(contribRows)
 		if err != nil {
 			return Table{}, nil, err
 		}
-		summed, rep, err := GroupByCols(cfg, contribTbl, AggSum)
-		if err != nil {
-			return Table{}, nil, err
-		}
-		mergeReport(&total, rep)
-		for _, r := range summed.Rows() {
+		for _, r := range summed {
 			ranks[r.Key] = base + r.Val
 		}
 	}

@@ -3,10 +3,9 @@ package oblivmc
 // Public-surface tests for the graph workload over edge tables:
 // Components/MSF/PageRank against plain references across both sort
 // backends and serial/parallel modes, the edge-table round trip and its
-// typed errors, the GraphExplain/GraphSorts accounting pinned against
-// the sorts a run actually executes (via the bitonic network-call
-// counter), and metered-run fingerprints as a function of public shape
-// only.
+// typed errors, the GraphExplain accounting pinned against the sorts a
+// run actually executes (via the bitonic network-call counter), and
+// metered-run fingerprints as a function of public shape only.
 
 import (
 	"errors"
@@ -248,7 +247,7 @@ func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 		}
 	}
 	const rounds = 3
-	want := GraphSorts(GraphOpComponents, n, len(el), rounds)
+	want := GraphOpComponents.plan(n, len(el), rounds).TotalSorts()
 	before := bitonic.NetworkCalls()
 	if _, _, err := Components(Config{SortBackend: SortBitonic}, tab, rounds); err != nil {
 		t.Fatal(err)
@@ -256,7 +255,7 @@ func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 	if got := int(bitonic.NetworkCalls() - before); got != want {
 		t.Fatalf("executed %d bitonic sorts, plan predicts %d", got, want)
 	}
-	if GraphSorts(GraphOpComponents, n, len(el), 0) != -1 {
+	if GraphOpComponents.plan(n, len(el), 0).TotalSorts() != -1 {
 		t.Fatal("convergence mode must report -1 (unbounded) total sorts")
 	}
 }

@@ -1,8 +1,8 @@
-// Package benchdata defines the canonical relational benchmark workload
-// shared by the in-repo benchmarks (bench_test.go) and the BENCH_*.json
-// trend tool (cmd/relbench). Keeping one definition makes the CI artifact
-// comparable with `go test -bench` numbers across commits — edit here, and
-// both surfaces move together.
+// Package benchdata defines the canonical relational and graph benchmark
+// workloads shared by the in-repo benchmarks (bench_test.go), the scaling
+// smoke test (parallel_test.go) and oblivquery's generated graph. Keeping
+// one definition keeps `go test -bench` numbers comparable across commits —
+// edit here, and every surface moves together.
 package benchdata
 
 import (
@@ -78,8 +78,8 @@ func LeftRecords(n int) []relops.Record {
 const GraphVertexFraction = 16
 
 // Edge is one weighted benchmark edge (a plain struct so the package stays
-// importable from both the root benchmarks and the relbench tool without
-// depending on the public API).
+// importable from the root benchmarks and the CLIs without depending on the
+// public API).
 type Edge struct {
 	U, V int
 	W    uint64
@@ -89,8 +89,8 @@ type Edge struct {
 // n = m/GraphVertexFraction, a Hamiltonian-path backbone over the first
 // half of the vertices (so there is one giant component plus random
 // attachments), the rest uniform random pairs, weights below 2^20, fixed
-// seed 44. Shared by bench_test.go's graph benchmarks and relbench's
-// graph_cc/graph_msf points.
+// seed 44. Shared by bench_test.go's graph benchmarks and oblivquery
+// -graph.
 func GraphEdges(m int) (n int, edges []Edge) {
 	n = m / GraphVertexFraction
 	if n < 2 {

@@ -16,7 +16,7 @@ type cached struct {
 }
 
 // resultCache is the cross-query materialized-result cache: canonical
-// key → result table, LRU-bounded. Keys (spec.go canonicalKey) are pure
+// key → result table, LRU-bounded. Keys (spec.go compiled.key) are pure
 // functions of request-visible data — the canonical query spec and the
 // name@version of every referenced table — so a hit/miss, and the trace
 // difference it causes (zero passes vs the full plan), reveals only what

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,15 @@ func chaosServer(t *testing.T, lanes int, queryTimeout time.Duration) *Server {
 	return s
 }
 
+// lifecycleSpecs is what the timeout, disconnect and panic tests each
+// drive: one relational spec and one graph spec (over tables "t" and "g"),
+// which take the same path through ExecuteCtx and must fail — and recover —
+// the same way. PageRank's constituent runs all cross the sort.pass seam.
+var lifecycleSpecs = []QuerySpec{
+	{Table: "t", GroupBy: "sum", KeyOrderOut: true},
+	{Table: "g", Graph: "pagerank"},
+}
+
 // TestChaosStorm is the acceptance chaos run: >= 50 concurrent mixed
 // queries against a 2-lane server while a panic rule fires on every 9th
 // sort pass, a slow rule stretches every 4th, and a third of the clients
@@ -46,6 +56,7 @@ func TestChaosStorm(t *testing.T) {
 	s := chaosServer(t, 2, 0)
 	mustLoad(t, s, "sales", testRows(256, 16, 21))
 	mustLoad(t, s, "edges2", testRows(128, 32, 22))
+	mustLoad(t, s, "g", ringEdges(16))
 
 	faultinject.PanicEvery("sort.pass", 9)
 	faultinject.SlowEvery("sort.pass", 4, 2*time.Millisecond)
@@ -56,6 +67,7 @@ func TestChaosStorm(t *testing.T) {
 		{Table: "sales", Distinct: true},
 		{Table: "sales", GroupBy: "max", TopK: 3},
 		{Table: "sales", Filter: &FilterSpec{Col: 0, Op: "lt", Value: 8}, GroupBy: "sum"},
+		{Table: "g", Graph: "pagerank", GraphRounds: 2},
 	}
 
 	const queries = 60
@@ -130,21 +142,28 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 	defer faultinject.Reset()
 	s := chaosServer(t, 1, 25*time.Millisecond)
 	mustLoad(t, s, "t", testRows(256, 8, 3))
+	mustLoad(t, s, "g", ringEdges(16))
 
-	faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
-	_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true})
-	if !errors.Is(err, oblivmc.ErrDeadline) {
-		t.Fatalf("slow query: err = %v, want ErrDeadline", err)
-	}
-	if got := statusOf(err); got != http.StatusGatewayTimeout {
-		t.Fatalf("statusOf(ErrDeadline) = %d, want 504", got)
-	}
-	if s.Running() != 0 {
-		t.Fatalf("running gauge = %d after timeout, want 0", s.Running())
-	}
-	faultinject.Reset()
-	if _, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"}); err != nil {
-		t.Fatalf("query after a timeout: %v", err)
+	for _, spec := range lifecycleSpecs {
+		faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
+		_, err := s.Execute(spec)
+		if !errors.Is(err, oblivmc.ErrDeadline) {
+			t.Fatalf("slow %+v: err = %v, want ErrDeadline", spec, err)
+		}
+		if !strings.Contains(err.Error(), "(at ") {
+			t.Fatalf("deadline error %q names no public checkpoint site", err)
+		}
+		if got := statusOf(err); got != http.StatusGatewayTimeout {
+			t.Fatalf("statusOf(ErrDeadline) = %d, want 504", got)
+		}
+		if s.Running() != 0 {
+			t.Fatalf("running gauge = %d after timeout, want 0", s.Running())
+		}
+		faultinject.Reset()
+		// Same lane, same session: the abort poisoned nothing.
+		if res, err := s.Execute(spec); err != nil || res.Stats.Cached {
+			t.Fatalf("%+v after its timeout: err = %v, cached = %t", spec, err, res.Stats.Cached)
+		}
 	}
 }
 
@@ -155,26 +174,33 @@ func TestLaneRetiredAfterPanic(t *testing.T) {
 	defer faultinject.Reset()
 	s := chaosServer(t, 1, 0)
 	mustLoad(t, s, "t", testRows(128, 8, 4))
+	mustLoad(t, s, "g", ringEdges(16))
 
-	faultinject.PanicAt("sort.pass", 1)
-	_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"})
-	if !errors.Is(err, oblivmc.ErrInternal) {
-		t.Fatalf("injected panic: err = %v, want ErrInternal", err)
-	}
-	if got := statusOf(err); got != http.StatusInternalServerError {
-		t.Fatalf("statusOf(ErrInternal) = %d, want 500", got)
-	}
-	if s.Running() != 0 {
-		t.Fatalf("running gauge = %d after panic, want 0", s.Running())
-	}
-	faultinject.Reset()
-	// The only lane panicked; this succeeds only if it was rebuilt.
-	res, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"})
-	if err != nil {
-		t.Fatalf("query on rebuilt lane: %v", err)
-	}
-	if res.Stats.Cached {
-		t.Fatal("rebuilt-lane query unexpectedly cached")
+	for _, spec := range lifecycleSpecs {
+		panicked := s.free[0]
+		faultinject.PanicAt("sort.pass", 1)
+		_, err := s.Execute(spec)
+		if !errors.Is(err, oblivmc.ErrInternal) {
+			t.Fatalf("injected panic in %+v: err = %v, want ErrInternal", spec, err)
+		}
+		if got := statusOf(err); got != http.StatusInternalServerError {
+			t.Fatalf("statusOf(ErrInternal) = %d, want 500", got)
+		}
+		if s.Running() != 0 {
+			t.Fatalf("running gauge = %d after panic, want 0", s.Running())
+		}
+		if s.free[0] == panicked || !panicked.sess.Poisoned() {
+			t.Fatalf("%+v: the lane that panicked was not retired", spec)
+		}
+		faultinject.Reset()
+		// The only lane panicked; this succeeds only if it was rebuilt.
+		res, err := s.Execute(spec)
+		if err != nil {
+			t.Fatalf("%+v on rebuilt lane: %v", spec, err)
+		}
+		if res.Stats.Cached {
+			t.Fatal("rebuilt-lane query unexpectedly cached")
+		}
 	}
 }
 
@@ -224,23 +250,27 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	defer faultinject.Reset()
 	s := chaosServer(t, 1, 0)
 	mustLoad(t, s, "t", testRows(256, 8, 6))
+	mustLoad(t, s, "g", ringEdges(16))
 
-	faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for faultinject.Hits("sort.pass") == 0 {
-			time.Sleep(500 * time.Microsecond)
+	for _, spec := range lifecycleSpecs {
+		faultinject.Reset()
+		faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for faultinject.Hits("sort.pass") == 0 {
+				time.Sleep(500 * time.Microsecond)
+			}
+			cancel()
+		}()
+		_, err := s.ExecuteCtx(ctx, spec)
+		if !errors.Is(err, oblivmc.ErrCanceled) {
+			t.Fatalf("disconnected %+v: err = %v, want ErrCanceled", spec, err)
 		}
-		cancel()
-	}()
-	_, err := s.ExecuteCtx(ctx, QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true})
-	if !errors.Is(err, oblivmc.ErrCanceled) {
-		t.Fatalf("disconnected query: err = %v, want ErrCanceled", err)
-	}
-	if got := statusOf(err); got != 499 {
-		t.Fatalf("statusOf(ErrCanceled) = %d, want 499", got)
-	}
-	if s.Running() != 0 {
-		t.Fatalf("running gauge = %d after disconnect, want 0", s.Running())
+		if got := statusOf(err); got != 499 {
+			t.Fatalf("statusOf(ErrCanceled) = %d, want 499", got)
+		}
+		if s.Running() != 0 {
+			t.Fatalf("running gauge = %d after disconnect, want 0", s.Running())
+		}
 	}
 }

@@ -20,6 +20,16 @@ func edgeRows(edges [][3]uint64) []oblivmc.WideRow {
 	return rows
 }
 
+// ringEdges is a deterministic n-vertex graph for the lifecycle tests: a
+// ring plus one chord per vertex (2n weighted edges).
+func ringEdges(n uint64) []oblivmc.WideRow {
+	var edges [][3]uint64
+	for v := uint64(0); v < n; v++ {
+		edges = append(edges, [3]uint64{v, (v + 1) % n, v}, [3]uint64{v, (v*7 + 3) % n, v + n})
+	}
+	return edgeRows(edges)
+}
+
 func TestGraphSpecComponents(t *testing.T) {
 	s := serialServer(t, 1)
 	// Path 0-1-2 plus the separate pair 3-4: labels are the component
@@ -45,6 +55,11 @@ func TestGraphSpecComponents(t *testing.T) {
 	}
 	if !strings.Contains(res.Stats.Plan, "cc-minhook") {
 		t.Fatalf("plan %q: missing cc-minhook", res.Stats.Plan)
+	}
+	// A convergence run has no planned total; the stats are the count the
+	// lane's session executed — whole 9-sort rounds.
+	if sp := res.Stats.SortPasses; sp <= 0 || sp%9 != 0 || res.Stats.ColdSortPasses != sp {
+		t.Fatalf("convergence run: sorts=%d cold=%d, want the executed count (a positive multiple of 9)", sp, res.Stats.ColdSortPasses)
 	}
 
 	// Same spec again: served from the cross-query result cache.
@@ -84,6 +99,21 @@ func TestGraphSpecMSFAndPageRank(t *testing.T) {
 	if res.StoredAs != "forest" || res.StoredVersion != 1 {
 		t.Fatalf("stored %q@%d, want forest@1", res.StoredAs, res.StoredVersion)
 	}
+	// The forest loop exits early (round count revealed): the stats are the
+	// executed count, within the plan's bound of 24 sorts × (⌈log₂ 5⌉+2)² =
+	// 25 rounds.
+	if sp := res.Stats.SortPasses; sp <= 0 || sp > 24*25 {
+		t.Fatalf("msf executed %d sorts, want within (0, %d] (%s)", sp, 24*25, res.Stats.Plan)
+	}
+	// msf ignores graph_rounds, so a request carrying one is the same
+	// computation: served from the first run's cache entry.
+	again, err := s.Execute(QuerySpec{Table: "g", Graph: "msf", GraphRounds: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Stats.Cached || again.Stats.SortPasses != 0 {
+		t.Fatalf("msf with graph_rounds: cached=%t sorts=%d, want cached with 0 sorts", again.Stats.Cached, again.Stats.SortPasses)
+	}
 
 	pr, err := s.Execute(QuerySpec{Table: "g", Graph: "pagerank"})
 	if err != nil {
@@ -94,6 +124,9 @@ func TestGraphSpecMSFAndPageRank(t *testing.T) {
 	}
 	if !strings.Contains(pr.Stats.Plan, "pagerank") {
 		t.Fatalf("plan %q: missing pagerank", pr.Stats.Plan)
+	}
+	if want := 2 + 5*5; pr.Stats.SortPasses != want { // default 5 iterations
+		t.Fatalf("pagerank executed %d sorts, plan says %d (%s)", pr.Stats.SortPasses, want, pr.Stats.Plan)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package serve is the long-running oblivious analytics server: a
 // registry of loaded relations, a lane pool of reusable oblivmc.Sessions
 // (persistent fork-join pools, arenas, and shuffle sorters) with bounded
-// admission, and a cross-query result cache keyed on public request
+// admission — every request, query or graph operator, runs on its lane's
+// session — and a cross-query result cache keyed on public request
 // shapes. The HTTP layer (Server) is a thin JSON surface over these
 // pieces; the obliviousness argument lives with them: every cache and
 // planning decision is a function of request-visible data — table names,
@@ -16,6 +17,7 @@ import (
 	"sync"
 
 	"oblivmc"
+	"oblivmc/client"
 )
 
 // Typed registry errors (matchable with errors.Is across the HTTP
@@ -29,17 +31,17 @@ var (
 	ErrNoSuchTable = errors.New("serve: no such table")
 )
 
-// TableInfo is the public metadata of one registered table — everything
-// here is public shape (names, counts, widths, versions, order tokens),
-// never contents.
-type TableInfo struct {
-	Name    string             `json:"name"`
-	Version int                `json:"version"`
-	Rows    int                `json:"rows"`
-	Width   int                `json:"width"`
-	Order   oblivmc.TableOrder `json:"-"`
-	// OrderName is Order rendered for the JSON surface.
-	OrderName string `json:"order"`
+// TableInfo is the public metadata of one registered table (the wire type
+// the client reads) — everything in it is public shape (names, counts,
+// widths, versions, order tokens), never contents.
+type TableInfo = client.TableInfo
+
+// infoOf renders one binding's metadata.
+func infoOf(name string, version int, tab oblivmc.Table) TableInfo {
+	return TableInfo{
+		Name: name, Version: version, Rows: tab.Len(), Width: tab.Width(),
+		Order: tab.Order().String(),
+	}
 }
 
 type tableEntry struct {
@@ -113,11 +115,7 @@ func (r *Registry) List() []TableInfo {
 	defer r.mu.RUnlock()
 	out := make([]TableInfo, 0, len(r.tables))
 	for name, e := range r.tables {
-		out = append(out, TableInfo{
-			Name: name, Version: e.version,
-			Rows: e.tab.Len(), Width: e.tab.Width(),
-			Order: e.tab.Order(), OrderName: e.tab.Order().String(),
-		})
+		out = append(out, infoOf(name, e.version, e.tab))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

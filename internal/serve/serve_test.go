@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"oblivmc"
-	"oblivmc/client"
 	"oblivmc/internal/prng"
 )
 
@@ -193,7 +191,7 @@ func TestReloadInvalidatesCachedResults(t *testing.T) {
 // through the one-shot serial engine on a token-free copy of the tables.
 func refSpec(t *testing.T, s *Server, spec QuerySpec) []oblivmc.Row {
 	t.Helper()
-	tab, q, _, err := spec.compile(s.reg)
+	tab, q, _, err := compileQuery(spec, s.reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,34 +324,6 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// jsonFields lists the wire names a struct type exposes.
-func jsonFields(t reflect.Type) []string {
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestClientSpecMirrorsQuerySpec holds the hand-mirrored wire types of the
-// client package to the server's: with strict decoding a field the client
-// sends and the server lacks fails every request, and the reverse is a
-// clause no Go caller can reach.
-func TestClientSpecMirrorsQuerySpec(t *testing.T) {
-	for _, pair := range [][2]any{
-		{client.Spec{}, QuerySpec{}},
-		{client.Join{}, JoinSpec{}},
-		{client.Filter{}, FilterSpec{}},
-	} {
-		c, s := reflect.TypeOf(pair[0]), reflect.TypeOf(pair[1])
-		if cf, sf := jsonFields(c), jsonFields(s); !reflect.DeepEqual(cf, sf) {
-			t.Errorf("%v fields %v, %v fields %v", c, cf, s, sf)
-		}
-	}
-}
-
 // TestAdmissionBusy pins the queue-timeout path: with every lane checked
 // out and a tiny timeout, Execute fails fast with ErrBusy (HTTP 503).
 func TestAdmissionBusy(t *testing.T) {
@@ -371,7 +341,7 @@ func TestAdmissionBusy(t *testing.T) {
 	if _, err := s.Execute(QuerySpec{Table: "t", Distinct: true}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("with the only lane held: %v, want ErrBusy", err)
 	}
-	s.checkin(l, 0)
+	s.release(l, 0, nil)
 	if _, err := s.Execute(QuerySpec{Table: "t", Distinct: true}); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
@@ -514,7 +484,7 @@ func TestLaneBucketsPreferWarmedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmed := l
-	s.checkin(l, big)
+	s.release(l, big, nil)
 	// A big request must pick the warmed lane, not the cold one.
 	l, err = s.checkout(context.Background(), big)
 	if err != nil {
@@ -523,7 +493,7 @@ func TestLaneBucketsPreferWarmedSessions(t *testing.T) {
 	if l != warmed {
 		t.Fatalf("big request got a cold lane (bucket %d), want the warmed one", l.bucket)
 	}
-	s.checkin(l, big)
+	s.release(l, big, nil)
 	// A small request must prefer the small lane, leaving the big caches
 	// to big requests.
 	small := bucketOf(64)
@@ -534,7 +504,7 @@ func TestLaneBucketsPreferWarmedSessions(t *testing.T) {
 	if l == warmed {
 		t.Fatalf("small request got the big-warmed lane")
 	}
-	s.checkin(l, small)
+	s.release(l, small, nil)
 }
 
 // The default worker split is GOMAXPROCS/lanes; with more lanes than

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"oblivmc"
+	"oblivmc/client"
 )
 
 // Admission errors.
@@ -27,11 +28,11 @@ var (
 
 // Options configures a Server.
 type Options struct {
-	// Lanes bounds the queries in flight: each lane owns one
+	// Lanes bounds the requests in flight: each lane owns one
 	// oblivmc.Session (persistent fork-join pool, address space, arena,
-	// shuffle sorter) and serves one query at a time. 0 = GOMAXPROCS/2,
-	// min 1 — queries are internally parallel, so a few lanes saturate
-	// the machine.
+	// shuffle sorter) and runs one spec at a time on it — a query or a
+	// graph operator alike. 0 = GOMAXPROCS/2, min 1 — runs are internally
+	// parallel, so a few lanes saturate the machine.
 	Lanes int
 	// QueueTimeout bounds how long an admitted request waits for a free
 	// lane before failing with ErrBusy (0 = 5s).
@@ -60,7 +61,9 @@ type lane struct {
 // Server is the oblivious analytics server: registry + result cache +
 // size-bucketed lane free list. It is the transport-independent core —
 // Execute/ExplainSpec/LoadTable are plain methods the tests drive
-// directly — with an http.Handler surface on top.
+// directly — with an http.Handler surface on top. Every spec, relational
+// or graph, takes the one path through ExecuteCtx and runs on its lane's
+// session.
 type Server struct {
 	reg   *Registry
 	cache *resultCache
@@ -201,9 +204,18 @@ func (s *Server) checkout(ctx context.Context, hint int) (*lane, error) {
 	return l, nil
 }
 
-// checkin returns a lane to the free list.
-func (s *Server) checkin(l *lane, hint int) {
-	if hint > l.bucket {
+// release returns the lane after a run. A healthy lane checks in warmed
+// to hint. A poisoned one (the run returned ErrInternal: its session
+// panicked, so its arena and sorter state are suspect) is closed and a cold
+// session takes the slot — at bucket 0, warmed for nothing — so the
+// admission token returns to circulation and a panic never shrinks
+// capacity.
+func (s *Server) release(l *lane, hint int, err error) {
+	switch {
+	case errors.Is(err, oblivmc.ErrInternal):
+		l.sess.Close()
+		l = &lane{sess: oblivmc.NewSession(s.opts.Exec)}
+	case hint > l.bucket:
 		l.bucket = hint
 	}
 	s.running.Add(-1)
@@ -211,32 +223,6 @@ func (s *Server) checkin(l *lane, hint int) {
 	s.free = append(s.free, l)
 	s.mu.Unlock()
 	s.sem <- struct{}{}
-}
-
-// retire replaces a poisoned lane: the session that panicked is closed
-// (its arena and sorter state are suspect) and a cold session takes the
-// slot, so the admission token returns to circulation and the panic never
-// shrinks capacity. The rebuilt lane starts at bucket 0 — it is warmed
-// for nothing.
-func (s *Server) retire(l *lane) {
-	l.sess.Close()
-	fresh := &lane{sess: oblivmc.NewSession(s.opts.Exec)}
-	s.running.Add(-1)
-	s.mu.Lock()
-	s.free = append(s.free, fresh)
-	s.mu.Unlock()
-	s.sem <- struct{}{}
-}
-
-// release returns the lane after a run: healthy lanes check in warmed to
-// hint, poisoned lanes (the run returned ErrInternal) are retired and
-// replaced.
-func (s *Server) release(l *lane, hint int, err error) {
-	if err != nil && errors.Is(err, oblivmc.ErrInternal) {
-		s.retire(l)
-		return
-	}
-	s.checkin(l, hint)
 }
 
 // trackCancel registers a per-request cancel func for drain-time abort;
@@ -343,21 +329,9 @@ func (s *Server) ShutdownDrain(d time.Duration) int {
 	return canceled
 }
 
-// Stats is the public execution accounting of one served query.
-type Stats struct {
-	// Cached reports a result-cache hit: the query ran zero oblivious
-	// sorts (or any other passes) — the response is the materialization.
-	Cached bool `json:"cached"`
-	// SortPasses is the executed sort-pass count (0 on a cache hit).
-	SortPasses int `json:"sort_passes"`
-	// ColdSortPasses is the plan's cost with no input-order token — the
-	// baseline the cross-query skip is measured against.
-	ColdSortPasses int `json:"cold_sort_passes"`
-	// Plan is the rendered plan of the executed (or cached) query.
-	Plan string `json:"plan"`
-	// Order is the result's sorted-by token.
-	Order string `json:"order"`
-}
+// Stats is the public execution accounting of one served query (the wire
+// type the client reads).
+type Stats = client.Stats
 
 // Result is the outcome of one Execute.
 type Result struct {
@@ -369,11 +343,11 @@ type Result struct {
 	StoredVersion int
 }
 
-// Execute runs one query spec end to end: compile against the registry,
-// serve from the result cache when the canonical key hits, otherwise
-// check out a session lane and run, then materialize (cache + optional
-// registry store). Safe for concurrent use; concurrency is bounded by
-// the lane count.
+// Execute runs one spec — relational or graph — end to end: compile
+// against the registry, serve from the result cache when the canonical key
+// hits, otherwise check out a lane and run on its session, then
+// materialize (cache + optional registry store). Safe for concurrent use;
+// concurrency is bounded by the lane count.
 func (s *Server) Execute(spec QuerySpec) (Result, error) {
 	return s.ExecuteCtx(context.Background(), spec)
 }
@@ -391,16 +365,12 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	}
 	defer s.inflight.Done()
 
-	if spec.Graph != "" {
-		return s.executeGraph(ctx, spec)
-	}
-
-	tab, q, key, err := spec.compile(s.reg)
+	c, err := compile(spec, s.reg)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
-	if hit, ok := s.cache.get(key); ok {
+	if hit, ok := s.cache.get(c.key); ok {
 		res = Result{
 			Table: hit.tab,
 			Stats: Stats{Cached: true, Plan: hit.plan, Order: hit.tab.Order().String()},
@@ -408,22 +378,16 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	} else {
 		qctx, done := s.queryCtx(ctx)
 		defer done()
-		hint := bucketOf(tab.Len())
-		if q.Join != nil {
-			if b := bucketOf(q.Join.Left.Len() + tab.Len()); b > hint {
-				hint = b
-			}
-		}
-		l, err := s.checkout(qctx, hint)
+		l, err := s.checkout(qctx, c.hint)
 		if err != nil {
 			return Result{}, err
 		}
-		out, stats, err := l.sess.RunQueryCtx(qctx, tab, q)
-		s.release(l, hint, err)
+		out, stats, err := c.run(qctx, l.sess)
+		s.release(l, c.hint, err)
 		if err != nil {
 			return Result{}, err
 		}
-		s.cache.put(cached{key: key, tab: out, plan: stats.Plan})
+		s.cache.put(cached{key: c.key, tab: out, plan: stats.Plan})
 		res = Result{
 			Table: out,
 			Stats: Stats{
@@ -444,123 +408,14 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	return res, nil
 }
 
-// executeGraph serves a graph spec: same admission, caching, and
-// materialization path as the relational pipeline, with the operator run
-// under a checked-out lane's admission slot (the graph operators manage
-// their own execution internally, so the lane bounds concurrency rather
-// than lending its session). Stats carry the operator's planned sort
-// accounting — exact for fixed-round shapes, 0 with a "rounds revealed"
-// plan for convergence runs.
-func (s *Server) executeGraph(ctx context.Context, spec QuerySpec) (Result, error) {
-	tab, op, rounds, key, err := spec.compileGraph(s.reg)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	if hit, ok := s.cache.get(key); ok {
-		res = Result{
-			Table: hit.tab,
-			Stats: Stats{Cached: true, Plan: hit.plan, Order: hit.tab.Order().String()},
-		}
-	} else {
-		qctx, done := s.queryCtx(ctx)
-		defer done()
-		hint := bucketOf(tab.Len())
-		l, err := s.checkout(qctx, hint)
-		if err != nil {
-			return Result{}, err
-		}
-		// The graph operators run one-shot (the lane only bounds
-		// concurrency, it doesn't lend its session), so cancellation
-		// threads through the config token: one token covers every
-		// constituent run of a composite operator like PageRank.
-		cfg := s.opts.Exec
-		cn := oblivmc.NewCancel()
-		cfg.Cancel = cn
-		stopWatch := make(chan struct{})
-		go func() {
-			select {
-			case <-qctx.Done():
-				cn.Cancel()
-			case <-stopWatch:
-			}
-		}()
-		var out oblivmc.Table
-		switch op {
-		case oblivmc.GraphOpMSF:
-			out, _, err = oblivmc.MSF(cfg, tab)
-		case oblivmc.GraphOpPageRank:
-			out, _, err = oblivmc.PageRank(cfg, tab, rounds)
-		default:
-			out, _, err = oblivmc.Components(cfg, tab, rounds)
-		}
-		close(stopWatch)
-		// The lane session never executed anything, so even a panicking
-		// one-shot run leaves it healthy: plain checkin, no retire.
-		s.checkin(l, hint)
-		if err != nil {
-			if errors.Is(err, oblivmc.ErrCanceled) && errors.Is(qctx.Err(), context.DeadlineExceeded) {
-				err = fmt.Errorf("%w: %v", oblivmc.ErrDeadline, err)
-			}
-			return Result{}, err
-		}
-		plan, err := oblivmc.GraphExplainTable(op, tab, rounds)
-		if err != nil {
-			return Result{}, err
-		}
-		el, err := tab.Edges()
-		if err != nil {
-			return Result{}, err
-		}
-		n := 0
-		for _, e := range el {
-			if e.U >= n {
-				n = e.U + 1
-			}
-			if e.V >= n {
-				n = e.V + 1
-			}
-		}
-		sorts := oblivmc.GraphSorts(op, n, len(el), rounds)
-		if sorts < 0 {
-			sorts = 0 // convergence run: count revealed, plan says so
-		}
-		s.cache.put(cached{key: key, tab: out, plan: plan})
-		res = Result{
-			Table: out,
-			Stats: Stats{
-				SortPasses:     sorts,
-				ColdSortPasses: sorts,
-				Plan:           plan,
-				Order:          out.Order().String(),
-			},
-		}
-	}
-	if spec.As != "" {
-		v, err := s.reg.Load(spec.As, res.Table, true)
-		if err != nil {
-			return Result{}, err
-		}
-		res.StoredAs, res.StoredVersion = spec.As, v
-	}
-	return res, nil
-}
-
 // ExplainSpec renders the order-aware plan the spec would execute,
 // without running it.
 func (s *Server) ExplainSpec(spec QuerySpec) (string, error) {
-	if spec.Graph != "" {
-		tab, op, rounds, _, err := spec.compileGraph(s.reg)
-		if err != nil {
-			return "", err
-		}
-		return oblivmc.GraphExplainTable(op, tab, rounds)
-	}
-	tab, q, _, err := spec.compile(s.reg)
+	c, err := compile(spec, s.reg)
 	if err != nil {
 		return "", err
 	}
-	return oblivmc.ExplainTable(tab, q)
+	return c.explain()
 }
 
 // LoadTable validates rows and binds them in the registry.
@@ -573,19 +428,13 @@ func (s *Server) LoadTable(name string, rows []oblivmc.WideRow, replace bool) (T
 	if err != nil {
 		return TableInfo{}, err
 	}
-	return TableInfo{
-		Name: name, Version: v, Rows: tab.Len(), Width: tab.Width(),
-		Order: tab.Order(), OrderName: tab.Order().String(),
-	}, nil
+	return infoOf(name, v, tab), nil
 }
 
 // ---- HTTP surface ----
 
 // RowJSON is the wire form of one row.
-type RowJSON struct {
-	Keys []uint64 `json:"keys"`
-	Val  uint64   `json:"val"`
-}
+type RowJSON = client.Row
 
 func rowsJSON(t oblivmc.Table) []RowJSON {
 	wide := t.WideRows()
@@ -604,12 +453,7 @@ type LoadRequest struct {
 }
 
 // QueryResponse is the POST /v1/query body.
-type QueryResponse struct {
-	Rows          []RowJSON `json:"rows"`
-	Stats         Stats     `json:"stats"`
-	StoredAs      string    `json:"stored_as,omitempty"`
-	StoredVersion int       `json:"stored_version,omitempty"`
-}
+type QueryResponse = client.QueryResult
 
 // ExplainResponse is the POST /v1/explain body.
 type ExplainResponse struct {

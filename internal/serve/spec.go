@@ -1,72 +1,68 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 
 	"oblivmc"
+	"oblivmc/client"
 )
 
 // ErrBadSpec is returned for a malformed query spec (unknown table names
 // map to ErrNoSuchTable instead).
 var ErrBadSpec = errors.New("serve: bad query spec")
 
-// FilterSpec is the declarative filter clause. Col selects the compared
-// column: a key column by index, or the value column when Col == -1. A
-// key-column filter is declared key-only to the planner (it drops whole
-// key groups), which is what lets it push below Distinct/GroupBy.
-type FilterSpec struct {
-	Col   int    `json:"col"`
-	Op    string `json:"op"` // eq, ne, lt, le, gt, ge
-	Value uint64 `json:"value"`
+// The wire types are the client package's: one declaration serves both
+// ends of the HTTP surface, so the two cannot drift (the field
+// documentation lives there). The whole spec is public request data — it
+// is what the result cache keys on, alongside the versions of the tables
+// it references.
+type (
+	QuerySpec  = client.Spec
+	JoinSpec   = client.Join
+	FilterSpec = client.Filter
+)
+
+// compiled is one spec resolved against the registry — either kind, so
+// ExecuteCtx and ExplainSpec are one path each.
+type compiled struct {
+	// key is the canonical cache key. It embeds every referenced table as
+	// name@version, so re-loads structurally invalidate dependent entries.
+	key string
+	// hint is the lane size bucket the run warms (log₂ of its largest
+	// relation).
+	hint int
+	// run executes the spec on a checked-out lane's session.
+	run func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error)
+	// explain renders the plan run would execute, without running it.
+	explain func() (string, error)
 }
 
-// JoinSpec is the declarative join clause: the named registered relation
-// becomes the query's join-left side, MaxOut its public output capacity.
-// JoinCap may name the "auto" capacity mode instead of MaxOut: the engine's
-// advisor sizes the output at the worst-case match bound (which cannot
-// overflow), revealing that bound as public shape. Setting both is an
-// error.
-type JoinSpec struct {
-	Table   string `json:"table"`
-	MaxOut  int    `json:"max_out,omitempty"`
-	JoinCap string `json:"join_cap,omitempty"`
-}
-
-// QuerySpec is the wire form of one query: a declarative mirror of
-// oblivmc.Query with relation references by registered name. The whole
-// spec is public request data — it is what the result cache keys on
-// (canonicalKey), alongside the versions of the tables it references.
-type QuerySpec struct {
-	// Table names the queried relation.
-	Table string `json:"table"`
-	// Join, Filter, Distinct, GroupBy, TopK mirror oblivmc.Query. GroupBy
-	// is the aggregation name: sum, count, min, max, avg, var.
-	Join     *JoinSpec   `json:"join,omitempty"`
-	Filter   *FilterSpec `json:"filter,omitempty"`
-	Distinct bool        `json:"distinct,omitempty"`
-	GroupBy  string      `json:"group_by,omitempty"`
-	TopK     int         `json:"top_k,omitempty"`
-	// KeyOrderOut materializes the result in key order with the OrderKeys
-	// token (the cross-query sort-skipping seam; see oblivmc.Query).
-	KeyOrderOut bool `json:"key_order_out,omitempty"`
-	// As, when set, stores the result in the registry under this name
-	// (replacing any existing binding — its version bumps). Not part of
-	// the cache key: it names the result, it does not change it.
-	As string `json:"as,omitempty"`
-	// Graph runs a graph operator over the named width-2 edge table
-	// instead of the relational pipeline: "cc" (min-hook connected
-	// components), "msf" (minimum spanning forest), or "pagerank".
-	// Mutually exclusive with the relational clauses (Join, Filter,
-	// Distinct, GroupBy, TopK, KeyOrderOut); As still stores
-	// the result. Like every relational field, the pair (Graph,
-	// GraphRounds) is public request shape and part of the cache key.
-	Graph string `json:"graph,omitempty"`
-	// GraphRounds is the workload's round parameter: for "cc" a positive
-	// value runs exactly that many fixed rounds (0 = run to convergence);
-	// for "pagerank" the iteration count (0 = 5); "msf" ignores it.
-	GraphRounds int `json:"graph_rounds,omitempty"`
+// compile resolves s against the registry.
+func compile(s QuerySpec, reg *Registry) (compiled, error) {
+	if s.Graph != "" {
+		return compileGraph(s, reg)
+	}
+	tab, q, key, err := compileQuery(s, reg)
+	if err != nil {
+		return compiled{}, err
+	}
+	hint := bucketOf(tab.Len())
+	if q.Join != nil {
+		if b := bucketOf(q.Join.Left.Len() + tab.Len()); b > hint {
+			hint = b
+		}
+	}
+	return compiled{
+		key:  key,
+		hint: hint,
+		run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
+			return sess.RunQueryCtx(ctx, tab, q)
+		},
+		explain: func() (string, error) { return oblivmc.ExplainTable(tab, q) },
+	}, nil
 }
 
 // graphOps maps the wire names to the public graph operators.
@@ -76,37 +72,45 @@ var graphOps = map[string]oblivmc.GraphOp{
 	"pagerank": oblivmc.GraphOpPageRank,
 }
 
-// compileGraph resolves a graph spec against the registry: the edge
-// table, the operator, the resolved round parameter, and the canonical
-// cache key. The relational clauses must be absent.
-func (s QuerySpec) compileGraph(reg *Registry) (oblivmc.Table, oblivmc.GraphOp, int, string, error) {
-	fail := func(err error) (oblivmc.Table, oblivmc.GraphOp, int, string, error) {
-		return oblivmc.Table{}, 0, 0, "", err
-	}
+// compileGraph resolves a graph spec: the operator runs over the named
+// edge table on the lane's session, like any query. The relational clauses
+// must be absent. The keyed round parameter is normalised per operator —
+// "msf" ignores it and "pagerank" defaults it — so requests that run the
+// same computation share one cache entry.
+func compileGraph(s QuerySpec, reg *Registry) (compiled, error) {
 	op, ok := graphOps[s.Graph]
 	if !ok {
-		return fail(fmt.Errorf("%w: unknown graph op %q (cc, msf, pagerank)", ErrBadSpec, s.Graph))
+		return compiled{}, fmt.Errorf("%w: unknown graph op %q (cc, msf, pagerank)", ErrBadSpec, s.Graph)
 	}
 	if s.Join != nil || s.Filter != nil || s.Distinct || s.GroupBy != "" ||
 		s.TopK != 0 || s.KeyOrderOut {
-		return fail(fmt.Errorf("%w: graph %q excludes the relational clauses", ErrBadSpec, s.Graph))
+		return compiled{}, fmt.Errorf("%w: graph %q excludes the relational clauses", ErrBadSpec, s.Graph)
 	}
 	if s.GraphRounds < 0 {
-		return fail(fmt.Errorf("%w: negative graph_rounds", ErrBadSpec))
+		return compiled{}, fmt.Errorf("%w: negative graph_rounds", ErrBadSpec)
 	}
 	if s.Table == "" {
-		return fail(fmt.Errorf("%w: missing table", ErrBadSpec))
+		return compiled{}, fmt.Errorf("%w: missing table", ErrBadSpec)
 	}
 	tab, ver, err := reg.Get(s.Table)
 	if err != nil {
-		return fail(err)
+		return compiled{}, err
 	}
 	rounds := s.GraphRounds
-	if op == oblivmc.GraphOpPageRank && rounds == 0 {
+	switch {
+	case op == oblivmc.GraphOpMSF:
+		rounds = 0
+	case op == oblivmc.GraphOpPageRank && rounds == 0:
 		rounds = 5
 	}
-	key := fmt.Sprintf("t=%s@%d|graph=%s|r=%d", s.Table, ver, s.Graph, rounds)
-	return tab, op, rounds, key, nil
+	return compiled{
+		key:  fmt.Sprintf("t=%s@%d|graph=%s|r=%d", s.Table, ver, s.Graph, rounds),
+		hint: bucketOf(tab.Len()),
+		run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
+			return sess.RunGraphCtx(ctx, tab, op, rounds)
+		},
+		explain: func() (string, error) { return oblivmc.GraphExplainTable(op, tab, rounds) },
+	}, nil
 }
 
 var aggOf = map[string]oblivmc.Agg{
@@ -155,11 +159,9 @@ func compileFilter(f *FilterSpec, w int) (func(oblivmc.WideRow) bool, bool, erro
 	return func(r oblivmc.WideRow) bool { return cmp(r.Keys[col], val) }, true, nil
 }
 
-// compile resolves s against the registry into a concrete (table, query)
-// pair plus the canonical cache key. The key embeds every referenced
-// table as name@version, so re-loads structurally invalidate dependent
-// entries.
-func (s QuerySpec) compile(reg *Registry) (oblivmc.Table, oblivmc.Query, string, error) {
+// compileQuery resolves a relational spec into a concrete (table, query)
+// pair plus the canonical cache key.
+func compileQuery(s QuerySpec, reg *Registry) (oblivmc.Table, oblivmc.Query, string, error) {
 	if s.Table == "" {
 		return oblivmc.Table{}, oblivmc.Query{}, "", fmt.Errorf("%w: missing table", ErrBadSpec)
 	}

@@ -245,6 +245,25 @@ func TestUntrippedTokenLeavesTraceIdentical(t *testing.T) {
 	if gA.Work != gB.Work || gA.Span != gB.Span || !gA.TraceFingerprint.Equal(gB.TraceFingerprint) {
 		t.Fatal("untripped token changed the components trace")
 	}
+
+	// A session always arms a per-run token, and a cancelable context adds
+	// the watcher: neither may move the trace off the token-free one-shot's.
+	tab := mustEdgeTable(t, testEdges(19, 12, 16, 50))
+	_, sA, err := Components(cfg, tab, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(cfg)
+	defer sess.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, stats, err := sess.RunGraphCtx(ctx, tab, GraphOpComponents, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *stats.Report != *sA {
+		t.Fatalf("session token changed the components trace: %+v vs %+v", stats.Report, sA)
+	}
 }
 
 // TestCtxWatcherNoGoroutineLeak runs many context-carrying queries and

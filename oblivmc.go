@@ -42,6 +42,7 @@ import (
 	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
 	"oblivmc/internal/trace"
 )
 
@@ -143,12 +144,12 @@ func (t Tuning) params() core.Params {
 	}
 }
 
-// graphParams is cfg's tuning with a fresh sorter of the configured backend
-// attached — the parameters every graph / PRAM entry point runs under (one
-// sorter per run; see relSorter).
-func (cfg Config) graphParams() core.Params {
+// graphParams is cfg's tuning with the run's sorter attached — the
+// parameters every graph / PRAM entry point runs under (one sorter per run:
+// a fresh relSorter for the one-shot surfaces, the session's under a Session).
+func (cfg Config) graphParams(srt obliv.ScheduledSorter) core.Params {
 	p := cfg.Tuning.params()
-	p.Sorter = relSorter(cfg)
+	p.Sorter = srt
 	return p
 }
 

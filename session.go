@@ -11,14 +11,16 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
-// exec is the execution environment a relational surface runs under. The
-// zero-value-with-cfg form (exec{cfg: cfg}) reproduces the one-shot
-// behavior: a fresh address space, a fresh pool in ModeParallel, and a
-// per-run arena. A Session fills the persistent fields so back-to-back
-// queries reuse the pool, the space, and the arena instead of rebuilding
+// exec is the execution environment an operator — relational or graph —
+// runs under. The zero-value-with-cfg form (exec{cfg: cfg}) reproduces the
+// one-shot behavior: a fresh address space, a fresh pool in ModeParallel,
+// and a per-run arena. A Session fills the persistent fields so
+// back-to-back runs (and the constituent runs of a composite operator like
+// PageRank) reuse the pool, the space, and the arena instead of rebuilding
 // them per invocation.
 type exec struct {
 	cfg Config
@@ -95,16 +97,19 @@ func (e exec) run(fn func(c *forkjoin.Ctx, sp *mem.Space)) (rep *Report, err err
 	}
 }
 
-// QueryStats is the public bookkeeping of one Session.RunQuery: the
-// executed sort-pass count (measured at the sorter seam, not planned), the
-// cold-plan baseline the cross-query savings are measured against, and the
-// rendered plan. Everything here is a function of public query shape.
+// QueryStats is the public bookkeeping of one Session run (RunQuery or
+// RunGraphCtx): the executed sort-pass count (measured at the sorter seam,
+// not planned), the cold-plan baseline the cross-query savings are measured
+// against, and the rendered plan. Everything here is a function of public
+// query shape — plus, for the graph operators' revealed loops (a
+// convergence Components, MSF), the round count they reveal by design.
 type QueryStats struct {
 	// SortPasses counts the full sorting-network passes the query
 	// executed (0 for an identity plan or a fully order-covered one).
 	SortPasses int
 	// ColdSortPasses is what the same query plans with no input order
-	// token — the baseline a token-covered query beats.
+	// token — the baseline a token-covered query beats. Graph operators
+	// read no token, so for them it equals SortPasses.
 	ColdSortPasses int
 	// Plan is the rendered physical pass sequence (order-aware, e.g.
 	// "in(key,pos) → aggregate [0 sorts, cold 1, staged 2]").
@@ -138,14 +143,16 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
-// Session is a reusable execution context for the relational query
-// surface — the seam a long-running server (internal/serve, cmd/oblivserve)
-// multiplexes requests over. Where the one-shot RunQuery rebuilds its
-// fork-join pool, address space, scratch arena, and sorter per invocation,
-// a Session constructs them once and reuses them across queries: the
-// arena's key schedules and element scratch, the shuffle backend's tie
-// planes and Beneš level buffers, and the pool's worker goroutines all
-// persist, so a steady stream of same-shape queries runs allocation-flat.
+// Session is a reusable execution context for the table operators — queries
+// (RunQuery) and the edge-table graph operators (RunGraphCtx) — the seam a
+// long-running server (internal/serve, cmd/oblivserve) multiplexes requests
+// over. Where the one-shot surfaces rebuild their fork-join pool, address
+// space, scratch arena, and sorter per invocation (PageRank once per
+// constituent run), a Session constructs them once and reuses them across
+// runs: the arena's key schedules and element scratch, the shuffle
+// backend's tie planes and Beneš level buffers, and the pool's worker
+// goroutines all persist, so a steady stream of same-shape queries runs
+// allocation-flat.
 //
 // A Session is NOT safe for concurrent use: queries must be issued
 // sequentially (the shuffle sorter and arena are stateful). A server gives
@@ -214,10 +221,10 @@ func (s *Session) exec() exec {
 	return exec{cfg: s.cfg, pool: s.pool, sp: s.sp, arena: s.arena}
 }
 
-// Interrupt cancels the in-flight query, if any: RunQuery/RunQueryCtx
-// returns ErrCanceled at its next public-shape checkpoint. Safe to call
-// from any goroutine, any number of times; a no-op when the session is
-// idle. The session stays reusable after an interrupt.
+// Interrupt cancels the in-flight run, if any: RunQuery/RunQueryCtx/
+// RunGraphCtx returns ErrCanceled at its next public-shape checkpoint. Safe
+// to call from any goroutine, any number of times; a no-op when the session
+// is idle. The session stays reusable after an interrupt.
 func (s *Session) Interrupt() {
 	if cn := s.cur.Load(); cn != nil {
 		cn.Cancel()
@@ -244,17 +251,51 @@ func (s *Session) RunQuery(t Table, q Query) (Table, QueryStats, error) {
 // ErrDeadline. The abort reveals only public quantities — the checkpoint
 // site and the executed sort-pass count — never data.
 func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, QueryStats, error) {
+	out, stats, pl, err := runOn(ctx, s, func(e exec, srt obliv.ScheduledSorter) (Table, *Report, plan.Plan, error) {
+		return runQuery(e, t, q, srt)
+	})
+	stats.ColdSortPasses = pl.ColdSortPasses
+	return out, stats, err
+}
+
+// RunGraphCtx runs a graph operator (GraphOpComponents, GraphOpMSF,
+// GraphOpPageRank — the ones with an edge-table form; rounds as in
+// GraphExplain) over the edge table t exactly like the package-level
+// Components / MSF / PageRank, but under the session's pooled resources and
+// the RunQueryCtx lifecycle: a composite operator's constituent runs all
+// share the pool, space, arena and sorter, and one token cancels them all.
+// SortPasses is the executed count (graph results carry no order token, so
+// ColdSortPasses equals it) and Plan the GraphExplainTable rendering.
+func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds int) (Table, QueryStats, error) {
+	out, stats, _, err := runOn(ctx, s, func(e exec, srt obliv.ScheduledSorter) (Table, *Report, plan.GraphPlan, error) {
+		return runGraph(e, t, op, rounds, srt)
+	})
+	stats.ColdSortPasses = stats.SortPasses
+	return out, stats, err
+}
+
+// runOn is the lifecycle of one session run, shared by every operator kind
+// (P is the kind's plan type): refuse a closed or poisoned session and an
+// already-done context, arm a fresh per-run token (the seam Interrupt and
+// ctx trip), hand op the session's environment and its pass-counted sorter,
+// poison the session when op panicked out of the execution, and stamp a
+// canceled run with the executed pass count. The stats it returns carry
+// everything but the cold baseline, which only the caller's plan knows.
+func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec, srt obliv.ScheduledSorter) (Table, *Report, P, error)) (Table, QueryStats, P, error) {
+	fail := func(err error) (Table, QueryStats, P, error) {
+		var noPlan P
+		return Table{}, QueryStats{}, noPlan, err
+	}
 	if s.closed {
-		return Table{}, QueryStats{}, fmt.Errorf("oblivmc: RunQuery on closed Session")
+		return fail(fmt.Errorf("oblivmc: run on closed Session"))
 	}
 	if s.poisoned.Load() {
-		return Table{}, QueryStats{}, fmt.Errorf("%w (session poisoned by a prior panic; rebuild it)", ErrInternal)
+		return fail(fmt.Errorf("%w (session poisoned by a prior panic; rebuild it)", ErrInternal))
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return Table{}, QueryStats{}, ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled))
+		return fail(ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled)))
 	}
 	passes := 0
-	srt := passCounter{inner: s.srt, n: &passes}
 	cn := new(forkjoin.Cancel)
 	s.cur.Store(cn)
 	defer s.cur.Store(nil)
@@ -262,7 +303,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	defer stop()
 	e := s.exec()
 	e.cancel = cn
-	out, rep, pl, err := runQuery(e, t, q, srt)
+	out, rep, pl, err := op(e, passCounter{inner: s.srt, n: &passes})
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			s.poisoned.Store(true)
@@ -271,20 +312,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 			// The executed pass count is public shape, like the site.
 			err = fmt.Errorf("%w (after %d executed sort passes)", ctxErrOf(ctx, err), passes)
 		}
-		return Table{}, QueryStats{}, err
+		return fail(err)
 	}
-	return out, QueryStats{
-		SortPasses:     passes,
-		ColdSortPasses: pl.ColdSortPasses,
-		Plan:           pl.String(),
-		Order:          out.order,
-		Report:         rep,
-	}, nil
-}
-
-// Explain renders the order-aware plan q would execute over t in this
-// session (identical to ExplainTable; the session adds nothing beyond the
-// table's token, but callers holding a session read more naturally).
-func (s *Session) Explain(t Table, q Query) (string, error) {
-	return ExplainTable(t, q)
+	return out, QueryStats{SortPasses: passes, Plan: pl.String(), Order: out.order, Report: rep}, pl, nil
 }

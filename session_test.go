@@ -7,7 +7,9 @@ package oblivmc
 // on.
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -206,5 +208,93 @@ func TestSessionClosed(t *testing.T) {
 	}
 	if _, _, err := sess.RunQuery(tab, Query{Distinct: true}); err == nil {
 		t.Fatal("RunQuery on a closed session must fail")
+	}
+}
+
+// TestSessionRunGraphMatchesOneShot: the graph operators run on a session
+// (the path every served graph spec takes) must return the one-shot
+// operators' exact rows on every backend and executor, report the sort
+// passes they executed — equal to the plan wherever the plan is exact,
+// within its bound where a loop's round count is revealed — and leave the
+// session reusable: one session serves the whole operator list. A fresh
+// metered session's first run is the one-shot run, counter for counter.
+func TestSessionRunGraphMatchesOneShot(t *testing.T) {
+	edges := testEdges(41, 40, 64, 100)
+	tab := mustEdgeTable(t, edges)
+	n, m := graphShape(edges), len(edges)
+	ops := []struct {
+		name    string
+		op      GraphOp
+		rounds  int
+		exact   bool // the plan's TotalSorts is the executed count
+		oneShot func(Config) (Table, *Report, error)
+	}{
+		{"cc-4", GraphOpComponents, 4, true, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 4) }},
+		{"cc-converge", GraphOpComponents, 0, false, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 0) }},
+		{"msf", GraphOpMSF, 0, false, func(cfg Config) (Table, *Report, error) { return MSF(cfg, tab) }},
+		{"pagerank-3", GraphOpPageRank, 3, true, func(cfg Config) (Table, *Report, error) { return PageRank(cfg, tab, 3) }},
+	}
+	backends := []Config{
+		{SortBackend: SortBitonic},
+		{SortBackend: SortAuto, Seed: 5, DeterministicShuffle: true},
+		{SortBackend: SortShuffle, Seed: 5, DeterministicShuffle: true},
+	}
+	for _, cfg := range backends {
+		for _, mode := range []Config{{Mode: ModeSerial}, {Mode: ModeParallel, Workers: 2}} {
+			cfg.Mode, cfg.Workers = mode.Mode, mode.Workers
+			sess := NewSession(cfg)
+			for _, tc := range ops {
+				label := fmt.Sprintf("%s backend=%d mode=%d", tc.name, cfg.SortBackend, cfg.Mode)
+				want, _, err := tc.oneShot(cfg)
+				if err != nil {
+					t.Fatalf("%s one-shot: %v", label, err)
+				}
+				got, stats, err := sess.RunGraphCtx(context.Background(), tab, tc.op, tc.rounds)
+				if err != nil {
+					t.Fatalf("%s session: %v", label, err)
+				}
+				if !reflect.DeepEqual(got.WideRows(), want.WideRows()) {
+					t.Fatalf("%s: session rows differ from the one-shot operator's", label)
+				}
+				pl := tc.op.plan(n, m, tc.rounds)
+				planned := pl.TotalSorts() // -1: a convergence loop has no a-priori bound
+				if tc.exact && stats.SortPasses != planned {
+					t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, planned, pl)
+				}
+				if stats.SortPasses <= 0 || (planned >= 0 && stats.SortPasses > planned) {
+					t.Fatalf("%s: executed %d sorts, outside the plan's bound %d (%s)", label, stats.SortPasses, planned, pl)
+				}
+				if stats.ColdSortPasses != stats.SortPasses || stats.Plan != pl.String() || stats.Order != OrderNone {
+					t.Fatalf("%s: stats %+v, want cold == executed, plan %q, no order token", label, stats, pl)
+				}
+			}
+			// An operator with no edge-table form is an argument error, not
+			// a fault: the session keeps serving.
+			if _, _, err := sess.RunGraphCtx(context.Background(), tab, GraphOpComponentsAS, 0); err == nil || sess.Poisoned() {
+				t.Fatalf("GraphOpComponentsAS on a session: err = %v, poisoned = %t", err, sess.Poisoned())
+			}
+			if _, _, err := sess.RunQuery(mustTable(t, lcRows(64)), Query{GroupBy: AggSum}); err != nil {
+				t.Fatalf("query after the graph runs: %v", err)
+			}
+			sess.Close()
+		}
+		cfg.Mode, cfg.Trace = ModeMetered, true
+		// Not PageRank: its session runs share one arena and sorter, a
+		// different (still shape-only) trace from eleven fresh ones.
+		for _, tc := range ops[:3] {
+			_, want, err := tc.oneShot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := NewSession(cfg)
+			_, stats, err := sess.RunGraphCtx(context.Background(), tab, tc.op, tc.rounds)
+			sess.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Report == nil || *stats.Report != *want {
+				t.Fatalf("%s backend=%d: fresh metered session report %+v, one-shot %+v", tc.name, cfg.SortBackend, stats.Report, want)
+			}
+		}
 	}
 }

@@ -558,13 +558,21 @@ func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared i
 // output with the capacity advisor — the worst-case bound, which cannot
 // overflow — at the cost of revealing that bound as public shape.
 func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
+	return joinAllRows(exec{cfg: cfg}, relSorter(cfg), left, right, maxOut)
+}
+
+// joinAllRows is JoinAllRows under an execution environment: e's executor,
+// e's persistent arena when it has one (else a per-run one), and the run's
+// one sorter — the form PageRank composes, so a Session's pooled resources
+// cover its join rounds too.
+func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
 	if err := checkJoinTables(left, right, maxOut); err != nil {
 		return nil, nil, err
 	}
 	w := left.Width()
 	var out []WideJoinedRow
 	var runErr error
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
 		l, err := relops.Load(sp, recordsOf(left), w)
 		if err != nil {
 			runErr = err
@@ -575,8 +583,10 @@ func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *R
 			runErr = err
 			return
 		}
-		ar := relops.NewArena()
-		srt := relSorter(cfg)
+		ar := e.arena
+		if ar == nil {
+			ar = relops.NewArena()
+		}
 		capOut, err := resolveJoinCap(c, sp, ar, maxOut, l, r, srt)
 		if err != nil {
 			runErr = err
@@ -800,9 +810,9 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 }
 
 // runQuery is the one relational execution path: RunQuery, the
-// one-operator wrappers and Session.RunQueryCtx all land here. It validates
-// q against t, compiles q's shape — including the input table's sorted-by
-// token, the cross-query seam — and executes the fused pass sequence under
+// one-operator wrappers, Session.RunQueryCtx and PageRank's grouped sums all
+// land here. It validates q against t, compiles q's shape — including the
+// input table's sorted-by token, the cross-query seam — and executes the fused pass sequence under
 // e's executor with a scratch arena (e's persistent arena when it has one,
 // else per-run) and the run's one sorter (srt — the shuffle backend is
 // stateful, so exactly one instance must serve all of a run's sorts). The
