@@ -170,11 +170,9 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 	return out, rep, nil
 }
 
-// WeightedEdge is an undirected weighted edge.
-type WeightedEdge struct {
-	U, V int
-	W    uint64
-}
+// WeightedEdge is an undirected weighted edge (endpoints U, V and weight
+// W) — the graph layer's own edge type, so edge lists reach it uncopied.
+type WeightedEdge = graph.WEdge
 
 // MinimumSpanningForest obliviously computes the minimum spanning forest
 // (Theorem 5.2(ii) via Borůvka star-hooking; see DESIGN.md for the PR02
@@ -185,7 +183,6 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 	if n <= 0 {
 		return nil, nil, ErrEmptyInput
 	}
-	ge := make([]graph.WEdge, len(edges))
 	for i, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, nil, fmt.Errorf("oblivmc: edge %d out of range", i)
@@ -193,11 +190,10 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 		if e.W >= 1<<20 {
 			return nil, nil, fmt.Errorf("oblivmc: edge %d weight too large", i)
 		}
-		ge[i] = graph.WEdge{U: e.U, V: e.V, W: e.W}
 	}
 	var out []int
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, cfg.graphParams(relSorter(cfg)))
+		out = graph.MinimumSpanningForestOblivious(c, sp, n, edges, cfg.graphParams(relSorter(cfg)))
 	})
 	if err != nil {
 		return nil, nil, err

@@ -200,7 +200,7 @@ func TestConnectedComponentsAPI(t *testing.T) {
 
 func TestMinimumSpanningForestAPI(t *testing.T) {
 	edges := []WeightedEdge{
-		{0, 1, 10}, {1, 2, 1}, {0, 2, 5}, {3, 4, 2},
+		{U: 0, V: 1, W: 10}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 5}, {U: 3, V: 4, W: 2},
 	}
 	chosen, _, err := MinimumSpanningForest(Config{Mode: ModeSerial}, 5, edges)
 	if err != nil {
@@ -215,7 +215,7 @@ func TestMinimumSpanningForestAPI(t *testing.T) {
 			t.Fatalf("chose %v, want edges 1,2,3", chosen)
 		}
 	}
-	if _, _, err := MinimumSpanningForest(Config{}, 2, []WeightedEdge{{0, 1, 1 << 20}}); err == nil {
+	if _, _, err := MinimumSpanningForest(Config{}, 2, []WeightedEdge{{U: 0, V: 1, W: 1 << 20}}); err == nil {
 		t.Fatal("oversized weight accepted")
 	}
 }

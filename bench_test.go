@@ -626,11 +626,7 @@ func BenchmarkQueryStaged(b *testing.B) {
 var graphSizes = []int{1 << 16, 1 << 20}
 
 func benchEdgeTable(b *testing.B, m int) Table {
-	_, ge := benchdata.GraphEdges(m)
-	edges := make([]WeightedEdge, len(ge))
-	for i, e := range ge {
-		edges[i] = WeightedEdge{U: e.U, V: e.V, W: e.W}
-	}
+	_, edges := benchdata.GraphEdges(m)
 	t, err := NewEdgeTable(edges)
 	if err != nil {
 		b.Fatal(err)

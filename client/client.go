@@ -37,8 +37,8 @@ type Filter struct {
 
 // Join is the declarative join clause: the named registered relation
 // becomes the query's join-left side, MaxOut its public output capacity.
-// JoinCap may name the "auto" capacity mode instead of MaxOut: the engine's
-// advisor sizes the output at the worst-case match bound (which cannot
+// JoinCap may name the "auto" capacity mode instead of MaxOut: the join
+// sizes its own output at the worst-case match bound (which cannot
 // overflow), revealing that bound as public shape. Setting both is an
 // error.
 type Join struct {

@@ -8,7 +8,7 @@
 // the join is many-to-many) is equi-joined against the table first; the
 // output capacity -joincap is public query shape, and a run whose true
 // match count exceeds it fails with the count a retry needs. -joincap auto
-// delegates the capacity to the engine's advisor (the worst-case match
+// lets the join size itself from its own key sort (the worst-case match
 // bound, which can never overflow — revealed as public shape).
 //
 // Usage:
@@ -44,6 +44,74 @@ import (
 	"oblivmc/internal/benchdata"
 	"oblivmc/internal/prng"
 )
+
+// execConfig builds the run's Config from the execution flags shared by the
+// relational and -graph paths.
+func execConfig(seed uint64, workers int, backend string, detShuffle, metered bool) oblivmc.Config {
+	cfg := oblivmc.Config{Seed: seed, Workers: workers, DeterministicShuffle: detShuffle}
+	switch backend {
+	case "auto":
+		cfg.SortBackend = oblivmc.SortAuto
+	case "bitonic":
+		cfg.SortBackend = oblivmc.SortBitonic
+	case "shuffle":
+		cfg.SortBackend = oblivmc.SortShuffle
+	default:
+		log.Fatalf("unknown backend %q (auto|bitonic|shuffle)", backend)
+	}
+	if metered {
+		cfg.Mode = oblivmc.ModeMetered
+		cfg.CacheM = 1 << 12
+		cfg.CacheB = 32
+		cfg.Trace = true
+	}
+	return cfg
+}
+
+// printReport writes a metered run's cost profile and the adversary's-view
+// fingerprint (followed by viewNote) to stderr; rep is nil outside -metered.
+func printReport(rep *oblivmc.Report, viewNote string) {
+	if rep == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "work=%d span=%d parallelism=%.0fx memops=%d cache-misses=%d\n",
+		rep.Work, rep.Span, float64(rep.Work)/float64(rep.Span), rep.MemOps, rep.CacheMisses)
+	fmt.Fprintf(os.Stderr, "adversary's view: %016x/%d%s\n",
+		rep.TraceFingerprint.Hash, rep.TraceFingerprint.Count, viewNote)
+}
+
+// printRows writes at most limit result rows to stdout, one
+// tab-separated "keys... value" line each.
+func printRows(table oblivmc.Table, limit int) {
+	w := bufio.NewWriter(os.Stdout)
+	defer w.Flush()
+	for i, r := range table.WideRows() {
+		if i >= limit {
+			fmt.Fprintf(w, "... (%d more rows)\n", table.Len()-limit)
+			break
+		}
+		keys := make([]string, len(r.Keys))
+		for c, k := range r.Keys {
+			keys[c] = strconv.FormatUint(k, 10)
+		}
+		fmt.Fprintf(w, "%s\t%d\n", strings.Join(keys, "\t"), r.Val)
+	}
+}
+
+// randRows generates n rows of cols key columns drawn from [0, groups) and
+// values in [base, base+2^20), reproducibly from seed.
+func randRows(seed uint64, n, cols, groups int, base uint64) []oblivmc.WideRow {
+	src := prng.New(seed)
+	rows := make([]oblivmc.WideRow, n)
+	for i := range rows {
+		keys := make([]uint64, cols)
+		for c := range keys {
+			keys[c] = src.Uint64n(uint64(groups))
+		}
+		rows[i] = oblivmc.WideRow{Keys: keys, Val: base + src.Uint64n(1<<20)}
+	}
+	return rows
+}
 
 // runGraph executes the -graph path: build a width-2 edge table (stdin
 // "u v w" rows, or the canonical benchmark graph of n edges), run the
@@ -83,11 +151,7 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 			edges = append(edges, oblivmc.WeightedEdge{U: u, V: v, W: w})
 		}
 	} else {
-		_, bench := benchdata.GraphEdges(n)
-		edges = make([]oblivmc.WeightedEdge, len(bench))
-		for i, e := range bench {
-			edges[i] = oblivmc.WeightedEdge{U: e.U, V: e.V, W: e.W}
-		}
+		_, edges = benchdata.GraphEdges(n)
 	}
 	table, err := oblivmc.NewEdgeTable(edges)
 	if err != nil {
@@ -102,24 +166,7 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 		fmt.Fprintf(os.Stderr, "plan: %s\n", pl)
 	}
 
-	cfg := oblivmc.Config{Seed: seed, Workers: workers, DeterministicShuffle: detShuffle}
-	switch backend {
-	case "auto":
-		cfg.SortBackend = oblivmc.SortAuto
-	case "bitonic":
-		cfg.SortBackend = oblivmc.SortBitonic
-	case "shuffle":
-		cfg.SortBackend = oblivmc.SortShuffle
-	default:
-		log.Fatalf("unknown backend %q (auto|bitonic|shuffle)", backend)
-	}
-	if metered {
-		cfg.Mode = oblivmc.ModeMetered
-		cfg.CacheM = 1 << 12
-		cfg.CacheB = 32
-		cfg.Trace = true
-	}
-
+	cfg := execConfig(seed, workers, backend, detShuffle, metered)
 	start := time.Now()
 	var res oblivmc.Table
 	var rep *oblivmc.Report
@@ -141,25 +188,8 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 
 	fmt.Fprintf(os.Stderr, "%s over %d edges obliviously in %v (%.0f edges/s), %d result rows\n",
 		op, table.Len(), elapsed, float64(table.Len())/elapsed.Seconds(), res.Len())
-	if rep != nil {
-		fmt.Fprintf(os.Stderr, "work=%d span=%d parallelism=%.0fx memops=%d cache-misses=%d\n",
-			rep.Work, rep.Span, float64(rep.Work)/float64(rep.Span), rep.MemOps, rep.CacheMisses)
-		fmt.Fprintf(os.Stderr, "adversary's view: %016x/%d\n",
-			rep.TraceFingerprint.Hash, rep.TraceFingerprint.Count)
-	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for i, r := range res.WideRows() {
-		if i >= limit {
-			fmt.Fprintf(w, "... (%d more rows)\n", res.Len()-limit)
-			break
-		}
-		keys := make([]string, len(r.Keys))
-		for c, k := range r.Keys {
-			keys[c] = strconv.FormatUint(k, 10)
-		}
-		fmt.Fprintf(w, "%s\t%d\n", strings.Join(keys, "\t"), r.Val)
-	}
+	printReport(rep, "")
+	printRows(res, limit)
 }
 
 func main() {
@@ -168,7 +198,7 @@ func main() {
 	cols := flag.Int("cols", 1, "key columns per row (1 or 2; 2 groups by the full (a, b) tuple)")
 	useStdin := flag.Bool("stdin", false, "read \"key... value\" rows (one per line, -cols keys) from stdin")
 	joinN := flag.Int("join", 0, "many-to-many join: equi-join a generated dimension table of this many rows against the table first (0 = no join)")
-	joinCap := flag.String("joincap", "", "public output capacity of the join: a row count, \"auto\" for the capacity advisor's worst-case bound, or empty for 4x the table's rows")
+	joinCap := flag.String("joincap", "", "public output capacity of the join: a row count, \"auto\" to let the join size itself to the worst-case match bound, or empty for 4x the table's rows")
 	minVal := flag.Uint64("min", 0, "filter: keep rows with value >= min (0 = no filter; any width)")
 	minKey := flag.Uint64("minkey", 0, "key-only filter: keep rows with key column 0 >= minkey (0 = none; plannable below distinct/group-by; any width)")
 	distinct := flag.Bool("distinct", false, "deduplicate rows by key tuple before aggregating")
@@ -234,15 +264,7 @@ func main() {
 			rows = append(rows, oblivmc.WideRow{Keys: keys, Val: v})
 		}
 	} else {
-		src := prng.New(*seed ^ 0xbeef)
-		rows = make([]oblivmc.WideRow, *n)
-		for i := range rows {
-			keys := make([]uint64, *cols)
-			for c := range keys {
-				keys[c] = src.Uint64n(uint64(*groups))
-			}
-			rows[i] = oblivmc.WideRow{Keys: keys, Val: src.Uint64n(1 << 20)}
-		}
+		rows = randRows(*seed^0xbeef, *n, *cols, *groups, 0)
 	}
 	table, err := oblivmc.NewWideTable(rows)
 	if err != nil {
@@ -253,16 +275,7 @@ func main() {
 	if *joinN > 0 {
 		// The dimension table's keys repeat (same -groups space as the fact
 		// table), so the expansion is genuinely many-to-many.
-		src := prng.New(*seed ^ 0xd1e5e1)
-		dims := make([]oblivmc.WideRow, *joinN)
-		for i := range dims {
-			keys := make([]uint64, *cols)
-			for c := range keys {
-				keys[c] = src.Uint64n(uint64(*groups))
-			}
-			dims[i] = oblivmc.WideRow{Keys: keys, Val: 1_000_000 + src.Uint64n(1<<20)}
-		}
-		dim, err := oblivmc.NewWideTable(dims)
+		dim, err := oblivmc.NewWideTable(randRows(*seed^0xd1e5e1, *joinN, *cols, *groups, 1_000_000))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -327,23 +340,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plan: %s\n", pl)
 	}
 
-	cfg := oblivmc.Config{Seed: *seed, Workers: *workers, DeterministicShuffle: *detShuffle}
-	switch *backend {
-	case "auto":
-		cfg.SortBackend = oblivmc.SortAuto
-	case "bitonic":
-		cfg.SortBackend = oblivmc.SortBitonic
-	case "shuffle":
-		cfg.SortBackend = oblivmc.SortShuffle
-	default:
-		log.Fatalf("unknown backend %q (auto|bitonic|shuffle)", *backend)
-	}
-	if *metered {
-		cfg.Mode = oblivmc.ModeMetered
-		cfg.CacheM = 1 << 12
-		cfg.CacheB = 32
-		cfg.Trace = true
-	}
+	cfg := execConfig(*seed, *workers, *backend, *detShuffle, *metered)
 	start := time.Now()
 	res, rep, err := oblivmc.RunQuery(cfg, table, q)
 	if err != nil {
@@ -353,23 +350,6 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "queried %d rows (%d key column(s)) obliviously in %v (%.0f rows/s), %d result rows\n",
 		table.Len(), table.Width(), elapsed, float64(table.Len())/elapsed.Seconds(), res.Len())
-	if rep != nil {
-		fmt.Fprintf(os.Stderr, "work=%d span=%d parallelism=%.0fx memops=%d cache-misses=%d\n",
-			rep.Work, rep.Span, float64(rep.Work)/float64(rep.Span), rep.MemOps, rep.CacheMisses)
-		fmt.Fprintf(os.Stderr, "adversary's view: %016x/%d (bitonic: a function of row count, width, and query shape; shuffle: input-independent in distribution over its secret permutation)\n",
-			rep.TraceFingerprint.Hash, rep.TraceFingerprint.Count)
-	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for i, r := range res.WideRows() {
-		if i >= *limit {
-			fmt.Fprintf(w, "... (%d more rows)\n", res.Len()-*limit)
-			break
-		}
-		keys := make([]string, len(r.Keys))
-		for c, k := range r.Keys {
-			keys[c] = strconv.FormatUint(k, 10)
-		}
-		fmt.Fprintf(w, "%s\t%d\n", strings.Join(keys, "\t"), r.Val)
-	}
+	printReport(rep, " (bitonic: a function of row count, width, and query shape; shuffle: input-independent in distribution over its secret permutation)")
+	printRows(res, *limit)
 }

@@ -87,15 +87,15 @@ func NewEdgeTable(edges []WeightedEdge) (Table, error) {
 	return NewWideTable(rows)
 }
 
-// Edges converts a width-2 table back to a weighted edge list (the inverse
-// of NewEdgeTable). Tables of any other width return ErrBadWidth.
+// Edges returns a fresh weighted-edge view of a width-2 table's rows (the
+// inverse of NewEdgeTable). Tables of any other width return ErrBadWidth.
 func (t Table) Edges() ([]WeightedEdge, error) {
 	if t.Width() != 2 {
 		return nil, fmt.Errorf("%w (edge tables have 2 key columns, this table has %d)", ErrBadWidth, t.Width())
 	}
-	out := make([]WeightedEdge, t.Len())
-	for i, r := range t.WideRows() {
-		out[i] = WeightedEdge{U: int(r.Keys[0]), V: int(r.Keys[1]), W: r.Val}
+	out := make([]WeightedEdge, len(t.recs))
+	for i, r := range t.recs {
+		out[i] = WeightedEdge{U: int(r.Key), V: int(r.Key2), W: r.Val}
 	}
 	return out, nil
 }
@@ -194,15 +194,11 @@ func components(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, rou
 	if err != nil {
 		return Table{}, nil, err
 	}
-	rows := make([]Row, n)
+	recs := make([]relops.Record, n)
 	for v, l := range labels {
-		rows[v] = Row{Key: uint64(v), Val: uint64(l)}
+		recs[v] = relops.Record{Key: uint64(v), Val: uint64(l)}
 	}
-	out, err := NewTable(rows)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	return out, rep, nil
+	return Table{recs: recs, width: 1}, rep, nil
 }
 
 // MSF obliviously computes the minimum spanning forest of the undirected
@@ -221,33 +217,27 @@ func msf(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge) (Table, *R
 	if n >= 1<<21 || len(el) >= 1<<21 {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(el))
 	}
-	ge := make([]graph.WEdge, len(el))
 	for i, ed := range el {
 		if ed.W >= 1<<20 {
 			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, ed.W)
 		}
-		ge[i] = graph.WEdge{U: ed.U, V: ed.V, W: ed.W}
 	}
 	var chosen []int
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, e.cfg.graphParams(srt))
+		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, el, e.cfg.graphParams(srt))
 	})
 	if err != nil {
 		return Table{}, nil, err
 	}
-	rows := make([]WideRow, len(chosen))
-	for i, ci := range chosen {
-		rows[i] = WideRow{Keys: []uint64{uint64(el[ci].U), uint64(el[ci].V)}, Val: el[ci].W}
-	}
-	if len(rows) == 0 {
+	if len(chosen) == 0 {
 		// A forest with no edges (self-loop-only input): no Table to build.
 		return Table{}, rep, nil
 	}
-	out, err := NewWideTable(rows)
-	if err != nil {
-		return Table{}, nil, err
+	recs := make([]relops.Record, len(chosen))
+	for i, ci := range chosen {
+		recs[i] = relops.Record{Key: uint64(el[ci].U), Key2: uint64(el[ci].V), Val: el[ci].W}
 	}
-	return out, rep, nil
+	return Table{recs: recs, width: 2}, rep, nil
 }
 
 // PageRankScale is the fixed-point unit of PageRank ranks: a rank of
@@ -286,7 +276,9 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	return out, rep, err
 }
 
-// pageRank runs the 1+2·iters constituent operators under e. A Session lends
+// pageRank runs the 1+2·iters constituent operators under e, over records it
+// builds itself (vertex ids and edge endpoints, all below n ≤ MaxRows), so
+// its intermediate tables wrap them directly. A Session lends
 // its one persistent sorter (srt) to all of them, alongside its pool, space
 // and arena; the one-shot form passes nil and every constituent run gets a
 // fresh relSorter, as each did when it was a separate public call — the
@@ -307,30 +299,26 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 		return relSorter(e.cfg)
 	}
 	var total *Report
-	groupSum := func(rows []Row) ([]Row, error) {
-		tbl, err := NewTable(rows)
-		if err != nil {
-			return nil, err
-		}
-		out, rep, _, err := runQuery(e, tbl, Query{GroupBy: AggSum}, sorter())
+	groupSum := func(recs []relops.Record) ([]relops.Record, error) {
+		out, rep, _, err := runQuery(e, Table{recs: recs, width: 1}, Query{GroupBy: AggSum}, sorter())
 		if err != nil {
 			return nil, err
 		}
 		mergeReport(&total, rep)
-		return out.Rows(), nil
+		return out.recs, nil
 	}
 
 	// Out-degrees: one grouped count over a unit row per edge source plus a
 	// zero sentinel per vertex, so every vertex appears and the key-sorted
 	// output is exactly vertex order.
-	degRows := make([]Row, 0, n+m)
+	degRecs := make([]relops.Record, 0, n+m)
 	for v := 0; v < n; v++ {
-		degRows = append(degRows, Row{Key: uint64(v), Val: 0})
+		degRecs = append(degRecs, relops.Record{Key: uint64(v), Val: 0})
 	}
 	for _, ed := range el {
-		degRows = append(degRows, Row{Key: uint64(ed.U), Val: 1})
+		degRecs = append(degRecs, relops.Record{Key: uint64(ed.U), Val: 1})
 	}
-	degOut, err := groupSum(degRows)
+	degOut, err := groupSum(degRecs)
 	if err != nil {
 		return Table{}, nil, err
 	}
@@ -339,14 +327,11 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 		deg[r.Key] = r.Val
 	}
 
-	edgeRows := make([]Row, m)
+	edgeRecs := make([]relops.Record, m)
 	for i, ed := range el {
-		edgeRows[i] = Row{Key: uint64(ed.U), Val: uint64(ed.V)}
+		edgeRecs[i] = relops.Record{Key: uint64(ed.U), Val: uint64(ed.V)}
 	}
-	edgeTbl, err := NewTable(edgeRows)
-	if err != nil {
-		return Table{}, nil, err
-	}
+	edgeTbl := Table{recs: edgeRecs, width: 1}
 
 	ranks := make([]uint64, n)
 	for v := range ranks {
@@ -355,18 +340,15 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 	base := PageRankScale * (pageRankDampDen - pageRankDampNum) / pageRankDampDen
 
 	for it := 0; it < iters; it++ {
-		shareRows := make([]Row, n)
+		shareRecs := make([]relops.Record, n)
 		for v := 0; v < n; v++ {
 			s := uint64(0)
 			if deg[v] > 0 {
 				s = ranks[v] * pageRankDampNum / pageRankDampDen / deg[v]
 			}
-			shareRows[v] = Row{Key: uint64(v), Val: s}
+			shareRecs[v] = relops.Record{Key: uint64(v), Val: s}
 		}
-		shareTbl, err := NewTable(shareRows)
-		if err != nil {
-			return Table{}, nil, err
-		}
+		shareTbl := Table{recs: shareRecs, width: 1}
 		// Every edge row matches exactly one share row (shares cover all
 		// vertices, with distinct keys), so m is the exact public capacity.
 		joined, rep, err := joinAllRows(e, sorter(), shareTbl, edgeTbl, m)
@@ -375,14 +357,14 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 		}
 		mergeReport(&total, rep)
 
-		contribRows := make([]Row, 0, n+m)
+		contribRecs := make([]relops.Record, 0, n+m)
 		for v := 0; v < n; v++ {
-			contribRows = append(contribRows, Row{Key: uint64(v), Val: 0})
+			contribRecs = append(contribRecs, relops.Record{Key: uint64(v), Val: 0})
 		}
 		for _, j := range joined {
-			contribRows = append(contribRows, Row{Key: j.RightVal, Val: j.LeftVal})
+			contribRecs = append(contribRecs, relops.Record{Key: j.RightVal, Val: j.LeftVal})
 		}
-		summed, err := groupSum(contribRows)
+		summed, err := groupSum(contribRecs)
 		if err != nil {
 			return Table{}, nil, err
 		}
@@ -391,15 +373,11 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 		}
 	}
 
-	outRows := make([]Row, n)
+	outRecs := make([]relops.Record, n)
 	for v := 0; v < n; v++ {
-		outRows[v] = Row{Key: uint64(v), Val: ranks[v]}
+		outRecs[v] = relops.Record{Key: uint64(v), Val: ranks[v]}
 	}
-	out, err := NewTable(outRows)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	return out, total, nil
+	return Table{recs: outRecs, width: 1}, total, nil
 }
 
 // mergeReport folds one operator run's report into an accumulated total:

@@ -197,7 +197,7 @@ func TestPageRankMatchesIntegerReference(t *testing.T) {
 }
 
 func TestEdgeTableRoundTripAndErrors(t *testing.T) {
-	edges := []WeightedEdge{{0, 3, 7}, {2, 2, 1}, {5, 1, 0}}
+	edges := []WeightedEdge{{U: 0, V: 3, W: 7}, {U: 2, V: 2, W: 1}, {U: 5, V: 1, W: 0}}
 	tab := mustEdgeTable(t, edges)
 	got, err := tab.Edges()
 	if err != nil {

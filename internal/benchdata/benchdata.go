@@ -6,6 +6,7 @@
 package benchdata
 
 import (
+	"oblivmc/internal/graph"
 	"oblivmc/internal/prng"
 	"oblivmc/internal/relops"
 )
@@ -77,13 +78,11 @@ func LeftRecords(n int) []relops.Record {
 // component structure is nontrivial.
 const GraphVertexFraction = 16
 
-// Edge is one weighted benchmark edge (a plain struct so the package stays
-// importable from the root benchmarks and the CLIs without depending on the
-// public API).
-type Edge struct {
-	U, V int
-	W    uint64
-}
+// Edge is one weighted benchmark edge: the graph layer's edge type, which
+// the public API's WeightedEdge also names, so generated graphs reach both
+// uncopied (and the package stays importable from the root benchmarks and
+// the CLIs without depending on the public API).
+type Edge = graph.WEdge
 
 // GraphEdges generates the canonical m-edge benchmark graph: vertices
 // n = m/GraphVertexFraction, a Hamiltonian-path backbone over the first

@@ -234,17 +234,13 @@ func (s *ShuffleSorter) tieScratch(sp *mem.Space, n int) (tie, tscr *mem.Array[u
 	return s.tiePlane.View(0, n), s.tieScr.View(0, n)
 }
 
-// Sort implements obliv.Sorter by materializing the closure's keys into a
-// width-1 schedule and sorting through SortScheduled.
+// Sort implements obliv.Sorter with the stateless bitonic network at every
+// size. The closure-key seam is the paper reproduction's: it sorts the
+// poly-log subproblems the paper sorts with a network, and sorts them
+// concurrently through one shared Params.Sorter (core.RandomPermutation's
+// bins), so it must not touch this sorter's per-run caches.
 func (s *ShuffleSorter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	if n <= 1 {
-		return
-	}
-	if n < s.crossover() || !obliv.IsPow2(n) {
-		bitonic.CacheAgnostic{}.Sort(c, sp, a, lo, n, key)
-		return
-	}
-	obliv.NewKeyedSort(sp, n, obliv.TiePos, s).Sort(c, a, lo, n, key)
+	bitonic.CacheAgnostic{}.Sort(c, sp, a, lo, n, key)
 }
 
 // SortScheduled implements obliv.ScheduledSorter: Beneš-permute a[lo:lo+n)

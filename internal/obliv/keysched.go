@@ -306,11 +306,11 @@ func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Arra
 }
 
 // KeyedSort is the keyed-sort recipe of every call site without a
-// relops.Arena (the graph and PRAM bulk steps, send-receive, Distribute,
-// the closure-key shim of the shuffle backend): it owns one width-1 key
-// schedule, its scratch twin — held to the same tie rule, since the
-// cache-agnostic merges swap the two schedules' roles — and the element
-// scratch, and reuses all three across a caller's consecutive sorts.
+// relops.Arena (the graph and PRAM bulk steps, send-receive, Distribute):
+// it owns one width-1 key schedule, its scratch twin — held to the same
+// tie rule, since the cache-agnostic merges swap the two schedules' roles —
+// and the element scratch, and reuses all three across a caller's
+// consecutive sorts.
 type KeyedSort struct {
 	sp       *mem.Space
 	srt      ScheduledSorter

@@ -58,10 +58,10 @@ func FuzzDistinct(f *testing.F) {
 	})
 }
 
-// FuzzJoinAllCapacityAdvisor differentially fuzzes the capacity advisor:
-// the advised bound must equal the nested-loop reference's pair count, and
-// a JoinAll at that capacity must never overflow — the property the
-// JoinCapAuto mode rests on.
+// FuzzJoinAllCapacityAdvisor differentially fuzzes the auto capacity: the
+// bound a CapAuto JoinAll adopts must equal the nested-loop reference's
+// pair count, and the join must deliver every match without overflowing —
+// the property the JoinCapAuto mode rests on.
 func FuzzJoinAllCapacityAdvisor(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(7), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(16), uint8(16), uint8(1), uint8(1))

@@ -22,6 +22,33 @@ const (
 	tagRight = 1
 )
 
+// interleave is the shared first step of every join: it copies left then
+// right into a fresh array of NextPow2(len(left)+len(right)) elements
+// (trailing slots are fillers), tagging each record with its side. Two
+// fixed elementwise passes — the trace depends only on the two lengths.
+func interleave(c *forkjoin.Ctx, sp *mem.Space, left, right Rel) *mem.Array[obliv.Elem] {
+	if left.W != right.W {
+		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
+	}
+	nl, nr := left.Len(), right.Len()
+	a := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(nl+nr))
+	forkjoin.ParallelRange(c, 0, nl, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := left.A.Get(c, i)
+			e.Tag = tagLeft
+			a.Set(c, i, e)
+		}
+	})
+	forkjoin.ParallelRange(c, 0, nr, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			e := right.A.Get(c, j)
+			e.Tag = tagRight
+			a.Set(c, nl+j, e)
+		}
+	})
+	return a
+}
+
 // Join is the oblivious sort-merge equi-join of a primary relation left
 // (whose key tuples must be distinct; if they are not, the first tuple in
 // sorted order wins, as in obliv.SendReceive) with a foreign relation
@@ -42,28 +69,8 @@ const (
 // elements' (Tag, Aux) read in registers — so the schedule carries only
 // the key columns. ar supplies reusable scratch (nil = allocate fresh).
 func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.ScheduledSorter) (Rel, int) {
-	if left.W != right.W {
-		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
-	}
 	w := left.W
-	nl, nr := left.Len(), right.Len()
-	wLen := obliv.NextPow2(nl + nr)
-	wrk := Rel{A: mem.Alloc[obliv.Elem](sp, wLen), W: w} // trailing slots are fillers
-
-	forkjoin.ParallelRange(c, 0, nl, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := left.A.Get(c, i)
-			e.Tag = tagLeft
-			wrk.A.Set(c, i, e)
-		}
-	})
-	forkjoin.ParallelRange(c, 0, nr, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			e := right.A.Get(c, j)
-			e.Tag = tagRight
-			wrk.A.Set(c, nl+j, e)
-		}
-	})
+	wrk := Rel{A: interleave(c, sp, left, right), W: w}
 
 	// Sort by (key columns..., left-before-right, position): the key
 	// columns are the cached schedule, and TiePos orders equal tuples by
@@ -95,7 +102,7 @@ func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.
 // UnloadJoined extracts the real joined records of a Join result in array
 // order (harness operation, outside the adversary's view).
 func UnloadJoined(r Rel) []Joined {
-	out := make([]Joined, 0, r.Len())
+	out := make([]Joined, 0, countReal(r.A))
 	for _, e := range r.A.Data() {
 		if e.Kind == obliv.Real {
 			out = append(out, Joined{Key: e.Key, Key2: e.Key2, LeftVal: e.Lbl, RightVal: e.Val})

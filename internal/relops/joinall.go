@@ -19,7 +19,10 @@ import (
 // maxOut — the true match count is data and must stay invisible in the
 // trace, so the operator always processes NextPow2(maxOut) output slots and
 // reports an overflow through the returned error (a raw read outside the
-// adversary's view, like every survivor count here).
+// adversary's view, like every survivor count here). A caller with no
+// public bound passes CapAuto and opts into revealing the worst-case bound
+// instead: step 2b resolves the sentinel to the match count it has just
+// computed, so the join sizes itself from its own key sort at no extra pass.
 //
 // Pass structure (3 data-independent sorts plus one bitonic merge, the rest
 // scans and fixed elementwise passes; the trace is a function of
@@ -29,8 +32,9 @@ import (
 //     group is its left records (in position order) then its right records;
 //  2. segmented suffix-count + propagation give every element its group's
 //     left multiplicity cnt, every left its within-group index, and every
-//     right its copy count; an exclusive prefix sum turns the counts into
-//     disjoint output spans [d, d+cnt);
+//     right its copy count — whose sum, Σ|L_g|·|R_g|, is the match count a
+//     CapAuto capacity resolves to; an exclusive prefix sum turns the
+//     counts into disjoint output spans [d, d+cnt);
 //  3. obliv.DistributeOrdered expands each right record across its span:
 //     copy k of a right record is the (k+1)-th match of that record,
 //     destined for the left record with within-group index k. Because the
@@ -43,37 +47,16 @@ import (
 //     (right position, left index) order with a schedule snapshotted before
 //     the propagation reuses the index field.
 
-// joinExpand runs the shared head of the many-to-many join (steps 1-3):
-// it returns the expansion work relation — the duplicated right copies
-// (Tag tagRight, Lbl holding the within-group left index, Aux the right
-// record's original position) interleaved with the untouched left records
-// (Tag tagLeft, Aux holding the within-group left index) — plus the true
-// match count, read raw outside the adversary's view. maxOut and the
-// relation shapes fully determine the trace.
-func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int) {
-	if left.W != right.W {
-		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
-	}
+// joinCount runs steps 1-2b: it returns the key-sorted interleave of the two
+// relations — every left (Tag tagLeft) carrying its within-group index in
+// Aux, every right (Tag tagRight) its group's left multiplicity, i.e. its
+// copy count, in Lbl — plus the true match count, the sum of the copy
+// counts, read raw outside the adversary's view. No capacity has entered
+// yet: the trace is a function of (len(left), len(right), width) alone,
+// which is what lets a CapAuto join size itself from this result.
+func joinCount(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.ScheduledSorter) (*mem.Array[obliv.Elem], uint64) {
 	w := left.W
-	nl, nr := left.Len(), right.Len()
-	n1 := obliv.NextPow2(nl + nr)
-	outLen := obliv.NextPow2(maxOut)
-	a := mem.Alloc[obliv.Elem](sp, n1) // trailing slots are fillers
-
-	forkjoin.ParallelRange(c, 0, nl, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := left.A.Get(c, i)
-			e.Tag = tagLeft
-			a.Set(c, i, e)
-		}
-	})
-	forkjoin.ParallelRange(c, 0, nr, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			e := right.A.Get(c, j)
-			e.Tag = tagRight
-			a.Set(c, nl+j, e)
-		}
-	})
+	a := interleave(c, sp, left, right)
 
 	// Step 1: sort by (key columns..., left-before-right, position).
 	sortSched(c, sp, ar, a, keyIdxSched(w), srt)
@@ -113,13 +96,50 @@ func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxO
 			return e
 		})
 
-	// True match count — the sum of the rights' copy counts — read raw
-	// outside the adversary's view (overflow diagnostics, same convention
-	// as countReal).
+	// True match count — the sum of the rights' copy counts, Σ over key
+	// groups of |left group|·|right group| — read raw outside the
+	// adversary's view (overflow diagnostics, same convention as countReal).
 	matches := uint64(0)
 	for _, e := range a.Data() {
 		if e.Kind == obliv.Real && e.Tag == tagRight {
 			matches += e.Lbl
+		}
+	}
+	return a, matches
+}
+
+// autoCap is the capacity a CapAuto join adopts once its match count is
+// known: the count itself — no smaller capacity holds the result and no
+// larger one is needed — floored to the legal minimum of one output slot.
+func autoCap(matches uint64) (int, error) {
+	if matches > MaxRows {
+		return 0, fmt.Errorf("%w: bound exceeds %d", ErrCapTooLarge, int64(MaxRows))
+	}
+	return max(1, int(matches)), nil
+}
+
+// joinExpand runs the shared head of the many-to-many join (steps 1-3):
+// it returns the expansion work relation — the duplicated right copies
+// (Tag tagRight, Lbl holding the within-group left index, Aux the right
+// record's original position) interleaved with the untouched left records
+// (Tag tagLeft, Aux holding the within-group left index) — plus the true
+// match count and the concrete output capacity: maxOut itself (validated by
+// CheckCapacity), or for the CapAuto sentinel the bound autoCap derives from
+// the match count — adopting it makes it public shape from there on. The
+// capacity and the relation shapes fully determine the trace.
+func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, int, error) {
+	if maxOut != CapAuto {
+		if err := CheckCapacity(int64(maxOut)); err != nil {
+			return Rel{}, 0, 0, err
+		}
+	}
+	w := left.W
+	a, matches := joinCount(c, sp, ar, left, right, srt)
+	n1 := a.Len()
+	if maxOut == CapAuto {
+		var err error
+		if maxOut, err = autoCap(matches); err != nil {
+			return Rel{}, int(matches), 0, err
 		}
 	}
 
@@ -151,7 +171,7 @@ func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxO
 	// untouched for step 4. The step-1 sort order plus the prefix-sum
 	// offsets let DistributeOrdered place the copies with a single bitonic
 	// merge instead of a second full sort.
-	wrkA := obliv.DistributeOrdered(c, sp, a, ranks, outLen,
+	wrkA := obliv.DistributeOrdered(c, sp, a, ranks, obliv.NextPow2(maxOut),
 		func(e obliv.Elem) bool { return e.Tag == tagRight && e.Lbl > 0 },
 		func(slot, d uint64, src obliv.Elem, ok bool) obliv.Elem {
 			li := slot - d
@@ -175,7 +195,7 @@ func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxO
 			wrkA.Set(c, i, e)
 		}
 	})
-	return Rel{A: wrkA, W: w}, int(matches)
+	return Rel{A: wrkA, W: w}, int(matches), maxOut, nil
 }
 
 // joinLiSched orders the expansion work relation by (key columns..., left
@@ -237,13 +257,16 @@ func sameGroupLi(w int) func(x, y obliv.Elem) bool {
 // adversary's view). When it exceeds maxOut the error wraps
 // ErrJoinOverflow and the relation holds an unspecified subset of the
 // matches; the count tells the caller what capacity a retry needs. A
-// maxOut outside [1, MaxRows] returns ErrBadCapacity (CheckCapacity).
-// ar supplies reusable scratch (nil = allocate fresh).
+// maxOut outside [1, MaxRows] returns ErrBadCapacity (CheckCapacity) —
+// except CapAuto, which adopts the match count as the capacity (it cannot
+// overflow; a count above MaxRows returns ErrCapTooLarge) and thereby makes
+// it public: the trace then depends on (len(left), len(right), width, match
+// count). ar supplies reusable scratch (nil = allocate fresh).
 func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, error) {
-	if err := CheckCapacity(int64(maxOut)); err != nil {
-		return Rel{}, 0, err
+	wrk, matches, maxOut, err := joinExpand(c, sp, ar, left, right, maxOut, srt)
+	if err != nil {
+		return Rel{}, matches, err
 	}
-	wrk, matches := joinExpand(c, sp, ar, left, right, maxOut, srt)
 	w := wrk.W
 	n := wrk.Len()
 
@@ -314,13 +337,13 @@ func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut 
 // scattered among fillers in unspecified order, with the left values *not*
 // delivered; the caller's next sorting pass restores contiguity. Length is
 // NextPow2(NextPow2(len(left)+len(right)) + NextPow2(maxOut)) — a function
-// of the public shapes. Match count and overflow behave exactly as in
-// JoinAll.
+// of the public shapes. Match count, overflow and CapAuto behave exactly as
+// in JoinAll.
 func JoinAllDeferred(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, error) {
-	if err := CheckCapacity(int64(maxOut)); err != nil {
-		return Rel{}, 0, err
+	wrk, matches, maxOut, err := joinExpand(c, sp, ar, left, right, maxOut, srt)
+	if err != nil {
+		return Rel{}, matches, err
 	}
-	wrk, matches := joinExpand(c, sp, ar, left, right, maxOut, srt)
 	// Drop the left partners (their values are not delivered on this path)
 	// and clear the copies' scratch index so downstream passes see plain
 	// records.

@@ -46,10 +46,11 @@
 // engine.go) running the pass sequence the internal/plan sort-fusion
 // planner compiles from a query shape — a stand-alone Filter, Distinct,
 // GroupBy or TopK is simply a one-stage shape. The binary joins (Join,
-// JoinAll) are operators of their own. Everything sorts through the
-// key-schedule fast path (obliv.ScheduledSorter, the only sorter type the
-// relational layer accepts) and draws its scratch from an Arena when one
-// is supplied.
+// JoinAll) are operators of their own, sharing one interleave-and-tag step;
+// JoinAll sizes its own output when asked to (CapAuto). Everything sorts
+// through the key-schedule fast path (obliv.ScheduledSorter, the only
+// sorter type the relational layer accepts) and draws its scratch from an
+// Arena when one is supplied.
 package relops
 
 import (
@@ -108,12 +109,20 @@ var (
 	// data, so the capacity must be chosen from public knowledge (at worst
 	// len(left)*len(right), itself capped by the MaxRows capacity bound).
 	ErrJoinOverflow = fmt.Errorf("relops: join match count exceeds the public output capacity maxOut (capacities range up to 2^%d rows)", maxRowsLog)
-	// ErrCapTooLarge is returned by JoinCapAdvise (and the JoinCapAuto
-	// resolution built on it) when the worst-case match bound Σ|L_g|·|R_g|
-	// exceeds MaxRows: no legal capacity can hold the join, so the caller
-	// must shrink the inputs rather than retry.
+	// ErrCapTooLarge is returned by a CapAuto join when the worst-case match
+	// bound Σ|L_g|·|R_g| exceeds MaxRows: no legal capacity can hold the
+	// join, so the caller must shrink the inputs rather than retry.
 	ErrCapTooLarge = fmt.Errorf("relops: advised join capacity exceeds MaxRows (2^%d rows)", maxRowsLog)
 )
+
+// CapAuto, passed as the maxOut of JoinAll / JoinAllDeferred, sizes the
+// output from the join's own key sort: once the group multiplicities are
+// in hand (joinExpand step 2b) the worst-case match bound Σ over key groups
+// of |left group|·|right group| — which is the true match count — becomes
+// the capacity, floored to the legal minimum of 1. No extra pass runs; the
+// bound is public shape from that point on, exactly like a hand-picked
+// maxOut.
+const CapAuto = -1
 
 // CheckCapacity validates a public join output capacity against the same
 // row bound CheckShape enforces, without materializing anything. maxOut is
@@ -199,7 +208,7 @@ func Load(sp *mem.Space, recs []Record, w int) (Rel, error) {
 // Unload extracts the real records of r in array order. Like Load it is a
 // harness operation outside the adversary's view.
 func Unload(r Rel) []Record {
-	out := make([]Record, 0, r.Len())
+	out := make([]Record, 0, countReal(r.A))
 	for _, e := range r.A.Data() {
 		if e.Kind == obliv.Real {
 			out = append(out, Record{Key: e.Key, Key2: e.Key2, Val: e.Val})

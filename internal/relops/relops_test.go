@@ -157,7 +157,11 @@ func TestCompactRandom(t *testing.T) {
 		if count != len(want) {
 			t.Fatalf("n=%d: Compact count = %d, want %d", n, count, len(want))
 		}
-		checkRecords(t, Unload(a), want, "Compact")
+		got := Unload(a)
+		checkRecords(t, got, want, "Compact")
+		if cap(got) != len(got) {
+			t.Fatalf("n=%d: Unload allocated %d entries for %d survivors — the result must be sized to the result, not the padded input", n, cap(got), len(got))
+		}
 	}
 }
 

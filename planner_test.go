@@ -619,10 +619,10 @@ func TestJoinedQueryObliviousTrace(t *testing.T) {
 	}
 }
 
-// TestJoinCapAuto: a JoinCapAuto capacity resolves to the advisor's exact
-// worst-case bound inside the run, so the query result matches an explicit
-// exact capacity, the join can never overflow, and both surfaces (Query
-// and JoinAllRows) accept the sentinel.
+// TestJoinCapAuto: a JoinCapAuto capacity resolves to the exact worst-case
+// bound inside the run (the join's own match count), so the query result
+// matches an explicit exact capacity, the join can never overflow, and both
+// surfaces (Query and JoinAllRows) accept the sentinel.
 func TestJoinCapAuto(t *testing.T) {
 	lt, rt, left, rows := joinedQueryTables(t, 48)
 	want := refJoinedRows(left, rows)
@@ -655,11 +655,44 @@ func TestJoinCapAuto(t *testing.T) {
 		t.Fatalf("JoinAllRows(JoinCapAuto) delivered %d rows, want every match: %d", len(joined), len(want))
 	}
 
-	// No possible matches: the advised bound of zero is floored to the
-	// legal minimum capacity instead of failing validation.
+	// No possible matches: the bound of zero is floored to the legal
+	// minimum capacity instead of failing validation.
 	disjoint := mustTable(t, []Row{{Key: 1 << 30, Val: 1}})
 	if rows, _, err := JoinAllRows(Config{Mode: ModeSerial}, disjoint, rt, JoinCapAuto); err != nil || len(rows) != 0 {
 		t.Fatalf("disjoint JoinCapAuto: rows %v, err %v — want empty success", rows, err)
+	}
+}
+
+// TestAutoJoinRunsThePlansSorts: a join sizes itself from its own key sort,
+// so under JoinCapAuto — as at an explicit capacity — a Session executes
+// exactly the sorts the plan string promises (the stand-alone join's 3; the
+// deferred join's 1 plus the group-by's 2) and delivers the explicit run's
+// rows. A separate sizing pass would show up here as a fourth sort.
+func TestAutoJoinRunsThePlansSorts(t *testing.T) {
+	lt, rt, left, rows := joinedQueryTables(t, 48)
+	exact := len(refJoinedRows(left, rows))
+	sess := NewSession(Config{Mode: ModeSerial, SortBackend: SortBitonic})
+	defer sess.Close()
+	for _, agg := range []Agg{AggNone, AggSum} {
+		var want []Row
+		for _, maxOut := range []int{exact, JoinCapAuto} {
+			q := Query{Join: &JoinSpec{Left: lt, MaxOut: maxOut}, GroupBy: agg}
+			out, stats, err := sess.RunQuery(rt, q)
+			if err != nil {
+				t.Fatalf("agg=%v maxOut=%d: %v", agg, maxOut, err)
+			}
+			kind, _ := queryAgg(q)
+			pl := plan.Build(q.shape(kind, 1, OrderNone))
+			if pl.SortPasses != 3 || stats.SortPasses != pl.SortPasses {
+				t.Fatalf("agg=%v maxOut=%d: executed %d sorts, plan says %d, want 3 and 3 (%s)",
+					agg, maxOut, stats.SortPasses, pl.SortPasses, stats.Plan)
+			}
+			if maxOut == exact {
+				want = out.Rows()
+			} else if fmt.Sprint(out.Rows()) != fmt.Sprint(want) {
+				t.Fatalf("agg=%v: auto-capacity rows %v differ from explicit-capacity rows %v", agg, out.Rows(), want)
+			}
+		}
 	}
 }
 

@@ -69,31 +69,33 @@ var (
 	// count a retry needs.
 	ErrJoinOverflow = fmt.Errorf("oblivmc: join match count exceeds the declared output capacity: %w",
 		relops.ErrJoinOverflow)
-	// ErrCapTooLarge is returned by a JoinCapAuto join whose advised
-	// worst-case bound exceeds relops.MaxRows: no legal capacity can hold
-	// the result, so the inputs must shrink rather than the capacity grow.
+	// ErrCapTooLarge is returned by a JoinCapAuto join whose worst-case
+	// bound exceeds relops.MaxRows: no legal capacity can hold the result,
+	// so the inputs must shrink rather than the capacity grow.
 	ErrCapTooLarge = fmt.Errorf("oblivmc: advised join capacity exceeds %d rows: %w",
 		uint64(relops.MaxRows), relops.ErrCapTooLarge)
 )
 
 // JoinCapAuto, passed as a join's maxOut (JoinSpec.MaxOut or JoinAllRows),
-// asks the engine to size the output with the capacity advisor
-// (relops.JoinCapAdvise): the worst-case match bound Σ over key groups of
-// |left group|·|right group|, computed obliviously inside the same run (one
-// extra sorting pass) and then used as the public capacity — so the join
-// can never overflow and the guess-retry loop disappears. The advised
-// bound becomes public shape exactly like a hand-picked maxOut: callers
-// opt into revealing the worst-case match bound, never the true count.
-const JoinCapAuto = -1
+// asks the join to size its own output: the worst-case match bound Σ over
+// key groups of |left group|·|right group| falls out of the join's own key
+// sort (the group multiplicities it computes anyway — no extra pass) and is
+// then used as the public capacity, so the join can never overflow and the
+// guess-retry loop disappears. The bound becomes public shape exactly like
+// a hand-picked maxOut: callers opt into revealing it. It is
+// relops.CapAuto, resolved where the multiplicities are in hand.
+const JoinCapAuto = relops.CapAuto
 
-// Row is one single-key-column (key, value) record of a Table.
+// Row is the single-key-column (key, value) view of a Table row: what
+// NewTable reads and Rows returns.
 type Row struct {
 	Key, Val uint64
 }
 
-// WideRow is one multi-column (keys..., value) record of a Table. Keys
-// holds the key columns in significance order (column 0 sorts first); all
-// rows of a table must declare the same number of columns.
+// WideRow is the multi-column (keys..., value) view of a Table row: what
+// NewWideTable reads and WideRows returns. Keys holds the key columns in
+// significance order (column 0 sorts first); all rows of a table must
+// declare the same number of columns.
 type WideRow struct {
 	Keys []uint64
 	Val  uint64
@@ -164,9 +166,15 @@ func tableOrderOf(o plan.Order) TableOrder {
 // the bounds: key columns < relops.KeyLimit and at most relops.MaxRows
 // rows. The key-column count is public query shape, like the row count,
 // as is the sorted-by token (see TableOrder).
+//
+// A Table owns an immutable copy of its rows in one form at every width —
+// the relational records the engine loads as they are and unloads results
+// into (result tables wrap the records the engine produced) — so it never
+// aliases the slice it was built from, and Row / WideRow / WeightedEdge are
+// views made fresh at the API edge (Rows, WideRows, Edges). Copying a Table
+// value shares the records, which is safe because nothing writes them.
 type Table struct {
-	rows  []Row     // width-1 storage
-	wide  []WideRow // width >= 2 storage
+	recs  []relops.Record
 	width int
 	order TableOrder
 }
@@ -175,9 +183,9 @@ type Table struct {
 // table is a materialized query result carrying one).
 func (t Table) Order() TableOrder { return t.order }
 
-// NewTable validates rows and wraps them in a width-1 Table. Violations of
-// the bounds return ErrKeyTooLarge / ErrTooManyRows (matchable with
-// errors.Is).
+// NewTable validates rows and copies them into a width-1 Table (the caller
+// keeps ownership of rows). Violations of the bounds return ErrKeyTooLarge /
+// ErrTooManyRows (matchable with errors.Is).
 func NewTable(rows []Row) (Table, error) {
 	if len(rows) == 0 {
 		return Table{}, ErrEmptyInput
@@ -185,16 +193,19 @@ func NewTable(rows []Row) (Table, error) {
 	if err := relops.CheckShape(int64(len(rows)), 1); err != nil {
 		return Table{}, fmt.Errorf("%w (%d rows)", ErrTooManyRows, len(rows))
 	}
+	recs := make([]relops.Record, len(rows))
 	for i, r := range rows {
 		if r.Key >= relops.KeyLimit {
 			return Table{}, fmt.Errorf("%w (row %d key %d)", ErrKeyTooLarge, i, r.Key)
 		}
+		recs[i] = relops.Record{Key: r.Key, Val: r.Val}
 	}
-	return Table{rows: rows, width: 1}, nil
+	return Table{recs: recs, width: 1}, nil
 }
 
-// NewWideTable validates rows and wraps them in a multi-column Table. All
-// rows must carry the same number of key columns, between 1 and
+// NewWideTable validates rows and copies them into a multi-column Table
+// (the caller keeps ownership of rows and of every Keys slice). All rows
+// must carry the same number of key columns, between 1 and
 // relops.MaxKeyCols; violations return ErrBadWidth / ErrKeyTooLarge /
 // ErrTooManyRows (matchable with errors.Is). A one-column wide table is
 // identical to the NewTable form.
@@ -209,6 +220,7 @@ func NewWideTable(rows []WideRow) (Table, error) {
 		}
 		return Table{}, fmt.Errorf("%w (%d rows)", ErrTooManyRows, len(rows))
 	}
+	recs := make([]relops.Record, len(rows))
 	for i, r := range rows {
 		if len(r.Keys) != w {
 			return Table{}, fmt.Errorf("%w (row %d has %d columns, row 0 has %d)", ErrBadWidth, i, len(r.Keys), w)
@@ -218,30 +230,42 @@ func NewWideTable(rows []WideRow) (Table, error) {
 				return Table{}, fmt.Errorf("%w (row %d column %d key %d)", ErrKeyTooLarge, i, k, key)
 			}
 		}
-	}
-	if w == 1 {
-		narrow := make([]Row, len(rows))
-		for i, r := range rows {
-			narrow[i] = Row{Key: r.Keys[0], Val: r.Val}
+		recs[i] = relops.Record{Key: r.Keys[0], Val: r.Val}
+		if w > 1 {
+			recs[i].Key2 = r.Keys[1]
 		}
-		return Table{rows: narrow, width: 1}, nil
 	}
-	return Table{wide: rows, width: w}, nil
+	return Table{recs: recs, width: w}, nil
 }
 
-// Rows returns the rows of a width-1 table (nil for multi-column tables —
-// use WideRows).
-func (t Table) Rows() []Row { return t.rows }
-
-// WideRows returns the table's rows in multi-column form (synthesized for
-// width-1 tables).
-func (t Table) WideRows() []WideRow {
-	if t.width > 1 {
-		return t.wide
+// Rows returns a fresh single-key view of a width-1 table's rows — the
+// caller may keep or modify it. Multi-column tables return nil (a narrow
+// view would silently drop key columns) — use WideRows.
+func (t Table) Rows() []Row {
+	if t.Width() != 1 {
+		return nil
 	}
-	out := make([]WideRow, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = WideRow{Keys: []uint64{r.Key}, Val: r.Val}
+	out := make([]Row, len(t.recs))
+	for i, r := range t.recs {
+		out[i] = Row{Key: r.Key, Val: r.Val}
+	}
+	return out
+}
+
+// WideRows returns a fresh multi-column view of the table's rows at any
+// width — the caller may keep or modify it. All Keys slices are cut from
+// one backing array (one allocation, not one per row), each capped at its
+// own columns.
+func (t Table) WideRows() []WideRow {
+	w := t.Width()
+	keys := make([]uint64, len(t.recs)*w)
+	out := make([]WideRow, len(t.recs))
+	for i, r := range t.recs {
+		k := keys[i*w : (i+1)*w : (i+1)*w]
+		for c := range k {
+			k[c] = r.Col(c)
+		}
+		out[i] = WideRow{Keys: k, Val: r.Val}
 	}
 	return out
 }
@@ -255,12 +279,7 @@ func (t Table) Width() int {
 }
 
 // Len returns the number of rows.
-func (t Table) Len() int {
-	if t.width > 1 {
-		return len(t.wide)
-	}
-	return len(t.rows)
-}
+func (t Table) Len() int { return len(t.recs) }
 
 // Agg selects the aggregation of GroupBy / GroupByCols / Query. The zero
 // value AggNone is only meaningful inside a Query (it disables the
@@ -300,42 +319,10 @@ func (a Agg) kind() (relops.AggKind, error) {
 	}
 }
 
-// tableOf converts surviving records back to a table of the relation's
-// width (harness operation, outside the adversary's view).
+// tableOf is the surviving records of r as a table of the relation's width
+// (harness operation, outside the adversary's view).
 func tableOf(r relops.Rel) Table {
-	recs := relops.Unload(r)
-	if r.W == 1 {
-		rows := make([]Row, len(recs))
-		for i, rec := range recs {
-			rows[i] = Row{Key: rec.Key, Val: rec.Val}
-		}
-		return Table{rows: rows, width: 1}
-	}
-	rows := make([]WideRow, len(recs))
-	for i, rec := range recs {
-		keys := make([]uint64, r.W)
-		for k := 0; k < r.W; k++ {
-			keys[k] = rec.Col(k)
-		}
-		rows[i] = WideRow{Keys: keys, Val: rec.Val}
-	}
-	return Table{wide: rows, width: r.W}
-}
-
-// recordsOf converts a table's rows to relational records.
-func recordsOf(t Table) []relops.Record {
-	if t.width > 1 {
-		recs := make([]relops.Record, len(t.wide))
-		for i, r := range t.wide {
-			recs[i] = relops.Record{Key: r.Keys[0], Key2: r.Keys[1], Val: r.Val}
-		}
-		return recs
-	}
-	recs := make([]relops.Record, len(t.rows))
-	for i, r := range t.rows {
-		recs[i] = relops.Record{Key: r.Key, Val: r.Val}
-	}
-	return recs
+	return Table{recs: relops.Unload(r), width: r.W}
 }
 
 // errWideFilter rejects the narrow row-predicate surfaces on multi-column
@@ -446,11 +433,13 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 	if left.Len() == 0 || right.Len() == 0 {
 		return nil, nil, ErrEmptyInput
 	}
+	// The width test picks the output form (JoinedRow carries one key), not
+	// a storage: multi-column joins are JoinAllRows.
 	if left.Width() > 1 || right.Width() > 1 {
 		return nil, nil, errWideFilter("Join")
 	}
 	seen := map[uint64]bool{}
-	for i, r := range left.rows {
+	for i, r := range left.recs {
 		if seen[r.Key] {
 			return nil, nil, fmt.Errorf("oblivmc: left table key %d (row %d) is duplicated", r.Key, i)
 		}
@@ -459,12 +448,12 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 	var out []JoinedRow
 	var loadErr error
 	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		l, err := relops.Load(sp, recordsOf(left), 1)
+		l, err := relops.Load(sp, left.recs, 1)
 		if err != nil {
 			loadErr = err
 			return
 		}
-		r, err := relops.Load(sp, recordsOf(right), 1)
+		r, err := relops.Load(sp, right.recs, 1)
 		if err != nil {
 			loadErr = err
 			return
@@ -507,7 +496,7 @@ func wideJoinedOf(recs []relops.Joined, w int) []WideJoinedRow {
 
 // checkJoinTables validates a join's public shape: non-empty sides, equal
 // key widths, and a capacity within the row bounds (or the JoinCapAuto
-// sentinel, resolved by the advisor inside the run).
+// sentinel, which the join resolves inside the run).
 func checkJoinTables(left, right Table, maxOut int) error {
 	if left.Len() == 0 || right.Len() == 0 {
 		return ErrEmptyInput
@@ -524,23 +513,17 @@ func checkJoinTables(left, right Table, maxOut int) error {
 	return nil
 }
 
-// resolveJoinCap turns a join's declared capacity into the concrete public
-// maxOut: a JoinCapAuto sentinel runs the capacity advisor over the loaded
-// relations (one extra sorting pass inside the same run); anything else
-// passes through untouched. An advised bound of zero still needs one
-// output slot to be a legal capacity.
-func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared int, l, r relops.Rel, srt obliv.ScheduledSorter) (int, error) {
-	if declared != JoinCapAuto {
-		return declared, nil
+// joinErr lifts a relops join error to the public typed errors, attaching
+// the numbers a retry needs: the true match count against the declared
+// capacity for an overflow, the unholdable bound for a JoinCapAuto join.
+func joinErr(err error, matches, maxOut int) error {
+	switch {
+	case errors.Is(err, relops.ErrJoinOverflow):
+		return fmt.Errorf("%w (%d matches, capacity %d)", ErrJoinOverflow, matches, maxOut)
+	case errors.Is(err, relops.ErrCapTooLarge):
+		return fmt.Errorf("%w (advised %d)", ErrCapTooLarge, matches)
 	}
-	advised, err := relops.JoinCapAdvise(c, sp, ar, l, r, srt)
-	if err != nil {
-		return 0, fmt.Errorf("%w (advised %d)", ErrCapTooLarge, advised)
-	}
-	if advised < 1 {
-		advised = 1
-	}
-	return int(advised), nil
+	return err
 }
 
 // JoinAllRows obliviously computes the full many-to-many equi-join of left
@@ -554,9 +537,10 @@ func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared i
 // the true match count, which stays invisible to the adversary. When the
 // match count exceeds maxOut, the error wraps ErrJoinOverflow and carries
 // the true count, so the caller can retry with a sufficient public bound
-// (at worst len(left)*len(right)). Passing JoinCapAuto instead sizes the
-// output with the capacity advisor — the worst-case bound, which cannot
-// overflow — at the cost of revealing that bound as public shape.
+// (at worst len(left)*len(right)). Passing JoinCapAuto instead lets the
+// join size itself from its own key sort — the worst-case bound, which
+// cannot overflow, at no extra pass — at the cost of revealing that bound
+// as public shape.
 func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
 	return joinAllRows(exec{cfg: cfg}, relSorter(cfg), left, right, maxOut)
 }
@@ -573,12 +557,12 @@ func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut in
 	var out []WideJoinedRow
 	var runErr error
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		l, err := relops.Load(sp, recordsOf(left), w)
+		l, err := relops.Load(sp, left.recs, w)
 		if err != nil {
 			runErr = err
 			return
 		}
-		r, err := relops.Load(sp, recordsOf(right), w)
+		r, err := relops.Load(sp, right.recs, w)
 		if err != nil {
 			runErr = err
 			return
@@ -587,18 +571,9 @@ func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut in
 		if ar == nil {
 			ar = relops.NewArena()
 		}
-		capOut, err := resolveJoinCap(c, sp, ar, maxOut, l, r, srt)
+		j, m, err := relops.JoinAll(c, sp, ar, l, r, maxOut, srt)
 		if err != nil {
-			runErr = err
-			return
-		}
-		j, m, err := relops.JoinAll(c, sp, ar, l, r, capOut, srt)
-		if errors.Is(err, relops.ErrJoinOverflow) {
-			runErr = fmt.Errorf("%w (%d matches, capacity %d)", ErrJoinOverflow, m, capOut)
-			return
-		}
-		if err != nil {
-			runErr = err
+			runErr = joinErr(err, m, maxOut)
 			return
 		}
 		out = wideJoinedOf(relops.UnloadJoined(j), w)
@@ -620,8 +595,8 @@ type JoinSpec struct {
 	Left Table
 	// MaxOut is the public output capacity of the join — part of the query
 	// shape, like the table sizes. A query whose true match count exceeds
-	// it fails with ErrJoinOverflow. JoinCapAuto delegates the choice to
-	// the capacity advisor (the worst-case bound can never overflow).
+	// it fails with ErrJoinOverflow. JoinCapAuto lets the join size itself
+	// (the worst-case bound can never overflow).
 	MaxOut int
 }
 
@@ -780,31 +755,19 @@ func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
 // per match, carrying the right record's key tuple, value, and original
 // position. deferred selects JoinAllDeferred (the planner dropped the
 // join's propagate+compact tail because a later pass re-sorts anyway).
-// The returned error is the public ErrJoinOverflow wrap used by
-// JoinAllRows, carrying the true match count for the retry.
+// Errors are the public typed wraps JoinAllRows returns (joinErr).
 func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.ScheduledSorter) (relops.Rel, error) {
-	l, err := relops.Load(sp, recordsOf(j.Left), r.W)
+	l, err := relops.Load(sp, j.Left.recs, r.W)
 	if err != nil {
 		return relops.Rel{}, err
 	}
-	maxOut, err := resolveJoinCap(c, sp, ar, j.MaxOut, l, r, srt)
-	if err != nil {
-		return relops.Rel{}, err
-	}
-	var (
-		joined relops.Rel
-		m      int
-	)
+	join := relops.JoinAll
 	if deferred {
-		joined, m, err = relops.JoinAllDeferred(c, sp, ar, l, r, maxOut, srt)
-	} else {
-		joined, m, err = relops.JoinAll(c, sp, ar, l, r, maxOut, srt)
+		join = relops.JoinAllDeferred
 	}
-	if errors.Is(err, relops.ErrJoinOverflow) {
-		return relops.Rel{}, fmt.Errorf("%w (%d matches, capacity %d)", ErrJoinOverflow, m, maxOut)
-	}
+	joined, m, err := join(c, sp, ar, l, r, j.MaxOut, srt)
 	if err != nil {
-		return relops.Rel{}, err
+		return relops.Rel{}, joinErr(err, m, j.MaxOut)
 	}
 	return joined, nil
 }
@@ -827,6 +790,8 @@ func runQuery(e exec, t Table, q Query, srt obliv.ScheduledSorter) (Table, *Repo
 	if t.Len() == 0 {
 		return fail(ErrEmptyInput)
 	}
+	// The width test picks the predicate form (Row carries one key), not a
+	// storage: the records are the same at every width.
 	if q.Filter != nil && t.Width() > 1 {
 		return fail(errWideFilter("Query.Filter"))
 	}
@@ -844,10 +809,8 @@ func runQuery(e exec, t Table, q Query, srt obliv.ScheduledSorter) (Table, *Repo
 	var out Table
 	var runErr error
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		r, err := relops.Load(sp, recordsOf(t), t.Width())
+		r, err := relops.Load(sp, t.recs, t.Width())
 		if err != nil {
-			// Unreachable via NewTable/NewWideTable, but Load re-checks its
-			// own bounds.
 			runErr = err
 			return
 		}

@@ -36,6 +36,59 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// TestTableOwnsItsRows: a Table is an immutable copy — it aliases neither
+// the slice it was built from nor the views it hands out, so no write
+// through either can change its rows or poison a later query (the filler
+// sentinel as a key would fail the engine's own bounds check).
+func TestTableOwnsItsRows(t *testing.T) {
+	const poison = ^uint64(0)
+	cfg := Config{Mode: ModeSerial}
+
+	rows := []Row{{Key: 3, Val: 30}, {Key: 1, Val: 10}, {Key: 3, Val: 31}}
+	want := append([]Row(nil), rows...)
+	tab := mustTable(t, rows)
+	for i := range rows {
+		rows[i].Key = poison
+	}
+	for i, view := 0, tab.Rows(); i < len(view); i++ {
+		view[i] = Row{Key: poison, Val: poison}
+	}
+	if got := tab.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("narrow table changed under its caller: %v, want %v", got, want)
+	}
+	d, _, err := Distinct(cfg, tab)
+	if err != nil {
+		t.Fatalf("Distinct after caller-side writes: %v", err)
+	}
+	if got, want := d.Rows(), []Row{{Key: 3, Val: 30}, {Key: 1, Val: 10}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Distinct after caller-side writes = %v, want %v", got, want)
+	}
+
+	wide := []WideRow{{Keys: []uint64{2, 5}, Val: 7}, {Keys: []uint64{0, 1}, Val: 9}, {Keys: []uint64{2, 5}, Val: 8}}
+	wtab := mustWideTable(t, wide)
+	for i := range wide {
+		wide[i].Keys[0], wide[i].Keys[1] = poison, poison
+	}
+	for _, r := range wtab.WideRows() {
+		r.Keys[0], r.Keys[1] = poison, poison
+		_ = append(r.Keys, poison) // must not spill into the next row's keys
+	}
+	edges, err := wtab.Edges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range edges {
+		edges[i] = WeightedEdge{U: -1, V: -1, W: poison}
+	}
+	wwant := []WideRow{{Keys: []uint64{2, 5}, Val: 7}, {Keys: []uint64{0, 1}, Val: 9}, {Keys: []uint64{2, 5}, Val: 8}}
+	checkWideRows(t, wtab.WideRows(), wwant, "wide table after caller-side writes")
+	wd, _, err := Distinct(cfg, wtab)
+	if err != nil {
+		t.Fatalf("wide Distinct after caller-side writes: %v", err)
+	}
+	checkWideRows(t, wd.WideRows(), wwant[:2], "wide Distinct after caller-side writes")
+}
+
 func TestFilterTable(t *testing.T) {
 	tab := mustTable(t, []Row{{1, 10}, {2, 25}, {3, 30}, {4, 45}, {5, 50}})
 	got, _, err := Filter(Config{Mode: ModeSerial}, tab, func(r Row) bool { return r.Val%10 == 0 })
