@@ -68,7 +68,9 @@ bench-build:
 # -fuzz pattern per invocation, so the targets run back to back.
 # FuzzGroupByBackends differentially fuzzes the shuffle backend against the
 # bitonic backend; the graph targets replay oblivious CC/MSF against their
-# sequential references on fuzzer-shaped graphs.
+# sequential references on fuzzer-shaped graphs; FuzzServeSpec feeds raw
+# request bodies through the server's strict decode and compile (typed
+# errors only; equal cache keys must mean equal rows).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoinAll$$' -fuzztime $(FUZZTIME)
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzGroupByBackends$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzConnectedComponents$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzMSF$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeSpec$$' -fuzztime $(FUZZTIME)
 
 # chaos-smoke is the query-lifecycle leg: under -race, the fault-injection
 # chaos storm (concurrent queries with injected panics, slow passes, and
@@ -90,7 +93,7 @@ fuzz-smoke:
 # run package by package.
 chaos-smoke:
 	$(GO) test -race ./internal/serve -run 'TestChaos|TestQueryTimeout|TestLaneRetired|TestShutdownDrain|TestClientDisconnect' -count 1
-	$(GO) test -race . -run 'TestCancelToken|TestSessionInterrupt|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
+	$(GO) test -race . -run 'TestCancelCtxAfterFirstSortPass|TestSessionInterrupt|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
 	$(GO) test -race ./internal/forkjoin -run 'TestSerialCheck|TestRunCancel|TestForkPanic|TestCanceledError' -count 1
 
 # serve-smoke is the end-to-end serving check: build oblivserve, start it

@@ -36,7 +36,7 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 		}
 	}
 	out := make([]uint64, n)
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
 		// The two sorts run the configured relational backend: both are
 		// (key, position) schedules with distinct effective keys, so the
 		// shuffle composition applies above its crossover.
@@ -45,7 +45,7 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 			w.Data()[i] = obliv.Elem{Key: groups[i], Val: values[i], Aux: uint64(i), Kind: obliv.Real}
 		}
 		m := w.Len()
-		ksort := obliv.NewKeyedSort(sp, m, obliv.TiePos, relSorter(cfg))
+		ksort := obliv.NewKeyedSort(sp, m, obliv.TiePos, e.srt)
 		// (key, position) order: one cached key plane, the position
 		// tie-break read in-register (TiePos) — deterministic under
 		// duplicate group keys, fillers (InfKey sentinel) last.
@@ -113,8 +113,7 @@ func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []boo
 	}
 	vals := make([]uint64, len(queries))
 	found := make([]bool, len(queries))
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		srt := relSorter(cfg)
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
 		sources := mem.Alloc[obliv.Elem](sp, len(tableKeys))
 		for i, k := range tableKeys {
 			sources.Data()[i] = obliv.Elem{Key: k, Val: tableVals[i], Kind: obliv.Real}
@@ -123,10 +122,10 @@ func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []boo
 		for i, k := range queries {
 			dests.Data()[i] = obliv.Elem{Key: k, Kind: obliv.Real}
 		}
-		routed := obliv.SendReceive(c, sp, sources, dests, srt)
-		for i, e := range routed.Data() {
-			vals[i] = e.Val
-			found[i] = e.Kind == obliv.Real
+		routed := obliv.SendReceive(c, sp, sources, dests, e.srt)
+		for i, r := range routed.Data() {
+			vals[i] = r.Val
+			found[i] = r.Kind == obliv.Real
 		}
 	})
 	if err != nil {

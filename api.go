@@ -21,7 +21,7 @@ func Sort(cfg Config, keys []uint64) ([]uint64, *Report, error) {
 		return nil, nil, err
 	}
 	out := make([]uint64, len(keys))
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
 		res := core.SortKeys(c, sp, keys, cfg.Seed, cfg.Tuning.params())
 		copy(out, res)
 	})
@@ -38,7 +38,7 @@ func Shuffle(cfg Config, keys []uint64) ([]uint64, *Report, error) {
 		return nil, nil, err
 	}
 	out := make([]uint64, len(keys))
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
 		in := mem.Alloc[obliv.Elem](sp, len(keys))
 		for i, k := range keys {
 			in.Data()[i] = obliv.Elem{Key: k, Kind: obliv.Real}
@@ -69,8 +69,8 @@ func ListRank(cfg Config, succ []int, weights []uint64) ([]uint64, *Report, erro
 		}
 	}
 	var out []uint64
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, cfg.graphParams(relSorter(cfg)))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.ListRankOblivious(c, sp, succ, weights, cfg.Seed, e.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err
@@ -102,8 +102,8 @@ func TreeFunctions(cfg Config, n int, edges [][2]int, root int) (TreeInfo, *Repo
 		return TreeInfo{}, nil, fmt.Errorf("oblivmc: root %d out of range", root)
 	}
 	var tf graph.TreeFuncs
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, cfg.graphParams(relSorter(cfg)))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		tf = graph.TreeFunctionsOblivious(c, sp, n, edges, root, cfg.Seed, e.graphParams())
 	})
 	if err != nil {
 		return TreeInfo{}, nil, err
@@ -138,8 +138,8 @@ func EvaluateExpressionTree(cfg Config, t ExpressionTree) (uint64, *Report, erro
 		return 0, nil, fmt.Errorf("oblivmc: expression tree must be full binary")
 	}
 	var out uint64
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, cfg.graphParams(relSorter(cfg)))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.EvalTreeOblivious(c, sp, gt, cfg.Seed, e.graphParams())
 	})
 	if err != nil {
 		return 0, nil, err
@@ -161,8 +161,8 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 		}
 	}
 	var out []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, cfg.graphParams(relSorter(cfg)))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, e.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err
@@ -192,8 +192,8 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 		}
 	}
 	var out []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, edges, cfg.graphParams(relSorter(cfg)))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.MinimumSpanningForestOblivious(c, sp, n, edges, e.graphParams())
 	})
 	if err != nil {
 		return nil, nil, err
@@ -214,8 +214,8 @@ func SimulatePRAM(cfg Config, m PRAMMachine, memInit []uint64) ([]uint64, *Repor
 		return nil, nil, ErrEmptyInput
 	}
 	var out []uint64
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		out = pram.RunOblivious(c, sp, m, memInit, relSorter(cfg))
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = pram.RunOblivious(c, sp, m, memInit, e.srt)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -238,7 +238,7 @@ func WithORAM(cfg Config, spaceLog, batch int, body func(access func([]ORAMReque
 	if spaceLog < 1 || batch < 1 {
 		return nil, ErrEmptyInput
 	}
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
 		o := oram.New(c, sp, spaceLog, batch, oram.Options{Seed: cfg.Seed})
 		body(func(reqs []ORAMRequest) []uint64 {
 			return o.Access(c, sp, reqs)

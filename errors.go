@@ -12,10 +12,10 @@ import (
 // of these (matchable with errors.Is), so servers can map outcomes to
 // typed responses without string inspection.
 var (
-	// ErrCanceled is returned when a run's cancellation token trips — via
-	// Config.Cancel, Session.Interrupt, or a canceled context. The error
-	// message carries only the public checkpoint site (a pass index /
-	// layer name that is a function of public shape), never data.
+	// ErrCanceled is returned when a Session run is canceled — through
+	// Session.Interrupt or the context of RunQueryCtx / RunGraphCtx. The
+	// error message carries only public shape: the checkpoint site (a pass
+	// index / layer name) and the executed sort-pass count, never data.
 	ErrCanceled = errors.New("oblivmc: execution canceled")
 	// ErrDeadline is returned when a context deadline caused the
 	// cancellation (Session.RunQueryCtx / RunGraphCtx with a deadline
@@ -42,35 +42,6 @@ func (e *PanicError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrInternal) match.
 func (e *PanicError) Unwrap() error { return ErrInternal }
-
-// Cancel is a reusable cooperative cancellation token for the one-shot
-// surfaces: create one, set it as Config.Cancel, and trip it from any
-// goroutine to abort the run with ErrCanceled. Checks happen only at
-// public-shape points (between sort passes, network layers, graph
-// rounds), so an untripped token leaves the trace byte-identical to a run
-// with no token, and an abort reveals only a public pass site. The zero
-// value is ready to use; a token is single-trip (create a fresh one per
-// run to cancel runs independently).
-type Cancel struct {
-	cn forkjoin.Cancel
-}
-
-// NewCancel returns a fresh untripped token.
-func NewCancel() *Cancel { return &Cancel{} }
-
-// Cancel trips the token; the run aborts at its next checkpoint.
-func (c *Cancel) Cancel() { c.cn.Cancel() }
-
-// Canceled reports whether the token has been tripped.
-func (c *Cancel) Canceled() bool { return c != nil && c.cn.Canceled() }
-
-// token resolves the internal forkjoin token (nil-safe).
-func (c *Cancel) token() *forkjoin.Cancel {
-	if c == nil {
-		return nil
-	}
-	return &c.cn
-}
 
 // watchCtx trips cn when ctx is done. The returned stop function releases
 // the watcher goroutine; call it before returning.

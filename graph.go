@@ -6,7 +6,6 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/graph"
 	"oblivmc/internal/mem"
-	"oblivmc/internal/obliv"
 	"oblivmc/internal/plan"
 	"oblivmc/internal/pram"
 	"oblivmc/internal/relops"
@@ -120,10 +119,9 @@ func graphShape(edges []WeightedEdge) int {
 // runGraph is the one graph execution path: the public Components / MSF /
 // PageRank and Session.RunGraphCtx all land here, as the relational
 // surfaces land in runQuery. It converts the edge table once, derives the
-// public shape, and runs op under e's executor with the run's sorter (srt —
-// nil only from the one-shot PageRank, see pageRank). The returned plan is
-// the operator's accounting at that shape, for the caller's bookkeeping.
-func runGraph(e exec, edges Table, op GraphOp, rounds int, srt obliv.ScheduledSorter) (Table, *Report, plan.GraphPlan, error) {
+// public shape, and runs op in e's environment. The returned plan is the
+// operator's accounting at that shape, for the caller's bookkeeping.
+func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan.GraphPlan, error) {
 	fail := func(err error) (Table, *Report, plan.GraphPlan, error) {
 		return Table{}, nil, plan.GraphPlan{}, err
 	}
@@ -141,11 +139,11 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int, srt obliv.ScheduledSo
 	)
 	switch op {
 	case GraphOpComponents:
-		out, rep, err = components(e, srt, n, el, rounds)
+		out, rep, err = components(e, n, el, rounds)
 	case GraphOpMSF:
-		out, rep, err = msf(e, srt, n, el)
+		out, rep, err = msf(e, n, el)
 	case GraphOpPageRank:
-		out, rep, err = pageRank(e, srt, n, el, rounds)
+		out, rep, err = pageRank(e, n, el, rounds)
 	default:
 		err = fmt.Errorf("oblivmc: graph operator %d has no edge-table form", op)
 	}
@@ -172,11 +170,13 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int, srt obliv.ScheduledSo
 //
 // Requirement: n <= 2^21 (labels double as scatter priorities).
 func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
-	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpComponents, rounds, relSorter(cfg))
+	e, done := oneShot(cfg)
+	defer done()
+	out, rep, _, err := runGraph(e, edges, GraphOpComponents, rounds)
 	return out, rep, err
 }
 
-func components(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, rounds int) (Table, *Report, error) {
+func components(e exec, n int, el []WeightedEdge, rounds int) (Table, *Report, error) {
 	if rounds < 0 {
 		return Table{}, nil, fmt.Errorf("oblivmc: negative round count %d", rounds)
 	}
@@ -189,7 +189,7 @@ func components(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, rou
 	}
 	var labels []int
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, e.cfg.graphParams(srt))
+		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, e.graphParams())
 	})
 	if err != nil {
 		return Table{}, nil, err
@@ -209,11 +209,13 @@ func components(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, rou
 // (Config.SortBackend). Requirements: vertices and edges < 2^21, weights
 // < 2^20.
 func MSF(cfg Config, edges Table) (Table, *Report, error) {
-	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpMSF, 0, relSorter(cfg))
+	e, done := oneShot(cfg)
+	defer done()
+	out, rep, _, err := runGraph(e, edges, GraphOpMSF, 0)
 	return out, rep, err
 }
 
-func msf(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge) (Table, *Report, error) {
+func msf(e exec, n int, el []WeightedEdge) (Table, *Report, error) {
 	if n >= 1<<21 || len(el) >= 1<<21 {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(el))
 	}
@@ -224,14 +226,14 @@ func msf(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge) (Table, *R
 	}
 	var chosen []int
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, el, e.cfg.graphParams(srt))
+		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, el, e.graphParams())
 	})
 	if err != nil {
 		return Table{}, nil, err
 	}
 	if len(chosen) == 0 {
-		// A forest with no edges (self-loop-only input): no Table to build.
-		return Table{}, rep, nil
+		// A forest with no edges (self-loop-only input): an empty edge table.
+		return Table{width: 2}, rep, nil
 	}
 	recs := make([]relops.Record, len(chosen))
 	for i, ci := range chosen {
@@ -268,23 +270,23 @@ const (
 // drop their mass (the simple "dangling mass lost" variant), so ranks sum
 // to slightly less than n·PageRankScale on graphs with sinks.
 //
-// Every constituent operator runs under cfg (backend, mode, workers); the
-// returned Report is the counter-sum over all 1+2·iters operator runs, with
-// a combined trace fingerprint (nil outside ModeMetered).
+// Every constituent operator runs in one environment under cfg (backend,
+// mode, workers) — the pool, space, arena and sorter of one throwaway
+// Session — so the returned Report is exactly a Session's RunGraphCtx
+// Report: the counter-sum over all 1+2·iters operator runs, with a combined
+// trace fingerprint (nil outside ModeMetered).
 func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
-	out, rep, _, err := runGraph(exec{cfg: cfg}, edges, GraphOpPageRank, iters, nil)
+	e, done := oneShot(cfg)
+	defer done()
+	out, rep, _, err := runGraph(e, edges, GraphOpPageRank, iters)
 	return out, rep, err
 }
 
-// pageRank runs the 1+2·iters constituent operators under e, over records it
-// builds itself (vertex ids and edge endpoints, all below n ≤ MaxRows), so
-// its intermediate tables wrap them directly. A Session lends
-// its one persistent sorter (srt) to all of them, alongside its pool, space
-// and arena; the one-shot form passes nil and every constituent run gets a
-// fresh relSorter, as each did when it was a separate public call — the
-// deterministic shuffle's sort counter restarts per run, which the one-shot
-// metered fingerprints pin.
-func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters int) (Table, *Report, error) {
+// pageRank runs the 1+2·iters constituent operators in e's one environment
+// (pool, space, arena and sorter), over records it builds itself (vertex
+// ids and edge endpoints, all below n ≤ MaxRows), so its intermediate
+// tables wrap them directly.
+func pageRank(e exec, n int, el []WeightedEdge, iters int) (Table, *Report, error) {
 	if iters < 1 {
 		return Table{}, nil, fmt.Errorf("oblivmc: PageRank needs at least 1 iteration, got %d", iters)
 	}
@@ -292,15 +294,9 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 	if int64(n+m) > relops.MaxRows {
 		return Table{}, nil, fmt.Errorf("%w (%d vertices + %d edges)", ErrTooManyRows, n, m)
 	}
-	sorter := func() obliv.ScheduledSorter {
-		if srt != nil {
-			return srt
-		}
-		return relSorter(e.cfg)
-	}
 	var total *Report
 	groupSum := func(recs []relops.Record) ([]relops.Record, error) {
-		out, rep, _, err := runQuery(e, Table{recs: recs, width: 1}, Query{GroupBy: AggSum}, sorter())
+		out, rep, _, err := runQuery(e, Table{recs: recs, width: 1}, Query{GroupBy: AggSum})
 		if err != nil {
 			return nil, err
 		}
@@ -351,7 +347,7 @@ func pageRank(e exec, srt obliv.ScheduledSorter, n int, el []WeightedEdge, iters
 		shareTbl := Table{recs: shareRecs, width: 1}
 		// Every edge row matches exactly one share row (shares cover all
 		// vertices, with distinct keys), so m is the exact public capacity.
-		joined, rep, err := joinAllRows(e, sorter(), shareTbl, edgeTbl, m)
+		joined, rep, err := joinAllRows(e, shareTbl, edgeTbl, m)
 		if err != nil {
 			return Table{}, nil, err
 		}

@@ -224,6 +224,15 @@ func TestEdgeTableRoundTripAndErrors(t *testing.T) {
 	if _, _, err := PageRank(Config{}, tab, 0); err == nil {
 		t.Fatal("zero PageRank iterations accepted")
 	}
+	// A self-loop-only graph has an empty forest, still an edge table.
+	forest, _, err := MSF(Config{}, mustEdgeTable(t, []WeightedEdge{{U: 1, V: 1, W: 3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fe, err := forest.Edges(); forest.Width() != 2 || forest.Len() != 0 || err != nil || len(fe) != 0 {
+		t.Fatalf("empty forest: width %d, %d rows, edges %v (err %v); want an empty width-2 edge table",
+			forest.Width(), forest.Len(), fe, err)
+	}
 }
 
 // TestGraphSortsPinnedToExecutedSorts: the plan layer's sort accounting

@@ -12,10 +12,9 @@ import (
 // like everything else here, is a function of the relation sizes and
 // schema widths only, and every pass fully overwrites the region it reads.
 //
-// A nil *Arena is valid and means "no reuse": every request allocates
-// fresh, which reproduces the pre-arena behavior. Arenas are not safe for
-// concurrent use; passes are issued sequentially from the orchestration
-// path, which is the only place they are requested.
+// Every request goes through an arena (NewArena; there is no nil mode).
+// Arenas are not safe for concurrent use; passes are issued sequentially
+// from the orchestration path, which is the only place they are requested.
 type Arena struct {
 	// sp is the address space the cached arrays were reserved in. Cached
 	// arrays are only valid in their own space — addresses from one space
@@ -45,9 +44,6 @@ func (ar *Arena) rebind(sp *mem.Space) {
 
 // Keys returns a width-w cached key schedule covering n elements.
 func (ar *Arena) Keys(sp *mem.Space, n, w int) *obliv.KeySchedule {
-	if ar == nil {
-		return obliv.AllocKeySchedule(sp, n, w)
-	}
 	ar.rebind(sp)
 	if ar.keys == nil || ar.keys.Len() < n*w {
 		ar.keys = mem.Alloc[uint64](sp, n*w)
@@ -58,9 +54,6 @@ func (ar *Arena) Keys(sp *mem.Space, n, w int) *obliv.KeySchedule {
 // KeyScratch returns a width-w key-schedule sorting scratch covering n
 // elements.
 func (ar *Arena) KeyScratch(sp *mem.Space, n, w int) *obliv.KeySchedule {
-	if ar == nil {
-		return obliv.AllocKeySchedule(sp, n, w)
-	}
 	ar.rebind(sp)
 	if ar.keyScr == nil || ar.keyScr.Len() < n*w {
 		ar.keyScr = mem.Alloc[uint64](sp, n*w)
@@ -70,9 +63,6 @@ func (ar *Arena) KeyScratch(sp *mem.Space, n, w int) *obliv.KeySchedule {
 
 // Ranks returns the prefix-rank array of length n (TopK).
 func (ar *Arena) Ranks(sp *mem.Space, n int) *mem.Array[uint64] {
-	if ar == nil {
-		return mem.Alloc[uint64](sp, n)
-	}
 	ar.rebind(sp)
 	if ar.ranks == nil || ar.ranks.Len() < n {
 		ar.ranks = mem.Alloc[uint64](sp, n)
@@ -82,9 +72,6 @@ func (ar *Arena) Ranks(sp *mem.Space, n int) *mem.Array[uint64] {
 
 // ElemScratch returns the element sorting scratch of length n.
 func (ar *Arena) ElemScratch(sp *mem.Space, n int) *mem.Array[obliv.Elem] {
-	if ar == nil {
-		return mem.Alloc[obliv.Elem](sp, n)
-	}
 	ar.rebind(sp)
 	if ar.elemScr == nil || ar.elemScr.Len() < n {
 		ar.elemScr = mem.Alloc[obliv.Elem](sp, n)
@@ -94,9 +81,6 @@ func (ar *Arena) ElemScratch(sp *mem.Space, n int) *mem.Array[obliv.Elem] {
 
 // Marks returns the boundary-mark scratch of length n (markBoundaries).
 func (ar *Arena) Marks(sp *mem.Space, n int) *mem.Array[uint8] {
-	if ar == nil {
-		return mem.Alloc[uint8](sp, n)
-	}
 	ar.rebind(sp)
 	if ar.marks == nil || ar.marks.Len() < n {
 		ar.marks = mem.Alloc[uint8](sp, n)

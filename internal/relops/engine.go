@@ -17,7 +17,7 @@ import (
 // a fixed elementwise pass (§F) — so the trace of a planned pipeline is a
 // function of (len(r), r.W, pl) only — and pl itself is a function of the
 // public query shape, which includes the key width. ar supplies reusable
-// scratch (nil = allocate fresh).
+// scratch.
 func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pred func(Record) bool, srt obliv.ScheduledSorter) int {
 	for _, op := range pl.Ops {
 		// Cancellation checkpoint between passes: the pass boundary is

@@ -67,7 +67,7 @@ func interleave(c *forkjoin.Ctx, sp *mem.Space, left, right Rel) *mem.Array[obli
 // depends only on (len(left), len(right), width). The (side, position)
 // suffix of the logical order is the obliv.TiePos tie-break — the
 // elements' (Tag, Aux) read in registers — so the schedule carries only
-// the key columns. ar supplies reusable scratch (nil = allocate fresh).
+// the key columns. ar supplies reusable scratch.
 func Join(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, srt obliv.ScheduledSorter) (Rel, int) {
 	w := left.W
 	wrk := Rel{A: interleave(c, sp, left, right), W: w}

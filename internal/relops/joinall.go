@@ -261,7 +261,7 @@ func sameGroupLi(w int) func(x, y obliv.Elem) bool {
 // except CapAuto, which adopts the match count as the capacity (it cannot
 // overflow; a count above MaxRows returns ErrCapTooLarge) and thereby makes
 // it public: the trace then depends on (len(left), len(right), width, match
-// count). ar supplies reusable scratch (nil = allocate fresh).
+// count). ar supplies reusable scratch.
 func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, error) {
 	wrk, matches, maxOut, err := joinExpand(c, sp, ar, left, right, maxOut, srt)
 	if err != nil {

@@ -112,7 +112,7 @@ var (
 	// ErrCapTooLarge is returned by a CapAuto join when the worst-case match
 	// bound Σ|L_g|·|R_g| exceeds MaxRows: no legal capacity can hold the
 	// join, so the caller must shrink the inputs rather than retry.
-	ErrCapTooLarge = fmt.Errorf("relops: advised join capacity exceeds MaxRows (2^%d rows)", maxRowsLog)
+	ErrCapTooLarge = fmt.Errorf("relops: join match bound exceeds MaxRows (2^%d rows)", maxRowsLog)
 )
 
 // CapAuto, passed as the maxOut of JoinAll / JoinAllDeferred, sizes the

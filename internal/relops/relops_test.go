@@ -573,23 +573,25 @@ func TestErrorMessagesReflectConstants(t *testing.T) {
 	}
 }
 
-// TestArenaReuseMatchesFreshScratch runs the same operator pipeline with a
-// shared arena and with fresh per-call scratch and asserts identical
-// results — scratch reuse must be invisible to the operator semantics.
+// TestArenaReuseMatchesFreshScratch runs the same operator pipeline with
+// one shared arena and with a fresh arena per operator and asserts
+// identical results — scratch reuse must be invisible to the operator
+// semantics.
 func TestArenaReuseMatchesFreshScratch(t *testing.T) {
 	src := prng.New(909)
 	recs := randRecords(src, 100, 12, 1000)
-	run := func(ar *Arena) ([]Record, []Record) {
+	run := func(arena func() *Arena) ([]Record, []Record) {
 		sp := mem.NewSpace()
 		srt := bitonic.CacheAgnostic{}
 		a := mustLoad(t, sp, recs)
-		runDistinct(testCtx(), sp, ar, a, srt)
+		runDistinct(testCtx(), sp, arena(), a, srt)
 		b := mustLoad(t, sp, recs)
-		runGroupBy(testCtx(), sp, ar, b, AggSum, srt)
+		runGroupBy(testCtx(), sp, arena(), b, AggSum, srt)
 		return Unload(a), Unload(b)
 	}
-	d1, g1 := run(NewArena())
-	d2, g2 := run(nil)
+	shared := NewArena()
+	d1, g1 := run(func() *Arena { return shared })
+	d2, g2 := run(NewArena)
 	checkRecords(t, d1, d2, "Distinct arena vs fresh")
 	checkRecords(t, g1, g2, "GroupBy arena vs fresh")
 }
@@ -680,7 +682,7 @@ func TestOperatorsParallel(t *testing.T) {
 		runCompact(c, sp, NewArena(), a, func(r Record) bool { return r.Val%2 == 0 }, srt)
 
 		b := mustLoad(t, sp, recs)
-		runDistinct(c, sp, nil, b, srt)
+		runDistinct(c, sp, NewArena(), b, srt)
 
 		g := mustLoad(t, sp, recs)
 		runGroupBy(c, sp, NewArena(), g, AggSum, srt)

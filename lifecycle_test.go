@@ -1,18 +1,22 @@
 package oblivmc
 
-// Query-lifecycle tests: cooperative cancellation (token, Interrupt,
-// context deadline), panic isolation and session poisoning, the
+// Query-lifecycle tests: cooperative cancellation (context, Interrupt,
+// deadline), panic isolation and session poisoning, the
 // untripped-token trace pin, and watcher-goroutine hygiene.
 
 import (
 	"context"
 	"errors"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"oblivmc/internal/faultinject"
+	"oblivmc/internal/forkjoin"
+	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
 	"oblivmc/internal/prng"
 )
 
@@ -27,45 +31,69 @@ func lcRows(n int) []Row {
 	return rows
 }
 
-// TestCancelTokenPreTripped aborts one-shot surfaces at their first
-// checkpoint: a tripped Config.Cancel must surface ErrCanceled (with a
-// public site, never data) from every layer of the pipeline.
-func TestCancelTokenPreTripped(t *testing.T) {
-	keys := make([]uint64, 256)
-	src := prng.New(5)
-	for i := range keys {
-		keys[i] = src.Uint64() >> 2 // keys must stay below 2^62
-	}
-	tripped := NewCancel()
-	tripped.Cancel()
-	cfg := Config{Mode: ModeSerial, Cancel: tripped}
+// sortPassHits marks every sort its inner sorter runs as a "sort.pass"
+// fault-injection hit, so the SlowEvery + Hits pattern also reaches the
+// graph kernels, whose sorts never pass relops' own sort.pass seam.
+type sortPassHits struct{ obliv.ScheduledSorter }
 
+func (s sortPassHits) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
+	faultinject.Hit("sort.pass")
+	s.ScheduledSorter.Sort(c, sp, a, lo, n, key)
+}
+
+func (s sortPassHits) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
+	faultinject.Hit("sort.pass")
+	s.ScheduledSorter.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
+}
+
+// TestCancelCtxAfterFirstSortPass cancels a query and each edge-table graph
+// operator through its context once the run's first sort pass has started:
+// every one must surface ErrCanceled carrying only public shape — the
+// checkpoint site and the executed sort-pass count.
+func TestCancelCtxAfterFirstSortPass(t *testing.T) {
+	defer faultinject.Reset()
+	tab := mustTable(t, lcRows(256))
+	edges := mustEdgeTable(t, testEdges(7, 24, 48, 50))
+	graphRun := func(op GraphOp, rounds int) func(context.Context, *Session) error {
+		return func(ctx context.Context, s *Session) error {
+			_, _, err := s.RunGraphCtx(ctx, edges, op, rounds)
+			return err
+		}
+	}
 	cases := []struct {
 		name string
-		run  func() error
+		run  func(context.Context, *Session) error
 	}{
-		{"Sort", func() error { _, _, err := Sort(cfg, keys); return err }},
-		{"Shuffle", func() error { _, _, err := Shuffle(cfg, keys); return err }},
-		{"GroupTotals", func() error {
-			_, _, err := GroupTotals(cfg, []uint64{1, 2, 1, 2}, []uint64{10, 20, 30, 40})
+		{"query", func(ctx context.Context, s *Session) error {
+			_, _, err := s.RunQueryCtx(ctx, tab, Query{GroupBy: AggSum, KeyOrderOut: true})
 			return err
 		}},
-		{"ConnectedComponents", func() error {
-			_, _, err := ConnectedComponents(cfg, 8, [][2]int{{0, 1}, {2, 3}, {4, 5}})
-			return err
-		}},
-		{"ListRank", func() error {
-			_, _, err := ListRank(cfg, []int{1, 2, 3, 3}, nil)
-			return err
-		}},
+		{"cc", graphRun(GraphOpComponents, 4)},
+		{"msf", graphRun(GraphOpMSF, 0)},
+		{"pagerank", graphRun(GraphOpPageRank, 2)},
 	}
+	passes := regexp.MustCompile(`\(after \d+ executed sort passes\)`)
 	for _, tc := range cases {
-		err := tc.run()
+		faultinject.Reset()
+		sess := NewSession(Config{Mode: ModeSerial})
+		sess.srt = sortPassHits{sess.srt}
+		// Stretch every sort pass so the cancel lands mid-run.
+		faultinject.SlowEvery("sort.pass", 1, 20*time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for faultinject.Hits("sort.pass") == 0 && ctx.Err() == nil {
+				time.Sleep(500 * time.Microsecond)
+			}
+			cancel()
+		}()
+		err := tc.run(ctx, sess)
+		cancel()
+		sess.Close()
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s with tripped token: err = %v, want ErrCanceled", tc.name, err)
+			t.Fatalf("%s canceled after its first sort pass: err = %v, want ErrCanceled", tc.name, err)
 		}
-		if !strings.Contains(err.Error(), "(at ") {
-			t.Fatalf("%s: canceled error %q carries no public site", tc.name, err)
+		if !strings.Contains(err.Error(), "(at ") || !passes.MatchString(err.Error()) {
+			t.Fatalf("%s: canceled error %q lacks its public site or executed pass count", tc.name, err)
 		}
 	}
 }
@@ -205,64 +233,58 @@ func TestPanicTypedOnParallelPool(t *testing.T) {
 }
 
 // TestUntrippedTokenLeavesTraceIdentical is the cancellation-leakage pin:
-// arming a token that never trips must leave the metered trace (work,
-// span, access-pattern fingerprint) byte-identical to a run with no
-// token, across the sort pipeline and a graph operator.
+// a Session run always arms a per-run token, and a cancelable context adds
+// the watcher; neither may move the metered trace (work, span,
+// access-pattern fingerprint) off the token-free package-level call's,
+// across a fused query and the graph operators.
 func TestUntrippedTokenLeavesTraceIdentical(t *testing.T) {
-	cfg := Config{Mode: ModeMetered, Trace: true, Seed: 11}
-	keys := make([]uint64, 512)
-	src := prng.New(17)
-	for i := range keys {
-		keys[i] = src.Uint64() >> 2 // keys must stay below 2^62
+	cfg := Config{Mode: ModeMetered, Trace: true, Seed: 11, DeterministicShuffle: true}
+	tab := mustTable(t, lcRows(512))
+	edges := mustEdgeTable(t, testEdges(19, 12, 16, 50))
+	q := Query{Filter: func(r Row) bool { return r.Val%3 != 0 }, Distinct: true, GroupBy: AggSum, TopK: 5}
+	cases := []struct {
+		name    string
+		oneShot func() (*Report, error)
+		session func(context.Context, *Session) (QueryStats, error)
+	}{
+		{"query", func() (*Report, error) {
+			_, rep, err := RunQuery(cfg, tab, q)
+			return rep, err
+		}, func(ctx context.Context, s *Session) (QueryStats, error) {
+			_, stats, err := s.RunQueryCtx(ctx, tab, q)
+			return stats, err
+		}},
+		{"components", func() (*Report, error) {
+			_, rep, err := Components(cfg, edges, 2)
+			return rep, err
+		}, func(ctx context.Context, s *Session) (QueryStats, error) {
+			_, stats, err := s.RunGraphCtx(ctx, edges, GraphOpComponents, 2)
+			return stats, err
+		}},
+		{"pagerank", func() (*Report, error) {
+			_, rep, err := PageRank(cfg, edges, 2)
+			return rep, err
+		}, func(ctx context.Context, s *Session) (QueryStats, error) {
+			_, stats, err := s.RunGraphCtx(ctx, edges, GraphOpPageRank, 2)
+			return stats, err
+		}},
 	}
-
-	_, repA, err := Sort(cfg, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgTok := cfg
-	cfgTok.Cancel = NewCancel()
-	_, repB, err := Sort(cfgTok, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repA.Work != repB.Work || repA.Span != repB.Span || repA.MemOps != repB.MemOps {
-		t.Fatalf("token changed sort metrics: %+v vs %+v", repA, repB)
-	}
-	if !repA.TraceFingerprint.Equal(repB.TraceFingerprint) {
-		t.Fatal("untripped token changed the sort trace fingerprint")
-	}
-
-	edges := [][2]int{{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 7}}
-	_, gA, err := ConnectedComponents(cfg, 8, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, gB, err := ConnectedComponents(cfgTok, 8, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gA.Work != gB.Work || gA.Span != gB.Span || !gA.TraceFingerprint.Equal(gB.TraceFingerprint) {
-		t.Fatal("untripped token changed the components trace")
-	}
-
-	// A session always arms a per-run token, and a cancelable context adds
-	// the watcher: neither may move the trace off the token-free one-shot's.
-	tab := mustEdgeTable(t, testEdges(19, 12, 16, 50))
-	_, sA, err := Components(cfg, tab, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(cfg)
-	defer sess.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, stats, err := sess.RunGraphCtx(ctx, tab, GraphOpComponents, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *stats.Report != *sA {
-		t.Fatalf("session token changed the components trace: %+v vs %+v", stats.Report, sA)
+	for _, tc := range cases {
+		want, err := tc.oneShot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := NewSession(cfg)
+		ctx, cancel := context.WithCancel(context.Background())
+		stats, err := tc.session(ctx, sess)
+		cancel()
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Report == nil || *stats.Report != *want {
+			t.Fatalf("%s: armed token changed the metered report: %+v vs %+v", tc.name, stats.Report, want)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
-	"oblivmc/internal/obliv"
 	"oblivmc/internal/trace"
 )
 
@@ -117,12 +116,6 @@ type Config struct {
 	DeterministicShuffle bool
 	// Tuning overrides the paper's default parameters (zero = defaults).
 	Tuning Tuning
-	// Cancel, when non-nil, arms the run's cooperative cancellation token:
-	// tripping it aborts the execution with ErrCanceled at the next
-	// public-shape checkpoint. Composite operators (PageRank) pass the
-	// config through, so one token covers all their constituent runs. An untripped token leaves every trace
-	// byte-identical to a run with no token. Use a fresh token per run.
-	Cancel *Cancel
 }
 
 // Tuning exposes the paper's tunables (see internal/core.Params).
@@ -144,12 +137,11 @@ func (t Tuning) params() core.Params {
 	}
 }
 
-// graphParams is cfg's tuning with the run's sorter attached — the
-// parameters every graph / PRAM entry point runs under (one sorter per run:
-// a fresh relSorter for the one-shot surfaces, the session's under a Session).
-func (cfg Config) graphParams(srt obliv.ScheduledSorter) core.Params {
-	p := cfg.Tuning.params()
-	p.Sorter = srt
+// graphParams is e's tuning with e's sorter attached — the parameters every
+// graph entry point runs under (the session's one sorter, throwaway or not).
+func (e exec) graphParams() core.Params {
+	p := e.cfg.Tuning.params()
+	p.Sorter = e.srt
 	return p
 }
 
@@ -183,12 +175,14 @@ func reportOf(m *forkjoin.Metrics) *Report {
 	}
 }
 
-// run executes fn under the configured executor with one-shot resources
-// (fresh address space, per-call pool). Session holds the persistent
-// variant; see exec in session.go. A tripped Config.Cancel surfaces as
-// ErrCanceled; a panic out of the computation as *PanicError (ErrInternal).
-func run(cfg Config, fn func(c *forkjoin.Ctx, sp *mem.Space)) (*Report, error) {
-	return exec{cfg: cfg}.run(fn)
+// run executes fn once in a throwaway Session's environment (oneShot), the
+// form of every package-level call that is not a query or a graph run; fn
+// reads the run's sorter and tuning from e. A panic out of the computation
+// surfaces as *PanicError (ErrInternal).
+func run(cfg Config, fn func(e exec, c *forkjoin.Ctx, sp *mem.Space)) (*Report, error) {
+	e, done := oneShot(cfg)
+	defer done()
+	return e.run(func(c *forkjoin.Ctx, sp *mem.Space) { fn(e, c, sp) })
 }
 
 // ErrEmptyInput is returned for empty inputs where a result is undefined.

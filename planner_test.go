@@ -112,13 +112,15 @@ func runStaged(t *testing.T, cfg Config, tab Table, q Query) Table {
 func sortsOf(t *testing.T, tab Table, q Query, staged bool) int {
 	t.Helper()
 	n := 0
-	srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
+	e, done := oneShot(Config{Mode: ModeSerial})
+	defer done()
+	e.srt = countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
 	chain := []stage{{q: q}}
 	if staged {
 		chain = stagesOf(q)
 	}
 	for _, st := range chain {
-		out, _, _, err := runQuery(exec{cfg: Config{Mode: ModeSerial}}, tab, st.q, srt)
+		out, _, _, err := runQuery(e, tab, st.q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 
@@ -16,37 +15,33 @@ import (
 )
 
 // exec is the execution environment an operator — relational or graph —
-// runs under. The zero-value-with-cfg form (exec{cfg: cfg}) reproduces the
-// one-shot behavior: a fresh address space, a fresh pool in ModeParallel,
-// and a per-run arena. A Session fills the persistent fields so
-// back-to-back runs (and the constituent runs of a composite operator like
-// PageRank) reuse the pool, the space, and the arena instead of rebuilding
-// them per invocation.
+// runs under: the executor config, the work-stealing pool (ModeParallel
+// only), the address space, the relational scratch arena and the run's one
+// sorter. Only Session.exec builds one, so a package-level call (a
+// throwaway Session, oneShot) and a Session run get the same environment,
+// and the constituent runs of a composite operator like PageRank share it.
 type exec struct {
-	cfg Config
-	// pool, when non-nil, is a long-lived work-stealing pool used for
-	// ModeParallel runs instead of constructing (and tearing down) one per
-	// call.
+	cfg  Config
 	pool *forkjoin.Pool
-	// sp, when non-nil, is a long-lived address space. Keeping the space
-	// stable across runs is what makes arena and sorter scratch caches
-	// effective: both drop their arrays when the requesting space changes.
-	sp *mem.Space
-	// arena, when non-nil, is a long-lived relational scratch arena handed
-	// to every run in place of a per-run one.
+	// sp is kept stable across runs, which is what makes the arena and
+	// sorter scratch caches effective: both drop their arrays when the
+	// requesting space changes.
+	sp    *mem.Space
 	arena *relops.Arena
-	// cancel, when non-nil, overrides cfg.Cancel as the run's cancellation
-	// token (the Session sets a fresh per-query token here).
+	// srt is the run's one sorter: the shuffle backend is stateful, so
+	// every sort of a run must go through the same instance.
+	srt obliv.ScheduledSorter
+	// cancel is the run's cancellation token: a fresh one per Session run,
+	// nil for a package-level call.
 	cancel *forkjoin.Cancel
 }
 
-// token resolves the run's cancellation token: the session's per-query
-// token when set, else the config-level one.
-func (e exec) token() *forkjoin.Cancel {
-	if e.cancel != nil {
-		return e.cancel
-	}
-	return e.cfg.Cancel.token()
+// oneShot is the environment of a package-level call: a throwaway
+// Session's, released by the returned func once the call is done. It runs
+// on the session's raw sorter, without runOn's pass counter or token.
+func oneShot(cfg Config) (exec, func()) {
+	s := NewSession(cfg)
+	return s.exec(), s.Close
 }
 
 // run executes fn under e's executor. It is the lifecycle boundary: a
@@ -68,31 +63,18 @@ func (e exec) run(fn func(c *forkjoin.Ctx, sp *mem.Space)) (rep *Report, err err
 			}
 		}
 	}()
-	cn := e.token()
-	sp := e.sp
-	if sp == nil {
-		sp = mem.NewSpace()
-	}
 	switch e.cfg.Mode {
 	case ModeMetered:
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{
 			CacheM: e.cfg.CacheM, CacheB: e.cfg.CacheB, EnableTrace: e.cfg.Trace,
-			Cancel: cn,
-		}, func(c *forkjoin.Ctx) { fn(c, sp) })
+			Cancel: e.cancel,
+		}, func(c *forkjoin.Ctx) { fn(c, e.sp) })
 		return reportOf(m), nil
-	case ModeSerial:
-		fn(forkjoin.SerialCancel(cn), sp)
+	case ModeParallel:
+		e.pool.RunCancel(e.cancel, func(c *forkjoin.Ctx) { fn(c, e.sp) })
 		return nil, nil
 	default:
-		if e.pool != nil {
-			e.pool.RunCancel(cn, func(c *forkjoin.Ctx) { fn(c, sp) })
-			return nil, nil
-		}
-		w := e.cfg.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		forkjoin.RunParallelCancel(w, cn, func(c *forkjoin.Ctx) { fn(c, sp) })
+		fn(forkjoin.SerialCancel(e.cancel), e.sp)
 		return nil, nil
 	}
 }
@@ -123,7 +105,9 @@ type QueryStats struct {
 
 // passCounter wraps the session's scheduled sorter and counts executed
 // full sorting passes — the counter QueryStats.SortPasses reports and the
-// serve-level tests assert on.
+// serve-level tests assert on. Only runOn installs it: the counter is a
+// plain int, and the paper façade's core.RandomPermutation calls its sorter
+// concurrently, so package-level calls keep the raw sorter.
 type passCounter struct {
 	inner obliv.ScheduledSorter
 	n     *int
@@ -146,12 +130,12 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 // Session is a reusable execution context for the table operators — queries
 // (RunQuery) and the edge-table graph operators (RunGraphCtx) — the seam a
 // long-running server (internal/serve, cmd/oblivserve) multiplexes requests
-// over. Where the one-shot surfaces rebuild their fork-join pool, address
-// space, scratch arena, and sorter per invocation (PageRank once per
-// constituent run), a Session constructs them once and reuses them across
-// runs: the arena's key schedules and element scratch, the shuffle
-// backend's tie planes and Beneš level buffers, and the pool's worker
-// goroutines all persist, so a steady stream of same-shape queries runs
+// over. It owns the one execution environment the module builds: a
+// fork-join pool, address space, scratch arena and sorter, constructed once
+// and reused across runs. A package-level call runs in a throwaway Session
+// (oneShot); a long-lived one keeps the arena's key schedules and element
+// scratch, the shuffle backend's tie planes and Beneš level buffers, and the
+// pool's worker goroutines, so a steady stream of same-shape queries runs
 // allocation-flat.
 //
 // A Session is NOT safe for concurrent use: queries must be issued
@@ -159,7 +143,7 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 // each admission lane its own Session. Close releases the pool's workers;
 // a closed session must not run further queries.
 //
-// Obliviousness is unchanged from the one-shot surfaces: resource reuse
+// Obliviousness is unchanged from the package-level calls: resource reuse
 // follows the public sequence of (relation size, query shape) pairs only,
 // and the cross-query order tokens a Session feeds back into the planner
 // are themselves functions of prior public shapes.
@@ -186,7 +170,7 @@ type Session struct {
 // default) it owns a long-lived work-stealing pool of cfg.Workers workers
 // (GOMAXPROCS when zero); call Close to release it.
 func NewSession(cfg Config) *Session {
-	// One persistent sorter per session: the shuffle backend is stateful,
+	// The one place a sorter is resolved: the shuffle backend is stateful,
 	// and its caches — tie planes, Beneš level buffers — are what make
 	// cross-request pooling worthwhile (the bitonic backend is stateless).
 	s := &Session{cfg: cfg, sp: mem.NewSpace(), arena: relops.NewArena(), srt: relSorter(cfg)}
@@ -216,9 +200,10 @@ func (s *Session) Close() {
 	}
 }
 
-// exec assembles the session's execution environment.
+// exec assembles the session's execution environment — the only place an
+// exec is built.
 func (s *Session) exec() exec {
-	return exec{cfg: s.cfg, pool: s.pool, sp: s.sp, arena: s.arena}
+	return exec{cfg: s.cfg, pool: s.pool, sp: s.sp, arena: s.arena, srt: s.srt}
 }
 
 // Interrupt cancels the in-flight run, if any: RunQuery/RunQueryCtx/
@@ -251,8 +236,8 @@ func (s *Session) RunQuery(t Table, q Query) (Table, QueryStats, error) {
 // ErrDeadline. The abort reveals only public quantities — the checkpoint
 // site and the executed sort-pass count — never data.
 func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, QueryStats, error) {
-	out, stats, pl, err := runOn(ctx, s, func(e exec, srt obliv.ScheduledSorter) (Table, *Report, plan.Plan, error) {
-		return runQuery(e, t, q, srt)
+	out, stats, pl, err := runOn(ctx, s, func(e exec) (Table, *Report, plan.Plan, error) {
+		return runQuery(e, t, q)
 	})
 	stats.ColdSortPasses = pl.ColdSortPasses
 	return out, stats, err
@@ -267,8 +252,8 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 // SortPasses is the executed count (graph results carry no order token, so
 // ColdSortPasses equals it) and Plan the GraphExplainTable rendering.
 func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds int) (Table, QueryStats, error) {
-	out, stats, _, err := runOn(ctx, s, func(e exec, srt obliv.ScheduledSorter) (Table, *Report, plan.GraphPlan, error) {
-		return runGraph(e, t, op, rounds, srt)
+	out, stats, _, err := runOn(ctx, s, func(e exec) (Table, *Report, plan.GraphPlan, error) {
+		return runGraph(e, t, op, rounds)
 	})
 	stats.ColdSortPasses = stats.SortPasses
 	return out, stats, err
@@ -277,11 +262,11 @@ func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds i
 // runOn is the lifecycle of one session run, shared by every operator kind
 // (P is the kind's plan type): refuse a closed or poisoned session and an
 // already-done context, arm a fresh per-run token (the seam Interrupt and
-// ctx trip), hand op the session's environment and its pass-counted sorter,
+// ctx trip), hand op the session's environment with its sorter pass-counted,
 // poison the session when op panicked out of the execution, and stamp a
 // canceled run with the executed pass count. The stats it returns carry
 // everything but the cold baseline, which only the caller's plan knows.
-func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec, srt obliv.ScheduledSorter) (Table, *Report, P, error)) (Table, QueryStats, P, error) {
+func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Table, *Report, P, error)) (Table, QueryStats, P, error) {
 	fail := func(err error) (Table, QueryStats, P, error) {
 		var noPlan P
 		return Table{}, QueryStats{}, noPlan, err
@@ -302,8 +287,9 @@ func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec, srt 
 	stop := watchCtx(ctx, cn)
 	defer stop()
 	e := s.exec()
+	e.srt = passCounter{inner: e.srt, n: &passes}
 	e.cancel = cn
-	out, rep, pl, err := op(e, passCounter{inner: s.srt, n: &passes})
+	out, rep, pl, err := op(e)
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			s.poisoned.Store(true)

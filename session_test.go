@@ -59,6 +59,32 @@ func TestSessionMatchesOneShot(t *testing.T) {
 			t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, pl.SortPasses, pl)
 		}
 	}
+	// A package-level call is a throwaway session: a fresh metered session's
+	// Report is the one-shot's, counter for counter and fingerprint.
+	metered := Config{Mode: ModeMetered, Trace: true, Seed: 3, DeterministicShuffle: true}
+	dim, err := NewTable([]Row{{Key: 1, Val: 10}, {Key: 3, Val: 30}, {Key: 3, Val: 31}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := append(queryShapes(), Query{Join: &JoinSpec{Left: dim, MaxOut: 512}, GroupBy: AggSum})
+	for i, q := range shapes {
+		if i%3 != 0 && q.Join == nil {
+			continue
+		}
+		_, want, err := RunQuery(metered, tab, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewSession(metered)
+		_, stats, err := fresh.RunQuery(tab, q)
+		fresh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Report == nil || *stats.Report != *want {
+			t.Fatalf("shape %d: fresh metered session report %+v, one-shot %+v", i, stats.Report, want)
+		}
+	}
 }
 
 func TestSessionKeyOrderOut(t *testing.T) {
@@ -217,7 +243,8 @@ func TestSessionClosed(t *testing.T) {
 // passes they executed — equal to the plan wherever the plan is exact,
 // within its bound where a loop's round count is revealed — and leave the
 // session reusable: one session serves the whole operator list. A fresh
-// metered session's first run is the one-shot run, counter for counter.
+// metered session's run is the one-shot run, counter for counter, for every
+// operator — PageRank's constituent runs included.
 func TestSessionRunGraphMatchesOneShot(t *testing.T) {
 	edges := testEdges(41, 40, 64, 100)
 	tab := mustEdgeTable(t, edges)
@@ -279,9 +306,7 @@ func TestSessionRunGraphMatchesOneShot(t *testing.T) {
 			sess.Close()
 		}
 		cfg.Mode, cfg.Trace = ModeMetered, true
-		// Not PageRank: its session runs share one arena and sorter, a
-		// different (still shape-only) trace from eleven fresh ones.
-		for _, tc := range ops[:3] {
+		for _, tc := range ops {
 			_, want, err := tc.oneShot(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -14,13 +14,12 @@ import (
 )
 
 // relSorter resolves cfg's relational sort backend to a fresh scheduled
-// sorter for one run. The shuffle backend is stateful (its sort counter
-// and scratch cache), so exactly one instance must exist per run:
-// construct it once at an operator entry point (RunQuery, the join
-// surfaces, GroupTotals) and thread it through runQuery to the passes —
-// never construct per pass. Selection — and,
-// for SortAuto, the per-sort size crossover inside the shuffle sorter
-// (core.DefaultShuffleCrossover) — is a function of public shape only.
+// sorter. The shuffle backend is stateful (its sort counter and scratch
+// cache), so it is constructed once, by NewSession, and every run of the
+// session — a package-level call's throwaway one included — reaches it as
+// exec.srt. Selection — and, for SortAuto, the per-sort size crossover
+// inside the shuffle sorter (core.DefaultShuffleCrossover) — is a function
+// of public shape only.
 func relSorter(cfg Config) obliv.ScheduledSorter {
 	switch cfg.SortBackend {
 	case SortBitonic:
@@ -72,7 +71,7 @@ var (
 	// ErrCapTooLarge is returned by a JoinCapAuto join whose worst-case
 	// bound exceeds relops.MaxRows: no legal capacity can hold the result,
 	// so the inputs must shrink rather than the capacity grow.
-	ErrCapTooLarge = fmt.Errorf("oblivmc: advised join capacity exceeds %d rows: %w",
+	ErrCapTooLarge = fmt.Errorf("oblivmc: join match bound exceeds %d rows: %w",
 		uint64(relops.MaxRows), relops.ErrCapTooLarge)
 )
 
@@ -447,7 +446,7 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 	}
 	var out []JoinedRow
 	var loadErr error
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
 		l, err := relops.Load(sp, left.recs, 1)
 		if err != nil {
 			loadErr = err
@@ -458,7 +457,7 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 			loadErr = err
 			return
 		}
-		j, _ := relops.Join(c, sp, relops.NewArena(), l, r, relSorter(cfg))
+		j, _ := relops.Join(c, sp, e.arena, l, r, e.srt)
 		for _, rec := range relops.UnloadJoined(j) {
 			out = append(out, JoinedRow{Key: rec.Key, LeftVal: rec.LeftVal, RightVal: rec.RightVal})
 		}
@@ -521,7 +520,7 @@ func joinErr(err error, matches, maxOut int) error {
 	case errors.Is(err, relops.ErrJoinOverflow):
 		return fmt.Errorf("%w (%d matches, capacity %d)", ErrJoinOverflow, matches, maxOut)
 	case errors.Is(err, relops.ErrCapTooLarge):
-		return fmt.Errorf("%w (advised %d)", ErrCapTooLarge, matches)
+		return fmt.Errorf("%w (bound %d)", ErrCapTooLarge, matches)
 	}
 	return err
 }
@@ -542,14 +541,15 @@ func joinErr(err error, matches, maxOut int) error {
 // cannot overflow, at no extra pass — at the cost of revealing that bound
 // as public shape.
 func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
-	return joinAllRows(exec{cfg: cfg}, relSorter(cfg), left, right, maxOut)
+	e, done := oneShot(cfg)
+	defer done()
+	return joinAllRows(e, left, right, maxOut)
 }
 
-// joinAllRows is JoinAllRows under an execution environment: e's executor,
-// e's persistent arena when it has one (else a per-run one), and the run's
-// one sorter — the form PageRank composes, so a Session's pooled resources
-// cover its join rounds too.
-func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
+// joinAllRows is JoinAllRows under an execution environment (e's executor,
+// arena and sorter) — the form PageRank composes, so its join rounds share
+// the environment of its other runs.
+func joinAllRows(e exec, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
 	if err := checkJoinTables(left, right, maxOut); err != nil {
 		return nil, nil, err
 	}
@@ -567,11 +567,7 @@ func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut in
 			runErr = err
 			return
 		}
-		ar := e.arena
-		if ar == nil {
-			ar = relops.NewArena()
-		}
-		j, m, err := relops.JoinAll(c, sp, ar, l, r, maxOut, srt)
+		j, m, err := relops.JoinAll(c, sp, e.arena, l, r, maxOut, e.srt)
 		if err != nil {
 			runErr = joinErr(err, m, maxOut)
 			return
@@ -746,7 +742,9 @@ func queryAgg(q Query) (relops.AggKind, error) {
 // RunQuery executes q over t under one executor run, so a metered Config
 // yields a single Report covering the whole pipeline.
 func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
-	out, rep, _, err := runQuery(exec{cfg: cfg}, t, q, relSorter(cfg))
+	e, done := oneShot(cfg)
+	defer done()
+	out, rep, _, err := runQuery(e, t, q)
 	return out, rep, err
 }
 
@@ -756,7 +754,7 @@ func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
 // position. deferred selects JoinAllDeferred (the planner dropped the
 // join's propagate+compact tail because a later pass re-sorts anyway).
 // Errors are the public typed wraps JoinAllRows returns (joinErr).
-func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.ScheduledSorter) (relops.Rel, error) {
+func queryJoin(e exec, c *forkjoin.Ctx, sp *mem.Space, j *JoinSpec, r relops.Rel, deferred bool) (relops.Rel, error) {
 	l, err := relops.Load(sp, j.Left.recs, r.W)
 	if err != nil {
 		return relops.Rel{}, err
@@ -765,7 +763,7 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 	if deferred {
 		join = relops.JoinAllDeferred
 	}
-	joined, m, err := join(c, sp, ar, l, r, j.MaxOut, srt)
+	joined, m, err := join(c, sp, e.arena, l, r, j.MaxOut, e.srt)
 	if err != nil {
 		return relops.Rel{}, joinErr(err, m, j.MaxOut)
 	}
@@ -775,15 +773,15 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 // runQuery is the one relational execution path: RunQuery, the
 // one-operator wrappers, Session.RunQueryCtx and PageRank's grouped sums all
 // land here. It validates q against t, compiles q's shape — including the
-// input table's sorted-by token, the cross-query seam — and executes the fused pass sequence under
-// e's executor with a scratch arena (e's persistent arena when it has one,
-// else per-run) and the run's one sorter (srt — the shuffle backend is
-// stateful, so exactly one instance must serve all of a run's sorts). The
+// input table's sorted-by token, the cross-query seam — and executes the
+// fused pass sequence under e's executor, with e's scratch arena and e's one
+// sorter (the shuffle backend is stateful, so one instance serves all of a
+// run's sorts). The
 // join stage is binary, so this layer — which holds both relations — peels
 // it off the plan's head and hands Execute the remaining unary passes over
 // the expanded relation. The result table is stamped with the plan's
 // output order token; the plan is returned for the caller's bookkeeping.
-func runQuery(e exec, t Table, q Query, srt obliv.ScheduledSorter) (Table, *Report, plan.Plan, error) {
+func runQuery(e exec, t Table, q Query) (Table, *Report, plan.Plan, error) {
 	fail := func(err error) (Table, *Report, plan.Plan, error) {
 		return Table{}, nil, plan.Plan{}, err
 	}
@@ -814,20 +812,16 @@ func runQuery(e exec, t Table, q Query, srt obliv.ScheduledSorter) (Table, *Repo
 			runErr = err
 			return
 		}
-		ar := e.arena
-		if ar == nil {
-			ar = relops.NewArena()
-		}
 		rest := pl
 		if q.Join != nil {
 			jop := rest.Ops[0] // plan.Build puts OpJoinAll first
 			rest.Ops = rest.Ops[1:]
-			if r, err = queryJoin(c, sp, ar, q.Join, r, jop.Deferred, srt); err != nil {
+			if r, err = queryJoin(e, c, sp, q.Join, r, jop.Deferred); err != nil {
 				runErr = err
 				return
 			}
 		}
-		relops.Execute(c, sp, ar, r, rest, pred, srt)
+		relops.Execute(c, sp, e.arena, r, rest, pred, e.srt)
 		out = tableOf(r)
 	})
 	if err != nil {
