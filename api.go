@@ -22,7 +22,7 @@ func Sort(cfg Config, keys []uint64) ([]uint64, *Report, error) {
 	}
 	out := make([]uint64, len(keys))
 	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
-		res := core.SortKeys(c, sp, keys, cfg.Seed, cfg.Tuning.params())
+		res := core.SortKeys(c, sp, keys, cfg.Seed, core.Params{})
 		copy(out, res)
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func Shuffle(cfg Config, keys []uint64) ([]uint64, *Report, error) {
 		for i, k := range keys {
 			in.Data()[i] = obliv.Elem{Key: k, Kind: obliv.Real}
 		}
-		perm, _ := core.MustRandomPermutation(c, sp, in, cfg.Seed, cfg.Tuning.params())
+		perm, _ := core.MustRandomPermutation(c, sp, in, cfg.Seed, core.Params{})
 		for i, e := range perm.Data() {
 			out[i] = e.Key
 		}

@@ -12,10 +12,10 @@ import (
 // of these (matchable with errors.Is), so servers can map outcomes to
 // typed responses without string inspection.
 var (
-	// ErrCanceled is returned when a Session run is canceled — through
-	// Session.Interrupt or the context of RunQueryCtx / RunGraphCtx. The
-	// error message carries only public shape: the checkpoint site (a pass
-	// index / layer name) and the executed sort-pass count, never data.
+	// ErrCanceled is returned when a Session run is canceled through the
+	// context of RunQueryCtx / RunGraphCtx. The error message carries only
+	// public shape: the checkpoint site (a pass index / layer name) and the
+	// executed sort-pass count, never data.
 	ErrCanceled = errors.New("oblivmc: execution canceled")
 	// ErrDeadline is returned when a context deadline caused the
 	// cancellation (Session.RunQueryCtx / RunGraphCtx with a deadline

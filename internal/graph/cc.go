@@ -95,11 +95,12 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], sr
 		}
 	})
 	pram.ScatterResolve(c, sp, star, reqs, srt)
-	// star[w] = star[D[w]].
+	// star[w] = star[w] ∧ star[D[w]]: a vertex cleared above stays cleared
+	// even when its parent (a child of the root) was not.
 	sOfD := pram.Gather(c, sp, star, dw, srt)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			star.Set(c, w, sOfD.Get(c, w).Val)
+			star.Set(c, w, star.Get(c, w)&sOfD.Get(c, w).Val)
 		}
 	})
 }

@@ -45,6 +45,9 @@ func FuzzConnectedComponents(f *testing.F) {
 	f.Add(uint64(2), uint8(31), uint8(47), uint8(1))
 	f.Add(uint64(3), uint8(2), uint8(1), uint8(0))
 	f.Add(uint64(4), uint8(20), uint8(5), uint8(1))
+	// n=12, m=11: AS's star check once re-promoted a depth-2 vertex whose
+	// parent was still marked, and the graph under-merged.
+	f.Add(uint64(28), uint8('J'), uint8(':'), uint8('R'))
 	f.Fuzz(func(t *testing.T, seed uint64, n, m, backend uint8) {
 		nv, edges := fuzzGraph(seed, n, m)
 		want := ConnectedComponentsSeq(nv, edges)

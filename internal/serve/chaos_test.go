@@ -176,8 +176,14 @@ func TestLaneRetiredAfterPanic(t *testing.T) {
 	mustLoad(t, s, "t", testRows(128, 8, 4))
 	mustLoad(t, s, "g", ringEdges(16))
 
+	// idle peeks at the single lane's idle session.
+	idle := func() *oblivmc.Session {
+		sess := <-s.lanes
+		s.lanes <- sess
+		return sess
+	}
 	for _, spec := range lifecycleSpecs {
-		panicked := s.free[0]
+		panicked := idle()
 		faultinject.PanicAt("sort.pass", 1)
 		_, err := s.Execute(spec)
 		if !errors.Is(err, oblivmc.ErrInternal) {
@@ -189,7 +195,7 @@ func TestLaneRetiredAfterPanic(t *testing.T) {
 		if s.Running() != 0 {
 			t.Fatalf("running gauge = %d after panic, want 0", s.Running())
 		}
-		if s.free[0] == panicked || !panicked.sess.Poisoned() {
+		if idle() == panicked || !panicked.Poisoned() {
 			t.Fatalf("%+v: the lane that panicked was not retired", spec)
 		}
 		faultinject.Reset()
@@ -241,6 +247,46 @@ func TestShutdownDrainCancelsStragglers(t *testing.T) {
 	}
 	if got := statusOf(ErrBusy); got != http.StatusTooManyRequests {
 		t.Fatalf("statusOf(ErrBusy) = %d, want 429", got)
+	}
+}
+
+// TestShutdownDrainCancelsQueuedStraggler pins that a straggler still
+// queued for a lane counts and is canceled like a running one: with one
+// lane held by a slow query and a second query waiting for it, the drain
+// deadline cancels both, and the queued caller learns it never ran.
+func TestShutdownDrainCancelsQueuedStraggler(t *testing.T) {
+	defer faultinject.Reset()
+	s := NewServer(Options{
+		Lanes:        1,
+		QueueTimeout: 5 * time.Second,
+		Exec:         oblivmc.Config{Mode: oblivmc.ModeSerial},
+	})
+	mustLoad(t, s, "t", testRows(256, 8, 5))
+
+	faultinject.SlowEvery("sort.pass", 1, 200*time.Millisecond)
+	running, queued := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true})
+		running <- err
+	}()
+	for s.Running() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "max"})
+		queued <- err
+	}()
+	for s.pending.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if canceled := s.ShutdownDrain(10 * time.Millisecond); canceled != 2 {
+		t.Fatalf("ShutdownDrain canceled %d stragglers, want 2 (one running, one queued)", canceled)
+	}
+	if err := <-running; !errors.Is(err, oblivmc.ErrCanceled) {
+		t.Fatalf("running straggler error = %v, want ErrCanceled", err)
+	}
+	if err := <-queued; !errors.Is(err, oblivmc.ErrCanceled) || !strings.Contains(err.Error(), "while queued for a lane") {
+		t.Fatalf("queued straggler error = %v, want ErrCanceled while queued for a lane", err)
 	}
 }
 

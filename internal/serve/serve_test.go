@@ -324,6 +324,36 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownFields pins strict load decoding: a misspelled
+// "replace" must not load as a non-replace, nor a misspelled "rows" as an
+// empty table — each is a 400 naming the field, and nothing is bound.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	s := serialServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ body, field string }{
+		{`{"name": "t", "rows": [{"keys": [1], "val": 2}], "replce": true}`, "replce"},
+		{`{"name": "t", "row": [{"keys": [1], "val": 2}]}`, "row"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tables", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, c.field) {
+			t.Fatalf("load %s: HTTP %d %q, want 400 naming %q", c.body, resp.StatusCode, er.Error, c.field)
+		}
+	}
+	if n := len(s.Registry().List()); n != 0 {
+		t.Fatalf("%d tables bound after refused loads, want 0", n)
+	}
+}
+
 // TestAdmissionBusy pins the queue-timeout path: with every lane checked
 // out and a tiny timeout, Execute fails fast with ErrBusy (HTTP 503).
 func TestAdmissionBusy(t *testing.T) {
@@ -334,14 +364,14 @@ func TestAdmissionBusy(t *testing.T) {
 	})
 	defer s.Shutdown()
 	mustLoad(t, s, "t", testRows(64, 4, 3))
-	l, err := s.checkout(context.Background(), 0)
+	sess, err := s.checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Execute(QuerySpec{Table: "t", Distinct: true}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("with the only lane held: %v, want ErrBusy", err)
 	}
-	s.release(l, 0, nil)
+	s.release(sess, nil)
 	if _, err := s.Execute(QuerySpec{Table: "t", Distinct: true}); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
@@ -472,41 +502,6 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 }
 
-// TestLaneBucketsPreferWarmedSessions sanity-checks the size-bucketed
-// free list: a lane that served a large relation is preferred for the
-// next large request over a cold lane.
-func TestLaneBucketsPreferWarmedSessions(t *testing.T) {
-	s := serialServer(t, 2)
-	big := bucketOf(1 << 12)
-	// Warm one lane to the big bucket by hand.
-	l, err := s.checkout(context.Background(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed := l
-	s.release(l, big, nil)
-	// A big request must pick the warmed lane, not the cold one.
-	l, err = s.checkout(context.Background(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != warmed {
-		t.Fatalf("big request got a cold lane (bucket %d), want the warmed one", l.bucket)
-	}
-	s.release(l, big, nil)
-	// A small request must prefer the small lane, leaving the big caches
-	// to big requests.
-	small := bucketOf(64)
-	l, err = s.checkout(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l == warmed {
-		t.Fatalf("small request got the big-warmed lane")
-	}
-	s.release(l, small, nil)
-}
-
 // The default worker split is GOMAXPROCS/lanes; with more lanes than
 // GOMAXPROCS the integer division resolves to 0, which forkjoin.NewPool
 // would silently expand to a *full* GOMAXPROCS pool per lane —
@@ -524,8 +519,10 @@ func TestWorkerSplitClampedToOne(t *testing.T) {
 	if got := s.WorkersPerLane(); got != 1 {
 		t.Fatalf("WorkersPerLane() = %d, want 1 (lanes=%d, GOMAXPROCS=%d)", got, lanes, runtime.GOMAXPROCS(0))
 	}
-	for i, l := range s.free {
-		if w := l.sess.Workers(); w != 1 {
+	for i := 0; i < lanes; i++ {
+		sess := <-s.lanes
+		defer func() { s.lanes <- sess }()
+		if w := sess.Workers(); w != 1 {
 			t.Fatalf("lane %d session Workers() = %d, want 1", i, w)
 		}
 	}
@@ -542,5 +539,13 @@ func TestWorkerSplitExplicitWins(t *testing.T) {
 	t.Cleanup(s.Shutdown)
 	if got := s.WorkersPerLane(); got != 3 {
 		t.Fatalf("WorkersPerLane() = %d, want explicit 3", got)
+	}
+	sess, err := s.checkout(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.release(sess, nil)
+	if w := sess.Workers(); w != 3 {
+		t.Fatalf("lane session Workers() = %d, want explicit 3", w)
 	}
 }

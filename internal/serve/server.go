@@ -28,19 +28,20 @@ var (
 
 // Options configures a Server.
 type Options struct {
-	// Lanes bounds the requests in flight: each lane owns one
+	// Lanes bounds the requests in flight: each lane is one
 	// oblivmc.Session (persistent fork-join pool, address space, arena,
-	// shuffle sorter) and runs one spec at a time on it — a query or a
-	// graph operator alike. 0 = GOMAXPROCS/2, min 1 — runs are internally
+	// shuffle sorter) that runs one spec at a time — a query or a graph
+	// operator alike. 0 = GOMAXPROCS/2, min 1 — runs are internally
 	// parallel, so a few lanes saturate the machine.
 	Lanes int
-	// QueueTimeout bounds how long an admitted request waits for a free
+	// QueueTimeout bounds how long an admitted request waits for an idle
 	// lane before failing with ErrBusy (0 = 5s).
 	QueueTimeout time.Duration
 	// QueryTimeout bounds one query's execution once it holds a lane
 	// (0 = unlimited). An expired query aborts cooperatively at its next
 	// public-shape checkpoint and fails with oblivmc.ErrDeadline
-	// (HTTP 504); the lane stays healthy and returns to the free list.
+	// (HTTP 504); its session stays healthy and goes back to the idle
+	// lanes.
 	QueryTimeout time.Duration
 	// CacheSize bounds the materialized-result cache entries (0 = 128).
 	CacheSize int
@@ -50,16 +51,8 @@ type Options struct {
 	Exec oblivmc.Config
 }
 
-// lane is one admission slot: a session plus the size bucket (log₂ of
-// the largest relation length) it has served, which is what its arena,
-// tie planes, and Beneš level buffers are warmed for.
-type lane struct {
-	sess   *oblivmc.Session
-	bucket int
-}
-
-// Server is the oblivious analytics server: registry + result cache +
-// size-bucketed lane free list. It is the transport-independent core —
+// Server is the oblivious analytics server: registry + result cache + a
+// channel of idle lane sessions. It is the transport-independent core —
 // Execute/ExplainSpec/LoadTable are plain methods the tests drive
 // directly — with an http.Handler surface on top. Every spec, relational
 // or graph, takes the one path through ExecuteCtx and runs on its lane's
@@ -69,21 +62,23 @@ type Server struct {
 	cache *resultCache
 	opts  Options
 
-	// sem holds one token per lane; acquiring a token guarantees the
-	// free list below is non-empty.
-	sem  chan struct{}
-	mu   sync.Mutex
-	free []*lane
+	// lanes holds the idle lane sessions (capacity Lanes): a request
+	// receives one to run on and sends it back, so the channel is both the
+	// admission bound and the pool. Lanes are FIFO by return order, with
+	// no size affinity — the session caches only grow, so any lane that has
+	// served a size is warmed for it.
+	lanes chan *oblivmc.Session
 
 	drainMu  sync.Mutex
 	draining bool
 	inflight sync.WaitGroup
 
-	// cancels tracks the per-request cancel funcs of in-flight queries so
-	// ShutdownDrain can abort stragglers past the drain deadline.
-	cancelMu sync.Mutex
-	cancelID int64
-	cancels  map[int64]context.CancelFunc
+	// ctx is canceled at the drain deadline; every admitted cache-miss
+	// request runs under a context tied to it and is counted in pending
+	// until it finishes, queued or running.
+	ctx     context.Context
+	stop    context.CancelFunc
+	pending atomic.Int64
 
 	// running / peak gauge the queries concurrently holding lanes — the
 	// admission-bound observable the stress test asserts on.
@@ -111,15 +106,14 @@ func NewServer(opts Options) *Server {
 	}
 	opts.Exec = cfg
 	s := &Server{
-		reg:     NewRegistry(),
-		cache:   newResultCache(opts.CacheSize),
-		opts:    opts,
-		sem:     make(chan struct{}, opts.Lanes),
-		cancels: map[int64]context.CancelFunc{},
+		reg:   NewRegistry(),
+		cache: newResultCache(opts.CacheSize),
+		opts:  opts,
+		lanes: make(chan *oblivmc.Session, opts.Lanes),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	for i := 0; i < opts.Lanes; i++ {
-		s.free = append(s.free, &lane{sess: oblivmc.NewSession(cfg)})
-		s.sem <- struct{}{}
+		s.lanes <- oblivmc.NewSession(cfg)
 	}
 	return s
 }
@@ -151,49 +145,23 @@ func (s *Server) PeakConcurrency() int { return int(s.peak.Load()) }
 // cancellations, timeouts, and injected panics.
 func (s *Server) Running() int { return int(s.running.Load()) }
 
-// bucketOf maps a relation length to its lane size bucket (log₂ ceil).
-func bucketOf(n int) int {
-	b := 0
-	for (1 << b) < n {
-		b++
-	}
-	return b
-}
-
-// checkout acquires a lane, preferring the best-fit size bucket: the
-// largest bucket <= hint (grown exactly to this request, keeping
-// bigger-warmed lanes free for the big requests that need their
-// caches), else the smallest bucket above it. Blocks up to the queue
-// timeout; admission order beyond the token queue is best-effort.
-func (s *Server) checkout(ctx context.Context, hint int) (*lane, error) {
+// checkout receives an idle lane session, blocking up to the queue timeout
+// (ErrBusy) or until ctx is done (the queue-abort errors).
+func (s *Server) checkout(ctx context.Context) (*oblivmc.Session, error) {
+	var sess *oblivmc.Session
 	select {
-	case <-s.sem:
+	case sess = <-s.lanes:
 	default:
 		t := time.NewTimer(s.opts.QueueTimeout)
 		defer t.Stop()
 		select {
-		case <-s.sem:
+		case sess = <-s.lanes:
 		case <-t.C:
 			return nil, ErrBusy
 		case <-ctx.Done():
 			return nil, queueAbortErr(ctx)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best := -1
-	for i, l := range s.free {
-		switch {
-		case best == -1:
-			best = i
-		case l.bucket <= hint && (s.free[best].bucket > hint || l.bucket > s.free[best].bucket):
-			best = i
-		case l.bucket > hint && s.free[best].bucket > hint && l.bucket < s.free[best].bucket:
-			best = i
-		}
-	}
-	l := s.free[best]
-	s.free = append(s.free[:best], s.free[best+1:]...)
 	n := s.running.Add(1)
 	for {
 		p := s.peak.Load()
@@ -201,48 +169,26 @@ func (s *Server) checkout(ctx context.Context, hint int) (*lane, error) {
 			break
 		}
 	}
-	return l, nil
+	return sess, nil
 }
 
-// release returns the lane after a run. A healthy lane checks in warmed
-// to hint. A poisoned one (the run returned ErrInternal: its session
-// panicked, so its arena and sorter state are suspect) is closed and a cold
-// session takes the slot — at bucket 0, warmed for nothing — so the
-// admission token returns to circulation and a panic never shrinks
-// capacity.
-func (s *Server) release(l *lane, hint int, err error) {
-	switch {
-	case errors.Is(err, oblivmc.ErrInternal):
-		l.sess.Close()
-		l = &lane{sess: oblivmc.NewSession(s.opts.Exec)}
-	case hint > l.bucket:
-		l.bucket = hint
+// release sends the lane session back after a run. A poisoned one (the run
+// returned ErrInternal: its session panicked, so its arena and sorter state
+// are suspect) is closed and a fresh session goes back in its place, so a
+// panic never shrinks capacity.
+func (s *Server) release(sess *oblivmc.Session, err error) {
+	if errors.Is(err, oblivmc.ErrInternal) {
+		sess.Close()
+		sess = oblivmc.NewSession(s.opts.Exec)
 	}
 	s.running.Add(-1)
-	s.mu.Lock()
-	s.free = append(s.free, l)
-	s.mu.Unlock()
-	s.sem <- struct{}{}
+	s.lanes <- sess
 }
 
-// trackCancel registers a per-request cancel func for drain-time abort;
-// the returned func unregisters it.
-func (s *Server) trackCancel(cancel context.CancelFunc) (untrack func()) {
-	s.cancelMu.Lock()
-	s.cancelID++
-	id := s.cancelID
-	s.cancels[id] = cancel
-	s.cancelMu.Unlock()
-	return func() {
-		s.cancelMu.Lock()
-		delete(s.cancels, id)
-		s.cancelMu.Unlock()
-	}
-}
-
-// queryCtx derives the execution context of one admitted request: the
-// caller's context (client disconnect), the query timeout, and a cancel
-// func registered for drain-time abort.
+// queryCtx derives the execution context of one admitted cache-miss
+// request: the caller's context (client disconnect), the query timeout, and
+// the server context that ShutdownDrain cancels at its deadline. The request
+// counts in pending until the returned func runs.
 func (s *Server) queryCtx(ctx context.Context) (context.Context, func()) {
 	var cancel context.CancelFunc
 	if s.opts.QueryTimeout > 0 {
@@ -250,9 +196,11 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, func()) {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	untrack := s.trackCancel(cancel)
+	unlink := context.AfterFunc(s.ctx, cancel)
+	s.pending.Add(1)
 	return ctx, func() {
-		untrack()
+		s.pending.Add(-1)
+		unlink()
 		cancel()
 	}
 }
@@ -283,12 +231,14 @@ func (s *Server) admit() error {
 func (s *Server) Shutdown() { s.ShutdownDrain(0) }
 
 // ShutdownDrain is Shutdown with a drain deadline: in-flight queries get
-// up to d to finish on their own; stragglers still running at the
-// deadline are canceled (they abort cooperatively at their next
-// public-shape checkpoint and their callers see ErrCanceled) and then
-// awaited, so the method never returns with a query still holding a
-// lane. d <= 0 waits indefinitely. Returns the number of stragglers
-// canceled. Idempotent: later calls return 0 immediately.
+// up to d to finish on their own. At the deadline the server context is
+// canceled, so every straggler — an admitted cache-miss request still
+// running or still queued for a lane — aborts (a running one cooperatively
+// at its next public-shape checkpoint) and its caller sees ErrCanceled.
+// The stragglers are then awaited and all Lanes sessions received back and
+// closed, so the method never returns with a query still holding a lane.
+// d <= 0 waits indefinitely. Returns the number of stragglers canceled.
+// Idempotent: later calls return 0 immediately.
 func (s *Server) ShutdownDrain(d time.Duration) int {
 	s.drainMu.Lock()
 	if s.draining {
@@ -303,6 +253,7 @@ func (s *Server) ShutdownDrain(d time.Duration) int {
 		s.inflight.Wait()
 		close(drained)
 	}()
+	defer s.stop()
 	canceled := 0
 	if d > 0 {
 		t := time.NewTimer(d)
@@ -310,21 +261,13 @@ func (s *Server) ShutdownDrain(d time.Duration) int {
 		case <-drained:
 			t.Stop()
 		case <-t.C:
-			s.cancelMu.Lock()
-			for _, cancel := range s.cancels {
-				cancel()
-				canceled++
-			}
-			s.cancelMu.Unlock()
-			<-drained
+			canceled = int(s.pending.Load())
+			s.stop()
 		}
-	} else {
-		<-drained
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, l := range s.free {
-		l.sess.Close()
+	<-drained
+	for i := 0; i < s.opts.Lanes; i++ {
+		(<-s.lanes).Close()
 	}
 	return canceled
 }
@@ -357,8 +300,8 @@ func (s *Server) Execute(spec QuerySpec) (Result, error) {
 // canceled — client disconnect via the HTTP handler — or when the
 // server's QueryTimeout expires, surfacing oblivmc.ErrCanceled or
 // oblivmc.ErrDeadline respectively. A run that panics surfaces
-// oblivmc.ErrInternal and the lane that ran it is retired and rebuilt,
-// returning its admission token.
+// oblivmc.ErrInternal and the session that ran it is retired: a fresh one
+// goes back to the idle lanes in its place.
 func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error) {
 	if err := s.admit(); err != nil {
 		return Result{}, err
@@ -378,12 +321,12 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	} else {
 		qctx, done := s.queryCtx(ctx)
 		defer done()
-		l, err := s.checkout(qctx, c.hint)
+		sess, err := s.checkout(qctx)
 		if err != nil {
 			return Result{}, err
 		}
-		out, stats, err := c.run(qctx, l.sess)
-		s.release(l, c.hint, err)
+		out, stats, err := c.run(qctx, sess)
+		s.release(sess, err)
 		if err != nil {
 			return Result{}, err
 		}
@@ -538,8 +481,12 @@ func (s *Server) Handler() http.Handler {
 		case http.MethodGet:
 			writeJSON(w, http.StatusOK, s.reg.List())
 		case http.MethodPost:
+			// Strict like decodeSpec: a misspelled "replace" or "rows" is
+			// a 400 naming the field, not a silent non-replace or empty load.
 			var req LoadRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			dec := json.NewDecoder(r.Body)
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
 				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 				return
 			}
@@ -611,8 +558,6 @@ func (s *Server) Handler() http.Handler {
 
 // String renders the admission state (debugging).
 func (s *Server) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("serve.Server{lanes=%d free=%d tables=%d cache=%d}",
-		s.opts.Lanes, len(s.free), len(s.reg.List()), s.cache.len())
+	return fmt.Sprintf("serve.Server{lanes=%d idle=%d tables=%d cache=%d}",
+		s.opts.Lanes, len(s.lanes), len(s.reg.List()), s.cache.len())
 }

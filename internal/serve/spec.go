@@ -31,9 +31,6 @@ type compiled struct {
 	// key is the canonical cache key. It embeds every referenced table as
 	// name@version, so re-loads structurally invalidate dependent entries.
 	key string
-	// hint is the lane size bucket the run warms (log₂ of its largest
-	// relation).
-	hint int
 	// run executes the spec on a checked-out lane's session.
 	run func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error)
 	// explain renders the plan run would execute, without running it.
@@ -49,15 +46,8 @@ func compile(s QuerySpec, reg *Registry) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	hint := bucketOf(tab.Len())
-	if q.Join != nil {
-		if b := bucketOf(q.Join.Left.Len() + tab.Len()); b > hint {
-			hint = b
-		}
-	}
 	return compiled{
-		key:  key,
-		hint: hint,
+		key: key,
 		run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
 			return sess.RunQueryCtx(ctx, tab, q)
 		},
@@ -104,8 +94,7 @@ func compileGraph(s QuerySpec, reg *Registry) (compiled, error) {
 		rounds = 5
 	}
 	return compiled{
-		key:  fmt.Sprintf("t=%s@%d|graph=%s|r=%d", s.Table, ver, s.Graph, rounds),
-		hint: bucketOf(tab.Len()),
+		key: fmt.Sprintf("t=%s@%d|graph=%s|r=%d", s.Table, ver, s.Graph, rounds),
 		run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
 			return sess.RunGraphCtx(ctx, tab, op, rounds)
 		},

@@ -1,6 +1,6 @@
 package oblivmc
 
-// Query-lifecycle tests: cooperative cancellation (context, Interrupt,
+// Query-lifecycle tests: cooperative cancellation (context cancel,
 // deadline), panic isolation and session poisoning, the
 // untripped-token trace pin, and watcher-goroutine hygiene.
 
@@ -98,30 +98,32 @@ func TestCancelCtxAfterFirstSortPass(t *testing.T) {
 	}
 }
 
-// TestSessionInterrupt interrupts an in-flight query from another
-// goroutine: the query returns ErrCanceled, and — cancellation does not
-// poison — the same session then runs the query to completion.
-func TestSessionInterrupt(t *testing.T) {
+// TestSessionCancelMidQuery cancels an in-flight query's context from
+// another goroutine: the query returns ErrCanceled, and — cancellation does
+// not poison — the same session then runs the query to completion.
+func TestSessionCancelMidQuery(t *testing.T) {
 	defer faultinject.Reset()
 	sess := NewSession(Config{Mode: ModeSerial})
 	defer sess.Close()
 	tab := mustTable(t, lcRows(256))
 	q := Query{GroupBy: AggSum, KeyOrderOut: true}
 
-	// Stretch every sort pass so the interrupt lands mid-query.
+	// Stretch every sort pass so the cancel lands mid-query.
 	faultinject.SlowEvery("sort.pass", 1, 30*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		for faultinject.Hits("sort.pass") == 0 {
 			time.Sleep(500 * time.Microsecond)
 		}
-		sess.Interrupt()
+		cancel()
 	}()
-	_, _, err := sess.RunQuery(tab, q)
+	_, _, err := sess.RunQueryCtx(ctx, tab, q)
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("interrupted query: err = %v, want ErrCanceled", err)
+		t.Fatalf("canceled query: err = %v, want ErrCanceled", err)
 	}
 	if errors.Is(err, ErrDeadline) {
-		t.Fatalf("interrupt misreported as deadline: %v", err)
+		t.Fatalf("cancel misreported as deadline: %v", err)
 	}
 	if sess.Poisoned() {
 		t.Fatal("cooperative cancellation must not poison the session")
@@ -130,16 +132,16 @@ func TestSessionInterrupt(t *testing.T) {
 	faultinject.Reset()
 	out, _, err := sess.RunQuery(tab, q)
 	if err != nil {
-		t.Fatalf("query after interrupt: %v", err)
+		t.Fatalf("query after cancel: %v", err)
 	}
 	want := keySorted(refQuery(tab.Rows(), Query{GroupBy: AggSum}))
 	got := out.Rows()
 	if len(got) != len(want) {
-		t.Fatalf("post-interrupt rows: %d, want %d", len(got), len(want))
+		t.Fatalf("post-cancel rows: %d, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("post-interrupt row %d = %v, want %v", i, got[i], want[i])
+			t.Fatalf("post-cancel row %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -114,36 +114,12 @@ type Config struct {
 	// order. Leave it off outside tests and benchmarks; it has no effect
 	// on SortBitonic or on the non-relational operations.
 	DeterministicShuffle bool
-	// Tuning overrides the paper's default parameters (zero = defaults).
-	Tuning Tuning
 }
 
-// Tuning exposes the paper's tunables (see internal/core.Params).
-type Tuning struct {
-	// Z is the ORBA bin capacity (power of two; default ~log² n).
-	Z int
-	// Gamma is the butterfly branching factor (power of two; default
-	// ~log n; 2 reproduces the prior work ablation).
-	Gamma int
-	// SampleRate, PivotSpacing, BinCapFactor tune REC-SORT (§E.2).
-	SampleRate, PivotSpacing, BinCapFactor int
-}
-
-func (t Tuning) params() core.Params {
-	return core.Params{
-		Z: t.Z, Gamma: t.Gamma,
-		SampleRate: t.SampleRate, PivotSpacing: t.PivotSpacing,
-		BinCapFactor: t.BinCapFactor,
-	}
-}
-
-// graphParams is e's tuning with e's sorter attached — the parameters every
-// graph entry point runs under (the session's one sorter, throwaway or not).
-func (e exec) graphParams() core.Params {
-	p := e.cfg.Tuning.params()
-	p.Sorter = e.srt
-	return p
-}
+// graphParams are the paper's default parameters with e's sorter attached
+// — what every graph entry point runs under (the session's one sorter,
+// throwaway or not).
+func (e exec) graphParams() core.Params { return core.Params{Sorter: e.srt} }
 
 // Report carries the metrics of a metered run; nil in other modes.
 type Report struct {
@@ -177,7 +153,7 @@ func reportOf(m *forkjoin.Metrics) *Report {
 
 // run executes fn once in a throwaway Session's environment (oneShot), the
 // form of every package-level call that is not a query or a graph run; fn
-// reads the run's sorter and tuning from e. A panic out of the computation
+// reads the run's sorter from e. A panic out of the computation
 // surfaces as *PanicError (ErrInternal).
 func run(cfg Config, fn func(e exec, c *forkjoin.Ctx, sp *mem.Space)) (*Report, error) {
 	e, done := oneShot(cfg)

@@ -140,8 +140,10 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 //
 // A Session is NOT safe for concurrent use: queries must be issued
 // sequentially (the shuffle sorter and arena are stateful). A server gives
-// each admission lane its own Session. Close releases the pool's workers;
-// a closed session must not run further queries.
+// each admission lane its own Session. A run is canceled only through the
+// context of RunQueryCtx / RunGraphCtx, and a canceled session stays
+// reusable. Close releases the pool's workers; a closed session must not
+// run further queries.
 //
 // Obliviousness is unchanged from the package-level calls: resource reuse
 // follows the public sequence of (relation size, query shape) pairs only,
@@ -155,9 +157,6 @@ type Session struct {
 	srt    obliv.ScheduledSorter
 	closed bool
 
-	// cur is the in-flight query's cancellation token (nil when idle) —
-	// the seam Interrupt trips from other goroutines.
-	cur atomic.Pointer[forkjoin.Cancel]
 	// poisoned is set when a query panicked out of the execution: the
 	// arena and sorter state are suspect, so the session refuses further
 	// queries until rebuilt. (A cooperative cancellation does NOT poison:
@@ -206,16 +205,6 @@ func (s *Session) exec() exec {
 	return exec{cfg: s.cfg, pool: s.pool, sp: s.sp, arena: s.arena, srt: s.srt}
 }
 
-// Interrupt cancels the in-flight run, if any: RunQuery/RunQueryCtx/
-// RunGraphCtx returns ErrCanceled at its next public-shape checkpoint. Safe
-// to call from any goroutine, any number of times; a no-op when the session
-// is idle. The session stays reusable after an interrupt.
-func (s *Session) Interrupt() {
-	if cn := s.cur.Load(); cn != nil {
-		cn.Cancel()
-	}
-}
-
 // Poisoned reports whether a prior query panicked out of this session's
 // execution, leaving its arena/sorter state suspect. A poisoned session
 // refuses further queries with ErrInternal; close it and build a fresh one.
@@ -248,7 +237,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 // GraphExplain) over the edge table t exactly like the package-level
 // Components / MSF / PageRank, but under the session's pooled resources and
 // the RunQueryCtx lifecycle: a composite operator's constituent runs all
-// share the pool, space, arena and sorter, and one token cancels them all.
+// share the pool, space, arena and sorter, and ctx cancels them all.
 // SortPasses is the executed count (graph results carry no order token, so
 // ColdSortPasses equals it) and Plan the GraphExplainTable rendering.
 func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds int) (Table, QueryStats, error) {
@@ -261,11 +250,11 @@ func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds i
 
 // runOn is the lifecycle of one session run, shared by every operator kind
 // (P is the kind's plan type): refuse a closed or poisoned session and an
-// already-done context, arm a fresh per-run token (the seam Interrupt and
-// ctx trip), hand op the session's environment with its sorter pass-counted,
-// poison the session when op panicked out of the execution, and stamp a
-// canceled run with the executed pass count. The stats it returns carry
-// everything but the cold baseline, which only the caller's plan knows.
+// already-done context, arm a fresh per-run token that ctx trips, hand op
+// the session's environment with its sorter pass-counted, poison the
+// session when op panicked out of the execution, and stamp a canceled run
+// with the executed pass count. The stats it returns carry everything but
+// the cold baseline, which only the caller's plan knows.
 func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Table, *Report, P, error)) (Table, QueryStats, P, error) {
 	fail := func(err error) (Table, QueryStats, P, error) {
 		var noPlan P
@@ -282,8 +271,6 @@ func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Tab
 	}
 	passes := 0
 	cn := new(forkjoin.Cancel)
-	s.cur.Store(cn)
-	defer s.cur.Store(nil)
 	stop := watchCtx(ctx, cn)
 	defer stop()
 	e := s.exec()
