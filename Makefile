@@ -63,7 +63,8 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs each native fuzz target (operator vs plain-Go reference,
-# see internal/relops/fuzz_test.go and internal/graph/fuzz_test.go) for a
+# see internal/relops/fuzz_test.go, internal/graph/fuzz_test.go and the
+# public Join's join_test.go) for a
 # short exploration budget beyond the committed seed corpus. Go allows one
 # -fuzz pattern per invocation, so the targets run back to back.
 # FuzzGroupByBackends differentially fuzzes the shuffle backend against the
@@ -75,7 +76,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoinAll$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoinAllCapacityAdvisor$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzDistinct$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzGroupByBackends$$' -fuzztime $(FUZZTIME)

@@ -95,7 +95,8 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 // Lookup obliviously joins queries against a key-value table via
 // send-receive (§F): result[i] holds the value for queries[i] and found[i]
 // reports whether the key exists. Table keys must be distinct; all keys
-// must be < 2^62. The access pattern depends only on the table and query
+// must be below relops.KeyLimit, the table key bound (ErrKeyTooLarge
+// otherwise). The access pattern depends only on the table and query
 // sizes. The routing sorts run the configured sort backend
 // (Config.SortBackend), like every other relational operation.
 func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []bool, *Report, error) {
@@ -105,27 +106,40 @@ func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []boo
 	if len(tableVals) != len(tableKeys) {
 		return nil, nil, nil, fmt.Errorf("oblivmc: %d keys but %d values", len(tableKeys), len(tableVals))
 	}
-	if err := checkKeys(tableKeys); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := checkKeys(queries); err != nil {
-		return nil, nil, nil, err
-	}
-	vals := make([]uint64, len(queries))
-	found := make([]bool, len(queries))
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		sources := mem.Alloc[obliv.Elem](sp, len(tableKeys))
-		for i, k := range tableKeys {
-			sources.Data()[i] = obliv.Elem{Key: k, Val: tableVals[i], Kind: obliv.Real}
+	for _, keys := range [][]uint64{tableKeys, queries} {
+		for i, k := range keys {
+			if k >= relops.KeyLimit {
+				return nil, nil, nil, fmt.Errorf("%w (key %d, index %d)", ErrKeyTooLarge, k, i)
+			}
 		}
-		dests := mem.Alloc[obliv.Elem](sp, len(queries))
-		for i, k := range queries {
-			dests.Data()[i] = obliv.Elem{Key: k, Kind: obliv.Real}
+	}
+	return sendReceive(cfg, len(tableKeys), len(queries),
+		func(i int) (uint64, uint64) { return tableKeys[i], tableVals[i] },
+		func(j int) uint64 { return queries[j] })
+}
+
+// sendReceive is the one loader of the primary-key joins (Lookup, Join):
+// it loads n (key, value) sources src(i) and m destination keys dst(j),
+// routes them through one obliv.SendReceive under cfg, and returns, for
+// each destination, the value of the source holding its key and whether
+// one does. Keys must be below relops.KeyLimit, source keys distinct.
+func sendReceive(cfg Config, n, m int, src func(i int) (key, val uint64), dst func(j int) uint64) ([]uint64, []bool, *Report, error) {
+	vals := make([]uint64, m)
+	found := make([]bool, m)
+	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
+		sources := mem.Alloc[obliv.Elem](sp, n)
+		for i := range n {
+			k, v := src(i)
+			sources.Data()[i] = obliv.Elem{Key: k, Val: v, Kind: obliv.Real}
+		}
+		dests := mem.Alloc[obliv.Elem](sp, m)
+		for j := range m {
+			dests.Data()[j] = obliv.Elem{Key: dst(j), Kind: obliv.Real}
 		}
 		routed := obliv.SendReceive(c, sp, sources, dests, e.srt)
-		for i, r := range routed.Data() {
-			vals[i] = r.Val
-			found[i] = r.Kind == obliv.Real
+		for j, r := range routed.Data() {
+			vals[j] = r.Val
+			found[j] = r.Kind == obliv.Real
 		}
 	})
 	if err != nil {

@@ -505,21 +505,20 @@ func BenchmarkGroupByWide(b *testing.B) {
 	}
 }
 
+// BenchmarkJoin times the public primary-key Join (one send-receive) on
+// the bitonic backend.
 func BenchmarkJoin(b *testing.B) {
 	for _, n := range relopsSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			// Left: primary relation with distinct keys; right: n records
 			// over the same key range.
-			lrecs := benchdata.LeftRecords(n)
-			recs := benchRecords(n)
+			left := Table{recs: benchdata.LeftRecords(n), width: 1}
+			right := Table{recs: benchRecords(n), width: 1}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchPool.Run(func(c *forkjoin.Ctx) {
-					sp := mem.NewSpace()
-					l := benchLoad(b, sp, lrecs)
-					r := benchLoad(b, sp, recs)
-					relops.Join(c, sp, relops.NewArena(), l, r, bitonic.CacheAgnostic{})
-				})
+				if _, _, err := Join(Config{SortBackend: SortBitonic}, left, right); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
 		})

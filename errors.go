@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"oblivmc/internal/forkjoin"
 )
 
 // Query-lifecycle errors. Every aborted execution surfaces as exactly one
@@ -42,23 +40,6 @@ func (e *PanicError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrInternal) match.
 func (e *PanicError) Unwrap() error { return ErrInternal }
-
-// watchCtx trips cn when ctx is done. The returned stop function releases
-// the watcher goroutine; call it before returning.
-func watchCtx(ctx context.Context, cn *forkjoin.Cancel) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cn.Cancel()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
 
 // ctxErrOf refines a canceled run's error against the context that drove
 // it: a deadline-caused abort becomes ErrDeadline (still carrying the

@@ -7,7 +7,6 @@ import (
 	"oblivmc/internal/graph"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/plan"
-	"oblivmc/internal/pram"
 	"oblivmc/internal/relops"
 )
 
@@ -17,9 +16,6 @@ type GraphOp int
 const (
 	// GraphOpComponents — min-hook connected components (Components).
 	GraphOpComponents GraphOp = iota
-	// GraphOpComponentsAS — Awerbuch–Shiloach connected components
-	// (ConnectedComponents).
-	GraphOpComponentsAS
 	// GraphOpMSF — Borůvka minimum spanning forest (MSF /
 	// MinimumSpanningForest).
 	GraphOpMSF
@@ -30,8 +26,6 @@ const (
 
 func (op GraphOp) planKind() plan.GraphKind {
 	switch op {
-	case GraphOpComponentsAS:
-		return plan.GraphCCAS
 	case GraphOpMSF:
 		return plan.GraphMSF
 	case GraphOpPageRank:
@@ -145,7 +139,7 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 	case GraphOpPageRank:
 		out, rep, err = pageRank(e, n, el, rounds)
 	default:
-		err = fmt.Errorf("oblivmc: graph operator %d has no edge-table form", op)
+		err = fmt.Errorf("oblivmc: unknown graph operator %d", op)
 	}
 	if err != nil {
 		return fail(err)
@@ -166,9 +160,7 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 // rounds returns an under-merged partition (labels are still component-
 // consistent prefixes: every label names a vertex of the own component).
 // rounds == 0 runs to convergence, revealing only the round count (O(log n)
-// in practice).
-//
-// Requirement: n <= 2^21 (labels double as scatter priorities).
+// in practice). The vertex count has no cap beyond the table bounds.
 func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 	e, done := oneShot(cfg)
 	defer done()
@@ -179,9 +171,6 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 func components(e exec, n int, el []WeightedEdge, rounds int) (Table, *Report, error) {
 	if rounds < 0 {
 		return Table{}, nil, fmt.Errorf("oblivmc: negative round count %d", rounds)
-	}
-	if n > pram.MaxPrio {
-		return Table{}, nil, fmt.Errorf("oblivmc: graph has %d vertices, max %d", n, pram.MaxPrio)
 	}
 	pairs := make([][2]int, len(el))
 	for i, ed := range el {

@@ -277,7 +277,6 @@ func TestGraphExplainStrings(t *testing.T) {
 	}{
 		{GraphOpComponents, 4, []string{"cc-minhook", "9 sorts/round", "4 rounds", "36 sorts"}},
 		{GraphOpComponents, 0, []string{"cc-minhook", "rounds revealed"}},
-		{GraphOpComponentsAS, 0, []string{"cc-as"}},
 		{GraphOpMSF, 0, []string{"msf", "revealed"}},
 		{GraphOpPageRank, 5, []string{"pagerank", "5"}},
 	}

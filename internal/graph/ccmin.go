@@ -35,14 +35,12 @@ import (
 // label sum, so termination is unconditional and takes O(log n) rounds in
 // practice).
 //
-// Requirements: n <= pram.MaxPrio (labels serve as scatter priorities).
+// Labels serve as scatter priorities, which the address-keyed conflict
+// resolution orders exactly at any value, so n has no cap of its own.
 // Returns the labels and the number of rounds executed.
 func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, rounds int, p core.Params) ([]int, int) {
 	if n == 0 {
 		return nil, 0
-	}
-	if n > pram.MaxPrio {
-		panic("graph: min-hook CC graph too large for scatter priorities")
 	}
 	m := len(edges)
 	p = normParams(p, n+2*m)

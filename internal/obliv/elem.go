@@ -50,13 +50,14 @@ type Elem struct {
 	Mark uint8
 }
 
-// InfKey sorts after every valid key. Valid keys passed to key functions
-// must be < MaxKey so that composite keys such as 2k+1 cannot collide with
-// InfKey.
+// InfKey sorts after every valid key: key functions map fillers to it, so
+// valid keys must be < InfKey.
 const InfKey = ^uint64(0)
 
-// MaxKey bounds caller-supplied keys: primitives that build composite keys
-// (send-receive, conflict resolution) require Key < MaxKey.
+// MaxKey bounds caller-supplied keys where a primitive packs them with
+// headroom: Distribute's slot keys and the paper Sort / Shuffle inputs.
+// Send-receive and conflict resolution sort on the bare key (ties break by
+// TiePos in registers) and take any key below InfKey.
 const MaxKey = uint64(1) << 62
 
 // NextPow2 returns the smallest power of two >= n (n >= 1).

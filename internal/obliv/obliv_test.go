@@ -531,6 +531,39 @@ func TestSendReceiveBasic(t *testing.T) {
 	}
 }
 
+// TestSendReceiveNonRealDestsAndTopKey: keys take any value below InfKey —
+// a source at InfKey-1 is found, and keys 0 and 2^63 stay apart — and
+// non-Real destinations come back ⊥ in their own slots even when they
+// request a key a source holds.
+func TestSendReceiveNonRealDestsAndTopKey(t *testing.T) {
+	const top = InfKey - 1
+	s := mem.NewSpace()
+	sources := mem.FromSlice(s, []Elem{
+		{Key: top, Val: 7, Kind: Real},
+		{Key: 0, Val: 10, Kind: Real},
+		{Key: 1 << 63, Val: 8, Kind: Real},
+		{Key: 3, Val: 9, Kind: Real},
+	})
+	dests := mem.FromSlice(s, []Elem{
+		{Key: top, Kind: Filler}, // non-Real: ⊥ although the key exists
+		{Key: top, Kind: Real},
+		{Key: 3, Kind: Temp},
+		{Key: 1 << 63, Kind: Real},
+		{Key: top - 1, Kind: Real}, // not found
+		{Key: 0, Kind: Real},
+	})
+	out := SendReceive(forkjoin.Serial(), s, sources, dests, SelectionNetwork{})
+	want := []struct {
+		ok  bool
+		val uint64
+	}{{false, 0}, {true, 7}, {false, 0}, {true, 8}, {false, 0}, {true, 10}}
+	for j, e := range out.Data() {
+		if (e.Kind == Real) != want[j].ok || (want[j].ok && e.Val != want[j].val) || e.Aux != uint64(j) {
+			t.Fatalf("dest %d = %+v, want found=%t val=%d", j, e, want[j].ok, want[j].val)
+		}
+	}
+}
+
 func TestSendReceiveRandomVsMap(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := prng.New(seed)

@@ -10,23 +10,27 @@ import (
 // each destination requests a Key and learns the corresponding Val, or ⊥
 // if no source holds it. The result array parallels dests: entry j has the
 // destination's Key, Aux = j, Val = the routed value, and Kind = Real if
-// the key was found, Filler otherwise (the ⊥ case).
+// the key was found, Filler otherwise (the ⊥ case). It is the engine's one
+// primary-key join: the public Join and Lookup, every pram.Gather and
+// ScatterResolve, and the graph layer all route through it.
 //
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
 // binary fork-join sorter this realizes the Table 2 "S-R" row. The sorts
 // run through the ScheduledSorter key-schedule seam (one width-1 TiePos
 // schedule reused across both passes), so the routing inherits whichever
-// backend the caller selected and the cached-key comparators.
+// backend the caller selected and the cached-key comparators. The routing
+// sort keys on the bare Key: TiePos breaks equal keys by (Kind, Tag, Aux),
+// so each key's sources (tag 0) sort before its destinations (tag 1).
 //
 // Entries of either array with Kind != Real are inert: a non-Real source
 // sends nothing, and a non-Real destination occupies its output slot but
-// always receives ⊥.
+// sorts after every Real entry, so it always receives ⊥.
 //
-// Requirements: source and destination keys must be < MaxKey. If the
-// distinct-keys promise is violated, the first source in *input* order
-// wins (the TiePos tie-break orders equal-key sources by their original
-// index, deterministically on every backend).
+// Requirements: source and destination keys must be < InfKey (the filler
+// sentinel). If the distinct-keys promise is violated, the first source in
+// *input* order wins (the TiePos tie-break orders equal-key sources by
+// their original index, deterministically on every backend).
 func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter) *mem.Array[Elem] {
 	ns, nd := sources.Len(), dests.Len()
 	wLen := NextPow2(ns + nd)
@@ -50,37 +54,36 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			d := dests.Get(c, j)
-			key := d.Key
+			e := Elem{Key: d.Key, Aux: uint64(j), Tag: tagDest, Kind: Real}
 			c.Op(1)
 			if d.Kind != Real {
-				// Non-Real destination slots still occupy their output
-				// position but request a key no source can hold, so they
-				// come back as ⊥.
-				key = MaxKey + uint64(j)
+				e.Kind = Temp // keyed past every source, so it comes back ⊥
 			}
-			w.Set(c, ns+j, Elem{Key: key, Aux: uint64(j), Tag: tagDest, Kind: Real})
+			w.Set(c, ns+j, e)
 		}
 	})
 
 	// One TiePos schedule plus scratch, shared by both sorts.
 	ksort := NewKeyedSort(sp, wLen, TiePos, srt)
 
-	// Sort by key with sources before destinations at equal keys.
-	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
-		if e.Kind == Filler {
-			return InfKey
+	// Sort by key with sources before destinations at equal keys. A
+	// non-Real destination keys InfKey-1: behind every Real entry (TiePos
+	// puts non-Real after Real at equal keys), yet ahead of the fillers in
+	// request order: the order a distinct per-slot key past every real key
+	// gives, which the shuffle backend's sample-sort stage also sees.
+	keyOf := func(e Elem) uint64 {
+		switch e.Kind {
+		case Real:
+			return e.Key
+		case Temp:
+			return InfKey - 1
 		}
-		return e.Key<<1 | uint64(e.Tag)
-	})
+		return InfKey
+	}
+	ksort.Sort(c, w, 0, wLen, keyOf)
 
 	// Propagate each key-group's source value to the whole group.
-	groupOf := func(e Elem) uint64 {
-		if e.Kind == Filler {
-			return InfKey
-		}
-		return e.Key
-	}
-	PropagateFirst(c, sp, w, groupOf,
+	PropagateFirst(c, sp, w, keyOf,
 		func(e Elem, i int) (uint64, bool) {
 			return e.Val, e.Kind == Real && e.Tag == tagSource
 		},
@@ -97,7 +100,7 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 
 	// Sort destinations back to request order; sources and fillers last.
 	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
-		if e.Kind == Real && e.Tag == tagDest {
+		if e.Tag == tagDest {
 			return e.Aux
 		}
 		return InfKey
@@ -111,7 +114,6 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 			if e.Mark == 0 {
 				r.Kind = Filler // ⊥: key not found
 			}
-			r.Mark = 0
 			out.Set(c, j, r)
 		}
 	})

@@ -6,7 +6,7 @@ import "fmt"
 // assembled from. A send-receive routes with two schedule-driven sorts
 // (source-key order, then destination order); a gather is one send-receive
 // with the memory cells as senders; a conflict-resolved scatter pays one
-// (addr, prio) request sort and then a send-receive to rewrite every cell.
+// address-keyed request sort and then a send-receive to rewrite every cell.
 const (
 	sendReceiveSorts = 2
 	gatherSorts      = sendReceiveSorts
@@ -20,14 +20,11 @@ const (
 // package tests):
 //
 //	min-hook CC round  = endpoint gather + min-scatter + 2 jumps
-//	AS CC iteration    = stars + hook(3 gathers + scatter) + stars + hook + jump
 //	MSF iteration      = 2 endpoint gathers + stars + selection sort
 //	                     + star-root gather + 2 scatters + D[D] gather + jump
 //	PageRank iteration = join-all (3 staged sorts) + grouped sum (2)
 const (
 	ccMinHookRoundSorts = gatherSorts + scatterSorts + 2*jumpSorts
-	hookSorts           = 3*gatherSorts + scatterSorts
-	ccASIterSorts       = 2*starsSorts + 2*hookSorts + jumpSorts
 	msfIterSorts        = 2*gatherSorts + starsSorts + 1 + gatherSorts +
 		2*scatterSorts + gatherSorts + jumpSorts
 	pageRankIterSorts = joinSorts + 2
@@ -42,9 +39,6 @@ const (
 	// batched endpoint gather, one min-combining scatter, two jumps per
 	// round).
 	GraphCC GraphKind = iota
-	// GraphCCAS — Awerbuch–Shiloach connected components (the Theorem
-	// 5.2(ii) variant with its fixed 3·⌈log₂ n⌉+5 iteration bound).
-	GraphCCAS
 	// GraphMSF — Borůvka star-hooking minimum spanning forest.
 	GraphMSF
 	// GraphPageRank — the relational PageRank iterated aggregate
@@ -57,8 +51,6 @@ func (k GraphKind) String() string {
 	switch k {
 	case GraphCC:
 		return "cc-minhook"
-	case GraphCCAS:
-		return "cc-as"
 	case GraphMSF:
 		return "msf"
 	case GraphPageRank:
@@ -78,7 +70,7 @@ type GraphShape struct {
 	// Rounds is the workload's round parameter: for GraphCC a positive
 	// value runs exactly that many rounds (0 = run to convergence,
 	// revealing the count); for GraphPageRank it is the iteration count;
-	// GraphCCAS and GraphMSF ignore it (their bounds are functions of N).
+	// GraphMSF ignores it (its bound is a function of N).
 	Rounds int
 }
 
@@ -122,8 +114,6 @@ func (p GraphPlan) String() string {
 	switch p.Kind {
 	case GraphCC:
 		passes = "gather → scatter-min → jump → jump"
-	case GraphCCAS:
-		passes = "stars → hook → stars → hook! → jump"
 	case GraphMSF:
 		passes = "gather² → stars → sort(sel) → gather → scatter² → gather → jump"
 	case GraphPageRank:
@@ -161,10 +151,6 @@ func BuildGraph(s GraphShape) GraphPlan {
 			p.Rounds = s.Rounds
 			p.Fixed = true
 		}
-	case GraphCCAS:
-		p.SortsPerRound = ccASIterSorts
-		p.Rounds = 3*log2ceil(s.N) + 5
-		p.Fixed = true
 	case GraphMSF:
 		p.SortsPerRound = msfIterSorts
 		b := log2ceil(s.N) + 2

@@ -6,21 +6,6 @@ import (
 	"oblivmc/internal/obliv"
 )
 
-// Address/priority field widths for the composite conflict-resolution key:
-// addr < 2^40 and priority < 2^21 keep (addr << 21 | prio) below
-// obliv.MaxKey.
-const (
-	prioBits = 21
-	maxAddr  = 1 << 40
-	maxPrio  = 1 << prioBits
-)
-
-// MaxPrio is the exclusive priority bound of ScatterResolve's composite
-// conflict-resolution key, exported for callers that pack data-derived
-// priorities (the graph layer's min-label hooks use vertex labels as
-// priorities and must bound n below it).
-const MaxPrio = maxPrio
-
 // Gather obliviously reads memory at the p requested addresses: the result
 // parallels addrs, entry i holding Val = memory[addrs[i]] with Kind = Real,
 // or Kind = Filler if the address is out of range. One send-receive with
@@ -50,7 +35,9 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to
 // memory: each request Elem carries Key = address, Val = value, Aux =
-// priority (lower wins), with Kind = Filler for no-ops. Duplicate
+// priority (lower wins, any value), with Kind = Filler for no-ops. Tag
+// must be zero, as every caller leaves it: the request sort keys on the
+// bare address, and its TiePos tie-break reads Tag before Aux. Duplicate
 // addresses are suppressed by O(1) oblivious sorts + propagation (§4.1
 // write step), then a send-receive updates every memory cell (cells whose
 // address receives no write keep their value; every cell is rewritten so
@@ -71,10 +58,8 @@ func ScatterResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]
 
 func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter, combineMin bool) {
 	s, p := memory.Len(), reqs.Len()
-	if s >= maxAddr || p >= maxPrio {
-		panic("pram: address or priority out of composite-key range")
-	}
-	// Copy requests into a pow2 working array and sort by (addr, prio).
+	// Copy requests into a pow2 working array and sort by address; TiePos
+	// orders each address's requests by priority (Aux), fillers last.
 	w := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(p))
 	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -83,23 +68,17 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 			w.Set(c, i, e)
 		}
 	})
-	key1 := func(e obliv.Elem) uint64 {
-		if e.Kind != obliv.Real {
-			return obliv.InfKey
-		}
-		return e.Key<<prioBits | (e.Aux & (maxPrio - 1))
-	}
-	obliv.SortKeyed(c, sp, w, w.Len(), key1, srt)
-
-	// The first request of each address group wins; all others become
-	// fillers. Propagate the winner's priority and compare.
-	groupOf := func(e obliv.Elem) uint64 {
+	addrOf := func(e obliv.Elem) uint64 {
 		if e.Kind != obliv.Real {
 			return obliv.InfKey
 		}
 		return e.Key
 	}
-	obliv.PropagateFirst(c, sp, w, groupOf,
+	obliv.SortKeyed(c, sp, w, w.Len(), addrOf, srt)
+
+	// The first request of each address group wins; all others become
+	// fillers. Propagate the winner's priority and compare.
+	obliv.PropagateFirst(c, sp, w, addrOf,
 		func(e obliv.Elem, i int) (uint64, bool) { return e.Aux, e.Kind == obliv.Real },
 		func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
 			if e.Kind == obliv.Real && (!ok || e.Aux != v) {

@@ -188,6 +188,24 @@ func TestScatterResolveBasic(t *testing.T) {
 	}
 }
 
+// TestScatterResolveWidePriority: priorities resolve exactly at any value —
+// a request at priority 2^21 loses to one at priority 1, at any request
+// position.
+func TestScatterResolveWidePriority(t *testing.T) {
+	for _, reqs := range [][]obliv.Elem{
+		{{Key: 2, Val: 500, Aux: 1 << 21, Kind: obliv.Real}, {Key: 2, Val: 600, Aux: 1, Kind: obliv.Real}},
+		{{Key: 2, Val: 600, Aux: 1, Kind: obliv.Real}, {Key: 2, Val: 500, Aux: 1 << 21, Kind: obliv.Real}},
+		{{Key: 2, Val: 500, Aux: 1<<63 + 1, Kind: obliv.Real}, {Key: 2, Val: 600, Aux: 1 << 63, Kind: obliv.Real}},
+	} {
+		sp := mem.NewSpace()
+		memory := mem.FromSlice(sp, []uint64{1, 2, 3, 4})
+		ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+		if got := memory.Data()[2]; got != 600 {
+			t.Fatalf("requests %+v: memory[2] = %d, want the lower priority's 600", reqs, got)
+		}
+	}
+}
+
 func TestScatterResolveAllFillers(t *testing.T) {
 	sp := mem.NewSpace()
 	memory := mem.FromSlice(sp, []uint64{7, 8, 9})

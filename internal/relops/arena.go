@@ -32,7 +32,7 @@ type Arena struct {
 }
 
 // NewArena returns an empty arena; arrays are allocated on first use and
-// grown when a larger relation shows up (Join's interleaved array).
+// grown when a larger relation shows up (JoinAll's interleaved array).
 func NewArena() *Arena { return &Arena{} }
 
 // rebind invalidates the cache when the requesting space changes.

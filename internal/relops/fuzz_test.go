@@ -27,17 +27,6 @@ func FuzzJoinAll(f *testing.F) {
 	})
 }
 
-func FuzzJoin(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(9), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(17), uint8(12), uint8(1), uint8(1))
-	f.Add(uint64(3), uint8(8), uint8(8), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, nl, nr, w, dist uint8) {
-		nlv, wv, dv := fuzzShape(nl, w, dist)
-		nrv, _, _ := fuzzShape(nr, w, dist)
-		checkJoin(t, seed, nlv, nrv, wv, dv)
-	})
-}
-
 func FuzzGroupBy(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(24), uint8(1), uint8(1), uint8(4))

@@ -8,10 +8,11 @@ import (
 	"oblivmc/internal/obliv"
 )
 
-// This file implements the full many-to-many oblivious equi-join. Join
-// (join.go) requires the left key tuples to be distinct; JoinAll lifts that
-// restriction by composing the paper's distribution/propagation building
-// blocks into an oblivious expansion: every left multiplicity is counted
+// This file implements the full many-to-many oblivious equi-join. A
+// primary-key join (obliv.SendReceive) requires the left keys to be
+// distinct; JoinAll lifts that restriction by composing the paper's
+// distribution/propagation building blocks into an oblivious expansion:
+// every left multiplicity is counted
 // with the segmented-scan primitives, the right relation is duplicated
 // across computed output spans by obliv.DistributeOrdered, and the existing
 // propagate+compact tail then pairs each duplicated copy with its distinct
@@ -244,14 +245,14 @@ func sameGroupLi(w int) func(x, y obliv.Elem) bool {
 // JoinAll is the oblivious many-to-many sort-merge equi-join of two
 // relations of the same key width: the result holds one record per
 // (left record, right record) pair with equal key tuples — left key tuples
-// may repeat, unlike Join's. The output length is NextPow2(maxOut) where
+// may repeat. The output length is NextPow2(maxOut) where
 // maxOut is a caller-supplied *public* capacity: the trace depends only on
 // (len(left), len(right), width, maxOut), never on the contents or on the
 // true match count. Matched records sit at the front ordered by
 // (right position, left match index) — for each right record in original
 // order, its matches in the left records' original order — with
-// Key/Key2/Val the right record's and Lbl the joined left value, exactly
-// Join's output convention (UnloadJoined applies).
+// Key/Key2/Val the right record's and Lbl the joined left value
+// (UnloadJoined applies).
 //
 // The true match count is always returned (raw read, outside the
 // adversary's view). When it exceeds maxOut the error wraps

@@ -50,41 +50,6 @@ func TestJoinAllBasic(t *testing.T) {
 	}
 }
 
-// TestJoinAllSubsumesJoin: on primary×foreign inputs (distinct left keys)
-// JoinAll must produce exactly Join's output.
-func TestJoinAllSubsumesJoin(t *testing.T) {
-	src := prng.New(3131)
-	for _, w := range []int{1, 2} {
-		lrecs := genRecords(src, 13, w, distSpread)
-		var dedup []Record
-		for _, r := range lrecs {
-			fresh := true
-			for _, k := range dedup {
-				if sameKey(k, r, w) {
-					fresh = false
-					break
-				}
-			}
-			if fresh {
-				dedup = append(dedup, r)
-			}
-		}
-		rrecs := genRecords(src, 29, w, distDupHeavy)
-
-		sp := mem.NewSpace()
-		srt := bitonic.CacheAgnostic{}
-		jOut, jCount := Join(testCtx(), sp, NewArena(), mustLoadW(t, sp, dedup, w), mustLoadW(t, sp, rrecs, w), srt)
-		aOut, aCount, err := JoinAll(testCtx(), sp, NewArena(), mustLoadW(t, sp, dedup, w), mustLoadW(t, sp, rrecs, w), len(rrecs), srt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aCount != jCount {
-			t.Fatalf("w=%d: JoinAll count %d != Join count %d", w, aCount, jCount)
-		}
-		checkJoined(t, UnloadJoined(aOut), UnloadJoined(jOut), "JoinAll vs Join")
-	}
-}
-
 // TestJoinAllOverflowBoundary is the exact-boundary overflow contract:
 // with M real matches the operator succeeds at maxOut = M and fails with
 // ErrJoinOverflow at maxOut = M-1 (i.e. the error fires at exactly

@@ -137,34 +137,6 @@ func joinBodies(t *testing.T, lefts, rights [][]Record, w int, op func(c *forkjo
 	return bodies
 }
 
-func TestJoinObliviousTrace(t *testing.T) {
-	srt := bitonic.CacheAgnostic{}
-	lefts := [][]Record{
-		{{Key: 7, Val: 0}, {Key: 8, Val: 0}, {Key: 9, Val: 0}},
-		{{Key: 0, Val: 1 << 30}, {Key: 1, Val: 2}, {Key: 2, Val: 3}},
-		{{Key: 100, Val: 5}, {Key: 200, Val: 6}, {Key: 300, Val: 7}},
-	}
-	oblivtest.FingerprintEqual(t, "Join", joinBodies(t, lefts, traceInputs(48), 1,
-		func(c *forkjoin.Ctx, sp *mem.Space, left, right Rel) {
-			Join(c, sp, NewArena(), left, right, srt)
-		})...)
-}
-
-// TestWideJoinObliviousTrace extends the join trace test to width-2 key
-// tuples.
-func TestWideJoinObliviousTrace(t *testing.T) {
-	srt := bitonic.CacheAgnostic{}
-	lefts := [][]Record{
-		{{Key: KeyLimit - 1, Key2: KeyLimit - 1, Val: 0}, {Key: 8, Key2: 1, Val: 0}, {Key: 9, Key2: 2, Val: 0}},
-		{{Key: 0, Key2: 0, Val: 1 << 30}, {Key: 1 << 50, Key2: 5, Val: 2}, {Key: 2, Key2: 2, Val: 3}},
-		{{Key: 100, Key2: 9, Val: 5}, {Key: 200, Key2: 8, Val: 6}, {Key: 300, Key2: 7, Val: 7}},
-	}
-	oblivtest.FingerprintEqual(t, "Join wide", joinBodies(t, lefts, wideTraceInputs(48), 2,
-		func(c *forkjoin.Ctx, sp *mem.Space, left, right Rel) {
-			Join(c, sp, NewArena(), left, right, srt)
-		})...)
-}
-
 // joinAllTraceLefts yields left relations of one shape whose duplication
 // structures differ as wildly as the right-side traceInputs: the match
 // counts of the three instances differ by orders of magnitude, which is

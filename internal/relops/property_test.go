@@ -131,39 +131,6 @@ func checkJoinAll(t testing.TB, seed uint64, nl, nr, w, dist int) {
 	}
 }
 
-// checkJoin drives the primary×foreign Join against its reference (left
-// keys deduplicated first, as Join requires).
-func checkJoin(t testing.TB, seed uint64, nl, nr, w, dist int) {
-	t.Helper()
-	src := prng.New(seed)
-	raw := genRecords(src, nl, w, dist)
-	var lrecs []Record
-	for _, r := range raw { // keep the first record of each key tuple
-		dup := false
-		for _, k := range lrecs {
-			if sameKey(k, r, w) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lrecs = append(lrecs, r)
-		}
-	}
-	rrecs := genRecords(src, nr, w, dist)
-	want := refJoinAll(lrecs, rrecs, w) // distinct left keys: same multiset, same order
-
-	sp := mem.NewSpace()
-	left := mustLoadW(t, sp, lrecs, w)
-	right := mustLoadW(t, sp, rrecs, w)
-	out, count := Join(testCtx(), sp, NewArena(), left, right,
-		testSorter(obliv.NextPow2(left.Len()+right.Len())))
-	if count != len(want) {
-		t.Fatalf("seed=%d nl=%d nr=%d w=%d dist=%d: Join count = %d, want %d", seed, nl, nr, w, dist, count, len(want))
-	}
-	checkJoined(t, UnloadJoined(out), want, "Join")
-}
-
 // checkGroupBy drives GroupBy under agg against refGroupBy.
 func checkGroupBy(t testing.TB, seed uint64, n, w, dist int, agg AggKind) {
 	t.Helper()
@@ -218,20 +185,6 @@ func TestJoinAllProperty(t *testing.T) {
 				for _, nr := range propSizes {
 					seed++
 					checkJoinAll(t, seed, nl, nr, w, dist)
-				}
-			}
-		}
-	}
-}
-
-func TestJoinProperty(t *testing.T) {
-	seed := uint64(0xB22)
-	for _, dist := range []int{distSpread, distDupHeavy, distAllEqual} {
-		for _, w := range []int{1, 2} {
-			for _, nl := range propSizes {
-				for _, nr := range propSizes {
-					seed++
-					checkJoin(t, seed, nl, nr, w, dist)
 				}
 			}
 		}

@@ -45,9 +45,10 @@
 // The unary operators have one execution surface: the executor (Execute,
 // engine.go) running the pass sequence the internal/plan sort-fusion
 // planner compiles from a query shape — a stand-alone Filter, Distinct,
-// GroupBy or TopK is simply a one-stage shape. The binary joins (Join,
-// JoinAll) are operators of their own, sharing one interleave-and-tag step;
-// JoinAll sizes its own output when asked to (CapAuto). Everything sorts
+// GroupBy or TopK is simply a one-stage shape. The binary join, JoinAll, is
+// an operator of its own and sizes its own output when asked to (CapAuto);
+// the primary-key join is obliv.SendReceive, which the public Join and
+// Lookup route through. Everything sorts
 // through the key-schedule fast path (obliv.ScheduledSorter, the only
 // sorter type the relational layer accepts) and draws its scratch from an
 // Arena when one is supplied.

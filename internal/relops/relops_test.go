@@ -346,100 +346,6 @@ func TestGroupByMaxLegalKeys(t *testing.T) {
 	checkRecords(t, Unload(a), want, "GroupBy max keys")
 }
 
-func TestJoinRandom(t *testing.T) {
-	src := prng.New(404)
-	for _, nl := range []int{1, 5, 16, 33} {
-		for _, nr := range []int{1, 7, 16, 50} {
-			// Left: distinct keys drawn sparsely so some right keys miss.
-			perm := src.Perm(3 * nl)
-			lrecs := make([]Record, nl)
-			for i := range lrecs {
-				lrecs[i] = Record{Key: uint64(perm[i]), Val: src.Uint64n(1000)}
-			}
-			rrecs := randRecords(src, nr, uint64(3*nl), 1000)
-
-			lval := map[uint64]uint64{}
-			for _, r := range lrecs {
-				lval[r.Key] = r.Val
-			}
-			var want []Joined
-			for _, r := range rrecs {
-				if v, ok := lval[r.Key]; ok {
-					want = append(want, Joined{Key: r.Key, LeftVal: v, RightVal: r.Val})
-				}
-			}
-
-			sp := mem.NewSpace()
-			left, right := mustLoad(t, sp, lrecs), mustLoad(t, sp, rrecs)
-			out, count := Join(testCtx(), sp, NewArena(), left, right, testSorter(obliv.NextPow2(left.Len()+right.Len())))
-			if count != len(want) {
-				t.Fatalf("nl=%d nr=%d: Join count = %d, want %d", nl, nr, count, len(want))
-			}
-			got := UnloadJoined(out)
-			if len(got) != len(want) {
-				t.Fatalf("nl=%d nr=%d: got %d joined records, want %d", nl, nr, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("nl=%d nr=%d: joined record %d = %v, want %v", nl, nr, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestJoinWideKeys joins on a two-column key tuple with full-range column
-// values: matches require both columns to agree.
-func TestJoinWideKeys(t *testing.T) {
-	src := prng.New(414)
-	lrecs := []Record{
-		{Key: 1 << 50, Key2: 0, Val: 100},
-		{Key: 1 << 50, Key2: 1, Val: 200},
-		{Key: ^uint64(1), Key2: 9, Val: 300},
-	}
-	var rrecs []Record
-	for i := 0; i < 40; i++ {
-		r := Record{Key: 1 << 50, Key2: src.Uint64n(3), Val: src.Uint64n(1000)}
-		if i%5 == 0 {
-			r.Key = ^uint64(1)
-			r.Key2 = 9
-		}
-		rrecs = append(rrecs, r)
-	}
-	lval := map[[2]uint64]uint64{}
-	for _, r := range lrecs {
-		lval[[2]uint64{r.Key, r.Key2}] = r.Val
-	}
-	var want []Joined
-	for _, r := range rrecs {
-		if v, ok := lval[[2]uint64{r.Key, r.Key2}]; ok {
-			want = append(want, Joined{Key: r.Key, Key2: r.Key2, LeftVal: v, RightVal: r.Val})
-		}
-	}
-	sp := mem.NewSpace()
-	left, right := mustLoadW(t, sp, lrecs, 2), mustLoadW(t, sp, rrecs, 2)
-	out, count := Join(testCtx(), sp, NewArena(), left, right, obliv.SelectionNetwork{})
-	if count != len(want) {
-		t.Fatalf("wide Join count = %d, want %d", count, len(want))
-	}
-	got := UnloadJoined(out)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("wide joined record %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestJoinNoMatches(t *testing.T) {
-	sp := mem.NewSpace()
-	left := mustLoad(t, sp, []Record{{Key: 1, Val: 10}, {Key: 2, Val: 20}})
-	right := mustLoad(t, sp, []Record{{Key: 7, Val: 1}, {Key: 8, Val: 2}, {Key: 9, Val: 3}})
-	out, count := Join(testCtx(), sp, NewArena(), left, right, obliv.SelectionNetwork{})
-	if count != 0 || len(UnloadJoined(out)) != 0 {
-		t.Fatalf("expected no matches, got count=%d %v", count, UnloadJoined(out))
-	}
-}
-
 func TestTopKRandom(t *testing.T) {
 	src := prng.New(505)
 	for _, n := range testSizes {
@@ -692,9 +598,5 @@ func TestOperatorsParallel(t *testing.T) {
 
 		tk := mustLoad(t, sp, recs)
 		runTopK(c, sp, NewArena(), tk, 10, srt)
-
-		left := mustLoad(t, sp, []Record{{Key: 1, Val: 5}, {Key: 2, Val: 6}})
-		right := mustLoad(t, sp, recs[:50])
-		Join(c, sp, NewArena(), left, right, srt)
 	})
 }

@@ -271,8 +271,9 @@ func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Tab
 	}
 	passes := 0
 	cn := new(forkjoin.Cancel)
-	stop := watchCtx(ctx, cn)
-	defer stop()
+	if ctx != nil {
+		defer context.AfterFunc(ctx, cn.Cancel)()
+	}
 	e := s.exec()
 	e.srt = passCounter{inner: e.srt, n: &passes}
 	e.cancel = cn

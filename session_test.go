@@ -295,10 +295,10 @@ func TestSessionRunGraphMatchesOneShot(t *testing.T) {
 					t.Fatalf("%s: stats %+v, want cold == executed, plan %q, no order token", label, stats, pl)
 				}
 			}
-			// An operator with no edge-table form is an argument error, not
-			// a fault: the session keeps serving.
-			if _, _, err := sess.RunGraphCtx(context.Background(), tab, GraphOpComponentsAS, 0); err == nil || sess.Poisoned() {
-				t.Fatalf("GraphOpComponentsAS on a session: err = %v, poisoned = %t", err, sess.Poisoned())
+			// An unknown operator is an argument error, not a fault: the
+			// session keeps serving.
+			if _, _, err := sess.RunGraphCtx(context.Background(), tab, GraphOp(-1), 0); err == nil || sess.Poisoned() {
+				t.Fatalf("GraphOp(-1) on a session: err = %v, poisoned = %t", err, sess.Poisoned())
 			}
 			if _, _, err := sess.RunQuery(mustTable(t, lcRows(64)), Query{GroupBy: AggSum}); err != nil {
 				t.Fatalf("query after the graph runs: %v", err)

@@ -422,12 +422,14 @@ type JoinedRow struct {
 	Key, LeftVal, RightVal uint64
 }
 
-// Join obliviously computes the sort-merge equi-join of left (a primary
-// relation with distinct keys) and right (a foreign relation): one output
-// row per right row whose key appears in left, in right's order. The
-// access pattern depends only on the two relation sizes — the join
-// selectivity is invisible to the adversary. Width-1 tables only (see
-// ROADMAP for wide joins).
+// Join obliviously computes the equi-join of left (a primary relation with
+// distinct keys) and right (a foreign relation): one output row per right
+// row whose key appears in left, in right's order. It is one §F
+// send-receive (two sorts), the construction Lookup runs: left rows are
+// the sources, right keys the requests. Keys span the table range (below
+// relops.KeyLimit). The access pattern depends only on the two relation
+// sizes — the join selectivity is invisible to the adversary. Width-1
+// tables only; multi-column joins are JoinAllRows.
 func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 	if left.Len() == 0 || right.Len() == 0 {
 		return nil, nil, ErrEmptyInput
@@ -444,29 +446,17 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 		}
 		seen[r.Key] = true
 	}
-	var out []JoinedRow
-	var loadErr error
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		l, err := relops.Load(sp, left.recs, 1)
-		if err != nil {
-			loadErr = err
-			return
-		}
-		r, err := relops.Load(sp, right.recs, 1)
-		if err != nil {
-			loadErr = err
-			return
-		}
-		j, _ := relops.Join(c, sp, e.arena, l, r, e.srt)
-		for _, rec := range relops.UnloadJoined(j) {
-			out = append(out, JoinedRow{Key: rec.Key, LeftVal: rec.LeftVal, RightVal: rec.RightVal})
-		}
-	})
+	vals, found, rep, err := sendReceive(cfg, left.Len(), right.Len(),
+		func(i int) (uint64, uint64) { return left.recs[i].Key, left.recs[i].Val },
+		func(j int) uint64 { return right.recs[j].Key })
 	if err != nil {
 		return nil, nil, err
 	}
-	if loadErr != nil {
-		return nil, nil, loadErr
+	var out []JoinedRow
+	for j, r := range right.recs {
+		if found[j] {
+			out = append(out, JoinedRow{Key: r.Key, LeftVal: vals[j], RightVal: r.Val})
+		}
 	}
 	return out, rep, nil
 }
