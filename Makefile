@@ -68,7 +68,8 @@ bench-build:
 # short exploration budget beyond the committed seed corpus. Go allows one
 # -fuzz pattern per invocation, so the targets run back to back.
 # FuzzGroupByBackends differentially fuzzes the shuffle backend against the
-# bitonic backend; the graph targets replay oblivious CC/MSF against their
+# bitonic backend (a GroupBy, and a TopK with a fuzzed k over tie-heavy
+# values, so the value sort's tie-break is exercised too); the graph targets replay oblivious CC/MSF against their
 # sequential references on fuzzer-shaped graphs; FuzzServeSpec feeds raw
 # request bodies through the server's strict decode and compile (typed
 # errors only; equal cache keys must mean equal rows).

@@ -45,7 +45,7 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 			w.Data()[i] = obliv.Elem{Key: groups[i], Val: values[i], Aux: uint64(i), Kind: obliv.Real}
 		}
 		m := w.Len()
-		ksort := obliv.NewKeyedSort(sp, m, obliv.TiePos, e.srt)
+		ksort := obliv.NewKeyedSort(sp, m, e.srt)
 		// (key, position) order: one cached key plane, the position
 		// tie-break read in-register (TiePos) — deterministic under
 		// duplicate group keys, fillers (InfKey sentinel) last.

@@ -183,12 +183,12 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 	if n <= 0 {
 		return nil, nil, ErrEmptyInput
 	}
+	if err := checkMSF(n, edges); err != nil {
+		return nil, nil, err
+	}
 	for i, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, nil, fmt.Errorf("oblivmc: edge %d out of range", i)
-		}
-		if e.W >= 1<<20 {
-			return nil, nil, fmt.Errorf("oblivmc: edge %d weight too large", i)
 		}
 	}
 	var out []int

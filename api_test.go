@@ -1,6 +1,7 @@
 package oblivmc
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -217,6 +218,20 @@ func TestMinimumSpanningForestAPI(t *testing.T) {
 	}
 	if _, _, err := MinimumSpanningForest(Config{}, 2, []WeightedEdge{{U: 0, V: 1, W: 1 << 20}}); err == nil {
 		t.Fatal("oversized weight accepted")
+	}
+}
+
+// TestMSFShapeBounds pins the packed-key bounds both MSF entry points share:
+// 2^21 vertices is rejected up front with a plain error, never reached as an
+// internal panic.
+func TestMSFShapeBounds(t *testing.T) {
+	cfg := Config{Mode: ModeSerial}
+	if _, _, err := MinimumSpanningForest(cfg, 1<<21, []WeightedEdge{{U: 0, V: 1, W: 1}}); err == nil || errors.Is(err, ErrInternal) {
+		t.Fatalf("MinimumSpanningForest with 2^21 vertices: %v, want a shape error", err)
+	}
+	tab := mustEdgeTable(t, []WeightedEdge{{U: 0, V: 1<<21 - 1, W: 1}})
+	if _, _, err := MSF(cfg, tab); err == nil || errors.Is(err, ErrInternal) {
+		t.Fatalf("MSF with 2^21 vertices: %v, want a shape error", err)
 	}
 }
 

@@ -5,6 +5,7 @@ package oblivmc
 // backend.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // TestSortBackendsAgree runs the same queries under every backend setting
-// (bitonic, forced shuffle, auto on a table above the public crossover) and
+// (bitonic, forced shuffle, auto below and above the public crossover) and
 // requires identical results — the public half of the backend-equivalence
 // property.
 func TestSortBackendsAgree(t *testing.T) {
@@ -21,12 +22,29 @@ func TestSortBackendsAgree(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{Key: src.Uint64n(40), Val: src.Uint64n(1 << 20)}
 	}
-	tab := mustTable(t, rows)
-	q := Query{
+	type queryCase struct {
+		name string
+		tab  Table
+		q    Query
+		want []Row // nil: the first config's rows are the reference
+	}
+	cases := []queryCase{{"fused", mustTable(t, rows), Query{
 		Filter:   func(r Row) bool { return r.Val%5 != 0 },
 		Distinct: true,
 		GroupBy:  AggSum,
 		TopK:     7,
+	}, nil}}
+	// Tie-heavy TopK: with four distinct values the value sort is almost
+	// all tie-break, so every backend must order ties by input position —
+	// the plain-Go reference (value descending, then position ascending) —
+	// on a table below the crossover (bitonic under SortAuto) and one above.
+	for _, n := range []int{1000, len(rows)} {
+		tied := make([]Row, n)
+		for i := range tied {
+			tied[i] = Row{Key: uint64(i), Val: rows[i].Val % 4}
+		}
+		q := Query{TopK: n / 3}
+		cases = append(cases, queryCase{fmt.Sprintf("tie-heavy TopK n=%d", n), mustTable(t, tied), q, refQuery(tied, q)})
 	}
 	cfgs := []Config{
 		{Mode: ModeSerial, Seed: 3, SortBackend: SortBitonic},
@@ -35,22 +53,25 @@ func TestSortBackendsAgree(t *testing.T) {
 		{Mode: ModeSerial, Seed: 9, SortBackend: SortShuffle},                             // different Seed must not change results
 		{Mode: ModeSerial, Seed: 9, SortBackend: SortShuffle, DeterministicShuffle: true}, // nor the seed-pinned trace mode
 	}
-	var ref Table
-	for i, cfg := range cfgs {
-		got, _, err := RunQuery(cfg, tab, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if len(got.Rows()) != len(ref.Rows()) {
-			t.Fatalf("config %d: %d rows, want %d", i, len(got.Rows()), len(ref.Rows()))
-		}
-		for j := range ref.Rows() {
-			if got.Rows()[j] != ref.Rows()[j] {
-				t.Fatalf("config %d: row %d = %v, want %v", i, j, got.Rows()[j], ref.Rows()[j])
+	for _, qc := range cases {
+		want := qc.want
+		for i, cfg := range cfgs {
+			got, _, err := RunQuery(cfg, qc.tab, qc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRows := got.Rows()
+			if want == nil {
+				want = gotRows
+				continue
+			}
+			if len(gotRows) != len(want) {
+				t.Fatalf("%s, config %d: %d rows, want %d", qc.name, i, len(gotRows), len(want))
+			}
+			for j := range want {
+				if gotRows[j] != want[j] {
+					t.Fatalf("%s, config %d: row %d = %v, want %v", qc.name, i, j, gotRows[j], want[j])
+				}
 			}
 		}
 	}

@@ -204,14 +204,24 @@ func MSF(cfg Config, edges Table) (Table, *Report, error) {
 	return out, rep, err
 }
 
-func msf(e exec, n int, el []WeightedEdge) (Table, *Report, error) {
-	if n >= 1<<21 || len(el) >= 1<<21 {
-		return Table{}, nil, fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(el))
+// checkMSF enforces the bounds of the MSF selection sort's packed keys
+// (graph.MinimumSpanningForestOblivious) for both MSF entry points: fewer
+// than 2^21 vertices and edges, weights below 2^20.
+func checkMSF(n int, edges []WeightedEdge) error {
+	if n >= 1<<21 || len(edges) >= 1<<21 {
+		return fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(edges))
 	}
-	for i, ed := range el {
+	for i, ed := range edges {
 		if ed.W >= 1<<20 {
-			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, ed.W)
+			return fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, ed.W)
 		}
+	}
+	return nil
+}
+
+func msf(e exec, n int, el []WeightedEdge) (Table, *Report, error) {
+	if err := checkMSF(n, el); err != nil {
+		return Table{}, nil, err
 	}
 	var chosen []int
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {

@@ -24,7 +24,6 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 	sp := mem.NewSpace()
 	a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
 	ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
-	ks.Tie, kscr.Tie = obliv.TiePos, obliv.TiePos
 	pool := forkjoin.NewPool(2)
 	defer pool.Close()
 	execs := []struct {

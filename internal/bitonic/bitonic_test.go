@@ -515,8 +515,8 @@ func TestScheduledWideTraceOblivious(t *testing.T) {
 }
 
 // TestScheduledTiePosIsStable pins the TiePos tie-break contract the
-// relational key sorts rely on: a keyed sort whose schedule breaks ties by
-// the elements' (Kind, Tag, Aux) must order duplicate keys by tag then
+// relational key sorts rely on: every keyed sort breaks ties by the
+// elements' (Kind, Tag, Aux), so it must order duplicate keys by tag then
 // original position, with fillers at the tail — i.e. behave like a stable
 // sort — for every network.
 func TestScheduledTiePosIsStable(t *testing.T) {
@@ -552,9 +552,7 @@ func TestScheduledTiePosIsStable(t *testing.T) {
 			s := mem.NewSpace()
 			a := mem.FromSlice(s, raw)
 			ks := obliv.AllocKeySchedule(s, n, 1)
-			ks.Tie = obliv.TiePos
 			kscr := obliv.AllocKeySchedule(s, n, 1)
-			kscr.Tie = obliv.TiePos
 			obliv.BuildKeySchedule(forkjoin.Serial(), a, ks, 0, n, func(e obliv.Elem, out []uint64) {
 				if e.Kind != obliv.Real {
 					out[0] = obliv.InfKey

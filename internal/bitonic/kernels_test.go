@@ -69,31 +69,28 @@ func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 				continue
 			}
 			for _, w := range []int{1, 2} {
-				for _, tie := range []obliv.TieBreak{obliv.TieNetwork, obliv.TiePos} {
-					label := fmt.Sprintf("n=%d w=%d tie=%d leaf=%d asc=%v", n, w, tie, v.leaf, v.asc)
-					setup := func(sp *mem.Space) (a, scr *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule) {
-						// lo = 3: the networks run on a subrange.
-						a, scr = mem.Alloc[obliv.Elem](sp, n+5), mem.Alloc[obliv.Elem](sp, n)
-						ks, kscr = obliv.AllocKeySchedule(sp, n+5, w), obliv.AllocKeySchedule(sp, n, w)
-						ks.Tie, kscr.Tie = tie, tie
-						dupHeavy(uint64(n*w), a, ks)
-						return
-					}
-					oblivtest.SameOnEveryExecutor(t, "sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-						a, scr, ks, kscr := setup(sp)
-						SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
-						return snapshotKeyed(a, ks)
-					})
-					oblivtest.SameOnEveryExecutor(t, "merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-						a, scr, ks, kscr := setup(sp)
-						leaf := v.leaf
-						if c.Metered() {
-							leaf = 2
-						}
-						mergeCAKeyedRec(c, a.View(3, n), scr, ks.View(3, n), kscr, 0, n, v.asc, leaf)
-						return snapshotKeyed(a, ks)
-					})
+				label := fmt.Sprintf("n=%d w=%d leaf=%d asc=%v", n, w, v.leaf, v.asc)
+				setup := func(sp *mem.Space) (a, scr *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule) {
+					// lo = 3: the networks run on a subrange.
+					a, scr = mem.Alloc[obliv.Elem](sp, n+5), mem.Alloc[obliv.Elem](sp, n)
+					ks, kscr = obliv.AllocKeySchedule(sp, n+5, w), obliv.AllocKeySchedule(sp, n, w)
+					dupHeavy(uint64(n*w), a, ks)
+					return
 				}
+				oblivtest.SameOnEveryExecutor(t, "sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+					a, scr, ks, kscr := setup(sp)
+					SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
+					return snapshotKeyed(a, ks)
+				})
+				oblivtest.SameOnEveryExecutor(t, "merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+					a, scr, ks, kscr := setup(sp)
+					leaf := v.leaf
+					if c.Metered() {
+						leaf = 2
+					}
+					mergeCAKeyedRec(c, a.View(3, n), scr, ks.View(3, n), kscr, 0, n, v.asc, leaf)
+					return snapshotKeyed(a, ks)
+				})
 			}
 		}
 	}

@@ -93,7 +93,6 @@ func shuffleInput(sp *mem.Space, src *prng.Source, n, nReal, w int) (*mem.Array[
 		}
 	}
 	ks := obliv.AllocKeySchedule(sp, n, w)
-	ks.Tie = obliv.TiePos
 	obliv.BuildKeySchedule(forkjoin.Serial(), a, ks, 0, n, func(e obliv.Elem, out []uint64) {
 		if e.Kind != obliv.Real {
 			for p := range out {
@@ -112,7 +111,6 @@ func shuffleInput(sp *mem.Space, src *prng.Source, n, nReal, w int) (*mem.Array[
 // sortScratch allocates the caller-side scratch SortScheduled requires.
 func sortScratch(sp *mem.Space, ks *obliv.KeySchedule, n int) (*mem.Array[obliv.Elem], *obliv.KeySchedule) {
 	kscr := obliv.AllocKeySchedule(sp, n, ks.Width())
-	kscr.Tie = ks.Tie // the cache-agnostic merge swaps schedule roles
 	return mem.Alloc[obliv.Elem](sp, n), kscr
 }
 
@@ -184,7 +182,6 @@ func TestShuffleSorterFixedSeedTraceValueIndependent(t *testing.T) {
 				}
 			}
 			ks := obliv.AllocKeySchedule(sp, n, w)
-			ks.Tie = obliv.TiePos
 			scr := mem.Alloc[obliv.Elem](sp, n)
 			kscr := obliv.AllocKeySchedule(sp, n, w)
 			shuf := &ShuffleSorter{FixedSeed: fixedSeed(42), Crossover: 2}

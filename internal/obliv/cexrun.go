@@ -23,12 +23,10 @@ import (
 // executor.
 
 // posWords packs the TiePos triple of e into two words ordered
-// lexicographically like PosAfter — (non-Real bit, Tag), then Aux — masked
-// to zero when the schedule's rule is TieNetwork (tie == 0), so that
-// elements with equal key words then compare equal.
-func posWords(e *Elem, tie uint64) (hi, lo uint64) {
+// lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
+func posWords(e *Elem) (hi, lo uint64) {
 	nonReal := (uint64(e.Kind^Real) + 0xff) >> 8
-	return (nonReal<<32 | uint64(e.Tag)) & tie, e.Aux & tie
+	return nonReal<<32 | uint64(e.Tag), e.Aux
 }
 
 // CondSwap exchanges *x and *y if m is all ones and rewrites both with
@@ -65,7 +63,6 @@ type CexKernel struct {
 	// Raw views, nil when runs take the per-access path.
 	e      []Elem
 	k0, k1 []uint64
-	tie    uint64 // all ones under TiePos
 }
 
 // NewCexKernel binds the comparator to a, ks (indexed identically) and the
@@ -77,9 +74,6 @@ func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKerne
 			k.e, k.k0 = e, ks.planes[0].Raw(c)
 			if w == 2 {
 				k.k1 = ks.planes[1].Raw(c)
-			}
-			if ks.Tie == TiePos {
-				k.tie = ^uint64(0)
 			}
 		}
 	}
@@ -100,7 +94,7 @@ func (k *CexKernel) Run(i, stride, cnt int, asc bool) {
 	if !asc {
 		desc = ^uint64(0)
 	}
-	cexRun(k.e, k.k0, k.k1, i, i+stride, cnt, desc, k.tie)
+	cexRun(k.e, k.k0, k.k1, i, i+stride, cnt, desc)
 }
 
 // Layer runs one butterfly layer over the block [lo, lo+n): for every
@@ -115,15 +109,15 @@ func (k *CexKernel) Layer(lo, n, stride, period int, asc bool) {
 }
 
 // cexRun is Run over raw slices at width 1 (k1 nil) or 2. "x sorts after y"
-// is a lexicographic comparison of (word 0, [word 1,] tie words), which is
-// the borrow out of the multiword subtraction y − x taken least significant
-// word first: one SUB and a chain of SBBs, no branch and no flag-to-bool
-// round trip. A pair swaps iff (x after y) == asc, i.e. iff the borrow mask
-// differs from the desc mask; full ties borrow nothing, so they hold on
-// ascending comparators and swap on descending ones, as in the per-access
-// comparator. The only branch inside the loop is on the width, which is
-// public.
-func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc, tie uint64) {
+// is a lexicographic comparison of (word 0, [word 1,] TiePos words), which
+// is the borrow out of the multiword subtraction y − x taken least
+// significant word first: one SUB and a chain of SBBs, no branch and no
+// flag-to-bool round trip. A pair swaps iff (x after y) == asc, i.e. iff the
+// borrow mask differs from the desc mask; full ties borrow nothing, so they
+// hold on ascending comparators and swap on descending ones, as in the
+// per-access comparator. The only branch inside the loop is on the width,
+// which is public.
+func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc uint64) {
 	ei, ej := e[i:i+cnt], e[j:j+cnt]
 	k0i, k0j := k0[i:i+cnt], k0[j:j+cnt]
 	var k1i, k1j []uint64
@@ -132,8 +126,8 @@ func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc, tie uint64) {
 	}
 	for t := range ei {
 		x, y := &ei[t], &ej[t]
-		xh, xl := posWords(x, tie)
-		yh, yl := posWords(y, tie)
+		xh, xl := posWords(x)
+		yh, yl := posWords(y)
 		_, after := bits.Sub64(yl, xl, 0)
 		_, after = bits.Sub64(yh, xh, after)
 		if k1 != nil {

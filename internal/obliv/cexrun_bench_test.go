@@ -34,7 +34,6 @@ func BenchmarkCexRun(b *testing.B) {
 			}
 			a := mem.FromSlice(sp, in)
 			ks := AllocKeySchedule(sp, 2*pairs, 1)
-			ks.Tie = TiePos
 			c := forkjoin.Serial()
 			kern := NewCexKernel(c, a, ks)
 			b.ResetTimer()

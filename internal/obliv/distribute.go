@@ -14,9 +14,9 @@ import (
 // one rightward across the gap to the next destination, which is exactly
 // the duplication step a many-to-many join's oblivious expansion needs
 // (each source's copy count is the width of its destination span). The
-// construction is the [CS17]-style O(1)-oblivious-sorts recipe the paper's
-// §C.1 bin placement uses: one data-independent sort, one prefix scan, and
-// fixed elementwise passes, so the trace is a function of
+// construction follows the [CS17]-style recipe the paper's §C.1 bin
+// placement uses — one data-independent ordering pass, one prefix scan,
+// and fixed elementwise passes — so the trace is a function of
 // (len(sources), outLen) only.
 
 // passGrain is the leaf size of the fixed elementwise passes and of each
@@ -31,9 +31,9 @@ import (
 // retuned.
 const passGrain = 1 << 10
 
-// distVal is the carrier of Distribute's "latest participant wins" prefix
-// scan: after the inclusive scan, position p holds the participating source
-// with the largest destination at or before p.
+// distVal is the carrier of the distribution's "latest participant wins"
+// prefix scan: after the inclusive scan, position p holds the participating
+// source with the largest destination at or before p.
 type distVal struct {
 	src Elem
 	d   uint64
@@ -48,14 +48,28 @@ func distOp(x, y distVal) distVal {
 	return distVal{src: x.src, d: x.d, has: x.has}
 }
 
-// Distribute realizes oblivious distribution with propagation. Source i of
-// sources *participates* iff it is Real and dests[i] < outLen (dests is
-// indexed identically to sources; callers disable a source by setting its
-// destination to InfKey). Participating destinations must be strictly
-// distinct — offsets produced by a prefix sum of positive spans are.
+// DistributeOrdered realizes oblivious distribution with propagation for
+// destinations that come out of a prefix sum over the source array. Source
+// i of sources *participates* iff it is Real, participates(sources[i])
+// holds, and dests[i] < outLen (dests is indexed identically to sources).
 // Conceptually the participants are placed at their destinations in an
 // output of outLen slots and then propagated rightward: slot s is governed
 // by the participant with the largest destination d <= s.
+//
+// Contract:
+//
+//   - dests[i] clamped to outLen must be non-decreasing over [0, len(sources));
+//   - participating destinations must be strictly increasing, and a
+//     non-participant between two participants must carry a destination
+//     between theirs — exactly what an exclusive prefix sum of per-source
+//     span widths yields.
+//
+// That order is what makes a full sort unnecessary: the key array built
+// below is one ascending run (the sources) followed by one descending run
+// (the slots, laid out reversed), i.e. bitonic, and a single bitonic merge
+// (log2(wLen) compare-exchange layers) interleaves participants and slots.
+// Violating the order contract yields an unspecified (but still oblivious —
+// the comparator sequence is fixed) permutation.
 //
 // The returned array has length NextPow2(len(sources)+outLen) and holds,
 // in unspecified order,
@@ -70,134 +84,9 @@ func distOp(x, y distVal) distVal {
 // Slot order is not restored: every caller in this module feeds the result
 // into another data-independent sort, which would make a restoring sort
 // here pure waste. apply must be a pure function of its arguments (register
-// arithmetic only).
-//
-// outLen must be in [1, MaxKey) — destinations become sort-key words below
-// the InfKey sentinel. The destination of an element is carried through
-// the network as its cached schedule word and read back afterwards, which
-// no closure key can express. The access pattern depends only on
-// (len(sources), outLen), never on the destinations or the element
-// contents.
-func Distribute(
-	c *forkjoin.Ctx, sp *mem.Space,
-	sources *mem.Array[Elem], dests *mem.Array[uint64], outLen int,
-	apply func(slot, d uint64, src Elem, ok bool) Elem,
-	srt ScheduledSorter,
-) *mem.Array[Elem] {
-	if outLen < 1 || uint64(outLen) >= MaxKey {
-		panic(fmt.Sprintf("obliv: Distribute outLen %d out of range [1, 2^62)", outLen))
-	}
-	if dests.Len() < sources.Len() {
-		panic("obliv: Distribute dests shorter than sources")
-	}
-	nIn := sources.Len()
-	wLen := NextPow2(nIn + outLen)
-	w := mem.Alloc[Elem](sp, wLen)
-	ksort := NewKeyedSort(sp, wLen, TieNetwork, srt)
-	plane := ksort.Keys()
-
-	// Participants are keyed d<<1 and slots s<<1|1, so the governing
-	// participant of slot s sorts immediately before it; everything else
-	// keys the InfKey sentinel. The keys are all distinct (distinct
-	// destinations, distinct slot indices, disjoint parities), so the
-	// default TieNetwork rule never fires on live elements.
-	forkjoin.ParallelRange(c, 0, nIn, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := sources.Get(c, i)
-			d := dests.Get(c, i)
-			c.Op(1)
-			key := InfKey
-			if e.Kind == Real && d < uint64(outLen) {
-				key = d << 1
-			}
-			w.Set(c, i, e)
-			plane.Set(c, i, key)
-		}
-	})
-	forkjoin.ParallelRange(c, 0, outLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			w.Set(c, nIn+s, Elem{Kind: Temp, Aux: uint64(s)})
-			plane.Set(c, nIn+s, uint64(s)<<1|1)
-		}
-	})
-	forkjoin.ParallelRange(c, nIn+outLen, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plane.Set(c, p, InfKey)
-		}
-	})
-
-	ksort.SortLoaded(c, w, wLen)
-
-	// Latest-participant scan: position p learns the participant with the
-	// largest destination at or before p. The schedule moved through the
-	// network in lockstep with the elements, so plane[p] is the key — and
-	// hence the destination — of the element now at p.
-	pv := mem.Alloc[distVal](sp, wLen)
-	forkjoin.ParallelRange(c, 0, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			e := w.Get(c, p)
-			key := plane.Get(c, p)
-			c.Op(1)
-			v := distVal{}
-			if key != InfKey && key&1 == 0 {
-				v = distVal{src: e, d: key >> 1, has: true}
-			}
-			pv.Set(c, p, v)
-		}
-	})
-	ScanOp(c, sp, pv, distOp, distVal{}, true)
-
-	// Slots adopt their governing participant via apply; consumed
-	// participants clear to fillers; everything else passes through.
-	forkjoin.ParallelRange(c, 0, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			e := w.Get(c, p)
-			key := plane.Get(c, p)
-			v := pv.Get(c, p)
-			c.Op(1)
-			switch {
-			case key == InfKey:
-				// Non-participating source or filler: unchanged.
-			case key&1 == 0:
-				e = Elem{}
-			default:
-				e = apply(key>>1, v.d, v.src, v.has)
-			}
-			w.Set(c, p, e)
-		}
-	})
-	return w
-}
-
-// DistributeOrdered is Distribute for the case every caller in this module
-// actually has: destinations that come out of a prefix sum over the source
-// array, so they are already non-decreasing in array order. That order makes
-// the full data-independent sort at the heart of Distribute overkill — the
-// key array built below is one ascending run (the sources) followed by one
-// descending run (the slots, laid out reversed), i.e. bitonic, and a single
-// bitonic merge (log2(wLen) compare-exchange layers instead of a full
-// sorting network or shuffle pass) interleaves participants and slots. For
-// the join expansion at 2^20 rows this removes one of the operator's four
-// O(n log n)-with-large-constants sorts outright and replaces it with the
-// cheapest oblivious primitive we have.
-//
-// Contract, in place of Distribute's InfKey masking convention:
-//
-//   - dests[i] clamped to outLen must be non-decreasing over [0, len(sources));
-//   - source i participates iff it is Real, participates(sources[i]) holds,
-//     and dests[i] < outLen (out-of-range participants degrade to
-//     pass-through, same as Distribute);
-//   - participating destinations must be strictly increasing, and a
-//     non-participant between two participants must carry a destination
-//     between theirs — exactly what an exclusive prefix sum of per-source
-//     span widths yields.
-//
-// Violating the order contract yields an unspecified (but still oblivious —
-// the comparator sequence is fixed) permutation. The returned array matches
-// Distribute's: length NextPow2(len(sources)+outLen); slots hold
-// apply(s, d, src, ok), non-participants pass through unchanged, consumed
-// participants and padding are fillers; slot order is not restored. The
-// access pattern depends only on (len(sources), outLen).
+// arithmetic only). outLen must be in [1, MaxKey/2): destinations become
+// schedule words with two class bits below the InfKey sentinel. The access
+// pattern depends only on (len(sources), outLen).
 func DistributeOrdered(
 	c *forkjoin.Ctx, sp *mem.Space,
 	sources *mem.Array[Elem], dests *mem.Array[uint64], outLen int,
@@ -217,16 +106,18 @@ func DistributeOrdered(
 	plane := ks.Plane(0)
 	lim := uint64(outLen)
 
-	// Two class bits under the destination word keep the merge's key order
-	// identical to Distribute's semantic order while preserving the bitonic
-	// shape: a participant bound for d keys d<<2|1, the slot it governs keys
-	// s<<2|2 (so the participant sorts immediately before its first slot),
-	// and a non-participant keys its clamped running offset with class 0 (so
-	// it never splits a participant from its span). Sources ascend because
-	// the clamped offsets do; slots are written reversed (position wLen-1-s
+	// Two class bits under the destination word make the merge's key order
+	// the semantic order above while preserving the bitonic shape: a
+	// participant bound for d keys d<<2|1, the slot it governs keys s<<2|2
+	// (so the participant sorts immediately before its first slot), and a
+	// non-participant keys its clamped running offset with class 0 (so it
+	// never splits a participant from its span). Sources ascend because the
+	// clamped offsets do; slots are written reversed (position wLen-1-s
 	// holds slot s) with InfKey padding above them, so the tail descends —
 	// one run up, one run down, and the whole array is bitonic by
-	// construction.
+	// construction. Equal keys (non-participants sharing an offset, the
+	// padding) order by TiePos, which never moves a key word out of order,
+	// so the merge still sorts the keys.
 	forkjoin.ParallelRange(c, 0, nIn, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := sources.Get(c, i)
@@ -259,8 +150,10 @@ func DistributeOrdered(
 
 	mergeBitonic(c, w, ks, wLen)
 
-	// From here the pipeline is Distribute's, reading the class bits instead
-	// of the parity bit: the latest-participant scan then the apply pass.
+	// Latest-participant scan: position p learns the participant with the
+	// largest destination at or before p. The schedule moved through the
+	// merge in lockstep with the elements, so plane[p] is the key — and
+	// hence the class and destination — of the element now at p.
 	pv := mem.Alloc[distVal](sp, wLen)
 	forkjoin.ParallelRange(c, 0, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for p := lo; p < hi; p++ {
@@ -276,6 +169,8 @@ func DistributeOrdered(
 	})
 	ScanOp(c, sp, pv, distOp, distVal{}, true)
 
+	// Slots adopt their governing participant via apply; consumed
+	// participants clear to fillers; everything else passes through.
 	forkjoin.ParallelRange(c, 0, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			e := w.Get(c, p)

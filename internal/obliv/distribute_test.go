@@ -9,154 +9,18 @@ import (
 	"oblivmc/internal/prng"
 )
 
-// distSpec is one source of a Distribute test case: a value and the width
-// of its destination span (0 = non-participant).
+// distSpec is one source of a DistributeOrdered test case: a value and the
+// width of its destination span (0 = non-participant).
 type distSpec struct {
 	val  uint64
 	span uint64
 }
 
-// runDistribute loads specs (participants at prefix-sum offsets), runs
-// Distribute into outLen slots, and returns the applied slot elements
-// indexed by slot plus the passed-through non-participants.
-func runDistribute(c *forkjoin.Ctx, sp *mem.Space, specs []distSpec, outLen int) (slots []Elem, passed []Elem) {
-	n := len(specs)
-	sources := mem.Alloc[Elem](sp, n)
-	dests := mem.Alloc[uint64](sp, n)
-	off := uint64(0)
-	for i, s := range specs {
-		sources.Data()[i] = Elem{Key: uint64(i), Val: s.val, Kind: Real}
-		if s.span == 0 {
-			dests.Data()[i] = InfKey
-			continue
-		}
-		dests.Data()[i] = off
-		off += s.span
-	}
-	w := Distribute(c, sp, sources, dests, outLen, func(slot, d uint64, src Elem, ok bool) Elem {
-		if !ok {
-			return Elem{Key: slot, Val: InfKey, Kind: Real, Tag: 2}
-		}
-		return Elem{Key: slot, Val: src.Val, Aux: d, Lbl: src.Key, Kind: Real, Tag: 2}
-	}, SelectionNetwork{})
-	slots = make([]Elem, outLen)
-	for _, e := range w.Data() {
-		if e.Kind != Real {
-			continue
-		}
-		if e.Tag == 2 {
-			slots[e.Key] = e
-		} else {
-			passed = append(passed, e)
-		}
-	}
-	return slots, passed
-}
-
-func TestDistributeSpans(t *testing.T) {
-	specs := []distSpec{
-		{val: 10, span: 3}, // slots 0-2
-		{val: 20, span: 0}, // non-participant, passed through
-		{val: 30, span: 1}, // slot 3
-		{val: 40, span: 2}, // slots 4-5
-		{val: 50, span: 0}, // non-participant
-	}
-	const outLen = 9 // slots 6-8 beyond the last span: governed but out of span
-	sp := mem.NewSpace()
-	c := forkjoin.Serial()
-	slots, passed := runDistribute(c, sp, specs, outLen)
-
-	wantVal := []uint64{10, 10, 10, 30, 40, 40, 40, 40, 40}
-	wantD := []uint64{0, 0, 0, 3, 4, 4, 4, 4, 4}
-	for s := 0; s < outLen; s++ {
-		e := slots[s]
-		if e.Kind != Real {
-			t.Fatalf("slot %d missing from the result", s)
-		}
-		if e.Val != wantVal[s] || e.Aux != wantD[s] {
-			t.Fatalf("slot %d = (val %d, d %d), want (val %d, d %d)", s, e.Val, e.Aux, wantVal[s], wantD[s])
-		}
-	}
-	if len(passed) != 2 || passed[0].Val+passed[1].Val != 70 {
-		t.Fatalf("non-participants not passed through: %v", passed)
-	}
-}
-
-func TestDistributeNoParticipants(t *testing.T) {
-	sp := mem.NewSpace()
-	slots, passed := runDistribute(forkjoin.Serial(), sp, []distSpec{{val: 7, span: 0}}, 4)
-	for s, e := range slots {
-		if e.Kind != Real || e.Val != InfKey {
-			t.Fatalf("ungoverned slot %d = %v, want the ok=false marker", s, e)
-		}
-	}
-	if len(passed) != 1 || passed[0].Val != 7 {
-		t.Fatalf("non-participant not passed through: %v", passed)
-	}
-}
-
-func TestDistributeRandomReference(t *testing.T) {
-	src := prng.New(771)
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + src.Intn(40)
-		specs := make([]distSpec, n)
-		total := uint64(0)
-		for i := range specs {
-			specs[i] = distSpec{val: src.Uint64n(1 << 30), span: src.Uint64n(4)}
-			total += specs[i].span
-		}
-		outLen := 1 + src.Intn(int(total)+8)
-		sp := mem.NewSpace()
-		slots, _ := runDistribute(forkjoin.Serial(), sp, specs, outLen)
-
-		// Reference: slot s is governed by the participant with the largest
-		// prefix-sum offset <= s (or by nobody: the ok=false marker).
-		want := make([]uint64, outLen)
-		for s := range want {
-			want[s] = InfKey
-		}
-		off := uint64(0)
-		for _, spec := range specs {
-			if spec.span == 0 {
-				continue
-			}
-			if off < uint64(outLen) {
-				for s := off; s < uint64(outLen); s++ {
-					want[s] = spec.val
-				}
-			}
-			off += spec.span
-		}
-
-		for s := 0; s < outLen; s++ {
-			if slots[s].Val != want[s] {
-				t.Fatalf("trial %d: slot %d governed by val %d, want %d (specs %v, outLen %d)",
-					trial, s, slots[s].Val, want[s], specs, outLen)
-			}
-		}
-	}
-}
-
-// TestDistributeObliviousTrace: same shape (source count, outLen), wildly
-// different spans and values, identical views — and the sanity inverse for
-// a different outLen.
-func TestDistributeObliviousTrace(t *testing.T) {
-	mk := func(specs []distSpec, outLen int) oblivtest.Body {
-		return func(c *forkjoin.Ctx, sp *mem.Space) {
-			runDistribute(c, sp, specs, outLen)
-		}
-	}
-	a := []distSpec{{1, 9}, {2, 0}, {3, 0}, {4, 0}}
-	b := []distSpec{{5, 1}, {6, 1}, {7, 1}, {8, 1}}
-	d := []distSpec{{0, 0}, {0, 0}, {0, 0}, {0, 0}}
-	oblivtest.FingerprintEqual(t, "Distribute", mk(a, 9), mk(b, 9), mk(d, 9))
-	oblivtest.Different(t, "Distribute outLen", mk(a, 9), mk(a, 16))
-}
-
-// runDistributeOrdered is runDistribute for the merge-based variant: the
-// same specs, but the destination array carries the raw running offsets
-// (non-decreasing, as the contract requires) and participation rides the
-// span count stashed in Lbl instead of an InfKey mask.
+// runDistributeOrdered loads specs — destinations at their running
+// prefix-sum offsets (non-decreasing, as the contract requires),
+// participation riding the span count stashed in Lbl — runs
+// DistributeOrdered into outLen slots, and returns the applied slot
+// elements indexed by slot plus the passed-through non-participants.
 func runDistributeOrdered(c *forkjoin.Ctx, sp *mem.Space, specs []distSpec, outLen int) (slots []Elem, passed []Elem) {
 	n := len(specs)
 	sources := mem.Alloc[Elem](sp, n)
@@ -189,42 +53,87 @@ func runDistributeOrdered(c *forkjoin.Ctx, sp *mem.Space, specs []distSpec, outL
 	return slots, passed
 }
 
-// TestDistributeOrderedMatchesDistribute: on prefix-sum destinations — the
-// only ones the ordered variant accepts — the merge-based expansion must
-// agree with the sort-based Distribute slot for slot, including spans
-// running past outLen and participants demoted beyond it.
-func TestDistributeOrderedMatchesDistribute(t *testing.T) {
-	src := prng.New(331)
+func TestDistributeSpans(t *testing.T) {
+	specs := []distSpec{
+		{val: 10, span: 3}, // slots 0-2
+		{val: 20, span: 0}, // non-participant, passed through
+		{val: 30, span: 1}, // slot 3
+		{val: 40, span: 2}, // slots 4-5
+		{val: 50, span: 0}, // non-participant
+	}
+	const outLen = 9 // slots 6-8 beyond the last span: governed but out of span
+	sp := mem.NewSpace()
+	c := forkjoin.Serial()
+	slots, passed := runDistributeOrdered(c, sp, specs, outLen)
+
+	wantVal := []uint64{10, 10, 10, 30, 40, 40, 40, 40, 40}
+	wantD := []uint64{0, 0, 0, 3, 4, 4, 4, 4, 4}
+	for s := 0; s < outLen; s++ {
+		e := slots[s]
+		if e.Kind != Real {
+			t.Fatalf("slot %d missing from the result", s)
+		}
+		if e.Val != wantVal[s] || e.Aux != wantD[s] {
+			t.Fatalf("slot %d = (val %d, d %d), want (val %d, d %d)", s, e.Val, e.Aux, wantVal[s], wantD[s])
+		}
+	}
+	if len(passed) != 2 || passed[0].Val+passed[1].Val != 70 {
+		t.Fatalf("non-participants not passed through: %v", passed)
+	}
+}
+
+// TestDistributeRandomReference checks DistributeOrdered against a plain-Go
+// reference on random prefix-sum destinations, including spans running past
+// outLen and participants demoted beyond it: slot s is governed by the
+// participant with the largest offset <= s (or by nobody: the ok=false
+// marker), and exactly the non-participants pass through, unchanged.
+func TestDistributeRandomReference(t *testing.T) {
+	src := prng.New(771)
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + src.Intn(40)
 		specs := make([]distSpec, n)
 		total := uint64(0)
 		for i := range specs {
-			specs[i] = distSpec{val: 1 + src.Uint64n(1<<30), span: src.Uint64n(4)}
+			specs[i] = distSpec{val: src.Uint64n(1 << 30), span: src.Uint64n(4)}
 			total += specs[i].span
 		}
 		outLen := 1 + src.Intn(int(total)+8)
+		slots, passed := runDistributeOrdered(forkjoin.Serial(), mem.NewSpace(), specs, outLen)
 
-		spA, spB := mem.NewSpace(), mem.NewSpace()
-		refSlots, refPassed := runDistribute(forkjoin.Serial(), spA, specs, outLen)
-		gotSlots, gotPassed := runDistributeOrdered(forkjoin.Serial(), spB, specs, outLen)
+		wantVal := make([]uint64, outLen)
+		wantD := make([]uint64, outLen)
+		for s := range wantVal {
+			wantVal[s] = InfKey
+		}
+		wantPassed := map[uint64]uint64{} // source index → value
+		off := uint64(0)
+		for i, spec := range specs {
+			if spec.span == 0 || off >= uint64(outLen) {
+				wantPassed[uint64(i)] = spec.val
+			} else {
+				for s := off; s < uint64(outLen); s++ {
+					wantVal[s], wantD[s] = spec.val, off
+				}
+			}
+			off += spec.span
+		}
+
 		for s := 0; s < outLen; s++ {
-			if gotSlots[s].Val != refSlots[s].Val || gotSlots[s].Aux != refSlots[s].Aux {
-				t.Fatalf("trial %d: slot %d = (val %d, d %d), Distribute says (val %d, d %d) (specs %v, outLen %d)",
-					trial, s, gotSlots[s].Val, gotSlots[s].Aux, refSlots[s].Val, refSlots[s].Aux, specs, outLen)
+			if e := slots[s]; e.Kind != Real || e.Val != wantVal[s] || e.Aux != wantD[s] {
+				t.Fatalf("trial %d: slot %d = %+v, want (val %d, d %d) (specs %v, outLen %d)",
+					trial, s, e, wantVal[s], wantD[s], specs, outLen)
 			}
 		}
-		if len(gotPassed) != len(refPassed) {
-			t.Fatalf("trial %d: %d passed-through sources, Distribute says %d", trial, len(gotPassed), len(refPassed))
+		if len(passed) != len(wantPassed) {
+			t.Fatalf("trial %d: %d passed-through sources, want %d (specs %v, outLen %d)",
+				trial, len(passed), len(wantPassed), specs, outLen)
 		}
-		sum := func(es []Elem) (s uint64) {
-			for _, e := range es {
-				s += e.Val
+		for _, e := range passed {
+			if v, ok := wantPassed[e.Key]; !ok || v != e.Val {
+				t.Fatalf("trial %d: passed-through %+v is not an unchanged non-participant (specs %v, outLen %d)",
+					trial, e, specs, outLen)
 			}
-			return s
-		}
-		if sum(gotPassed) != sum(refPassed) {
-			t.Fatalf("trial %d: passed-through %v, Distribute says %v", trial, gotPassed, refPassed)
+			delete(wantPassed, e.Key)
 		}
 	}
 }

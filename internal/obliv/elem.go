@@ -55,7 +55,8 @@ type Elem struct {
 const InfKey = ^uint64(0)
 
 // MaxKey bounds caller-supplied keys where a primitive packs them with
-// headroom: Distribute's slot keys and the paper Sort / Shuffle inputs.
+// headroom: DistributeOrdered's slot keys (two class bits, so outLen <
+// MaxKey/2) and the paper Sort / Shuffle inputs.
 // Send-receive and conflict resolution sort on the bare key (ties break by
 // TiePos in registers) and take any key below InfKey.
 const MaxKey = uint64(1) << 62

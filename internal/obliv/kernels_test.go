@@ -32,11 +32,10 @@ func snapshotKeyed(a *mem.Array[Elem], ks *KeySchedule) keyedState {
 // tags and positions (so word ties, TiePos ties and full ties all occur),
 // about one in five a filler, every field populated, with a width-w
 // schedule of equally repetitive words.
-func dupHeavyInput(sp *mem.Space, seed uint64, n, w int, tie TieBreak) (*mem.Array[Elem], *KeySchedule) {
+func dupHeavyInput(sp *mem.Space, seed uint64, n, w int) (*mem.Array[Elem], *KeySchedule) {
 	src := prng.New(seed)
 	a := mem.Alloc[Elem](sp, n)
 	ks := AllocKeySchedule(sp, n, w)
-	ks.Tie = tie
 	for i := 0; i < n; i++ {
 		e := Elem{
 			Key: src.Uint64n(4), Key2: src.Uint64n(3), Val: src.Uint64(), Aux: src.Uint64n(5),
@@ -58,38 +57,36 @@ func dupHeavyInput(sp *mem.Space, seed uint64, n, w int, tie TieBreak) (*mem.Arr
 
 func TestCexKernelMatchesPerAccess(t *testing.T) {
 	for _, w := range []int{1, 2, 3} { // 3: the generic-width fallback
-		for _, tie := range []TieBreak{TieNetwork, TiePos} {
-			for _, asc := range []bool{true, false} {
-				label := fmt.Sprintf("w=%d tie=%d asc=%v", w, tie, asc)
-				oblivtest.SameOnEveryExecutor(t, "run "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-					a, ks := dupHeavyInput(sp, 21, 160, w, tie)
-					kern := NewCexKernel(c, a, ks)
-					kern.Run(3, 61, 57, asc)
-					kern.Run(0, 1, 1, asc)
-					return snapshotKeyed(a, ks)
-				})
-				oblivtest.SameOnEveryExecutor(t, "layers "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-					a, ks := dupHeavyInput(sp, 22, 140, w, tie)
-					kern := NewCexKernel(c, a, ks)
-					for j := 64; j > 0; j >>= 1 {
-						kern.Layer(5, 128, j, 0, asc) // a merge
-					}
-					for j := 8; j > 0; j >>= 1 {
-						kern.Layer(5, 128, j, 16, asc) // a sort layer group: direction flips every 16
-					}
-					return snapshotKeyed(a, ks)
-				})
-			}
+		for _, asc := range []bool{true, false} {
+			label := fmt.Sprintf("w=%d asc=%v", w, asc)
+			oblivtest.SameOnEveryExecutor(t, "run "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+				a, ks := dupHeavyInput(sp, 21, 160, w)
+				kern := NewCexKernel(c, a, ks)
+				kern.Run(3, 61, 57, asc)
+				kern.Run(0, 1, 1, asc)
+				return snapshotKeyed(a, ks)
+			})
+			oblivtest.SameOnEveryExecutor(t, "layers "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+				a, ks := dupHeavyInput(sp, 22, 140, w)
+				kern := NewCexKernel(c, a, ks)
+				for j := 64; j > 0; j >>= 1 {
+					kern.Layer(5, 128, j, 0, asc) // a merge
+				}
+				for j := 8; j > 0; j >>= 1 {
+					kern.Layer(5, 128, j, 16, asc) // a sort layer group: direction flips every 16
+				}
+				return snapshotKeyed(a, ks)
+			})
 		}
 	}
 }
 
 // TestCexKernelOrdersLikeComparator pins the raw comparator's outcome
 // against first principles rather than against the per-access code: after a
-// run every pair is ordered by (words, then the tie rule).
+// run every pair is ordered by (words, then TiePos).
 func TestCexKernelOrdersLikeComparator(t *testing.T) {
 	sp := mem.NewSpace()
-	a, ks := dupHeavyInput(sp, 23, 512, 2, TiePos)
+	a, ks := dupHeavyInput(sp, 23, 512, 2)
 	kern := NewCexKernel(forkjoin.Serial(), a, ks)
 	kern.Run(0, 256, 256, true)
 	for i := 0; i < 256; i++ {
@@ -112,7 +109,7 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 	for n := 2; n <= 4096; n <<= 1 {
 		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("mergeBitonic n=%d", n), func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-			a, ks := dupHeavyInput(sp, uint64(n), n, 1, TieNetwork)
+			a, ks := dupHeavyInput(sp, uint64(n), n, 1)
 			mergeBitonic(c, a, ks, n)
 			return snapshotKeyed(a, ks)
 		})
@@ -145,7 +142,7 @@ func TestScansMatchPerAccess(t *testing.T) {
 			})
 		}
 		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("AggregateSuffixBy n=%d", n), func(c *forkjoin.Ctx, sp *mem.Space) []Elem {
-			a, _ := dupHeavyInput(sp, uint64(n)+2, n, 1, TieNetwork)
+			a, _ := dupHeavyInput(sp, uint64(n)+2, n, 1)
 			AggregateSuffixBy(c, sp, a,
 				func(x, y Elem) bool { return x.Key == y.Key },
 				func(e Elem) uint64 { return e.Val >> 8 },

@@ -93,7 +93,7 @@ func TestKeyedSort(t *testing.T) {
 			// (TiePos determinism) and leaves the surroundings untouched.
 			sp := mem.NewSpace()
 			a := mem.FromSlice(sp, raw)
-			ks := obliv.NewKeyedSort(sp, n, obliv.TiePos, srt)
+			ks := obliv.NewKeyedSort(sp, n, srt)
 			ks.Sort(c, a, lo, n, byKey)
 			if !slices.Equal(a.Data(), want) {
 				t.Fatalf("%s: keyed sort diverges from the reference\n got %v\nwant %v", label, a.Data(), want)
@@ -109,7 +109,7 @@ func TestKeyedSort(t *testing.T) {
 			ks.Sort(c, a, lo, n, byPos)
 			sp2 := mem.NewSpace()
 			b := mem.FromSlice(sp2, want)
-			obliv.NewKeyedSort(sp2, n, obliv.TiePos, srt).Sort(c, b, lo, n, byPos)
+			obliv.NewKeyedSort(sp2, n, srt).Sort(c, b, lo, n, byPos)
 			if !slices.Equal(a.Data(), b.Data()) {
 				t.Fatalf("%s: reused helper diverges from a fresh one", label)
 			}
@@ -134,7 +134,7 @@ func TestKeyedSort(t *testing.T) {
 	body := func(seed uint64, lo, n int) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
 			a := mem.FromSlice(sp, keyedInput(seed, lo, n))
-			ks := obliv.NewKeyedSort(sp, n, obliv.TiePos, bitonic.CacheAgnostic{})
+			ks := obliv.NewKeyedSort(sp, n, bitonic.CacheAgnostic{})
 			ks.Sort(c, a, lo, n, byKey)
 			ks.Sort(c, a, lo, n, byPos)
 		}

@@ -14,52 +14,44 @@ import (
 // front, into a parallel word array — one instrumented linear pass — and
 // the network then compares cached uint64 words instead of re-deriving the
 // key from the element twice per comparator. The cached keys move through
-// the network in lockstep with the elements, so the element permutation is
-// identical to the closure-keyed network's and the access pattern remains a
-// function of n only.
+// the network in lockstep with the elements, and the access pattern remains
+// a function of n only.
 //
 // Schedules are width-parameterized: a KeySchedule caches W words per
 // element and the cached comparator orders elements lexicographically by
-// their word vectors (word 0 most significant). Nothing in the networks'
-// comparator schedules depends on W — widening the key only widens each
-// comparator's fixed read/write set — so a width-W sort is exactly as
-// oblivious as a width-1 sort. Width 1 runs the same single-word code the
-// schedule path has always run.
+// their word vectors (word 0 most significant), then by TiePos. Nothing in
+// the networks' comparator schedules depends on W — widening the key only
+// widens each comparator's fixed read/write set — so a width-W sort is
+// exactly as oblivious as a width-1 sort.
 
 // MaxScheduleWidth bounds the words per cached key (the comparator buffers
 // key vectors on the stack). Relational schedules need at most one word
 // per key column, far below this.
 const MaxScheduleWidth = 8
 
-// TieBreak selects the order of elements whose cached key vectors are
-// equal. The choice is part of the sort's public schedule, not of the
-// data: either rule reads and writes exactly the same positions.
+// TieBreak names a tie-break rule. There is one: TiePos.
 type TieBreak uint8
 
-const (
-	// TieNetwork reproduces the closure comparator's semantics: equal
-	// vectors swap on descending comparators and hold on ascending ones.
-	// The resulting permutation is deterministic (a function of the input
-	// ordering) but not stable.
-	TieNetwork TieBreak = iota
-	// TiePos breaks key-vector ties by the elements' (Kind, Tag, Aux)
-	// triple — fillers after real elements, then the side tag, then the
-	// original position — read from the element structs the comparator
-	// already holds in registers. Relational key sorts use it to get
-	// stable first-occurrence order without paying a dedicated position
-	// plane of memory traffic: the logical schedule is (key columns...,
-	// position), but the position word rides inside the elements.
-	TiePos
-)
+// TiePos is the tie-break of every keyed sort: elements whose cached key
+// vectors are equal order by their (Kind, Tag, Aux) triple — fillers after
+// real elements, then the side tag, then the original position — read from
+// the element structs the comparator already holds in registers (PosAfter).
+// Keyed sorts are therefore stable in first-occurrence order without a
+// dedicated position plane of memory traffic, and every backend realizes
+// the same strict order. The rule reads no memory, so it cannot move a
+// trace.
+const TiePos TieBreak = 1
 
 // KeySchedule is a width-W cached key schedule over one backing word array
 // in strided (plane-major) layout: word w of element i lives at
 // backing[w*n + i], exposed as per-word plane views indexed identically to
 // the element array. Plane 0 is the most significant word of the
-// lexicographic key; Tie resolves full-vector ties.
+// lexicographic key; full-vector ties resolve by TiePos.
 type KeySchedule struct {
 	planes []*mem.Array[uint64]
-	// Tie is the tie-break rule of this schedule (default TieNetwork).
+	// Tie is unread: every schedule breaks ties by TiePos. It remains, with
+	// TieBreak and TiePos, only for callers outside this module that still
+	// assign it.
 	Tie TieBreak
 }
 
@@ -96,9 +88,9 @@ func (ks *KeySchedule) Len() int { return ks.planes[0].Len() }
 func (ks *KeySchedule) Plane(w int) *mem.Array[uint64] { return ks.planes[w] }
 
 // View returns the schedule restricted to elements [lo, lo+n), aliasing the
-// parent exactly like mem.Array.View and keeping its tie-break rule.
+// parent exactly like mem.Array.View.
 func (ks *KeySchedule) View(lo, n int) *KeySchedule {
-	v := &KeySchedule{planes: make([]*mem.Array[uint64], len(ks.planes)), Tie: ks.Tie}
+	v := &KeySchedule{planes: make([]*mem.Array[uint64], len(ks.planes))}
 	for p := range ks.planes {
 		v.planes[p] = ks.planes[p].View(lo, n)
 	}
@@ -127,27 +119,6 @@ func BuildKeySchedule(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, lo, 
 	})
 }
 
-// CompareExchangeCached is the width-1 cached-key comparator: it orders
-// positions i and j of a (ascending by cached key if asc) using the key
-// words ks[i], ks[j], keeping ks in lockstep with a. All four positions are
-// always read and always rewritten, so the access pattern is independent of
-// the comparison outcome, exactly as in CompareExchange.
-func CompareExchangeCached(c *forkjoin.Ctx, a *mem.Array[Elem], ks *mem.Array[uint64], i, j int, asc bool) {
-	x := a.Get(c, i)
-	y := a.Get(c, j)
-	kx := ks.Get(c, i)
-	ky := ks.Get(c, j)
-	c.Op(1) // the comparison
-	if (kx > ky) == asc {
-		x, y = y, x
-		kx, ky = ky, kx
-	}
-	a.Set(c, i, x)
-	a.Set(c, j, y)
-	ks.Set(c, i, kx)
-	ks.Set(c, j, ky)
-}
-
 // PosAfter reports whether x sorts strictly after y under the TiePos
 // tie-break: fillers after real elements, then by side tag, then by
 // original position. Pure register arithmetic on values the comparator
@@ -165,47 +136,13 @@ func PosAfter(x, y Elem) bool {
 	return x.Aux > y.Aux
 }
 
-// CompareExchangeCachedW is the width-parameterized cached-key comparator:
-// it orders positions i and j of a by the lexicographic order of their
-// cached key vectors (ascending if asc), keeping every plane of ks in
+// CompareExchangeCachedW is the cached-key comparator: it orders positions
+// i and j of a by the lexicographic order of their cached key vectors, equal
+// vectors by TiePos (ascending if asc), keeping every plane of ks in
 // lockstep with a. All words of both positions are read and rewritten
 // unconditionally, so the access pattern is a function of (i, j, width)
-// only — the tie-break rule reads no additional memory. Under TieNetwork,
-// equal key vectors behave exactly like equal single words (the pair swaps
-// iff the comparator is descending, matching CompareExchangeCached); under
-// TiePos they order by the elements' (Kind, Tag, Aux). At width 1 with
-// TieNetwork it runs CompareExchangeCached itself — the schedule fast path
-// costs wide keys nothing when keys are narrow.
+// only — the tie-break reads no additional memory.
 func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, i, j int, asc bool) {
-	if len(ks.planes) == 1 {
-		if ks.Tie == TieNetwork {
-			CompareExchangeCached(c, a, ks.planes[0], i, j, asc)
-			return
-		}
-		// Width-1 TiePos: one cached word per side, tie in registers.
-		x := a.Get(c, i)
-		y := a.Get(c, j)
-		p0 := ks.planes[0]
-		kx := p0.Get(c, i)
-		ky := p0.Get(c, j)
-		c.Op(1) // the comparison
-		gt := kx > ky
-		if kx == ky {
-			gt = PosAfter(x, y)
-		}
-		if gt == asc {
-			a.Set(c, i, y)
-			a.Set(c, j, x)
-			p0.Set(c, i, ky)
-			p0.Set(c, j, kx)
-		} else {
-			a.Set(c, i, x)
-			a.Set(c, j, y)
-			p0.Set(c, i, kx)
-			p0.Set(c, j, ky)
-		}
-		return
-	}
 	if len(ks.planes) == 2 {
 		// Width-2 fast path: scalar registers, no stack vectors.
 		x := a.Get(c, i)
@@ -217,7 +154,7 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 		gt := kx0 > ky0
 		if kx0 == ky0 {
 			gt = kx1 > ky1
-			if kx1 == ky1 && ks.Tie == TiePos {
+			if kx1 == ky1 {
 				gt = PosAfter(x, y)
 			}
 		}
@@ -247,17 +184,12 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 		ky[p] = ks.planes[p].Get(c, j)
 	}
 	c.Op(1) // the comparison
-	gt := false
-	tied := true
+	gt := PosAfter(x, y)
 	for p := 0; p < w; p++ {
 		if kx[p] != ky[p] {
 			gt = kx[p] > ky[p]
-			tied = false
 			break
 		}
-	}
-	if tied && ks.Tie == TiePos {
-		gt = PosAfter(x, y)
 	}
 	if gt == asc {
 		x, y = y, x
@@ -274,13 +206,13 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // ScheduledSorter is implemented by sorters that can run against a
 // precomputed key schedule (the keysched fast path). SortScheduled sorts
 // a[lo:lo+n) ascending by the cached lexicographic keys ks[lo:lo+n) (ks is
-// indexed identically to a), keeping every plane of ks in lockstep. sp is
-// the address space backends allocate working memory from (the in-place
-// networks never touch it; the shuffle-then-sort backend draws its routing
-// buffers and tie plane from it). scr and kscr are caller-provided scratch
-// — scr of length >= n, kscr of ks's width covering >= n elements — that
-// must not alias a or ks; sorters that sort strictly in place ignore them
-// (nil is then permitted).
+// indexed identically to a), equal keys by TiePos, keeping every plane of
+// ks in lockstep. sp is the address space backends allocate working memory
+// from (the in-place networks never touch it; the shuffle-then-sort
+// backend draws its routing buffers and tie plane from it). scr and kscr
+// are caller-provided scratch — scr of length >= n, kscr of ks's width
+// covering >= n elements — that must not alias a or ks; sorters that sort
+// strictly in place ignore them (nil is then permitted).
 //
 // This is the production sorter seam: the relational, graph, PRAM and
 // serving layers take a ScheduledSorter and nothing else, so handing them
@@ -306,11 +238,9 @@ func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Arra
 }
 
 // KeyedSort is the keyed-sort recipe of every call site without a
-// relops.Arena (the graph and PRAM bulk steps, send-receive, Distribute):
-// it owns one width-1 key schedule, its scratch twin — held to the same
-// tie rule, since the cache-agnostic merges swap the two schedules' roles —
-// and the element scratch, and reuses all three across a caller's
-// consecutive sorts.
+// relops.Arena (the graph and PRAM bulk steps, send-receive, GroupTotals):
+// it owns one width-1 key schedule, its scratch twin and the element
+// scratch, and reuses all three across a caller's consecutive sorts.
 type KeyedSort struct {
 	sp       *mem.Space
 	srt      ScheduledSorter
@@ -322,10 +252,9 @@ type KeyedSort struct {
 // memory from) the buffers for sorts of up to n elements through srt: key
 // plane, key scratch, element scratch, in that order (addresses are part
 // of the trace, so the order is fixed).
-func NewKeyedSort(sp *mem.Space, n int, tie TieBreak, srt ScheduledSorter) KeyedSort {
+func NewKeyedSort(sp *mem.Space, n int, srt ScheduledSorter) KeyedSort {
 	ks := AllocKeySchedule(sp, n, 1)
 	kscr := AllocKeySchedule(sp, n, 1)
-	ks.Tie, kscr.Tie = tie, tie
 	return KeyedSort{sp: sp, srt: srt, ks: ks, kscr: kscr, scr: mem.Alloc[Elem](sp, n)}
 }
 
@@ -353,14 +282,13 @@ func (k KeyedSort) SortLoaded(c *forkjoin.Ctx, a *mem.Array[Elem], n int) {
 	k.srt.SortScheduled(c, k.sp, a, k.ks, k.scr, k.kscr, 0, n)
 }
 
-// SortKeyed sorts a[0:n) ascending by the single-word closure key with the
-// deterministic TiePos tie-break, through a one-shot KeyedSort. TiePos
-// makes the output permutation a deterministic function of the input
-// regardless of backend — key ties resolve by the elements' (Kind, Tag,
-// Aux) triple, never by network topology.
+// SortKeyed sorts a[0:n) ascending by the single-word closure key through a
+// one-shot KeyedSort. Key ties resolve by the elements' (Kind, Tag, Aux)
+// triple (TiePos), never by network topology, so the output permutation is
+// a deterministic function of the input on every backend.
 func SortKeyed(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], n int, key func(Elem) uint64, srt ScheduledSorter) {
 	if n <= 1 {
 		return
 	}
-	NewKeyedSort(sp, n, TiePos, srt).Sort(c, a, 0, n, key)
+	NewKeyedSort(sp, n, srt).Sort(c, a, 0, n, key)
 }

@@ -33,7 +33,7 @@ func ScanOp[T any](c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[T], op func(T, T
 // scanGrain is the subtree size below which the up/down sweeps stop
 // forking outside metered mode and recurse serially instead. The sweeps
 // used to fork all the way to single leaves — per-element task creation
-// that made every segmented scan (GroupBy aggregation, Distribute's
+// that made every segmented scan (GroupBy aggregation, DistributeOrdered's
 // rightward propagation, the partition prefix sums) pay two closure
 // allocations and a deque round-trip per array element; at 2^20-element
 // relations that bookkeeping dominated the actual combine work and was the

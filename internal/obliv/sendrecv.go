@@ -17,7 +17,7 @@ import (
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
 // binary fork-join sorter this realizes the Table 2 "S-R" row. The sorts
-// run through the ScheduledSorter key-schedule seam (one width-1 TiePos
+// run through the ScheduledSorter key-schedule seam (one width-1
 // schedule reused across both passes), so the routing inherits whichever
 // backend the caller selected and the cached-key comparators. The routing
 // sort keys on the bare Key: TiePos breaks equal keys by (Kind, Tag, Aux),
@@ -63,8 +63,8 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		}
 	})
 
-	// One TiePos schedule plus scratch, shared by both sorts.
-	ksort := NewKeyedSort(sp, wLen, TiePos, srt)
+	// One schedule plus scratch, shared by both sorts.
+	ksort := NewKeyedSort(sp, wLen, srt)
 
 	// Sort by key with sources before destinations at equal keys. A
 	// non-Real destination keys InfKey-1: behind every Real entry (TiePos

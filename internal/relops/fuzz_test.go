@@ -64,16 +64,17 @@ func FuzzJoinAllCapacityAdvisor(f *testing.F) {
 }
 
 // FuzzGroupByBackends differentially fuzzes the shuffle-then-sort backend
-// against the keyed bitonic backend: the same GroupBy instance must produce
-// identical surviving records under both (every relational order is strict
-// via the position tie-break, so outputs are backend-independent). The
-// shuffle sorter's seed is fuzzed too, exercising many permutations.
+// against the keyed bitonic backend: the same GroupBy instance, and a TopK
+// over the same records made tie-heavy, must produce identical surviving
+// records under both (every keyed sort breaks ties by position, so outputs
+// are backend-independent). The shuffle sorter's seed and k are fuzzed
+// too, exercising many permutations and cut points (k may exceed n).
 func FuzzGroupByBackends(f *testing.F) {
-	f.Add(uint64(1), uint64(1), uint8(9), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(2), uint64(7), uint8(24), uint8(1), uint8(1), uint8(4))
-	f.Add(uint64(3), uint64(99), uint8(17), uint8(0), uint8(2), uint8(5))
-	f.Fuzz(func(t *testing.T, seed, sortSeed uint64, n, w, dist, agg uint8) {
+	f.Add(uint64(1), uint64(1), uint8(9), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add(uint64(2), uint64(7), uint8(24), uint8(1), uint8(1), uint8(4), uint8(12))
+	f.Add(uint64(3), uint64(99), uint8(17), uint8(0), uint8(2), uint8(5), uint8(17))
+	f.Fuzz(func(t *testing.T, seed, sortSeed uint64, n, w, dist, agg, k uint8) {
 		nv, wv, dv := fuzzShape(n, w, dist)
-		checkGroupByBackends(t, seed, sortSeed, nv, wv, dv, allAggs[int(agg)%len(allAggs)])
+		checkGroupByBackends(t, seed, sortSeed, nv, wv, dv, allAggs[int(agg)%len(allAggs)], 1+int(k)%(nv+1))
 	})
 }

@@ -204,7 +204,7 @@ func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxO
 // its copies following in right-position order — the grouping step 4's
 // propagation needs.
 func joinLiSched(w int) schedule {
-	return schedule{w: w + 1, tie: obliv.TiePos, emit: func(e obliv.Elem, out []uint64) {
+	return schedule{w: w + 1, emit: func(e obliv.Elem, out []uint64) {
 		if e.Kind != obliv.Real {
 			fillInf(out)
 			return

@@ -258,8 +258,8 @@ func TestTraceDependsOnShape(t *testing.T) {
 // TestScheduleWordBounds guards the schedule invariants that replaced the
 // old packed-composite bound: every schedule stays within the comparator's
 // stack budget, fillers emit the InfKey sentinel in every word, key sorts
-// carry exactly one plane per column with the TiePos (position) tie-break,
-// and a maximal legal real record still sorts strictly before a filler.
+// carry exactly one plane per column (the position tie-break rides in the
+// elements), and a maximal legal real record still sorts strictly before a filler.
 func TestScheduleWordBounds(t *testing.T) {
 	e := obliv.Elem{Key: KeyLimit - 1, Key2: KeyLimit - 1, Aux: MaxRows - 1, Tag: 1, Kind: obliv.Real}
 	var buf, fill [obliv.MaxScheduleWidth]uint64
@@ -280,8 +280,8 @@ func TestScheduleWordBounds(t *testing.T) {
 	}
 	for _, w := range []int{1, 2} {
 		sc := keyIdxSched(w)
-		if sc.w != w || sc.tie != obliv.TiePos {
-			t.Fatalf("keyIdxSched(%d): width %d tie %d, want one plane per column with TiePos", w, sc.w, sc.tie)
+		if sc.w != w {
+			t.Fatalf("keyIdxSched(%d): width %d, want one plane per column", w, sc.w)
 		}
 		real := buf[:sc.w]
 		sc.emit(e, real)
@@ -291,8 +291,8 @@ func TestScheduleWordBounds(t *testing.T) {
 			t.Fatalf("maximal real record's key word %x reaches the filler sentinel", real[0])
 		}
 		// The join's (key..., left index) schedule carries one extra word.
-		if js := joinLiSched(w); js.w != w+1 || js.tie != obliv.TiePos {
-			t.Fatalf("joinLiSched(%d): width %d tie %d, want key columns plus the index plane with TiePos", w, js.w, js.tie)
+		if js := joinLiSched(w); js.w != w+1 {
+			t.Fatalf("joinLiSched(%d): width %d, want key columns plus the index plane", w, js.w)
 		}
 	}
 	// Compaction schedules carry positions as words under the same

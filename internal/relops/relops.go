@@ -239,12 +239,11 @@ func keyCol(e obliv.Elem, k int) uint64 {
 }
 
 // schedule is the public description of one sort's key layout: the number
-// of words per element, the emitter filling them, and the tie-break rule.
-// Width, emitter identity, and tie rule are functions of the relation's
-// schema, never of its contents.
+// of words per element and the emitter filling them. Width and emitter
+// identity are functions of the relation's schema, never of its contents;
+// full ties break by obliv.TiePos in every schedule.
 type schedule struct {
 	w    int
-	tie  obliv.TieBreak
 	emit func(e obliv.Elem, out []uint64)
 }
 
@@ -256,7 +255,7 @@ type schedule struct {
 // the elements via obliv.TiePos, so widening the key never pays a
 // dedicated position plane of comparator traffic.
 func keyIdxSched(w int) schedule {
-	return schedule{w: w, tie: obliv.TiePos, emit: func(e obliv.Elem, out []uint64) {
+	return schedule{w: w, emit: func(e obliv.Elem, out []uint64) {
 		if e.Kind != obliv.Real {
 			fillInf(out)
 			return
@@ -280,9 +279,9 @@ func posSched() schedule {
 	}}
 }
 
-// descValSched orders real elements by descending value with fillers last
-// (the top-k schedule; a record with Val == 0 shares obliv.InfKey with the
-// fillers, which every pass here tolerates).
+// descValSched orders real elements by descending value, equal values by
+// input position, with fillers last (the top-k schedule; a record with
+// Val == 0 ties the fillers' obliv.InfKey word, and TiePos puts it first).
 func descValSched() schedule {
 	return schedule{w: 1, emit: func(e obliv.Elem, out []uint64) {
 		if e.Kind != obliv.Real {
@@ -342,9 +341,7 @@ func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Ele
 	c.Check("relops.sort")
 	faultinject.Hit("sort.pass")
 	ks := ar.Keys(sp, n, sc.w)
-	ks.Tie = sc.tie
 	kscr := ar.KeyScratch(sp, n, sc.w)
-	kscr.Tie = sc.tie // cache-agnostic merges swap the schedule roles
 	obliv.BuildKeySchedule(c, a, ks, 0, n, sc.emit)
 	srt.SortScheduled(c, sp, a, ks, ar.ElemScratch(sp, n), kscr, 0, n)
 }

@@ -1,17 +1,20 @@
 package relops
 
-// Shuffle-backend tests: (a) output equivalence — under the strict
-// relational orders (position tie-break everywhere) every operator's
-// surviving records are identical under the shuffle-then-sort and keyed
-// bitonic backends, across randomized sizes, widths, and duplicate-heavy
-// key distributions; (b) the trace guarantees the shuffle backend makes at
-// a fixed seed — value-independence of the fingerprint (key *order*
-// independence is distributional, supplied by the secret permutation; the
-// variants below therefore vary values and payloads while preserving the
-// rank structure, and the arbitrary-content fingerprint checks stay pinned
-// to the bitonic backend in oblivious_test.go).
+// Shuffle-backend tests: (a) output equivalence — every keyed sort breaks
+// ties by position (obliv.TiePos) on both backends, so every operator's
+// surviving records are identical, order included, under the
+// shuffle-then-sort and keyed bitonic backends, across randomized sizes,
+// widths, duplicate-heavy key distributions and tie-heavy top-k values;
+// (b) the trace guarantees the shuffle backend makes at a fixed seed —
+// value-independence of the fingerprint (key *order* independence is
+// distributional, supplied by the secret permutation; the variants below
+// therefore vary values and payloads while preserving the rank structure,
+// and the arbitrary-content fingerprint checks stay pinned to the bitonic
+// backend in oblivious_test.go).
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"oblivmc/internal/bitonic"
@@ -29,26 +32,58 @@ func shuffleSorter(seed uint64) obliv.ScheduledSorter {
 	return &core.ShuffleSorter{FixedSeed: &seed, Crossover: 2}
 }
 
-// checkGroupByBackends runs one GroupBy instance under both backends and
-// requires identical surviving records (also the body of
-// FuzzGroupByBackends).
-func checkGroupByBackends(t testing.TB, seed, sortSeed uint64, n, w, dist int, agg AggKind) {
-	t.Helper()
-	src := prng.New(seed)
-	recs := genRecords(src, n, w, dist)
-	run := func(srt obliv.ScheduledSorter) []Record {
-		sp := mem.NewSpace()
-		a := mustLoadW(t, sp, recs, w)
-		runGroupBy(testCtx(), sp, NewArena(), a, agg, srt)
-		return Unload(a)
+// relOp is one operator run in place on a loaded relation.
+type relOp func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter)
+
+// topKOp is the top-k pipeline (value sort, rank cut) as a relOp.
+func topKOp(k int) relOp {
+	return func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
+		runTopK(c, sp, NewArena(), r, k, srt)
 	}
-	checkRecords(t, run(shuffleSorter(sortSeed)), run(bitonic.CacheAgnostic{}), "GroupBy backends")
 }
 
-// TestBackendEquivalenceProperty sweeps GroupBy, Distinct, Compact, and
-// JoinAll over randomized sizes, both widths, and all key distributions
-// (including duplicate-heavy and all-equal), asserting record-identical
-// output between the backends.
+// tieHeavy folds every value of recs into [0, 4): a value sort over the
+// result is almost all tie-break, and a quarter of the rows carry the value
+// 0, whose descending key word equals the fillers'.
+func tieHeavy(recs []Record) []Record {
+	out := slices.Clone(recs)
+	for i := range out {
+		out[i].Val %= 4
+	}
+	return out
+}
+
+// checkBackends runs op over recs under the forced shuffle backend and the
+// keyed bitonic backend and requires identical surviving records, order
+// included.
+func checkBackends(t testing.TB, sortSeed uint64, recs []Record, w int, op relOp, label string) {
+	t.Helper()
+	run := func(srt obliv.ScheduledSorter) []Record {
+		sp := mem.NewSpace()
+		r := mustLoadW(t, sp, recs, w)
+		op(testCtx(), sp, r, srt)
+		return Unload(r)
+	}
+	checkRecords(t, run(shuffleSorter(sortSeed)), run(bitonic.CacheAgnostic{}), label)
+}
+
+// checkGroupByBackends runs one GroupBy instance, and one TopK(k) instance
+// over the same records made tie-heavy, under both backends and requires
+// identical surviving records (also the body of FuzzGroupByBackends).
+func checkGroupByBackends(t testing.TB, seed, sortSeed uint64, n, w, dist int, agg AggKind, k int) {
+	t.Helper()
+	recs := genRecords(prng.New(seed), n, w, dist)
+	groupBy := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
+		runGroupBy(c, sp, NewArena(), r, agg, srt)
+	}
+	checkBackends(t, sortSeed, recs, w, groupBy, "GroupBy backends")
+	checkBackends(t, sortSeed, tieHeavy(recs), w, topKOp(k), fmt.Sprintf("TopK(%d) backends", k))
+}
+
+// TestBackendEquivalenceProperty sweeps GroupBy, Distinct, Compact, TopK
+// (over tie-heavy values) and JoinAll over randomized sizes, both widths,
+// and all key distributions (including duplicate-heavy and all-equal),
+// asserting record-identical output between the backends.
 func TestBackendEquivalenceProperty(t *testing.T) {
 	sizes := []int{1, 2, 5, 9, 17, 24, 64, 100}
 	seed := uint64(0xE0)
@@ -56,24 +91,21 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 		for _, w := range []int{1, 2} {
 			for _, n := range sizes {
 				seed++
-				checkGroupByBackends(t, seed, seed*3, n, w, dist, allAggs[int(seed)%len(allAggs)])
+				checkGroupByBackends(t, seed, seed*3, n, w, dist, allAggs[int(seed)%len(allAggs)], 1+int(seed)%n)
 
 				src := prng.New(seed ^ 0xD15)
 				recs := genRecords(src, n, w, dist)
-				runOp := func(srt obliv.ScheduledSorter, op func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter)) []Record {
-					sp := mem.NewSpace()
-					r := mustLoadW(t, sp, recs, w)
-					op(testCtx(), sp, r, srt)
-					return Unload(r)
-				}
 				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
 					runDistinct(c, sp, NewArena(), r, srt)
 				}
 				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
 					runCompact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
 				}
-				checkRecords(t, runOp(shuffleSorter(seed), distinct), runOp(bitonic.CacheAgnostic{}, distinct), "Distinct backends")
-				checkRecords(t, runOp(shuffleSorter(seed), compact), runOp(bitonic.CacheAgnostic{}, compact), "Compact backends")
+				checkBackends(t, seed, recs, w, distinct, "Distinct backends")
+				checkBackends(t, seed, recs, w, compact, "Compact backends")
+				for _, k := range []int{1, max(n/2, 1), n} {
+					checkBackends(t, seed, tieHeavy(recs), w, topKOp(k), fmt.Sprintf("TopK(%d) backends", k))
+				}
 
 				if n >= 2 {
 					lrecs := genRecords(src, (n+1)/2, w, dist)

@@ -8,15 +8,10 @@ import (
 
 // rankCut is the top-k pass over a descending-value-sorted relation: it
 // keeps the first k real records of a (by oblivious inclusive prefix rank)
-// and drops everything else to fillers. Ties in Val are broken
-// deterministically but arbitrarily (by network position). k is public —
+// and drops everything else to fillers. The value sort orders equal values
+// by input position, earliest first, on every backend, so the survivors
+// are the k largest values with ties kept in input order. k is public —
 // it is part of the query, not the data.
-//
-// A record with Val == 0 shares the descending sort key obliv.InfKey with
-// the fillers, so survivors are selected by oblivious rank rather than by
-// position: within the tied tail a filler may precede a real record, which
-// every pass in this package tolerates (fillers carry the InfKey sentinel
-// in every schedule word).
 func rankCut(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], k int) {
 	n := a.Len()
 	rank := ar.Ranks(sp, n)

@@ -2,8 +2,9 @@
 // stage of the shuffle-then-sort composition (Theorem 3.2) generalized for
 // the relational engine. The sort orders elements by the lexicographic
 // order of their cached key-schedule words, breaking full-vector ties by
-// the elements' in-register (Kind, Tag, Aux) triple (the obliv.TiePos rule,
-// which makes the sort stable in the relational sense) and breaking *those*
+// the elements' in-register (Kind, Tag, Aux) triple (obliv.TiePos, the one
+// tie-break of every keyed sort, which makes the sort stable in the
+// relational sense and realizes the keyed networks' order) and breaking *those*
 // ties by a caller-supplied random tie word per element. With the tie plane
 // drawn fresh from the seed tape, every comparison is strict, so the
 // sequence being sorted always has distinct effective keys — the

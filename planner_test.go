@@ -166,10 +166,11 @@ func queryRows(n int) []Row {
 
 // checkQueryResult compares got against the reference semantics of q over
 // rows. For shapes without TopK the row sequence must match exactly. With
-// TopK, value ties make the k-th row's identity implementation-defined
-// ("broken deterministically but arbitrarily"), so the check accepts any
-// valid top-k: correct length, descending values, the top-k value multiset
-// of the pre-TopK relation, and every row present in that relation.
+// TopK, value ties resolve by the positions the tied rows carry into the
+// value sort, which this reference does not model, so the check accepts
+// any valid top-k: correct length, descending values, the top-k value
+// multiset of the pre-TopK relation, and every row present in that
+// relation.
 func checkQueryResult(t *testing.T, label string, got, rows []Row, q Query) {
 	t.Helper()
 	if q.TopK == 0 {

@@ -401,7 +401,8 @@ func GroupBy(cfg Config, t Table, agg Agg) (Table, *Report, error) {
 }
 
 // TopK obliviously keeps the k rows with the largest values, in descending
-// value order (ties broken deterministically but arbitrarily). k is public
+// value order, ties by input position (earliest first) on every sort
+// backend and table size. k is public
 // query shape, not data; the access pattern depends on (rows, k) only. It
 // is the one-stage Query{TopK: k}. A Query reads k == 0 as "no top-k
 // stage", so TopK answers it here with an empty table of t's width and no

@@ -349,7 +349,8 @@ func refQuery(rows []Row, q Query) []Row {
 		}
 	}
 	if q.TopK > 0 {
-		// Insertion-sort descending by value (stable enough for distinct vals).
+		// Stable insertion sort descending by value: ties keep input order,
+		// as TopK's do.
 		sorted := append([]Row(nil), cur...)
 		for i := 1; i < len(sorted); i++ {
 			for j := i; j > 0 && sorted[j].Val > sorted[j-1].Val; j-- {
