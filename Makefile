@@ -48,12 +48,13 @@ check-inline:
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
 # reverse keys (the three must cost the same), the keyed bitonic sort per
-# leaf size, a routed Beneš network, a transpose, and the bitonic-vs-shuffle
-# backend ratio around the crossover. BENCH_KERNELS_ARGS bounds it, e.g.
+# leaf size, a routed Beneš network, a transpose, the bitonic-vs-shuffle
+# backend ratio around the crossover, and the top-k tournament against the
+# full value sort it replaced. BENCH_KERNELS_ARGS bounds it, e.g.
 # make bench-kernels BENCH_KERNELS_ARGS="-benchtime 1x" (the CI smoke run).
 BENCH_KERNELS_ARGS ?= -benchtime 20x
 bench-kernels:
-	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/matrix -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
+	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/matrix ./internal/relops -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
 
 # bench-build compiles and tests the frozen benchmark harness. benchmark/
 # is its own module (`replace oblivmc => ../`), so `go build ./...` and

@@ -3,23 +3,26 @@
 // of logical stages (JoinAll → Filter → Distinct → GroupBy → TopK) into a
 // sequence of physical passes that runs strictly fewer O(n log² n)
 // sorting-network passes than executing the stages one operator at a time.
-// The join stage is binary and therefore executed by the query layer
-// (which holds both relations), but it is planned here: its sort-pass
-// accounting and its rule-1 fusion — dropping the join's propagate+compact
-// tail whenever a later stage re-sorts — are planner decisions rendered by
+// TopK costs no sort at all: its one pass is a bitonic tournament of
+// O(n log² k) comparators at fixed positions (relops' topK). The join
+// stage is binary and therefore executed by the query layer (which holds
+// both relations), but it is planned here: its sort-pass accounting and
+// its rule-1 fusion — dropping the join's propagate+compact tail whenever
+// a later stage re-sorts or selects — are planner decisions rendered by
 // Explain like every other fusion opportunity.
 //
 // Obliviousness: every planner decision is a pure function of the *query
 // shape* — which stages are present, the aggregation kind, k, and the
 // declared key-only-ness of the filter — never of the relation contents.
 // The physical passes themselves are data-independent primitives (sorting
-// networks, segmented scans, fixed elementwise passes) whatever the number
-// of stages, so a planned pipeline's trace remains a function of
-// the relation size and the public query shape only. Rewriting *which*
-// sorts run is safe precisely because comparator schedules are
-// data-independent (the property the paper's §E.1 bitonic construction and
-// Batcher's networks provide): dropping or merging a sorting pass changes
-// the trace as a function of the shape, not of the data.
+// networks, the top-k tournament, segmented scans, fixed elementwise
+// passes) whatever the number of stages, so a planned pipeline's trace
+// remains a function of the relation size and the public query shape
+// only. Rewriting *which* sorts run is safe precisely because comparator
+// schedules are data-independent (the property the paper's §E.1 bitonic
+// construction and Batcher's networks provide): dropping or merging a
+// sorting pass changes the trace as a function of the shape, not of the
+// data.
 //
 // The same order token crosses queries (the cross-query planner of the
 // serving layer): Shape.InputOrder declares the order the input relation
@@ -70,7 +73,9 @@ const (
 	// OrderKeyPos — ascending (key, original position); fillers possibly
 	// interleaved where dropped records sat.
 	OrderKeyPos
-	// OrderValDesc — descending value; fillers at the tail.
+	// OrderValDesc — descending value; fillers at the tail. Only OpTopK
+	// establishes it, and no pass needs it: as an input token it saves
+	// nothing.
 	OrderValDesc
 )
 
@@ -159,10 +164,10 @@ const (
 	// survive carrying the singleton aggregate of the deduplicated
 	// relation. No sort.
 	OpDedupAggregate
-	// OpSortValDesc sorts by descending value, fillers last. One sort.
-	OpSortValDesc
-	// OpTopK drops records of oblivious rank > k to fillers (requires
-	// OrderValDesc). No sort.
+	// OpTopK keeps the k largest-value records, in descending value at the
+	// front, and drops everything else to fillers: a bitonic tournament of
+	// O(n log² k) comparators at fixed positions, not a full sort. It
+	// needs no input order and establishes OrderValDesc itself. No sort.
 	OpTopK
 	// OpCompactPos restores the public output order: survivors to the
 	// front by original position, fillers to the tail. One sort.
@@ -191,8 +196,6 @@ func (k OpKind) String() string {
 		return "aggregate"
 	case OpDedupAggregate:
 		return "dedup+aggregate"
-	case OpSortValDesc:
-		return "sort(val↓)"
 	case OpTopK:
 		return "topk"
 	case OpCompactPos:
@@ -208,7 +211,7 @@ type Op struct {
 	Kind OpKind
 	// Agg is the aggregation code for OpAggregate / OpDedupAggregate.
 	Agg uint8
-	// K is the rank cutoff for OpTopK.
+	// K is the public row count OpTopK keeps.
 	K int
 	// WithFilter merges the (key-only) filter predicate into this pass's
 	// elementwise survivor test (rewrite rule 3).
@@ -244,7 +247,7 @@ type Plan struct {
 }
 
 // String renders the pass sequence, e.g.
-// "filter-mark → sort(key,pos) → aggregate → sort(val↓) → topk [2 sorts]";
+// "filter-mark → sort(key,pos) → aggregate → topk [1 sorts, staged 4]";
 // multi-column shapes render their key sorts with the column count, e.g.
 // "sort(key×2,pos)". Width-1 plans render exactly as the single-word
 // planner always has.
@@ -295,7 +298,7 @@ func (op Op) SortCost() int {
 		return joinSortsDeferred
 	case op.Kind == OpJoinAll:
 		return joinSorts
-	case op.Kind == OpSortKey || op.Kind == OpSortValDesc || op.Kind == OpCompactPos:
+	case op.Kind == OpSortKey || op.Kind == OpCompactPos:
 		return 1
 	}
 	return 0
@@ -323,10 +326,10 @@ func Build(s Shape) Plan {
 // count and its order tokens. Build adds the staged and cold baselines,
 // which are themselves sort counts of other shapes' compilations.
 func compile(s Shape) Plan {
-	// Six ops is the longest plan (join, filter-mark, key sort, group pass,
-	// value sort, top-k): one allocation per compile, of which Build runs
-	// six — five of them one-stage.
-	ops := make([]Op, 0, 6)
+	// Five ops is the longest plan (join, filter-mark, key sort, group
+	// pass, top-k): one allocation per compile, of which Build runs six —
+	// five of them one-stage.
+	ops := make([]Op, 0, 5)
 	keyCols := s.KeyCols
 	if keyCols < 1 {
 		keyCols = 1
@@ -349,10 +352,11 @@ func compile(s Shape) Plan {
 	if s.Join {
 		// The join feeds the unary stages. Whenever any later stage is
 		// present, that stage (or the pipeline's final compaction) sorts
-		// the relation again, so the join's value-propagation and
-		// output-compaction sorts are deferred away (rule 1 applied to the
-		// join's tail): matches stay scattered among fillers and the next
-		// sort restores contiguity. A stand-alone join pays the full
+		// the relation again or runs the top-k tournament, which takes any
+		// order, so the join's value-propagation and output-compaction
+		// sorts are deferred away (rule 1 applied to the join's tail):
+		// matches stay scattered among fillers and the next sort or the
+		// tournament restores contiguity. A stand-alone join pays the full
 		// four-sort operator and establishes the output order itself. The
 		// expansion scrambles the right side either way, so any input
 		// token dies here.
@@ -399,13 +403,10 @@ func compile(s Shape) Plan {
 	}
 
 	if s.TopK > 0 {
-		if cur != OrderValDesc || !contiguous {
-			ops = append(ops, Op{Kind: OpSortValDesc})
-			cur = OrderValDesc
-			contiguous = true
-		}
+		// The tournament takes any order, fillers anywhere, and leaves the
+		// survivors packed at the front in descending value.
 		ops = append(ops, Op{Kind: OpTopK, K: s.TopK})
-		contiguous = false
+		cur = OrderValDesc
 	}
 
 	// Output-order restoration (rule 1's deferred compaction): TopK's

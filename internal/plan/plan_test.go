@@ -33,7 +33,8 @@ func TestPlansNeverBeatenByStaged(t *testing.T) {
 // TestStagedIsSumOfOneStagePlans pins the staged baseline to what running a
 // shape one stage at a time really costs: the sum of the sort passes of
 // its one-stage plans (a stand-alone join = joinSorts), at both key widths
-// and with or without a join — 6 for Filter→Distinct→GroupBy→TopK.
+// and with or without a join — 5 for Filter→Distinct→GroupBy→TopK (6
+// while TopK sorted by value; its tournament costs no sort).
 func TestStagedIsSumOfOneStagePlans(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		for _, join := range []bool{false, true} {
@@ -61,8 +62,8 @@ func TestStagedIsSumOfOneStagePlans(t *testing.T) {
 			}
 		}
 	}
-	if got := Build(Shape{Filter: true, Distinct: true, GroupBy: true, TopK: 3}).StagedSortPasses; got != 6 {
-		t.Fatalf("F→D→G→T staged = %d, want 6", got)
+	if got := Build(Shape{Filter: true, Distinct: true, GroupBy: true, TopK: 3}).StagedSortPasses; got != 5 {
+		t.Fatalf("F→D→G→T staged = %d, want 5", got)
 	}
 	if got := Build(Shape{Join: true}).SortPasses; got != joinSorts {
 		t.Fatalf("stand-alone join plans %d sorts, want joinSorts = %d", got, joinSorts)
@@ -90,17 +91,18 @@ func TestMultiStagePlansSaveSorts(t *testing.T) {
 }
 
 func TestFullPipelinePlan(t *testing.T) {
-	// The benchmark pipeline Filter→Distinct→GroupBy→TopK: 6 staged sorts
-	// collapse to 2 (one key sort feeding the fused dedup+aggregate, one
-	// value sort feeding top-k).
+	// The benchmark pipeline Filter→Distinct→GroupBy→TopK: 5 staged sorts
+	// collapse to 1 (one key sort feeding the fused dedup+aggregate; the
+	// top-k tournament sorts nothing). Before the tournament replaced
+	// TopK's value sort this was 2 sorts against 6 staged.
 	p := Build(Shape{Filter: true, Distinct: true, GroupBy: true, Agg: 1, TopK: 3})
-	if p.SortPasses != 2 || p.StagedSortPasses != 6 {
-		t.Fatalf("full pipeline: sorts = %d (staged %d), want 2 (6): %s", p.SortPasses, p.StagedSortPasses, p)
+	if p.SortPasses != 1 || p.StagedSortPasses != 5 {
+		t.Fatalf("full pipeline: sorts = %d (staged %d), want 1 (5): %s", p.SortPasses, p.StagedSortPasses, p)
 	}
 	if p.Output != OrderValDesc {
 		t.Fatalf("full pipeline output order = %v, want %v", p.Output, OrderValDesc)
 	}
-	want := []OpKind{OpFilterMark, OpSortKey, OpDedupAggregate, OpSortValDesc, OpTopK}
+	want := []OpKind{OpFilterMark, OpSortKey, OpDedupAggregate, OpTopK}
 	if len(p.Ops) != len(want) {
 		t.Fatalf("ops = %s, want kinds %v", p, want)
 	}
@@ -138,7 +140,7 @@ func TestSingleStagePlansMatchSeedCosts(t *testing.T) {
 		{Shape{Filter: true}, 1, OrderPos},
 		{Shape{Distinct: true}, 2, OrderPos},
 		{Shape{GroupBy: true}, 2, OrderPos},
-		{Shape{TopK: 4}, 1, OrderValDesc},
+		{Shape{TopK: 4}, 0, OrderValDesc}, // 1 while TopK sorted by value
 		{Shape{}, 0, OrderInput},
 	}
 	for _, tc := range cases {
@@ -182,12 +184,14 @@ func TestKeyColsNeverChangeThePlan(t *testing.T) {
 			}
 		}
 	}
+	// Before the top-k tournament both rendered "… → sort(val↓) → topk
+	// [2 sorts, staged 5]".
 	p := Build(Shape{KeyCols: 2, Distinct: true, GroupBy: true, Agg: 4, TopK: 3})
-	if want := "sort(key×2,pos) → dedup+aggregate → sort(val↓) → topk [2 sorts, staged 5]"; p.String() != want {
+	if want := "sort(key×2,pos) → dedup+aggregate → topk [1 sorts, staged 4]"; p.String() != want {
 		t.Fatalf("wide rendering = %q, want %q", p, want)
 	}
 	n := Build(Shape{Distinct: true, GroupBy: true, Agg: 4, TopK: 3})
-	if want := "sort(key,pos) → dedup+aggregate → sort(val↓) → topk [2 sorts, staged 5]"; n.String() != want {
+	if want := "sort(key,pos) → dedup+aggregate → topk [1 sorts, staged 4]"; n.String() != want {
 		t.Fatalf("narrow rendering = %q, want %q", n, want)
 	}
 }
@@ -238,10 +242,12 @@ func TestInputOrderSkipsFirstSort(t *testing.T) {
 		// A key-only filter pushes below the group stage, so it does not
 		// break the contiguity the token needs.
 		{"keyfilter+groupby/keyout", Shape{Filter: true, FilterKeyOnly: true, GroupBy: true, Agg: 1, InputOrder: OrderKeyPos, KeyOrderOut: true}, 0, 1},
-		// A value-ordered input feeds TopK without its value sort.
-		{"topk", Shape{TopK: 3, InputOrder: OrderValDesc}, 0, 1},
-		// Wrong token: no skip.
-		{"topk/wrong-token", Shape{TopK: 3, InputOrder: OrderKeyPos}, 1, 1},
+		// TopK sorts nothing whatever its input order: the tournament
+		// takes any order. (While it sorted by value, a value-ordered input
+		// skipped that sort, 0 against cold 1, and any other token paid
+		// it, 1 against 1.)
+		{"topk", Shape{TopK: 3, InputOrder: OrderValDesc}, 0, 0},
+		{"topk/key-token", Shape{TopK: 3, InputOrder: OrderKeyPos}, 0, 0},
 	}
 	for _, tc := range cases {
 		p := Build(tc.s)

@@ -61,7 +61,8 @@ func (ar *Arena) KeyScratch(sp *mem.Space, n, w int) *obliv.KeySchedule {
 	return obliv.NewKeySchedule(ar.keyScr, n, w)
 }
 
-// Ranks returns the prefix-rank array of length n (TopK).
+// Ranks returns the prefix-rank array of length n (JoinAll's expansion
+// offsets, its only user).
 func (ar *Arena) Ranks(sp *mem.Space, n int) *mem.Array[uint64] {
 	ar.rebind(sp)
 	if ar.ranks == nil || ar.ranks.Len() < n {

@@ -13,11 +13,11 @@ import (
 // referenced by OpFilterMark / WithFilter ops (nil when the shape has no
 // filter); it must be a pure function of the record.
 //
-// Every pass is a data-independent primitive — a sort, a segmented scan or
-// a fixed elementwise pass (§F) — so the trace of a planned pipeline is a
-// function of (len(r), r.W, pl) only — and pl itself is a function of the
-// public query shape, which includes the key width. ar supplies reusable
-// scratch.
+// Every pass is a data-independent primitive — a sort, a segmented scan, a
+// fixed elementwise pass (§F) or the top-k tournament's fixed comparator
+// network — so the trace of a planned pipeline is a function of (len(r),
+// r.W, pl) only — and pl itself is a function of the public query shape,
+// which includes the key width. ar supplies reusable scratch.
 func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pred func(Record) bool, srt obliv.ScheduledSorter) int {
 	for _, op := range pl.Ops {
 		// Cancellation checkpoint between passes: the pass boundary is
@@ -34,10 +34,8 @@ func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pre
 			aggregateDrop(c, sp, ar, r, AggKind(op.Agg), filterOf(op, pred))
 		case plan.OpDedupAggregate:
 			dedupDrop(c, sp, ar, r, true, AggKind(op.Agg), filterOf(op, pred))
-		case plan.OpSortValDesc:
-			sortSched(c, sp, ar, r.A, descValSched(), srt)
 		case plan.OpTopK:
-			rankCut(c, sp, ar, r.A, op.K)
+			topK(c, sp, ar, r.A, op.K)
 		case plan.OpCompactPos:
 			// Every earlier pass zeroes the records it drops, so the sort
 			// alone restores the public output order: survivors at the

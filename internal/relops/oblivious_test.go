@@ -10,6 +10,7 @@ package relops
 // few lines of body construction.
 
 import (
+	"fmt"
 	"testing"
 
 	"oblivmc/internal/bitonic"
@@ -234,12 +235,28 @@ func TestJoinAllLockstep(t *testing.T) {
 		})
 }
 
+// TestTopKObliviousTrace sweeps the tournament over (n, k) pairs — k below,
+// at and above a power of two, k > n, and n past passGrain — and ends with
+// the sensitivity row: k is public shape, so a different k (here one that
+// moves only the cut, K staying 8) must change the view.
 func TestTopKObliviousTrace(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
-	oblivtest.FingerprintEqual(t, "TopK", opBodies(t, traceInputs(64), 1,
-		func(c *forkjoin.Ctx, sp *mem.Space, r Rel) {
-			runTopK(c, sp, NewArena(), r, 5, srt)
-		})...)
+	body := func(recs []Record, k int) oblivtest.Body {
+		return func(c *forkjoin.Ctx, sp *mem.Space) {
+			runTopK(c, sp, NewArena(), mustLoad(t, sp, recs), k, srt)
+		}
+	}
+	for _, tc := range []struct{ n, k int }{
+		{64, 5}, {64, 8}, {64, 64}, {64, 100}, {100, 1}, {1500, 10}, {3000, 1025},
+	} {
+		var bodies []oblivtest.Body
+		for _, recs := range traceInputs(tc.n) {
+			bodies = append(bodies, body(recs, tc.k))
+		}
+		oblivtest.FingerprintEqual(t, fmt.Sprintf("TopK n=%d k=%d", tc.n, tc.k), bodies...)
+	}
+	recs := traceInputs(64)[2]
+	oblivtest.Different(t, "TopK k", body(recs, 5), body(recs, 6))
 }
 
 // TestTraceDependsOnShape is the sanity inverse: a different relation size

@@ -48,10 +48,11 @@
 // GroupBy or TopK is simply a one-stage shape. The binary join, JoinAll, is
 // an operator of its own and sizes its own output when asked to (CapAuto);
 // the primary-key join is obliv.SendReceive, which the public Join and
-// Lookup route through. Everything sorts
-// through the key-schedule fast path (obliv.ScheduledSorter, the only
-// sorter type the relational layer accepts) and draws its scratch from an
-// Arena when one is supplied.
+// Lookup route through. Every sort goes through the key-schedule fast
+// path (obliv.ScheduledSorter, the only sorter type the relational layer
+// accepts); TopK sorts nothing — its bitonic tournament runs the block
+// comparator (obliv.CexKernel) over the same cached schedule. Scratch
+// comes from an Arena.
 package relops
 
 import (
@@ -280,8 +281,9 @@ func posSched() schedule {
 }
 
 // descValSched orders real elements by descending value, equal values by
-// input position, with fillers last (the top-k schedule; a record with
-// Val == 0 ties the fillers' obliv.InfKey word, and TiePos puts it first).
+// input position, with fillers last: the order the top-k tournament
+// selects by (a record with Val == 0 ties the fillers' obliv.InfKey word,
+// and TiePos puts it first). No full sort runs on it.
 func descValSched() schedule {
 	return schedule{w: 1, emit: func(e obliv.Elem, out []uint64) {
 		if e.Kind != obliv.Real {

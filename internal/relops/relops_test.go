@@ -346,10 +346,32 @@ func TestGroupByMaxLegalKeys(t *testing.T) {
 	checkRecords(t, Unload(a), want, "GroupBy max keys")
 }
 
+// topKSizes crosses the tournament's boundaries: testSizes stays below
+// passGrain, so the two larger sizes add runs whose layers split over
+// several leaves (and, under make test-parallel, several workers).
+var topKSizes = append(append([]int(nil), testSizes...), 3000, 5000)
+
+// topKCuts is the k sweep for a relation of n records: below, at and past a
+// power of two, half, all and more than all of n.
+func topKCuts(n int) []int {
+	if n <= 129 {
+		return []int{1, (n + 1) / 2, n, n + 5}
+	}
+	return []int{1, 10, 1000, 1025, n / 2, n, n + 5}
+}
+
+// topKRef is the plain-Go top-k: value descending, equal values by input
+// position ascending, the first k.
+func topKRef(recs []Record, k int) []Record {
+	want := append([]Record(nil), recs...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Val > want[j].Val })
+	return want[:min(k, len(want))]
+}
+
 func TestTopKRandom(t *testing.T) {
 	src := prng.New(505)
-	for _, n := range testSizes {
-		for _, k := range []int{1, (n + 1) / 2, n, n + 5} {
+	for _, n := range topKSizes {
+		for _, k := range topKCuts(n) {
 			recs := make([]Record, n)
 			seen := map[uint64]bool{}
 			for i := range recs {
@@ -360,62 +382,47 @@ func TestTopKRandom(t *testing.T) {
 				seen[v] = true
 				recs[i] = Record{Key: uint64(i), Val: v} // distinct values: exact reference
 			}
-			want := append([]Record(nil), recs...)
-			sort.Slice(want, func(i, j int) bool { return want[i].Val > want[j].Val })
-			if k < len(want) {
-				want = want[:k]
-			}
+			want := topKRef(recs, k)
 
 			sp := mem.NewSpace()
 			a := mustLoad(t, sp, recs)
 			count := runTopK(testCtx(), sp, NewArena(), a, k, testSorter(a.Len()))
-			wantCount := k
-			if wantCount > n {
-				wantCount = n
-			}
-			if count != wantCount {
-				t.Fatalf("n=%d k=%d: TopK count = %d, want %d", n, k, count, wantCount)
+			if count != len(want) {
+				t.Fatalf("n=%d k=%d: TopK count = %d, want %d", n, k, count, len(want))
 			}
 			checkRecords(t, Unload(a), want, "TopK")
 		}
 	}
 }
 
-// TestTopKTiesAndZeros drives the Val==0 / filler key-collision corner: the
-// survivors must still be a valid top-k multiset.
+// TestTopKTiesAndZeros drives the Val==0 / filler key-collision corner and
+// tie-heavy values: the survivors must be exactly the reference's, equal
+// values kept in input order.
 func TestTopKTiesAndZeros(t *testing.T) {
 	src := prng.New(606)
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + src.Intn(20)
-		k := 1 + src.Intn(n+1)
+	check := func(n, k int, spread uint64) {
+		t.Helper()
 		recs := make([]Record, n)
 		for i := range recs {
-			recs[i] = Record{Key: uint64(i), Val: src.Uint64n(3)} // many ties, many zeros
+			recs[i] = Record{Key: uint64(i), Val: src.Uint64n(spread)} // many ties, many zeros
 		}
-		vals := make([]uint64, n)
-		for i, r := range recs {
-			vals[i] = r.Val
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
+		want := topKRef(recs, k)
 
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
 		count := runTopK(testCtx(), sp, NewArena(), a, k, obliv.SelectionNetwork{})
-		got := Unload(a)
-		wantCount := k
-		if wantCount > n {
-			wantCount = n
+		if count != len(want) {
+			t.Fatalf("n=%d k=%d: count=%d, want %d", n, k, count, len(want))
 		}
-		if count != wantCount || len(got) != wantCount {
-			t.Fatalf("n=%d k=%d: count=%d len=%d, want %d", n, k, count, len(got), wantCount)
-		}
-		for i, r := range got {
-			if r.Val != vals[i] {
-				t.Fatalf("n=%d k=%d: survivor %d has val %d, want %d (vals %v, got %v)", n, k, i, r.Val, vals[i], vals, got)
-			}
-			if recs[r.Key].Val != r.Val {
-				t.Fatalf("n=%d k=%d: survivor %v is not an input record", n, k, r)
-			}
+		checkRecords(t, Unload(a), want, "TopK ties")
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 5 + src.Intn(20)
+		check(n, 1+src.Intn(n+1), 3)
+	}
+	for _, n := range []int{3000, 5000} {
+		for _, k := range topKCuts(n) {
+			check(n, k, 4)
 		}
 	}
 }

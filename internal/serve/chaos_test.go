@@ -138,14 +138,24 @@ func TestChaosStorm(t *testing.T) {
 // TestQueryTimeoutReturns504 pins the deadline path: a query slower than
 // Options.QueryTimeout aborts with oblivmc.ErrDeadline, mapped to HTTP
 // 504, and returns its lane.
+//
+// The two constants move together. The slowed first sort pass alone
+// outlasts the timeout, so the slowed run must miss its deadline; the
+// un-slowed recovery run of the 5-round PageRank spec takes 30–37 ms under
+// -race on a 2-CPU machine, so the timeout leaves it 4× that. (At 25 ms
+// and 40 ms the recovery run itself hit the deadline under -race.)
 func TestQueryTimeoutReturns504(t *testing.T) {
+	const (
+		timeout = 150 * time.Millisecond
+		slow    = 250 * time.Millisecond
+	)
 	defer faultinject.Reset()
-	s := chaosServer(t, 1, 25*time.Millisecond)
+	s := chaosServer(t, 1, timeout)
 	mustLoad(t, s, "t", testRows(256, 8, 3))
 	mustLoad(t, s, "g", ringEdges(16))
 
 	for _, spec := range lifecycleSpecs {
-		faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
+		faultinject.SlowEvery("sort.pass", 1, slow)
 		_, err := s.Execute(spec)
 		if !errors.Is(err, oblivmc.ErrDeadline) {
 			t.Fatalf("slow %+v: err = %v, want ErrDeadline", spec, err)

@@ -239,7 +239,8 @@ func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 
 // TestFusedRunsFewerSorts is the sort-pass counter test: the fused
 // Filter→Distinct→GroupBy→TopK pipeline must run strictly fewer sorts than
-// the same stages run one operator at a time — concretely 2 against 6 —
+// the same stages run one operator at a time — concretely 1 against 5 (2
+// against 6 while TopK sorted by value; its tournament sorts nothing) —
 // and every multi-stage shape must save at least one sort.
 func TestFusedRunsFewerSorts(t *testing.T) {
 	rows := queryRows(64)
@@ -251,8 +252,8 @@ func TestFusedRunsFewerSorts(t *testing.T) {
 		GroupBy:  AggSum,
 		TopK:     5,
 	}
-	if fused, staged := sortsOf(t, tab, full, false), sortsOf(t, tab, full, true); fused != 2 || staged != 6 {
-		t.Fatalf("full pipeline: fused %d sorts, staged %d — want 2 and 6", fused, staged)
+	if fused, staged := sortsOf(t, tab, full, false), sortsOf(t, tab, full, true); fused != 1 || staged != 5 {
+		t.Fatalf("full pipeline: fused %d sorts, staged %d — want 1 and 5", fused, staged)
 	}
 
 	for i, q := range queryShapes() {
@@ -272,9 +273,10 @@ func TestFusedRunsFewerSorts(t *testing.T) {
 }
 
 // TestWidthOneQueriesKeepTwoPassSchedule is the sort-pass-counter pin for
-// the wide-key refactor: a width-1 four-stage pipeline must still plan and
-// execute exactly 2 sorting passes (PR 2's fused schedule), and widening
-// the table to two key columns must not change the pass count — width only
+// the wide-key refactor: a width-1 four-stage pipeline must plan and
+// execute exactly 1 sorting pass (2 — the key sort and TopK's value sort —
+// until the top-k tournament replaced the value sort), and widening the
+// table to two key columns must not change the pass count — width only
 // widens the schedules, never the plan.
 func TestWidthOneQueriesKeepTwoPassSchedule(t *testing.T) {
 	q := Query{
@@ -288,21 +290,21 @@ func TestWidthOneQueriesKeepTwoPassSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 1; w <= relops.MaxKeyCols; w++ {
-		if pl := plan.Build(q.shape(kind, w, OrderNone)); pl.SortPasses != 2 {
-			t.Fatalf("width %d: planned %d sorts, want 2 (%s)", w, pl.SortPasses, pl)
+		if pl := plan.Build(q.shape(kind, w, OrderNone)); pl.SortPasses != 1 {
+			t.Fatalf("width %d: planned %d sorts, want 1 (%s)", w, pl.SortPasses, pl)
 		}
 	}
 
-	// Executed pass count, width 1: the full pipeline runs 2 sorts.
-	if n := sortsOf(t, mustTable(t, queryRows(64)), q, false); n != 2 {
-		t.Fatalf("width-1 fused pipeline executed %d sorts, want 2", n)
+	// Executed pass count, width 1: the full pipeline runs 1 sort.
+	if n := sortsOf(t, mustTable(t, queryRows(64)), q, false); n != 1 {
+		t.Fatalf("width-1 fused pipeline executed %d sorts, want 1", n)
 	}
 
 	// Executed pass count, width 2 (no filter — wide filters are a
-	// follow-on): Distinct→GroupBy→TopK fuses to the same 2 sorts.
+	// follow-on): Distinct→GroupBy→TopK fuses to the same 1 sort.
 	wq := Query{Distinct: true, GroupBy: AggAvg, TopK: 5}
-	if n := sortsOf(t, mustWideTable(t, wideQueryRows(64)), wq, false); n != 2 {
-		t.Fatalf("width-2 fused pipeline executed %d sorts, want 2", n)
+	if n := sortsOf(t, mustWideTable(t, wideQueryRows(64)), wq, false); n != 1 {
+		t.Fatalf("width-2 fused pipeline executed %d sorts, want 1", n)
 	}
 }
 
@@ -375,7 +377,9 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "filter-mark → sort(key,pos) → dedup+aggregate → sort(val↓) → topk [2 sorts, staged 6]"
+	// "… → dedup+aggregate → sort(val↓) → topk [2 sorts, staged 6]" while
+	// TopK sorted by value.
+	want := "filter-mark → sort(key,pos) → dedup+aggregate → topk [1 sorts, staged 5]"
 	if got != want {
 		t.Fatalf("Explain = %q, want %q", got, want)
 	}
@@ -533,8 +537,11 @@ func TestJoinPlanSortPasses(t *testing.T) {
 			"join-all [3 sorts, staged 3]"},
 		{plan.Shape{Join: true, GroupBy: true}, 3, 5,
 			"join-all+defer → sort(key,pos) → aggregate → compact(pos) [3 sorts, staged 5]"},
-		{plan.Shape{Join: true, TopK: 3}, 2, 4,
-			"join-all+defer → sort(val↓) → topk [2 sorts, staged 4]"},
+		// 2 sorts, staged 4, with a sort(val↓) before topk while TopK
+		// sorted by value; the tournament takes the scattered matches as
+		// they are.
+		{plan.Shape{Join: true, TopK: 3}, 1, 3,
+			"join-all+defer → topk [1 sorts, staged 3]"},
 		{plan.Shape{Join: true, Distinct: true, GroupBy: true}, 3, 7,
 			"join-all+defer → sort(key,pos) → dedup+aggregate → compact(pos) [3 sorts, staged 7]"},
 	} {

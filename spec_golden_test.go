@@ -18,7 +18,11 @@ import (
 // kernel. The four one-operator rows are the spec of the public Filter /
 // Distinct / GroupBy / TopK — each a one-stage query — recorded from
 // RunQuery of that one-stage Query at commit dce8244, the last one where
-// the wrappers still ran a second operator family.
+// the wrappers still ran a second operator family. The query and top_k
+// rows were re-recorded when TopK's value sort and rank prefix sum became
+// one bitonic tournament (every other row unchanged): query W 11557112 →
+// 6160872, Span 7507 → 4976, MemOps 6991867 → 3763829; top_k W 5788794 →
+// 392554, Span 3789 → 1258, MemOps 3502076 → 274038.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -72,8 +76,8 @@ func specQuery(t *testing.T, seed uint64) *Report {
 
 func TestMeteredSpecGolden(t *testing.T) {
 	t.Run("query", func(t *testing.T) {
-		want := specCounts{Work: 11557112, Span: 7507, MemOps: 6991867, Forks: 2102400,
-			Trace: trace.Fingerprint{Hash: 12710906732347129727, Count: 11196667}}
+		want := specCounts{Work: 6160872, Span: 4976, MemOps: 3763829, Forks: 1092050,
+			Trace: trace.Fingerprint{Hash: 8711762884611439002, Count: 5947929}}
 		if got := countsOf(specQuery(t, 3)); got != want {
 			t.Fatalf("RunQuery F→D→G→T on 2^12 rows: %+v, recorded %+v", got, want)
 		}
@@ -94,8 +98,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 			specCounts{Work: 11540728, Span: 7481, MemOps: 6987770, Forks: 2098305,
 				Trace: trace.Fingerprint{Hash: 14211492601299617204, Count: 11184380}}},
 		{"top_k", func(cfg Config, tab Table) (Table, *Report, error) { return TopK(cfg, tab, 10) },
-			specCounts{Work: 5788794, Span: 3789, MemOps: 3502076, Forks: 1051200,
-				Trace: trace.Fingerprint{Hash: 154281921879917165, Count: 5604476}}},
+			specCounts{Work: 392554, Span: 1258, MemOps: 274038, Forks: 40850,
+				Trace: trace.Fingerprint{Hash: 13609242156703820756, Count: 355738}}},
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			tab, err := NewTable(specRows(3, 1<<12, 400))

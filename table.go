@@ -118,8 +118,9 @@ const (
 	// output of a KeyOrderOut Distinct/GroupBy query. A follow-up query
 	// whose first sort is its key sort skips that sort entirely.
 	OrderKeys
-	// OrderValues — descending value order: the output of a TopK query. A
-	// follow-up pure-TopK query skips its value sort.
+	// OrderValues — descending value order: the output of a TopK query.
+	// No plan needs it (TopK's tournament takes any order), so it saves a
+	// follow-up query nothing.
 	OrderValues
 )
 
@@ -402,11 +403,12 @@ func GroupBy(cfg Config, t Table, agg Agg) (Table, *Report, error) {
 
 // TopK obliviously keeps the k rows with the largest values, in descending
 // value order, ties by input position (earliest first) on every sort
-// backend and table size. k is public
-// query shape, not data; the access pattern depends on (rows, k) only. It
-// is the one-stage Query{TopK: k}. A Query reads k == 0 as "no top-k
-// stage", so TopK answers it here with an empty table of t's width and no
-// run: k is public, so answering before the run leaks nothing.
+// backend and table size. k is public query shape, not data; the access
+// pattern depends on (rows, k) only. It is the one-stage Query{TopK: k}: a
+// bitonic tournament of O(n log² k) comparators over the n padded rows,
+// not a sort. A Query reads k == 0 as "no top-k stage", so TopK answers it
+// here with an empty table of t's width and no run: k is public, so
+// answering before the run leaks nothing.
 func TopK(cfg Config, t Table, k int) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
@@ -605,8 +607,9 @@ type JoinSpec struct {
 // below Distinct/GroupBy into their existing passes. A multi-stage query
 // therefore runs strictly fewer O(n log² n) sorting-network passes than
 // calling the stand-alone operators (Filter, Distinct, GroupBy, TopK — each
-// a one-stage Query) in sequence (the full four-stage pipeline: 2 sorts
-// instead of 6) while producing the same rows — at every key width.
+// a one-stage Query) in sequence (the full four-stage pipeline: 1 sort
+// instead of 5; TopK's bitonic tournament sorts nothing) while producing
+// the same rows — at every key width.
 type Query struct {
 	// Join, when non-nil, prepends a many-to-many equi-join stage: the
 	// queried table (the join's right side) is expanded to one row per
@@ -672,9 +675,9 @@ func (q Query) shape(kind relops.AggKind, w int, ord TableOrder) plan.Shape {
 
 // Explain returns the pass sequence q will execute over a width-1 table
 // (ExplainWidth renders other widths), e.g.
-// "filter-mark → sort(key,pos) → dedup+aggregate → sort(val↓) → topk
-// [2 sorts, staged 6]". It validates q exactly like RunQuery and depends
-// only on the query shape.
+// "filter-mark → sort(key,pos) → dedup+aggregate → topk [1 sorts, staged
+// 5]". It validates q exactly like RunQuery and depends only on the query
+// shape.
 func Explain(q Query) (string, error) {
 	return ExplainWidth(q, 1)
 }

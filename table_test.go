@@ -3,6 +3,7 @@ package oblivmc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -131,6 +132,24 @@ func TestGroupByAndTopKTable(t *testing.T) {
 	}
 	if len(top.Rows()) != 2 || top.Rows()[0] != (Row{1, 390}) || top.Rows()[1] != (Row{2, 200}) {
 		t.Fatalf("top-2 = %v", top.Rows())
+	}
+}
+
+// TestTopKBeyondRowCount asks for more rows than the table holds, up to
+// math.MaxInt: TopK must return every row in descending value order, ties
+// by input position (k is clamped to the row count before it is rounded to
+// a power of two, whose doubling never ends above 2^62).
+func TestTopKBeyondRowCount(t *testing.T) {
+	rows := []Row{{1, 5}, {2, 9}, {3, 5}, {4, 0}, {5, 12}}
+	want := []Row{{5, 12}, {2, 9}, {1, 5}, {3, 5}, {4, 0}}
+	for _, k := range []int{len(rows), len(rows) + 1, math.MaxInt} {
+		got, _, err := TopK(Config{Mode: ModeSerial}, mustTable(t, rows), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows(), want) {
+			t.Fatalf("TopK(k=%d) = %v, want %v", k, got.Rows(), want)
+		}
 	}
 }
 
