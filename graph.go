@@ -44,7 +44,7 @@ func (op GraphOp) plan(n, m, rounds int) plan.GraphPlan {
 // Components, the iteration count for PageRank, ignored otherwise), e.g.
 //
 //	cc-minhook(n=65536, m=1048576): gather → scatter-min → jump → jump
-//	[9 sorts/round × 4 rounds = 36 sorts]
+//	[7 sorts/round × 4 rounds = 28 sorts]
 //
 // Like Explain for relational queries, the output is a pure function of
 // the shape — the same accounting the metered-run tests pin.

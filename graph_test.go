@@ -275,7 +275,7 @@ func TestGraphExplainStrings(t *testing.T) {
 		rounds int
 		want   []string
 	}{
-		{GraphOpComponents, 4, []string{"cc-minhook", "9 sorts/round", "4 rounds", "36 sorts"}},
+		{GraphOpComponents, 4, []string{"cc-minhook", "7 sorts/round", "4 rounds", "28 sorts"}},
 		{GraphOpComponents, 0, []string{"cc-minhook", "rounds revealed"}},
 		{GraphOpMSF, 0, []string{"msf", "revealed"}},
 		{GraphOpPageRank, 5, []string{"pagerank", "5"}},

@@ -59,9 +59,9 @@ import (
 // itself — so backend selection never depends on the data.
 //
 // The value predates the block kernels; it was re-measured after them and
-// deliberately left where it was (ROADMAP item 2 follow-up). It was set
-// when the backends broke even between 2^12 and 2^13 and the shuffle
-// composition pulled ahead ~1.5× at 2^14, ~1.8× at 2^20.
+// deliberately left where it was (re-deriving it is ROADMAP item 9(c)).
+// It was set when the backends broke even between 2^12 and 2^13 and the
+// shuffle composition pulled ahead ~1.5× at 2^14, ~1.8× at 2^20.
 // The kernels sped the networks up more than the composition — whose
 // routing, tie-word and pivot stages are partly serial — and
 // BenchmarkBackendCrossover (width 1, TiePos, 2-CPU box) now reads

@@ -14,7 +14,7 @@ import (
 // workload variant of ConnectedComponentsOblivious. Each round is three
 // oblivious bulk operations (one batched endpoint gather over both
 // orientations, one min-combining conflict-resolved scatter, two pointer
-// jumps), about 9 oblivious sorts, against the Awerbuch–Shiloach
+// jumps), 7 oblivious sorts, against the Awerbuch–Shiloach
 // iteration's 34 — the difference between a fixed 3·⌈log₂ n⌉+5 iteration
 // bound and a data-dependent round count.
 //

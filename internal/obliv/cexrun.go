@@ -97,6 +97,27 @@ func (k *CexKernel) Run(i, stride, cnt int, asc bool) {
 	cexRun(k.e, k.k0, k.k1, i, i+stride, cnt, desc)
 }
 
+// runRecord is Run ascending at width 1 that also records every pair's
+// outcome into the packed words of rec: bit q+t is set iff pair t swapped.
+// Under the metered executor each bit is a read and a rewrite of its word
+// after the comparator, at an address fixed by q+t; the raw kernel writes
+// the bit with mask arithmetic and never branches on it.
+func (k *CexKernel) runRecord(i, stride, cnt int, rec *mem.Array[uint64], q int) {
+	if k.e == nil {
+		for t := 0; t < cnt; t++ {
+			var bit uint64
+			if CompareExchangeCachedW(k.c, k.a, k.ks, i+t, i+stride+t, true) {
+				bit = 1
+			}
+			b := q + t
+			w := rec.Get(k.c, b>>6)
+			rec.Set(k.c, b>>6, w&^(1<<(b&63))|bit<<(b&63))
+		}
+		return
+	}
+	cexRunRecord(k.e, k.k0, i, i+stride, cnt, rec.Raw(k.c), q)
+}
+
 // Layer runs one butterfly layer over the block [lo, lo+n): for every
 // i0 = 0, 2·stride, 4·stride, … < n the run of stride pairs at lo+i0, in
 // ascending i0. A run is ordered ascending if (i0&period == 0) == asc and
@@ -145,5 +166,40 @@ func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc uint64) {
 			k1i[t], k1j[t] = x1^d, y1^d
 		}
 		CondSwap(x, y, m)
+	}
+}
+
+// cexRunRecord is cexRun at width 1, ascending, with the swap mask's low bit
+// stored as bit q+t of rec for pair t.
+func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, rec []uint64, q int) {
+	ei, ej := e[i:i+cnt], e[j:j+cnt]
+	k0i, k0j := k0[i:i+cnt], k0[j:j+cnt]
+	for t := range ei {
+		x, y := &ei[t], &ej[t]
+		xh, xl := posWords(x)
+		yh, yl := posWords(y)
+		_, after := bits.Sub64(yl, xl, 0)
+		_, after = bits.Sub64(yh, xh, after)
+		x0, y0 := k0i[t], k0j[t]
+		_, after = bits.Sub64(y0, x0, after)
+		m := -after
+
+		d := (x0 ^ y0) & m
+		k0i[t], k0j[t] = x0^d, y0^d
+		CondSwap(x, y, m)
+		b := q + t
+		w := &rec[b>>6]
+		*w = *w&^(1<<(b&63)) | after<<(b&63)
+	}
+}
+
+// uncexRun replays recorded pairs over raw slices: pair (i+t, j+t) is
+// exchanged iff bit q+t of rec is set, through CondSwap, so the loads,
+// stores and branches are those of every other outcome.
+func uncexRun(e []Elem, i, j, cnt int, rec []uint64, q int) {
+	ei, ej := e[i:i+cnt], e[j:j+cnt]
+	for t := range ei {
+		b := q + t
+		CondSwap(&ei[t], &ej[t], -(rec[b>>6] >> (b & 63) & 1))
 	}
 }

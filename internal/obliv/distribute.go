@@ -148,7 +148,7 @@ func DistributeOrdered(
 		}
 	})
 
-	mergeBitonic(c, w, ks, wLen)
+	mergeBitonic(c, w, ks, wLen, nil)
 
 	// Latest-participant scan: position p learns the participant with the
 	// largest destination at or before p. The schedule moved through the
@@ -198,8 +198,14 @@ func DistributeOrdered(
 // comparator layers, each layer's disjoint compare-exchanges forked with the
 // shared pass grain. n must be a power of two. The comparator sequence is a
 // function of n alone.
-func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int) {
-	for j := n >> 1; j > 0; j >>= 1 {
+//
+// A non-nil rec (mergeRecordWords(n) words) receives one swap bit per
+// comparator — bit l·n/2 + pairIndex(i, j) for the pair (i, i+j) of layer l
+// — from which unmergeBitonic undoes the merge. A nil rec runs the plain
+// comparator kernels, so DistributeOrdered's merge records nothing.
+func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, rec *mem.Array[uint64]) {
+	for j, l := n>>1, 0; j > 0; j, l = j>>1, l+1 {
+		q := l * (n >> 1)
 		forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 			// The leaves of a power-of-two range are aligned blocks of one
 			// power-of-two size g: at stride j >= g a block is one run (the
@@ -208,10 +214,76 @@ func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int) {
 			kern := NewCexKernel(c, a, ks)
 			switch g := hi - lo; {
 			case j < g:
-				kern.Layer(lo, g, j, 0, true)
-			case lo&j == 0:
+				if rec == nil {
+					kern.Layer(lo, g, j, 0, true)
+					return
+				}
+				for i := lo; i < hi; i += 2 * j {
+					kern.runRecord(i, j, j, rec, q+pairIndex(i, j))
+				}
+			case lo&j != 0:
+				// The high side of its pairs.
+			case rec == nil:
 				kern.Run(lo, j, g, true)
+			default:
+				kern.runRecord(lo, j, g, rec, q+pairIndex(lo, j))
 			}
 		})
 	}
+}
+
+// unmergeBitonic undoes mergeBitonic(c, a, _, n, rec): it replays the
+// recorded layers in reverse, stride 1 up to n/2, exchanging exactly the
+// pairs the merge exchanged, so every element of a returns to the position
+// it held before the merge. The key schedule is not replayed. Per pair the
+// metered path reads both elements and the bit's word and rewrites both
+// elements; the raw path swaps through CondSwap. The access pattern is a
+// function of n alone.
+func unmergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], n int, rec *mem.Array[uint64]) {
+	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
+		q := l * (n >> 1)
+		forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			e, bw := a.Raw(c), rec.Raw(c)
+			run := func(i, cnt int) {
+				b0 := q + pairIndex(i, j)
+				if e != nil {
+					uncexRun(e, i, i+j, cnt, bw, b0)
+					return
+				}
+				for t := 0; t < cnt; t++ {
+					x := a.Get(c, i+t)
+					y := a.Get(c, i+j+t)
+					b := b0 + t
+					w := rec.Get(c, b>>6)
+					c.Op(1)
+					if w>>(b&63)&1 == 1 {
+						x, y = y, x
+					}
+					a.Set(c, i+t, x)
+					a.Set(c, i+j+t, y)
+				}
+			}
+			switch g := hi - lo; {
+			case j < g:
+				for i := lo; i < hi; i += 2 * j {
+					run(i, j)
+				}
+			case lo&j == 0:
+				run(lo, g)
+			}
+		})
+	}
+}
+
+// pairIndex is the index, among the n/2 pairs of a merge layer of stride
+// j, of the pair whose low position is i: i with its j bit removed.
+// Consecutive low positions of one run get consecutive indices.
+func pairIndex(i, j int) int {
+	return (i>>1)&^(j-1) | i&(j-1)
+}
+
+// mergeRecordWords is the length of mergeBitonic's swap record for n
+// elements: log2(n) layers of n/2 bits, packed 64 to a word.
+func mergeRecordWords(n int) int {
+	return (Log2(n)*(n>>1) + 63) >> 6
 }

@@ -2,6 +2,7 @@ package obliv
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"oblivmc/internal/forkjoin"
@@ -106,13 +107,81 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 	}
 }
 
+// mergeState is what a merge leaves — the merged array and planes and, when
+// recorded, the swap record and the array after the un-merge's replay.
+type mergeState struct {
+	Merged   keyedState
+	Record   []uint64
+	Unmerged []Elem
+}
+
 func TestMergeBitonicMatchesPerAccess(t *testing.T) {
-	for n := 2; n <= 4096; n <<= 1 {
-		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("mergeBitonic n=%d", n), func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
-			a, ks := dupHeavyInput(sp, uint64(n), n, 1)
-			mergeBitonic(c, a, ks, n)
-			return snapshotKeyed(a, ks)
-		})
+	for _, record := range []bool{false, true} {
+		for n := 1; n <= 4096; n <<= 1 {
+			label := fmt.Sprintf("mergeBitonic n=%d record=%t", n, record)
+			oblivtest.SameOnEveryExecutor(t, label, func(c *forkjoin.Ctx, sp *mem.Space) mergeState {
+				a, ks := dupHeavyInput(sp, uint64(n), n, 1)
+				if !record {
+					mergeBitonic(c, a, ks, n, nil)
+					return mergeState{Merged: snapshotKeyed(a, ks)}
+				}
+				rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
+				for i := range rec.Data() {
+					rec.Data()[i] = 0x5555_5555_5555_5555 // stale bits must be overwritten
+				}
+				mergeBitonic(c, a, ks, n, rec)
+				st := mergeState{Merged: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
+				unmergeBitonic(c, a, n, rec)
+				st.Unmerged = append([]Elem(nil), a.Data()...)
+				return st
+			})
+		}
+	}
+}
+
+// TestMergeUnmergeRoundTrip: a recorded merge sorts a bitonic input exactly
+// like the unrecorded one, and replaying the record restores the input
+// elements position for position.
+func TestMergeUnmergeRoundTrip(t *testing.T) {
+	for n := 1; n <= 4096; n <<= 1 {
+		sp := mem.NewSpace()
+		src := prng.New(uint64(n))
+		a := mem.Alloc[Elem](sp, n)
+		ks := AllocKeySchedule(sp, n, 1)
+		// Ascending then descending keys with many ties, every field set.
+		up := int(src.Uint64n(uint64(n) + 1))
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = src.Uint64n(8)
+		}
+		slices.Sort(keys[:up])
+		slices.Sort(keys[up:])
+		slices.Reverse(keys[up:])
+		for i := range n {
+			a.Data()[i] = Elem{Key: keys[i], Val: src.Uint64(), Aux: uint64(i), Lbl: src.Uint64(), Kind: Real}
+			ks.Plane(0).Data()[i] = keys[i]
+		}
+		orig := append([]Elem(nil), a.Data()...)
+
+		plainA := mem.FromSlice(sp, orig)
+		plainKs := AllocKeySchedule(sp, n, 1)
+		copy(plainKs.Plane(0).Data(), keys)
+		mergeBitonic(forkjoin.Serial(), plainA, plainKs, n, nil)
+
+		rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
+		mergeBitonic(forkjoin.Serial(), a, ks, n, rec)
+		if !slices.Equal(a.Data(), plainA.Data()) {
+			t.Fatalf("n=%d: the recorded merge ordered differently from the plain one", n)
+		}
+		for i := 1; i < n; i++ {
+			if ks.Plane(0).Data()[i-1] > ks.Plane(0).Data()[i] {
+				t.Fatalf("n=%d: merge output not sorted at %d", n, i)
+			}
+		}
+		unmergeBitonic(forkjoin.Serial(), a, n, rec)
+		if !slices.Equal(a.Data(), orig) {
+			t.Fatalf("n=%d: un-merge did not restore the input", n)
+		}
 	}
 }
 

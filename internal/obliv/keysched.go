@@ -139,10 +139,11 @@ func PosAfter(x, y Elem) bool {
 // CompareExchangeCachedW is the cached-key comparator: it orders positions
 // i and j of a by the lexicographic order of their cached key vectors, equal
 // vectors by TiePos (ascending if asc), keeping every plane of ks in
-// lockstep with a. All words of both positions are read and rewritten
-// unconditionally, so the access pattern is a function of (i, j, width)
-// only — the tie-break reads no additional memory.
-func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, i, j int, asc bool) {
+// lockstep with a, and reports whether it exchanged them. All words of both
+// positions are read and rewritten unconditionally, so the access pattern
+// is a function of (i, j, width) only — the tie-break reads no additional
+// memory.
+func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, i, j int, asc bool) bool {
 	if len(ks.planes) == 2 {
 		// Width-2 fast path: scalar registers, no stack vectors.
 		x := a.Get(c, i)
@@ -173,7 +174,7 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 			p1.Set(c, i, kx1)
 			p1.Set(c, j, ky1)
 		}
-		return
+		return gt == asc
 	}
 	w := len(ks.planes)
 	x := a.Get(c, i)
@@ -191,7 +192,8 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 			break
 		}
 	}
-	if gt == asc {
+	swap := gt == asc
+	if swap {
 		x, y = y, x
 		kx, ky = ky, kx
 	}
@@ -201,6 +203,7 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 		ks.planes[p].Set(c, i, kx[p])
 		ks.planes[p].Set(c, j, ky[p])
 	}
+	return swap
 }
 
 // ScheduledSorter is implemented by sorters that can run against a

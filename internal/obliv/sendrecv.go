@@ -11,17 +11,20 @@ import (
 // if no source holds it. The result array parallels dests: entry j has the
 // destination's Key, Aux = j, Val = the routed value, and Kind = Real if
 // the key was found, Filler otherwise (the ⊥ case). It is the engine's one
-// primary-key join: the public Join and Lookup, every pram.Gather and
-// ScatterResolve, and the graph layer all route through it.
+// primary-key join: the public Join and Lookup, the graph layer's list
+// ranking and Euler tour, and (through SendReceiveSorted) every pram.Gather
+// and ScatterResolve route through it.
 //
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
-// binary fork-join sorter this realizes the Table 2 "S-R" row. The sorts
-// run through the ScheduledSorter key-schedule seam (one width-1
-// schedule reused across both passes), so the routing inherits whichever
-// backend the caller selected and the cached-key comparators. The routing
-// sort keys on the bare Key: TiePos breaks equal keys by (Kind, Tag, Aux),
-// so each key's sources (tag 0) sort before its destinations (tag 1).
+// binary fork-join sorter this realizes the Table 2 "S-R" row. Cost: two
+// sorts of NextPow2(ns+nd) elements (the union by key, then back to
+// request order) and one propagation. The sorts run through the
+// ScheduledSorter key-schedule seam (one width-1 schedule reused across
+// both passes), so the routing inherits whichever backend the caller
+// selected and the cached-key comparators. The routing sort keys on the
+// bare Key: TiePos breaks equal keys by (Kind, Tag, Aux), so each key's
+// sources (tag 0) sort before its destinations (tag 1).
 //
 // Entries of either array with Kind != Real are inert: a non-Real source
 // sends nothing, and a non-Real destination occupies its output slot but
@@ -32,14 +35,87 @@ import (
 // *input* order wins (the TiePos tie-break orders equal-key sources by
 // their original index, deterministically on every backend).
 func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter) *mem.Array[Elem] {
+	return sendReceive(c, sp, sources, dests, srt, sortedNone)
+}
+
+// SendReceiveSorted is SendReceive for callers that already hold the
+// sources in key order, and with destsSorted the destinations too — which
+// sides are sorted is call-site structure, never data. The result is
+// SendReceive's. Instead of sorting the union it merges: the sources
+// ascend at the front of a NextPow2(ns+nd) work array and the key-ordered
+// destinations descend at its back, so one recorded bitonic merge
+// interleaves them, the propagation routes, and replaying the recorded
+// swaps backwards (the un-merge) returns every destination to its slot.
+// Cost: with destsSorted no sort at all; without, two sorts of
+// NextPow2(nd) elements (the destinations by key before the merge, back to
+// request order after it). Each merge and un-merge is log2 of the work
+// length comparator layers, plus one swap bit per comparator.
+//
+// Precondition: sources ascend by Key, and at equal keys every Real
+// source precedes every non-Real one (a non-Real source stays inert but
+// keeps its place in the run, so its Key must not break the order). With
+// destsSorted, dests ascend by Key and every non-Real destination comes
+// last. Violating it yields wrong values, never a different trace: the
+// access pattern is a function of (ns, nd, destsSorted) alone.
+func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter, destsSorted bool) *mem.Array[Elem] {
+	sorted := sortedSources
+	if destsSorted {
+		sorted = sortedBoth
+	}
+	return sendReceive(c, sp, sources, dests, srt, sorted)
+}
+
+// sortedSides names the sides of a send-receive that arrive in key order.
+type sortedSides uint8
+
+const (
+	sortedNone    sortedSides = iota // sort the union, propagate, sort back
+	sortedSources                    // sort dests, merge, propagate, un-merge, sort dests back
+	sortedBoth                       // merge, propagate, un-merge
+)
+
+const (
+	tagSource = 0
+	tagDest   = 1
+)
+
+// routeKey is the routing key of a work-array entry: a Real entry keys its
+// Key; a non-Real destination (Temp) keys InfKey-1, behind every Real
+// entry (TiePos puts non-Real after Real at equal keys) yet ahead of the
+// fillers in request order — the order a distinct per-slot key past every
+// real key gives, which the shuffle backend's sample-sort stage also sees;
+// fillers key InfKey.
+func routeKey(e Elem) uint64 {
+	switch e.Kind {
+	case Real:
+		return e.Key
+	case Temp:
+		return InfKey - 1
+	}
+	return InfKey
+}
+
+// destEntry is the work-array entry of destination j.
+func destEntry(d Elem, j int) Elem {
+	e := Elem{Key: d.Key, Aux: uint64(j), Tag: tagDest, Kind: Real}
+	if d.Kind != Real {
+		e.Kind = Temp // keyed past every source, so it comes back ⊥
+	}
+	return e
+}
+
+func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter, sorted sortedSides) *mem.Array[Elem] {
 	ns, nd := sources.Len(), dests.Len()
 	wLen := NextPow2(ns + nd)
-	w := mem.Alloc[Elem](sp, wLen) // trailing slots are fillers
+	w := mem.Alloc[Elem](sp, wLen) // unwritten slots are fillers
 
-	const (
-		tagSource = 0
-		tagDest   = 1
-	)
+	// The merge orders by a key plane written during the loads: a sorted
+	// source keys its bare Key even when it is not Real, so the source run
+	// ascends as the caller sorted it.
+	var ks *KeySchedule
+	if sorted != sortedNone {
+		ks = AllocKeySchedule(sp, wLen, 1)
+	}
 	forkjoin.ParallelRange(c, 0, ns, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := sources.Get(c, i)
@@ -49,41 +125,64 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 				e = Elem{Key: s.Key, Val: s.Val, Aux: uint64(i), Tag: tagSource, Kind: Real}
 			}
 			w.Set(c, i, e)
-		}
-	})
-	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			d := dests.Get(c, j)
-			e := Elem{Key: d.Key, Aux: uint64(j), Tag: tagDest, Kind: Real}
-			c.Op(1)
-			if d.Kind != Real {
-				e.Kind = Temp // keyed past every source, so it comes back ⊥
+			if ks != nil {
+				ks.planes[0].Set(c, i, s.Key)
 			}
-			w.Set(c, ns+j, e)
 		}
 	})
 
-	// One schedule plus scratch, shared by both sorts.
-	ksort := NewKeyedSort(sp, wLen, srt)
-
-	// Sort by key with sources before destinations at equal keys. A
-	// non-Real destination keys InfKey-1: behind every Real entry (TiePos
-	// puts non-Real after Real at equal keys), yet ahead of the fillers in
-	// request order: the order a distinct per-slot key past every real key
-	// gives, which the shuffle backend's sample-sort stage also sees.
-	keyOf := func(e Elem) uint64 {
-		switch e.Kind {
-		case Real:
-			return e.Key
-		case Temp:
-			return InfKey - 1
-		}
-		return InfKey
+	var ksort KeyedSort       // the sorts' schedule and scratch
+	var back *mem.Array[Elem] // the array routed destinations are read from
+	at := func(j int) int { return j }
+	switch sorted {
+	case sortedNone:
+		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				d := dests.Get(c, j)
+				c.Op(1)
+				w.Set(c, ns+j, destEntry(d, j))
+			}
+		})
+		// One schedule plus scratch, shared by both sorts.
+		ksort = NewKeyedSort(sp, wLen, srt)
+		// Sort by key with sources before destinations at equal keys.
+		ksort.Sort(c, w, 0, wLen, routeKey)
+		back = w
+	case sortedSources:
+		// Sort the destinations alone by key into their own pow2 array,
+		// then lay them out like already-sorted ones.
+		dLen := NextPow2(nd)
+		back = mem.Alloc[Elem](sp, dLen)
+		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				d := dests.Get(c, j)
+				c.Op(1)
+				back.Set(c, j, destEntry(d, j))
+			}
+		})
+		ksort = NewKeyedSort(sp, dLen, srt)
+		ksort.Sort(c, back, 0, dLen, routeKey)
+		loadDestsReversed(c, w, ks, nd, func(c *forkjoin.Ctx, r int) Elem { return back.Get(c, r) })
+	case sortedBoth:
+		loadDestsReversed(c, w, ks, nd, func(c *forkjoin.Ctx, j int) Elem { return destEntry(dests.Get(c, j), j) })
+		back = w
+		at = func(j int) int { return wLen - 1 - j }
 	}
-	ksort.Sort(c, w, 0, wLen, keyOf)
+	var rec *mem.Array[uint64]
+	if sorted != sortedNone {
+		// Fillers between the runs key InfKey: sources up, fillers, key-
+		// ordered destinations down — bitonic by construction.
+		forkjoin.ParallelRange(c, ns, wLen-nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for p := lo; p < hi; p++ {
+				ks.planes[0].Set(c, p, InfKey)
+			}
+		})
+		rec = mem.Alloc[uint64](sp, mergeRecordWords(wLen))
+		mergeBitonic(c, w, ks, wLen, rec)
+	}
 
 	// Propagate each key-group's source value to the whole group.
-	PropagateFirst(c, sp, w, keyOf,
+	PropagateFirst(c, sp, w, routeKey,
 		func(e Elem, i int) (uint64, bool) {
 			return e.Val, e.Kind == Real && e.Tag == tagSource
 		},
@@ -98,18 +197,31 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 			return e
 		})
 
-	// Sort destinations back to request order; sources and fillers last.
-	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
-		if e.Tag == tagDest {
-			return e.Aux
-		}
-		return InfKey
-	})
+	if rec != nil {
+		// Every destination back at the slot it was merged from.
+		unmergeBitonic(c, w, wLen, rec)
+	}
+	if sorted == sortedSources {
+		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				back.Set(c, r, w.Get(c, wLen-1-r))
+			}
+		})
+	}
+	if sorted != sortedBoth {
+		// Sort destinations back to request order; everything else last.
+		ksort.Sort(c, back, 0, back.Len(), func(e Elem) uint64 {
+			if e.Tag == tagDest {
+				return e.Aux
+			}
+			return InfKey
+		})
+	}
 
 	out := mem.Alloc[Elem](sp, nd)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			e := w.Get(c, j)
+			e := back.Get(c, at(j))
 			r := Elem{Key: e.Key, Val: e.Val, Aux: e.Aux, Kind: Real}
 			if e.Mark == 0 {
 				r.Kind = Filler // ⊥: key not found
@@ -118,4 +230,19 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		}
 	})
 	return out
+}
+
+// loadDestsReversed writes the key-ordered destination entry r = dest(r)
+// for r < nd at w[len-1-r], with its routing key in ks: the back of the
+// work array descends.
+func loadDestsReversed(c *forkjoin.Ctx, w *mem.Array[Elem], ks *KeySchedule, nd int, dest func(c *forkjoin.Ctx, r int) Elem) {
+	top := w.Len() - 1
+	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			e := dest(c, r)
+			c.Op(1)
+			w.Set(c, top-r, e)
+			ks.planes[0].Set(c, top-r, routeKey(e))
+		}
+	})
 }

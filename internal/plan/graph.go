@@ -3,16 +3,19 @@ package plan
 import "fmt"
 
 // Sort-pass costs of the PRAM-layer primitives the graph operators are
-// assembled from. A send-receive routes with two schedule-driven sorts
-// (source-key order, then destination order); a gather is one send-receive
-// with the memory cells as senders; a conflict-resolved scatter pays one
-// address-keyed request sort and then a send-receive to rewrite every cell.
+// assembled from. Both are one send-receive against the memory cells,
+// which are already in address order, so neither sorts the union: a
+// gather sorts its requests by address, merges them with the cells and
+// un-merges, then sorts them back to request order (2 sorts); a
+// conflict-resolved scatter pays one address-keyed request sort, after
+// which requests and cells are both in address order and the cell rewrite
+// is a merge and an un-merge with no sort at all (1 sort). Merges are not
+// sorts and are not counted.
 const (
-	sendReceiveSorts = 2
-	gatherSorts      = sendReceiveSorts
-	scatterSorts     = 1 + sendReceiveSorts
-	jumpSorts        = gatherSorts // one pointer jump = one D[D[w]] gather
-	starsSorts       = gatherSorts + scatterSorts + gatherSorts
+	gatherSorts  = 2
+	scatterSorts = 1
+	jumpSorts    = gatherSorts // one pointer jump = one D[D[w]] gather
+	starsSorts   = gatherSorts + scatterSorts + gatherSorts
 )
 
 // Per-round / per-iteration sort counts of the graph operators, derived
@@ -108,7 +111,7 @@ func (p GraphPlan) TotalSorts() int {
 // the style of Plan.String, e.g.
 //
 //	cc-minhook(n=65536, m=1048576): gather → scatter-min → jump → jump
-//	[9 sorts/round × 4 rounds = 36 sorts]
+//	[7 sorts/round × 4 rounds = 28 sorts]
 func (p GraphPlan) String() string {
 	var passes string
 	switch p.Kind {

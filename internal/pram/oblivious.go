@@ -9,7 +9,11 @@ import (
 // Gather obliviously reads memory at the p requested addresses: the result
 // parallels addrs, entry i holding Val = memory[addrs[i]] with Kind = Real,
 // or Kind = Filler if the address is out of range. One send-receive with
-// the memory cells as senders (§4.1 read step); cost O(Wsort(p+s)).
+// the memory cells as senders (§4.1 read step); the cells are already in
+// address order, so the send-receive sorts only the p requests (by address,
+// and back to request order) and merges them with the cells: two sorts of
+// NextPow2(p) plus a merge and an un-merge of NextPow2(s+p), O(Wsort(p) +
+// (s+p) log(s+p)).
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
 	s, p := memory.Len(), addrs.Len()
 	sources := mem.Alloc[obliv.Elem](sp, s)
@@ -30,7 +34,7 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 			dests.Set(c, i, obliv.Elem{Key: key, Kind: obliv.Real})
 		}
 	})
-	return obliv.SendReceive(c, sp, sources, dests, srt)
+	return obliv.SendReceiveSorted(c, sp, sources, dests, srt, false)
 }
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to
@@ -38,10 +42,12 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 // priority (lower wins, any value), with Kind = Filler for no-ops. Tag
 // must be zero, as every caller leaves it: the request sort keys on the
 // bare address, and its TiePos tie-break reads Tag before Aux. Duplicate
-// addresses are suppressed by O(1) oblivious sorts + propagation (§4.1
-// write step), then a send-receive updates every memory cell (cells whose
-// address receives no write keep their value; every cell is rewritten so
-// the pattern is fixed). Cost O(Wsort(p+s)).
+// addresses are suppressed by one oblivious sort by address + propagation
+// (§4.1 write step), then a send-receive updates every memory cell (cells
+// whose address receives no write keep their value; every cell is
+// rewritten so the pattern is fixed). Both sides of that send-receive are
+// already in address order, so it is a merge and an un-merge with no sort:
+// cost one sort of NextPow2(p) plus O((s+p) log(s+p)).
 func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
 	scatterResolve(c, sp, memory, reqs, srt, false)
 }
@@ -59,25 +65,32 @@ func ScatterResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]
 func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter, combineMin bool) {
 	s, p := memory.Len(), reqs.Len()
 	// Copy requests into a pow2 working array and sort by address; TiePos
-	// orders each address's requests by priority (Aux), fillers last.
+	// orders each address's requests by priority (Aux), fillers last. Every
+	// filler, the pow2 padding included, is keyed InfKey: the sorted
+	// requests are the send-receive's sorted sources below, and a filler
+	// keeping its Key (0 for the padding) would break their ascending run.
 	w := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(p))
-	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	forkjoin.ParallelRange(c, 0, w.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := reqs.Get(c, i)
-			e.Mark = 0
+			e := obliv.Elem{}
+			if i < p {
+				e = reqs.Get(c, i)
+				e.Mark = 0
+			}
+			c.Op(1)
+			if e.Kind != obliv.Real {
+				e.Key = obliv.InfKey
+			}
 			w.Set(c, i, e)
 		}
 	})
-	addrOf := func(e obliv.Elem) uint64 {
-		if e.Kind != obliv.Real {
-			return obliv.InfKey
-		}
-		return e.Key
-	}
+	addrOf := func(e obliv.Elem) uint64 { return e.Key }
 	obliv.SortKeyed(c, sp, w, w.Len(), addrOf, srt)
 
 	// The first request of each address group wins; all others become
-	// fillers. Propagate the winner's priority and compare.
+	// fillers. Propagate the winner's priority and compare. A loser keeps
+	// its address: it sorts after that address's Real requests, so the run
+	// still ascends in the send-receive's (Key, TiePos) order.
 	obliv.PropagateFirst(c, sp, w, addrOf,
 		func(e obliv.Elem, i int) (uint64, bool) { return e.Aux, e.Kind == obliv.Real },
 		func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
@@ -87,14 +100,15 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 			return e
 		})
 
-	// Route winner values to the memory cells; every cell is rewritten.
+	// Route winner values to the memory cells, which are in address order
+	// too; every cell is rewritten.
 	dests := mem.Alloc[obliv.Elem](sp, s)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dests.Set(c, i, obliv.Elem{Key: uint64(i), Kind: obliv.Real})
 		}
 	})
-	routed := obliv.SendReceive(c, sp, w.View(0, p), dests, srt)
+	routed := obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, srt, true)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := routed.Get(c, i)

@@ -1,0 +1,57 @@
+package pram
+
+import (
+	"testing"
+
+	"oblivmc/internal/forkjoin"
+	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
+	"oblivmc/internal/prng"
+)
+
+// BenchmarkGather times one batched read of 2^14 random addresses from 2^10
+// cells — the shape of the graph layer's endpoint gathers, many requests
+// against few cells, where the requests' sorts dominate and the cells are
+// only merged in — serial, on the production bitonic network.
+func BenchmarkGather(b *testing.B) {
+	const s, p = 1 << 10, 1 << 14
+	sp := mem.NewSpace()
+	src := prng.New(5)
+	memory := mem.Alloc[uint64](sp, s)
+	addrs := mem.Alloc[uint64](sp, p)
+	for i := range memory.Data() {
+		memory.Data()[i] = src.Uint64()
+	}
+	for i := range addrs.Data() {
+		addrs.Data()[i] = src.Uint64n(s)
+	}
+	c := forkjoin.Serial()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Gather(c, mem.NewSpace(), memory, addrs, srt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+}
+
+// BenchmarkScatterResolveMin times one min-combining conflict-resolved
+// write of 2^13 random requests into as many cells (one request sort, then
+// a merge with the cells), serial, on the production bitonic network.
+func BenchmarkScatterResolveMin(b *testing.B) {
+	const p = 1 << 13
+	sp := mem.NewSpace()
+	src := prng.New(6)
+	memory := mem.Alloc[uint64](sp, p)
+	reqs := mem.Alloc[obliv.Elem](sp, p)
+	for i := range reqs.Data() {
+		reqs.Data()[i] = obliv.Elem{Key: src.Uint64n(p), Val: src.Uint64n(p), Aux: uint64(i), Kind: obliv.Real}
+	}
+	for i := range memory.Data() {
+		memory.Data()[i] = p
+	}
+	c := forkjoin.Serial()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScatterResolveMin(c, mem.NewSpace(), memory, reqs, srt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+}

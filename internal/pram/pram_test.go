@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"slices"
 	"testing"
 
 	"oblivmc/internal/bitonic"
@@ -274,6 +275,82 @@ func TestParallelObliviousMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if serial[i] != par[i] {
 			t.Fatalf("parallel mismatch at %d", i)
+		}
+	}
+}
+
+// TestScatterResolveMatchesReference: conflict resolution against a plain-Go
+// reference at request counts that are not powers of two, with two to four
+// requests at every address (so every address has losers), filler requests
+// carrying Key 0 or an arbitrary Key, and distinct priorities. The sorted
+// requests feed a merge, so a filler or pow2 padding slot keeping its Key
+// would break the merge's ascending source run and misroute values.
+func TestScatterResolveMatchesReference(t *testing.T) {
+	for _, s := range []int{1, 4, 16, 33} {
+		for _, fillers := range []int{1, 3, 6} {
+			for _, combineMin := range []bool{false, true} {
+				seed := uint64(s*100 + fillers*10)
+				if combineMin {
+					seed++
+				}
+				src := prng.New(seed)
+				var reqs []obliv.Elem
+				for a := 0; a < s; a++ {
+					for k := 2 + src.Intn(3); k > 0; k-- {
+						reqs = append(reqs, obliv.Elem{Key: uint64(a), Val: src.Uint64n(1000), Kind: obliv.Real})
+					}
+				}
+				for f := 0; f < fillers; f++ {
+					key := uint64(0)
+					if f%2 == 1 {
+						key = src.Uint64n(uint64(s))
+					}
+					reqs = append(reqs, obliv.Elem{Key: key, Val: src.Uint64n(1000)})
+				}
+				if obliv.IsPow2(len(reqs)) {
+					reqs = append(reqs, obliv.Elem{})
+				}
+				// Shuffle, then hand out distinct priorities.
+				for i := len(reqs) - 1; i > 0; i-- {
+					j := src.Intn(i + 1)
+					reqs[i], reqs[j] = reqs[j], reqs[i]
+				}
+				prio := src.Perm(len(reqs))
+				for i := range reqs {
+					reqs[i].Aux = uint64(prio[i])
+				}
+
+				init := make([]uint64, s)
+				for a := range init {
+					init[a] = 500 + src.Uint64n(1000)
+				}
+				want := append([]uint64(nil), init...)
+				best := make([]int, s)
+				for a := range best {
+					best[a] = -1
+				}
+				for i, r := range reqs {
+					if r.Kind == obliv.Real && (best[r.Key] < 0 || r.Aux < reqs[best[r.Key]].Aux) {
+						best[r.Key] = i
+					}
+				}
+				for a, i := range best {
+					if v := reqs[i].Val; !combineMin || v < want[a] {
+						want[a] = v
+					}
+				}
+
+				sp := mem.NewSpace()
+				memory := mem.FromSlice(sp, init)
+				if combineMin {
+					ScatterResolveMin(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+				} else {
+					ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+				}
+				if got := memory.Data(); !slices.Equal(got, want) {
+					t.Fatalf("s=%d p=%d min=%t: memory %v, want %v", s, len(reqs), combineMin, got, want)
+				}
+			}
 		}
 	}
 }

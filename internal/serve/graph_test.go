@@ -57,9 +57,10 @@ func TestGraphSpecComponents(t *testing.T) {
 		t.Fatalf("plan %q: missing cc-minhook", res.Stats.Plan)
 	}
 	// A convergence run has no planned total; the stats are the count the
-	// lane's session executed — whole 9-sort rounds.
-	if sp := res.Stats.SortPasses; sp <= 0 || sp%9 != 0 || res.Stats.ColdSortPasses != sp {
-		t.Fatalf("convergence run: sorts=%d cold=%d, want the executed count (a positive multiple of 9)", sp, res.Stats.ColdSortPasses)
+	// lane's session executed — whole 7-sort rounds (9 before gathers and
+	// scatters merged their address-ordered sides).
+	if sp := res.Stats.SortPasses; sp <= 0 || sp%7 != 0 || res.Stats.ColdSortPasses != sp {
+		t.Fatalf("convergence run: sorts=%d cold=%d, want the executed count (a positive multiple of 7)", sp, res.Stats.ColdSortPasses)
 	}
 
 	// Same spec again: served from the cross-query result cache.
@@ -79,8 +80,8 @@ func TestGraphSpecComponents(t *testing.T) {
 	if res3.Stats.Cached {
 		t.Fatal("fixed-rounds variant unexpectedly hit the convergence run's cache entry")
 	}
-	if res3.Stats.SortPasses != 4*9 {
-		t.Fatalf("fixed-rounds sort accounting = %d, want %d", res3.Stats.SortPasses, 4*9)
+	if res3.Stats.SortPasses != 4*7 {
+		t.Fatalf("fixed-rounds sort accounting = %d, want %d", res3.Stats.SortPasses, 4*7)
 	}
 }
 
@@ -100,10 +101,10 @@ func TestGraphSpecMSFAndPageRank(t *testing.T) {
 		t.Fatalf("stored %q@%d, want forest@1", res.StoredAs, res.StoredVersion)
 	}
 	// The forest loop exits early (round count revealed): the stats are the
-	// executed count, within the plan's bound of 24 sorts × (⌈log₂ 5⌉+2)² =
-	// 25 rounds.
-	if sp := res.Stats.SortPasses; sp <= 0 || sp > 24*25 {
-		t.Fatalf("msf executed %d sorts, want within (0, %d] (%s)", sp, 24*25, res.Stats.Plan)
+	// executed count, within the plan's bound of 18 sorts × (⌈log₂ 5⌉+2)² =
+	// 25 rounds (24 sorts per round before gathers and scatters merged).
+	if sp := res.Stats.SortPasses; sp <= 0 || sp > 18*25 {
+		t.Fatalf("msf executed %d sorts, want within (0, %d] (%s)", sp, 18*25, res.Stats.Plan)
 	}
 	// msf ignores graph_rounds, so a request carrying one is the same
 	// computation: served from the first run's cache entry.

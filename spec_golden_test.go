@@ -22,7 +22,12 @@ import (
 // rows were re-recorded when TopK's value sort and rank prefix sum became
 // one bitonic tournament (every other row unchanged): query W 11557112 →
 // 6160872, Span 7507 → 4976, MemOps 6991867 → 3763829; top_k W 5788794 →
-// 392554, Span 3789 → 1258, MemOps 3502076 → 274038.
+// 392554, Span 3789 → 1258, MemOps 3502076 → 274038. The components row
+// was re-recorded when pram.Gather and ScatterResolve stopped sorting the
+// union of their already-ordered sides and began merging them (one
+// recorded bitonic merge and its un-merge per send-receive): W 75823884 →
+// 30730236, Span 97639 → 72067, MemOps 45971612 → 18542748, Forks
+// 13743958 → 5455310.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -139,8 +144,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := specCounts{Work: 75823884, Span: 97639, MemOps: 45971612, Forks: 13743958,
-			Trace: trace.Fingerprint{Hash: 13824040820306690115, Count: 73459528}}
+		want := specCounts{Work: 30730236, Span: 72067, MemOps: 18542748, Forks: 5455310,
+			Trace: trace.Fingerprint{Hash: 9636930400635641726, Count: 29453368}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
