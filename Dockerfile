@@ -8,6 +8,10 @@
 #
 #   oblivserve load  -addr http://localhost:8344 -name sales -rows 4096
 #   oblivserve query -addr http://localhost:8344 -table sales -agg sum
+#
+# or run the same spec locally in the image, with no server:
+#
+#   docker run --rm oblivserve run -rows 4096 -agg sum -metered
 
 FROM golang:1.24-alpine AS build
 WORKDIR /src

@@ -107,7 +107,10 @@ chaos-smoke:
 # run the fused -keyorder -as query, and assert (a) the identical repeat
 # is a cache hit with 0 executed sorts and (b) the follow-up over the
 # materialization rides the order token to fewer sorts than its cold
-# plan. Exercises the client wire structs against the live server.
+# plan, then (c) the same rows and spec flags through `load -stdin` +
+# `query` and through the local `run -stdin` print the same plan and
+# rows — one front end. Exercises the client wire structs against the
+# live server.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

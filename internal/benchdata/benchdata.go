@@ -1,8 +1,8 @@
 // Package benchdata defines the canonical relational and graph benchmark
-// workloads shared by the in-repo benchmarks (bench_test.go), the scaling
-// smoke test (parallel_test.go) and oblivquery's generated graph. Keeping
-// one definition keeps `go test -bench` numbers comparable across commits —
-// edit here, and every surface moves together.
+// workloads shared by the in-repo benchmarks (bench_test.go) and the
+// scaling smoke test (parallel_test.go). Keeping one definition keeps
+// `go test -bench` numbers comparable across commits — edit here, and
+// every surface moves together.
 package benchdata
 
 import (
@@ -88,8 +88,7 @@ type Edge = graph.WEdge
 // n = m/GraphVertexFraction, a Hamiltonian-path backbone over the first
 // half of the vertices (so there is one giant component plus random
 // attachments), the rest uniform random pairs, weights below 2^20, fixed
-// seed 44. Shared by bench_test.go's graph benchmarks and oblivquery
-// -graph.
+// seed 44. Shared by bench_test.go's graph benchmarks.
 func GraphEdges(m int) (n int, edges []Edge) {
 	n = m / GraphVertexFraction
 	if n < 2 {

@@ -549,3 +549,40 @@ func TestWorkerSplitExplicitWins(t *testing.T) {
 		t.Fatalf("lane session Workers() = %d, want explicit 3", w)
 	}
 }
+
+// TestResultReportOnlyWhenMetered: a metered lane's cache miss carries
+// the run's Report — the same one a one-shot RunQuery meters — while a
+// cache hit and an unmetered lane carry none.
+func TestResultReportOnlyWhenMetered(t *testing.T) {
+	cfg := oblivmc.Config{Mode: oblivmc.ModeMetered, CacheM: 1 << 12, CacheB: 32, Trace: true}
+	s := NewServer(Options{Lanes: 1, Exec: cfg})
+	t.Cleanup(s.Shutdown)
+	rows := testRows(256, 16, 3)
+	mustLoad(t, s, "t", rows)
+	spec := QuerySpec{Table: "t", GroupBy: "sum"}
+
+	cold, err := s.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := oblivmc.NewWideTable(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := oblivmc.RunQuery(cfg, tab, oblivmc.Query{GroupBy: oblivmc.AggSum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Report == nil || *cold.Report != *want {
+		t.Fatalf("metered miss Report = %+v, want the one-shot %+v", cold.Report, want)
+	}
+	if warm, err := s.Execute(spec); err != nil || warm.Report != nil {
+		t.Fatalf("cache hit: Report = %+v err = %v, want nil", warm.Report, err)
+	}
+
+	plain := serialServer(t, 1)
+	mustLoad(t, plain, "t", rows)
+	if res, err := plain.Execute(spec); err != nil || res.Report != nil {
+		t.Fatalf("unmetered run: Report = %+v err = %v, want nil", res.Report, err)
+	}
+}

@@ -284,6 +284,23 @@ type Result struct {
 	// carried As.
 	StoredAs      string
 	StoredVersion int
+	// Report is the run's metered cost profile and trace fingerprint: set
+	// only when the lanes run ModeMetered and the spec missed the cache.
+	// It stays off the wire.
+	Report *oblivmc.Report
+}
+
+// Response is the result's wire form (the POST /v1/query body).
+func (r Result) Response() QueryResponse {
+	wide := r.Table.WideRows()
+	rows := make([]RowJSON, len(wide))
+	for i, w := range wide {
+		rows[i] = RowJSON{Keys: w.Keys, Val: w.Val}
+	}
+	return QueryResponse{
+		Rows: rows, Stats: r.Stats,
+		StoredAs: r.StoredAs, StoredVersion: r.StoredVersion,
+	}
 }
 
 // Execute runs one spec — relational or graph — end to end: compile
@@ -339,6 +356,7 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 				Plan:           stats.Plan,
 				Order:          stats.Order.String(),
 			},
+			Report: stats.Report,
 		}
 	}
 	if spec.As != "" {
@@ -378,15 +396,6 @@ func (s *Server) LoadTable(name string, rows []oblivmc.WideRow, replace bool) (T
 
 // RowJSON is the wire form of one row.
 type RowJSON = client.Row
-
-func rowsJSON(t oblivmc.Table) []RowJSON {
-	wide := t.WideRows()
-	out := make([]RowJSON, len(wide))
-	for i, r := range wide {
-		out[i] = RowJSON{Keys: r.Keys, Val: r.Val}
-	}
-	return out
-}
 
 // LoadRequest is the POST /v1/tables body.
 type LoadRequest struct {
@@ -531,10 +540,7 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Rows: rowsJSON(res.Table), Stats: res.Stats,
-			StoredAs: res.StoredAs, StoredVersion: res.StoredVersion,
-		})
+		writeJSON(w, http.StatusOK, res.Response())
 	})
 	mux.HandleFunc("/v1/explain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

@@ -7,12 +7,16 @@
 # identical query and asserts it is served from the cross-query cache
 # with 0 executed sorts, and (b) queries the materialization and asserts
 # the order token saved a sort versus the cold plan. This is the CI leg
-# that keeps the client wire structs honest against the server's.
+# that keeps the client wire structs honest against the server's. Last,
+# it proves there is one query front end: the same rows and spec flags,
+# once loaded and queried on the live server and once through the local
+# `oblivserve run`, must print the same plan and the same rows.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BIN="$(mktemp -d)"
+ROWS="$BIN/rows.txt"
 trap 'kill "$SRV_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -o "$BIN/oblivserve" ./cmd/oblivserve
@@ -66,4 +70,19 @@ echo "--- explain must show the carried input order"
 "$BIN/oblivserve" explain -addr "$ADDR" -table totals -agg max -keyorder | tee /dev/stderr |
   grep -q 'in(' || { echo "FAIL: explain shows no input-order token" >&2; exit 1; }
 
-echo "serve_smoke: OK (cold=$COLD_SORTS sorts, cached repeat=0, follow-up=$F_SORTS<$F_COLD)"
+echo "--- one front end: served query and local run agree"
+awk 'BEGIN { srand(5); for (i = 0; i < 1500; i++) printf "%d %d\n", int(rand() * 40), int(rand() * 1000) }' >"$ROWS"
+"$BIN/oblivserve" load -addr "$ADDR" -name rows -stdin <"$ROWS"
+# The timing line differs run to run; the plan and row lines must not.
+same_spec() { "$@" -table rows -filter "val ge 100" -agg sum -top 5 | grep -v ' row(s) in '; }
+SERVED="$(same_spec "$BIN/oblivserve" query -addr "$ADDR")"
+LOCAL="$(same_spec "$BIN/oblivserve" run -stdin <"$ROWS")"
+echo "$LOCAL"
+[ "$SERVED" = "$LOCAL" ] || {
+  printf 'FAIL: served query and local run differ\n--- served\n%s\n--- local\n%s\n' "$SERVED" "$LOCAL" >&2
+  exit 1
+}
+echo "$LOCAL" | grep -q '^plan: ' || { echo "FAIL: no plan line" >&2; exit 1; }
+[ "$(echo "$LOCAL" | grep -c '^  ')" -eq 5 ] || { echo "FAIL: want 5 result rows" >&2; exit 1; }
+
+echo "serve_smoke: OK (cold=$COLD_SORTS sorts, cached repeat=0, follow-up=$F_SORTS<$F_COLD, query = run)"
