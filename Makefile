@@ -48,15 +48,18 @@ check-inline:
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
 # reverse keys (the three must cost the same), the keyed bitonic sort per
-# leaf size, a routed Beneš network, a transpose, the bitonic-vs-shuffle
-# backend ratio around the crossover, the top-k tournament against the
-# full value sort it replaced, and the PRAM gather and min-combining
-# scatter (the graph layer's merge-based send-receives). BENCH_KERNELS_ARGS
-# bounds it, e.g.
+# leaf size, a routed Beneš network and its switch over all-clear /
+# all-set / random settings (the three must cost the same), the shuffle
+# composition's per-stage split (permutation, routing, apply, tie words,
+# sample sort), the keyed sample sort alone, a transpose, the
+# bitonic-vs-shuffle backend ratio around the crossover, the top-k
+# tournament against the full value sort it replaced, and the PRAM gather
+# and min-combining scatter (the graph layer's merge-based send-receives).
+# BENCH_KERNELS_ARGS bounds it, e.g.
 # make bench-kernels BENCH_KERNELS_ARGS="-benchtime 1x" (the CI smoke run).
 BENCH_KERNELS_ARGS ?= -benchtime 20x
 bench-kernels:
-	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/matrix ./internal/relops ./internal/pram -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
+	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/spms ./internal/matrix ./internal/relops ./internal/pram -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
 
 # bench-build compiles and tests the frozen benchmark harness. benchmark/
 # is its own module (`replace oblivmc => ../`), so `go build ./...` and

@@ -41,6 +41,7 @@ package core
 import (
 	crand "crypto/rand"
 	"fmt"
+	"math"
 	mrand "math/rand/v2"
 
 	"oblivmc/internal/bitonic"
@@ -62,21 +63,22 @@ import (
 // deliberately left where it was (re-deriving it is ROADMAP item 9(c)).
 // It was set when the backends broke even between 2^12 and 2^13 and the
 // shuffle composition pulled ahead ~1.5× at 2^14, ~1.8× at 2^20.
-// The kernels sped the networks up more than the composition — whose
-// routing, tie-word and pivot stages are partly serial — and
-// BenchmarkBackendCrossover (width 1, TiePos, 2-CPU box) now reads
-// bitonic ÷ shuffle time as
+// The block kernels sped the networks up more than the composition; the
+// shuffle-path kernels (recursive Beneš apply, int32 routing, one
+// classification per sample-sort row) then won part of that back, and
+// BenchmarkBackendCrossover (width 1, TiePos, 2-vCPU Xeon, two runs) now
+// reads bitonic ÷ shuffle time as
 //
 //	n       1 worker   2 workers
-//	2^13    0.92       0.63
-//	2^15    1.09       0.74
-//	2^17    1.17       0.87
+//	2^13    1.00       0.66
+//	2^15    0.97–1.19  0.85
+//	2^17    1.42       1.02–1.10
 //
-// i.e. single-threaded the break-even moved up to ~2^14, and on two workers
-// the network wins through 2^17 (the frozen benchmark's
-// core.bitonic_vs_shuffle_x reads 0.5–1.0 at 2^17, was 1.2–1.3). Which
-// sizes run which backend stays fixed in the change that landed the
-// kernels so that its gain is attributable; moving the constant is its own
+// (0.82 / 0.58, 0.98–1.00 / 0.68 and 1.05–1.09 / 0.77–0.81 before them):
+// single-threaded the composition breaks even at 2^13, and on two workers
+// the network still wins through 2^15 and breaks even at 2^17. Which sizes
+// run which backend stays fixed in the changes that sped either side up,
+// so that their gains are attributable; moving the constant is its own
 // change with its own claim.
 const DefaultShuffleCrossover = 1 << 13
 
@@ -137,10 +139,15 @@ type ShuffleSorter struct {
 	// Beneš routing state cached across the sorts of a run: one routed-plan
 	// buffer per array size — the (2·log₂ n − 1) × n/2 switch-setting
 	// planes, rewritten in place by each sort's routing — plus the grow-only
-	// two-coloring scratch and the permutation buffer. All plain harness
-	// memory (settings are simulatable, like tape generation), so the reuse
-	// is trace-free; it keeps a server pipeline of same-shape sorts from
-	// rebuilding ~n·log n bytes of planes per call.
+	// two-coloring scratch (int32 positions and inverse, one colour byte
+	// per position: 13 bytes per slot) and the permutation buffer. All
+	// plain harness memory (settings are simulatable, like tape
+	// generation), so the reuse is trace-free; it keeps a server pipeline
+	// of same-shape sorts from rebuilding ~n·log n bytes of planes per call.
+	// The sample sort's bucket record (one uint16 per row) is not cached
+	// here: spms.SampleSortScheduled allocates it per call, and pays for it
+	// by indexing its raw pivots in the sorted sample instead of copying
+	// them, so a sort's allocation still does not grow.
 	plans   map[int]*benesPlan
 	route   routeScratch
 	permBuf []int
@@ -274,12 +281,19 @@ func (s *ShuffleSorter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Arr
 
 	// Stage 2 — insecure keyed sample sort on the permuted sequence. The
 	// tie plane holds fresh words of the same coin stream as the
-	// permutation (staged through the cached harness buffer — the stream
-	// is sequential, the instrumented fill parallel), making every
-	// comparison strict (the distinct-keys precondition of the security
-	// argument; it also fixes the order of otherwise-identical fillers to
-	// the coins).
+	// permutation, making every comparison strict (the distinct-keys
+	// precondition of the security argument; it also fixes the order of
+	// otherwise-identical fillers to the coins).
 	tie, tscr := s.tieScratch(sp, n)
+	s.fillTies(c, src, tie)
+	spms.SampleSortScheduled(c, sp, av, ksv, tie, scrv, kscrv, tscr, 0, n, src.Uint64())
+}
+
+// fillTies writes one fresh word of the sort's coin stream per slot of tie,
+// staged through the cached harness buffer: the stream is sequential, the
+// instrumented fill parallel.
+func (s *ShuffleSorter) fillTies(c *forkjoin.Ctx, src sortCoins, tie *mem.Array[uint64]) {
+	n := tie.Len()
 	if len(s.tieWords) < n {
 		s.tieWords = make([]uint64, n)
 	}
@@ -292,7 +306,6 @@ func (s *ShuffleSorter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Arr
 			tie.Set(c, i, words[i])
 		}
 	})
-	spms.SampleSortScheduled(c, sp, av, ksv, tie, scrv, kscrv, tscr, 0, n, src.Uint64())
 }
 
 // benesPlan is a routed Beneš network over n = 2^k positions: 2k−1 layers
@@ -307,17 +320,19 @@ type benesPlan struct {
 }
 
 // routeScratch is the grow-only harness-memory scratch of the routing
-// loop: the level-synchronous permutation double buffer and the
-// two-coloring state, reused across the sorts of a pipeline.
+// loop: the level-synchronous permutation double buffer, its inverse and
+// the two-coloring state, reused across the sorts of a pipeline. Positions
+// are int32 (a shuffle sort covers fewer than 2^31 slots), which halves
+// the working set the colouring walks.
 type routeScratch struct {
-	cur, nxt, pinv []int
-	color          []int8
+	cur, nxt, pinv []int32
+	color          []uint8
 }
 
 func (rs *routeScratch) grow(n int) {
 	if cap(rs.cur) < n {
-		rs.cur, rs.nxt, rs.pinv = make([]int, n), make([]int, n), make([]int, n)
-		rs.color = make([]int8, n)
+		rs.cur, rs.nxt, rs.pinv = make([]int32, n), make([]int32, n), make([]int32, n)
+		rs.color = make([]uint8, n)
 	}
 }
 
@@ -370,12 +385,17 @@ func routeBenesInto(c *forkjoin.Ctx, pl *benesPlan, p []int, rs *routeScratch) {
 	if len(p) != n {
 		panic("core: Beneš routing permutation length mismatch")
 	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("core: Beneš routing supports fewer than 2^31 positions, got %d", n))
+	}
 	k := obliv.Log2(n)
 	rs.grow(n)
 	cur, nxt := rs.cur[:n], rs.nxt[:n]
 	pinv, color := rs.pinv[:n], rs.color[:n]
 	par := c.ParallelMode()
-	copy(cur, p)
+	for i, v := range p {
+		cur[i] = int32(v)
+	}
 	for l := 0; l < k-1; l++ {
 		// Routing happens in harness memory and its level count is a
 		// function of n alone, so a cancellation here reveals only the
@@ -415,7 +435,7 @@ func routeBenesInto(c *forkjoin.Ctx, pl *benesPlan, p []int, rs *routeScratch) {
 // routeBlocks routes blocks [from, to) of one level: block b covers the
 // [b·m, (b+1)·m) slice of every buffer, so concurrent calls over disjoint
 // block ranges touch disjoint memory.
-func routeBlocks(cur, nxt []int, sIn, sOut []bool, pinv []int, color []int8, m, from, to int) {
+func routeBlocks(cur, nxt []int32, sIn, sOut []bool, pinv []int32, color []uint8, m, from, to int) {
 	for b := from; b < to; b++ {
 		off := b * m
 		routeBlock(cur[off:off+m], nxt[off:off+m],
@@ -432,35 +452,42 @@ func routeBlocks(cur, nxt []int, sIn, sOut []bool, pinv []int, color []int8, m, 
 // per pair), and so do the two outputs served by an input pair (each input
 // pair sends one element to each subnet). The constraint graph is a union
 // of even cycles, colored by loop-following.
-func routeBlock(p, q []int, sIn, sOut []bool, pinv []int, color []int8) {
+func routeBlock(p, q []int32, sIn, sOut []bool, pinv []int32, color []uint8) {
 	m := len(p)
 	h := m / 2
 	for i, v := range p {
-		pinv[v] = i
+		pinv[v] = int32(i)
 	}
-	for i := range color {
-		color[i] = -1
+	// partner[o] is the output served by o's input-pair partner. Built in
+	// one pass of independent loads into q, which the settings loop below
+	// overwrites only after the colouring, it leaves the colouring walk one
+	// dependent load per step instead of two.
+	partner := q
+	for o, v := range p {
+		partner[o] = pinv[v^1]
 	}
+	// 0 is uncolored, 1 the top subnet, 2 the bottom one.
+	clear(color)
 	for o0 := 0; o0 < m; o0++ {
-		if color[o0] >= 0 {
+		if color[o0] != 0 {
 			continue
 		}
-		o := o0
+		o := int32(o0)
 		for {
-			color[o] = 0
-			o2 := pinv[p[o]^1] // output served by o's input-pair partner
-			if color[o2] >= 0 {
+			color[o] = 1
+			o2 := partner[o]
+			if color[o2] != 0 {
 				break
 			}
-			color[o2] = 1
-			o = o2 ^ 1 // its output-pair partner returns to color 0
-			if color[o] >= 0 {
+			color[o2] = 2
+			o = o2 ^ 1 // its output-pair partner returns to the top subnet
+			if color[o] != 0 {
 				break
 			}
 		}
 	}
 	for j := 0; j < h; j++ {
-		so := color[2*j] == 1
+		so := color[2*j] == 2
 		sOut[j] = so
 		oT, oB := 2*j, 2*j+1 // outputs of pair j served by top / bottom
 		if so {
@@ -469,7 +496,7 @@ func routeBlock(p, q []int, sIn, sOut []bool, pinv []int, color []int8) {
 		// The element entering at input position i rides subnet slot i/2.
 		q[j] = p[oT] >> 1
 		q[h+j] = p[oB] >> 1
-		sIn[j] = color[pinv[2*j]] == 1
+		sIn[j] = color[pinv[2*j]] == 2
 	}
 }
 
@@ -481,16 +508,35 @@ func routeBlock(p, q []int, sIn, sOut []bool, pinv []int, color []int8) {
 // Metered runs ignore it (the grain-1 policy measures the full span).
 const benesApplyGrain = 1 << 10
 
+// benesLeaf is the block size below which the raw apply runs a sub-network
+// layer by layer instead of recursing: 2^13 positions of 48-byte elements
+// and one key word, double-buffered, are ≈1 MiB — inside one core's L2, so
+// the 2·13−1 layers of a leaf sub-network reread cached lines instead of
+// streaming the whole array once per layer.
+const benesLeaf = 1 << 13
+
 // apply runs the routed network over the element array and every schedule
 // plane in lockstep, double-buffering through scr/kscr (same length and
 // width; the result lands back in a/ks — the layer count that leaves the
 // home buffer is even). The address sequence is a fixed function of
 // (n, width): each switch always reads its two inputs and writes its two
 // outputs, whichever way it is set.
+//
+// Under metering the layers run in network order, one per-access pass each
+// (the specification). The serial and pool executors apply the same
+// switches in Beneš(n)'s own recursive order (applyBlock), so every sub-network
+// smaller than benesLeaf runs inside the cache; both orders compute the same
+// function, since each switch reads only what the layer before it wrote
+// within its own block.
 func (pl *benesPlan) apply(c *forkjoin.Ctx, a, scr *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule) {
 	n := pl.n
 	if a.Len() != n || scr.Len() != n {
 		panic("core: Beneš apply length mismatch")
+	}
+	if a.Raw(c) != nil {
+		bufs := [2]benesRaw{rawBenesBuf(c, a, ks), rawBenesBuf(c, scr, kscr)}
+		pl.applyBlock(c, &bufs, 0, 0, n)
+		return
 	}
 	k := obliv.Log2(n)
 	cur, nxt := benesBuf{a, ks}, benesBuf{scr, kscr}
@@ -523,28 +569,17 @@ type benesBuf struct {
 	ks *obliv.KeySchedule
 }
 
-// benesLayer applies one layer of switches, reading src and writing dst
-// (the same buffer for the in-place middle layer). Switch t of a layer at
-// half-block h connects the adjacent pair (2t, 2t+1) with the positions
-// (p, p+h), p = t + ⌊t/h⌋·h, of the two half-blocks: a split layer
-// (split == true) reads the pair and writes the halves, a merge layer the
-// reverse. A set switch crosses its two inputs.
-//
-// Under metering a leaf task walks its switches one at a time through the
-// per-access path — element, then every key plane. The serial and pool
-// executors run the same leaf plane by plane over raw slices, the switch
-// bit widened to a select mask, so a leaf touches the same addresses and
-// executes the same instructions whichever way its switches are set.
+// benesLayer applies one layer of switches through the per-access path,
+// reading src and writing dst (the same buffer for the in-place middle
+// layer). Switch t of a layer at half-block h connects the adjacent pair
+// (2t, 2t+1) with the positions (p, p+h), p = t + ⌊t/h⌋·h, of the two
+// half-blocks: a split layer (split == true) reads the pair and writes the
+// halves, a merge layer the reverse. A set switch crosses its two inputs.
+// A leaf task walks its switches one at a time — element, then every key
+// plane.
 func benesLayer(c *forkjoin.Ctx, set []bool, h int, split bool, dst, src benesBuf) {
 	w := src.ks.Width()
 	forkjoin.ParallelRange(c, 0, len(set), benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-		if se := src.a.Raw(c); se != nil {
-			switchElems(dst.a.Raw(c), se, set, h, split, from, to)
-			for p := 0; p < w; p++ {
-				switchWords(dst.ks.Plane(p).Raw(c), src.ks.Plane(p).Raw(c), set, h, split, from, to)
-			}
-			return
-		}
 		for t := from; t < to; t++ {
 			i0, i1, o0, o1 := switchPorts(t, h, split)
 			c.Op(1)
@@ -576,6 +611,84 @@ func switchPorts(t, h int, split bool) (i0, i1, o0, o1 int) {
 	return p, p + h, 2 * t, 2*t + 1
 }
 
+// benesRaw is one side of the double buffer seen through mem.Array.Raw: the
+// element slice and the w key-plane slices.
+type benesRaw struct {
+	e []obliv.Elem
+	k [obliv.MaxScheduleWidth][]uint64
+	w int
+}
+
+func rawBenesBuf(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule) benesRaw {
+	r := benesRaw{e: a.Raw(c), w: ks.Width()}
+	for p := 0; p < r.w; p++ {
+		r.k[p] = ks.Plane(p).Raw(c)
+	}
+	return r
+}
+
+// applyBlock runs the sub-network of recursion level l — Beneš(m) on block
+// [off, off+m), m = n>>l — from bufs[l&1] back into bufs[l&1]. Layer d of
+// the network is the split layer of level d for d < k−1, the middle layer
+// for d = k−1 and the merge layer of level 2k−2−d beyond, and the block's
+// switches in every layer are [off/2, (off+m)/2). Above benesLeaf the
+// block is its split layer, its two half-size networks (forked: disjoint
+// halves) and its merge layer; at or below it, layers l … 2k−2−l run one
+// after another over the block. Level d reads bufs[d&1] and writes
+// bufs[(d+1)&1] on the way down, the reverse on the way up.
+//
+// On the pool, split and merge layers fork their switches; a leaf's layers
+// fork only when the leaf is the whole network — otherwise the forks above
+// it already keep every worker busy.
+func (pl *benesPlan) applyBlock(c *forkjoin.Ctx, bufs *[2]benesRaw, l, off, m int) {
+	last := len(pl.layers) - 1 // layer 2k−2
+	from, to := off/2, (off+m)/2
+	if m <= benesLeaf {
+		fork := c.ParallelMode() && m == pl.n
+		for d := l; d <= last-l; d++ {
+			c.Check("benes.level")
+			pl.rawLayer(c, bufs, d, from, to, fork)
+		}
+		return
+	}
+	fork := c.ParallelMode()
+	c.Check("benes.level")
+	pl.rawLayer(c, bufs, l, from, to, fork)
+	h := m / 2
+	c.Fork(
+		func(c *forkjoin.Ctx) { pl.applyBlock(c, bufs, l+1, off, h) },
+		func(c *forkjoin.Ctx) { pl.applyBlock(c, bufs, l+1, off+h, h) },
+	)
+	c.Check("benes.level")
+	pl.rawLayer(c, bufs, last-l, from, to, fork)
+}
+
+// rawLayer applies switches [from, to) of layer d with the raw kernel,
+// forked at benesApplyGrain when fork is set, inline otherwise.
+func (pl *benesPlan) rawLayer(c *forkjoin.Ctx, bufs *[2]benesRaw, d, from, to int, fork bool) {
+	mid := len(pl.layers) / 2 // layer k−1
+	set := pl.layers[d]
+	var h int
+	var split bool
+	var dst, src *benesRaw
+	switch {
+	case d < mid:
+		h, split, src, dst = pl.n>>(d+1), true, &bufs[d&1], &bufs[(d+1)&1]
+	case d == mid:
+		h, split, src, dst = 1, true, &bufs[d&1], &bufs[d&1]
+	default:
+		lv := len(pl.layers) - 1 - d
+		h, split, src, dst = pl.n>>(lv+1), false, &bufs[(lv+1)&1], &bufs[lv&1]
+	}
+	if !fork {
+		switchRange(dst, src, set, h, split, from, to)
+		return
+	}
+	forkjoin.ParallelRange(c, from, to, benesApplyGrain, func(_ *forkjoin.Ctx, from, to int) {
+		switchRange(dst, src, set, h, split, from, to)
+	})
+}
+
 // switchMask widens a switch bit to an all-ones / all-zero select mask.
 // The bool-to-integer conversion compiles to a zero-extending move, not a
 // branch.
@@ -587,6 +700,41 @@ func switchMask(b bool) uint64 {
 	return -m
 }
 
+// switchRange applies switches [from, to) of one layer to the element
+// slice and then to each key plane. Every switch is one masked-select pass:
+// it loads both inputs, computes d = (x ^ y) & mask field by field, and
+// stores x^d and y^d — so it touches the same addresses and executes the
+// same instructions whichever way it is set, and runs in place when dst is
+// src (the middle layer, whose outputs are its inputs).
+func switchRange(dst, src *benesRaw, set []bool, h int, split bool, from, to int) {
+	de, se := dst.e, src.e
+	for t := from; t < to; t++ {
+		i0, i1, o0, o1 := switchPorts(t, h, split)
+		x, y := &se[i0], &se[i1]
+		u, v := &de[o0], &de[o1]
+		m := switchMask(set[t])
+		d := (x.Key ^ y.Key) & m
+		u.Key, v.Key = x.Key^d, y.Key^d
+		d = (x.Key2 ^ y.Key2) & m
+		u.Key2, v.Key2 = x.Key2^d, y.Key2^d
+		d = (x.Val ^ y.Val) & m
+		u.Val, v.Val = x.Val^d, y.Val^d
+		d = (x.Aux ^ y.Aux) & m
+		u.Aux, v.Aux = x.Aux^d, y.Aux^d
+		d = (x.Lbl ^ y.Lbl) & m
+		u.Lbl, v.Lbl = x.Lbl^d, y.Lbl^d
+		dt := (x.Tag ^ y.Tag) & uint32(m)
+		u.Tag, v.Tag = x.Tag^dt, y.Tag^dt
+		dk := (x.Kind ^ y.Kind) & obliv.Kind(m)
+		u.Kind, v.Kind = x.Kind^dk, y.Kind^dk
+		dm := (x.Mark ^ y.Mark) & uint8(m)
+		u.Mark, v.Mark = x.Mark^dm, y.Mark^dm
+	}
+	for p := 0; p < src.w; p++ {
+		switchWords(dst.k[p], src.k[p], set, h, split, from, to)
+	}
+}
+
 // switchWords applies switches [from, to) to one key plane.
 func switchWords(dst, src []uint64, set []bool, h int, split bool, from, to int) {
 	for t := from; t < to; t++ {
@@ -594,16 +742,5 @@ func switchWords(dst, src []uint64, set []bool, h int, split bool, from, to int)
 		x, y := src[i0], src[i1]
 		d := (x ^ y) & switchMask(set[t])
 		dst[o0], dst[o1] = x^d, y^d
-	}
-}
-
-// switchElems applies switches [from, to) to the element array: both
-// inputs are copied straight across, then exchanged in place under the
-// mask.
-func switchElems(dst, src []obliv.Elem, set []bool, h int, split bool, from, to int) {
-	for t := from; t < to; t++ {
-		i0, i1, o0, o1 := switchPorts(t, h, split)
-		dst[o0], dst[o1] = src[i0], src[i1]
-		obliv.CondSwap(&dst[o0], &dst[o1], switchMask(set[t]))
 	}
 }

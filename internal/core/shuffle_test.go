@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"oblivmc/internal/bitonic"
@@ -474,6 +476,85 @@ func TestShuffleSortParallelMatchesSerial(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: output diverges from serial at %d: %+v want %+v", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestShuffleSorterWarmAllocs pins the allocation count of one warmed
+// serial 2^15 sort at both widths (the per-sort coins rewound, so every run
+// sorts the same permuted sequence), so that core.sort_allocs_per_op cannot
+// rise. The ceilings are the counts of the layer-at-a-time apply, before
+// the sample sort kept a bucket record. Today's counts are ≈8 % lower
+// (10 946 / 11 743): the serial recursive apply builds no fork closures, and
+// the raw pivot table indexes the sorted sample instead of copying it,
+// which more than pays for the one bucket record per sample sort.
+func TestShuffleSorterWarmAllocs(t *testing.T) {
+	const n = 1 << 15
+	for _, tc := range []struct {
+		w       int
+		ceiling float64
+	}{{1, 11806}, {2, 12760}} {
+		sp := mem.NewSpace()
+		a, ks := shuffleInput(sp, prng.New(3), n, n-n/8, tc.w)
+		in := snapshotKeyed(a, ks)
+		scr, kscr := sortScratch(sp, ks, n)
+		srt := &ShuffleSorter{FixedSeed: fixedSeed(9), Crossover: 2}
+		sort := func() {
+			copy(a.Data(), in.Elems)
+			for p := 0; p < tc.w; p++ {
+				copy(ks.Plane(p).Data(), in.Planes[p])
+			}
+			srt.calls = 0
+			srt.SortScheduled(forkjoin.Serial(), sp, a, ks, scr, kscr, 0, n)
+		}
+		sort()
+		if allocs := testing.AllocsPerRun(3, sort); allocs > tc.ceiling {
+			t.Fatalf("w=%d: a warmed sort allocated %v objects, want <= %v", tc.w, allocs, tc.ceiling)
+		}
+	}
+}
+
+// TestShuffleSortOutputsGolden pins what the kernels must not move: the
+// switch settings routed for fixed permutations of every size 2^1..2^16,
+// and the bytes two back-to-back FixedSeed sorts return when equal keys
+// carry equal TiePos triples, so that their order is the tie words' and
+// hence the permutation's.
+func TestShuffleSortOutputsGolden(t *testing.T) {
+	h := fnv.New64a()
+	for k := 1; k <= 16; k++ {
+		for _, layer := range routeBenes(prng.New(uint64(k)).Perm(1 << k)).layers {
+			for _, b := range layer {
+				h.Write([]byte{byte(switchMask(b) & 1)})
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x3175609f73652dc0); got != want {
+		t.Fatalf("routed switch settings hash %#x, want %#x", got, want)
+	}
+	for _, tc := range []struct {
+		w    int
+		want uint64
+	}{{1, 0x32f220c7e37e8861}, {2, 0x3b7e109894fac1a5}} {
+		const n = 1 << 14
+		sp := mem.NewSpace()
+		a, ks := shuffleInput(sp, prng.New(uint64(n+tc.w)), n, n-n/4, tc.w)
+		for i := range a.Data() {
+			a.Data()[i].Aux = 0
+		}
+		scr, kscr := sortScratch(sp, ks, n)
+		srt := &ShuffleSorter{FixedSeed: fixedSeed(21), Crossover: 2}
+		srt.SortScheduled(forkjoin.Serial(), sp, a, ks, scr, kscr, 0, n)
+		srt.SortScheduled(forkjoin.Serial(), sp, a, ks, scr, kscr, 0, n)
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, e := range a.Data() {
+			for _, v := range []uint64{e.Key, e.Key2, e.Val, e.Aux, e.Lbl, uint64(e.Tag), uint64(e.Kind), uint64(e.Mark)} {
+				binary.LittleEndian.PutUint64(buf[:], v)
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Fatalf("w=%d: FixedSeed sort output hash %#x, want %#x", tc.w, got, tc.want)
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 // with fillers, so that most comparisons fall through to the tie words
 // (distinct, as the sort's contract requires: the metered and the unmetered
 // recursion switch to their leaves at different sizes, and only a strict
-// order pins the result), sizes from one leaf to three partition levels,
+// order pins the result), sizes from one leaf to three partition levels —
+// 70 000 rows put the top partition's ≈265 buckets across 18 scatter
+// chunks, so the bucket record is written and read back chunk by chunk —
 // both widths, on a subrange —
 // under the metered executor (whole-row loads and stores) and the serial
 // and pool executors (rows compared and moved in place).
@@ -27,7 +29,7 @@ func TestSampleSortScheduledMatchesPerAccess(t *testing.T) {
 		Planes [][]uint64
 		Tie    []uint64
 	}
-	for _, n := range []int{2, 48, 49, 64, 65, 1000, 5000, 20000} {
+	for _, n := range []int{2, 48, 49, 64, 65, 1000, 5000, 20000, 70000} {
 		for _, w := range []int{1, 2} {
 			oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("n=%d w=%d", n, w), func(c *forkjoin.Ctx, sp *mem.Space) state {
 				const lo = 3

@@ -24,6 +24,8 @@
 package spms
 
 import (
+	"fmt"
+
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -159,7 +161,8 @@ func moveRow(dst *rawSeq, o int, src *rawSeq, i int) {
 // scr and kscr are the caller's sorting scratch (length >= n past lo=0,
 // width matching ks); tscr is tie-plane scratch of length >= n; any of them
 // may be nil, in which case fresh scratch is allocated from sp. seed drives
-// pivot sampling.
+// pivot sampling. n must be at most 2^32, so that a partition's ⌈√n⌉
+// buckets fit the uint16 bucket record.
 func SampleSortScheduled(
 	c *forkjoin.Ctx, sp *mem.Space,
 	a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, tie *mem.Array[uint64],
@@ -168,6 +171,9 @@ func SampleSortScheduled(
 ) {
 	if n <= 1 {
 		return
+	}
+	if uint64(n) > 1<<32 {
+		panic(fmt.Sprintf("spms: keyed sample sort supports at most 2^32 rows, got %d", n))
 	}
 	w := ks.Width()
 	s := newKseq(a.View(lo, n), ks.View(lo, n), tie.View(lo, n))
@@ -181,7 +187,11 @@ func SampleSortScheduled(
 		tscr = mem.Alloc[uint64](sp, n)
 	}
 	scratch := newKseq(scr.View(0, n), kscr.View(0, n), tscr.View(0, n))
-	sampleSortRecK(c, sp, s, scratch, 0, n, prng.Mix64(seed), 0)
+	// The bucket record: one uint16 per row, the bucket the raw histogram
+	// pass classified it into. Harness memory, like the counters; the
+	// per-access path never reads it.
+	bkt := make([]uint16, n)
+	sampleSortRecK(c, sp, s, scratch, bkt, 0, n, prng.Mix64(seed), 0)
 }
 
 // insertionSortK sorts s[lo:hi) serially: per access under metering, in
@@ -220,11 +230,14 @@ func insertionSortK(c *forkjoin.Ctx, s, scratch kseq, lo, hi int) {
 	}
 }
 
-// sampleSortRecK sorts s[lo:lo+n); scratch parallels s (same length, same
-// relative offsets). The recursion shape mirrors SampleSort's: ~√n buckets
-// per level carved out by a binary tree of stable parallel partitions, with
-// the mergesort fallback keeping the span polylog on small ranges.
-func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, seed uint64, depth int) {
+// sampleSortRecK sorts s[lo:lo+n); scratch and the bucket record bkt
+// parallel s (same length, same relative offsets). The recursion shape
+// mirrors SampleSort's: ~√n buckets per level carved out by a binary tree
+// of stable parallel partitions, with the mergesort fallback keeping the
+// span polylog on small ranges. Every call owns bkt[lo:lo+n) — sibling
+// buckets are disjoint ranges — and lends its prefix to its sample's sort,
+// which finishes before its own partition writes the range.
+func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, bkt []uint16, lo, n int, seed uint64, depth int) {
 	if n <= leafFor(c) {
 		insertionSortK(c, s, scratch, lo, lo+n)
 		return
@@ -254,41 +267,40 @@ func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, 
 		samp.store(c, i, s.load(c, lo+idx[i]))
 	})
 	sampScratch := allocKseq(sp, sn, s.w)
-	sampleSortRecK(c, sp, samp, sampScratch, 0, sn, prng.Mix64(seed+1), depth+1)
+	sampleSortRecK(c, sp, samp, sampScratch, bkt[lo:lo+sn], 0, sn, prng.Mix64(seed+1), depth+1)
 
 	pivots := loadPivots(c, samp, sn, q)
 
 	// Partition into q buckets with one stable q-way scatter.
 	bounds := make([]int, q+1)
-	partitionK(c, s, scratch, lo, n, pivots, bounds)
+	partitionK(c, s, scratch, bkt, lo, n, pivots, bounds)
 
 	// Recurse on buckets.
 	forkjoin.ParallelFor(c, 0, q, 1, func(c *forkjoin.Ctx, b int) {
 		sz := bounds[b+1] - bounds[b]
 		if sz > 1 {
-			sampleSortRecK(c, sp, s, scratch, lo+bounds[b], sz, prng.Mix64(seed+uint64(b)+2), depth+1)
+			sampleSortRecK(c, sp, s, scratch, bkt, lo+bounds[b], sz, prng.Mix64(seed+uint64(b)+2), depth+1)
 		}
 	})
 }
 
 // pivotTable holds the q−1 pivots of one partition — rows (t+1)·sn/q of the
 // sorted sample — in harness memory: as in-register krow copies for the
-// per-access path, gathered plane by plane for the raw one.
+// per-access path; for the raw one, as the row indices into the sorted
+// sample itself, which stays untouched until the partition is done.
 type pivotTable struct {
 	rows []krow
 	raw  rawSeq
+	at   []int32
 	n    int
 }
 
 func loadPivots(c *forkjoin.Ctx, samp kseq, sn, q int) pivotTable {
 	pv := pivotTable{n: q - 1}
 	if rs, ok := samp.raw(c); ok {
-		pv.raw = rawSeq{e: make([]obliv.Elem, q-1), tie: make([]uint64, q-1), w: rs.w}
-		for p := 0; p < rs.w; p++ {
-			pv.raw.k[p] = make([]uint64, q-1)
-		}
-		for t := 0; t < q-1; t++ {
-			moveRow(&pv.raw, t, &rs, (t+1)*sn/q)
+		pv.raw, pv.at = rs, make([]int32, q-1)
+		for t := range pv.at {
+			pv.at[t] = int32((t + 1) * sn / q)
 		}
 		return pv
 	}
@@ -317,10 +329,13 @@ func (pv *pivotTable) bucketOf(r *krow, w int) int {
 
 // bucketAt is bucketOf for row i of the raw sequence s.
 func (pv *pivotTable) bucketAt(s *rawSeq, i int) int {
+	k0, pk0 := s.k[0][i], pv.raw.k[0]
 	lo, hi := 0, pv.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if afterAt(s, i, &pv.raw, mid) {
+		j := int(pv.at[mid])
+		// The first key word decides most comparisons: read it inline.
+		if x := pk0[j]; k0 > x || (k0 == x && afterAt(s, i, &pv.raw, j)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -348,8 +363,10 @@ const (
 // then a stable scatter through scratch at offsets derived from the
 // histogram prefix, plus the copy back. The counters live in harness
 // memory like the pivot table — this is the insecure stage, so only the
-// element traffic is instrumented.
-func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots pivotTable, bounds []int) {
+// element traffic is instrumented. The raw histogram pass records each
+// row's bucket in bkt[lo+i], and the raw scatter reads it back instead of
+// searching again; the per-access specification classifies in both passes.
+func partitionK(c *forkjoin.Ctx, s, scratch kseq, bkt []uint16, lo, n int, pivots pivotTable, bounds []int) {
 	q := pivots.n + 1
 	chunks := (n + partitionChunk - 1) / partitionChunk
 	counts := make([]int, chunks*q)
@@ -361,7 +378,9 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots pivotTable, 
 		local := counts[ch*q : (ch+1)*q]
 		if rs, ok := s.raw(c); ok {
 			for i := from; i < to; i++ {
-				local[pivots.bucketAt(&rs, lo+i)]++
+				b := pivots.bucketAt(&rs, lo+i)
+				bkt[lo+i] = uint16(b)
+				local[b]++
 			}
 			return
 		}
@@ -425,7 +444,7 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots pivotTable, 
 		if rs, ok := s.raw(c); ok {
 			rscr, _ := scratch.raw(c)
 			for i := from; i < to; i++ {
-				b := pivots.bucketAt(&rs, lo+i)
+				b := bkt[lo+i]
 				moveRow(&rscr, lo+next[b], &rs, lo+i)
 				next[b]++
 			}
