@@ -54,12 +54,14 @@ check-inline:
 # sample sort), the keyed sample sort alone, a transpose, the
 # bitonic-vs-shuffle backend ratio around the crossover, the top-k
 # tournament against the full value sort it replaced, and the PRAM gather
-# and min-combining scatter (the graph layer's merge-based send-receives).
+# and min-combining scatter (the graph layer's merge-based send-receives),
+# and the scheduler beneath them all: a nop fork pair with the thief parked
+# and awake, and the wake-up latency of a fork issued after an idle gap.
 # BENCH_KERNELS_ARGS bounds it, e.g.
 # make bench-kernels BENCH_KERNELS_ARGS="-benchtime 1x" (the CI smoke run).
 BENCH_KERNELS_ARGS ?= -benchtime 20x
 bench-kernels:
-	$(GO) test ./internal/obliv ./internal/bitonic ./internal/core ./internal/spms ./internal/matrix ./internal/relops ./internal/pram -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
+	$(GO) test ./internal/forkjoin ./internal/obliv ./internal/bitonic ./internal/core ./internal/spms ./internal/matrix ./internal/relops ./internal/pram -run '^$$' -bench . $(BENCH_KERNELS_ARGS)
 
 # bench-build compiles and tests the frozen benchmark harness. benchmark/
 # is its own module (`replace oblivmc => ../`), so `go build ./...` and

@@ -8,7 +8,10 @@
 //   - a parallel executor (Pool) that schedules tasks with randomized work
 //     stealing over Chase–Lev deques, the scheduler assumed by the paper's
 //     performance model [BL99] — Go's own scheduler provides no fork-join
-//     locality or bound guarantees, so we build one;
+//     locality or bound guarantees, so we build one. An idle worker
+//     spins for a bounded number of rounds and then parks, and each Fork
+//     wakes a parked worker, so a stolen task is picked up promptly and an
+//     idle pool uses no CPU;
 //
 //   - a metered executor (RunMetered) that executes the computation
 //     sequentially in depth-first order while computing the exact total
@@ -247,6 +250,7 @@ func (c *Ctx) Fork(a, b func(*Ctx)) {
 	w := c.w
 	t := &task{fn: b}
 	w.dq.push(t)
+	w.pool.signal()
 	// A panic out of a (a cancellation Check or a genuine fault) must not
 	// unwind past this frame while b is possibly running on a thief: catch
 	// it, settle b, then re-raise. Level-by-level, this guarantees the
