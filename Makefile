@@ -47,9 +47,10 @@ check-inline:
 
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
-# reverse keys (the three must cost the same), the keyed bitonic sort per
-# leaf size, a routed Beneš network and its switch over all-clear /
-# all-set / random settings (the three must cost the same), the shuffle
+# reverse keys, plain and recording its swap bits (the three orders must
+# cost the same in each mode), the keyed bitonic sort per leaf size, a
+# routed Beneš network and its switch over all-clear / all-set / random
+# settings (the three must cost the same), the shuffle
 # composition's per-stage split (permutation, routing, apply, tie words,
 # sample sort), the keyed sample sort alone, a transpose, the
 # bitonic-vs-shuffle backend ratio around the crossover, the top-k

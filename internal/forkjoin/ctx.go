@@ -271,6 +271,7 @@ func (c *Ctx) Fork(a, b func(*Ctx)) {
 			// our own task; anything else is a scheduler bug.
 			panic("forkjoin: deque bottom is not the forked task")
 		}
+		t.fn = nil // as in runTask: the ring slot must not keep b's captures
 		if aPanic != nil {
 			// b was never stolen: discard it unrun, exactly as the serial
 			// executor would (a panic in a skips b), and re-raise.

@@ -101,20 +101,30 @@ func TestParallelRangePartition(t *testing.T) {
 	}
 }
 
-func TestParallelDo(t *testing.T) {
-	var flags [5]atomic.Bool
-	RunParallel(3, func(c *Ctx) {
-		ParallelDo(c,
-			func(c *Ctx) { flags[0].Store(true) },
-			func(c *Ctx) { flags[1].Store(true) },
-			func(c *Ctx) { flags[2].Store(true) },
-			func(c *Ctx) { flags[3].Store(true) },
-			func(c *Ctx) { flags[4].Store(true) },
-		)
+// TestFinishedTasksDropTheirClosures: a deque's ring slot keeps pointing at
+// a task after it is popped or stolen, so a finished task must not keep its
+// closure — the closures of a pass capture whole work arrays, which would
+// stay live, and raise the peak heap, until the slot is reused.
+func TestFinishedTasksDropTheirClosures(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var ran atomic.Int64
+	p.Run(func(c *Ctx) {
+		ParallelRange(c, 0, 1<<12, 1, func(c *Ctx, lo, hi int) {
+			for i := 0; i < 200; i++ {
+				ran.Add(1)
+			}
+		})
 	})
-	for i := range flags {
-		if !flags[i].Load() {
-			t.Fatalf("fn %d did not run", i)
+	if ran.Load() != 200<<12 {
+		t.Fatalf("ran %d leaf steps, want %d", ran.Load(), 200<<12)
+	}
+	for wi, w := range p.workers {
+		r := w.dq.buf.Load()
+		for i := range r.slots {
+			if tk := r.slots[i].Load(); tk != nil && tk.fn != nil {
+				t.Fatalf("worker %d ring slot %d still holds a finished task's closure", wi, i)
+			}
 		}
 	}
 }

@@ -19,26 +19,14 @@ func grainFor(c *Ctx, g int) int {
 
 // ParallelFor executes body(i) for i in [lo, hi) using a binary fork tree,
 // the canonical way a k-way parallel loop is expressed in the binary
-// fork-join model (footnote a of the REC-ORBA pseudocode).
+// fork-join model (footnote a of the REC-ORBA pseudocode). Its fork tree is
+// ParallelRange's.
 func ParallelFor(c *Ctx, lo, hi, grain int, body func(*Ctx, int)) {
-	g := grainFor(c, grain)
-	var rec func(c *Ctx, lo, hi int)
-	rec = func(c *Ctx, lo, hi int) {
-		if hi-lo <= g {
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-			return
+	ParallelRange(c, lo, hi, grain, func(c *Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(c, i)
 		}
-		mid := lo + (hi-lo)/2
-		c.Fork(
-			func(c *Ctx) { rec(c, lo, mid) },
-			func(c *Ctx) { rec(c, mid, hi) },
-		)
-	}
-	if hi > lo {
-		rec(c, lo, hi)
-	}
+	})
 }
 
 // ParallelRange is like ParallelFor but hands each leaf the whole [lo, hi)
@@ -60,23 +48,4 @@ func ParallelRange(c *Ctx, lo, hi, grain int, body func(*Ctx, int, int)) {
 	if hi > lo {
 		rec(c, lo, hi)
 	}
-}
-
-// ParallelDo runs the given functions as a balanced binary fork tree.
-func ParallelDo(c *Ctx, fns ...func(*Ctx)) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0](c)
-		return
-	case 2:
-		c.Fork(fns[0], fns[1])
-		return
-	}
-	mid := len(fns) / 2
-	c.Fork(
-		func(c *Ctx) { ParallelDo(c, fns[:mid]...) },
-		func(c *Ctx) { ParallelDo(c, fns[mid:]...) },
-	)
 }

@@ -233,11 +233,14 @@ func (w *worker) runTask(t *task) {
 	// A panic in a stolen task must not kill the worker goroutine (that
 	// would deadlock its joiner and leak the pool): record it for the
 	// joining frame to re-raise, and always publish completion — the err
-	// write is ordered before the done release store.
+	// write is ordered before the done release store. The deque's ring slot
+	// keeps pointing at t until it is reused, so fn is dropped first: its
+	// captures (often whole work arrays) must not outlive the task.
 	defer func() {
 		if r := recover(); r != nil {
 			t.err = wrapPanic(r, stackTrace())
 		}
+		t.fn = nil
 		t.done.Store(1)
 	}()
 	t.fn(&w.ctx)

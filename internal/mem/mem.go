@@ -84,14 +84,6 @@ func (a *Array[T]) Set(c *forkjoin.Ctx, i int, v T) {
 	a.data[i] = v
 }
 
-// Swap exchanges elements i and j (two reads plus two writes).
-func (a *Array[T]) Swap(c *forkjoin.Ctx, i, j int) {
-	vi := a.Get(c, i)
-	vj := a.Get(c, j)
-	a.Set(c, i, vj)
-	a.Set(c, j, vi)
-}
-
 // View returns an aliased subarray covering [lo, lo+n). Views share both
 // backing store and addresses with the parent, which is what the recursive
 // cache-agnostic algorithms need.

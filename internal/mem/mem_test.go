@@ -33,16 +33,6 @@ func TestGetSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSwap(t *testing.T) {
-	s := NewSpace()
-	a := FromSlice(s, []int{1, 2, 3})
-	c := forkjoin.Serial()
-	a.Swap(c, 0, 2)
-	if a.Get(c, 0) != 3 || a.Get(c, 2) != 1 {
-		t.Fatalf("swap failed: %v", a.Data())
-	}
-}
-
 func TestViewAliases(t *testing.T) {
 	s := NewSpace()
 	a := FromSlice(s, []int{0, 1, 2, 3, 4, 5})

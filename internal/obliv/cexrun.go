@@ -7,20 +7,24 @@ import (
 	"oblivmc/internal/mem"
 )
 
-// This file holds the block form of the cached-key comparator. A sorting
-// network's leaf is a fixed sequence of layers, and a layer a fixed sequence
-// of runs — compare-exchanges of the pairs (i+t, i+stride+t), t = 0..cnt-1,
-// all in one direction — so the executor question ("instrumented or not")
-// is asked once per leaf, when the CexKernel is made, instead of once per
-// word. Under the metered executor a run is literally a loop over
-// CompareExchangeCachedW: that per-access comparator is the specification.
-// Under the serial and pool executors widths 1 and 2 go over the raw slices
-// with a comparator that never branches on the comparison outcome: the
-// outcome becomes an all-ones/all-zero mask and both positions are
-// rewritten with mask-selected words, so neither the address sequence nor
-// the branch history of a leaf depends on the data. Wider schedules (the
-// relational layer builds none) take the per-access loop under every
-// executor.
+// This file holds the block form of the cached-key comparator and Layer, the
+// one forked driver of the keyed networks run after a sort (the bitonic
+// merge, its recorded un-merge, the top-k tournament). A network is a fixed
+// sequence of layers, and a layer a fixed sequence of runs — the pairs (i+t,
+// i+stride+t), t = 0..cnt-1, all in one direction — so the executor question
+// ("instrumented or not") is asked once per leaf, when the CexKernel is
+// made, instead of once per word. A run compare-exchanges, also records each
+// pair's swap bit, or (without a key schedule) replays recorded bits. Under
+// the metered executor a run is literally a loop over CompareExchangeCachedW
+// (replaying: a read of both elements and the bit's word, a rewrite of both
+// elements): that per-access loop is the specification. Under the serial and
+// pool executors widths 1 and 2 (width 1 when recording, the merges' width)
+// go over the raw slices with a comparator that never branches on the
+// comparison outcome: the outcome becomes an all-ones/all-zero mask and both
+// positions are rewritten with mask-selected words, so neither the address
+// sequence nor the branch history of a leaf depends on the data. Wider
+// schedules, and recording at width 2 (the relational layer builds neither),
+// take the per-access loop under every executor.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -52,84 +56,153 @@ func CondSwap(x, y *Elem, m uint64) {
 	x.Mark, y.Mark = x.Mark^dm, y.Mark^dm
 }
 
+// Layer runs one layer of a keyed comparator network as a single fork tree
+// over its nb·cnt comparators. Block b (b < nb) starts at b·gap and holds
+// cnt comparators; comparator u of a block pairs the slot u/j·2j + u%j of
+// the block with the slot j to its right, ascending — or, with alt,
+// ascending only in even blocks. j is a power of two, and either j divides
+// cnt (a butterfly layer) or cnt <= j (a half-cleaner run). Each leaf
+// hands its comparators to the block comparator as maximal runs.
+func Layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, nb, gap, cnt, j int, alt bool) {
+	layer(c, a, ks, nil, 0, nb, gap, cnt, j, alt)
+}
+
+// layer is Layer in all three modes of the block comparator: a nil rec
+// compare-exchanges; a non-nil rec records comparator v = b·cnt + u of the
+// layer as bit q+v (set iff it swapped); a nil ks replays those bits. Leaves
+// record concurrently, so a recording layer of more than passGrain
+// comparators must give each leaf whole words — q a multiple of 64 and
+// nb·cnt a power of two — as every such merge layer does.
+func layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64], q, nb, gap, cnt, j int, alt bool) {
+	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		kern := newCexKernel(c, a, ks, rec)
+		b, u := lo/cnt, lo%cnt
+		for v := lo; v < hi; {
+			off := u & (j - 1)
+			m := min(j-off, cnt-u, hi-v)
+			kern.run(b*gap+(u-off)<<1+off, j, m, !alt || b&1 == 0, q+v)
+			v += m
+			if u += m; u == cnt {
+				b, u = b+1, 0
+			}
+		}
+	})
+}
+
 // CexKernel is the cached-key comparator bound to one block of one
 // executor: NewCexKernel decides once whether runs go through the
 // per-access specification or over the raw slices.
 type CexKernel struct {
-	c  *forkjoin.Ctx
-	a  *mem.Array[Elem]
-	ks *KeySchedule
+	c   *forkjoin.Ctx
+	a   *mem.Array[Elem]
+	ks  *KeySchedule       // nil: replay rec
+	rec *mem.Array[uint64] // nil: compare-exchange only
 
 	// Raw views, nil when runs take the per-access path.
 	e      []Elem
 	k0, k1 []uint64
+	bits   []uint64
 }
 
 // NewCexKernel binds the comparator to a, ks (indexed identically) and the
 // executor behind c.
 func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKernel {
-	k := CexKernel{c: c, a: a, ks: ks}
-	if w := len(ks.planes); w <= 2 {
-		if e := a.Raw(c); e != nil {
-			k.e, k.k0 = e, ks.planes[0].Raw(c)
-			if w == 2 {
-				k.k1 = ks.planes[1].Raw(c)
-			}
+	return newCexKernel(c, a, ks, nil)
+}
+
+// newCexKernel is NewCexKernel that also records into rec, or, with a nil
+// ks, replays rec.
+func newCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
+	k := CexKernel{c: c, a: a, ks: ks, rec: rec}
+	w := 0
+	if ks != nil {
+		w = len(ks.planes)
+	}
+	if w > 2 || w == 2 && rec != nil {
+		return k
+	}
+	if k.e = a.Raw(c); k.e == nil {
+		return k
+	}
+	if ks != nil {
+		k.k0 = ks.planes[0].Raw(c)
+		if len(ks.planes) == 2 {
+			k.k1 = ks.planes[1].Raw(c)
 		}
+	}
+	if rec != nil {
+		k.bits = rec.Raw(c)
 	}
 	return k
 }
 
-// Run compare-exchanges the pairs (i+t, i+stride+t) for t = 0..cnt-1 in
+// run compare-exchanges the pairs (i+t, i+stride+t) for t = 0..cnt-1 in
 // ascending t, every pair ordered ascending by cached key if asc and
-// descending otherwise: exactly cnt calls of CompareExchangeCachedW.
-func (k *CexKernel) Run(i, stride, cnt int, asc bool) {
-	if k.e == nil {
-		for t := 0; t < cnt; t++ {
-			CompareExchangeCachedW(k.c, k.a, k.ks, i+t, i+stride+t, asc)
+// descending otherwise: exactly cnt calls of CompareExchangeCachedW. A
+// recording kernel then stores pair t's outcome as bit q+t of its record —
+// under the metered executor a read and a rewrite of the bit's word, at an
+// address fixed by q+t; the raw kernel writes the bit with mask arithmetic
+// and never branches on it. A replaying kernel (no key schedule) instead
+// exchanges pair t iff bit q+t is set, ignoring asc.
+func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
+	j := i + stride
+	if k.e != nil {
+		if k.ks == nil {
+			uncexRun(k.e, i, j, cnt, k.bits, q)
+			return
 		}
+		var desc uint64
+		if !asc {
+			desc = ^uint64(0)
+		}
+		if k.bits != nil {
+			cexRunRecord(k.e, k.k0, i, j, cnt, desc, k.bits, q)
+			return
+		}
+		cexRun(k.e, k.k0, k.k1, i, j, cnt, desc)
 		return
 	}
-	var desc uint64
-	if !asc {
-		desc = ^uint64(0)
-	}
-	cexRun(k.e, k.k0, k.k1, i, i+stride, cnt, desc)
-}
-
-// runRecord is Run ascending at width 1 that also records every pair's
-// outcome into the packed words of rec: bit q+t is set iff pair t swapped.
-// Under the metered executor each bit is a read and a rewrite of its word
-// after the comparator, at an address fixed by q+t; the raw kernel writes
-// the bit with mask arithmetic and never branches on it.
-func (k *CexKernel) runRecord(i, stride, cnt int, rec *mem.Array[uint64], q int) {
-	if k.e == nil {
-		for t := 0; t < cnt; t++ {
+	c, a := k.c, k.a
+	for t := 0; t < cnt; t++ {
+		b := q + t
+		if k.ks == nil {
+			x := a.Get(c, i+t)
+			y := a.Get(c, j+t)
+			w := k.rec.Get(c, b>>6)
+			c.Op(1)
+			if w>>(b&63)&1 == 1 {
+				x, y = y, x
+			}
+			a.Set(c, i+t, x)
+			a.Set(c, j+t, y)
+			continue
+		}
+		swapped := CompareExchangeCachedW(c, a, k.ks, i+t, j+t, asc)
+		if k.rec != nil {
 			var bit uint64
-			if CompareExchangeCachedW(k.c, k.a, k.ks, i+t, i+stride+t, true) {
+			if swapped {
 				bit = 1
 			}
-			b := q + t
-			w := rec.Get(k.c, b>>6)
-			rec.Set(k.c, b>>6, w&^(1<<(b&63))|bit<<(b&63))
+			w := k.rec.Get(c, b>>6)
+			k.rec.Set(c, b>>6, w&^(1<<(b&63))|bit<<(b&63))
 		}
-		return
 	}
-	cexRunRecord(k.e, k.k0, i, i+stride, cnt, rec.Raw(k.c), q)
 }
 
 // Layer runs one butterfly layer over the block [lo, lo+n): for every
 // i0 = 0, 2·stride, 4·stride, … < n the run of stride pairs at lo+i0, in
 // ascending i0. A run is ordered ascending if (i0&period == 0) == asc and
 // descending otherwise — period 0 is a merge layer (one direction), period
-// k the layer of a bitonic sort building sorted sequences of length k.
+// k the layer of a bitonic sort building sorted sequences of length k. It
+// is the serial leaf loop of the bitonic sorts: unlike the forked Layer it
+// does no per-run index arithmetic, which matters at strides 1 and 2.
 func (k *CexKernel) Layer(lo, n, stride, period int, asc bool) {
 	for i0 := 0; i0 < n; i0 += 2 * stride {
-		k.Run(lo+i0, stride, stride, (i0&period == 0) == asc)
+		k.run(lo+i0, stride, stride, (i0&period == 0) == asc, 0)
 	}
 }
 
-// cexRun is Run over raw slices at width 1 (k1 nil) or 2. "x sorts after y"
+// cexRun is run over raw slices at width 1 (k1 nil) or 2. "x sorts after y"
 // is a lexicographic comparison of (word 0, [word 1,] TiePos words), which
 // is the borrow out of the multiword subtraction y − x taken least
 // significant word first: one SUB and a chain of SBBs, no branch and no
@@ -169,9 +242,11 @@ func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc uint64) {
 	}
 }
 
-// cexRunRecord is cexRun at width 1, ascending, with the swap mask's low bit
-// stored as bit q+t of rec for pair t.
-func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, rec []uint64, q int) {
+// cexRunRecord is cexRun at width 1 that also stores the swap mask's low
+// bit — not the borrow, which differs on descending comparators — as bit
+// q+t of rec for pair t. It is a separate kernel because a record test
+// inside cexRun slows the sorts' comparator, which never records.
+func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, desc uint64, rec []uint64, q int) {
 	ei, ej := e[i:i+cnt], e[j:j+cnt]
 	k0i, k0j := k0[i:i+cnt], k0[j:j+cnt]
 	for t := range ei {
@@ -182,14 +257,14 @@ func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, rec []uint64, q int) {
 		_, after = bits.Sub64(yh, xh, after)
 		x0, y0 := k0i[t], k0j[t]
 		_, after = bits.Sub64(y0, x0, after)
-		m := -after
+		m := -after ^ desc
 
 		d := (x0 ^ y0) & m
 		k0i[t], k0j[t] = x0^d, y0^d
 		CondSwap(x, y, m)
 		b := q + t
 		w := &rec[b>>6]
-		*w = *w&^(1<<(b&63)) | after<<(b&63)
+		*w = *w&^(1<<(b&63)) | m&1<<(b&63)
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 )
 
 // BenchmarkCexRun times one raw width-1 TiePos run of 2^9 pairs (a leaf's
-// longest run, L1-resident) over three key orders. The three must cost the
-// same: the comparator turns the outcome into a mask, so an always-hold
-// input (sorted), an always-swap input (reverse) and a coin-flip input
-// (random) retire the same instructions with the same branch history. A
-// random/sorted ratio well above 1 means a data-dependent branch came back.
+// longest run, L1-resident) over three key orders, plain and recording each
+// pair's swap bit. The three orders must cost the same: the comparator
+// turns the outcome into a mask, so an always-hold input (sorted), an
+// always-swap input (reverse) and a coin-flip input (random) retire the
+// same instructions with the same branch history. A random/sorted ratio
+// well above 1 means a data-dependent branch came back.
 func BenchmarkCexRun(b *testing.B) {
 	const pairs = 1 << 9
 	orders := []struct {
@@ -24,32 +25,41 @@ func BenchmarkCexRun(b *testing.B) {
 		{"random", func(src *prng.Source, _ int) uint64 { return src.Uint64n(1 << 40) }},
 		{"reverse", func(_ *prng.Source, i int) uint64 { return uint64(2*pairs - i) }},
 	}
-	for _, o := range orders {
-		b.Run(o.name, func(b *testing.B) {
-			sp := mem.NewSpace()
-			src := prng.New(9)
-			in := make([]Elem, 2*pairs)
-			for i := range in {
-				in[i] = Elem{Key: o.key(src, i), Val: uint64(i), Aux: uint64(i), Kind: Real}
+	for _, record := range []bool{false, true} {
+		for _, o := range orders {
+			name := o.name
+			if record {
+				name = "record-" + name
 			}
-			a := mem.FromSlice(sp, in)
-			ks := AllocKeySchedule(sp, 2*pairs, 1)
-			c := forkjoin.Serial()
-			kern := NewCexKernel(c, a, ks)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Reload untimed: a run leaves its pairs ordered, which
-				// would turn every input into the sorted one from the
-				// second iteration on.
-				b.StopTimer()
-				copy(a.Data(), in)
-				for j, e := range in {
-					ks.Plane(0).Data()[j] = e.Key
+			b.Run(name, func(b *testing.B) {
+				sp := mem.NewSpace()
+				src := prng.New(9)
+				in := make([]Elem, 2*pairs)
+				for i := range in {
+					in[i] = Elem{Key: o.key(src, i), Val: uint64(i), Aux: uint64(i), Kind: Real}
 				}
-				b.StartTimer()
-				kern.Layer(0, 2*pairs, pairs, 0, true)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
-		})
+				a := mem.FromSlice(sp, in)
+				ks := AllocKeySchedule(sp, 2*pairs, 1)
+				var rec *mem.Array[uint64]
+				if record {
+					rec = mem.Alloc[uint64](sp, pairs/64)
+				}
+				kern := newCexKernel(forkjoin.Serial(), a, ks, rec)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Reload untimed: a run leaves its pairs ordered, which
+					// would turn every input into the sorted one from the
+					// second iteration on.
+					b.StopTimer()
+					copy(a.Data(), in)
+					for j, e := range in {
+						ks.Plane(0).Data()[j] = e.Key
+					}
+					b.StartTimer()
+					kern.run(0, pairs, pairs, true, 0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+			})
+		}
 	}
 }

@@ -19,15 +19,16 @@ import (
 // and fixed elementwise passes — so the trace is a function of
 // (len(sources), outLen) only.
 
-// passGrain is the leaf size of the fixed elementwise passes and of each
-// bitonic-merge comparator layer outside metered mode. The expansion path
-// runs these passes over work relations of 2^21+ slots; at the old default
-// grain of 64 the fork bookkeeping (two closure allocations and a deque
-// round-trip per task) rivaled the loop bodies themselves and was the
-// serial-equivalent tail that made extra workers a net loss. 2^10 elements
-// per leaf is past the point where stealing pays while a 2^20 pass still
-// splits 2^10 ways. Metered runs are pinned to grain 1 by forkjoin.grainFor,
-// so the recorded trace (fork events included) never moves when this is
+// passGrain is the leaf size of the fixed elementwise passes and the
+// comparator count of each Layer leaf (a merge leaf is 2^10 comparators,
+// 2^11 positions) outside metered mode. The expansion path runs these
+// passes over work relations of 2^21+ slots; at the old default grain of
+// 64 the fork bookkeeping (two closure allocations and a deque round-trip
+// per task) rivaled the loop bodies themselves and was the
+// serial-equivalent tail that made extra workers a net loss. 2^10 items per
+// leaf is past the point where stealing pays while a 2^20 pass still splits
+// 2^10 ways. Metered runs are pinned to grain 1 by forkjoin.grainFor, so
+// the recorded trace (fork events included) never moves when this is
 // retuned.
 const passGrain = 1 << 10
 
@@ -195,91 +196,28 @@ func DistributeOrdered(
 
 // mergeBitonic sorts the bitonic sequence a[0:n) ascending by its width-1
 // cached key schedule: a half-cleaner cascade of log2(n) data-independent
-// comparator layers, each layer's disjoint compare-exchanges forked with the
-// shared pass grain. n must be a power of two. The comparator sequence is a
-// function of n alone.
+// comparator layers, each one Layer of n/2 comparators. n must be a power
+// of two. The comparator sequence is a function of n alone.
 //
 // A non-nil rec (mergeRecordWords(n) words) receives one swap bit per
-// comparator — bit l·n/2 + pairIndex(i, j) for the pair (i, i+j) of layer l
-// — from which unmergeBitonic undoes the merge. A nil rec runs the plain
-// comparator kernels, so DistributeOrdered's merge records nothing.
+// comparator — bit l·n/2 + v for comparator v of layer l — from which
+// unmergeBitonic undoes the merge. A nil rec records nothing, so
+// DistributeOrdered's merge runs the plain comparator.
 func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, rec *mem.Array[uint64]) {
 	for j, l := n>>1, 0; j > 0; j, l = j>>1, l+1 {
-		q := l * (n >> 1)
-		forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			// The leaves of a power-of-two range are aligned blocks of one
-			// power-of-two size g: at stride j >= g a block is one run (the
-			// low or the high side of its pairs; the low side does the
-			// work), below that it holds whole runs.
-			kern := NewCexKernel(c, a, ks)
-			switch g := hi - lo; {
-			case j < g:
-				if rec == nil {
-					kern.Layer(lo, g, j, 0, true)
-					return
-				}
-				for i := lo; i < hi; i += 2 * j {
-					kern.runRecord(i, j, j, rec, q+pairIndex(i, j))
-				}
-			case lo&j != 0:
-				// The high side of its pairs.
-			case rec == nil:
-				kern.Run(lo, j, g, true)
-			default:
-				kern.runRecord(lo, j, g, rec, q+pairIndex(lo, j))
-			}
-		})
+		layer(c, a, ks, rec, l*(n>>1), 1, n, n>>1, j, false)
 	}
 }
 
 // unmergeBitonic undoes mergeBitonic(c, a, _, n, rec): it replays the
 // recorded layers in reverse, stride 1 up to n/2, exchanging exactly the
 // pairs the merge exchanged, so every element of a returns to the position
-// it held before the merge. The key schedule is not replayed. Per pair the
-// metered path reads both elements and the bit's word and rewrites both
-// elements; the raw path swaps through CondSwap. The access pattern is a
-// function of n alone.
+// it held before the merge. The key schedule is not replayed. The access
+// pattern is a function of n alone.
 func unmergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], n int, rec *mem.Array[uint64]) {
 	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
-		q := l * (n >> 1)
-		forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			e, bw := a.Raw(c), rec.Raw(c)
-			run := func(i, cnt int) {
-				b0 := q + pairIndex(i, j)
-				if e != nil {
-					uncexRun(e, i, i+j, cnt, bw, b0)
-					return
-				}
-				for t := 0; t < cnt; t++ {
-					x := a.Get(c, i+t)
-					y := a.Get(c, i+j+t)
-					b := b0 + t
-					w := rec.Get(c, b>>6)
-					c.Op(1)
-					if w>>(b&63)&1 == 1 {
-						x, y = y, x
-					}
-					a.Set(c, i+t, x)
-					a.Set(c, i+j+t, y)
-				}
-			}
-			switch g := hi - lo; {
-			case j < g:
-				for i := lo; i < hi; i += 2 * j {
-					run(i, j)
-				}
-			case lo&j == 0:
-				run(lo, g)
-			}
-		})
+		layer(c, a, nil, rec, l*(n>>1), 1, n, n>>1, j, false)
 	}
-}
-
-// pairIndex is the index, among the n/2 pairs of a merge layer of stride
-// j, of the pair whose low position is i: i with its j bit removed.
-// Consecutive low positions of one run get consecutive indices.
-func pairIndex(i, j int) int {
-	return (i>>1)&^(j-1) | i&(j-1)
 }
 
 // mergeRecordWords is the length of mergeBitonic's swap record for n

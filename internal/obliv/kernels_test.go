@@ -63,8 +63,8 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 			oblivtest.SameOnEveryExecutor(t, "run "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 				a, ks := dupHeavyInput(sp, 21, 160, w)
 				kern := NewCexKernel(c, a, ks)
-				kern.Run(3, 61, 57, asc)
-				kern.Run(0, 1, 1, asc)
+				kern.run(3, 61, 57, asc, 0)
+				kern.run(0, 1, 1, asc, 0)
 				return snapshotKeyed(a, ks)
 			})
 			oblivtest.SameOnEveryExecutor(t, "layers "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
@@ -89,7 +89,7 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 	sp := mem.NewSpace()
 	a, ks := dupHeavyInput(sp, 23, 512, 2)
 	kern := NewCexKernel(forkjoin.Serial(), a, ks)
-	kern.Run(0, 256, 256, true)
+	kern.run(0, 256, 256, true, 0)
 	for i := 0; i < 256; i++ {
 		x, y := a.Data()[i], a.Data()[i+256]
 		for p := 0; p < 2; p++ {
@@ -105,6 +105,109 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 			}
 		}
 	}
+}
+
+// layerState is what a sequence of Layers leaves: the array and planes,
+// the swap record (when recorded) and the array after its replay.
+type layerState struct {
+	Keyed    keyedState
+	Record   []uint64
+	Replayed []Elem
+}
+
+// TestLayerMatchesPerAccess holds the forked layer driver's raw leaves to
+// the metered per-access spec in all three modes of the block comparator,
+// over every layer shape the keyed networks use — butterfly layers (j
+// divides cnt), half-cleaner runs (cnt < j) over several blocks, alt
+// directions, layers long enough that a pool leaf ends mid-run — and over
+// the top-k tournament's whole layer sequence. Recording shapes keep each
+// leaf's bits in whole words (see layer); the ragged shapes, whose pool
+// leaves also end mid-block, only compare-exchange.
+func TestLayerMatchesPerAccess(t *testing.T) {
+	shapes := []struct {
+		name   string
+		layers []layerShape
+		record bool
+	}{
+		{"butterfly", []layerShape{{2, 64, 32, 8, true}, {1, 4096, 2048, 256, true}, {1, 32, 16, 1, false}}, true},
+		{"half-cleaner", []layerShape{{4, 32, 5, 16, true}, {128, 64, 16, 32, true}, {1, 4096, 2048, 2048, false}}, true},
+		{"tournament", tournamentLayers(4096, 16), true},
+		{"one-comparator", []layerShape{{1, 2, 1, 1, false}}, true},
+		{"ragged", []layerShape{{3, 1536, 768, 256, true}, {90, 64, 23, 32, true}}, false},
+	}
+	for _, sh := range shapes {
+		n, words := 0, 0
+		for _, s := range sh.layers {
+			n = max(n, s.nb*s.gap)
+			words += (s.nb*s.cnt + 63) >> 6
+		}
+		for _, w := range []int{1, 2, 3} {
+			for _, flip := range []bool{false, true} { // flip: every layer's alt inverted
+				label := fmt.Sprintf("%s w=%d flip=%v", sh.name, w, flip)
+				oblivtest.SameOnEveryExecutor(t, label+" cex", func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
+					a, ks := dupHeavyInput(sp, uint64(n+w), n, w)
+					for _, s := range sh.layers {
+						Layer(c, a, ks, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+					}
+					return snapshotKeyed(a, ks)
+				})
+				if !sh.record {
+					continue
+				}
+				oblivtest.SameOnEveryExecutor(t, label+" record", func(c *forkjoin.Ctx, sp *mem.Space) layerState {
+					a, ks := dupHeavyInput(sp, uint64(n+w), n, w)
+					orig := append([]Elem(nil), a.Data()...)
+					rec := mem.Alloc[uint64](sp, words)
+					for i := range rec.Data() {
+						rec.Data()[i] = 0x5555_5555_5555_5555 // stale bits must be overwritten
+					}
+					qs := make([]int, len(sh.layers))
+					for l, s := range sh.layers {
+						if l > 0 {
+							p := sh.layers[l-1]
+							qs[l] = qs[l-1] + (p.nb*p.cnt+63)&^63
+						}
+						layer(c, a, ks, rec, qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+					}
+					st := layerState{Keyed: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
+					for l := len(sh.layers) - 1; l >= 0; l-- {
+						s := sh.layers[l]
+						layer(c, a, nil, rec, qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+					}
+					st.Replayed = append([]Elem(nil), a.Data()...)
+					if !slices.Equal(st.Replayed, orig) {
+						t.Errorf("%s: replaying the record did not restore the input", label) // Errorf: may run on a pool worker
+					}
+					return st
+				})
+			}
+		}
+	}
+}
+
+// layerShape is one Layer's arguments.
+type layerShape struct {
+	nb, gap, cnt, j int
+	alt             bool
+}
+
+// tournamentLayers is relops.topK's layer sequence over n slots keeping K:
+// a bitonic sort of the blocks of K in alternating directions, then per
+// round one half-cleaner run and a log2 K-layer merge per block pair.
+func tournamentLayers(n, K int) []layerShape {
+	var ls []layerShape
+	for p := 2; p <= K; p <<= 1 {
+		for j := p >> 1; j > 0; j >>= 1 {
+			ls = append(ls, layerShape{n / p, p, p / 2, j, true})
+		}
+	}
+	for s := K; s < n; s <<= 1 {
+		ls = append(ls, layerShape{n / (2 * s), 2 * s, K, s, false})
+		for j := K >> 1; j > 0; j >>= 1 {
+			ls = append(ls, layerShape{n / (2 * s), 2 * s, K / 2, j, true})
+		}
+	}
+	return ls
 }
 
 // mergeState is what a merge leaves — the merged array and planes and, when

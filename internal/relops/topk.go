@@ -21,6 +21,9 @@ import (
 //     next round's pairs ascending/descending again;
 //  4. the cut turns every slot at index >= k into a filler.
 //
+// Every layer is one obliv.Layer: a single fork tree over its comparators
+// in all blocks, never one per block or per position.
+//
 // That is O(n log² K) comparators against a full sort's O(n log² n), and
 // every comparator's positions and direction are a function of (n, k)
 // alone — k is part of the query, not the data — so the trace is too. a's
@@ -35,14 +38,14 @@ func topK(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], k
 
 	for p := 2; p <= K; p <<= 1 {
 		for j := p >> 1; j > 0; j >>= 1 {
-			cexLayer(c, a, ks, n/p, p, p/2, j, true)
+			obliv.Layer(c, a, ks, n/p, p, p/2, j, true)
 		}
 	}
 	for s := K; s < n; s <<= 1 {
 		c.Check("relops.topk")
-		cexLayer(c, a, ks, n/(2*s), 2*s, K, s, false)
+		obliv.Layer(c, a, ks, n/(2*s), 2*s, K, s, false)
 		for j := K >> 1; j > 0; j >>= 1 {
-			cexLayer(c, a, ks, n/(2*s), 2*s, K/2, j, true)
+			obliv.Layer(c, a, ks, n/(2*s), 2*s, K/2, j, true)
 		}
 	}
 
@@ -55,28 +58,6 @@ func cutFrom(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], k int) {
 	forkjoin.ParallelRange(c, k, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.Set(c, i, obliv.Elem{})
-		}
-	})
-}
-
-// cexLayer runs one layer of the tournament network as a single fork tree
-// over its comparators. Block b (b < nb) starts at b·gap and holds cnt
-// comparators; comparator u pairs the slot u/j·2j + u%j of the block with
-// the slot j to its right, ascending — or, with alt, ascending only in
-// even blocks. j is a power of two, and either j divides cnt (a butterfly
-// layer) or cnt <= j (a half-cleaner run).
-func cexLayer(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, nb, gap, cnt, j int, alt bool) {
-	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		kern := obliv.NewCexKernel(c, a, ks)
-		b, u := lo/cnt, lo%cnt
-		for lo < hi {
-			off := u & (j - 1)
-			m := min(j-off, cnt-u, hi-lo)
-			kern.Run(b*gap+(u-off)<<1+off, j, m, !alt || b&1 == 0)
-			lo += m
-			if u += m; u == cnt {
-				b, u = b+1, 0
-			}
 		}
 	})
 }

@@ -27,7 +27,15 @@ import (
 // union of their already-ordered sides and began merging them (one
 // recorded bitonic merge and its un-merge per send-receive): W 75823884 →
 // 30730236, Span 97639 → 72067, MemOps 45971612 → 18542748, Forks
-// 13743958 → 5455310.
+// 13743958 → 5455310. The join_all and components rows were re-recorded
+// when the bitonic merge and its un-merge moved onto obliv.Layer, whose
+// metered fork tree has one leaf per comparator instead of one per
+// position (half of them idle): only fork and join events moved — the
+// read/write stream, MemOps, Reads and Writes are unchanged, and Work and
+// the trace count fall by two per fork dropped. join_all: Forks 3533002 →
+// 3508426, W 19780464 → 19731312, Span 14601 → 14577, trace count
+// 19280765 → 19231613; components: Forks 5455310 → 5131726, W 30730236 →
+// 30083068, Span 72067 → 71411, trace count 29453368 → 28806200.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -133,8 +141,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := specCounts{Work: 19780464, Span: 14601, MemOps: 12214761, Forks: 3533002,
-			Trace: trace.Fingerprint{Hash: 3491173136911289372, Count: 19280765}}
+		want := specCounts{Work: 19731312, Span: 14577, MemOps: 12214761, Forks: 3508426,
+			Trace: trace.Fingerprint{Hash: 14196845382905693148, Count: 19231613}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("JoinAllRows 2^8 × 2^10 cap 2^10: %+v, recorded %+v", got, want)
 		}
@@ -144,8 +152,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := specCounts{Work: 30730236, Span: 72067, MemOps: 18542748, Forks: 5455310,
-			Trace: trace.Fingerprint{Hash: 9636930400635641726, Count: 29453368}}
+		want := specCounts{Work: 30083068, Span: 71411, MemOps: 18542748, Forks: 5131726,
+			Trace: trace.Fingerprint{Hash: 11227646855648497790, Count: 28806200}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
