@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke docker clean
 
 all: vet build test
 
@@ -32,6 +32,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails if any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # check-inline pins the claim in the internal/mem package doc: outside
 # metered mode Get/Set are a nil check and a slice index. That holds only
 # while forkjoin.(*Ctx).Access and, through it, mem.Array.Get/Set stay under
@@ -48,9 +52,10 @@ check-inline:
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
 # reverse keys, plain and recording its swap bits (the three orders must
-# cost the same in each mode), the keyed bitonic sort per leaf size, a
-# routed Beneš network and its switch over all-clear / all-set / random
-# settings (the three must cost the same), the shuffle
+# cost the same in each mode), the keyed bitonic sort per leaf size and
+# the same network with the reproduction's key closure, a routed Beneš
+# network and its switch over all-clear / all-set / random settings (the
+# three must cost the same), the shuffle
 # composition's per-stage split (permutation, routing, apply, tie words,
 # sample sort), the keyed sample sort alone, a transpose, the
 # bitonic-vs-shuffle backend ratio around the crossover, the top-k

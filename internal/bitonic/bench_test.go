@@ -14,7 +14,8 @@ import (
 // executor and on a 2-worker pool. It is the measurement behind DefaultLeaf:
 // the leaf is where the raw block comparator runs, so a larger leaf trades
 // forks, transposes and their closures for straight-line runs until the
-// leaf outgrows the cache.
+// leaf outgrows the cache. The closure leg runs the same network at
+// DefaultLeaf with the key closure, per access — the reproduction's path.
 func BenchmarkBitonicLeaf(b *testing.B) {
 	const n = 1 << 15
 	in := randElems(3, n)
@@ -33,9 +34,9 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 		{"serial", func(fn func(*forkjoin.Ctx)) { fn(forkjoin.Serial()) }},
 		{"pool2", pool.Run},
 	}
-	for _, leaf := range []int{32, 256, 512, 1024, 2048, 4096} {
+	bench := func(name string, sort func(c *forkjoin.Ctx)) {
 		for _, ex := range execs {
-			b.Run(fmt.Sprintf("leaf=%d/%s", leaf, ex.name), func(b *testing.B) {
+			b.Run(name+"/"+ex.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					copy(a.Data(), in)
@@ -43,10 +44,14 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 						ks.Plane(0).Data()[j] = e.Key
 					}
 					b.StartTimer()
-					ex.run(func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, leaf) })
+					ex.run(sort)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 			})
 		}
 	}
+	for _, leaf := range []int{32, 256, 512, 1024, 2048, 4096} {
+		bench(fmt.Sprintf("leaf=%d", leaf), func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, leaf) })
+	}
+	bench("closure", func(c *forkjoin.Ctx) { SortCA(c, a, scr, 0, n, true, DefaultLeaf, keyFn) })
 }

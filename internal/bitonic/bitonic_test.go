@@ -1,6 +1,7 @@
 package bitonic
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,20 @@ var keyFn = func(e obliv.Elem) uint64 { return e.Key }
 
 // keyWords is keyFn as a width-1 key-schedule emitter.
 var keyWords = func(e obliv.Elem, out []uint64) { out[0] = e.Key }
+
+// atLeaf is the CacheAgnostic sorter at an explicit serial-leaf size (the
+// metered executor forces leaf 2 whatever it is).
+type atLeaf int
+
+func (l atLeaf) Name() string { return fmt.Sprintf("bitonic-cache-agnostic leaf=%d", int(l)) }
+
+func (l atLeaf) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
+	SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), lo, n, true, int(l), key)
+}
+
+func (l atLeaf) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
+	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, int(l))
+}
 
 func randElems(seed uint64, n int) []obliv.Elem {
 	src := prng.New(seed)
@@ -131,7 +146,7 @@ func TestCacheAgnosticSubrange(t *testing.T) {
 	raw := randElems(11, 96)
 	s := mem.NewSpace()
 	a := mem.FromSlice(s, raw)
-	CacheAgnostic{Leaf: 4}.Sort(forkjoin.Serial(), s, a, 16, 64, keyFn)
+	atLeaf(4).Sort(forkjoin.Serial(), s, a, 16, 64, keyFn)
 	for i := 0; i < 16; i++ {
 		if a.Data()[i] != raw[i] {
 			t.Fatal("prefix modified")
@@ -240,7 +255,7 @@ func TestTraceObliviousAllVariants(t *testing.T) {
 // exactly the permutation the closure-keyed Sort produces (same comparator
 // schedule, same outcomes), and must keep the key array in lockstep.
 func TestScheduledMatchesClosureSort(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, atLeaf(2)}
 	for _, v := range variants {
 		for _, n := range []int{1, 2, 8, 64, 256, 1024} {
 			for seed := uint64(0); seed < 3; seed++ {
@@ -274,7 +289,7 @@ func TestScheduledMatchesClosureSort(t *testing.T) {
 
 // TestScheduledSubrange checks the keyed networks honor [lo, lo+n) bounds.
 func TestScheduledSubrange(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{Leaf: 4}}
+	variants := []obliv.ScheduledSorter{atLeaf(4)}
 	for _, v := range variants {
 		raw := randElems(17, 96)
 		s := mem.NewSpace()
@@ -303,22 +318,21 @@ func TestScheduledSubrange(t *testing.T) {
 // positions, so the view must be data-independent.
 func TestScheduledTraceOblivious(t *testing.T) {
 	const n = 128
-	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}} {
-		run := func(seed uint64) *forkjoin.Metrics {
-			raw := randElems(seed, n)
-			s := mem.NewSpace()
-			a := mem.FromSlice(s, raw)
-			ks := obliv.AllocKeySchedule(s, n, 1)
-			scr := mem.Alloc[obliv.Elem](s, n)
-			kscr := obliv.AllocKeySchedule(s, n, 1)
-			return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-				obliv.BuildKeySchedule(c, a, ks, 0, n, keyWords)
-				v.SortScheduled(c, s, a, ks, scr, kscr, 0, n)
-			})
-		}
-		if !run(1).Trace.Equal(run(2).Trace) {
-			t.Fatalf("%s: keyed access pattern depends on data", v.Name())
-		}
+	v := CacheAgnostic{}
+	run := func(seed uint64) *forkjoin.Metrics {
+		raw := randElems(seed, n)
+		s := mem.NewSpace()
+		a := mem.FromSlice(s, raw)
+		ks := obliv.AllocKeySchedule(s, n, 1)
+		scr := mem.Alloc[obliv.Elem](s, n)
+		kscr := obliv.AllocKeySchedule(s, n, 1)
+		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
+			obliv.BuildKeySchedule(c, a, ks, 0, n, keyWords)
+			v.SortScheduled(c, s, a, ks, scr, kscr, 0, n)
+		})
+	}
+	if !run(1).Trace.Equal(run(2).Trace) {
+		t.Fatalf("%s: keyed access pattern depends on data", v.Name())
 	}
 }
 
@@ -393,7 +407,7 @@ func TestCacheAgnosticBeatsNaiveOnSpan(t *testing.T) {
 		})
 		return m.Span
 	}
-	if ca, naive := span(CacheAgnostic{Leaf: 4}), span(Naive{}); ca >= naive {
+	if ca, naive := span(CacheAgnostic{}), span(Naive{}); ca >= naive {
 		t.Fatalf("cache-agnostic span %d not below naive %d", ca, naive)
 	}
 }
@@ -402,7 +416,7 @@ func TestQuickRandomInputsAllSorters(t *testing.T) {
 	f := func(seed uint64, sizeExp uint8) bool {
 		n := 1 << (sizeExp%8 + 1) // 2..256
 		raw := randElems(seed, n)
-		for _, v := range []obliv.Sorter{CacheAgnostic{Leaf: 4}, Naive{}, OddEven{}} {
+		for _, v := range []obliv.Sorter{atLeaf(4), Naive{}, OddEven{}} {
 			s := mem.NewSpace()
 			a := mem.FromSlice(s, raw)
 			v.Sort(forkjoin.Serial(), s, a, 0, n, keyFn)
@@ -455,7 +469,7 @@ func randWideElems(seed uint64, n int) []obliv.Elem {
 // elements by (Key, Key2) lexicographically and keep both planes in
 // lockstep.
 func TestScheduledWideKeysMatchReference(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, obliv.SelectionNetwork{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, atLeaf(2), obliv.SelectionNetwork{}}
 	for _, v := range variants {
 		for _, n := range []int{1, 2, 8, 64, 256} {
 			raw := randWideElems(uint64(n)*7+1, n)
@@ -495,22 +509,21 @@ func TestScheduledWideKeysMatchReference(t *testing.T) {
 // unconditionally, so the view must be data-independent at any width.
 func TestScheduledWideTraceOblivious(t *testing.T) {
 	const n = 128
-	for _, v := range []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}} {
-		run := func(seed uint64) *forkjoin.Metrics {
-			raw := randWideElems(seed, n)
-			s := mem.NewSpace()
-			a := mem.FromSlice(s, raw)
-			ks := obliv.AllocKeySchedule(s, n, 2)
-			scr := mem.Alloc[obliv.Elem](s, n)
-			kscr := obliv.AllocKeySchedule(s, n, 2)
-			return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-				obliv.BuildKeySchedule(c, a, ks, 0, n, wideKeyWords)
-				v.SortScheduled(c, s, a, ks, scr, kscr, 0, n)
-			})
-		}
-		if !run(1).Trace.Equal(run(2).Trace) {
-			t.Fatalf("%s: wide keyed access pattern depends on data", v.Name())
-		}
+	v := CacheAgnostic{}
+	run := func(seed uint64) *forkjoin.Metrics {
+		raw := randWideElems(seed, n)
+		s := mem.NewSpace()
+		a := mem.FromSlice(s, raw)
+		ks := obliv.AllocKeySchedule(s, n, 2)
+		scr := mem.Alloc[obliv.Elem](s, n)
+		kscr := obliv.AllocKeySchedule(s, n, 2)
+		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
+			obliv.BuildKeySchedule(c, a, ks, 0, n, wideKeyWords)
+			v.SortScheduled(c, s, a, ks, scr, kscr, 0, n)
+		})
+	}
+	if !run(1).Trace.Equal(run(2).Trace) {
+		t.Fatalf("%s: wide keyed access pattern depends on data", v.Name())
 	}
 }
 
@@ -520,7 +533,7 @@ func TestScheduledWideTraceOblivious(t *testing.T) {
 // original position, with fillers at the tail — i.e. behave like a stable
 // sort — for every network.
 func TestScheduledTiePosIsStable(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, CacheAgnostic{Leaf: 2}, obliv.SelectionNetwork{}}
+	variants := []obliv.ScheduledSorter{CacheAgnostic{}, atLeaf(2), obliv.SelectionNetwork{}}
 	for _, v := range variants {
 		for _, n := range []int{2, 8, 64, 256} {
 			src := prng.New(uint64(n) * 13)

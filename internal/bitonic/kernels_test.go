@@ -54,7 +54,12 @@ func dupHeavy(seed uint64, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule) {
 // metered executor (per-access specification, leaf 2) and the serial and
 // pool executors (raw kernels) must leave identical elements and key planes
 // — at the production leaf in both directions, and at a leaf that forces
-// forks and transposes above small blocks.
+// forks and transposes above small blocks. The closure-key sort and merge
+// run the same recursion with a comparator that goes per access on every
+// executor; their rows pin that its leaves apply the comparators of the
+// fully forked network, directions included, so equal keys end up in the
+// order of the metered specification (the CacheAgnostic rows sort above one
+// leaf, where the second half is a descending leaf).
 func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 	type variant struct {
 		leaf int
@@ -84,12 +89,31 @@ func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 				})
 				oblivtest.SameOnEveryExecutor(t, "merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 					a, scr, ks, kscr := setup(sp)
-					leaf := v.leaf
-					if c.Metered() {
-						leaf = 2
-					}
-					mergeCAKeyedRec(c, a.View(3, n), scr, ks.View(3, n), kscr, 0, n, v.asc, leaf)
+					newNetwork(c, a, scr, ks, kscr, nil, 3, n, v.leaf).merge(c, 0, n, v.asc)
 					return snapshotKeyed(a, ks)
+				})
+			}
+			label := fmt.Sprintf("n=%d leaf=%d asc=%v", n, v.leaf, v.asc)
+			setup := func(sp *mem.Space) (a, scr *mem.Array[obliv.Elem]) {
+				a, scr = mem.Alloc[obliv.Elem](sp, n+5), mem.Alloc[obliv.Elem](sp, n)
+				dupHeavy(uint64(n), a, obliv.AllocKeySchedule(sp, n+5, 1))
+				return
+			}
+			oblivtest.SameOnEveryExecutor(t, "closure sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
+				a, scr := setup(sp)
+				SortCA(c, a, scr, 3, n, v.asc, v.leaf, keyFn)
+				return a.Data()
+			})
+			oblivtest.SameOnEveryExecutor(t, "closure merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
+				a, scr := setup(sp)
+				MergeCA(c, a, scr, 3, n, v.asc, v.leaf, keyFn)
+				return a.Data()
+			})
+			if n > DefaultLeaf {
+				oblivtest.SameOnEveryExecutor(t, "CacheAgnostic.Sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
+					a, _ := setup(sp)
+					CacheAgnostic{}.Sort(c, sp, a, 3, n, keyFn)
+					return a.Data()
 				})
 			}
 		}

@@ -1,19 +1,21 @@
-// Package bitonic implements Batcher's bitonic sorting network [Bat68] in
-// the binary fork-join model, in three flavors:
+// Package bitonic implements two data-independent sorting networks in the
+// binary fork-join model:
 //
-//   - Naive: the direct parallelization that forks the comparators of each
-//     layer — O(n log² n) work, O(log³ n) span, O((n/B)·log² n) cache
-//     misses. This is the baseline the paper's §E.1 improves on.
-//
-//   - CacheAgnostic: the paper's BITONIC-SORT / BITONIC-MERGE (§E.1,
+//   - Batcher's bitonic network [Bat68], evaluated two ways. Naive
+//     (SortIterative) forks the comparators of each layer — O(n log² n)
+//     work, O(log³ n) span, O((n/B)·log² n) cache misses, the baseline the
+//     paper's §E.1 improves on. CacheAgnostic (SortCA, MergeCA,
+//     SortCAKeyed) is the paper's BITONIC-SORT / BITONIC-MERGE (§E.1,
 //     Theorem E.1) with the two-transpose recursive merge — same work,
 //     O(log² n · log log n) span, O((n/B)·log_M n·log(n/M)) cache misses.
+//     Its one recursion takes either of two comparators: a key closure
+//     (the paper reproduction's obliv.Sorter seam) or a cached key
+//     schedule (the production network).
 //
-//   - OddEven: Batcher's odd–even merge sorting network, a second
-//     data-independent sorting network used as the practical stand-in for
-//     AKS (see DESIGN.md deviation 1).
+//   - Batcher's odd–even merge network (OddEven), the practical stand-in
+//     for AKS (see DESIGN.md deviation 1).
 //
-// All three are data-oblivious: the comparator schedule depends only on n.
+// Both are data-oblivious: the comparator schedule depends only on n.
 package bitonic
 
 import (
@@ -54,34 +56,6 @@ func layer(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n, k, j int, asc bool,
 			obliv.CompareExchange(c, a, lo+i, lo+(i|j), dir, key)
 		}
 	})
-}
-
-// mergeSerial applies the log2(m) butterfly layers of a single bitonic
-// merge over a[lo:lo+m] in direction asc, without forking (recursion
-// leaves). The input must be bitonic.
-func mergeSerial(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, m int, asc bool, key func(obliv.Elem) uint64) {
-	for j := m >> 1; j > 0; j >>= 1 {
-		for i := 0; i < m; i++ {
-			if i&j == 0 {
-				obliv.CompareExchange(c, a, lo+i, lo+(i|j), asc, key)
-			}
-		}
-	}
-}
-
-// sortSerial is the full iterative network without forking, used at
-// recursion leaves.
-func sortSerial(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, asc bool, key func(obliv.Elem) uint64) {
-	for k := 2; k <= n; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < n; i++ {
-				if i&j == 0 {
-					dir := (i&k == 0) == asc
-					obliv.CompareExchange(c, a, lo+i, lo+(i|j), dir, key)
-				}
-			}
-		}
-	}
 }
 
 // Comparator is one compare-exchange of the network: positions I < J,

@@ -25,10 +25,7 @@ func NetworkCalls() int64 { return networkCalls.Load() }
 // BITONIC-SORT (§E.1). It is the sorter used by REC-ORBA, REC-SORT and all
 // higher-level primitives in the practical configuration. n must be a
 // power of two.
-type CacheAgnostic struct {
-	// Leaf is the serial-leaf size (DefaultLeaf if zero).
-	Leaf int
-}
+type CacheAgnostic struct{}
 
 var _ obliv.ScheduledSorter = CacheAgnostic{}
 
@@ -36,23 +33,23 @@ var _ obliv.ScheduledSorter = CacheAgnostic{}
 func (CacheAgnostic) Name() string { return "bitonic-cache-agnostic" }
 
 // Sort implements obliv.Sorter.
-func (s CacheAgnostic) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
+func (CacheAgnostic) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	if n <= 1 {
 		return
 	}
 	networkCalls.Add(1)
 	scratch := mem.Alloc[obliv.Elem](sp, n)
-	SortCA(c, a, scratch, lo, n, true, s.Leaf, key)
+	SortCA(c, a, scratch, lo, n, true, 0, key)
 }
 
 // SortScheduled implements obliv.ScheduledSorter (the space is unused; the
 // network sorts through the caller's scratch).
-func (s CacheAgnostic) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
+func (CacheAgnostic) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
 	if n <= 1 {
 		return
 	}
 	networkCalls.Add(1)
-	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, s.Leaf)
+	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, 0)
 }
 
 // Naive is the obliv.Sorter backed by the iterative network with per-layer

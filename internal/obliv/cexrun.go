@@ -7,24 +7,29 @@ import (
 	"oblivmc/internal/mem"
 )
 
-// This file holds the block form of the cached-key comparator and Layer, the
-// one forked driver of the keyed networks run after a sort (the bitonic
-// merge, its recorded un-merge, the top-k tournament). A network is a fixed
-// sequence of layers, and a layer a fixed sequence of runs — the pairs (i+t,
+// This file holds the block form of the comparator and Layer, the one forked
+// driver of the keyed networks run after a sort (the bitonic merge, its
+// recorded un-merge, the top-k tournament). A network is a fixed sequence of
+// layers, and a layer a fixed sequence of runs — the pairs (i+t,
 // i+stride+t), t = 0..cnt-1, all in one direction — so the executor question
 // ("instrumented or not") is asked once per leaf, when the CexKernel is
-// made, instead of once per word. A run compare-exchanges, also records each
-// pair's swap bit, or (without a key schedule) replays recorded bits. Under
-// the metered executor a run is literally a loop over CompareExchangeCachedW
+// made, instead of once per word. A run has four modes: it compare-exchanges
+// by cached key, also records each pair's swap bit, replays recorded bits
+// (no key schedule), or compare-exchanges by a key closure. Under the
+// metered executor a run is literally a loop over CompareExchangeCachedW
 // (replaying: a read of both elements and the bit's word, a rewrite of both
-// elements): that per-access loop is the specification. Under the serial and
-// pool executors widths 1 and 2 (width 1 when recording, the merges' width)
-// go over the raw slices with a comparator that never branches on the
-// comparison outcome: the outcome becomes an all-ones/all-zero mask and both
-// positions are rewritten with mask-selected words, so neither the address
-// sequence nor the branch history of a leaf depends on the data. Wider
-// schedules, and recording at width 2 (the relational layer builds neither),
-// take the per-access loop under every executor.
+// elements; by closure: CompareExchange): that per-access loop is the
+// specification. Under the serial and pool executors widths 1 and 2 (width
+// 1 when recording, the merges' width) go over the raw slices with a
+// comparator that never branches on the comparison outcome: the outcome
+// becomes an all-ones/all-zero mask and both positions are rewritten with
+// mask-selected words, so neither the address sequence nor the branch
+// history of a leaf depends on the data. Wider schedules, and recording at
+// width 2 (the relational layer builds neither), take the per-access loop
+// under every executor, and so does the closure mode: the paper
+// reproduction's cache-agnostic bitonic sort runs its leaves on it
+// (CexKernel.Layer), and the paper's cost model charges the closure per
+// comparator.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -95,6 +100,7 @@ func layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[
 type CexKernel struct {
 	c   *forkjoin.Ctx
 	a   *mem.Array[Elem]
+	key func(Elem) uint64  // non-nil: compare-exchange by key, per access
 	ks  *KeySchedule       // nil: replay rec
 	rec *mem.Array[uint64] // nil: compare-exchange only
 
@@ -108,6 +114,12 @@ type CexKernel struct {
 // executor behind c.
 func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKernel {
 	return newCexKernel(c, a, ks, nil)
+}
+
+// NewCexKernelFunc binds the comparator to a and a key closure: every pair
+// runs per access through CompareExchange, whatever the executor.
+func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64) CexKernel {
+	return CexKernel{c: c, a: a, key: key}
 }
 
 // newCexKernel is NewCexKernel that also records into rec, or, with a nil
@@ -143,7 +155,8 @@ func newCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem
 // under the metered executor a read and a rewrite of the bit's word, at an
 // address fixed by q+t; the raw kernel writes the bit with mask arithmetic
 // and never branches on it. A replaying kernel (no key schedule) instead
-// exchanges pair t iff bit q+t is set, ignoring asc.
+// exchanges pair t iff bit q+t is set, ignoring asc; a closure kernel makes
+// the cnt calls of CompareExchange instead.
 func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 	j := i + stride
 	if k.e != nil {
@@ -163,6 +176,12 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 		return
 	}
 	c, a := k.c, k.a
+	if k.key != nil {
+		for t := 0; t < cnt; t++ {
+			CompareExchange(c, a, i+t, j+t, asc, k.key)
+		}
+		return
+	}
 	for t := 0; t < cnt; t++ {
 		b := q + t
 		if k.ks == nil {
