@@ -53,14 +53,16 @@ check-inline:
 # block kernels: the branchless comparator run over sorted / random /
 # reverse keys, plain and recording its swap bits (the three orders must
 # cost the same in each mode), the keyed bitonic sort per leaf size and
-# the same network with the reproduction's key closure, a routed Beneš
+# the same network with the reproduction's key closure, the recorded sort
+# and its un-sort beside the keyed sort, a routed Beneš
 # network and its switch over all-clear / all-set / random settings (the
 # three must cost the same), the shuffle
 # composition's per-stage split (permutation, routing, apply, tie words,
 # sample sort), the keyed sample sort alone, a transpose, the
 # bitonic-vs-shuffle backend ratio around the crossover, the top-k
 # tournament against the full value sort it replaced, and the PRAM gather
-# and min-combining scatter (the graph layer's merge-based send-receives),
+# (fresh, and a reused Gatherer) and min-combining scatter (the graph
+# layer's merge-based send-receives),
 # and the scheduler beneath them all: a nop fork pair with the thief parked
 # and awake, and the wake-up latency of a fork issued after an idle gap.
 # BENCH_KERNELS_ARGS bounds it, e.g.

@@ -44,7 +44,7 @@ func (op GraphOp) plan(n, m, rounds int) plan.GraphPlan {
 // Components, the iteration count for PageRank, ignored otherwise), e.g.
 //
 //	cc-minhook(n=65536, m=1048576): gather → scatter-min → jump → jump
-//	[7 sorts/round × 4 rounds = 28 sorts]
+//	[1 + 3 sorts/round × 4 rounds = 13 sorts, 12 replays]
 //
 // Like Explain for relational queries, the output is a pure function of
 // the shape — the same accounting the metered-run tests pin.

@@ -235,10 +235,11 @@ func TestEdgeTableRoundTripAndErrors(t *testing.T) {
 	}
 }
 
-// TestGraphSortsPinnedToExecutedSorts: the plan layer's sort accounting
-// for fixed-round components must equal the number of sorts the run
-// actually executes, counted at the bitonic network (one call per sort
-// pass on the bitonic backend).
+// TestGraphSortsPinnedToExecutedSorts: the plan layer's sort and replay
+// accounting for fixed-round components must equal the number of sorts and
+// un-sorts the run actually executes, counted at the bitonic network (one
+// call per sort pass on the bitonic backend, a recorded sort included; one
+// per un-sort).
 func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 	edges := testEdges(31, 24, 32, 50)
 	tab := mustEdgeTable(t, edges)
@@ -256,13 +257,19 @@ func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 		}
 	}
 	const rounds = 3
-	want := GraphOpComponents.plan(n, len(el), rounds).TotalSorts()
-	before := bitonic.NetworkCalls()
+	pl := GraphOpComponents.plan(n, len(el), rounds)
+	if pl.TotalSorts() != 1+3*rounds || pl.TotalReplays() != 3*rounds {
+		t.Fatalf("plan %s: %d sorts, %d replays; want %d and %d", pl, pl.TotalSorts(), pl.TotalReplays(), 1+3*rounds, 3*rounds)
+	}
+	before, replays := bitonic.NetworkCalls(), bitonic.ReplayCalls()
 	if _, _, err := Components(Config{SortBackend: SortBitonic}, tab, rounds); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(bitonic.NetworkCalls() - before); got != want {
-		t.Fatalf("executed %d bitonic sorts, plan predicts %d", got, want)
+	if got := int(bitonic.NetworkCalls() - before); got != pl.TotalSorts() {
+		t.Fatalf("executed %d bitonic sorts, plan predicts %d", got, pl.TotalSorts())
+	}
+	if got := int(bitonic.ReplayCalls() - replays); got != pl.TotalReplays() {
+		t.Fatalf("executed %d un-sorts, plan predicts %d", got, pl.TotalReplays())
 	}
 	if GraphOpComponents.plan(n, len(el), 0).TotalSorts() != -1 {
 		t.Fatal("convergence mode must report -1 (unbounded) total sorts")
@@ -275,9 +282,9 @@ func TestGraphExplainStrings(t *testing.T) {
 		rounds int
 		want   []string
 	}{
-		{GraphOpComponents, 4, []string{"cc-minhook", "7 sorts/round", "4 rounds", "28 sorts"}},
-		{GraphOpComponents, 0, []string{"cc-minhook", "rounds revealed"}},
-		{GraphOpMSF, 0, []string{"msf", "revealed"}},
+		{GraphOpComponents, 4, []string{"cc-minhook", "[1 + 3 sorts/round × 4 rounds = 13 sorts, 12 replays]"}},
+		{GraphOpComponents, 0, []string{"cc-minhook", "[1 + 3 sorts/round, 3 replays/round, rounds revealed]"}},
+		{GraphOpMSF, 0, []string{"msf", "[2 + 9 sorts/round, 7 replays/round × ≤", "revealed"}},
 		{GraphOpPageRank, 5, []string{"pagerank", "5"}},
 	}
 	for _, tc := range cases {

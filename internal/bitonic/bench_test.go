@@ -55,3 +55,62 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 	}
 	bench("closure", func(c *forkjoin.Ctx) { SortCA(c, a, scr, 0, n, true, DefaultLeaf, keyFn) })
 }
+
+// BenchmarkBitonicRecord prices the recorded sort and its un-sort against
+// the plain keyed sort they stand beside, at 2^10 (one leaf) and 2^14 (the
+// graph workload's gather requests), on the serial executor and a 2-worker
+// pool. The record writes one swap bit per comparator on top of the keyed
+// comparator's work; the un-sort reads the bits back and moves elements
+// only — no key schedule, no compare.
+func BenchmarkBitonicRecord(b *testing.B) {
+	pool := forkjoin.NewPool(2)
+	defer pool.Close()
+	execs := []struct {
+		name string
+		run  func(func(*forkjoin.Ctx))
+	}{
+		{"w1", func(fn func(*forkjoin.Ctx)) { fn(forkjoin.Serial()) }},
+		{"w2", pool.Run},
+	}
+	for _, n := range []int{1 << 10, 1 << 14} {
+		in := randElems(5, n)
+		for i := range in {
+			in[i].Aux = uint64(i)
+		}
+		sp := mem.NewSpace()
+		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
+		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+		rec := mem.Alloc[uint64](sp, RecordWords(forkjoin.Serial(), n, 0))
+		load := func() {
+			copy(a.Data(), in)
+			for j, e := range in {
+				ks.Plane(0).Data()[j] = e.Key
+			}
+		}
+		legs := []struct {
+			name  string
+			setup func()
+			run   func(c *forkjoin.Ctx)
+		}{
+			{"keyed", load, func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }},
+			{"record", load, func(c *forkjoin.Ctx) { SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0) }},
+			{"unsort", func() {
+				load()
+				SortCARecorded(forkjoin.Serial(), a, scr, ks, kscr, rec, 0, n, true, 0)
+			}, func(c *forkjoin.Ctx) { UnsortCA(c, a, scr, rec, 0, n, 0) }},
+		}
+		for _, leg := range legs {
+			for _, ex := range execs {
+				b.Run(fmt.Sprintf("n=%d/%s/%s", n, leg.name, ex.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						leg.setup()
+						b.StartTimer()
+						ex.run(leg.run)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+				})
+			}
+		}
+	}
+}

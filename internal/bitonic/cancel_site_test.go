@@ -1,6 +1,7 @@
 package bitonic
 
 import (
+	"reflect"
 	"testing"
 
 	"oblivmc/internal/forkjoin"
@@ -9,36 +10,65 @@ import (
 )
 
 // TestKeyedCancelSite pins the cancellation checkpoint of the keyed
-// network: a tripped token aborts at the public "bitonic.layer" site
-// before any layer runs, and an untripped token leaves the sort intact.
+// network, its recorded sort and its un-sort: a tripped token aborts each at
+// the public "bitonic.layer" site before any layer runs, and an untripped
+// token leaves the sort (and the un-sort's restore) intact.
 func TestKeyedCancelSite(t *testing.T) {
 	const n = 128
 	s := mem.NewSpace()
 	a := mem.FromSlice(s, randElems(7, n))
+	in := append([]obliv.Elem(nil), a.Data()...)
 	ks := obliv.AllocKeySchedule(s, n, 1)
-	obliv.BuildKeySchedule(forkjoin.Serial(), a, ks, 0, n, keyWords)
+	load := func() {
+		copy(a.Data(), in)
+		obliv.BuildKeySchedule(forkjoin.Serial(), a, ks, 0, n, keyWords)
+	}
 
 	scr := mem.Alloc[obliv.Elem](s, n)
 	kscr := obliv.AllocKeySchedule(s, n, 1)
-	sortKeyed := func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }
-
-	cn := new(forkjoin.Cancel)
-	cn.Cancel()
-	var caught any
-	func() {
-		defer func() { caught = recover() }()
-		sortKeyed(forkjoin.SerialCancel(cn))
-	}()
-	ce, ok := caught.(*forkjoin.CanceledError)
-	if !ok {
-		t.Fatalf("tripped token panicked %T (%v), want *CanceledError", caught, caught)
+	rec := mem.Alloc[uint64](s, RecordWords(forkjoin.Serial(), n, 0))
+	sorted := func(label string) func() { return func() { assertSorted(t, a.Data(), label) } }
+	runs := []struct {
+		name  string
+		run   func(c *forkjoin.Ctx)
+		check func() // fails t unless the untripped run's result is right
+	}{
+		{"sort", func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) },
+			sorted("keyed sort with untripped token")},
+		{"recorded sort", func(c *forkjoin.Ctx) { SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0) },
+			sorted("recorded sort with untripped token")},
+		{"un-sort", func(c *forkjoin.Ctx) { UnsortCA(c, a, scr, rec, 0, n, 0) }, func() {
+			if !reflect.DeepEqual(a.Data(), in) {
+				t.Fatal("un-sort with untripped token did not restore the input")
+			}
+		}},
 	}
-	if ce.Site != "bitonic.layer" {
-		t.Fatalf("aborted at site %q, want bitonic.layer", ce.Site)
+	for _, r := range runs {
+		load()
+		if r.name == "un-sort" {
+			SortCARecorded(forkjoin.Serial(), a, scr, ks, kscr, rec, 0, n, true, 0)
+		}
+		before := append([]obliv.Elem(nil), a.Data()...)
+		cn := new(forkjoin.Cancel)
+		cn.Cancel()
+		var caught any
+		func() {
+			defer func() { caught = recover() }()
+			r.run(forkjoin.SerialCancel(cn))
+		}()
+		ce, ok := caught.(*forkjoin.CanceledError)
+		if !ok {
+			t.Fatalf("%s: tripped token panicked %T (%v), want *CanceledError", r.name, caught, caught)
+		}
+		if ce.Site != "bitonic.layer" {
+			t.Fatalf("%s: aborted at site %q, want bitonic.layer", r.name, ce.Site)
+		}
+		// The abort fired before the first layer, so the array is untouched;
+		// an untripped token must now run to completion.
+		if !reflect.DeepEqual(a.Data(), before) {
+			t.Fatalf("%s: the aborted run moved elements", r.name)
+		}
+		r.run(forkjoin.SerialCancel(new(forkjoin.Cancel)))
+		r.check()
 	}
-
-	// The abort fired before the first layer, so the array is untouched; an
-	// untripped token must now run the sort to completion.
-	sortKeyed(forkjoin.SerialCancel(new(forkjoin.Cancel)))
-	assertSorted(t, a.Data(), "keyed sort with untripped token")
 }

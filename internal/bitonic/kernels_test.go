@@ -89,7 +89,7 @@ func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 				})
 				oblivtest.SameOnEveryExecutor(t, "merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 					a, scr, ks, kscr := setup(sp)
-					newNetwork(c, a, scr, ks, kscr, nil, 3, n, v.leaf).merge(c, 0, n, v.asc)
+					newNetwork(c, a, scr, ks, kscr, nil, 3, n, v.leaf).merge(c, 0, n, v.asc, 0)
 					return snapshotKeyed(a, ks)
 				})
 			}

@@ -1,0 +1,140 @@
+package bitonic
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"oblivmc/internal/forkjoin"
+	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
+	"oblivmc/internal/obliv/oblivtest"
+	"oblivmc/internal/prng"
+)
+
+// TestRecordedSortMatchesKeyedAndUnsorts: on the serial executor, a 2-worker
+// pool and the metered executor, the recorded sort leaves exactly the
+// elements and key plane SortCAKeyed leaves, and UnsortCA then restores the
+// input in every field. The pool leg runs leaves concurrently, so under
+// -race two leaves sharing a record word fail here. The metered leg stops
+// at 2^14 (its dense layout has no leaf boundaries to get wrong above
+// that, and 2^16 per access takes ~14 s, ~90 s under -race).
+func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
+	execs := []struct {
+		name string
+		run  func(func(c *forkjoin.Ctx))
+	}{
+		{"serial", func(f func(c *forkjoin.Ctx)) { f(forkjoin.Serial()) }},
+		{"pool2", func(f func(c *forkjoin.Ctx)) { forkjoin.RunParallel(2, f) }},
+		{"metered", func(f func(c *forkjoin.Ctx)) { forkjoin.RunMetered(forkjoin.MeterOpts{}, f) }},
+	}
+	type variant struct {
+		n, leaf int
+		asc     bool
+	}
+	variants := []variant{{64, 8, true}, {64, 8, false}, {1024, 16, true}}
+	for _, n := range []int{2, 64, 1024, 2048, 1 << 14, 1 << 16} {
+		variants = append(variants, variant{n, 0, true})
+	}
+	for _, v := range variants {
+		n := v.n
+		for _, ex := range execs {
+			if ex.name == "metered" && n > 1<<14 {
+				continue
+			}
+			label := fmt.Sprintf("n=%d leaf=%d asc=%v %s", n, v.leaf, v.asc, ex.name)
+			var want, got keyedState
+			var in, back []obliv.Elem
+			ex.run(func(c *forkjoin.Ctx) {
+				sp := mem.NewSpace()
+				a, scr := mem.Alloc[obliv.Elem](sp, n+3), mem.Alloc[obliv.Elem](sp, n)
+				ks, kscr := obliv.AllocKeySchedule(sp, n+3, 1), obliv.AllocKeySchedule(sp, n, 1)
+				dupHeavy(uint64(n)+7, a, ks)
+				in = append([]obliv.Elem(nil), a.Data()...)
+				keys := append([]uint64(nil), ks.Plane(0).Data()...)
+
+				SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
+				want = snapshotKeyed(a, ks)
+
+				copy(a.Data(), in)
+				copy(ks.Plane(0).Data(), keys)
+				rec := mem.Alloc[uint64](sp, RecordWords(c, n, v.leaf))
+				SortCARecorded(c, a, scr, ks, kscr, rec, 3, n, v.asc, v.leaf)
+				got = snapshotKeyed(a, ks)
+				UnsortCA(c, a, scr, rec, 3, n, v.leaf)
+				back = append([]obliv.Elem(nil), a.Data()...)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the recorded sort differs from SortCAKeyed", label)
+			}
+			if !reflect.DeepEqual(back, in) {
+				t.Fatalf("%s: the un-sort did not restore the input", label)
+			}
+		}
+	}
+}
+
+// TestUnsortPermutesNewContents: the un-sort applies the inverse of the
+// recorded permutation to whatever the slots hold — the gather's use, which
+// routes values into the sorted requests before un-sorting them.
+func TestUnsortPermutesNewContents(t *testing.T) {
+	const n = 4096
+	forkjoin.RunParallel(2, func(c *forkjoin.Ctx) {
+		sp := mem.NewSpace()
+		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
+		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+		dupHeavy(11, a, ks)
+		for i := range a.Data() {
+			a.Data()[i].Lbl = uint64(i) // home slot
+		}
+		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
+		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
+		for r := range a.Data() {
+			a.Data()[r].Val = uint64(r) // sorted slot
+		}
+		sorted := append([]obliv.Elem(nil), a.Data()...)
+		UnsortCA(c, a, scr, rec, 0, n, 0)
+		for i, e := range a.Data() {
+			if e.Lbl != uint64(i) || sorted[e.Val].Lbl != uint64(i) {
+				t.Fatalf("slot %d holds home %d from sorted slot %d", i, e.Lbl, e.Val)
+			}
+		}
+	})
+}
+
+// TestRecordLayoutSize pins the swap record's size: one bit per comparator
+// packed densely under the metered executor, and at most one extra word per
+// padded leaf on the serial and pool executors — about 110 KiB at 2^14.
+func TestRecordLayoutSize(t *testing.T) {
+	for _, n := range []int{2, 64, 1024, 2048, 1 << 14, 1 << 16} {
+		k := obliv.Log2(n)
+		dense := (n*k*(k+1)/4 + 63) / 64
+		var metered, serial int
+		forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) { metered = RecordWords(c, n, 0) })
+		serial = RecordWords(forkjoin.Serial(), n, 0)
+		if metered != dense {
+			t.Fatalf("n=%d: metered record %d words, want the dense %d", n, metered, dense)
+		}
+		if serial < dense || serial > dense+dense/16+1 {
+			t.Fatalf("n=%d: padded record %d words, dense %d", n, serial, dense)
+		}
+		if n == 1<<14 && (serial*8 < 105<<10 || serial*8 > 115<<10) {
+			t.Fatalf("2^14 record is %d bytes, want about 110 KiB", serial*8)
+		}
+	}
+}
+
+// TestRecordUnsortTraceLockstep: the recorded sort and its un-sort touch the
+// same addresses for every input of one size — duplicates, ties and
+// fillers included.
+func TestRecordUnsortTraceLockstep(t *testing.T) {
+	oblivtest.Lockstep(t, "record+unsort", 4, 3, 91, func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
+		n := 1 << (1 + shape.Intn(7))
+		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
+		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+		dupHeavy(content.Uint64(), a, ks)
+		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
+		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
+		UnsortCA(c, a, scr, rec, 0, n, 0)
+	})
+}

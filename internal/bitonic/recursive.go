@@ -34,32 +34,116 @@ const DefaultLeaf = 1024
 // words per element widens each comparator's fixed read/write set and
 // nothing else. lo offsets are relative to the start of the top-level
 // range and valid in both buffers.
+//
+// A network with a swap record runs the keyed comparator's record mode
+// (one bit per comparator, set iff it exchanged its pair) or, with no key
+// at all, its replay mode, which the un-sort drives backwards. Bit offsets
+// follow the fork tree: a sort's record is its two halves' records, then
+// its merge's; a merge's is its column merges', then its row merges'; a
+// leaf's is its layers' in order, n/2 bits each (layout).
 type network struct {
 	a, scr   *mem.Array[obliv.Elem]
 	ks, kscr *obliv.KeySchedule
 	key      func(obliv.Elem) uint64
+	rec      *mem.Array[uint64]
+	bits     *layout
 	leaf     int
 }
 
+// leafFor resolves a requested leaf size: DefaultLeaf below 2, and 2 under
+// the metered executor, which measures the span of the fully forked network
+// (grain-1 policy).
+func leafFor(c *forkjoin.Ctx, leaf int) int {
+	if c.Metered() {
+		return 2
+	}
+	if leaf < 2 {
+		return DefaultLeaf
+	}
+	return leaf
+}
+
 // newNetwork views a[lo:lo+n] and the first n elements of scratch (and of
-// ks, kscr if keyed) as a network's buffers, with the leaf size resolved:
-// DefaultLeaf below 2, and 2 under the metered executor, which measures the
-// span of the fully forked network (grain-1 policy).
+// ks, kscr if keyed) as a network's buffers, with the leaf size resolved.
 func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, key func(obliv.Elem) uint64, lo, n, leaf int) network {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")
 	}
-	if leaf < 2 {
-		leaf = DefaultLeaf
-	}
-	if c.Metered() {
-		leaf = 2
-	}
-	nw := network{a: a.View(lo, n), scr: scratch.View(0, n), key: key, leaf: leaf}
+	nw := network{a: a.View(lo, n), scr: scratch.View(0, n), key: key, leaf: leafFor(c, leaf)}
 	if ks != nil {
 		nw.ks, nw.kscr = ks.View(lo, n), kscr.View(0, n)
 	}
 	return nw
+}
+
+// recorded is nw with the swap record rec, which must hold
+// RecordWords(c, n, leaf) words for the network's n elements.
+func (nw network) recorded(c *forkjoin.Ctx, rec *mem.Array[uint64]) network {
+	n := nw.a.Len()
+	nw.rec, nw.bits = rec, newLayout(n, nw.leaf, c.Metered())
+	if rec.Len() < nw.bits.words(n) {
+		panic("bitonic: swap record too short")
+	}
+	return nw
+}
+
+// layout is the swap-record layout of a recorded network: the bit lengths
+// of the records of a sort and of a merge of 2^k elements. A leaf's n/2
+// bits per layer are contiguous, and on the serial and pool executors each
+// leaf's range is padded to whole 64-bit words, so leaves that run
+// concurrently never share a word; the metered executor runs one task at a
+// time and packs the bits densely. The layout is therefore a function of
+// (n, executor kind) — the leaf size is one too — and so is every address
+// the record and its replay touch.
+//
+// Size: one bit per comparator, n/4·log n·(log n + 1) bits ≈
+// n/32·log²n bytes, plus at most one word per padded leaf — 105 KiB dense
+// at n = 2^14 and 110 KiB padded.
+type layout struct {
+	sort, merge [64]int
+}
+
+// newLayout is the layout of sorts of up to n elements at the resolved leaf
+// size: packed densely, or with every leaf padded to whole words.
+func newLayout(n, leaf int, dense bool) *layout {
+	pad := func(b int) int {
+		if dense {
+			return b
+		}
+		return (b + 63) &^ 63
+	}
+	l := new(layout)
+	for k := 1; 1<<k <= n; k++ {
+		m := 1 << k
+		if m <= leaf {
+			l.merge[k] = pad(m / 2 * k)
+			l.sort[k] = pad(m / 2 * k * (k + 1) / 2)
+			continue
+		}
+		k1, k2 := (k+1)/2, k/2
+		l.merge[k] = 1<<k2*l.merge[k1] + 1<<k1*l.merge[k2]
+		l.sort[k] = 2*l.sort[k-1] + l.merge[k]
+	}
+	return l
+}
+
+// words is the record length of a sort of n elements.
+func (l *layout) words(n int) int { return (l.sort[obliv.Log2(n)] + 63) >> 6 }
+
+// sortBits and mergeBits are the record lengths of a sort and of a merge of
+// n elements (0 when nothing is recorded).
+func (nw network) sortBits(n int) int {
+	if nw.bits == nil {
+		return 0
+	}
+	return nw.bits.sort[obliv.Log2(n)]
+}
+
+func (nw network) mergeBits(n int) int {
+	if nw.bits == nil {
+		return 0
+	}
+	return nw.bits.merge[obliv.Log2(n)]
 }
 
 // SortCA is the paper's cache-agnostic, binary fork-join BITONIC-SORT
@@ -70,14 +154,44 @@ func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *ob
 // Costs (Theorem E.1): O(n log² n) work, O(log² n · log log n) span,
 // O((n/B)·log_M n·log(n/M)) cache misses for n > M >= B².
 func SortCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, n int, asc bool, leaf int, key func(obliv.Elem) uint64) {
-	newNetwork(c, a, scratch, nil, nil, key, lo, n, leaf).sort(c, 0, n, asc)
+	newNetwork(c, a, scratch, nil, nil, key, lo, n, leaf).sort(c, 0, n, asc, 0)
 }
 
 // SortCAKeyed is SortCA against a cached key schedule: kscr must match ks's
 // width and cover >= n elements, and neither may alias a or ks. ks is
 // indexed identically to a (ks[lo:lo+n) cache the keys of a[lo:lo+n)).
 func SortCAKeyed(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, lo, n int, asc bool, leaf int) {
-	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).sort(c, 0, n, asc)
+	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).sort(c, 0, n, asc, 0)
+}
+
+// RecordWords is the length in words of the swap record of an n-element
+// recorded sort at the requested leaf size under the executor behind c (see
+// layout for its size).
+func RecordWords(c *forkjoin.Ctx, n, leaf int) int {
+	if n <= 1 {
+		return 0
+	}
+	return newLayout(n, leafFor(c, leaf), c.Metered()).words(n)
+}
+
+// SortCARecorded is SortCAKeyed that also records every comparator's swap
+// bit into rec, which must hold RecordWords(c, n, leaf) words. The record
+// depends on nothing but the comparators' outcomes, so UnsortCA can undo
+// the sort after the elements' contents have changed.
+func SortCARecorded(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int, asc bool, leaf int) {
+	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).recorded(c, rec).sort(c, 0, n, asc, 0)
+}
+
+// UnsortCA undoes SortCARecorded(c, _, _, _, _, rec, lo, n, _, leaf): it
+// runs the same fork tree and transposes backwards — each merge un-merged
+// before its two halves are un-sorted, a merge's row phase before its
+// column phase, a leaf's layers in reverse — and exchanges exactly the
+// pairs the sort exchanged, so every element of a[lo:lo+n) returns to the
+// slot it held before the sort. No key is read. It must run under the same
+// kind of executor (metered or not) as the recorded sort; its access
+// pattern is a function of n and that kind alone.
+func UnsortCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n, leaf int) {
+	newNetwork(c, a, scratch, nil, nil, nil, lo, n, leaf).recorded(c, rec).unsort(c, 0, n, 0)
 }
 
 // MergeCA is the paper's cache-agnostic BITONIC-MERGE (§E.1.2) applied to
@@ -92,16 +206,17 @@ func SortCAKeyed(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *o
 // with m1 = 2^⌈k/2⌉, m2 = m/m1. The recursion structure mirrors the FFT of
 // Frigo et al. [FLPR99].
 func MergeCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, m int, asc bool, leaf int, key func(obliv.Elem) uint64) {
-	newNetwork(c, a, scratch, nil, nil, key, lo, m, leaf).merge(c, 0, m, asc)
+	newNetwork(c, a, scratch, nil, nil, key, lo, m, leaf).merge(c, 0, m, asc, 0)
 }
 
-// kernel is the block comparator of the network's key, bound to its
+// kernel is the block comparator of the network's key (recording into the
+// network's record, or replaying it when there is no key), bound to its
 // element array and to the executor behind c.
 func (nw network) kernel(c *forkjoin.Ctx) obliv.CexKernel {
 	if nw.key != nil {
 		return obliv.NewCexKernelFunc(c, nw.a, nw.key)
 	}
-	return obliv.NewCexKernel(c, nw.a, nw.ks)
+	return obliv.NewCexKernelRecord(c, nw.a, nw.ks, nw.rec)
 }
 
 // swapped is the network with each buffer exchanged for its scratch.
@@ -130,7 +245,8 @@ func (nw network) transpose(c *forkjoin.Ctx, rows, cols int) {
 	}
 }
 
-func (nw network) sort(c *forkjoin.Ctx, lo, n int, asc bool) {
+// sort sorts the block [lo, lo+n) in direction asc, recording at bit q.
+func (nw network) sort(c *forkjoin.Ctx, lo, n int, asc bool, q int) {
 	if n == 1 {
 		return
 	}
@@ -150,30 +266,61 @@ func (nw network) sort(c *forkjoin.Ctx, lo, n int, asc bool) {
 		kern := nw.kernel(c)
 		for p := 2; p <= n; p <<= 1 {
 			for j := p >> 1; j > 0; j >>= 1 {
-				kern.Layer(lo, n, j, p, asc || p < n)
+				kern.Layer(lo, n, j, p, asc || p < n, q)
+				q += n >> 1
 			}
 		}
 		return
 	}
 	half := n / 2
+	hb := nw.sortBits(half)
 	c.Fork(
-		func(c *forkjoin.Ctx) { nw.sort(c, lo, half, true) },
-		func(c *forkjoin.Ctx) { nw.sort(c, lo+half, half, false) },
+		func(c *forkjoin.Ctx) { nw.sort(c, lo, half, true, q) },
+		func(c *forkjoin.Ctx) { nw.sort(c, lo+half, half, false, q+hb) },
 	)
-	nw.merge(c, lo, n, asc)
+	nw.merge(c, lo, n, asc, q+2*hb)
 }
 
-func (nw network) merge(c *forkjoin.Ctx, lo, m int, asc bool) {
-	if m <= nw.leaf {
+// unsort replays sort(c, lo, n, _, q) backwards.
+func (nw network) unsort(c *forkjoin.Ctx, lo, n, q int) {
+	if n == 1 {
+		return
+	}
+	c.Check("bitonic.layer")
+	if n <= nw.leaf {
 		kern := nw.kernel(c)
-		for j := m >> 1; j > 0; j >>= 1 {
-			kern.Layer(lo, m, j, 0, asc)
+		k := obliv.Log2(n)
+		q += k * (k + 1) / 2 * (n >> 1) // past the leaf's last layer
+		for p := n; p >= 2; p >>= 1 {
+			for j := 1; j < p; j <<= 1 {
+				q -= n >> 1
+				kern.Layer(lo, n, j, 0, true, q)
+			}
 		}
 		return
 	}
-	k := obliv.Log2(m)
-	m1 := 1 << ((k + 1) / 2)
-	m2 := m / m1
+	half := n / 2
+	hb := nw.sortBits(half)
+	nw.unmerge(c, lo, n, q+2*hb)
+	c.Fork(
+		func(c *forkjoin.Ctx) { nw.unsort(c, lo, half, q) },
+		func(c *forkjoin.Ctx) { nw.unsort(c, lo+half, half, q+hb) },
+	)
+}
+
+// merge merges the bitonic block [lo, lo+m) in direction asc, recording at
+// bit q.
+func (nw network) merge(c *forkjoin.Ctx, lo, m int, asc bool, q int) {
+	if m <= nw.leaf {
+		kern := nw.kernel(c)
+		for j := m >> 1; j > 0; j >>= 1 {
+			kern.Layer(lo, m, j, 0, asc, q)
+			q += m >> 1
+		}
+		return
+	}
+	m1, m2 := mergeShape(m)
+	b1, b2 := nw.mergeBits(m1), nw.mergeBits(m2)
 
 	// Phase 1: the first ⌈k/2⌉ butterfly layers (distances m/2 .. m2)
 	// become full merges of length m1 on the columns, made contiguous in
@@ -182,13 +329,48 @@ func (nw network) merge(c *forkjoin.Ctx, lo, m int, asc bool) {
 	blk.transpose(c, m1, m2)
 	sw := nw.swapped()
 	forkjoin.ParallelFor(c, 0, m2, 1, func(c *forkjoin.Ctx, i int) {
-		sw.merge(c, lo+i*m1, m1, asc)
+		sw.merge(c, lo+i*m1, m1, asc, q+i*b1)
 	})
 
 	// Phase 2: transpose back and run the remaining layers as merges of
 	// length m2 on the now-contiguous rows.
 	blk.swapped().transpose(c, m2, m1)
 	forkjoin.ParallelFor(c, 0, m1, 1, func(c *forkjoin.Ctx, i int) {
-		nw.merge(c, lo+i*m2, m2, asc)
+		nw.merge(c, lo+i*m2, m2, asc, q+m2*b1+i*b2)
 	})
+}
+
+// unmerge replays merge(c, lo, m, _, q) backwards: the row merges are
+// undone first, then the same two transposes bracket the undone column
+// merges — the first moves the rows back into columns, the second
+// restores the layout the merge started from.
+func (nw network) unmerge(c *forkjoin.Ctx, lo, m, q int) {
+	if m <= nw.leaf {
+		kern := nw.kernel(c)
+		q += obliv.Log2(m) * (m >> 1)
+		for j := 1; j < m; j <<= 1 {
+			q -= m >> 1
+			kern.Layer(lo, m, j, 0, true, q)
+		}
+		return
+	}
+	m1, m2 := mergeShape(m)
+	b1, b2 := nw.mergeBits(m1), nw.mergeBits(m2)
+	forkjoin.ParallelFor(c, 0, m1, 1, func(c *forkjoin.Ctx, i int) {
+		nw.unmerge(c, lo+i*m2, m2, q+m2*b1+i*b2)
+	})
+	blk := nw.at(lo, m)
+	blk.transpose(c, m1, m2)
+	sw := nw.swapped()
+	forkjoin.ParallelFor(c, 0, m2, 1, func(c *forkjoin.Ctx, i int) {
+		sw.unmerge(c, lo+i*m1, m1, q+i*b1)
+	})
+	blk.swapped().transpose(c, m2, m1)
+}
+
+// mergeShape splits a merge of m = 2^k elements into m1 = 2^⌈k/2⌉ columns
+// of m2 = m/m1 rows.
+func mergeShape(m int) (m1, m2 int) {
+	m1 = 1 << ((obliv.Log2(m) + 1) / 2)
+	return m1, m / m1
 }

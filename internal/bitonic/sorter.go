@@ -17,9 +17,16 @@ import (
 var networkCalls atomic.Int64
 
 // NetworkCalls returns the number of bitonic/odd-even network invocations
-// since process start. Tests snapshot it around a run and assert on the
-// delta.
+// since process start (a recorded sort is one). Tests snapshot it around a
+// run and assert on the delta.
 func NetworkCalls() int64 { return networkCalls.Load() }
+
+// replayCalls counts un-sorts (CacheAgnostic.Unsort calls that run a
+// replay), the recorded sorts' inverses; advisory like networkCalls.
+var replayCalls atomic.Int64
+
+// ReplayCalls returns the number of un-sorts since process start.
+func ReplayCalls() int64 { return replayCalls.Load() }
 
 // CacheAgnostic is the obliv.Sorter backed by the paper's cache-agnostic
 // BITONIC-SORT (§E.1). It is the sorter used by REC-ORBA, REC-SORT and all
@@ -27,7 +34,10 @@ func NetworkCalls() int64 { return networkCalls.Load() }
 // power of two.
 type CacheAgnostic struct{}
 
-var _ obliv.ScheduledSorter = CacheAgnostic{}
+var (
+	_ obliv.ScheduledSorter = CacheAgnostic{}
+	_ obliv.RecordingSorter = CacheAgnostic{}
+)
 
 // Name implements obliv.Sorter.
 func (CacheAgnostic) Name() string { return "bitonic-cache-agnostic" }
@@ -50,6 +60,38 @@ func (CacheAgnostic) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[o
 	}
 	networkCalls.Add(1)
 	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, 0)
+}
+
+// RecordWords implements obliv.RecordingSorter.
+func (CacheAgnostic) RecordWords(c *forkjoin.Ctx, n int) int { return RecordWords(c, n, 0) }
+
+// SortRecorded implements obliv.RecordingSorter: SortScheduled that also
+// records one swap bit per comparator.
+func (CacheAgnostic) SortRecorded(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+	if n <= 1 {
+		return
+	}
+	networkCalls.Add(1)
+	SortCARecorded(c, a, scr, ks, kscr, rec, lo, n, true, 0)
+}
+
+// Unsort implements obliv.RecordingSorter by replaying the record backwards.
+func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, a, scr *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n int) {
+	if n <= 1 {
+		return
+	}
+	replayCalls.Add(1)
+	UnsortCA(c, a, scr, rec, lo, n, 0)
+}
+
+// Recorder is srt's obliv.RecordingSorter, or CacheAgnostic for a sorter
+// that does not record (the selection network, a test or timing
+// decorator): a recorded sort always has a network to run on.
+func Recorder(srt obliv.ScheduledSorter) obliv.RecordingSorter {
+	if rs, ok := srt.(obliv.RecordingSorter); ok {
+		return rs
+	}
+	return CacheAgnostic{}
 }
 
 // Naive is the obliv.Sorter backed by the iterative network with per-layer

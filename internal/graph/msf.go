@@ -74,6 +74,10 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		}
 	})
 
+	// The endpoint requests are static: record their sorts once.
+	gu := pram.NewGatherer(c, sp, n, us, srt)
+	gv := pram.NewGatherer(c, sp, n, vs, srt)
+
 	maxIters := (log2ceilInt(n) + 2) * (log2ceilInt(n) + 2)
 	sel := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(m2))
 	for it := 0; it < maxIters; it++ {
@@ -81,8 +85,8 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		// convergence check (see doc), so a cancellation here leaks nothing
 		// beyond the round index.
 		c.Check("graph.round")
-		cu := pram.Gather(c, sp, d, us, srt)
-		cv := pram.Gather(c, sp, d, vs, srt)
+		cu := gu.Gather(c, sp, d)
+		cv := gv.Gather(c, sp, d)
 
 		// Live cross edges and convergence check (count revealed; see doc).
 		live := mem.Alloc[uint64](sp, m2)

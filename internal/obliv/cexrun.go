@@ -9,11 +9,12 @@ import (
 
 // This file holds the block form of the comparator and Layer, the one forked
 // driver of the keyed networks run after a sort (the bitonic merge, its
-// recorded un-merge, the top-k tournament). A network is a fixed sequence of
-// layers, and a layer a fixed sequence of runs — the pairs (i+t,
-// i+stride+t), t = 0..cnt-1, all in one direction — so the executor question
-// ("instrumented or not") is asked once per leaf, when the CexKernel is
-// made, instead of once per word. A run has four modes: it compare-exchanges
+// recorded un-merge, the top-k tournament); the cache-agnostic bitonic
+// recursion runs its leaves on the same comparator, in all four modes. A
+// network is a fixed sequence of layers, and a layer a fixed sequence of
+// runs — the pairs (i+t, i+stride+t), t = 0..cnt-1, all in one direction —
+// so the executor question ("instrumented or not") is asked once per leaf,
+// when the CexKernel is made, instead of once per word. A run has four modes: it compare-exchanges
 // by cached key, also records each pair's swap bit, replays recorded bits
 // (no key schedule), or compare-exchanges by a key closure. Under the
 // metered executor a run is literally a loop over CompareExchangeCachedW
@@ -122,6 +123,13 @@ func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64
 	return CexKernel{c: c, a: a, key: key}
 }
 
+// NewCexKernelRecord is NewCexKernel in the block comparator's other two
+// modes: with a key schedule it also records each pair's swap bit into rec,
+// and with a nil ks it replays rec (Layer's q names the bits).
+func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
+	return newCexKernel(c, a, ks, rec)
+}
+
 // newCexKernel is NewCexKernel that also records into rec, or, with a nil
 // ks, replays rec.
 func newCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
@@ -212,12 +220,14 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 // i0 = 0, 2·stride, 4·stride, … < n the run of stride pairs at lo+i0, in
 // ascending i0. A run is ordered ascending if (i0&period == 0) == asc and
 // descending otherwise — period 0 is a merge layer (one direction), period
-// k the layer of a bitonic sort building sorted sequences of length k. It
-// is the serial leaf loop of the bitonic sorts: unlike the forked Layer it
-// does no per-run index arithmetic, which matters at strides 1 and 2.
-func (k *CexKernel) Layer(lo, n, stride, period int, asc bool) {
+// k the layer of a bitonic sort building sorted sequences of length k. A
+// recording or replaying kernel keeps the layer's n/2 swap bits at q..,
+// pair t of the run at i0 as bit q + i0/2 + t. It is the serial leaf loop
+// of the bitonic sorts: unlike the forked Layer it does no per-run index
+// arithmetic, which matters at strides 1 and 2.
+func (k *CexKernel) Layer(lo, n, stride, period int, asc bool, q int) {
 	for i0 := 0; i0 < n; i0 += 2 * stride {
-		k.run(lo+i0, stride, stride, (i0&period == 0) == asc, 0)
+		k.run(lo+i0, stride, stride, (i0&period == 0) == asc, q+i0>>1)
 	}
 }
 

@@ -71,10 +71,10 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 				a, ks := dupHeavyInput(sp, 22, 140, w)
 				kern := NewCexKernel(c, a, ks)
 				for j := 64; j > 0; j >>= 1 {
-					kern.Layer(5, 128, j, 0, asc) // a merge
+					kern.Layer(5, 128, j, 0, asc, 0) // a merge
 				}
 				for j := 8; j > 0; j >>= 1 {
-					kern.Layer(5, 128, j, 16, asc) // a sort layer group: direction flips every 16
+					kern.Layer(5, 128, j, 16, asc, 0) // a sort layer group: direction flips every 16
 				}
 				return snapshotKeyed(a, ks)
 			})

@@ -659,12 +659,12 @@ func TestSendReceiveParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSendReceiveSortedTraceOblivious: per sortedness mode the trace is a
-// function of (ns, nd) alone — different keys, duplicate and missing keys
-// and non-Real entries on either side leave it unchanged — while another
-// shape or another mode changes it.
+// TestSendReceiveSortedTraceOblivious: per mode (sorted union, merge of
+// sorted sides) the trace is a function of (ns, nd) alone — different
+// keys, duplicate and missing keys and non-Real entries on either side
+// leave it unchanged — while another shape or the other mode changes it.
 func TestSendReceiveSortedTraceOblivious(t *testing.T) {
-	body := func(mode sortedSides, sk, dk []uint64, real func(i int) bool) oblivtest.Body {
+	body := func(srt ScheduledSorter, sk, dk []uint64, real func(i int) bool) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
 			srcs := make([]Elem, len(sk))
 			for i, k := range sk {
@@ -677,21 +677,20 @@ func TestSendReceiveSortedTraceOblivious(t *testing.T) {
 			for j, k := range dk {
 				dsts[j] = Elem{Key: k, Kind: Real}
 			}
-			sendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), SelectionNetwork{}, mode)
+			sendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), srt)
 		}
 	}
 	all := func(int) bool { return true }
 	odd := func(i int) bool { return i%2 == 1 }
-	for _, mode := range []sortedSides{sortedNone, sortedSources, sortedBoth} {
-		label := fmt.Sprintf("mode %d", mode)
+	for _, srt := range []ScheduledSorter{SelectionNetwork{}, nil} {
+		label := fmt.Sprintf("sorter %v", srt)
 		oblivtest.FingerprintEqual(t, label,
-			body(mode, []uint64{1, 2, 3, 4, 5}, []uint64{1, 1, 2}, all),
-			body(mode, []uint64{0, 7, 7, 9, 12}, []uint64{3, 8, 40}, odd),
-			body(mode, []uint64{20, 21, 22, 23, 24}, []uint64{20, 24, 24}, all))
+			body(srt, []uint64{1, 2, 3, 4, 5}, []uint64{1, 1, 2}, all),
+			body(srt, []uint64{0, 7, 7, 9, 12}, []uint64{3, 8, 40}, odd),
+			body(srt, []uint64{20, 21, 22, 23, 24}, []uint64{20, 24, 24}, all))
 		oblivtest.Different(t, label+" shape",
-			body(mode, []uint64{1, 2, 3, 4, 5}, []uint64{1, 1, 2}, all),
-			body(mode, []uint64{1, 2, 3, 4}, []uint64{1, 1, 2, 3}, all))
+			body(srt, []uint64{1, 2, 3, 4, 5}, []uint64{1, 1, 2}, all),
+			body(srt, []uint64{1, 2, 3, 4}, []uint64{1, 1, 2, 3}, all))
 	}
-	oblivtest.Different(t, "none vs sources", body(sortedNone, []uint64{1, 2, 3}, []uint64{1, 2}, all), body(sortedSources, []uint64{1, 2, 3}, []uint64{1, 2}, all))
-	oblivtest.Different(t, "sources vs both", body(sortedSources, []uint64{1, 2, 3}, []uint64{1, 2}, all), body(sortedBoth, []uint64{1, 2, 3}, []uint64{1, 2}, all))
+	oblivtest.Different(t, "union vs merge", body(SelectionNetwork{}, []uint64{1, 2, 3}, []uint64{1, 2}, all), body(nil, []uint64{1, 2, 3}, []uint64{1, 2}, all))
 }

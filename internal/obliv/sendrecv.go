@@ -35,44 +35,30 @@ import (
 // *input* order wins (the TiePos tie-break orders equal-key sources by
 // their original index, deterministically on every backend).
 func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter) *mem.Array[Elem] {
-	return sendReceive(c, sp, sources, dests, srt, sortedNone)
+	return sendReceive(c, sp, sources, dests, srt)
 }
 
-// SendReceiveSorted is SendReceive for callers that already hold the
-// sources in key order, and with destsSorted the destinations too — which
-// sides are sorted is call-site structure, never data. The result is
-// SendReceive's. Instead of sorting the union it merges: the sources
-// ascend at the front of a NextPow2(ns+nd) work array and the key-ordered
-// destinations descend at its back, so one recorded bitonic merge
-// interleaves them, the propagation routes, and replaying the recorded
-// swaps backwards (the un-merge) returns every destination to its slot.
-// Cost: with destsSorted no sort at all; without, two sorts of
-// NextPow2(nd) elements (the destinations by key before the merge, back to
-// request order after it). Each merge and un-merge is log2 of the work
-// length comparator layers, plus one swap bit per comparator.
+// SendReceiveSorted is SendReceive for callers that already hold both
+// sides in key order — which is call-site structure, never data. Instead
+// of sorting the union it merges: the sources ascend at the front of a
+// NextPow2(ns+nd) work array and the destinations descend at its back, so
+// one recorded bitonic merge interleaves them, the propagation routes, and
+// replaying the recorded swaps backwards (the un-merge) returns every
+// destination to its slot. No sort at all: log2 of the work length
+// comparator layers each way, plus one swap bit per comparator. The result
+// parallels dests like SendReceive's, except that entry j carries
+// dests[j].Aux rather than j, so a caller that permuted its requests into
+// key order (pram.Gatherer) can tag each one with its home index.
 //
 // Precondition: sources ascend by Key, and at equal keys every Real
 // source precedes every non-Real one (a non-Real source stays inert but
-// keeps its place in the run, so its Key must not break the order). With
-// destsSorted, dests ascend by Key and every non-Real destination comes
-// last. Violating it yields wrong values, never a different trace: the
-// access pattern is a function of (ns, nd, destsSorted) alone.
-func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter, destsSorted bool) *mem.Array[Elem] {
-	sorted := sortedSources
-	if destsSorted {
-		sorted = sortedBoth
-	}
-	return sendReceive(c, sp, sources, dests, srt, sorted)
+// keeps its place in the run, so its Key must not break the order); dests
+// ascend by Key and every non-Real destination comes last. Violating it
+// yields wrong values, never a different trace: the access pattern is a
+// function of (ns, nd) alone.
+func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]) *mem.Array[Elem] {
+	return sendReceive(c, sp, sources, dests, nil)
 }
-
-// sortedSides names the sides of a send-receive that arrive in key order.
-type sortedSides uint8
-
-const (
-	sortedNone    sortedSides = iota // sort the union, propagate, sort back
-	sortedSources                    // sort dests, merge, propagate, un-merge, sort dests back
-	sortedBoth                       // merge, propagate, un-merge
-)
 
 const (
 	tagSource = 0
@@ -95,25 +81,28 @@ func routeKey(e Elem) uint64 {
 	return InfKey
 }
 
-// destEntry is the work-array entry of destination j.
-func destEntry(d Elem, j int) Elem {
-	e := Elem{Key: d.Key, Aux: uint64(j), Tag: tagDest, Kind: Real}
+// destEntry is the work-array entry of a destination d tagged aux.
+func destEntry(d Elem, aux uint64) Elem {
+	e := Elem{Key: d.Key, Aux: aux, Tag: tagDest, Kind: Real}
 	if d.Kind != Real {
 		e.Kind = Temp // keyed past every source, so it comes back ⊥
 	}
 	return e
 }
 
-func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter, sorted sortedSides) *mem.Array[Elem] {
+// sendReceive is SendReceive through srt, or, with a nil srt, the merge of
+// SendReceiveSorted.
+func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter) *mem.Array[Elem] {
 	ns, nd := sources.Len(), dests.Len()
 	wLen := NextPow2(ns + nd)
 	w := mem.Alloc[Elem](sp, wLen) // unwritten slots are fillers
+	sorted := srt == nil
 
 	// The merge orders by a key plane written during the loads: a sorted
 	// source keys its bare Key even when it is not Real, so the source run
 	// ascends as the caller sorted it.
 	var ks *KeySchedule
-	if sorted != sortedNone {
+	if sorted {
 		ks = AllocKeySchedule(sp, wLen, 1)
 	}
 	forkjoin.ParallelRange(c, 0, ns, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
@@ -131,47 +120,21 @@ func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		}
 	})
 
-	var ksort KeyedSort       // the sorts' schedule and scratch
-	var back *mem.Array[Elem] // the array routed destinations are read from
-	at := func(j int) int { return j }
-	switch sorted {
-	case sortedNone:
-		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				d := dests.Get(c, j)
-				c.Op(1)
-				w.Set(c, ns+j, destEntry(d, j))
-			}
-		})
-		// One schedule plus scratch, shared by both sorts.
-		ksort = NewKeyedSort(sp, wLen, srt)
-		// Sort by key with sources before destinations at equal keys.
-		ksort.Sort(c, w, 0, wLen, routeKey)
-		back = w
-	case sortedSources:
-		// Sort the destinations alone by key into their own pow2 array,
-		// then lay them out like already-sorted ones.
-		dLen := NextPow2(nd)
-		back = mem.Alloc[Elem](sp, dLen)
-		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				d := dests.Get(c, j)
-				c.Op(1)
-				back.Set(c, j, destEntry(d, j))
-			}
-		})
-		ksort = NewKeyedSort(sp, dLen, srt)
-		ksort.Sort(c, back, 0, dLen, routeKey)
-		loadDestsReversed(c, w, ks, nd, func(c *forkjoin.Ctx, r int) Elem { return back.Get(c, r) })
-	case sortedBoth:
-		loadDestsReversed(c, w, ks, nd, func(c *forkjoin.Ctx, j int) Elem { return destEntry(dests.Get(c, j), j) })
-		back = w
-		at = func(j int) int { return wLen - 1 - j }
-	}
+	var ksort KeyedSort // the sorts' schedule and scratch
 	var rec *mem.Array[uint64]
-	if sorted != sortedNone {
-		// Fillers between the runs key InfKey: sources up, fillers, key-
-		// ordered destinations down — bitonic by construction.
+	if sorted {
+		// Sources up, InfKey fillers, key-ordered destinations down at
+		// w[wLen-1-j] — bitonic by construction.
+		top := wLen - 1
+		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				d := dests.Get(c, j)
+				e := destEntry(d, d.Aux)
+				c.Op(1)
+				w.Set(c, top-j, e)
+				ks.planes[0].Set(c, top-j, routeKey(e))
+			}
+		})
 		forkjoin.ParallelRange(c, ns, wLen-nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 			for p := lo; p < hi; p++ {
 				ks.planes[0].Set(c, p, InfKey)
@@ -179,6 +142,18 @@ func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		})
 		rec = mem.Alloc[uint64](sp, mergeRecordWords(wLen))
 		mergeBitonic(c, w, ks, wLen, rec)
+	} else {
+		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				d := dests.Get(c, j)
+				c.Op(1)
+				w.Set(c, ns+j, destEntry(d, uint64(j)))
+			}
+		})
+		// One schedule plus scratch, shared by both sorts.
+		ksort = NewKeyedSort(sp, wLen, srt)
+		// Sort by key with sources before destinations at equal keys.
+		ksort.Sort(c, w, 0, wLen, routeKey)
 	}
 
 	// Propagate each key-group's source value to the whole group.
@@ -197,20 +172,12 @@ func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 			return e
 		})
 
-	if rec != nil {
+	if sorted {
 		// Every destination back at the slot it was merged from.
 		unmergeBitonic(c, w, wLen, rec)
-	}
-	if sorted == sortedSources {
-		forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				back.Set(c, r, w.Get(c, wLen-1-r))
-			}
-		})
-	}
-	if sorted != sortedBoth {
+	} else {
 		// Sort destinations back to request order; everything else last.
-		ksort.Sort(c, back, 0, back.Len(), func(e Elem) uint64 {
+		ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
 			if e.Tag == tagDest {
 				return e.Aux
 			}
@@ -221,7 +188,11 @@ func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 	out := mem.Alloc[Elem](sp, nd)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			e := back.Get(c, at(j))
+			at := j
+			if sorted {
+				at = wLen - 1 - j // the reversed destination run
+			}
+			e := w.Get(c, at)
 			r := Elem{Key: e.Key, Val: e.Val, Aux: e.Aux, Kind: Real}
 			if e.Mark == 0 {
 				r.Kind = Filler // ⊥: key not found
@@ -230,19 +201,4 @@ func sendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 		}
 	})
 	return out
-}
-
-// loadDestsReversed writes the key-ordered destination entry r = dest(r)
-// for r < nd at w[len-1-r], with its routing key in ks: the back of the
-// work array descends.
-func loadDestsReversed(c *forkjoin.Ctx, w *mem.Array[Elem], ks *KeySchedule, nd int, dest func(c *forkjoin.Ctx, r int) Elem) {
-	top := w.Len() - 1
-	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			e := dest(c, r)
-			c.Op(1)
-			w.Set(c, top-r, e)
-			ks.planes[0].Set(c, top-r, routeKey(e))
-		}
-	})
 }

@@ -11,13 +11,13 @@ import (
 	"oblivmc/internal/prng"
 )
 
-// sendRecvCase draws a send-receive input whose sources ascend by Key with
-// Real entries first at equal keys (SendReceiveSorted's precondition): few
-// distinct keys so duplicate source and destination keys are common, about
-// one entry in five not Real on either side, and now and then the largest
-// legal key. With destsSorted the destinations are put in key order, every
-// non-Real one last.
-func sendRecvCase(seed uint64, ns, nd int, destsSorted bool) (srcs, dsts []obliv.Elem) {
+// sendRecvCase draws a send-receive input with both sides in
+// SendReceiveSorted's order: sources ascending by Key with Real entries
+// first at equal keys, destinations in key order with every non-Real one
+// last. Few distinct keys, so duplicate source and destination keys are
+// common, about one entry in five not Real on either side, and now and
+// then the largest legal key. Each destination's Aux is its draw index.
+func sendRecvCase(seed uint64, ns, nd int) (srcs, dsts []obliv.Elem) {
 	src := prng.New(seed)
 	key := func() uint64 {
 		if src.Uint64n(16) == 0 {
@@ -43,13 +43,11 @@ func sendRecvCase(seed uint64, ns, nd int, destsSorted bool) (srcs, dsts []obliv
 	})
 	dsts = make([]obliv.Elem, nd)
 	for j := range dsts {
-		dsts[j] = obliv.Elem{Key: key(), Val: src.Uint64(), Kind: kind()}
+		dsts[j] = obliv.Elem{Key: key(), Val: src.Uint64(), Aux: uint64(j), Kind: kind()}
 	}
-	if destsSorted {
-		slices.SortStableFunc(dsts, func(x, y obliv.Elem) int {
-			return cmp.Or(cmp.Compare(realRank(x), realRank(y)), cmp.Compare(x.Key, y.Key))
-		})
-	}
+	slices.SortStableFunc(dsts, func(x, y obliv.Elem) int {
+		return cmp.Or(cmp.Compare(realRank(x), realRank(y)), cmp.Compare(x.Key, y.Key))
+	})
 	return srcs, dsts
 }
 
@@ -61,8 +59,9 @@ func realRank(e obliv.Elem) int {
 }
 
 // TestSendReceiveSortedMatchesSendReceive: the merge-based send-receive
-// returns exactly SendReceive's result, for sorted sources and for both
-// sides sorted, on every backend and on the serial and pool executors.
+// returns exactly SendReceive's result — each destination's own Aux in place
+// of its index — on the serial and pool executors. (Sorted sources against
+// unsorted requests are pram.Gatherer's case, tested there.)
 func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 5, 8, 13, 31, 64, 100}
 	execs := []struct {
@@ -75,24 +74,22 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 	seed := uint64(0)
 	for _, ns := range sizes {
 		for _, nd := range sizes {
-			for _, destsSorted := range []bool{false, true} {
-				seed++
-				srcs, dsts := sendRecvCase(seed, ns, nd, destsSorted)
-				sp := mem.NewSpace()
-				want := obliv.SendReceive(forkjoin.Serial(), sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), obliv.SelectionNetwork{}).Data()
-				for si, srt := range keyedSorters() {
-					for _, ex := range execs {
-						var got []obliv.Elem
-						ex.run(func(c *forkjoin.Ctx) {
-							sp := mem.NewSpace()
-							out := obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), srt, destsSorted)
-							got = append([]obliv.Elem(nil), out.Data()...)
-						})
-						if !slices.Equal(got, want) {
-							t.Fatalf("ns=%d nd=%d destsSorted=%t sorter %d (%s) on %s:\n got %v\nwant %v",
-								ns, nd, destsSorted, si, srt.Name(), ex.name, got, want)
-						}
-					}
+			seed++
+			srcs, dsts := sendRecvCase(seed, ns, nd)
+			sp := mem.NewSpace()
+			want := obliv.SendReceive(forkjoin.Serial(), sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), obliv.SelectionNetwork{}).Data()
+			for j := range want {
+				want[j].Aux = dsts[j].Aux
+			}
+			for _, ex := range execs {
+				var got []obliv.Elem
+				ex.run(func(c *forkjoin.Ctx) {
+					sp := mem.NewSpace()
+					out := obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts))
+					got = append([]obliv.Elem(nil), out.Data()...)
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("ns=%d nd=%d on %s:\n got %v\nwant %v", ns, nd, ex.name, got, want)
 				}
 			}
 		}

@@ -5,31 +5,43 @@ import "fmt"
 // Sort-pass costs of the PRAM-layer primitives the graph operators are
 // assembled from. Both are one send-receive against the memory cells,
 // which are already in address order, so neither sorts the union: a
-// gather sorts its requests by address, merges them with the cells and
-// un-merges, then sorts them back to request order (2 sorts); a
-// conflict-resolved scatter pays one address-keyed request sort, after
-// which requests and cells are both in address order and the cell rewrite
-// is a merge and an un-merge with no sort at all (1 sort). Merges are not
-// sorts and are not counted.
+// gather record-sorts its requests by address, merges them with the cells
+// and un-merges, then un-sorts them back to request order by replaying
+// the record (1 sort, 1 replay); a conflict-resolved scatter pays one
+// address-keyed request sort, after which requests and cells are both in
+// address order and the cell rewrite is a merge and an un-merge with no
+// sort at all (1 sort). A gather over static addresses (pram.Gatherer)
+// records its sort once, outside the rounds, and replays it every round
+// (0 sorts, 1 replay per round). Merges are not sorts and are not
+// counted; replays are counted apart from sorts.
 const (
-	gatherSorts  = 2
-	scatterSorts = 1
-	jumpSorts    = gatherSorts // one pointer jump = one D[D[w]] gather
-	starsSorts   = gatherSorts + scatterSorts + gatherSorts
+	gatherSorts   = 1
+	gatherReplays = 1
+	scatterSorts  = 1
+	jumpSorts     = gatherSorts // one pointer jump = one D[D[w]] gather
+	jumpReplays   = gatherReplays
+	starsSorts    = gatherSorts + scatterSorts + gatherSorts
+	starsReplays  = 2 * gatherReplays
 )
 
-// Per-round / per-iteration sort counts of the graph operators, derived
-// from the primitive costs above (asserted against metered runs by the
-// package tests):
+// Per-round / per-iteration sort and replay counts of the graph operators,
+// derived from the primitive costs above (asserted against executed runs
+// by the package tests):
 //
-//	min-hook CC round  = endpoint gather + min-scatter + 2 jumps
-//	MSF iteration      = 2 endpoint gathers + stars + selection sort
-//	                     + star-root gather + 2 scatters + D[D] gather + jump
+//	min-hook CC round  = static endpoint gather (replay only) + min-scatter
+//	                     + 2 jumps; base: the endpoint gather's sort
+//	MSF iteration      = 2 static endpoint gathers (replays only) + stars
+//	                     + selection sort + star-root gather + 2 scatters
+//	                     + D[D] gather + jump; base: the 2 endpoint sorts
 //	PageRank iteration = join-all (3 staged sorts) + grouped sum (2)
 const (
-	ccMinHookRoundSorts = gatherSorts + scatterSorts + 2*jumpSorts
-	msfIterSorts        = 2*gatherSorts + starsSorts + 1 + gatherSorts +
-		2*scatterSorts + gatherSorts + jumpSorts
+	ccMinHookRoundSorts   = scatterSorts + 2*jumpSorts
+	ccMinHookRoundReplays = gatherReplays + 2*jumpReplays
+	ccMinHookBaseSorts    = gatherSorts
+	msfIterSorts          = starsSorts + 1 + gatherSorts + 2*scatterSorts +
+		gatherSorts + jumpSorts
+	msfIterReplays    = 2*gatherReplays + starsReplays + 2*gatherReplays + jumpReplays
+	msfBaseSorts      = 2 * gatherSorts
 	pageRankIterSorts = joinSorts + 2
 	pageRankBaseSorts = 2 // the one-off out-degree grouped count
 )
@@ -84,8 +96,11 @@ type GraphPlan struct {
 	N, M int
 	// SortsPerRound is the fixed sort cost of one round/iteration.
 	SortsPerRound int
+	// ReplaysPerRound counts the un-sorts of one round/iteration: replays
+	// of a recorded sort, which are not sorts.
+	ReplaysPerRound int
 	// BaseSorts counts the sorts outside the iteration (PageRank's
-	// out-degree pass).
+	// out-degree pass; the recorded sorts of the static endpoint gathers).
 	BaseSorts int
 	// Rounds is the round count the totals are computed over: the exact
 	// public count when Fixed, else the worst-case bound of a revealed
@@ -107,11 +122,20 @@ func (p GraphPlan) TotalSorts() int {
 	return p.BaseSorts + p.SortsPerRound*p.Rounds
 }
 
+// TotalReplays is the total un-sort count, exact, bounded or -1 like
+// TotalSorts.
+func (p GraphPlan) TotalReplays() int {
+	if p.Rounds == 0 && !p.Fixed {
+		return -1
+	}
+	return p.ReplaysPerRound * p.Rounds
+}
+
 // String renders the per-round pass structure and the sort accounting in
 // the style of Plan.String, e.g.
 //
 //	cc-minhook(n=65536, m=1048576): gather → scatter-min → jump → jump
-//	[7 sorts/round × 4 rounds = 28 sorts]
+//	[1 + 3 sorts/round × 4 rounds = 13 sorts, 12 replays]
 func (p GraphPlan) String() string {
 	var passes string
 	switch p.Kind {
@@ -129,16 +153,24 @@ func (p GraphPlan) String() string {
 	if p.BaseSorts > 0 {
 		base = fmt.Sprintf("%d + ", p.BaseSorts)
 	}
+	replays := ""
+	switch {
+	case p.ReplaysPerRound == 0:
+	case p.Fixed:
+		replays = fmt.Sprintf(", %d replays", p.TotalReplays())
+	default:
+		replays = fmt.Sprintf(", %d replays/round", p.ReplaysPerRound)
+	}
 	switch {
 	case p.Fixed:
-		return fmt.Sprintf("%s [%s%d sorts/round × %d rounds = %d sorts]",
-			head, base, p.SortsPerRound, p.Rounds, p.TotalSorts())
+		return fmt.Sprintf("%s [%s%d sorts/round × %d rounds = %d sorts%s]",
+			head, base, p.SortsPerRound, p.Rounds, p.TotalSorts(), replays)
 	case p.Rounds > 0:
-		return fmt.Sprintf("%s [%s%d sorts/round × ≤%d rounds, count revealed]",
-			head, base, p.SortsPerRound, p.Rounds)
+		return fmt.Sprintf("%s [%s%d sorts/round%s × ≤%d rounds, count revealed]",
+			head, base, p.SortsPerRound, replays, p.Rounds)
 	default:
-		return fmt.Sprintf("%s [%s%d sorts/round, rounds revealed]",
-			head, base, p.SortsPerRound)
+		return fmt.Sprintf("%s [%s%d sorts/round%s, rounds revealed]",
+			head, base, p.SortsPerRound, replays)
 	}
 }
 
@@ -150,12 +182,16 @@ func BuildGraph(s GraphShape) GraphPlan {
 	switch s.Kind {
 	case GraphCC:
 		p.SortsPerRound = ccMinHookRoundSorts
+		p.ReplaysPerRound = ccMinHookRoundReplays
+		p.BaseSorts = ccMinHookBaseSorts
 		if s.Rounds > 0 {
 			p.Rounds = s.Rounds
 			p.Fixed = true
 		}
 	case GraphMSF:
 		p.SortsPerRound = msfIterSorts
+		p.ReplaysPerRound = msfIterReplays
+		p.BaseSorts = msfBaseSorts
 		b := log2ceil(s.N) + 2
 		p.Rounds = b * b // revealed early-exit bound, not a fixed count
 	case GraphPageRank:

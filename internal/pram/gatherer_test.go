@@ -1,0 +1,119 @@
+package pram
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"oblivmc/internal/core"
+	"oblivmc/internal/forkjoin"
+	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
+	"oblivmc/internal/prng"
+)
+
+// directGather is the reference read: memory[addrs[i]], or ⊥.
+func directGather(memory, addrs []uint64) []obliv.Elem {
+	out := make([]obliv.Elem, len(addrs))
+	for i, a := range addrs {
+		out[i] = obliv.Elem{Key: a, Aux: uint64(i), Kind: obliv.Filler}
+		if a < uint64(len(memory)) {
+			out[i].Val, out[i].Kind = memory[a], obliv.Real
+		}
+	}
+	return out
+}
+
+// gatherCase draws p addresses into s cells — few distinct ones, so
+// duplicates are common, and about one in six out of range — and three
+// memory contents.
+func gatherCase(seed uint64, s, p int) (addrs []uint64, mems [3][]uint64) {
+	src := prng.New(seed)
+	addrs = make([]uint64, p)
+	for i := range addrs {
+		addrs[i] = src.Uint64n(uint64(s)/2 + 1)
+		if src.Uint64n(6) == 0 {
+			addrs[i] = uint64(s) + src.Uint64n(4)
+		}
+	}
+	for k := range mems {
+		mems[k] = make([]uint64, s)
+		for i := range mems[k] {
+			mems[k][i] = src.Uint64()
+		}
+	}
+	return addrs, mems
+}
+
+// TestGathererMatchesGatherAndDirect: one Gatherer reused over three memory
+// contents returns, each time, exactly a fresh Gather's result, and both
+// match direct indexing (Key = the requested address, ⊥ out of range) —
+// for power-of-two and other request counts, p = 1, out-of-range and
+// duplicate addresses, on a sorter that records (the network, the shuffle
+// backend) and one that does not (the selection network, which falls back
+// to the network), on the serial and pool executors.
+func TestGathererMatchesGatherAndDirect(t *testing.T) {
+	sizes := []int{1, 2, 3, 5, 8, 13, 31, 64, 100}
+	sorters := []func() obliv.ScheduledSorter{
+		func() obliv.ScheduledSorter { return srt },
+		func() obliv.ScheduledSorter { return &core.ShuffleSorter{Crossover: 2} },
+		func() obliv.ScheduledSorter { return obliv.SelectionNetwork{} },
+	}
+	execs := []struct {
+		name string
+		run  func(func(c *forkjoin.Ctx))
+	}{
+		{"serial", func(f func(c *forkjoin.Ctx)) { f(forkjoin.Serial()) }},
+		{"pool", func(f func(c *forkjoin.Ctx)) { forkjoin.RunParallel(4, f) }},
+	}
+	seed := uint64(0)
+	for _, s := range sizes {
+		for _, p := range sizes {
+			seed++
+			addrs, mems := gatherCase(seed, s, p)
+			for si, mk := range sorters {
+				for _, ex := range execs {
+					label := fmt.Sprintf("s=%d p=%d sorter %d on %s", s, p, si, ex.name)
+					ex.run(func(c *forkjoin.Ctx) {
+						sp := mem.NewSpace()
+						a := mem.FromSlice(sp, slices.Clone(addrs))
+						g := NewGatherer(c, sp, s, a, mk())
+						for k, m := range mems {
+							memory := mem.FromSlice(sp, slices.Clone(m))
+							got := slices.Clone(g.Gather(c, sp, memory).Data())
+							fresh := Gather(c, sp, memory, a, mk()).Data()
+							want := directGather(m, addrs)
+							if !slices.Equal(got, fresh) {
+								t.Fatalf("%s memory %d: reused gatherer %v, fresh Gather %v", label, k, got, fresh)
+							}
+							for i := range want {
+								if got[i].Kind != want[i].Kind || got[i].Aux != want[i].Aux ||
+									(want[i].Kind == obliv.Real && (got[i].Val != want[i].Val || got[i].Key != want[i].Key)) {
+									t.Fatalf("%s memory %d request %d: got %+v, want %+v", label, k, i, got[i], want[i])
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestGathererTraceOblivious: building a gatherer and gathering twice
+// touches the same addresses whatever the addresses requested and the
+// memory contents.
+func TestGathererTraceOblivious(t *testing.T) {
+	run := func(seed uint64) *forkjoin.Metrics {
+		addrs, mems := gatherCase(seed, 20, 37)
+		sp := mem.NewSpace()
+		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
+			g := NewGatherer(c, sp, 20, mem.FromSlice(sp, addrs), srt)
+			g.Gather(c, sp, mem.FromSlice(sp, mems[0]))
+			g.Gather(c, sp, mem.FromSlice(sp, mems[1]))
+		})
+	}
+	if !run(1).Trace.Equal(run(2).Trace) {
+		t.Fatal("gatherer access pattern depends on the addresses or the memory")
+	}
+}

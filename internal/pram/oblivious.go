@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -8,33 +9,85 @@ import (
 
 // Gather obliviously reads memory at the p requested addresses: the result
 // parallels addrs, entry i holding Val = memory[addrs[i]] with Kind = Real,
-// or Kind = Filler if the address is out of range. One send-receive with
-// the memory cells as senders (§4.1 read step); the cells are already in
-// address order, so the send-receive sorts only the p requests (by address,
-// and back to request order) and merges them with the cells: two sorts of
-// NextPow2(p) plus a merge and an un-merge of NextPow2(s+p), O(Wsort(p) +
-// (s+p) log(s+p)).
+// or Kind = Filler if the address is out of range, and Aux = i. It is one
+// gather of a fresh Gatherer: one recorded sort of the P = NextPow2(p)
+// requests by address, one send-receive that merges them with the cells
+// (already in address order) over NextPow2(s+P) slots and un-merges them,
+// and one un-sort that replays the recorded sort backwards —
+// O(Wsort(p) + (s+p) log(s+p)) with a single sort.
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
-	s, p := memory.Len(), addrs.Len()
-	sources := mem.Alloc[obliv.Elem](sp, s)
-	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	return NewGatherer(c, sp, memory.Len(), addrs, srt).Gather(c, sp, memory)
+}
+
+// Gatherer is the §4.1 read step over a fixed address list, for callers
+// that read the same addresses of changing memory contents (the graph
+// kernels' static endpoint requests): the requests are sorted by address
+// once, with the sort's swap record kept, and each Gather is one
+// send-receive with both sides in key order (merge, propagate, un-merge —
+// no sort) followed by an un-sort of the results by replay. A Gatherer's
+// gathers must be issued sequentially (they share its scratch) under the
+// kind of executor (metered or not) it was built under.
+type Gatherer struct {
+	srt  obliv.RecordingSorter
+	s, p int
+	reqs *mem.Array[obliv.Elem] // the NextPow2(p) requests in address order, fillers last
+	scr  *mem.Array[obliv.Elem] // the sort's and every un-sort's scratch
+	rec  *mem.Array[uint64]     // the request sort's swap record
+}
+
+// NewGatherer builds the gatherer of addrs against memories of s cells:
+// the padded request array, record-sorted by address through srt — or
+// through the cache-agnostic bitonic network if srt does not record. An
+// address at or beyond s is out of range and will read ⊥. The access
+// pattern is a function of (s, len(addrs)) and the executor kind alone.
+func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *Gatherer {
+	rs := bitonic.Recorder(srt)
+	p := addrs.Len()
+	n := obliv.NextPow2(p)
+	g := &Gatherer{srt: rs, s: s, p: p, reqs: mem.Alloc[obliv.Elem](sp, n)}
+	ks := obliv.AllocKeySchedule(sp, n, 1)
+	kscr := obliv.AllocKeySchedule(sp, n, 1)
+	g.scr = mem.Alloc[obliv.Elem](sp, n)
+	g.rec = mem.Alloc[uint64](sp, rs.RecordWords(c, n))
+	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// Request i keys its address, or a distinct not-found key beyond
+			// every cell; the padding keys InfKey and sorts last.
+			e, key := obliv.Elem{}, obliv.InfKey
+			if i < p {
+				a := addrs.Get(c, i)
+				key = a
+				c.Op(1)
+				if a >= uint64(s) {
+					key = uint64(s) + uint64(i)
+				}
+				e = obliv.Elem{Key: key, Aux: uint64(i), Kind: obliv.Real}
+			}
+			g.reqs.Set(c, i, e)
+			ks.Plane(0).Set(c, i, key)
+		}
+	})
+	rs.SortRecorded(c, sp, g.reqs, ks, g.scr, kscr, g.rec, 0, n)
+	return g
+}
+
+// Gather reads memory, which must hold s cells, at the gatherer's
+// addresses: the package-level Gather's result, in request order.
+func (g *Gatherer) Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) *mem.Array[obliv.Elem] {
+	if memory.Len() != g.s {
+		panic("pram: Gather memory length differs from the gatherer's")
+	}
+	sources := mem.Alloc[obliv.Elem](sp, g.s)
+	forkjoin.ParallelRange(c, 0, g.s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sources.Set(c, i, obliv.Elem{Key: uint64(i), Val: memory.Get(c, i), Kind: obliv.Real})
 		}
 	})
-	dests := mem.Alloc[obliv.Elem](sp, p)
-	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := addrs.Get(c, i)
-			key := a
-			if a >= uint64(s) {
-				// Distinct not-found keys (beyond every memory cell key).
-				key = uint64(s) + uint64(i)
-			}
-			dests.Set(c, i, obliv.Elem{Key: key, Kind: obliv.Real})
-		}
-	})
-	return obliv.SendReceiveSorted(c, sp, sources, dests, srt, false)
+	// The results parallel the sorted requests and carry their Aux, the
+	// request index; the un-sort takes each one home.
+	out := obliv.SendReceiveSorted(c, sp, sources, g.reqs)
+	g.srt.Unsort(c, sp, out, g.scr, g.rec, 0, out.Len())
+	return out.View(0, g.p)
 }
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to
@@ -108,7 +161,7 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 			dests.Set(c, i, obliv.Elem{Key: uint64(i), Kind: obliv.Real})
 		}
 	})
-	routed := obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, srt, true)
+	routed := obliv.SendReceiveSorted(c, sp, w.View(0, p), dests)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := routed.Get(c, i)

@@ -11,8 +11,12 @@ import (
 
 // BenchmarkGather times one batched read of 2^14 random addresses from 2^10
 // cells — the shape of the graph layer's endpoint gathers, many requests
-// against few cells, where the requests' sorts dominate and the cells are
-// only merged in — serial, on the production bitonic network.
+// against few cells, where the request sort dominates and the cells are
+// only merged in — serial, on the production bitonic network: "fresh" is
+// Gather (a recorded request sort, the merge and un-merge, an un-sort),
+// "reused" one more Gather of a Gatherer built outside the timer (the
+// static endpoint gather of a graph round: merge, un-merge and un-sort
+// only).
 func BenchmarkGather(b *testing.B) {
 	const s, p = 1 << 10, 1 << 14
 	sp := mem.NewSpace()
@@ -26,11 +30,20 @@ func BenchmarkGather(b *testing.B) {
 		addrs.Data()[i] = src.Uint64n(s)
 	}
 	c := forkjoin.Serial()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gather(c, mem.NewSpace(), memory, addrs, srt)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Gather(c, mem.NewSpace(), memory, addrs, srt)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	})
+	b.Run("reused", func(b *testing.B) {
+		g := NewGatherer(c, mem.NewSpace(), s, addrs, srt)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Gather(c, mem.NewSpace(), memory)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	})
 }
 
 // BenchmarkScatterResolveMin times one min-combining conflict-resolved

@@ -61,7 +61,10 @@ const (
 // SortBackend selects the sorting machinery the relational layer (Table,
 // Query, GroupTotals) runs its schedule-driven sorts through. The choice —
 // like the crossover threshold — is public query shape: backend selection
-// is a function of the array length alone, never of the data.
+// is a function of the array length alone, never of the data. A recorded
+// sort — the graph operators' gather requests, sorted once and un-sorted
+// by replaying the sort's swap record — runs the cache-agnostic bitonic
+// network on every backend, at every size.
 type SortBackend int
 
 const (

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -113,7 +114,10 @@ type passCounter struct {
 	n     *int
 }
 
-var _ obliv.ScheduledSorter = passCounter{}
+var (
+	_ obliv.ScheduledSorter = passCounter{}
+	_ obliv.RecordingSorter = passCounter{}
+)
 
 func (s passCounter) Name() string { return s.inner.Name() }
 
@@ -125,6 +129,22 @@ func (s passCounter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Ele
 func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
 	*s.n++
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
+}
+
+// The recording methods count a recorded sort as a pass and forward to the
+// session's sorter (both backends record; a decorator that does not falls
+// back to the network).
+func (s passCounter) RecordWords(c *forkjoin.Ctx, n int) int {
+	return bitonic.Recorder(s.inner).RecordWords(c, n)
+}
+
+func (s passCounter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+	*s.n++
+	bitonic.Recorder(s.inner).SortRecorded(c, sp, a, ks, scr, kscr, rec, lo, n)
+}
+
+func (s passCounter) Unsort(c *forkjoin.Ctx, sp *mem.Space, a, scr *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n int) {
+	bitonic.Recorder(s.inner).Unsort(c, sp, a, scr, rec, lo, n)
 }
 
 // Session is a reusable execution context for the table operators — queries

@@ -253,13 +253,13 @@ func TestSessionRunGraphMatchesOneShot(t *testing.T) {
 		name    string
 		op      GraphOp
 		rounds  int
-		exact   bool // the plan's TotalSorts is the executed count
+		sorts   int // the exact executed count, or 0 where the plan only bounds it
 		oneShot func(Config) (Table, *Report, error)
 	}{
-		{"cc-4", GraphOpComponents, 4, true, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 4) }},
-		{"cc-converge", GraphOpComponents, 0, false, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 0) }},
-		{"msf", GraphOpMSF, 0, false, func(cfg Config) (Table, *Report, error) { return MSF(cfg, tab) }},
-		{"pagerank-3", GraphOpPageRank, 3, true, func(cfg Config) (Table, *Report, error) { return PageRank(cfg, tab, 3) }},
+		{"cc-4", GraphOpComponents, 4, 1 + 3*4, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 4) }},
+		{"cc-converge", GraphOpComponents, 0, 0, func(cfg Config) (Table, *Report, error) { return Components(cfg, tab, 0) }},
+		{"msf", GraphOpMSF, 0, 0, func(cfg Config) (Table, *Report, error) { return MSF(cfg, tab) }},
+		{"pagerank-3", GraphOpPageRank, 3, 2 + 5*3, func(cfg Config) (Table, *Report, error) { return PageRank(cfg, tab, 3) }},
 	}
 	backends := []Config{
 		{SortBackend: SortBitonic},
@@ -285,8 +285,8 @@ func TestSessionRunGraphMatchesOneShot(t *testing.T) {
 				}
 				pl := tc.op.plan(n, m, tc.rounds)
 				planned := pl.TotalSorts() // -1: a convergence loop has no a-priori bound
-				if tc.exact && stats.SortPasses != planned {
-					t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, planned, pl)
+				if tc.sorts > 0 && (stats.SortPasses != tc.sorts || planned != tc.sorts) {
+					t.Fatalf("%s: executed %d sorts, plan says %d, want %d (%s)", label, stats.SortPasses, planned, tc.sorts, pl)
 				}
 				if stats.SortPasses <= 0 || (planned >= 0 && stats.SortPasses > planned) {
 					t.Fatalf("%s: executed %d sorts, outside the plan's bound %d (%s)", label, stats.SortPasses, planned, pl)

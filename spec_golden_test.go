@@ -35,7 +35,14 @@ import (
 // the trace count fall by two per fork dropped. join_all: Forks 3533002 →
 // 3508426, W 19780464 → 19731312, Span 14601 → 14577, trace count
 // 19280765 → 19231613; components: Forks 5455310 → 5131726, W 30730236 →
-// 30083068, Span 72067 → 71411, trace count 29453368 → 28806200.
+// 30083068, Span 72067 → 71411, trace count 29453368 → 28806200. The
+// components row was re-recorded (every other row unchanged) when
+// pram.Gather began recording its request sort and un-sorting its results
+// by replay instead of sorting them back, and min-hook CC's static
+// endpoint gather began recording its sort once, in its first round, and
+// replaying it every round — 28 sorts became 13 sorts and 12 replays: W
+// 30083068 → 18317780, Span 71411 → 52997, MemOps 18542748 → 11382940,
+// Forks 5131726 → 2943674, trace count 28806200 → 17270288.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -152,8 +159,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := specCounts{Work: 30083068, Span: 71411, MemOps: 18542748, Forks: 5131726,
-			Trace: trace.Fingerprint{Hash: 11227646855648497790, Count: 28806200}}
+		want := specCounts{Work: 18317780, Span: 52997, MemOps: 11382940, Forks: 2943674,
+			Trace: trace.Fingerprint{Hash: 11223912000145505483, Count: 17270288}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
