@@ -122,8 +122,17 @@ func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []boo
 // it loads n (key, value) sources src(i) and m destination keys dst(j),
 // routes them through one obliv.SendReceive under cfg, and returns, for
 // each destination, the value of the source holding its key and whether
-// one does. Keys must be below relops.KeyLimit, source keys distinct.
+// one does. Keys must be below relops.KeyLimit; a duplicated source key
+// is an error.
 func sendReceive(cfg Config, n, m int, src func(i int) (key, val uint64), dst func(j int) uint64) ([]uint64, []bool, *Report, error) {
+	seen := make(map[uint64]bool, n)
+	for i := range n {
+		k, _ := src(i)
+		if seen[k] {
+			return nil, nil, nil, fmt.Errorf("oblivmc: table key %d (row %d) is duplicated", k, i)
+		}
+		seen[k] = true
+	}
 	vals := make([]uint64, m)
 	found := make([]bool, m)
 	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {

@@ -101,6 +101,15 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestLookupRejectsDuplicateTableKeys: table keys must be distinct, and
+// Lookup refuses a duplicate like Join does instead of answering with one
+// of its values.
+func TestLookupRejectsDuplicateTableKeys(t *testing.T) {
+	if _, _, _, err := Lookup(Config{Mode: ModeSerial}, []uint64{1, 1}, []uint64{1, 2}, []uint64{1}); err == nil {
+		t.Fatal("duplicate table keys accepted")
+	}
+}
+
 func TestLookupOblivious(t *testing.T) {
 	mk := func(seed uint64) ([]uint64, []uint64, []uint64) {
 		src := prng.New(seed)

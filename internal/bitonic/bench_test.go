@@ -114,3 +114,43 @@ func BenchmarkBitonicRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIterativeNetworks sorts 2^12 elements through the paper
+// reproduction's two layer-by-layer networks, the naive bitonic
+// (SortIterative) and Batcher's odd–even (SortOddEven), with the key
+// closure on the serial executor and on a 2-worker pool. Each layer is one
+// obliv.Layer fork tree, so a pool leaf runs up to 1024 comparators.
+func BenchmarkIterativeNetworks(b *testing.B) {
+	const n = 1 << 12
+	in := randElems(7, n)
+	a := mem.FromSlice(mem.NewSpace(), in)
+	pool := forkjoin.NewPool(2)
+	defer pool.Close()
+	execs := []struct {
+		name string
+		run  func(func(*forkjoin.Ctx))
+	}{
+		{"serial", func(fn func(*forkjoin.Ctx)) { fn(forkjoin.Serial()) }},
+		{"pool2", pool.Run},
+	}
+	nets := []struct {
+		name string
+		sort func(c *forkjoin.Ctx)
+	}{
+		{"naive", func(c *forkjoin.Ctx) { SortIterative(c, a, 0, n, keyFn) }},
+		{"odd-even", func(c *forkjoin.Ctx) { SortOddEven(c, a, 0, n, keyFn) }},
+	}
+	for _, nw := range nets {
+		for _, ex := range execs {
+			b.Run(nw.name+"/"+ex.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(a.Data(), in)
+					b.StartTimer()
+					ex.run(nw.sort)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+			})
+		}
+	}
+}

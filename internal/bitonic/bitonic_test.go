@@ -9,6 +9,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/obliv/oblivtest"
 	"oblivmc/internal/prng"
 )
 
@@ -81,20 +82,8 @@ func runSorter(t *testing.T, name string, sortFn func(c *forkjoin.Ctx, sp *mem.S
 
 func TestIterativeSorts(t *testing.T) {
 	runSorter(t, "iterative", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-		SortIterative(c, a, 0, n, true, keyFn)
+		SortIterative(c, a, 0, n, keyFn)
 	})
-}
-
-func TestIterativeDescending(t *testing.T) {
-	raw := randElems(7, 64)
-	s := mem.NewSpace()
-	a := mem.FromSlice(s, raw)
-	SortIterative(forkjoin.Serial(), a, 0, 64, false, keyFn)
-	for i := 1; i < 64; i++ {
-		if a.Data()[i-1].Key < a.Data()[i].Key {
-			t.Fatal("descending sort not descending")
-		}
-	}
 }
 
 func TestCacheAgnosticSorts(t *testing.T) {
@@ -215,6 +204,70 @@ func TestStability01Principle(t *testing.T) {
 				t.Fatalf("network fails on mask %b", mask)
 			}
 		}
+	}
+}
+
+// TestExecutedNetworks01Principle applies the 0–1 principle to the
+// executed networks rather than to the Schedule data: every 0/1 input of
+// n = 2, 4, 8, 16 elements through SortIterative, SortOddEven and
+// Stages + Merge on the keyed and on the closure comparator, on the
+// serial, 2-worker pool and metered executors. Stages(n, n/2) must leave
+// the two halves sorted in opposite directions and the Merge must finish
+// the sort. Equal keys are full ties (no TiePos order), so each comparator
+// acts on the 0/1 keys alone.
+func TestExecutedNetworks01Principle(t *testing.T) {
+	stagesMerge := func(c *forkjoin.Ctx, k obliv.CexKernel, a *mem.Array[obliv.Elem], n int) {
+		obliv.Stages(c, k, n, n/2)
+		for i := 1; i < n/2; i++ {
+			if d := a.Data(); d[i-1].Key > d[i].Key || d[n/2+i-1].Key < d[n/2+i].Key {
+				t.Errorf("n=%d: Stages(n, n/2) left the halves unsorted: %v", n, d) // Errorf: may run on a pool worker
+				break
+			}
+		}
+		obliv.Merge(c, k, 0, 1, n, n, false)
+	}
+	networks := []struct {
+		name string
+		sort func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, n int)
+	}{
+		{"naive", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
+			SortIterative(c, a, 0, n, keyFn)
+		}},
+		{"odd-even", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
+			SortOddEven(c, a, 0, n, keyFn)
+		}},
+		{"stages+merge keyed", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, n int) {
+			stagesMerge(c, obliv.NewCexKernel(c, a, ks), a, n)
+		}},
+		{"stages+merge closure", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
+			stagesMerge(c, obliv.NewCexKernelFunc(c, a, keyFn), a, n)
+		}},
+	}
+	for _, nw := range networks {
+		oblivtest.SameOnEveryExecutor(t, nw.name, func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
+			var out []uint64 // every output, 0/1 keys packed one word per input
+			for n := 2; n <= 16; n <<= 1 {
+				a := mem.Alloc[obliv.Elem](sp, n)
+				ks := obliv.AllocKeySchedule(sp, n, 1)
+				for mask := 0; mask < 1<<n; mask++ {
+					for i := range n {
+						a.Data()[i] = obliv.Elem{Key: uint64(mask >> i & 1), Kind: obliv.Real}
+						ks.Plane(0).Data()[i] = uint64(mask >> i & 1)
+					}
+					nw.sort(c, a, ks, n)
+					var w uint64
+					for i, e := range a.Data() {
+						if i > 0 && a.Data()[i-1].Key > e.Key {
+							t.Errorf("%s n=%d: mask %b not sorted: %v", nw.name, n, mask, a.Data())
+							break
+						}
+						w |= e.Key << i
+					}
+					out = append(out, w)
+				}
+			}
+			return out
+		})
 	}
 }
 
@@ -344,10 +397,28 @@ func TestWorkMatchesComparatorCount(t *testing.T) {
 	s := mem.NewSpace()
 	a := mem.FromSlice(s, randElems(3, n))
 	m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-		SortIterative(c, a, 0, n, true, keyFn)
+		SortIterative(c, a, 0, n, keyFn)
 	})
 	if m.MemOps != 4*comparators {
 		t.Fatalf("memops = %d, want %d", m.MemOps, 4*comparators)
+	}
+}
+
+// TestOddEvenWorkMatchesComparatorCount pins the odd–even network's size
+// the way TestWorkMatchesComparatorCount pins the naive one: on n = 2^k it
+// has (k² − k + 4)·2^(k−2) − 1 comparators, each 2 reads + 2 writes.
+func TestOddEvenWorkMatchesComparatorCount(t *testing.T) {
+	for k := 1; k <= 10; k++ {
+		n := 1 << k
+		comparators := int64((k*k-k+4)<<k/4 - 1)
+		s := mem.NewSpace()
+		a := mem.FromSlice(s, randElems(uint64(k), n))
+		m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
+			SortOddEven(c, a, 0, n, keyFn)
+		})
+		if m.MemOps != 4*comparators {
+			t.Fatalf("n=%d: memops = %d, want %d", n, m.MemOps, 4*comparators)
+		}
 	}
 }
 
@@ -441,7 +512,7 @@ func TestNonPow2Panics(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two n")
 		}
 	}()
-	SortIterative(forkjoin.Serial(), a, 0, 12, true, keyFn)
+	SortIterative(forkjoin.Serial(), a, 0, 12, keyFn)
 }
 
 // wideKeyWords emits the (Key, Key2) two-word lexicographic schedule.

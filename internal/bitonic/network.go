@@ -25,37 +25,14 @@ import (
 )
 
 // SortIterative runs the classic iterative bitonic network over
-// a[lo:lo+n], ascending if asc. n must be a power of two. Each layer's
-// comparators are forked with a binary tree (the naive parallelization).
-func SortIterative(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, asc bool, key func(obliv.Elem) uint64) {
+// a[lo:lo+n], ascending. n must be a power of two. It is obliv.Stages(n, n)
+// on the key-closure comparator: each layer's comparators are forked with
+// one binary tree (the naive parallelization).
+func SortIterative(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")
 	}
-	for k := 2; k <= n; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			layer(c, a, lo, n, k, j, asc, key)
-		}
-	}
-}
-
-// layerGrain is the leaf width of a comparator layer's fork tree: each
-// leaf runs layerGrain/2 compare-exchanges (half the indices skip), enough
-// work per task that an n/2-wide layer splits without drowning in deque
-// traffic. Metered runs ignore it (grain is forced to 1 there).
-const layerGrain = 1 << 8
-
-// layer applies one butterfly layer: compare i with i|j for all i with
-// bit j clear; direction flips with bit k of i (global direction asc).
-func layer(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n, k, j int, asc bool, key func(obliv.Elem) uint64) {
-	forkjoin.ParallelRange(c, 0, n, layerGrain, func(c *forkjoin.Ctx, from, to int) {
-		for i := from; i < to; i++ {
-			if i&j != 0 {
-				continue
-			}
-			dir := (i&k == 0) == asc
-			obliv.CompareExchange(c, a, lo+i, lo+(i|j), dir, key)
-		}
-	})
+	obliv.Stages(c, obliv.NewCexKernelFunc(c, a.View(lo, n), key), n, n)
 }
 
 // Comparator is one compare-exchange of the network: positions I < J,

@@ -11,6 +11,12 @@ import (
 // O(n log² n) comparators with a data-independent schedule; unlike bitonic
 // every comparator points the same way, which makes it the second
 // convenient practical stand-in for the AKS network (DESIGN.md §5).
+//
+// Step (p, k) compares t with t+k for every t >= k mod p with bit k of
+// t − k mod p clear, t and t+k in the same block of 2p. Counted from
+// k mod p that is the first p − k mod p comparators of a butterfly of
+// distance k in each block of 2p: one obliv.Layer on the key-closure
+// comparator over the view offset by k mod p.
 func SortOddEven(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")
@@ -18,20 +24,8 @@ func SortOddEven(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, key func(
 	for p := 1; p < n; p <<= 1 {
 		for k := p; k >= 1; k >>= 1 {
 			off := k % p
-			forkjoin.ParallelRange(c, 0, n-k, layerGrain, func(c *forkjoin.Ctx, from, to int) {
-				for t := from; t < to; t++ {
-					if t < off {
-						continue
-					}
-					if ((t-off)/k)%2 != 0 {
-						continue
-					}
-					if t/(2*p) != (t+k)/(2*p) {
-						continue
-					}
-					obliv.CompareExchange(c, a, lo+t, lo+t+k, true, key)
-				}
-			})
+			kern := obliv.NewCexKernelFunc(c, a.View(lo+off, n-off), key)
+			obliv.Layer(c, kern, 0, n/(2*p), 2*p, p-off, k, false)
 		}
 	}
 }

@@ -85,8 +85,8 @@ func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, a, scr *mem.Array[obl
 }
 
 // Recorder is srt's obliv.RecordingSorter, or CacheAgnostic for a sorter
-// that does not record (the selection network, a test or timing
-// decorator): a recorded sort always has a network to run on.
+// that does not record (the shuffle backend, the selection network, a test
+// or timing decorator): a recorded sort always has a network to run on.
 func Recorder(srt obliv.ScheduledSorter) obliv.RecordingSorter {
 	if rs, ok := srt.(obliv.RecordingSorter); ok {
 		return rs
@@ -108,7 +108,7 @@ func (Naive) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, 
 		return
 	}
 	networkCalls.Add(1)
-	SortIterative(c, a, lo, n, true, key)
+	SortIterative(c, a, lo, n, key)
 }
 
 // OddEven is the obliv.Sorter backed by Batcher's odd–even merge network.

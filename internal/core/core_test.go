@@ -65,7 +65,7 @@ func TestRecORBARoutesToLabeledBin(t *testing.T) {
 	} {
 		sp := mem.NewSpace()
 		in := mkInput(sp, cfg.seed, cfg.n)
-		tape := prng.NewTape(cfg.seed+100, TapeLen(cfg.n, cfg.p.normalized(cfg.n)))
+		tape := prng.NewTape(cfg.seed+100, TapeLen(cfg.n, cfg.p.Normalized(cfg.n)))
 		res := RecORBA(forkjoin.Serial(), sp, in, tape, cfg.p)
 		data := res.Bins.Data()
 		found := 0
@@ -93,7 +93,7 @@ func TestRecORBANoLossWithSlack(t *testing.T) {
 	const n = 512
 	p := Params{Z: 64, Gamma: 4}
 	in := mkInput(sp, 9, n)
-	tape := prng.NewTape(77, TapeLen(n, p.normalized(n)))
+	tape := prng.NewTape(77, TapeLen(n, p.Normalized(n)))
 	res := RecORBA(forkjoin.Serial(), sp, in, tape, p)
 	if res.Lost != 0 {
 		t.Fatalf("lost %d elements with generous Z", res.Lost)
@@ -133,7 +133,7 @@ func TestMetaEqualsRecORBA(t *testing.T) {
 	binSets := func(orba func(*forkjoin.Ctx, *mem.Space, *mem.Array[obliv.Elem], *prng.Tape, Params) BinsResult) []map[uint64]int {
 		sp := mem.NewSpace()
 		in := mkInput(sp, 11, n)
-		tape := prng.NewTape(42, TapeLen(n, p.normalized(n)))
+		tape := prng.NewTape(42, TapeLen(n, p.Normalized(n)))
 		res := orba(forkjoin.Serial(), sp, in, tape, p)
 		sets := make([]map[uint64]int, res.Beta)
 		for b := range sets {
@@ -169,7 +169,7 @@ func TestRecORBATraceOblivious(t *testing.T) {
 	run := func(seed uint64) *forkjoin.Metrics {
 		sp := mem.NewSpace()
 		in := mkInput(sp, seed, n)
-		tape := prng.NewTape(1234, TapeLen(n, p.normalized(n))) // fixed tape
+		tape := prng.NewTape(1234, TapeLen(n, p.Normalized(n))) // fixed tape
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			RecORBA(c, sp, in, tape, p)
 		})
@@ -185,7 +185,7 @@ func TestMetaORBATraceOblivious(t *testing.T) {
 	run := func(seed uint64) *forkjoin.Metrics {
 		sp := mem.NewSpace()
 		in := mkInput(sp, seed, n)
-		tape := prng.NewTape(99, TapeLen(n, p.normalized(n)))
+		tape := prng.NewTape(99, TapeLen(n, p.Normalized(n)))
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			MetaORBA(c, sp, in, tape, p)
 		})
@@ -204,7 +204,7 @@ func TestRecORBALoadDistributionUniform(t *testing.T) {
 	for r := 0; r < runs; r++ {
 		sp := mem.NewSpace()
 		in := mkInput(sp, uint64(r), n)
-		tape := prng.NewTape(uint64(1000+r), TapeLen(n, p.normalized(n)))
+		tape := prng.NewTape(uint64(1000+r), TapeLen(n, p.Normalized(n)))
 		res := RecORBA(forkjoin.Serial(), sp, in, tape, p)
 		if counts == nil {
 			counts = make([]int64, res.Beta)
@@ -279,7 +279,7 @@ func TestRandomPermutationTraceOblivious(t *testing.T) {
 	run := func(seed uint64) *forkjoin.Metrics {
 		sp := mem.NewSpace()
 		in := mkInput(sp, seed, n)
-		tape := prng.NewTape(555, TapeLen(n, p.normalized(n)))
+		tape := prng.NewTape(555, TapeLen(n, p.Normalized(n)))
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			RandomPermutation(c, sp, in, tape, p)
 		})

@@ -60,7 +60,7 @@ func setupBins(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], tape *
 // access pattern is a deterministic function of (n, params) — the property
 // the obliviousness tests assert.
 func RecORBA(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], tape *prng.Tape, p Params) BinsResult {
-	p = p.normalized(in.Len())
+	p = p.Normalized(in.Len())
 	buf, beta, labelBits := setupBins(c, sp, in, tape, p)
 	scratch := mem.Alloc[obliv.Elem](sp, beta*p.Z)
 	var lost atomic.Int64
@@ -115,7 +115,7 @@ func recORBA(c *forkjoin.Ctx, sp *mem.Space, buf, scratch *mem.Array[obliv.Elem]
 // same functionality as RecORBA (same tape → same final bins) but without
 // the cache-friendly recursion; the ORBA benchmarks compare the two.
 func MetaORBA(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], tape *prng.Tape, p Params) BinsResult {
-	p = p.normalized(in.Len())
+	p = p.Normalized(in.Len())
 	buf, beta, labelBits := setupBins(c, sp, in, tape, p)
 	var lost atomic.Int64
 

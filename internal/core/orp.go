@@ -24,7 +24,7 @@ type PermStats struct {
 // an input of length n under params p: one routing label per element plus
 // one shuffle label per bin slot.
 func TapeLen(n int, p Params) int {
-	p = p.normalized(n)
+	p = p.Normalized(n)
 	half := p.Z / 2
 	beta := obliv.NextPow2((n + half - 1) / half)
 	return n + beta*p.Z
@@ -40,7 +40,7 @@ func TapeLen(n int, p Params) int {
 // — in particular not on the input contents.
 func RandomPermutation(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], tape *prng.Tape, p Params) (*mem.Array[obliv.Elem], PermStats) {
 	n := in.Len()
-	p = p.normalized(n)
+	p = p.Normalized(n)
 	res := RecORBA(c, sp, in, tape, p)
 	beta, z := res.Beta, res.Z
 	buf := res.Bins
@@ -105,7 +105,7 @@ func RandomPermutation(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem]
 // returns the permutation and the number of attempts used.
 func MustRandomPermutation(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], seed uint64, p Params) (*mem.Array[obliv.Elem], int) {
 	n := in.Len()
-	p = p.normalized(n)
+	p = p.Normalized(n)
 	for attempt := 0; ; attempt++ {
 		if attempt > 64 {
 			panic("core: random permutation failed 64 times; params far too tight")

@@ -40,21 +40,12 @@ type Params struct {
 	BinCapFactor int
 }
 
-// log2ceil returns ⌈log2 n⌉ for n >= 1.
-func log2ceil(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
-}
-
 // ParamsForN returns the paper's default parameters for input size n.
 func ParamsForN(n int) Params {
 	if n < 1 {
 		n = 1
 	}
-	lg := log2ceil(n)
+	lg := obliv.Log2Ceil(n)
 	if lg < 2 {
 		lg = 2
 	}
@@ -76,9 +67,9 @@ func ParamsForN(n int) Params {
 	}
 }
 
-// normalized fills zero fields with the defaults for n and validates
+// Normalized fills zero fields with the defaults for n and validates
 // power-of-two constraints.
-func (p Params) normalized(n int) Params {
+func (p Params) Normalized(n int) Params {
 	def := ParamsForN(n)
 	if p.Z == 0 {
 		p.Z = def.Z

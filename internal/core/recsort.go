@@ -35,7 +35,7 @@ type RecSortStats struct {
 // n − Lost; Lost is 0 except with negligible probability.
 func RecSortPermuted(c *forkjoin.Ctx, sp *mem.Space, perm *mem.Array[obliv.Elem], seed uint64, p Params) (*mem.Array[obliv.Elem], RecSortStats) {
 	n := perm.Len()
-	p = p.normalized(n)
+	p = p.Normalized(n)
 	var stats RecSortStats
 
 	if n < 2 {

@@ -250,23 +250,6 @@ func (s *ShuffleSorter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.
 	bitonic.CacheAgnostic{}.Sort(c, sp, a, lo, n, key)
 }
 
-// RecordWords, SortRecorded and Unsort implement obliv.RecordingSorter
-// with the cache-agnostic bitonic network at every size, like Sort: a
-// recorded sort runs the network on every backend, so its swap record is
-// the network's (recording the shuffle composition's permutation waits for
-// its secret state to live in traced memory).
-func (s *ShuffleSorter) RecordWords(c *forkjoin.Ctx, n int) int {
-	return bitonic.CacheAgnostic{}.RecordWords(c, n)
-}
-
-func (s *ShuffleSorter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
-	bitonic.CacheAgnostic{}.SortRecorded(c, sp, a, ks, scr, kscr, rec, lo, n)
-}
-
-func (s *ShuffleSorter) Unsort(c *forkjoin.Ctx, sp *mem.Space, a, scr *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n int) {
-	bitonic.CacheAgnostic{}.Unsort(c, sp, a, scr, rec, lo, n)
-}
-
 // SortScheduled implements obliv.ScheduledSorter: Beneš-permute a[lo:lo+n)
 // and ks[lo:lo+n) in lockstep with a fresh uniform permutation, then sample
 // sort the permuted sequence by its cached keys. scr/kscr serve as the

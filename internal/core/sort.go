@@ -29,7 +29,7 @@ type InsecureSort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem])
 // ordered by Key; Key values must be distinct for the security argument of
 // [CGLS18, ACN+20] to apply. The input array is not modified.
 func SortWith(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], seed uint64, p Params, insecure InsecureSort) (*mem.Array[obliv.Elem], SortStats) {
-	p = p.normalized(in.Len())
+	p = p.Normalized(in.Len())
 	perm, attempts := MustRandomPermutation(c, sp, in, seed, p)
 	insecure(c, sp, perm)
 	return perm, SortStats{Attempts: attempts}
@@ -41,7 +41,7 @@ func SortWith(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], seed ui
 // overflow dropped elements, so the result is always a complete sort.
 func SortPractical(c *forkjoin.Ctx, sp *mem.Space, in *mem.Array[obliv.Elem], seed uint64, p Params) (*mem.Array[obliv.Elem], SortStats) {
 	n := in.Len()
-	p = p.normalized(n)
+	p = p.Normalized(n)
 	for attempt := 0; ; attempt++ {
 		if attempt > 64 {
 			panic("core: practical sort failed 64 times; params far too tight")

@@ -21,7 +21,7 @@ func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [
 	if n == 0 {
 		return nil
 	}
-	p = normParams(p, n+len(edges))
+	p = p.Normalized(n + len(edges))
 	srt := p.Sorter
 	m2 := 2 * len(edges)
 
@@ -44,7 +44,7 @@ func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [
 		}
 	})
 
-	iters := 3*log2ceilInt(n) + 5
+	iters := 3*obliv.Log2Ceil(n) + 5
 	star := mem.Alloc[uint64](sp, n)
 	for it := 0; it < iters; it++ {
 		// Round boundaries are a function of n alone (fixed iteration
@@ -188,7 +188,7 @@ func ConnectedComponentsDirect(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2
 		}
 		forkjoin.ParallelFor(c, 0, len(edges), 0, body)
 	}
-	iters := 3*log2ceilInt(n) + 5
+	iters := 3*obliv.Log2Ceil(n) + 5
 	for it := 0; it < iters; it++ {
 		c.Check("graph.round")
 		stars()
@@ -269,12 +269,4 @@ func ConnectedComponentsSeq(n int, edges [][2]int) []int {
 		out[v] = find(v)
 	}
 	return out
-}
-
-func log2ceilInt(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
 }

@@ -45,7 +45,7 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 		return nil, 0
 	}
 	m := len(edges)
-	p = normParams(p, n+2*m)
+	p = p.Normalized(n + 2*m)
 	srt := p.Sorter
 
 	d := mem.Alloc[uint64](sp, n)

@@ -93,7 +93,7 @@ func EvalTreeOblivious(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, 
 	if t.N == 1 {
 		return t.LeafVal[t.Root]
 	}
-	p = normParams(p, t.N)
+	p = p.Normalized(t.N)
 
 	st := initState(c, sp, t, seed, p)
 	// Leaf count halves per round; fixed public round count.

@@ -33,7 +33,7 @@ func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, r
 	if n >= 1<<vertexBits {
 		panic("graph: too many vertices for packed arc keys")
 	}
-	p = normParams(p, m)
+	p = p.Normalized(m)
 
 	// Build arcs: Key = packed (u,v), Val = own arc index.
 	arcs := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(m))
@@ -183,7 +183,7 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 		tf.SubtreeSize[root] = 1
 		return tf
 	}
-	p = normParams(p, m)
+	p = p.Normalized(m)
 	tau := EulerTourOblivious(c, sp, n, edges, root, seed, p)
 
 	// Tour positions via unweighted list ranking over arcs: the end arc

@@ -11,7 +11,6 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
-	"oblivmc/internal/pram"
 )
 
 // Tail marks a list tail: succ[i] == i.
@@ -33,7 +32,7 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 	if n == 0 {
 		return nil
 	}
-	p = normParams(p, n)
+	p = p.Normalized(n)
 
 	// Entries: Key = successor's original index (self = tail),
 	// Val = weight, Aux = own original index.
@@ -227,33 +226,4 @@ func ListRankSeq(succ []int, weights []uint64) []uint64 {
 		acc += w(v)
 	}
 	return out
-}
-
-// normParams fills defaults using n.
-func normParams(p core.Params, n int) core.Params {
-	def := core.ParamsForN(n)
-	if p.Z == 0 {
-		p.Z = def.Z
-	}
-	if p.Gamma == 0 {
-		p.Gamma = def.Gamma
-	}
-	if p.Sorter == nil {
-		p.Sorter = def.Sorter
-	}
-	if p.SampleRate == 0 {
-		p.SampleRate = def.SampleRate
-	}
-	if p.PivotSpacing == 0 {
-		p.PivotSpacing = def.PivotSpacing
-	}
-	if p.BinCapFactor == 0 {
-		p.BinCapFactor = def.BinCapFactor
-	}
-	return p
-}
-
-// gatherU64 wraps pram.Gather for package-local use.
-func gatherU64(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
-	return pram.Gather(c, sp, memory, addrs, srt)
 }

@@ -44,7 +44,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 	if n >= 1<<msfIDBits || m >= 1<<msfIDBits {
 		panic("graph: MSF graph too large for packed keys")
 	}
-	p = normParams(p, n+m)
+	p = p.Normalized(n + m)
 	srt := p.Sorter
 	m2 := 2 * m
 
@@ -78,7 +78,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 	gu := pram.NewGatherer(c, sp, n, us, srt)
 	gv := pram.NewGatherer(c, sp, n, vs, srt)
 
-	maxIters := (log2ceilInt(n) + 2) * (log2ceilInt(n) + 2)
+	maxIters := (obliv.Log2Ceil(n) + 2) * (obliv.Log2Ceil(n) + 2)
 	sel := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(m2))
 	for it := 0; it < maxIters; it++ {
 		// Borůvka round boundaries: the iteration count is revealed by the
@@ -252,7 +252,7 @@ func MinimumSpanningForestDirect(c *forkjoin.Ctx, sp *mem.Space, n int, edges []
 		}
 	}
 	wTie := func(e int) uint64 { return edges[e].W<<msfIDBits | uint64(e) }
-	maxIters := (log2ceilInt(n) + 2) * (log2ceilInt(n) + 2)
+	maxIters := (obliv.Log2Ceil(n) + 2) * (obliv.Log2Ceil(n) + 2)
 	minEdge := make([]int, n)
 	for it := 0; it < maxIters; it++ {
 		c.Check("graph.round")

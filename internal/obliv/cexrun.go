@@ -8,29 +8,29 @@ import (
 )
 
 // This file holds the block form of the comparator and Layer, the one forked
-// driver of the keyed networks run after a sort (the bitonic merge, its
-// recorded un-merge, the top-k tournament); the cache-agnostic bitonic
-// recursion runs its leaves on the same comparator, in all four modes. A
-// network is a fixed sequence of layers, and a layer a fixed sequence of
-// runs — the pairs (i+t, i+stride+t), t = 0..cnt-1, all in one direction —
-// so the executor question ("instrumented or not") is asked once per leaf,
-// when the CexKernel is made, instead of once per word. A run has four modes: it compare-exchanges
-// by cached key, also records each pair's swap bit, replays recorded bits
-// (no key schedule), or compare-exchanges by a key closure. Under the
-// metered executor a run is literally a loop over CompareExchangeCachedW
-// (replaying: a read of both elements and the bit's word, a rewrite of both
-// elements; by closure: CompareExchange): that per-access loop is the
-// specification. Under the serial and pool executors widths 1 and 2 (width
-// 1 when recording, the merges' width) go over the raw slices with a
-// comparator that never branches on the comparison outcome: the outcome
-// becomes an all-ones/all-zero mask and both positions are rewritten with
-// mask-selected words, so neither the address sequence nor the branch
-// history of a leaf depends on the data. Wider schedules, and recording at
-// width 2 (the relational layer builds neither), take the per-access loop
-// under every executor, and so does the closure mode: the paper
-// reproduction's cache-agnostic bitonic sort runs its leaves on it
-// (CexKernel.Layer), and the paper's cost model charges the closure per
-// comparator.
+// driver of every layer-by-layer comparator network: Stages and Merge (the
+// bitonic stage and merge loops, written once), the bitonic merge and its
+// recorded un-merge, the top-k tournament, and the paper reproduction's
+// naive bitonic and odd–even networks. The cache-agnostic bitonic recursion
+// runs its leaves on the same comparator, in all four modes. A network is a
+// fixed sequence of layers, and a layer a fixed sequence of runs — the pairs
+// (i+t, i+stride+t), t = 0..cnt-1, all in one direction — so the executor
+// question ("instrumented or not") is asked once, when the CexKernel is
+// made, instead of once per word. A run has four modes: it
+// compare-exchanges by cached key, also records each pair's swap bit,
+// replays recorded bits (no key schedule), or compare-exchanges by a key
+// closure. Under the metered executor a run is literally a loop over
+// CompareExchangeCachedW (replaying: a read of both elements and the bit's
+// word, a rewrite of both elements; by closure: CompareExchange): that
+// per-access loop is the specification. Under the serial and pool executors
+// widths 1 and 2 (width 1 when recording, the merges' width) go over the raw
+// slices with a comparator that never branches on the comparison outcome:
+// the outcome becomes an all-ones/all-zero mask and both positions are
+// rewritten with mask-selected words, so neither the address sequence nor
+// the branch history of a leaf depends on the data. Wider schedules, and
+// recording at width 2 (the relational layer builds neither), take the
+// per-access loop under every executor, and so does the closure mode: the
+// paper's cost model charges the closure per comparator.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -62,26 +62,21 @@ func CondSwap(x, y *Elem, m uint64) {
 	x.Mark, y.Mark = x.Mark^dm, y.Mark^dm
 }
 
-// Layer runs one layer of a keyed comparator network as a single fork tree
-// over its nb·cnt comparators. Block b (b < nb) starts at b·gap and holds
-// cnt comparators; comparator u of a block pairs the slot u/j·2j + u%j of
-// the block with the slot j to its right, ascending — or, with alt,
-// ascending only in even blocks. j is a power of two, and either j divides
-// cnt (a butterfly layer) or cnt <= j (a half-cleaner run). Each leaf
-// hands its comparators to the block comparator as maximal runs.
-func Layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, nb, gap, cnt, j int, alt bool) {
-	layer(c, a, ks, nil, 0, nb, gap, cnt, j, alt)
-}
-
-// layer is Layer in all three modes of the block comparator: a nil rec
-// compare-exchanges; a non-nil rec records comparator v = b·cnt + u of the
-// layer as bit q+v (set iff it swapped); a nil ks replays those bits. Leaves
-// record concurrently, so a recording layer of more than passGrain
-// comparators must give each leaf whole words — q a multiple of 64 and
-// nb·cnt a power of two — as every such merge layer does.
-func layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64], q, nb, gap, cnt, j int, alt bool) {
+// Layer runs one layer of a comparator network as a single fork tree over
+// its nb·cnt comparators on the block comparator k, rebound to each leaf's
+// context. Block b (b < nb) starts at b·gap and holds cnt comparators;
+// comparator u of a block pairs the slot u/j·2j + u%j of the block with the
+// slot j to its right, ascending — or, with alt, ascending only in even
+// blocks. j is a power of two, and either j divides cnt (a butterfly layer)
+// or cnt <= j (a half-cleaner run). Each leaf hands its comparators to k as
+// maximal runs. A recording or replaying k numbers comparator v = b·cnt + u
+// as bit q+v. Leaves record concurrently, so a recording layer of more than
+// passGrain comparators must give each leaf whole words — q a multiple of
+// 64 and nb·cnt a power of two — as every merge layer does.
+func Layer(c *forkjoin.Ctx, k CexKernel, q, nb, gap, cnt, j int, alt bool) {
 	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		kern := newCexKernel(c, a, ks, rec)
+		kern := k
+		kern.c = c // the raw views depend on the executor kind only
 		b, u := lo/cnt, lo%cnt
 		for v := lo; v < hi; {
 			off := u & (j - 1)
@@ -95,9 +90,32 @@ func layer(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[
 	})
 }
 
-// CexKernel is the cached-key comparator bound to one block of one
-// executor: NewCexKernel decides once whether runs go through the
-// per-access specification or over the raw slices.
+// Merge runs a bitonic merge of m elements on each of nb blocks, block b
+// starting at b·gap: log2 m half-cleaner layers (distances m/2 down to 1),
+// each one Layer, ascending — or, with alt, ascending only in even blocks.
+// Recording, layer l's bits start at q + l·nb·m/2.
+func Merge(c *forkjoin.Ctx, k CexKernel, q, nb, gap, m int, alt bool) {
+	for j := m >> 1; j > 0; j >>= 1 {
+		Layer(c, k, q, nb, gap, m>>1, j, alt)
+		q += nb * m >> 1
+	}
+}
+
+// Stages runs the first log2 K stages of Batcher's bitonic sort over the n
+// elements of k (both powers of two, K <= n): afterwards every block of K
+// is sorted, ascending in even blocks and descending in odd ones. Stage p
+// is one Merge of the blocks of p. Stages(c, k, n, n) is the whole network
+// and leaves the n elements ascending.
+func Stages(c *forkjoin.Ctx, k CexKernel, n, K int) {
+	for p := 2; p <= K; p <<= 1 {
+		Merge(c, k, 0, n/p, p, p, true)
+	}
+}
+
+// CexKernel is the block comparator bound to one array and one kind of
+// executor: NewCexKernel, NewCexKernelRecord and NewCexKernelFunc decide
+// once whether runs go through the per-access specification or over the
+// raw slices.
 type CexKernel struct {
 	c   *forkjoin.Ctx
 	a   *mem.Array[Elem]
@@ -114,7 +132,7 @@ type CexKernel struct {
 // NewCexKernel binds the comparator to a, ks (indexed identically) and the
 // executor behind c.
 func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKernel {
-	return newCexKernel(c, a, ks, nil)
+	return NewCexKernelRecord(c, a, ks, nil)
 }
 
 // NewCexKernelFunc binds the comparator to a and a key closure: every pair
@@ -127,12 +145,6 @@ func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64
 // modes: with a key schedule it also records each pair's swap bit into rec,
 // and with a nil ks it replays rec (Layer's q names the bits).
 func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
-	return newCexKernel(c, a, ks, rec)
-}
-
-// newCexKernel is NewCexKernel that also records into rec, or, with a nil
-// ks, replays rec.
-func newCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
 	k := CexKernel{c: c, a: a, ks: ks, rec: rec}
 	w := 0
 	if ks != nil {

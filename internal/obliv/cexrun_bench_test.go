@@ -44,7 +44,7 @@ func BenchmarkCexRun(b *testing.B) {
 				if record {
 					rec = mem.Alloc[uint64](sp, pairs/64)
 				}
-				kern := newCexKernel(forkjoin.Serial(), a, ks, rec)
+				kern := NewCexKernelRecord(forkjoin.Serial(), a, ks, rec)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// Reload untimed: a run leaves its pairs ordered, which

@@ -195,18 +195,16 @@ func DistributeOrdered(
 }
 
 // mergeBitonic sorts the bitonic sequence a[0:n) ascending by its width-1
-// cached key schedule: a half-cleaner cascade of log2(n) data-independent
-// comparator layers, each one Layer of n/2 comparators. n must be a power
-// of two. The comparator sequence is a function of n alone.
+// cached key schedule: one Merge, a half-cleaner cascade of log2(n)
+// data-independent layers of n/2 comparators. n must be a power of two.
+// The comparator sequence is a function of n alone.
 //
 // A non-nil rec (mergeRecordWords(n) words) receives one swap bit per
 // comparator — bit l·n/2 + v for comparator v of layer l — from which
 // unmergeBitonic undoes the merge. A nil rec records nothing, so
 // DistributeOrdered's merge runs the plain comparator.
 func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, rec *mem.Array[uint64]) {
-	for j, l := n>>1, 0; j > 0; j, l = j>>1, l+1 {
-		layer(c, a, ks, rec, l*(n>>1), 1, n, n>>1, j, false)
-	}
+	Merge(c, NewCexKernelRecord(c, a, ks, rec), 0, 1, n, n, false)
 }
 
 // unmergeBitonic undoes mergeBitonic(c, a, _, n, rec): it replays the
@@ -215,8 +213,9 @@ func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, r
 // it held before the merge. The key schedule is not replayed. The access
 // pattern is a function of n alone.
 func unmergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], n int, rec *mem.Array[uint64]) {
+	k := NewCexKernelRecord(c, a, nil, rec)
 	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
-		layer(c, a, nil, rec, l*(n>>1), 1, n, n>>1, j, false)
+		Layer(c, k, l*(n>>1), 1, n, n>>1, j, false)
 	}
 }
 

@@ -86,6 +86,9 @@ func Log2(n int) int {
 	return l
 }
 
+// Log2Ceil returns ceil(log2(n)), 0 for n <= 1.
+func Log2Ceil(n int) int { return Log2(NextPow2(n)) }
+
 // CompareExchange obliviously orders positions i and j of a (ascending by
 // key if asc). Both positions are always read and always rewritten, so the
 // access pattern is independent of the comparison outcome — this is the

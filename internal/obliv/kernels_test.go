@@ -116,12 +116,14 @@ type layerState struct {
 }
 
 // TestLayerMatchesPerAccess holds the forked layer driver's raw leaves to
-// the metered per-access spec in all three modes of the block comparator,
+// the metered per-access spec in all four modes of the block comparator
+// (the closure mode runs per access everywhere, so its row checks the
+// driver's leaves and the kernel's rebinding to them),
 // over every layer shape the keyed networks use — butterfly layers (j
 // divides cnt), half-cleaner runs (cnt < j) over several blocks, alt
 // directions, layers long enough that a pool leaf ends mid-run — and over
 // the top-k tournament's whole layer sequence. Recording shapes keep each
-// leaf's bits in whole words (see layer); the ragged shapes, whose pool
+// leaf's bits in whole words (see Layer); the ragged shapes, whose pool
 // leaves also end mid-block, only compare-exchange.
 func TestLayerMatchesPerAccess(t *testing.T) {
 	shapes := []struct {
@@ -141,13 +143,23 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 			n = max(n, s.nb*s.gap)
 			words += (s.nb*s.cnt + 63) >> 6
 		}
+		for _, flip := range []bool{false, true} { // flip: every layer's alt inverted
+			oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("%s flip=%v closure", sh.name, flip), func(c *forkjoin.Ctx, sp *mem.Space) []Elem {
+				a, _ := dupHeavyInput(sp, uint64(n), n, 1)
+				kern := NewCexKernelFunc(c, a, func(e Elem) uint64 { return e.Key })
+				for _, s := range sh.layers {
+					Layer(c, kern, 0, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+				}
+				return append([]Elem(nil), a.Data()...)
+			})
+		}
 		for _, w := range []int{1, 2, 3} {
 			for _, flip := range []bool{false, true} { // flip: every layer's alt inverted
 				label := fmt.Sprintf("%s w=%d flip=%v", sh.name, w, flip)
 				oblivtest.SameOnEveryExecutor(t, label+" cex", func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 					a, ks := dupHeavyInput(sp, uint64(n+w), n, w)
 					for _, s := range sh.layers {
-						Layer(c, a, ks, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						Layer(c, NewCexKernel(c, a, ks), 0, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
 					}
 					return snapshotKeyed(a, ks)
 				})
@@ -167,12 +179,12 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 							p := sh.layers[l-1]
 							qs[l] = qs[l-1] + (p.nb*p.cnt+63)&^63
 						}
-						layer(c, a, ks, rec, qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						Layer(c, NewCexKernelRecord(c, a, ks, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
 					}
 					st := layerState{Keyed: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
 					for l := len(sh.layers) - 1; l >= 0; l-- {
 						s := sh.layers[l]
-						layer(c, a, nil, rec, qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						Layer(c, NewCexKernelRecord(c, a, nil, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
 					}
 					st.Replayed = append([]Elem(nil), a.Data()...)
 					if !slices.Equal(st.Replayed, orig) {

@@ -3,6 +3,8 @@ package pram
 // This file provides concrete CRCW machines used by the tests, the
 // examples, and the Table 2 "PRAM step" benchmarks.
 
+import "oblivmc/internal/obliv"
+
 // PointerJumpMachine performs Wyllie-style pointer jumping for list
 // ranking: memory holds [succ_0, rank_0, succ_1, rank_1, ...]; after
 // ceil(log2 n) rounds, rank_i is the distance from i to the list tail.
@@ -29,7 +31,7 @@ func (m *PointerJumpMachine) Procs() int { return m.N }
 func (m *PointerJumpMachine) Space() int { return 2 * m.N }
 
 // Steps implements Machine: four steps per jumping round.
-func (m *PointerJumpMachine) Steps() int { return 4 * log2ceil(m.N) }
+func (m *PointerJumpMachine) Steps() int { return 4 * obliv.Log2Ceil(m.N) }
 
 // LocalWords implements Machine.
 func (m *PointerJumpMachine) LocalWords() int { return pjWords }
@@ -116,7 +118,7 @@ func (m *MaxMachine) Procs() int { return m.N }
 func (m *MaxMachine) Space() int { return m.N }
 
 // Steps implements Machine: one warm-up read plus the tournament rounds.
-func (m *MaxMachine) Steps() int { return 1 + log2ceil(m.N) }
+func (m *MaxMachine) Steps() int { return 1 + obliv.Log2Ceil(m.N) }
 
 // LocalWords implements Machine.
 func (m *MaxMachine) LocalWords() int { return 1 }
@@ -218,12 +220,4 @@ func (m *ConflictMachine) ReadAddr(t, proc int, local []uint64) int { return -1 
 // Compute implements Machine.
 func (m *ConflictMachine) Compute(t, proc int, local []uint64, read uint64, ok bool) (int, uint64) {
 	return 0, m.Base + uint64(proc)
-}
-
-func log2ceil(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
 }

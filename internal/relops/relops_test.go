@@ -2,6 +2,7 @@ package relops
 
 import (
 	"errors"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/obliv/oblivtest"
 	"oblivmc/internal/plan"
 	"oblivmc/internal/prng"
 )
@@ -393,6 +395,54 @@ func TestTopKRandom(t *testing.T) {
 			checkRecords(t, Unload(a), want, "TopK")
 		}
 	}
+}
+
+// TestTopK01Principle applies the 0–1 principle to the executed tournament:
+// every 0/1 value vector of n = 2, 4, 8, 16 records through topK, on the
+// serial, 2-worker pool and metered executors. The first k slots must hold
+// the k largest values (the ones first), every later slot a filler. Equal
+// values are full ties (one TiePos for all records), so each comparator
+// acts on the 0/1 values alone. k runs over every k <= n up to n = 8; at
+// n = 16 it runs over the powers of two, one k per tournament: topK(k) is
+// the tournament of NextPow2(k) followed by a cut at k, so its first k
+// slots are those of topK(NextPow2(k)).
+func TestTopK01Principle(t *testing.T) {
+	oblivtest.SameOnEveryExecutor(t, "topK", func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
+		ar := NewArena()
+		var out []uint64 // every kept prefix, one value bit per slot
+		for n := 2; n <= 16; n <<= 1 {
+			a := mem.Alloc[obliv.Elem](sp, n)
+			for mask := 0; mask < 1<<n; mask++ {
+				ones := bits.OnesCount(uint(mask))
+				for k := 1; k <= n; k++ {
+					if n == 16 && !obliv.IsPow2(k) {
+						continue
+					}
+					for i := range n {
+						a.Data()[i] = obliv.Elem{Val: uint64(mask >> i & 1), Kind: obliv.Real}
+					}
+					topK(c, sp, ar, a, k)
+					var w uint64
+					for i, e := range a.Data() {
+						want := obliv.Elem{} // a filler past the cut
+						if i < k {
+							want = obliv.Elem{Kind: obliv.Real}
+							if i < ones {
+								want.Val = 1
+							}
+						}
+						if e != want {
+							t.Errorf("n=%d k=%d: mask %b: slot %d = %+v, want %+v", n, k, mask, i, e, want) // Errorf: may run on a pool worker
+							break
+						}
+						w |= e.Val << i
+					}
+					out = append(out, w)
+				}
+			}
+		}
+		return out
+	})
 }
 
 // TestTopKTiesAndZeros drives the Val==0 / filler key-collision corner and

@@ -21,8 +21,9 @@ import (
 //     next round's pairs ascending/descending again;
 //  4. the cut turns every slot at index >= k into a filler.
 //
-// Every layer is one obliv.Layer: a single fork tree over its comparators
-// in all blocks, never one per block or per position.
+// Step 2 is obliv.Stages and each round one obliv.Layer and one
+// obliv.Merge, so every layer is one obliv.Layer: a single fork tree over
+// its comparators in all blocks, never one per block or per position.
 //
 // That is O(n log² K) comparators against a full sort's O(n log² n), and
 // every comparator's positions and direction are a function of (n, k)
@@ -36,17 +37,12 @@ func topK(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], k
 	ks := ar.Keys(sp, n, sc.w)
 	obliv.BuildKeySchedule(c, a, ks, 0, n, sc.emit)
 
-	for p := 2; p <= K; p <<= 1 {
-		for j := p >> 1; j > 0; j >>= 1 {
-			obliv.Layer(c, a, ks, n/p, p, p/2, j, true)
-		}
-	}
+	kern := obliv.NewCexKernel(c, a, ks)
+	obliv.Stages(c, kern, n, K)
 	for s := K; s < n; s <<= 1 {
 		c.Check("relops.topk")
-		obliv.Layer(c, a, ks, n/(2*s), 2*s, K, s, false)
-		for j := K >> 1; j > 0; j >>= 1 {
-			obliv.Layer(c, a, ks, n/(2*s), 2*s, K/2, j, true)
-		}
+		obliv.Layer(c, kern, 0, n/(2*s), 2*s, K, s, false)
+		obliv.Merge(c, kern, 0, n/(2*s), 2*s, K, true)
 	}
 
 	cutFrom(c, a, k)

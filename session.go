@@ -131,9 +131,9 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
-// The recording methods count a recorded sort as a pass and forward to the
-// session's sorter (both backends record; a decorator that does not falls
-// back to the network).
+// The recording methods count a recorded sort as a pass and forward to
+// bitonic.Recorder of the session's sorter: the cache-agnostic network on
+// both backends.
 func (s passCounter) RecordWords(c *forkjoin.Ctx, n int) int {
 	return bitonic.Recorder(s.inner).RecordWords(c, n)
 }

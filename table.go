@@ -442,13 +442,6 @@ func Join(cfg Config, left, right Table) ([]JoinedRow, *Report, error) {
 	if left.Width() > 1 || right.Width() > 1 {
 		return nil, nil, errWideFilter("Join")
 	}
-	seen := map[uint64]bool{}
-	for i, r := range left.recs {
-		if seen[r.Key] {
-			return nil, nil, fmt.Errorf("oblivmc: left table key %d (row %d) is duplicated", r.Key, i)
-		}
-		seen[r.Key] = true
-	}
 	vals, found, rep, err := sendReceive(cfg, left.Len(), right.Len(),
 		func(i int) (uint64, uint64) { return left.recs[i].Key, left.recs[i].Val },
 		func(j int) uint64 { return right.recs[j].Key })
