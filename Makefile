@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke examples-smoke docker clean
 
 all: vet build test
 
@@ -127,6 +127,12 @@ chaos-smoke:
 # live server.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# examples-smoke runs every program under examples/ — each drives the
+# public API end to end, graphs and pramsim through the PRAM gather — and
+# fails on the first one that exits non-zero.
+examples-smoke:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null; done
 
 # docker builds the oblivserve container image (multi-stage, static
 # binary on scratch-ish alpine). Override the tag with DOCKER_TAG.

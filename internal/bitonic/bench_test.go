@@ -60,8 +60,9 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 // the plain keyed sort they stand beside, at 2^10 (one leaf) and 2^14 (the
 // graph workload's gather requests), on the serial executor and a 2-worker
 // pool. The record writes one swap bit per comparator on top of the keyed
-// comparator's work; the un-sort reads the bits back and moves elements
-// only — no key schedule, no compare.
+// comparator's work; the un-sort reads the bits back and moves one word
+// plane — the sort's dead key plane, as the gather's un-sort does — with no
+// element, no key and no compare.
 func BenchmarkBitonicRecord(b *testing.B) {
 	pool := forkjoin.NewPool(2)
 	defer pool.Close()
@@ -97,7 +98,7 @@ func BenchmarkBitonicRecord(b *testing.B) {
 			{"unsort", func() {
 				load()
 				SortCARecorded(forkjoin.Serial(), a, scr, ks, kscr, rec, 0, n, true, 0)
-			}, func(c *forkjoin.Ctx) { UnsortCA(c, a, scr, rec, 0, n, 0) }},
+			}, func(c *forkjoin.Ctx) { UnsortCA(c, ks, kscr, rec, 0, n, 0) }},
 		}
 		for _, leg := range legs {
 			for _, ex := range execs {

@@ -27,6 +27,7 @@ func TestKeyedCancelSite(t *testing.T) {
 	scr := mem.Alloc[obliv.Elem](s, n)
 	kscr := obliv.AllocKeySchedule(s, n, 1)
 	rec := mem.Alloc[uint64](s, RecordWords(forkjoin.Serial(), n, 0))
+	vs, vscr := obliv.AllocKeySchedule(s, n, 1), obliv.AllocKeySchedule(s, n, 1)
 	sorted := func(label string) func() { return func() { assertSorted(t, a.Data(), label) } }
 	runs := []struct {
 		name  string
@@ -37,9 +38,11 @@ func TestKeyedCancelSite(t *testing.T) {
 			sorted("keyed sort with untripped token")},
 		{"recorded sort", func(c *forkjoin.Ctx) { SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0) },
 			sorted("recorded sort with untripped token")},
-		{"un-sort", func(c *forkjoin.Ctx) { UnsortCA(c, a, scr, rec, 0, n, 0) }, func() {
-			if !reflect.DeepEqual(a.Data(), in) {
-				t.Fatal("un-sort with untripped token did not restore the input")
+		{"un-sort", func(c *forkjoin.Ctx) { UnsortCA(c, vs, vscr, rec, 0, n, 0) }, func() {
+			for i, r := range vs.Plane(0).Data() {
+				if r != uint64(i) {
+					t.Fatalf("un-sort with untripped token left home %d at slot %d", r, i)
+				}
 			}
 		}},
 	}
@@ -47,8 +50,12 @@ func TestKeyedCancelSite(t *testing.T) {
 		load()
 		if r.name == "un-sort" {
 			SortCARecorded(forkjoin.Serial(), a, scr, ks, kscr, rec, 0, n, true, 0)
+			for r, e := range a.Data() {
+				vs.Plane(0).Data()[r] = e.Val // the sorted element's home
+			}
 		}
 		before := append([]obliv.Elem(nil), a.Data()...)
+		vsBefore := append([]uint64(nil), vs.Plane(0).Data()...)
 		cn := new(forkjoin.Cancel)
 		cn.Cancel()
 		var caught any
@@ -65,8 +72,8 @@ func TestKeyedCancelSite(t *testing.T) {
 		}
 		// The abort fired before the first layer, so the array is untouched;
 		// an untripped token must now run to completion.
-		if !reflect.DeepEqual(a.Data(), before) {
-			t.Fatalf("%s: the aborted run moved elements", r.name)
+		if !reflect.DeepEqual(a.Data(), before) || !reflect.DeepEqual(vs.Plane(0).Data(), vsBefore) {
+			t.Fatalf("%s: the aborted run moved elements or words", r.name)
 		}
 		r.run(forkjoin.SerialCancel(new(forkjoin.Cancel)))
 		r.check()

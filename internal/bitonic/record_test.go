@@ -14,11 +14,16 @@ import (
 
 // TestRecordedSortMatchesKeyedAndUnsorts: on the serial executor, a 2-worker
 // pool and the metered executor, the recorded sort leaves exactly the
-// elements and key plane SortCAKeyed leaves, and UnsortCA then restores the
-// input in every field. The pool leg runs leaves concurrently, so under
-// -race two leaves sharing a record word fail here. The metered leg stops
-// at 2^14 (its dense layout has no leaf boundaries to get wrong above
-// that, and 2^16 per access takes ~14 s, ~90 s under -race).
+// elements and key plane SortCAKeyed leaves, and the word un-sort then
+// carries two planes written in sorted order — each element's home index,
+// and a second word derived from it — back to the identity: slot i of the
+// first reads i, of the second ^i. The pool leg runs leaves concurrently,
+// so under -race two leaves sharing a record word fail here. The metered
+// executor ignores the leaf size (it forks down to leaf 2), so it runs the
+// default leaf, and the descending leaf-8 variant up to 2^11 for the other
+// direction; its leg stops at 2^14 (its dense layout has no leaf
+// boundaries to get wrong above that, and 2^16 per access takes ~14 s,
+// ~90 s under -race).
 func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 	execs := []struct {
 		name string
@@ -32,25 +37,29 @@ func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 		n, leaf int
 		asc     bool
 	}
-	variants := []variant{{64, 8, true}, {64, 8, false}, {1024, 16, true}}
-	for _, n := range []int{2, 64, 1024, 2048, 1 << 14, 1 << 16} {
-		variants = append(variants, variant{n, 0, true})
+	var variants []variant
+	for _, n := range []int{2, 64, 1024, 2048, 1 << 14} {
+		variants = append(variants, variant{n, 8, true}, variant{n, 8, false}, variant{n, 16, true}, variant{n, 0, true})
 	}
+	variants = append(variants, variant{1 << 16, 0, true})
 	for _, v := range variants {
 		n := v.n
 		for _, ex := range execs {
-			if ex.name == "metered" && n > 1<<14 {
+			if ex.name == "metered" && (n > 1<<14 || v.leaf == 16 || v.leaf == 8 && (v.asc || n > 2048)) {
 				continue
 			}
 			label := fmt.Sprintf("n=%d leaf=%d asc=%v %s", n, v.leaf, v.asc, ex.name)
 			var want, got keyedState
-			var in, back []obliv.Elem
+			var homes, derived []uint64
 			ex.run(func(c *forkjoin.Ctx) {
 				sp := mem.NewSpace()
 				a, scr := mem.Alloc[obliv.Elem](sp, n+3), mem.Alloc[obliv.Elem](sp, n)
 				ks, kscr := obliv.AllocKeySchedule(sp, n+3, 1), obliv.AllocKeySchedule(sp, n, 1)
 				dupHeavy(uint64(n)+7, a, ks)
-				in = append([]obliv.Elem(nil), a.Data()...)
+				for i := range n {
+					a.Data()[3+i].Lbl = uint64(i) // home index
+				}
+				in := append([]obliv.Elem(nil), a.Data()...)
 				keys := append([]uint64(nil), ks.Plane(0).Data()...)
 
 				SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
@@ -61,22 +70,33 @@ func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 				rec := mem.Alloc[uint64](sp, RecordWords(c, n, v.leaf))
 				SortCARecorded(c, a, scr, ks, kscr, rec, 3, n, v.asc, v.leaf)
 				got = snapshotKeyed(a, ks)
-				UnsortCA(c, a, scr, rec, 3, n, v.leaf)
-				back = append([]obliv.Elem(nil), a.Data()...)
+
+				vs, vscr := obliv.AllocKeySchedule(sp, n+3, 2), obliv.AllocKeySchedule(sp, n, 2)
+				for r := range n {
+					home := a.Data()[3+r].Lbl
+					vs.Plane(0).Data()[3+r], vs.Plane(1).Data()[3+r] = home, ^home
+				}
+				UnsortCA(c, vs, vscr, rec, 3, n, v.leaf)
+				homes = vs.Plane(0).Data()[3:]
+				derived = vs.Plane(1).Data()[3:]
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: the recorded sort differs from SortCAKeyed", label)
 			}
-			if !reflect.DeepEqual(back, in) {
-				t.Fatalf("%s: the un-sort did not restore the input", label)
+			for i := range n {
+				if homes[i] != uint64(i) || derived[i] != ^uint64(i) {
+					t.Fatalf("%s: slot %d un-sorted to home %d, second word %x", label, i, homes[i], derived[i])
+				}
 			}
 		}
 	}
 }
 
 // TestUnsortPermutesNewContents: the un-sort applies the inverse of the
-// recorded permutation to whatever the slots hold — the gather's use, which
-// routes values into the sorted requests before un-sorting them.
+// recorded permutation to whatever the plane holds — the gather's use,
+// which routes values into the sorted requests' plane before un-sorting
+// it. Here the value is the sorted slot itself, so after the un-sort slot i
+// must name the sorted slot its element went to.
 func TestUnsortPermutesNewContents(t *testing.T) {
 	const n = 4096
 	forkjoin.RunParallel(2, func(c *forkjoin.Ctx) {
@@ -89,14 +109,14 @@ func TestUnsortPermutesNewContents(t *testing.T) {
 		}
 		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
 		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
-		for r := range a.Data() {
-			a.Data()[r].Val = uint64(r) // sorted slot
+		for r := range n {
+			ks.Plane(0).Data()[r] = uint64(r) // sorted slot, over the dead keys
 		}
 		sorted := append([]obliv.Elem(nil), a.Data()...)
-		UnsortCA(c, a, scr, rec, 0, n, 0)
-		for i, e := range a.Data() {
-			if e.Lbl != uint64(i) || sorted[e.Val].Lbl != uint64(i) {
-				t.Fatalf("slot %d holds home %d from sorted slot %d", i, e.Lbl, e.Val)
+		UnsortCA(c, ks, kscr, rec, 0, n, 0)
+		for i, r := range ks.Plane(0).Data() {
+			if sorted[r].Lbl != uint64(i) {
+				t.Fatalf("slot %d got sorted slot %d, which holds home %d", i, r, sorted[r].Lbl)
 			}
 		}
 	})
@@ -124,17 +144,24 @@ func TestRecordLayoutSize(t *testing.T) {
 	}
 }
 
-// TestRecordUnsortTraceLockstep: the recorded sort and its un-sort touch the
-// same addresses for every input of one size — duplicates, ties and
-// fillers included.
+// TestRecordUnsortTraceLockstep: the recorded sort and its word un-sort,
+// over one plane and over two, touch the same addresses for every input of
+// one size — duplicates, ties and fillers included.
 func TestRecordUnsortTraceLockstep(t *testing.T) {
 	oblivtest.Lockstep(t, "record+unsort", 4, 3, 91, func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
 		n := 1 << (1 + shape.Intn(7))
+		w := 1 + shape.Intn(2)
 		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
 		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
 		dupHeavy(content.Uint64(), a, ks)
 		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
 		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
-		UnsortCA(c, a, scr, rec, 0, n, 0)
+		vs, vscr := obliv.AllocKeySchedule(sp, n, w), obliv.AllocKeySchedule(sp, n, w)
+		for p := 0; p < w; p++ {
+			for r := range n {
+				vs.Plane(p).Data()[r] = content.Uint64()
+			}
+		}
+		UnsortCA(c, vs, vscr, rec, 0, n, 0)
 	})
 }

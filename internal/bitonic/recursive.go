@@ -36,11 +36,13 @@ const DefaultLeaf = 1024
 // range and valid in both buffers.
 //
 // A network with a swap record runs the keyed comparator's record mode
-// (one bit per comparator, set iff it exchanged its pair) or, with no key
-// at all, its replay mode, which the un-sort drives backwards. Bit offsets
-// follow the fork tree: a sort's record is its two halves' records, then
-// its merge's; a merge's is its column merges', then its row merges'; a
-// leaf's is its layers' in order, n/2 bits each (layout).
+// (one bit per comparator, set iff it exchanged its pair) or, with no
+// element array, its replay mode, which the un-sort drives backwards over
+// word planes alone: ks and kscr then hold the values being carried home
+// (the gather's routed values), and the transposes move only them. Bit
+// offsets follow the fork tree: a sort's record is its two halves'
+// records, then its merge's; a merge's is its column merges', then its row
+// merges'; a leaf's is its layers' in order, n/2 bits each (layout).
 type network struct {
 	a, scr   *mem.Array[obliv.Elem]
 	ks, kscr *obliv.KeySchedule
@@ -63,13 +65,17 @@ func leafFor(c *forkjoin.Ctx, leaf int) int {
 	return leaf
 }
 
-// newNetwork views a[lo:lo+n] and the first n elements of scratch (and of
-// ks, kscr if keyed) as a network's buffers, with the leaf size resolved.
+// newNetwork views a[lo:lo+n] and the first n elements of scratch (if
+// there are elements) and of ks, kscr (if keyed or replaying) as a
+// network's buffers, with the leaf size resolved.
 func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, key func(obliv.Elem) uint64, lo, n, leaf int) network {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")
 	}
-	nw := network{a: a.View(lo, n), scr: scratch.View(0, n), key: key, leaf: leafFor(c, leaf)}
+	nw := network{key: key, leaf: leafFor(c, leaf)}
+	if a != nil {
+		nw.a, nw.scr = a.View(lo, n), scratch.View(0, n)
+	}
 	if ks != nil {
 		nw.ks, nw.kscr = ks.View(lo, n), kscr.View(0, n)
 	}
@@ -79,7 +85,7 @@ func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *ob
 // recorded is nw with the swap record rec, which must hold
 // RecordWords(c, n, leaf) words for the network's n elements.
 func (nw network) recorded(c *forkjoin.Ctx, rec *mem.Array[uint64]) network {
-	n := nw.a.Len()
+	n := nw.ks.Len()
 	nw.rec, nw.bits = rec, newLayout(n, nw.leaf, c.Metered())
 	if rec.Len() < nw.bits.words(n) {
 		panic("bitonic: swap record too short")
@@ -176,22 +182,25 @@ func RecordWords(c *forkjoin.Ctx, n, leaf int) int {
 
 // SortCARecorded is SortCAKeyed that also records every comparator's swap
 // bit into rec, which must hold RecordWords(c, n, leaf) words. The record
-// depends on nothing but the comparators' outcomes, so UnsortCA can undo
-// the sort after the elements' contents have changed.
+// depends on nothing but the comparators' outcomes, so UnsortCA can carry
+// values written into the sorted slots back to the elements' original ones.
 func SortCARecorded(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int, asc bool, leaf int) {
 	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).recorded(c, rec).sort(c, 0, n, asc, 0)
 }
 
-// UnsortCA undoes SortCARecorded(c, _, _, _, _, rec, lo, n, _, leaf): it
-// runs the same fork tree and transposes backwards — each merge un-merged
-// before its two halves are un-sorted, a merge's row phase before its
-// column phase, a leaf's layers in reverse — and exchanges exactly the
-// pairs the sort exchanged, so every element of a[lo:lo+n) returns to the
-// slot it held before the sort. No key is read. It must run under the same
-// kind of executor (metered or not) as the recorded sort; its access
-// pattern is a function of n and that kind alone.
-func UnsortCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n, leaf int) {
-	newNetwork(c, a, scratch, nil, nil, nil, lo, n, leaf).recorded(c, rec).unsort(c, 0, n, 0)
+// UnsortCA undoes SortCARecorded(c, _, _, _, _, rec, lo, n, _, leaf) on
+// the word planes of vs: it runs the same fork tree and transposes
+// backwards — each merge un-merged before its two halves are un-sorted, a
+// merge's row phase before its column phase, a leaf's layers in reverse —
+// and exchanges exactly the pairs the sort exchanged, so the word in slot
+// r of each plane of vs[lo:lo+n) moves to the slot the element sorted to r
+// came from. vscr (vs's width, >= n slots) is the transposes' scratch. No
+// element and no key is read: a replay moves the words its caller reads
+// back and nothing else. It must run under the same kind of executor
+// (metered or not) as the recorded sort; its access pattern is a function
+// of n, the width of vs and that kind alone.
+func UnsortCA(c *forkjoin.Ctx, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n, leaf int) {
+	newNetwork(c, nil, nil, vs, vscr, nil, lo, n, leaf).recorded(c, rec).unsort(c, 0, n, 0)
 }
 
 // MergeCA is the paper's cache-agnostic BITONIC-MERGE (§E.1.2) applied to
@@ -210,11 +219,15 @@ func MergeCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, m int, asc 
 }
 
 // kernel is the block comparator of the network's key (recording into the
-// network's record, or replaying it when there is no key), bound to its
-// element array and to the executor behind c.
+// network's record when it has one), bound to its element array — or, with
+// no element array, the replay of the record over its word planes — and to
+// the executor behind c.
 func (nw network) kernel(c *forkjoin.Ctx) obliv.CexKernel {
-	if nw.key != nil {
+	switch {
+	case nw.key != nil:
 		return obliv.NewCexKernelFunc(c, nw.a, nw.key)
+	case nw.a == nil:
+		return obliv.NewCexKernelReplay(c, nw.ks, nw.rec)
 	}
 	return obliv.NewCexKernelRecord(c, nw.a, nw.ks, nw.rec)
 }
@@ -227,7 +240,9 @@ func (nw network) swapped() network {
 
 // at is the network restricted to the block [lo, lo+m) of its buffers.
 func (nw network) at(lo, m int) network {
-	nw.a, nw.scr = nw.a.View(lo, m), nw.scr.View(lo, m)
+	if nw.a != nil {
+		nw.a, nw.scr = nw.a.View(lo, m), nw.scr.View(lo, m)
+	}
 	if nw.ks != nil {
 		nw.ks, nw.kscr = nw.ks.View(lo, m), nw.kscr.View(lo, m)
 	}
@@ -237,7 +252,9 @@ func (nw network) at(lo, m int) network {
 // transpose writes the buffers, read as a rows×cols row-major matrix, to
 // their scratch as its transpose, key planes in lockstep with the elements.
 func (nw network) transpose(c *forkjoin.Ctx, rows, cols int) {
-	matrix.Transpose(c, nw.scr, nw.a, rows, cols)
+	if nw.a != nil {
+		matrix.Transpose(c, nw.scr, nw.a, rows, cols)
+	}
 	if nw.ks != nil {
 		for p := 0; p < nw.ks.Width(); p++ {
 			matrix.Transpose(c, nw.kscr.Plane(p), nw.ks.Plane(p), rows, cols)

@@ -75,13 +75,14 @@ func (CacheAgnostic) SortRecorded(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[ob
 	SortCARecorded(c, a, scr, ks, kscr, rec, lo, n, true, 0)
 }
 
-// Unsort implements obliv.RecordingSorter by replaying the record backwards.
-func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, a, scr *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n int) {
+// Unsort implements obliv.RecordingSorter by replaying the record backwards
+// over the word planes of vs.
+func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
 	if n <= 1 {
 		return
 	}
 	replayCalls.Add(1)
-	UnsortCA(c, a, scr, rec, lo, n, 0)
+	UnsortCA(c, vs, vscr, rec, lo, n, 0)
 }
 
 // Recorder is srt's obliv.RecordingSorter, or CacheAgnostic for a sorter

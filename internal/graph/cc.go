@@ -74,7 +74,7 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], sr
 	n := d.Len()
 	dw := mem.Alloc[uint64](sp, n)
 	mem.CopyPar(c, dw, 0, d, 0, n)
-	dd := pram.Gather(c, sp, d, dw, srt) // D[D[w]]
+	dd := gather(c, sp, d, dw, srt) // D[D[w]]
 
 	mem.Fill(c, star, 1)
 	// If D[w] != D[D[w]]: star[w] = 0 and star[D[D[w]]] = 0.
@@ -82,7 +82,7 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], sr
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			dv := dw.Get(c, w)
-			ddv := dd.Get(c, w).Val
+			ddv := dd.Get(c, w)
 			r := obliv.Elem{Kind: obliv.Filler, Aux: uint64(w)}
 			z := star.Get(c, w)
 			c.Op(1)
@@ -97,10 +97,10 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], sr
 	pram.ScatterResolve(c, sp, star, reqs, srt)
 	// star[w] = star[w] ∧ star[D[w]]: a vertex cleared above stays cleared
 	// even when its parent (a child of the root) was not.
-	sOfD := pram.Gather(c, sp, star, dw, srt)
+	sOfD := gather(c, sp, star, dw, srt)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			star.Set(c, w, star.Get(c, w)&sOfD.Get(c, w).Val)
+			star.Set(c, w, star.Get(c, w)&sOfD.Get(c, w))
 		}
 	})
 }
@@ -110,15 +110,15 @@ func hook(c *forkjoin.Ctx, sp *mem.Space, d, star, us, vs *mem.Array[uint64], m2
 	if m2 == 0 {
 		return
 	}
-	du := pram.Gather(c, sp, d, us, srt)
-	dv := pram.Gather(c, sp, d, vs, srt)
-	su := pram.Gather(c, sp, star, us, srt)
+	du := gather(c, sp, d, us, srt)
+	dv := gather(c, sp, d, vs, srt)
+	su := gather(c, sp, star, us, srt)
 	reqs := mem.Alloc[obliv.Elem](sp, m2)
 	forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for e := lo; e < hi; e++ {
-			duv := du.Get(c, e).Val
-			dvv := dv.Get(c, e).Val
-			isStar := su.Get(c, e).Val == 1
+			duv := du.Get(c, e)
+			dvv := dv.Get(c, e)
+			isStar := su.Get(c, e) == 1
 			cond := dvv < duv
 			if unconditional {
 				cond = dvv != duv
@@ -139,12 +139,20 @@ func jumpOnce(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64], srt obliv.Sc
 	n := d.Len()
 	dw := mem.Alloc[uint64](sp, n)
 	mem.CopyPar(c, dw, 0, d, 0, n)
-	dd := pram.Gather(c, sp, d, dw, srt)
+	dd := gather(c, sp, d, dw, srt)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			d.Set(c, w, dd.Get(c, w).Val)
+			d.Set(c, w, dd.Get(c, w))
 		}
 	})
+}
+
+// gather obliviously reads memory at addrs through a fresh pram.Gatherer
+// and returns the values alone, in request order (0 for an out-of-range
+// address): the graph kernels read nothing else, so they skip
+// pram.Gather's Elem wrapping.
+func gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[uint64] {
+	return pram.NewGatherer(c, sp, memory.Len(), addrs, srt).Values(c, sp, memory)
 }
 
 // ConnectedComponentsDirect is the insecure baseline: the same

@@ -95,11 +95,11 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 				// boundary stays the first cancellation site.
 				endpoints = pram.NewGatherer(c, sp, n, addrs, srt)
 			}
-			labels := endpoints.Gather(c, sp, d)
+			labels := endpoints.Values(c, sp, d)
 			forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, fr, to int) {
 				for e := fr; e < to; e++ {
-					du := labels.Get(c, 2*e).Val
-					dv := labels.Get(c, 2*e+1).Val
+					du := labels.Get(c, 2*e)
+					dv := labels.Get(c, 2*e+1)
 					lo, hi := du, dv
 					if lo > hi {
 						lo, hi = hi, lo

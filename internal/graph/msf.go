@@ -85,8 +85,8 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		// convergence check (see doc), so a cancellation here leaks nothing
 		// beyond the round index.
 		c.Check("graph.round")
-		cu := gu.Gather(c, sp, d)
-		cv := gv.Gather(c, sp, d)
+		cu := gu.Values(c, sp, d)
+		cv := gv.Values(c, sp, d)
 
 		// Live cross edges and convergence check (count revealed; see doc).
 		live := mem.Alloc[uint64](sp, m2)
@@ -94,7 +94,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 			for e := lo; e < hi; e++ {
 				l := uint64(0)
 				c.Op(1)
-				if cu.Get(c, e).Val != cv.Get(c, e).Val {
+				if cu.Get(c, e) != cv.Get(c, e) {
 					l = 1
 				}
 				live.Set(c, e, l)
@@ -110,8 +110,8 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		// propagate the minimum's (other endpoint, edge id) to the group.
 		forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for e := lo; e < hi; e++ {
-				cuv := cu.Get(c, e).Val
-				cvv := cv.Get(c, e).Val
+				cuv := cu.Get(c, e)
+				cvv := cv.Get(c, e)
 				wv := ws.Get(c, e)
 				id := ids.Get(c, e)
 				el := obliv.Elem{Kind: obliv.Filler}
@@ -171,7 +171,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 				sRoot.Set(c, e, a)
 			}
 		})
-		starOf := pram.Gather(c, sp, star, sRoot, srt)
+		starOf := gather(c, sp, star, sRoot, srt) // ⊥ (a non-Real sel) reads 0
 		hookReqs := mem.Alloc[obliv.Elem](sp, sel.Len())
 		chosenReqs := mem.Alloc[obliv.Elem](sp, sel.Len())
 		forkjoin.ParallelRange(c, 0, sel.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
@@ -181,7 +181,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 				hr := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
 				cr := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
 				c.Op(1)
-				if el.Kind == obliv.Real && st.Kind == obliv.Real && st.Val == 1 {
+				if el.Kind == obliv.Real && st == 1 {
 					other := el.Val >> msfIDBits
 					id := el.Val & (1<<msfIDBits - 1)
 					hr = obliv.Elem{Key: el.Aux, Val: other, Aux: uint64(e), Kind: obliv.Real}
@@ -197,11 +197,11 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		// Break 2-cycles: if D[D[r]] == r keep the smaller id as root.
 		dw := mem.Alloc[uint64](sp, n)
 		mem.CopyPar(c, dw, 0, d, 0, n)
-		dd := pram.Gather(c, sp, d, dw, srt)
+		dd := gather(c, sp, d, dw, srt)
 		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for w := lo; w < hi; w++ {
 				dv := dw.Get(c, w)
-				ddv := dd.Get(c, w).Val
+				ddv := dd.Get(c, w)
 				nv := dv
 				c.Op(1)
 				if ddv == uint64(w) && uint64(w) < dv {

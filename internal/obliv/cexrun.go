@@ -17,20 +17,23 @@ import (
 // (i+t, i+stride+t), t = 0..cnt-1, all in one direction — so the executor
 // question ("instrumented or not") is asked once, when the CexKernel is
 // made, instead of once per word. A run has four modes: it
-// compare-exchanges by cached key, also records each pair's swap bit,
-// replays recorded bits (no key schedule), or compare-exchanges by a key
-// closure. Under the metered executor a run is literally a loop over
-// CompareExchangeCachedW (replaying: a read of both elements and the bit's
-// word, a rewrite of both elements; by closure: CompareExchange): that
-// per-access loop is the specification. Under the serial and pool executors
-// widths 1 and 2 (width 1 when recording, the merges' width) go over the raw
-// slices with a comparator that never branches on the comparison outcome:
-// the outcome becomes an all-ones/all-zero mask and both positions are
-// rewritten with mask-selected words, so neither the address sequence nor
-// the branch history of a leaf depends on the data. Wider schedules, and
-// recording at width 2 (the relational layer builds neither), take the
-// per-access loop under every executor, and so does the closure mode: the
-// paper's cost model charges the closure per comparator.
+// compare-exchanges elements by cached key, also records each pair's swap
+// bit, replays recorded bits over word planes (no elements, no key), or
+// compare-exchanges elements by a key closure. A replay moves only the
+// words its caller reads back — one value plane where a run over elements
+// would drag every 48-byte record through the layer. Under the metered
+// executor a run is literally a loop over CompareExchangeCachedW
+// (replaying: a read of the bit's word, then per plane a read and a
+// rewrite of both positions; by closure: CompareExchange): that
+// per-access loop is the specification. Under the serial and pool
+// executors widths 1 and 2 (width 1 when recording, the merges' width) go
+// over the raw slices with a comparator that never branches on the
+// comparison outcome: the outcome becomes an all-ones/all-zero mask and
+// both positions are rewritten with mask-selected words, so neither the
+// address sequence nor the branch history of a leaf depends on the data.
+// Wider schedules, and recording at width 2 (the relational layer builds
+// neither), take the per-access loop under every executor, and so does the
+// closure mode: the paper's cost model charges the closure per comparator.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -113,14 +116,14 @@ func Stages(c *forkjoin.Ctx, k CexKernel, n, K int) {
 }
 
 // CexKernel is the block comparator bound to one array and one kind of
-// executor: NewCexKernel, NewCexKernelRecord and NewCexKernelFunc decide
-// once whether runs go through the per-access specification or over the
-// raw slices.
+// executor: NewCexKernel, NewCexKernelRecord, NewCexKernelReplay and
+// NewCexKernelFunc decide once whether runs go through the per-access
+// specification or over the raw slices.
 type CexKernel struct {
 	c   *forkjoin.Ctx
-	a   *mem.Array[Elem]
+	a   *mem.Array[Elem]   // nil: replay rec over the planes of ks
 	key func(Elem) uint64  // non-nil: compare-exchange by key, per access
-	ks  *KeySchedule       // nil: replay rec
+	ks  *KeySchedule       // the key schedule, or the replayed word planes
 	rec *mem.Array[uint64] // nil: compare-exchange only
 
 	// Raw views, nil when runs take the per-access path.
@@ -141,30 +144,43 @@ func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64
 	return CexKernel{c: c, a: a, key: key}
 }
 
-// NewCexKernelRecord is NewCexKernel in the block comparator's other two
-// modes: with a key schedule it also records each pair's swap bit into rec,
-// and with a nil ks it replays rec (Layer's q names the bits).
+// NewCexKernelRecord is NewCexKernel that also records each pair's swap bit
+// into rec (Layer's q names the bits); a nil rec records nothing.
 func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
 	k := CexKernel{c: c, a: a, ks: ks, rec: rec}
-	w := 0
-	if ks != nil {
-		w = len(ks.planes)
-	}
-	if w > 2 || w == 2 && rec != nil {
+	if w := len(ks.planes); w > 2 || w == 2 && rec != nil {
 		return k
 	}
 	if k.e = a.Raw(c); k.e == nil {
 		return k
 	}
-	if ks != nil {
-		k.k0 = ks.planes[0].Raw(c)
-		if len(ks.planes) == 2 {
-			k.k1 = ks.planes[1].Raw(c)
-		}
+	k.k0 = ks.planes[0].Raw(c)
+	if len(ks.planes) == 2 {
+		k.k1 = ks.planes[1].Raw(c)
 	}
 	if rec != nil {
 		k.bits = rec.Raw(c)
 	}
+	return k
+}
+
+// NewCexKernelReplay binds the comparator's replay mode to the recorded
+// swap bits rec and the word planes of ws, which it moves as a recorded run
+// moved the elements (Layer's q names the bits). The planes are whatever
+// the caller wants carried back — a routed value, an index — not keys: a
+// replay compares nothing.
+func NewCexKernelReplay(c *forkjoin.Ctx, ws *KeySchedule, rec *mem.Array[uint64]) CexKernel {
+	k := CexKernel{c: c, ks: ws, rec: rec}
+	if len(ws.planes) > 2 {
+		return k
+	}
+	if k.k0 = ws.planes[0].Raw(c); k.k0 == nil {
+		return k
+	}
+	if len(ws.planes) == 2 {
+		k.k1 = ws.planes[1].Raw(c)
+	}
+	k.bits = rec.Raw(c)
 	return k
 }
 
@@ -174,16 +190,17 @@ func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, re
 // recording kernel then stores pair t's outcome as bit q+t of its record —
 // under the metered executor a read and a rewrite of the bit's word, at an
 // address fixed by q+t; the raw kernel writes the bit with mask arithmetic
-// and never branches on it. A replaying kernel (no key schedule) instead
-// exchanges pair t iff bit q+t is set, ignoring asc; a closure kernel makes
-// the cnt calls of CompareExchange instead.
+// and never branches on it. A replaying kernel instead exchanges the words
+// of pair t in every plane iff bit q+t is set, ignoring asc (its stride
+// must be a power of two, as in every network); a closure kernel makes the
+// cnt calls of CompareExchange instead.
 func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 	j := i + stride
+	if k.a == nil {
+		k.replay(i, stride, cnt, q)
+		return
+	}
 	if k.e != nil {
-		if k.ks == nil {
-			uncexRun(k.e, i, j, cnt, k.bits, q)
-			return
-		}
 		var desc uint64
 		if !asc {
 			desc = ^uint64(0)
@@ -203,27 +220,48 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 		return
 	}
 	for t := 0; t < cnt; t++ {
-		b := q + t
-		if k.ks == nil {
-			x := a.Get(c, i+t)
-			y := a.Get(c, j+t)
-			w := k.rec.Get(c, b>>6)
-			c.Op(1)
-			if w>>(b&63)&1 == 1 {
-				x, y = y, x
-			}
-			a.Set(c, i+t, x)
-			a.Set(c, j+t, y)
-			continue
-		}
 		swapped := CompareExchangeCachedW(c, a, k.ks, i+t, j+t, asc)
 		if k.rec != nil {
 			var bit uint64
 			if swapped {
 				bit = 1
 			}
+			b := q + t
 			w := k.rec.Get(c, b>>6)
 			k.rec.Set(c, b>>6, w&^(1<<(b&63))|bit<<(b&63))
+		}
+	}
+}
+
+// replay exchanges, for u = 0..pairs-1, the words of every plane at
+// lo+pos(u) and stride slots on iff bit q+u is set, where pos(u) =
+// (u/stride)·2·stride + u%stride numbers the pairs of a butterfly layer at
+// that stride (a power of two): pairs <= stride is one run, n/2 pairs the
+// whole layer over n slots. Per access it reads the bit's word, then reads
+// and rewrites both positions of each plane; raw, it is replayRun once per
+// plane.
+func (k *CexKernel) replay(lo, stride, pairs, q int) {
+	if k.k0 != nil {
+		replayRun(k.k0, lo, stride, pairs, k.bits, q)
+		if k.k1 != nil {
+			replayRun(k.k1, lo, stride, pairs, k.bits, q)
+		}
+		return
+	}
+	c := k.c
+	for u := 0; u < pairs; u++ {
+		i := lo + (u&^(stride-1))<<1 + u&(stride-1)
+		b := q + u
+		w := k.rec.Get(c, b>>6)
+		c.Op(1)
+		swap := w>>(b&63)&1 == 1
+		for _, p := range k.ks.planes {
+			x, y := p.Get(c, i), p.Get(c, i+stride)
+			if swap {
+				x, y = y, x
+			}
+			p.Set(c, i, x)
+			p.Set(c, i+stride, y)
 		}
 	}
 }
@@ -236,8 +274,14 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 // recording or replaying kernel keeps the layer's n/2 swap bits at q..,
 // pair t of the run at i0 as bit q + i0/2 + t. It is the serial leaf loop
 // of the bitonic sorts: unlike the forked Layer it does no per-run index
-// arithmetic, which matters at strides 1 and 2.
+// arithmetic, which matters at strides 1 and 2. A replay takes the whole
+// layer in one loop (a word swap is too cheap to pay a call per run of
+// one pair).
 func (k *CexKernel) Layer(lo, n, stride, period int, asc bool, q int) {
+	if k.a == nil {
+		k.replay(lo, stride, n>>1, q)
+		return
+	}
 	for i0 := 0; i0 < n; i0 += 2 * stride {
 		k.run(lo+i0, stride, stride, (i0&period == 0) == asc, q+i0>>1)
 	}
@@ -309,13 +353,16 @@ func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, desc uint64, rec []uint6
 	}
 }
 
-// uncexRun replays recorded pairs over raw slices: pair (i+t, j+t) is
-// exchanged iff bit q+t of rec is set, through CondSwap, so the loads,
+// replayRun is replay over one raw word plane, exchanging with mask
+// arithmetic — d := (x^y)&m, m the bit widened to a mask — so the loads,
 // stores and branches are those of every other outcome.
-func uncexRun(e []Elem, i, j, cnt int, rec []uint64, q int) {
-	ei, ej := e[i:i+cnt], e[j:j+cnt]
-	for t := range ei {
-		b := q + t
-		CondSwap(&ei[t], &ej[t], -(rec[b>>6] >> (b & 63) & 1))
+func replayRun(p []uint64, lo, stride, pairs int, rec []uint64, q int) {
+	for u := 0; u < pairs; u++ {
+		i := lo + (u&^(stride-1))<<1 + u&(stride-1)
+		b := q + u
+		m := -(rec[b>>6] >> (b & 63) & 1)
+		x, y := p[i], p[i+stride]
+		d := (x ^ y) & m
+		p[i], p[i+stride] = x^d, y^d
 	}
 }

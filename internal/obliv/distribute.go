@@ -207,13 +207,15 @@ func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, r
 	Merge(c, NewCexKernelRecord(c, a, ks, rec), 0, 1, n, n, false)
 }
 
-// unmergeBitonic undoes mergeBitonic(c, a, _, n, rec): it replays the
-// recorded layers in reverse, stride 1 up to n/2, exchanging exactly the
-// pairs the merge exchanged, so every element of a returns to the position
-// it held before the merge. The key schedule is not replayed. The access
-// pattern is a function of n alone.
-func unmergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], n int, rec *mem.Array[uint64]) {
-	k := NewCexKernelRecord(c, a, nil, rec)
+// unmergeBitonic undoes mergeBitonic(c, _, _, n, rec) on the word planes of
+// ws: it replays the recorded layers in reverse, stride 1 up to n/2,
+// exchanging exactly the pairs the merge exchanged, so every word of every
+// plane returns to the position its element held before the merge. Neither
+// elements nor keys are read or moved — the planes carry whatever the
+// caller wants back (send-receive's routed values). The access pattern is
+// a function of n and the width of ws alone.
+func unmergeBitonic(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint64]) {
+	k := NewCexKernelReplay(c, ws, rec)
 	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
 		Layer(c, k, l*(n>>1), 1, n, n>>1, j, false)
 	}

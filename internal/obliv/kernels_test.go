@@ -22,11 +22,16 @@ type keyedState struct {
 }
 
 func snapshotKeyed(a *mem.Array[Elem], ks *KeySchedule) keyedState {
-	st := keyedState{Elems: append([]Elem(nil), a.Data()...)}
+	return keyedState{Elems: append([]Elem(nil), a.Data()...), Planes: planesOf(ks)}
+}
+
+// planesOf is a copy of the word planes of ks.
+func planesOf(ks *KeySchedule) [][]uint64 {
+	var ps [][]uint64
 	for p := 0; p < ks.Width(); p++ {
-		st.Planes = append(st.Planes, append([]uint64(nil), ks.Plane(p).Data()...))
+		ps = append(ps, append([]uint64(nil), ks.Plane(p).Data()...))
 	}
-	return st
+	return ps
 }
 
 // dupHeavyInput allocates n elements over very few distinct key words,
@@ -56,6 +61,9 @@ func dupHeavyInput(sp *mem.Space, seed uint64, n, w int) (*mem.Array[Elem], *Key
 	return a, ks
 }
 
+// TestCexKernelMatchesPerAccess holds the block comparator's raw runs and
+// serial leaf layers to the metered per-access spec: compare-exchange by
+// cached key in both directions, and replay over word planes.
 func TestCexKernelMatchesPerAccess(t *testing.T) {
 	for _, w := range []int{1, 2, 3} { // 3: the generic-width fallback
 		for _, asc := range []bool{true, false} {
@@ -79,6 +87,22 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 				return snapshotKeyed(a, ks)
 			})
 		}
+		// The replay mode's serial leaf loop over w word planes, on bits
+		// that start mid-word.
+		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("replay layers w=%d", w), func(c *forkjoin.Ctx, sp *mem.Space) [][]uint64 {
+			src := prng.New(24)
+			vs := slotPlanes(sp, 140, w)
+			rec := mem.Alloc[uint64](sp, 8)
+			for i := range rec.Data() {
+				rec.Data()[i] = src.Uint64()
+			}
+			kern := NewCexKernelReplay(c, vs, rec)
+			for j := 1; j <= 64; j <<= 1 {
+				kern.Layer(5, 128, j, 0, true, 7*(j-1))
+			}
+			kern.run(3, 64, 57, true, 9)
+			return planesOf(vs)
+		})
 	}
 }
 
@@ -108,15 +132,49 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 }
 
 // layerState is what a sequence of Layers leaves: the array and planes,
-// the swap record (when recorded) and the array after its replay.
+// the swap record (when recorded) and the word planes after its replay.
 type layerState struct {
 	Keyed    keyedState
 	Record   []uint64
-	Replayed []Elem
+	Replayed [][]uint64
+}
+
+// slotPlanes allocates w word planes of n slots: plane 0 numbers the slots
+// and plane p > 0 holds a multiple of the slot number, so a replay's result
+// can be read back as a permutation.
+func slotPlanes(sp *mem.Space, n, w int) *KeySchedule {
+	vs := AllocKeySchedule(sp, n, w)
+	for p := 0; p < w; p++ {
+		for r := range n {
+			vs.Plane(p).Data()[r] = uint64(r) * uint64(2*p+1)
+		}
+	}
+	return vs
+}
+
+// checkReplayed reports the first slot i at which the replayed planes vs do
+// not carry home the slot number of the element that came from i: the
+// element recorded from orig[i] must sit at slot vs[0][i] of sorted, and
+// every other plane must carry the same slot.
+func checkReplayed(orig, sorted []Elem, vs *KeySchedule) (int, bool) {
+	for i := range orig {
+		r := vs.Plane(0).Data()[i]
+		if r >= uint64(len(sorted)) || sorted[r] != orig[i] {
+			return i, false
+		}
+		for p := 1; p < vs.Width(); p++ {
+			if vs.Plane(p).Data()[i] != r*uint64(2*p+1) {
+				return i, false
+			}
+		}
+	}
+	return 0, true
 }
 
 // TestLayerMatchesPerAccess holds the forked layer driver's raw leaves to
-// the metered per-access spec in all four modes of the block comparator
+// the metered per-access spec in all four modes of the block comparator —
+// the replay over w word planes (w = 3: the per-access fallback) after the
+// record —
 // (the closure mode runs per access everywhere, so its row checks the
 // driver's leaves and the kernel's rebinding to them),
 // over every layer shape the keyed networks use — butterfly layers (j
@@ -182,13 +240,14 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 						Layer(c, NewCexKernelRecord(c, a, ks, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
 					}
 					st := layerState{Keyed: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
+					vs := slotPlanes(sp, n, w)
 					for l := len(sh.layers) - 1; l >= 0; l-- {
 						s := sh.layers[l]
-						Layer(c, NewCexKernelRecord(c, a, nil, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						Layer(c, NewCexKernelReplay(c, vs, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
 					}
-					st.Replayed = append([]Elem(nil), a.Data()...)
-					if !slices.Equal(st.Replayed, orig) {
-						t.Errorf("%s: replaying the record did not restore the input", label) // Errorf: may run on a pool worker
+					st.Replayed = planesOf(vs)
+					if i, ok := checkReplayed(orig, a.Data(), vs); !ok {
+						t.Errorf("%s: the replay did not carry slot %d home", label, i) // Errorf: may run on a pool worker
 					}
 					return st
 				})
@@ -223,16 +282,18 @@ func tournamentLayers(n, K int) []layerShape {
 }
 
 // mergeState is what a merge leaves — the merged array and planes and, when
-// recorded, the swap record and the array after the un-merge's replay.
+// recorded, the swap record and the word planes after the un-merge's
+// replay.
 type mergeState struct {
 	Merged   keyedState
 	Record   []uint64
-	Unmerged []Elem
+	Unmerged [][]uint64
 }
 
 func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 	for _, record := range []bool{false, true} {
 		for n := 1; n <= 4096; n <<= 1 {
+			w := 1 + n%3 // un-merge widths 1, 2 and 3 (per access) in turn
 			label := fmt.Sprintf("mergeBitonic n=%d record=%t", n, record)
 			oblivtest.SameOnEveryExecutor(t, label, func(c *forkjoin.Ctx, sp *mem.Space) mergeState {
 				a, ks := dupHeavyInput(sp, uint64(n), n, 1)
@@ -246,8 +307,9 @@ func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 				}
 				mergeBitonic(c, a, ks, n, rec)
 				st := mergeState{Merged: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
-				unmergeBitonic(c, a, n, rec)
-				st.Unmerged = append([]Elem(nil), a.Data()...)
+				vs := slotPlanes(sp, n, w)
+				unmergeBitonic(c, vs, n, rec)
+				st.Unmerged = planesOf(vs)
 				return st
 			})
 		}
@@ -255,8 +317,9 @@ func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 }
 
 // TestMergeUnmergeRoundTrip: a recorded merge sorts a bitonic input exactly
-// like the unrecorded one, and replaying the record restores the input
-// elements position for position.
+// like the unrecorded one, and the un-merge, replaying the record over
+// planes that number the merged slots, carries each slot number back to
+// the position its element held before the merge.
 func TestMergeUnmergeRoundTrip(t *testing.T) {
 	for n := 1; n <= 4096; n <<= 1 {
 		sp := mem.NewSpace()
@@ -293,11 +356,37 @@ func TestMergeUnmergeRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: merge output not sorted at %d", n, i)
 			}
 		}
-		unmergeBitonic(forkjoin.Serial(), a, n, rec)
-		if !slices.Equal(a.Data(), orig) {
-			t.Fatalf("n=%d: un-merge did not restore the input", n)
+		vs := slotPlanes(sp, n, 2)
+		unmergeBitonic(forkjoin.Serial(), vs, n, rec)
+		if i, ok := checkReplayed(orig, a.Data(), vs); !ok {
+			t.Fatalf("n=%d: the un-merge did not carry slot %d home", n, i)
 		}
 	}
+}
+
+// TestUnmergeTraceLockstep: the recorded merge and its word un-merge, over
+// one plane and over two, touch the same addresses for every bitonic input
+// of one size and every carried word.
+func TestUnmergeTraceLockstep(t *testing.T) {
+	oblivtest.Lockstep(t, "merge+unmerge", 4, 3, 93, func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
+		n := 1 << (1 + shape.Intn(8))
+		w := 1 + shape.Intn(2)
+		a, ks := dupHeavyInput(sp, content.Uint64(), n, 1)
+		keys := ks.Plane(0).Data()
+		up := int(content.Uint64n(uint64(n) + 1))
+		slices.Sort(keys[:up])
+		slices.Sort(keys[up:])
+		slices.Reverse(keys[up:])
+		rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
+		mergeBitonic(c, a, ks, n, rec)
+		vs := AllocKeySchedule(sp, n, w)
+		for p := 0; p < w; p++ {
+			for r := range n {
+				vs.Plane(p).Data()[r] = content.Uint64()
+			}
+		}
+		unmergeBitonic(c, vs, n, rec)
+	})
 }
 
 func TestScansMatchPerAccess(t *testing.T) {

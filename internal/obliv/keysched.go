@@ -230,23 +230,25 @@ type ScheduledSorter interface {
 // RecordingSorter is the optional capability of a sorter whose keyed sort
 // can record its permutation and later undo it without a key. SortRecorded
 // is SortScheduled that also writes the sort's swap record into
-// rec[0:RecordWords(c, n)); Unsort, given that record, returns every
-// element of a[lo:lo+n) to the slot it held before the recorded sort —
-// whatever the sort's caller has since done to the elements' contents —
-// and reads no key schedule (scr is its scratch, as in SortScheduled). The
-// record length is a function of n and of the executor behind c (metered
-// or not), and so is the access pattern of both calls; an un-sort must run
-// under the same kind of executor as the sort it undoes. A record is
-// secret data held at fixed addresses, like the elements themselves.
+// rec[0:RecordWords(c, n)); Unsort, given that record, returns every word
+// of each plane of vs[lo:lo+n) to the slot its element held before the
+// recorded sort — the inverse permutation, applied to whatever values the
+// sort's caller has since written there — and reads no key and no element
+// (vscr, vs's width over >= n slots, is its scratch). The record length is
+// a function of n and of the executor behind c (metered or not), and so is
+// the access pattern of both calls; an un-sort must run under the same
+// kind of executor as the sort it undoes. A record is secret data held at
+// fixed addresses, like the elements themselves.
 //
 // pram.Gatherer records its request sort once and un-sorts each gather's
-// results by replay instead of sorting them back; a sorter that does not
-// record falls back to the cache-agnostic bitonic network
+// routed values by replay instead of sorting them back, over the sort's own
+// key plane and key scratch, dead once the sort is done; a sorter that
+// does not record falls back to the cache-agnostic bitonic network
 // (bitonic.Recorder).
 type RecordingSorter interface {
 	RecordWords(c *forkjoin.Ctx, n int) int
 	SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, rec *mem.Array[uint64], lo, n int)
-	Unsort(c *forkjoin.Ctx, sp *mem.Space, a, scr *mem.Array[Elem], rec *mem.Array[uint64], lo, n int)
+	Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *KeySchedule, rec *mem.Array[uint64], lo, n int)
 }
 
 var _ ScheduledSorter = SelectionNetwork{}

@@ -677,7 +677,11 @@ func TestSendReceiveSortedTraceOblivious(t *testing.T) {
 			for j, k := range dk {
 				dsts[j] = Elem{Key: k, Kind: Real}
 			}
-			sendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), srt)
+			if srt == nil {
+				SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), mem.Alloc[uint64](sp, len(dsts)))
+				return
+			}
+			SendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), srt)
 		}
 	}
 	all := func(int) bool { return true }

@@ -78,6 +78,26 @@ func PropagateFirstBy(
 	if n == 0 {
 		return
 	}
+	p := propagateScan(c, sp, a, sameGroup, src)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := a.Get(c, i)
+			pv := p.Get(c, i)
+			c.Op(1)
+			a.Set(c, i, apply(e, i, pv.v, pv.has))
+		}
+	})
+}
+
+// propagateScan is PropagateFirstBy up to its delivery pass: it returns the
+// scanned carrier, whose entry i holds the value delivered to position i of
+// the non-empty a and whether one was found.
+func propagateScan(
+	c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem],
+	sameGroup func(x, y Elem) bool,
+	src func(e Elem, i int) (uint64, bool),
+) *mem.Array[propVal] {
+	n := a.Len()
 	p := mem.Alloc[propVal](sp, n)
 	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -93,14 +113,7 @@ func PropagateFirstBy(
 		}
 	})
 	ScanOp(c, sp, p, propOp, propVal{}, true)
-	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := a.Get(c, i)
-			pv := p.Get(c, i)
-			c.Op(1)
-			a.Set(c, i, apply(e, i, pv.v, pv.has))
-		}
-	})
+	return p
 }
 
 // segVal is the carrier for segmented aggregation over an arbitrary value

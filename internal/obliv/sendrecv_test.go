@@ -59,9 +59,10 @@ func realRank(e obliv.Elem) int {
 }
 
 // TestSendReceiveSortedMatchesSendReceive: the merge-based send-receive
-// returns exactly SendReceive's result — each destination's own Aux in place
-// of its index — on the serial and pool executors. (Sorted sources against
-// unsorted requests are pram.Gatherer's case, tested there.)
+// routes exactly SendReceive's values — and, where SendReceive answers ⊥,
+// the destination's own Val — on the serial and pool executors. (Sorted
+// sources against unsorted requests are pram.Gatherer's case, tested
+// there.)
 func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 5, 8, 13, 31, 64, 100}
 	execs := []struct {
@@ -77,16 +78,21 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 			seed++
 			srcs, dsts := sendRecvCase(seed, ns, nd)
 			sp := mem.NewSpace()
-			want := obliv.SendReceive(forkjoin.Serial(), sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), obliv.SelectionNetwork{}).Data()
-			for j := range want {
-				want[j].Aux = dsts[j].Aux
+			union := obliv.SendReceive(forkjoin.Serial(), sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), obliv.SelectionNetwork{}).Data()
+			want := make([]uint64, nd)
+			for j, e := range union {
+				want[j] = dsts[j].Val
+				if e.Kind == obliv.Real {
+					want[j] = e.Val
+				}
 			}
 			for _, ex := range execs {
-				var got []obliv.Elem
+				var got []uint64
 				ex.run(func(c *forkjoin.Ctx) {
 					sp := mem.NewSpace()
-					out := obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts))
-					got = append([]obliv.Elem(nil), out.Data()...)
+					out := mem.Alloc[uint64](sp, nd)
+					obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), out)
+					got = append([]uint64(nil), out.Data()...)
 				})
 				if !slices.Equal(got, want) {
 					t.Fatalf("ns=%d nd=%d on %s:\n got %v\nwant %v", ns, nd, ex.name, got, want)

@@ -8,13 +8,16 @@ import (
 )
 
 // Gather obliviously reads memory at the p requested addresses: the result
-// parallels addrs, entry i holding Val = memory[addrs[i]] with Kind = Real,
-// or Kind = Filler if the address is out of range, and Aux = i. It is one
-// gather of a fresh Gatherer: one recorded sort of the P = NextPow2(p)
-// requests by address, one send-receive that merges them with the cells
-// (already in address order) over NextPow2(s+P) slots and un-merges them,
-// and one un-sort that replays the recorded sort backwards —
-// O(Wsort(p) + (s+p) log(s+p)) with a single sort.
+// parallels addrs, entry i holding Key = addrs[i], Aux = i and Val =
+// memory[addrs[i]] with Kind = Real, or Val = 0 with Kind = Filler if the
+// address is out of range (⊥). It is one gather of a fresh Gatherer: one
+// recorded sort of the P = NextPow2(p) requests by address, one
+// send-receive that merges them with the cells (already in address order)
+// over NextPow2(s+P) slots and un-merges the routed values, and one
+// un-sort that replays the recorded sort backwards over those values —
+// O(Wsort(p) + (s+p) log(s+p)) with a single sort. Kind comes from the
+// caller's own addresses, not from the routing: it is this entry point's
+// convenience for the reproduction's callers that test ⊥.
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
 	return NewGatherer(c, sp, memory.Len(), addrs, srt).Gather(c, sp, memory)
 }
@@ -22,33 +25,41 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 // Gatherer is the §4.1 read step over a fixed address list, for callers
 // that read the same addresses of changing memory contents (the graph
 // kernels' static endpoint requests): the requests are sorted by address
-// once, with the sort's swap record kept, and each Gather is one
-// send-receive with both sides in key order (merge, propagate, un-merge —
-// no sort) followed by an un-sort of the results by replay. A Gatherer's
-// gathers must be issued sequentially (they share its scratch) under the
-// kind of executor (metered or not) it was built under.
+// once, with the sort's swap record kept, and each gather is one
+// send-receive with both sides in key order (merge, propagate, un-merge of
+// the routed values — no sort) followed by an un-sort of those values by
+// replay. Only value words travel back: the un-sort runs over the request
+// sort's key plane and key scratch, which are dead once the sort is done,
+// so a gatherer holds its sorted requests, two words per request and the
+// record, and no element scratch. A Gatherer's gathers must be issued
+// sequentially (they share those planes) under the kind of executor
+// (metered or not) it was built under.
 type Gatherer struct {
-	srt  obliv.RecordingSorter
-	s, p int
-	reqs *mem.Array[obliv.Elem] // the NextPow2(p) requests in address order, fillers last
-	scr  *mem.Array[obliv.Elem] // the sort's and every un-sort's scratch
-	rec  *mem.Array[uint64]     // the request sort's swap record
+	srt        obliv.RecordingSorter
+	s, p       int
+	addrs      *mem.Array[uint64]     // the caller's addresses, for Gather's ⊥
+	reqs       *mem.Array[obliv.Elem] // the NextPow2(p) requests in address order, fillers last
+	vals, vscr *obliv.KeySchedule     // the sort's key plane and scratch: the un-sort's plane and scratch
+	rec        *mem.Array[uint64]     // the request sort's swap record
 }
 
 // NewGatherer builds the gatherer of addrs against memories of s cells:
 // the padded request array, record-sorted by address through srt — or
 // through the cache-agnostic bitonic network if srt does not record. An
-// address at or beyond s is out of range and will read ⊥. The access
-// pattern is a function of (s, len(addrs)) and the executor kind alone.
+// address at or beyond s is out of range and will read ⊥. Gather reads
+// addrs again, so it must not change while the gatherer is in use; Values
+// does not. The access pattern is a function of (s, len(addrs)) and the
+// executor kind alone.
 func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *Gatherer {
 	rs := bitonic.Recorder(srt)
 	p := addrs.Len()
 	n := obliv.NextPow2(p)
-	g := &Gatherer{srt: rs, s: s, p: p, reqs: mem.Alloc[obliv.Elem](sp, n)}
-	ks := obliv.AllocKeySchedule(sp, n, 1)
-	kscr := obliv.AllocKeySchedule(sp, n, 1)
-	g.scr = mem.Alloc[obliv.Elem](sp, n)
+	g := &Gatherer{srt: rs, s: s, p: p, addrs: addrs, reqs: mem.Alloc[obliv.Elem](sp, n)}
+	g.vals = obliv.AllocKeySchedule(sp, n, 1)
+	g.vscr = obliv.AllocKeySchedule(sp, n, 1)
+	scr := mem.Alloc[obliv.Elem](sp, n) // the sort's alone
 	g.rec = mem.Alloc[uint64](sp, rs.RecordWords(c, n))
+	keys := g.vals.Plane(0)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Request i keys its address, or a distinct not-found key beyond
@@ -64,16 +75,18 @@ func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64]
 				e = obliv.Elem{Key: key, Aux: uint64(i), Kind: obliv.Real}
 			}
 			g.reqs.Set(c, i, e)
-			ks.Plane(0).Set(c, i, key)
+			keys.Set(c, i, key)
 		}
 	})
-	rs.SortRecorded(c, sp, g.reqs, ks, g.scr, kscr, g.rec, 0, n)
+	rs.SortRecorded(c, sp, g.reqs, g.vals, scr, g.vscr, g.rec, 0, n)
 	return g
 }
 
-// Gather reads memory, which must hold s cells, at the gatherer's
-// addresses: the package-level Gather's result, in request order.
-func (g *Gatherer) Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) *mem.Array[obliv.Elem] {
+// Values reads memory, which must hold s cells, at the gatherer's
+// addresses: entry i of the result is memory[addrs[i]], or 0 if the address
+// is out of range. The result is the gatherer's own plane, valid until its
+// next gather.
+func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) *mem.Array[uint64] {
 	if memory.Len() != g.s {
 		panic("pram: Gather memory length differs from the gatherer's")
 	}
@@ -83,11 +96,31 @@ func (g *Gatherer) Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 			sources.Set(c, i, obliv.Elem{Key: uint64(i), Val: memory.Get(c, i), Kind: obliv.Real})
 		}
 	})
-	// The results parallel the sorted requests and carry their Aux, the
-	// request index; the un-sort takes each one home.
-	out := obliv.SendReceiveSorted(c, sp, sources, g.reqs)
-	g.srt.Unsort(c, sp, out, g.scr, g.rec, 0, out.Len())
-	return out.View(0, g.p)
+	// The routed values parallel the sorted requests, whose Val of 0 is
+	// what ⊥ reads; the un-sort takes each one home.
+	v := g.vals.Plane(0)
+	obliv.SendReceiveSorted(c, sp, sources, g.reqs, v)
+	g.srt.Unsort(c, sp, g.vals, g.vscr, g.rec, 0, v.Len())
+	return v.View(0, g.p)
+}
+
+// Gather is Values in the package-level Gather's form, Kind taken from the
+// gatherer's addresses.
+func (g *Gatherer) Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) *mem.Array[obliv.Elem] {
+	vals := g.Values(c, sp, memory)
+	out := mem.Alloc[obliv.Elem](sp, g.p)
+	forkjoin.ParallelRange(c, 0, g.p, 0, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := g.addrs.Get(c, i)
+			e := obliv.Elem{Key: a, Val: vals.Get(c, i), Aux: uint64(i), Kind: obliv.Real}
+			c.Op(1)
+			if a >= uint64(g.s) {
+				e.Kind = obliv.Filler
+			}
+			out.Set(c, i, e)
+		}
+	})
+	return out
 }
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to
@@ -154,24 +187,30 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 		})
 
 	// Route winner values to the memory cells, which are in address order
-	// too; every cell is rewritten.
+	// too; every cell is rewritten. A cell no winner names reads its
+	// destination's own value: its current one when overwriting, so the
+	// routing writes memory directly, and the min identity when combining.
 	dests := mem.Alloc[obliv.Elem](sp, s)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dests.Set(c, i, obliv.Elem{Key: uint64(i), Kind: obliv.Real})
+			e := obliv.Elem{Key: uint64(i), Val: ^uint64(0), Kind: obliv.Real}
+			if !combineMin {
+				e.Val = memory.Get(c, i)
+			}
+			dests.Set(c, i, e)
 		}
 	})
-	routed := obliv.SendReceiveSorted(c, sp, w.View(0, p), dests)
+	if !combineMin {
+		obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, memory)
+		return
+	}
+	routed := mem.Alloc[uint64](sp, s)
+	obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, routed)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			r := routed.Get(c, i)
-			old := memory.Get(c, i)
-			v := old
+			v, old := routed.Get(c, i), memory.Get(c, i)
 			c.Op(1)
-			if r.Kind == obliv.Real && (!combineMin || r.Val < old) {
-				v = r.Val
-			}
-			memory.Set(c, i, v)
+			memory.Set(c, i, min(v, old))
 		}
 	})
 }

@@ -143,8 +143,8 @@ func (s passCounter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[o
 	bitonic.Recorder(s.inner).SortRecorded(c, sp, a, ks, scr, kscr, rec, lo, n)
 }
 
-func (s passCounter) Unsort(c *forkjoin.Ctx, sp *mem.Space, a, scr *mem.Array[obliv.Elem], rec *mem.Array[uint64], lo, n int) {
-	bitonic.Recorder(s.inner).Unsort(c, sp, a, scr, rec, lo, n)
+func (s passCounter) Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+	bitonic.Recorder(s.inner).Unsort(c, sp, vs, vscr, rec, lo, n)
 }
 
 // Session is a reusable execution context for the table operators — queries

@@ -42,7 +42,14 @@ import (
 // endpoint gather began recording its sort once, in its first round, and
 // replaying it every round — 28 sorts became 13 sorts and 12 replays: W
 // 30083068 → 18317780, Span 71411 → 52997, MemOps 18542748 → 11382940,
-// Forks 5131726 → 2943674, trace count 28806200 → 17270288.
+// Forks 5131726 → 2943674, trace count 28806200 → 17270288. Its trace
+// hash was re-recorded (11223912000145505483 → 1625243168940545884; every
+// count unchanged: W 18317780, Span 52997, MemOps 11382940, Forks 2943674,
+// trace count 17270288) when the gather's un-sort and send-receive's
+// un-merge began replaying their swaps over the routed value words — the
+// merge's dead key plane, then the request sort's key plane and key
+// scratch — instead of over element arrays: the metered model charges one
+// address per element and per word alike, so only the addresses moved.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -160,7 +167,7 @@ func TestMeteredSpecGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := specCounts{Work: 18317780, Span: 52997, MemOps: 11382940, Forks: 2943674,
-			Trace: trace.Fingerprint{Hash: 11223912000145505483, Count: 17270288}}
+			Trace: trace.Fingerprint{Hash: 1625243168940545884, Count: 17270288}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
