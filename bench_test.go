@@ -379,7 +379,9 @@ func BenchmarkTable2PRAMStep_Direct(b *testing.B) {
 
 // --- Figure 1 / Theorem E.1: bitonic variants ---------------------------------
 
-func benchBitonic(b *testing.B, s obliv.Sorter) {
+// benchBitonic times one 2^12-element sort of the Theorem E.1 ablation's
+// networks, on the key-closure comparator like the ablation.
+func benchBitonic(b *testing.B, sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64)) {
 	const n = 1 << 12
 	keys := benchKeys(n)
 	b.ResetTimer()
@@ -387,14 +389,28 @@ func benchBitonic(b *testing.B, s obliv.Sorter) {
 		benchPool.Run(func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
 			a := benchElems(sp, keys)
-			s.Sort(c, sp, a, 0, n, func(e obliv.Elem) uint64 { return e.Key })
+			sort(c, sp, a, n, func(e obliv.Elem) uint64 { return e.Key })
 		})
 	}
 }
 
-func BenchmarkFig1Bitonic_CacheAgnostic(b *testing.B) { benchBitonic(b, bitonic.CacheAgnostic{}) }
-func BenchmarkFig1Bitonic_Naive(b *testing.B)         { benchBitonic(b, bitonic.Naive{}) }
-func BenchmarkFig1Bitonic_OddEven(b *testing.B)       { benchBitonic(b, bitonic.OddEven{}) }
+func BenchmarkFig1Bitonic_CacheAgnostic(b *testing.B) {
+	benchBitonic(b, func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
+		bitonic.SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), 0, n, true, 0, key)
+	})
+}
+
+func BenchmarkFig1Bitonic_Naive(b *testing.B) {
+	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
+		bitonic.SortIterative(c, a, 0, n, key)
+	})
+}
+
+func BenchmarkFig1Bitonic_OddEven(b *testing.B) {
+	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
+		bitonic.SortOddEven(c, a, 0, n, key)
+	})
+}
 
 // --- Lemma 3.1: ORBA variants --------------------------------------------------
 

@@ -15,7 +15,8 @@ import (
 // the leaf is where the raw block comparator runs, so a larger leaf trades
 // forks, transposes and their closures for straight-line runs until the
 // leaf outgrows the cache. The closure leg runs the same network at
-// DefaultLeaf with the key closure, per access — the reproduction's path.
+// DefaultLeaf with the key closure, per access — the Theorem E.1
+// ablation's path.
 func BenchmarkBitonicLeaf(b *testing.B) {
 	const n = 1 << 15
 	in := randElems(3, n)
@@ -116,8 +117,8 @@ func BenchmarkBitonicRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkIterativeNetworks sorts 2^12 elements through the paper
-// reproduction's two layer-by-layer networks, the naive bitonic
+// BenchmarkIterativeNetworks sorts 2^12 elements through the Theorem E.1
+// ablation's two layer-by-layer networks, the naive bitonic
 // (SortIterative) and Batcher's odd–even (SortOddEven), with the key
 // closure on the serial executor and on a 2-worker pool. Each layer is one
 // obliv.Layer fork tree, so a pool leaf runs up to 1024 comparators.

@@ -25,12 +25,31 @@ type atLeaf int
 func (l atLeaf) Name() string { return fmt.Sprintf("bitonic-cache-agnostic leaf=%d", int(l)) }
 
 func (l atLeaf) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), lo, n, true, int(l), key)
+	obliv.SortKeyed(c, sp, a.View(lo, n), n, key, l)
 }
 
 func (l atLeaf) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
 	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, int(l))
 }
+
+// closureNet is one of the Theorem E.1 ablation's networks on the
+// key-closure comparator, run the way the ablation runs it.
+type closureNet struct {
+	name string
+	sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int)
+}
+
+var (
+	closureCA = closureNet{"cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
+		SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), lo, n, true, 0, keyFn)
+	}}
+	naive = closureNet{"naive", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
+		SortIterative(c, a, lo, n, keyFn)
+	}}
+	oddEven = closureNet{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
+		SortOddEven(c, a, lo, n, keyFn)
+	}}
+)
 
 func randElems(seed uint64, n int) []obliv.Elem {
 	src := prng.New(seed)
@@ -108,7 +127,7 @@ func TestCacheAgnosticSmallLeaf(t *testing.T) {
 
 func TestOddEvenSorts(t *testing.T) {
 	runSorter(t, "odd-even", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-		OddEven{}.Sort(c, sp, a, 0, n, keyFn)
+		SortOddEven(c, a, 0, n, keyFn)
 	})
 }
 
@@ -116,7 +135,7 @@ func TestNaiveSorterSubrange(t *testing.T) {
 	raw := randElems(9, 48)
 	s := mem.NewSpace()
 	a := mem.FromSlice(s, raw)
-	Naive{}.Sort(forkjoin.Serial(), s, a, 8, 32, keyFn)
+	SortIterative(forkjoin.Serial(), a, 8, 32, keyFn)
 	// Outside the range untouched.
 	for i := 0; i < 8; i++ {
 		if a.Data()[i] != raw[i] {
@@ -287,36 +306,47 @@ func TestScheduleShape(t *testing.T) {
 
 func TestTraceObliviousAllVariants(t *testing.T) {
 	const n = 256
-	variants := []obliv.Sorter{CacheAgnostic{}, Naive{}, OddEven{}}
+	variants := []closureNet{
+		{"CacheAgnostic.Sort", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
+			CacheAgnostic{}.Sort(c, sp, a, lo, n, keyFn)
+		}},
+		closureCA, naive, oddEven,
+	}
 	for _, v := range variants {
 		run := func(seed uint64) *forkjoin.Metrics {
 			raw := randElems(seed, n)
 			s := mem.NewSpace()
 			a := mem.FromSlice(s, raw)
 			return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-				v.Sort(c, s, a, 0, n, keyFn)
+				v.sort(c, s, a, 0, n)
 			})
 		}
 		if !run(1).Trace.Equal(run(2).Trace) {
-			t.Fatalf("%s: access pattern depends on data", v.Name())
+			t.Fatalf("%s: access pattern depends on data", v.name)
 		}
 	}
 }
 
 // TestScheduledMatchesClosureSort pins the keysched contract of the
-// production network: SortScheduled against a cached key schedule must produce
-// exactly the permutation the closure-keyed Sort produces (same comparator
-// schedule, same outcomes), and must keep the key array in lockstep.
+// production network: SortScheduled against a cached key schedule must
+// produce exactly the permutation the closure-key network (SortCA, the
+// Theorem E.1 ablation's) produces at the same leaf (same comparator
+// schedule, same outcomes: randElems leaves equal keys full TiePos ties),
+// and must keep the key array in lockstep.
 func TestScheduledMatchesClosureSort(t *testing.T) {
-	variants := []obliv.ScheduledSorter{CacheAgnostic{}, atLeaf(2)}
-	for _, v := range variants {
+	variants := []struct {
+		v    obliv.ScheduledSorter
+		leaf int
+	}{{CacheAgnostic{}, 0}, {atLeaf(2), 2}}
+	for _, vl := range variants {
+		v := vl.v
 		for _, n := range []int{1, 2, 8, 64, 256, 1024} {
 			for seed := uint64(0); seed < 3; seed++ {
 				raw := randElems(seed*31+uint64(n), n)
 
 				s1 := mem.NewSpace()
 				want := mem.FromSlice(s1, raw)
-				v.Sort(forkjoin.Serial(), s1, want, 0, n, keyFn)
+				SortCA(forkjoin.Serial(), want, mem.Alloc[obliv.Elem](s1, n), 0, n, true, vl.leaf, keyFn)
 
 				s2 := mem.NewSpace()
 				got := mem.FromSlice(s2, raw)
@@ -427,11 +457,11 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 	// (n/B)·log_M n·log(n/M) vs the naive (n/B)·log² n, so the ratio
 	// recursive/naive must (a) stay below 1 and (b) shrink as n grows.
 	const M, B = 1 << 8, 1 << 4
-	miss := func(s obliv.Sorter, n int) int64 {
+	miss := func(s closureNet, n int) int64 {
 		sp := mem.NewSpace()
 		a := mem.FromSlice(sp, randElems(5, n))
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{CacheM: M, CacheB: B}, func(c *forkjoin.Ctx) {
-			s.Sort(c, sp, a, 0, n, keyFn)
+			s.sort(c, sp, a, 0, n)
 		})
 		return m.CacheMisses
 	}
@@ -452,17 +482,17 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 		return float64(n) / B * lg(n) * lg(n) / 2
 	}
 	const n1, n2 = 1 << 11, 1 << 14
-	caF1 := float64(miss(CacheAgnostic{}, n1)) / caTheory(n1)
-	caF2 := float64(miss(CacheAgnostic{}, n2)) / caTheory(n2)
-	nvF1 := float64(miss(Naive{}, n1)) / naiveTheory(n1)
-	nvF2 := float64(miss(Naive{}, n2)) / naiveTheory(n2)
+	caF1 := float64(miss(closureCA, n1)) / caTheory(n1)
+	caF2 := float64(miss(closureCA, n2)) / caTheory(n2)
+	nvF1 := float64(miss(naive, n1)) / naiveTheory(n1)
+	nvF2 := float64(miss(naive, n2)) / naiveTheory(n2)
 	if caF2 > 1.7*caF1 || caF1 > 1.7*caF2 {
 		t.Fatalf("cache-agnostic misses do not track the E.1 bound: factors %.2f vs %.2f", caF1, caF2)
 	}
 	if nvF2 > 1.7*nvF1 || nvF1 > 1.7*nvF2 {
 		t.Fatalf("naive misses do not track the (n/B)log²n bound: factors %.2f vs %.2f", nvF1, nvF2)
 	}
-	if m1, m2 := miss(CacheAgnostic{}, n2), miss(Naive{}, n2); m1 >= m2 {
+	if m1, m2 := miss(closureCA, n2), miss(naive, n2); m1 >= m2 {
 		t.Fatalf("cache-agnostic (%d misses) not better than naive (%d)", m1, m2)
 	}
 }
@@ -470,16 +500,16 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 func TestCacheAgnosticBeatsNaiveOnSpan(t *testing.T) {
 	// Span: O(log²n · loglog n) vs O(log³ n).
 	const n = 1 << 12
-	span := func(s obliv.Sorter) int64 {
+	span := func(s closureNet) int64 {
 		sp := mem.NewSpace()
 		a := mem.FromSlice(sp, randElems(6, n))
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-			s.Sort(c, sp, a, 0, n, keyFn)
+			s.sort(c, sp, a, 0, n)
 		})
 		return m.Span
 	}
-	if ca, naive := span(CacheAgnostic{}), span(Naive{}); ca >= naive {
-		t.Fatalf("cache-agnostic span %d not below naive %d", ca, naive)
+	if ca, nv := span(closureCA), span(naive); ca >= nv {
+		t.Fatalf("cache-agnostic span %d not below naive %d", ca, nv)
 	}
 }
 
@@ -487,10 +517,13 @@ func TestQuickRandomInputsAllSorters(t *testing.T) {
 	f := func(seed uint64, sizeExp uint8) bool {
 		n := 1 << (sizeExp%8 + 1) // 2..256
 		raw := randElems(seed, n)
-		for _, v := range []obliv.Sorter{atLeaf(4), Naive{}, OddEven{}} {
+		keyed := closureNet{"keyed leaf=4", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
+			atLeaf(4).Sort(c, sp, a, lo, n, keyFn)
+		}}
+		for _, v := range []closureNet{keyed, naive, oddEven} {
 			s := mem.NewSpace()
 			a := mem.FromSlice(s, raw)
-			v.Sort(forkjoin.Serial(), s, a, 0, n, keyFn)
+			v.sort(forkjoin.Serial(), s, a, 0, n)
 			for i := 1; i < n; i++ {
 				if a.Data()[i-1].Key > a.Data()[i].Key {
 					return false

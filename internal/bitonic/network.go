@@ -8,12 +8,13 @@
 //     SortCAKeyed) is the paper's BITONIC-SORT / BITONIC-MERGE (§E.1,
 //     Theorem E.1) with the two-transpose recursive merge — same work,
 //     O(log² n · log log n) span, O((n/B)·log_M n·log(n/M)) cache misses.
-//     Its one recursion takes either of two comparators: a key closure
-//     (the paper reproduction's obliv.Sorter seam) or a cached key
-//     schedule (the production network).
+//     Its one recursion takes either of two comparators: a cached key
+//     schedule (the network of every sorter, CacheAgnostic) or a key
+//     closure, the paper's cost model, which only the Theorem E.1 ablation
+//     runs.
 //
-//   - Batcher's odd–even merge network (OddEven), the practical stand-in
-//     for AKS (see DESIGN.md deviation 1).
+//   - Batcher's odd–even merge network (SortOddEven), the practical
+//     stand-in for AKS (see DESIGN.md deviation 1).
 //
 // Both are data-oblivious: the comparator schedule depends only on n.
 package bitonic
@@ -27,7 +28,8 @@ import (
 // SortIterative runs the classic iterative bitonic network over
 // a[lo:lo+n], ascending. n must be a power of two. It is obliv.Stages(n, n)
 // on the key-closure comparator: each layer's comparators are forked with
-// one binary tree (the naive parallelization).
+// one binary tree (the naive parallelization). It is the Theorem E.1
+// ablation's baseline, not a sorter.
 func SortIterative(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")

@@ -10,7 +10,8 @@ import (
 // a[lo:lo+n], ascending. n must be a power of two. Like bitonic it uses
 // O(n log² n) comparators with a data-independent schedule; unlike bitonic
 // every comparator points the same way, which makes it the second
-// convenient practical stand-in for the AKS network (DESIGN.md §5).
+// convenient practical stand-in for the AKS network (DESIGN.md §5). Like
+// SortIterative it runs in the Theorem E.1 ablation only.
 //
 // Step (p, k) compares t with t+k for every t >= k mod p with bit k of
 // t − k mod p clear, t and t+k in the same block of 2p. Counted from

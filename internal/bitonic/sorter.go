@@ -28,10 +28,10 @@ var replayCalls atomic.Int64
 // ReplayCalls returns the number of un-sorts since process start.
 func ReplayCalls() int64 { return replayCalls.Load() }
 
-// CacheAgnostic is the obliv.Sorter backed by the paper's cache-agnostic
-// BITONIC-SORT (§E.1). It is the sorter used by REC-ORBA, REC-SORT and all
-// higher-level primitives in the practical configuration. n must be a
-// power of two.
+// CacheAgnostic is the obliv.ScheduledSorter backed by the paper's
+// cache-agnostic BITONIC-SORT (§E.1) on the cached-key comparator. It is
+// the sorter used by REC-ORBA, REC-SORT and all higher-level primitives in
+// the practical configuration. n must be a power of two.
 type CacheAgnostic struct{}
 
 var (
@@ -39,17 +39,13 @@ var (
 	_ obliv.RecordingSorter = CacheAgnostic{}
 )
 
-// Name implements obliv.Sorter.
+// Name implements obliv.ScheduledSorter.
 func (CacheAgnostic) Name() string { return "bitonic-cache-agnostic" }
 
-// Sort implements obliv.Sorter.
-func (CacheAgnostic) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	if n <= 1 {
-		return
-	}
-	networkCalls.Add(1)
-	scratch := mem.Alloc[obliv.Elem](sp, n)
-	SortCA(c, a, scratch, lo, n, true, 0, key)
+// Sort implements obliv.ScheduledSorter: one key-build pass, then the keyed
+// network.
+func (s CacheAgnostic) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
+	obliv.SortKeyed(c, sp, a.View(lo, n), n, key, s)
 }
 
 // SortScheduled implements obliv.ScheduledSorter (the space is unused; the
@@ -93,37 +89,4 @@ func Recorder(srt obliv.ScheduledSorter) obliv.RecordingSorter {
 		return rs
 	}
 	return CacheAgnostic{}
-}
-
-// Naive is the obliv.Sorter backed by the iterative network with per-layer
-// forking — the baseline whose span and caching §E.1 improves. n must be a
-// power of two.
-type Naive struct{}
-
-// Name implements obliv.Sorter.
-func (Naive) Name() string { return "bitonic-naive" }
-
-// Sort implements obliv.Sorter.
-func (Naive) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	if n <= 1 {
-		return
-	}
-	networkCalls.Add(1)
-	SortIterative(c, a, lo, n, key)
-}
-
-// OddEven is the obliv.Sorter backed by Batcher's odd–even merge network.
-// n must be a power of two.
-type OddEven struct{}
-
-// Name implements obliv.Sorter.
-func (OddEven) Name() string { return "odd-even" }
-
-// Sort implements obliv.Sorter.
-func (OddEven) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	if n <= 1 {
-		return
-	}
-	networkCalls.Add(1)
-	SortOddEven(c, a, lo, n, key)
 }

@@ -27,9 +27,19 @@
 // of its 2·log₂(n)−1 layers reads and writes — is a fixed function of n
 // alone, while the permutation itself is encoded in the switch settings,
 // which live outside the instrumented memory and are computed from the
-// per-sort PRNG exactly like a random tape (they are a function of the
-// coins, never of the data, so the adversary's view of the permutation
-// stage is simulatable from n). This trades REC-ORBA's O(n·log n·log log n) bin
+// per-sort PRNG like a random tape. They are a function of the coins,
+// never of the data, so the traced part of the stage, the network's
+// element and key moves, is simulatable from n. The stage as a whole is
+// not: the Fisher–Yates draw (perm, whose swap p[i], p[j] sits at a
+// coin-chosen j) and the routing (routeBlock's pinv[v] = i writes, its
+// pinv reads and the colouring's cycle walk) run in plain Go slices at
+// addresses that are functions of the permutation. An adversary who
+// observes that Θ(n) scratch learns the permutation, and the insecure
+// sort's trace then reveals the input's key order under it. The
+// composition is therefore oblivious only if that scratch is private —
+// memory the adversary cannot observe, which the traced model assumes
+// but does not check. SortBitonic's networks keep no such scratch and
+// need no such assumption. This trades REC-ORBA's O(n·log n·log log n) bin
 // passes — whose practical constants exceed a full bitonic sort at
 // realistic n — for O(n·log n) element moves with constant ~2 per layer,
 // which is what lets the composition overtake the keyed bitonic networks
@@ -155,7 +165,7 @@ type ShuffleSorter struct {
 
 var _ obliv.ScheduledSorter = (*ShuffleSorter)(nil)
 
-// Name implements obliv.Sorter.
+// Name implements obliv.ScheduledSorter.
 func (s *ShuffleSorter) Name() string { return "shuffle-samplesort" }
 
 func (s *ShuffleSorter) crossover() int {
@@ -241,13 +251,14 @@ func (s *ShuffleSorter) tieScratch(sp *mem.Space, n int) (tie, tscr *mem.Array[u
 	return s.tiePlane.View(0, n), s.tieScr.View(0, n)
 }
 
-// Sort implements obliv.Sorter with the stateless bitonic network at every
-// size. The closure-key seam is the paper reproduction's: it sorts the
-// poly-log subproblems the paper sorts with a network, and sorts them
-// concurrently through one shared Params.Sorter (core.RandomPermutation's
-// bins), so it must not touch this sorter's per-run caches.
+// Sort implements obliv.ScheduledSorter with the stateless keyed bitonic
+// network at every size. The closure-key seam is the paper reproduction's:
+// it sorts the poly-log subproblems the paper sorts with a network, and
+// sorts them concurrently through one shared Params.Sorter
+// (core.RandomPermutation's bins), so it must not touch this sorter's
+// per-run caches.
 func (s *ShuffleSorter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	bitonic.CacheAgnostic{}.Sort(c, sp, a, lo, n, key)
+	obliv.SortKeyed(c, sp, a.View(lo, n), n, key, bitonic.CacheAgnostic{})
 }
 
 // SortScheduled implements obliv.ScheduledSorter: Beneš-permute a[lo:lo+n)

@@ -35,30 +35,43 @@ func Fig1(w io.Writer) {
 
 // BitonicAblation regenerates the Theorem E.1 comparison: the paper's
 // cache-agnostic BITONIC-SORT vs the naive per-layer parallelization and
-// the odd-even network.
+// the odd-even network, all three on the key-closure comparator (an
+// element carries its key, the model the theorem is stated in).
 func BitonicAblation(w io.Writer, cacheM, cacheB int, quick bool) {
 	sizes := []int{1 << 10, 1 << 12, 1 << 14}
 	if quick {
 		sizes = []int{1 << 10, 1 << 12}
 	}
 	var rows []Row
-	variants := []obliv.Sorter{bitonic.CacheAgnostic{}, bitonic.Naive{}, bitonic.OddEven{}}
+	key := func(e obliv.Elem) uint64 { return e.Key }
+	variants := []struct {
+		name string
+		sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int)
+	}{
+		{"bitonic-cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
+			bitonic.SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), 0, n, true, 0, key)
+		}},
+		{"bitonic-naive", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int) {
+			bitonic.SortIterative(c, a, 0, n, key)
+		}},
+		{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int) {
+			bitonic.SortOddEven(c, a, 0, n, key)
+		}},
+	}
 	for _, n := range sizes {
 		keys := distinctKeys(uint64(n), n)
 		for _, v := range variants {
-			v := v
 			m := Meter(cacheM, cacheB, func(c *forkjoin.Ctx, sp *mem.Space) {
-				a := elemsOf(sp, keys)
-				v.Sort(c, sp, a, 0, n, func(e obliv.Elem) uint64 { return e.Key })
+				v.sort(c, sp, elemsOf(sp, keys), n)
 			})
 			normS := lg(n) * lg(n) * lg(n) // naive
 			normQ := float64(n) / float64(cacheB) * lg(n) * lg(n)
-			if v.Name() == "bitonic-cache-agnostic" {
+			if v.name == "bitonic-cache-agnostic" {
 				normS = lg(n) * lg(n) * loglog(n)
 				normQ = float64(n) / float64(cacheB) * logM(n, cacheM) * lg(float64ToInt(float64(n)/float64(cacheM)))
 			}
 			rows = append(rows, Row{
-				Task: "BitonicSort", Impl: v.Name(), N: n, M: m,
+				Task: "BitonicSort", Impl: v.name, N: n, M: m,
 				NormW: float64(n) * lg(n) * lg(n),
 				NormS: normS,
 				NormQ: normQ,

@@ -32,7 +32,7 @@ func BinPlace(
 	in *mem.Array[Elem], out *mem.Array[Elem],
 	beta, binZ int,
 	groupOf func(Elem) uint64,
-	srt Sorter,
+	srt ScheduledSorter,
 ) int {
 	nIn := in.Len()
 	outLen := beta * binZ

@@ -1,0 +1,238 @@
+package obliv
+
+import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// rawKernels are the raw block kernels whose compiled code must not branch
+// on data: the comparator run, its recording twin, the word-plane replay
+// and the element move they share.
+var rawKernels = []string{"CondSwap", "cexRun", "cexRunRecord", "replayRun"}
+
+// branchGolden lists, per raw kernel, every conditional jump the compiler
+// may emit that is not a bounds check, and why it does not depend on the
+// data. Line is the source line relative to the line of the kernel's func
+// keyword, so edits above a kernel leave the list valid and edits inside it
+// make the check fail until the list is reviewed again. Bounds checks — one
+// of the jump's two successor blocks calls runtime.panicIndex /
+// panicSlice* — need no entry.
+var branchGolden = []branchSite{
+	{"cexRun", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
+	{"cexRun", 4, "JE", "k1 != nil: the schedule width, public"},
+	{"cexRun", 7, "JLE", "loop test on cnt, public"},
+	{"cexRun", 13, "JE", "k1 != nil: the schedule width, public"},
+	{"cexRun", 22, "JE", "k1 != nil: the schedule width, public; its taken edge continues the loop"},
+	{"cexRunRecord", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
+	{"cexRunRecord", 3, "JLE", "loop test on cnt, public"},
+	{"replayRun", 1, "JLE", "loop test on pairs, public"},
+}
+
+// branchSite is one conditional jump: kernel, source line relative to the
+// kernel's func line, mnemonic, and (golden entries only) the reason it is
+// allowed.
+type branchSite struct {
+	fn   string
+	line int
+	op   string
+	why  string
+}
+
+func (b branchSite) key() string { return fmt.Sprintf("%s+%d %s", b.fn, b.line, b.op) }
+
+// asmInst is one disassembled instruction.
+type asmInst struct {
+	line int    // source line
+	addr uint64 // instruction address
+	op   string // mnemonic
+	arg  string // operands
+}
+
+// asmFunc is one disassembled function: the source line of its func
+// keyword and its instructions.
+type asmFunc struct {
+	line  int
+	insts []asmInst
+}
+
+// disassemble runs go tool objdump on bin for the functions matching re and
+// returns them by symbol name (package path stripped).
+func disassemble(t *testing.T, goBin, bin, re string) map[string]*asmFunc {
+	t.Helper()
+	out, err := exec.Command(goBin, "tool", "objdump", "-s", re, bin).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool objdump: %v\n%s", err, out)
+	}
+	fns := map[string]*asmFunc{}
+	var cur *asmFunc
+	for _, ln := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(ln, "TEXT "); ok {
+			f := strings.Fields(rest) // symbol, source file
+			sym := strings.TrimSuffix(f[0][strings.LastIndex(f[0], ".")+1:], "(SB)")
+			cur = &asmFunc{line: funcLine(t, f[1], sym)}
+			fns[sym] = cur
+			continue
+		}
+		var f []string
+		for _, x := range strings.Split(ln, "\t") {
+			if x = strings.TrimSpace(x); x != "" {
+				f = append(f, x)
+			}
+		}
+		if cur == nil || len(f) < 4 {
+			continue
+		}
+		_, lineStr, _ := strings.Cut(f[0], ":")
+		line, err1 := strconv.Atoi(lineStr)
+		addr, err2 := strconv.ParseUint(strings.TrimPrefix(f[1], "0x"), 16, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsed objdump line %q", ln)
+		}
+		op, arg, _ := strings.Cut(f[3], " ")
+		cur.insts = append(cur.insts, asmInst{line: line, addr: addr, op: op, arg: strings.TrimSpace(arg)})
+	}
+	return fns
+}
+
+// funcLine is the line of "func name(" in the source file.
+func funcLine(t *testing.T, file, name string) int {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("reading the source of %s: %v", name, err)
+	}
+	for i, ln := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(ln, "func "+name+"(") {
+			return i + 1
+		}
+	}
+	t.Fatalf("func %s not found in %s", name, file)
+	return 0
+}
+
+// isCondJump reports whether in is a conditional jump.
+func isCondJump(in asmInst) bool { return strings.HasPrefix(in.op, "J") && in.op != "JMP" }
+
+// blockPanics reports whether the basic block starting at instruction i —
+// followed through unconditional jumps within the function — ends in a
+// call of a runtime.panic* function rather than at a return, a
+// conditional jump or a jump out of the function.
+func blockPanics(insts []asmInst, at map[uint64]int, i int) bool {
+	for steps := 0; i < len(insts) && steps < 256; steps++ {
+		in := insts[i]
+		switch {
+		case in.op == "CALL" && strings.HasPrefix(in.arg, "runtime.panic"):
+			return true
+		case in.op == "RET" || isCondJump(in):
+			return false
+		case in.op == "JMP":
+			to, err := strconv.ParseUint(strings.TrimPrefix(in.arg, "0x"), 16, 64)
+			j, ok := at[to]
+			if err != nil || !ok {
+				return false // leaves the function
+			}
+			i = j
+			continue
+		}
+		i++
+	}
+	return false
+}
+
+// unexplainedBranches returns the conditional jumps of fn that are not
+// bounds checks — neither the jump's target block nor its fall-through
+// block panics — with lines relative to fn's func keyword.
+func unexplainedBranches(fn string, f *asmFunc) []branchSite {
+	at := map[uint64]int{}
+	for i, in := range f.insts {
+		at[in.addr] = i
+	}
+	var out []branchSite
+	for i, in := range f.insts {
+		if !isCondJump(in) {
+			continue
+		}
+		to, err := strconv.ParseUint(strings.TrimPrefix(in.arg, "0x"), 16, 64)
+		j, ok := at[to]
+		if err == nil && ok && blockPanics(f.insts, at, j) || blockPanics(f.insts, at, i+1) {
+			continue
+		}
+		out = append(out, branchSite{fn: fn, line: in.line - f.line, op: in.op})
+	}
+	return out
+}
+
+// goTool returns the go command, skipping the test where the check cannot
+// run.
+func goTool(t *testing.T) string {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the branch golden is for amd64 code; GOARCH is %s", runtime.GOARCH)
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		goBin = filepath.Join(runtime.GOROOT(), "bin", "go")
+	}
+	if _, err := exec.LookPath(goBin); err != nil {
+		t.Skipf("no go command to build and disassemble with: %v", err)
+	}
+	return goBin
+}
+
+// TestCompiledKernelsBranchFree checks branch-freedom where the branch
+// channel lives, in the code the compiler emitted: it builds this
+// package's test binary, disassembles the raw kernels and requires every
+// conditional jump either to lead to a runtime panic (a bounds check, which
+// depends on public lengths and offsets only) or to match a reviewed
+// branchGolden entry; a golden entry that matches nothing is stale and
+// fails too. A negative control — testdata/branchy, a compare-exchange
+// that swaps under an if on the keys — must be flagged.
+func TestCompiledKernelsBranchFree(t *testing.T) {
+	goBin := goTool(t)
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "obliv.test")
+	if out, err := exec.Command(goBin, "test", "-c", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go test -c: %v\n%s", err, out)
+	}
+	fns := disassemble(t, goBin, bin, `^oblivmc/internal/obliv\.(`+strings.Join(rawKernels, "|")+`)$`)
+
+	allowed := map[string]bool{}
+	for _, g := range branchGolden {
+		allowed[g.key()] = true
+	}
+	used := map[string]bool{}
+	for _, fn := range rawKernels {
+		f := fns[fn]
+		if f == nil {
+			t.Fatalf("%s not found in the test binary (inlined everywhere or renamed?)", fn)
+		}
+		for _, b := range unexplainedBranches(fn, f) {
+			if !allowed[b.key()] {
+				t.Errorf("%s: conditional jump with no golden entry (source line %d); if it does not depend on the data, add it to branchGolden with the reason",
+					b.key(), f.line+b.line)
+			}
+			used[b.key()] = true
+		}
+	}
+	for _, g := range branchGolden {
+		if !used[g.key()] {
+			t.Errorf("golden entry %s (%s) matches no jump: remove or re-review it", g.key(), g.why)
+		}
+	}
+
+	ctl := filepath.Join(dir, "branchy")
+	if out, err := exec.Command(goBin, "build", "-o", ctl, "./testdata/branchy").CombinedOutput(); err != nil {
+		t.Fatalf("go build testdata/branchy: %v\n%s", err, out)
+	}
+	flagged := unexplainedBranches("cexBranchy", disassemble(t, goBin, ctl, `^main\.cexBranchy$`)["cexBranchy"])
+	if !slices.ContainsFunc(flagged, func(b branchSite) bool { return b.line == 1 }) {
+		t.Fatalf("negative control not flagged: the swap-under-if kernel's jumps %v", flagged)
+	}
+}

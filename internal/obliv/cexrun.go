@@ -10,7 +10,7 @@ import (
 // This file holds the block form of the comparator and Layer, the one forked
 // driver of every layer-by-layer comparator network: Stages and Merge (the
 // bitonic stage and merge loops, written once), the bitonic merge and its
-// recorded un-merge, the top-k tournament, and the paper reproduction's
+// recorded un-merge, the top-k tournament, and the Theorem E.1 ablation's
 // naive bitonic and odd–even networks. The cache-agnostic bitonic recursion
 // runs its leaves on the same comparator, in all four modes. A network is a
 // fixed sequence of layers, and a layer a fixed sequence of runs — the pairs
@@ -19,21 +19,25 @@ import (
 // made, instead of once per word. A run has four modes: it
 // compare-exchanges elements by cached key, also records each pair's swap
 // bit, replays recorded bits over word planes (no elements, no key), or
-// compare-exchanges elements by a key closure. A replay moves only the
-// words its caller reads back — one value plane where a run over elements
-// would drag every 48-byte record through the layer. Under the metered
-// executor a run is literally a loop over CompareExchangeCachedW
-// (replaying: a read of the bit's word, then per plane a read and a
-// rewrite of both positions; by closure: CompareExchange): that
-// per-access loop is the specification. Under the serial and pool
-// executors widths 1 and 2 (width 1 when recording, the merges' width) go
-// over the raw slices with a comparator that never branches on the
-// comparison outcome: the outcome becomes an all-ones/all-zero mask and
-// both positions are rewritten with mask-selected words, so neither the
-// address sequence nor the branch history of a leaf depends on the data.
-// Wider schedules, and recording at width 2 (the relational layer builds
-// neither), take the per-access loop under every executor, and so does the
-// closure mode: the paper's cost model charges the closure per comparator.
+// compare-exchanges elements by a key closure. Every sorter runs the first
+// three; the closure mode is the paper's cost model, in which an element
+// carries its key, and only the Theorem E.1 ablation's networks run it. A
+// replay moves only the words its caller reads back — one value plane
+// where a run over elements would drag every 48-byte record through the
+// layer. Under the metered executor a run is literally a loop over
+// CompareExchangeCachedW (replaying: a read of the bit's word, then per
+// plane a read and a rewrite of both positions; by closure:
+// CompareExchange): that per-access loop is the specification. Under the
+// serial and pool executors widths 1 and 2 (width 1 when recording, the
+// merges' width) go over the raw slices with a comparator that never
+// branches on the comparison outcome: the outcome becomes an
+// all-ones/all-zero mask and both positions are rewritten with
+// mask-selected words, so neither the address sequence nor the branch
+// history of a leaf depends on the data (TestCompiledKernelsBranchFree
+// checks the compiled raw kernels). Wider schedules, and recording at
+// width 2 (the relational layer builds neither), take the per-access loop
+// under every executor, and so does the closure mode: the paper's cost
+// model charges the closure per comparator.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.

@@ -91,8 +91,11 @@ func Log2Ceil(n int) int { return Log2(NextPow2(n)) }
 
 // CompareExchange obliviously orders positions i and j of a (ascending by
 // key if asc). Both positions are always read and always rewritten, so the
-// access pattern is independent of the comparison outcome — this is the
-// comparator of every sorting-network primitive.
+// access pattern is independent of the comparison outcome. It is the
+// key-closure comparator — an element carries its key, as in the paper's
+// cost model — and runs only in the Theorem E.1 ablation's networks
+// (CexKernel's closure mode); every sorter compares cached key words
+// (CompareExchangeCachedW).
 func CompareExchange(c *forkjoin.Ctx, a *mem.Array[Elem], i, j int, asc bool, key func(Elem) uint64) {
 	x := a.Get(c, i)
 	y := a.Get(c, j)
@@ -104,33 +107,15 @@ func CompareExchange(c *forkjoin.Ctx, a *mem.Array[Elem], i, j int, asc bool, ke
 	a.Set(c, j, y)
 }
 
-// Sorter sorts a[lo:lo+n] ascending by key using a data-independent
-// network. Implementations state their n requirements (the network sorters
-// in internal/bitonic require n to be a power of two; callers pad with
-// Filler elements keyed InfKey).
-//
-// Sorter is the closure-key seam of the paper reproduction only — BinPlace,
-// core's REC-ORBA/ORP/REC-SORT, internal/oram, the experiments and the
-// bitonic ablation — where the key is recomputed per comparator as the
-// paper's cost model counts it. Everything else takes ScheduledSorter.
-type Sorter interface {
-	Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64)
-	Name() string
-}
-
 // SelectionNetwork is an O(n²)-comparator oblivious sorter (a brute-force
 // network of all pairs). It handles any n and exists as a tiny, obviously
 // correct reference implementation for tests and micro-baselines.
 type SelectionNetwork struct{}
 
-// Name implements Sorter.
+// Name implements ScheduledSorter.
 func (SelectionNetwork) Name() string { return "selection-network" }
 
-// Sort implements Sorter.
-func (SelectionNetwork) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64) {
-	for i := 0; i < n-1; i++ {
-		for j := i + 1; j < n; j++ {
-			CompareExchange(c, a, lo+i, lo+j, true, key)
-		}
-	}
+// Sort implements ScheduledSorter.
+func (s SelectionNetwork) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64) {
+	SortKeyed(c, sp, a.View(lo, n), n, key, s)
 }

@@ -217,13 +217,21 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // covering >= n elements — that must not alias a or ks; sorters that sort
 // strictly in place ignore them (nil is then permitted).
 //
-// This is the production sorter seam: the relational, graph, PRAM and
-// serving layers take a ScheduledSorter and nothing else, so handing them
-// a closure-only Sorter is a compile error. It embeds Sorter because the
-// paper reproduction's closure-key call sites (see Sorter) run on the same
-// configured backend.
+// This is the one sorter seam: the relational, graph, PRAM and serving
+// layers call SortScheduled, and the paper reproduction's closure-key call
+// sites (BinPlace, core's REC-ORBA / ORP / REC-SORT, internal/oram, the
+// experiments) call Sort on the same configured backend. Sort sorts
+// a[lo:lo+n) ascending by the one-word key closure, equal keys by TiePos:
+// every implementation builds the key plane in one fixed elementwise pass
+// and runs a keyed network (SortKeyed; the shuffle backend's is the
+// cache-agnostic one), so every sort compares cached key words, whichever
+// method a caller uses. Sort allocates its
+// key planes and element scratch from sp, and it may run concurrently on
+// one sorter (core's ORP sorts its bins in parallel), so it must not touch
+// per-run state of the sorter.
 type ScheduledSorter interface {
-	Sorter
+	Name() string
+	Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64)
 	SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, lo, n int)
 }
 

@@ -46,8 +46,10 @@ func gatherCase(seed uint64, s, p int) (addrs []uint64, mems [3][]uint64) {
 }
 
 // TestGathererMatchesGatherAndDirect: one Gatherer reused over three memory
-// contents returns, each time, exactly a fresh Gather's result, and both
-// match direct indexing (Key = the requested address, ⊥ out of range) —
+// contents returns, each time, the values of a fresh Gather's result, and
+// both match direct indexing — the Gatherer's Values memory[addrs[i]], or 0
+// where the test's own address check says ⊥, and Gather Key = the
+// requested address, Kind ⊥ out of range —
 // for power-of-two and other request counts, p = 1, out-of-range and
 // duplicate addresses, on a sorter that records (the network, the shuffle
 // backend) and one that does not (the selection network, which falls back
@@ -80,16 +82,19 @@ func TestGathererMatchesGatherAndDirect(t *testing.T) {
 						g := NewGatherer(c, sp, s, a, mk())
 						for k, m := range mems {
 							memory := mem.FromSlice(sp, slices.Clone(m))
-							got := slices.Clone(g.Gather(c, sp, memory).Data())
+							vals := slices.Clone(g.Values(c, sp, memory).Data())
 							fresh := Gather(c, sp, memory, a, mk()).Data()
 							want := directGather(m, addrs)
-							if !slices.Equal(got, fresh) {
-								t.Fatalf("%s memory %d: reused gatherer %v, fresh Gather %v", label, k, got, fresh)
-							}
 							for i := range want {
-								if got[i].Kind != want[i].Kind || got[i].Aux != want[i].Aux ||
-									(want[i].Kind == obliv.Real && (got[i].Val != want[i].Val || got[i].Key != want[i].Key)) {
-									t.Fatalf("%s memory %d request %d: got %+v, want %+v", label, k, i, got[i], want[i])
+								if fresh[i] != want[i] {
+									t.Fatalf("%s memory %d request %d: fresh Gather %+v, want %+v", label, k, i, fresh[i], want[i])
+								}
+								var v uint64 // ⊥ reads 0
+								if addrs[i] < uint64(s) {
+									v = m[addrs[i]]
+								}
+								if vals[i] != v {
+									t.Fatalf("%s memory %d request %d: reused gatherer read %d, want %d", label, k, i, vals[i], v)
 								}
 							}
 						}
@@ -109,8 +114,8 @@ func TestGathererTraceOblivious(t *testing.T) {
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			g := NewGatherer(c, sp, 20, mem.FromSlice(sp, addrs), srt)
-			g.Gather(c, sp, mem.FromSlice(sp, mems[0]))
-			g.Gather(c, sp, mem.FromSlice(sp, mems[1]))
+			g.Values(c, sp, mem.FromSlice(sp, mems[0]))
+			g.Values(c, sp, mem.FromSlice(sp, mems[1]))
 		})
 	}
 	if !run(1).Trace.Equal(run(2).Trace) {

@@ -19,7 +19,21 @@ import (
 // caller's own addresses, not from the routing: it is this entry point's
 // convenience for the reproduction's callers that test ⊥.
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
-	return NewGatherer(c, sp, memory.Len(), addrs, srt).Gather(c, sp, memory)
+	s, p := memory.Len(), addrs.Len()
+	vals := NewGatherer(c, sp, s, addrs, srt).Values(c, sp, memory)
+	out := mem.Alloc[obliv.Elem](sp, p)
+	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := addrs.Get(c, i)
+			e := obliv.Elem{Key: a, Val: vals.Get(c, i), Aux: uint64(i), Kind: obliv.Real}
+			c.Op(1)
+			if a >= uint64(s) {
+				e.Kind = obliv.Filler
+			}
+			out.Set(c, i, e)
+		}
+	})
+	return out
 }
 
 // Gatherer is the §4.1 read step over a fixed address list, for callers
@@ -37,7 +51,6 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 type Gatherer struct {
 	srt        obliv.RecordingSorter
 	s, p       int
-	addrs      *mem.Array[uint64]     // the caller's addresses, for Gather's ⊥
 	reqs       *mem.Array[obliv.Elem] // the NextPow2(p) requests in address order, fillers last
 	vals, vscr *obliv.KeySchedule     // the sort's key plane and scratch: the un-sort's plane and scratch
 	rec        *mem.Array[uint64]     // the request sort's swap record
@@ -46,15 +59,14 @@ type Gatherer struct {
 // NewGatherer builds the gatherer of addrs against memories of s cells:
 // the padded request array, record-sorted by address through srt — or
 // through the cache-agnostic bitonic network if srt does not record. An
-// address at or beyond s is out of range and will read ⊥. Gather reads
-// addrs again, so it must not change while the gatherer is in use; Values
-// does not. The access pattern is a function of (s, len(addrs)) and the
+// address at or beyond s is out of range and will read ⊥. addrs is read
+// here only. The access pattern is a function of (s, len(addrs)) and the
 // executor kind alone.
 func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *Gatherer {
 	rs := bitonic.Recorder(srt)
 	p := addrs.Len()
 	n := obliv.NextPow2(p)
-	g := &Gatherer{srt: rs, s: s, p: p, addrs: addrs, reqs: mem.Alloc[obliv.Elem](sp, n)}
+	g := &Gatherer{srt: rs, s: s, p: p, reqs: mem.Alloc[obliv.Elem](sp, n)}
 	g.vals = obliv.AllocKeySchedule(sp, n, 1)
 	g.vscr = obliv.AllocKeySchedule(sp, n, 1)
 	scr := mem.Alloc[obliv.Elem](sp, n) // the sort's alone
@@ -102,25 +114,6 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 	obliv.SendReceiveSorted(c, sp, sources, g.reqs, v)
 	g.srt.Unsort(c, sp, g.vals, g.vscr, g.rec, 0, v.Len())
 	return v.View(0, g.p)
-}
-
-// Gather is Values in the package-level Gather's form, Kind taken from the
-// gatherer's addresses.
-func (g *Gatherer) Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) *mem.Array[obliv.Elem] {
-	vals := g.Values(c, sp, memory)
-	out := mem.Alloc[obliv.Elem](sp, g.p)
-	forkjoin.ParallelRange(c, 0, g.p, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := g.addrs.Get(c, i)
-			e := obliv.Elem{Key: a, Val: vals.Get(c, i), Aux: uint64(i), Kind: obliv.Real}
-			c.Op(1)
-			if a >= uint64(g.s) {
-				e.Kind = obliv.Filler
-			}
-			out.Set(c, i, e)
-		}
-	})
-	return out
 }
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to

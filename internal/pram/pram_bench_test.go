@@ -14,7 +14,7 @@ import (
 // against few cells, where the request sort dominates and the cells are
 // only merged in — serial, on the production bitonic network: "fresh" is
 // Gather (a recorded request sort, the merge and un-merge, an un-sort),
-// "reused" one more Gather of a Gatherer built outside the timer (the
+// "reused" one more Values of a Gatherer built outside the timer (the
 // static endpoint gather of a graph round: merge, un-merge and un-sort
 // only).
 func BenchmarkGather(b *testing.B) {
@@ -40,7 +40,7 @@ func BenchmarkGather(b *testing.B) {
 		g := NewGatherer(c, mem.NewSpace(), s, addrs, srt)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.Gather(c, mem.NewSpace(), memory)
+			g.Values(c, mem.NewSpace(), memory)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
 	})

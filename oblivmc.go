@@ -27,13 +27,22 @@
 // insecure sorting stage has an access pattern that is input-independent
 // in *distribution* over a secret permutation — which is why that backend
 // draws its permutations from fresh crypto/rand-keyed ChaCha8 streams,
-// independent of Seed, so the guarantee holds (computationally) with no
-// requirement on the caller (its traces then differ between runs).
+// independent of Seed (its traces then differ between runs). That backend
+// is oblivious only under an assumption the traced model does not check:
+// its Θ(n) words of permutation scratch must be private. The Fisher–Yates
+// draw of the permutation and the Beneš routing that realizes it (the
+// inverse permutation and the switch colouring) run in plain Go slices at
+// addresses chosen by the coins, outside the instrumented memory. An
+// adversary who observes those accesses (a shared cache, page-table or
+// branch side channel) learns the permutation, and the insecure stage's
+// trace then reveals the input's key order under it. Where that scratch
+// cannot be kept private, use SortBitonic.
 // Config.DeterministicShuffle re-pins those permutations to
 // Seed for reproducible traces (tests, benchmarks); doing so keeps the
 // guarantee only while the seed value is secret, uniformly random, and
 // fresh per run. SortBitonic retains the strict per-seed determinism
-// everywhere, with no secrecy requirement at all.
+// everywhere, with no secrecy requirement and no private-scratch
+// assumption at all.
 package oblivmc
 
 import (
@@ -72,7 +81,8 @@ const (
 	// keyed bitonic networks below the threshold, the shuffle-then-sort
 	// composition (Theorem 3.2: oblivious random permutation, then an
 	// insecure sample sort) at or above it, where its O(n log n) work
-	// overtakes the networks' O(n log² n).
+	// overtakes the networks' O(n log² n). Above the crossover it carries
+	// SortShuffle's private-scratch assumption.
 	SortAuto SortBackend = iota
 	// SortBitonic forces the keyed bitonic networks at every size. Its
 	// trace is a deterministic function of the public shape alone — the
@@ -83,7 +93,11 @@ const (
 	// of the length; the insecure stage's trace is input-independent *in
 	// distribution* over the secret permutation (the Theorem 3.2
 	// guarantee), which is drawn from crypto/rand unless
-	// Config.DeterministicShuffle pins it to Seed.
+	// Config.DeterministicShuffle pins it to Seed. The guarantee holds only
+	// if the permutation stage's Θ(n) words of coin-addressed scratch (the
+	// Fisher–Yates draw and the Beneš routing, plain Go slices outside the
+	// traced memory) are private; see the package doc. SortBitonic needs no
+	// such assumption.
 	SortShuffle
 )
 

@@ -121,6 +121,10 @@ var (
 
 func (s passCounter) Name() string { return s.inner.Name() }
 
+// Sort counts a pass and forwards to the inner sorter's Sort — a key-build
+// pass and that sorter's keyed network — not to SortScheduled, which on
+// the shuffle backend is the stateful sample sort the closure-key callers
+// must not reach.
 func (s passCounter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	*s.n++
 	s.inner.Sort(c, sp, a, lo, n, key)
