@@ -57,13 +57,14 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 	bench("closure", func(c *forkjoin.Ctx) { SortCA(c, a, scr, 0, n, true, DefaultLeaf, keyFn) })
 }
 
-// BenchmarkBitonicRecord prices the recorded sort and its un-sort against
-// the plain keyed sort they stand beside, at 2^10 (one leaf) and 2^14 (the
-// graph workload's gather requests), on the serial executor and a 2-worker
-// pool. The record writes one swap bit per comparator on top of the keyed
-// comparator's work; the un-sort reads the bits back and moves one word
-// plane — the sort's dead key plane, as the gather's un-sort does — with no
-// element, no key and no compare.
+// BenchmarkBitonicRecord prices the PRAM layer's recorded plane sort and
+// its un-sort against the keyed element sort they stand beside, at 2^10
+// (one leaf) and 2^14 (the graph workload's gather requests), on the
+// serial executor and a 2-worker pool. The planes leg sorts one key word
+// and carries one word, recording one swap bit per comparator — two words
+// and a bit per comparator side where the keyed leg moves a 48-byte
+// element and its key word and recomputes TiePos; the un-sort reads the
+// bits back and moves one word plane with no key and no compare.
 func BenchmarkBitonicRecord(b *testing.B) {
 	pool := forkjoin.NewPool(2)
 	defer pool.Close()
@@ -82,11 +83,17 @@ func BenchmarkBitonicRecord(b *testing.B) {
 		sp := mem.NewSpace()
 		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
 		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+		ws, wscr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
 		rec := mem.Alloc[uint64](sp, RecordWords(forkjoin.Serial(), n, 0))
 		load := func() {
 			copy(a.Data(), in)
 			for j, e := range in {
 				ks.Plane(0).Data()[j] = e.Key
+			}
+		}
+		loadPlanes := func() {
+			for j, e := range in {
+				ws.Plane(0).Data()[j], ws.Plane(1).Data()[j] = e.Key, e.Val
 			}
 		}
 		legs := []struct {
@@ -95,10 +102,10 @@ func BenchmarkBitonicRecord(b *testing.B) {
 			run   func(c *forkjoin.Ctx)
 		}{
 			{"keyed", load, func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }},
-			{"record", load, func(c *forkjoin.Ctx) { SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0) }},
+			{"planes", loadPlanes, func(c *forkjoin.Ctx) { SortCAPlanes(c, ws, wscr, 1, rec, 0, n, true, 0) }},
 			{"unsort", func() {
-				load()
-				SortCARecorded(forkjoin.Serial(), a, scr, ks, kscr, rec, 0, n, true, 0)
+				loadPlanes()
+				SortCAPlanes(forkjoin.Serial(), ws, wscr, 1, rec, 0, n, true, 0)
 			}, func(c *forkjoin.Ctx) { UnsortCA(c, ks, kscr, rec, 0, n, 0) }},
 		}
 		for _, leg := range legs {

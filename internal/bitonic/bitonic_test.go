@@ -229,11 +229,14 @@ func TestStability01Principle(t *testing.T) {
 // TestExecutedNetworks01Principle applies the 0–1 principle to the
 // executed networks rather than to the Schedule data: every 0/1 input of
 // n = 2, 4, 8, 16 elements through SortIterative, SortOddEven and
-// Stages + Merge on the keyed and on the closure comparator, on the
-// serial, 2-worker pool and metered executors. Stages(n, n/2) must leave
-// the two halves sorted in opposite directions and the Merge must finish
-// the sort. Equal keys are full ties (no TiePos order), so each comparator
-// acts on the 0/1 keys alone.
+// Stages + Merge on the keyed and on the closure comparator, and every 0/1
+// key plane through the plane sort (SortCAPlanes over one key plane and a
+// carried one, and over two key planes) and Stages + Merge on the plane
+// comparator, on the serial, 2-worker pool and metered executors.
+// Stages(n, n/2) must leave the two halves sorted in opposite directions
+// and the Merge must finish the sort; a carried word must stay with its
+// key. Equal keys are full ties (no TiePos order), so each comparator acts
+// on the 0/1 keys alone.
 func TestExecutedNetworks01Principle(t *testing.T) {
 	stagesMerge := func(c *forkjoin.Ctx, k obliv.CexKernel, a *mem.Array[obliv.Elem], n int) {
 		obliv.Stages(c, k, n, n/2)
@@ -281,6 +284,58 @@ func TestExecutedNetworks01Principle(t *testing.T) {
 							break
 						}
 						w |= e.Key << i
+					}
+					out = append(out, w)
+				}
+			}
+			return out
+		})
+	}
+	planeNets := []struct {
+		name string
+		k    int
+		sort func(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k, n int)
+	}{
+		{"plane sort k=1", 1, func(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k, n int) {
+			SortCAPlanes(c, ws, wscr, k, nil, 0, n, true, 0)
+		}},
+		{"plane sort k=2", 2, func(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k, n int) {
+			SortCAPlanes(c, ws, wscr, k, nil, 0, n, true, 0)
+		}},
+		{"stages+merge planes", 1, func(c *forkjoin.Ctx, ws, _ *obliv.KeySchedule, k, n int) {
+			kern := obliv.NewCexKernelPlanes(c, ws, k, nil)
+			obliv.Stages(c, kern, n, n/2)
+			obliv.Merge(c, kern, 0, 1, n, n, false)
+		}},
+	}
+	for _, nw := range planeNets {
+		oblivtest.SameOnEveryExecutor(t, nw.name, func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
+			var out []uint64 // every output, 0/1 keys packed one word per input
+			for n := 2; n <= 16; n <<= 1 {
+				ws, wscr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
+				key, other := ws.Plane(0).Data(), ws.Plane(1).Data()
+				for mask := 0; mask < 1<<n; mask++ {
+					for i := range n {
+						// k=1: plane 1 is carried, the key's complement; k=2:
+						// plane 1 is the low key bit, the input's mirror.
+						key[i] = uint64(mask >> i & 1)
+						other[i] = 1 - key[i]
+						if nw.k == 2 {
+							other[i] = uint64(mask >> (n - 1 - i) & 1)
+						}
+					}
+					nw.sort(c, ws, wscr, nw.k, n)
+					var w uint64
+					for i := range n {
+						if i > 0 && (key[i-1] > key[i] || nw.k == 2 && key[i-1] == key[i] && other[i-1] > other[i]) {
+							t.Errorf("%s n=%d: mask %b not sorted: %v %v", nw.name, n, mask, key, other)
+							break
+						}
+						if nw.k == 1 && other[i] != 1-key[i] {
+							t.Errorf("%s n=%d: mask %b: the carried word left its key", nw.name, n, mask)
+							break
+						}
+						w |= (key[i] | other[i]<<1) << (2 * i)
 					}
 					out = append(out, w)
 				}

@@ -13,14 +13,15 @@ import (
 )
 
 // TestRecordedSortMatchesKeyedAndUnsorts: on the serial executor, a 2-worker
-// pool and the metered executor, the recorded sort leaves exactly the
-// elements and key plane SortCAKeyed leaves, and the word un-sort then
-// carries two planes written in sorted order — each element's home index,
-// and a second word derived from it — back to the identity: slot i of the
-// first reads i, of the second ^i. The pool leg runs leaves concurrently,
-// so under -race two leaves sharing a record word fail here. The metered
-// executor ignores the leaf size (it forks down to leaf 2), so it runs the
-// default leaf, and the descending leaf-8 variant up to 2^11 for the other
+// pool and the metered executor, the recorded plane sort leaves exactly
+// the planes the unrecorded one leaves and the key plane SortCAKeyed
+// leaves, and the word un-sort then carries two planes written in sorted
+// order — each entry's home index, carried through the sort, and a second
+// word derived from it — back to the identity: slot i of the first reads
+// i, of the second ^i. The pool leg runs leaves concurrently, so under
+// -race two leaves sharing a record word fail here. The metered executor
+// ignores the leaf size (it forks down to leaf 2), so it runs the default
+// leaf, and the descending leaf-8 variant up to 2^11 for the other
 // direction; its leg stops at 2^14 (its dense layout has no leaf
 // boundaries to get wrong above that, and 2^16 per access takes ~14 s,
 // ~90 s under -race).
@@ -49,31 +50,34 @@ func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 				continue
 			}
 			label := fmt.Sprintf("n=%d leaf=%d asc=%v %s", n, v.leaf, v.asc, ex.name)
-			var want, got keyedState
+			var keyed, want, got [][]uint64
 			var homes, derived []uint64
 			ex.run(func(c *forkjoin.Ctx) {
 				sp := mem.NewSpace()
 				a, scr := mem.Alloc[obliv.Elem](sp, n+3), mem.Alloc[obliv.Elem](sp, n)
 				ks, kscr := obliv.AllocKeySchedule(sp, n+3, 1), obliv.AllocKeySchedule(sp, n, 1)
 				dupHeavy(uint64(n)+7, a, ks)
-				for i := range n {
-					a.Data()[3+i].Lbl = uint64(i) // home index
+				ws, wscr := obliv.AllocKeySchedule(sp, n+3, 2), obliv.AllocKeySchedule(sp, n, 2)
+				load := func() { // key, then home index
+					copy(ws.Plane(0).Data(), ks.Plane(0).Data())
+					for i := range n {
+						ws.Plane(1).Data()[3+i] = uint64(i)
+					}
 				}
-				in := append([]obliv.Elem(nil), a.Data()...)
-				keys := append([]uint64(nil), ks.Plane(0).Data()...)
 
-				SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
-				want = snapshotKeyed(a, ks)
-
-				copy(a.Data(), in)
-				copy(ks.Plane(0).Data(), keys)
+				load()
+				SortCAPlanes(c, ws, wscr, 1, nil, 3, n, v.asc, v.leaf)
+				want = planes(ws)
+				load()
 				rec := mem.Alloc[uint64](sp, RecordWords(c, n, v.leaf))
-				SortCARecorded(c, a, scr, ks, kscr, rec, 3, n, v.asc, v.leaf)
-				got = snapshotKeyed(a, ks)
+				SortCAPlanes(c, ws, wscr, 1, rec, 3, n, v.asc, v.leaf)
+				got = planes(ws)
+				SortCAKeyed(c, a, scr, ks, kscr, 3, n, v.asc, v.leaf)
+				keyed = planes(ks)
 
 				vs, vscr := obliv.AllocKeySchedule(sp, n+3, 2), obliv.AllocKeySchedule(sp, n, 2)
 				for r := range n {
-					home := a.Data()[3+r].Lbl
+					home := ws.Plane(1).Data()[3+r]
 					vs.Plane(0).Data()[3+r], vs.Plane(1).Data()[3+r] = home, ^home
 				}
 				UnsortCA(c, vs, vscr, rec, 3, n, v.leaf)
@@ -81,7 +85,10 @@ func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 				derived = vs.Plane(1).Data()[3:]
 			})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: the recorded sort differs from SortCAKeyed", label)
+				t.Fatalf("%s: the recorded plane sort differs from the unrecorded one", label)
+			}
+			if !reflect.DeepEqual(got[0], keyed[0]) {
+				t.Fatalf("%s: the plane sort's keys differ from SortCAKeyed's", label)
 			}
 			for i := range n {
 				if homes[i] != uint64(i) || derived[i] != ^uint64(i) {
@@ -92,31 +99,41 @@ func TestRecordedSortMatchesKeyedAndUnsorts(t *testing.T) {
 	}
 }
 
+// planes is a copy of the word planes of ws.
+func planes(ws *obliv.KeySchedule) [][]uint64 {
+	var ps [][]uint64
+	for p := 0; p < ws.Width(); p++ {
+		ps = append(ps, append([]uint64(nil), ws.Plane(p).Data()...))
+	}
+	return ps
+}
+
 // TestUnsortPermutesNewContents: the un-sort applies the inverse of the
 // recorded permutation to whatever the plane holds — the gather's use,
-// which routes values into the sorted requests' plane before un-sorting
-// it. Here the value is the sorted slot itself, so after the un-sort slot i
-// must name the sorted slot its element went to.
+// which routes values into the sorted requests' value plane before
+// un-sorting it. Here the value is the sorted slot itself, so after the
+// un-sort slot i must name the sorted slot its entry went to.
 func TestUnsortPermutesNewContents(t *testing.T) {
 	const n = 4096
 	forkjoin.RunParallel(2, func(c *forkjoin.Ctx) {
 		sp := mem.NewSpace()
-		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
-		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
-		dupHeavy(11, a, ks)
-		for i := range a.Data() {
-			a.Data()[i].Lbl = uint64(i) // home slot
+		a := mem.Alloc[obliv.Elem](sp, n)
+		ws, wscr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
+		dupHeavy(11, a, ws.View(0, n))
+		for i := range n {
+			ws.Plane(1).Data()[i] = uint64(i) // home slot
 		}
 		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
-		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
+		SortCAPlanes(c, ws, wscr, 1, rec, 0, n, true, 0)
+		sorted := append([]uint64(nil), ws.Plane(1).Data()...)
+		vs, vscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
 		for r := range n {
-			ks.Plane(0).Data()[r] = uint64(r) // sorted slot, over the dead keys
+			vs.Plane(0).Data()[r] = uint64(r) // sorted slot
 		}
-		sorted := append([]obliv.Elem(nil), a.Data()...)
-		UnsortCA(c, ks, kscr, rec, 0, n, 0)
-		for i, r := range ks.Plane(0).Data() {
-			if sorted[r].Lbl != uint64(i) {
-				t.Fatalf("slot %d got sorted slot %d, which holds home %d", i, r, sorted[r].Lbl)
+		UnsortCA(c, vs, vscr, rec, 0, n, 0)
+		for i, r := range vs.Plane(0).Data() {
+			if sorted[r] != uint64(i) {
+				t.Fatalf("slot %d got sorted slot %d, which holds home %d", i, r, sorted[r])
 			}
 		}
 	})
@@ -144,18 +161,23 @@ func TestRecordLayoutSize(t *testing.T) {
 	}
 }
 
-// TestRecordUnsortTraceLockstep: the recorded sort and its word un-sort,
-// over one plane and over two, touch the same addresses for every input of
-// one size — duplicates, ties and fillers included.
+// TestRecordUnsortTraceLockstep: the recorded plane sort — one or two key
+// planes and a carried one — and its word un-sort, over one plane and over
+// two, touch the same addresses for every input of one size, duplicates
+// and full ties included.
 func TestRecordUnsortTraceLockstep(t *testing.T) {
 	oblivtest.Lockstep(t, "record+unsort", 4, 3, 91, func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
 		n := 1 << (1 + shape.Intn(7))
 		w := 1 + shape.Intn(2)
-		a, scr := mem.Alloc[obliv.Elem](sp, n), mem.Alloc[obliv.Elem](sp, n)
-		ks, kscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
-		dupHeavy(content.Uint64(), a, ks)
+		k := 1 + shape.Intn(2)
+		ws, wscr := obliv.AllocKeySchedule(sp, n, k+1), obliv.AllocKeySchedule(sp, n, k+1)
+		for p := 0; p < k+1; p++ {
+			for i := range n {
+				ws.Plane(p).Data()[i] = content.Uint64n(3)
+			}
+		}
 		rec := mem.Alloc[uint64](sp, RecordWords(c, n, 0))
-		SortCARecorded(c, a, scr, ks, kscr, rec, 0, n, true, 0)
+		SortCAPlanes(c, ws, wscr, k, rec, 0, n, true, 0)
 		vs, vscr := obliv.AllocKeySchedule(sp, n, w), obliv.AllocKeySchedule(sp, n, w)
 		for p := 0; p < w; p++ {
 			for r := range n {

@@ -41,18 +41,21 @@ const DefaultLeaf = 1024
 // lo offsets are relative to the start of the top-level range and valid in
 // both buffers.
 //
-// A network with a swap record runs the keyed comparator's record mode
-// (one bit per comparator, set iff it exchanged its pair) or, with no
-// element array, its replay mode, which the un-sort drives backwards over
-// word planes alone: ks and kscr then hold the values being carried home
-// (the gather's routed values), and the transposes move only them. Bit
-// offsets follow the fork tree: a sort's record is its two halves'
-// records, then its merge's; a merge's is its column merges', then its row
-// merges'; a leaf's is its layers' in order, n/2 bits each (layout).
+// A network with no element array runs over word planes alone, and the
+// transposes move only them: with keys > 0 it sorts them on the
+// comparator's plane mode — the first keys planes of ks the key, the rest
+// carried (the PRAM layer's requests) — recording one bit per comparator,
+// set iff it exchanged its pair, when it has a swap record; with keys 0 it
+// replays a record backwards, the un-sort, over planes that hold the
+// values being carried home (the gather's routed values). Bit offsets
+// follow the fork tree: a sort's record is its two halves' records, then
+// its merge's; a merge's is its column merges', then its row merges'; a
+// leaf's is its layers' in order, n/2 bits each (layout).
 type network struct {
 	a, scr   *mem.Array[obliv.Elem]
 	ks, kscr *obliv.KeySchedule
 	key      func(obliv.Elem) uint64
+	keys     int
 	rec      *mem.Array[uint64]
 	bits     *layout
 	leaf     int
@@ -187,20 +190,30 @@ func RecordWords(c *forkjoin.Ctx, n, leaf int) int {
 	return newLayout(n, leafFor(c, leaf), c.Metered()).words(n)
 }
 
-// SortCARecorded is SortCAKeyed that also records every comparator's swap
-// bit into rec, which must hold RecordWords(c, n, leaf) words. The record
-// depends on nothing but the comparators' outcomes, so UnsortCA can carry
-// values written into the sorted slots back to the elements' original ones.
-func SortCARecorded(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int, asc bool, leaf int) {
-	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).recorded(c, rec).sort(c, 0, n, asc, 0)
+// SortCAPlanes is SortCAKeyed over the word planes of ws alone: it sorts
+// ws[lo:lo+n) by the first k planes (1 or 2) compared lexicographically,
+// the rest carried with their key, on the comparator's plane mode; wscr
+// (ws's width, >= n slots) is the transposes' scratch. Equal keys are full
+// ties, ordered by the network: the same on every executor and at every
+// leaf size. A non-nil rec, which must hold RecordWords(c, n, leaf) words,
+// receives every comparator's swap bit; the record depends on nothing but
+// the comparators' outcomes, so UnsortCA can carry values written into the
+// sorted slots back to their original ones.
+func SortCAPlanes(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int, asc bool, leaf int) {
+	nw := newNetwork(c, nil, nil, ws, wscr, nil, lo, n, leaf)
+	nw.keys = k
+	if rec != nil {
+		nw = nw.recorded(c, rec)
+	}
+	nw.sort(c, 0, n, asc, 0)
 }
 
-// UnsortCA undoes SortCARecorded(c, _, _, _, _, rec, lo, n, _, leaf) on
-// the word planes of vs: it runs the same fork tree and transposes
+// UnsortCA undoes SortCAPlanes(c, _, _, _, rec, lo, n, _, leaf) on the
+// word planes of vs: it runs the same fork tree and transposes
 // backwards — each merge un-merged before its two halves are un-sorted, a
 // merge's row phase before its column phase, a leaf's layers in reverse —
 // and exchanges exactly the pairs the sort exchanged, so the word in slot
-// r of each plane of vs[lo:lo+n) moves to the slot the element sorted to r
+// r of each plane of vs[lo:lo+n) moves to the slot the entry sorted to r
 // came from. vscr (vs's width, >= n slots) is the transposes' scratch. No
 // element and no key is read: a replay moves the words its caller reads
 // back and nothing else. It must run under the same kind of executor
@@ -225,18 +238,20 @@ func MergeCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, m int, asc 
 	newNetwork(c, a, scratch, nil, nil, key, lo, m, leaf).merge(c, 0, m, asc, 0)
 }
 
-// kernel is the block comparator of the network's key (recording into the
-// network's record when it has one), bound to its element array — or, with
-// no element array, the replay of the record over its word planes — and to
-// the executor behind c.
+// kernel is the block comparator of the network's key, bound to its
+// element array — or, with no element array, the plane sort (recording
+// into the network's record when it has one) or the record's replay over
+// its word planes — and to the executor behind c.
 func (nw network) kernel(c *forkjoin.Ctx) obliv.CexKernel {
 	switch {
 	case nw.key != nil:
 		return obliv.NewCexKernelFunc(c, nw.a, nw.key)
-	case nw.a == nil:
+	case nw.a != nil:
+		return obliv.NewCexKernel(c, nw.a, nw.ks)
+	case nw.keys == 0:
 		return obliv.NewCexKernelReplay(c, nw.ks, nw.rec)
 	}
-	return obliv.NewCexKernelRecord(c, nw.a, nw.ks, nw.rec)
+	return obliv.NewCexKernelPlanes(c, nw.ks, nw.keys, nw.rec)
 }
 
 // swapped is the network with each buffer exchanged for its scratch.

@@ -17,7 +17,7 @@ import (
 var networkCalls atomic.Int64
 
 // NetworkCalls returns the number of bitonic/odd-even network invocations
-// since process start (a recorded sort is one). Tests snapshot it around a
+// since process start (a plane sort, recorded or not, is one). Tests snapshot it around a
 // run and assert on the delta.
 func NetworkCalls() int64 { return networkCalls.Load() }
 
@@ -61,14 +61,14 @@ func (CacheAgnostic) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[o
 // RecordWords implements obliv.RecordingSorter.
 func (CacheAgnostic) RecordWords(c *forkjoin.Ctx, n int) int { return RecordWords(c, n, 0) }
 
-// SortRecorded implements obliv.RecordingSorter: SortScheduled that also
-// records one swap bit per comparator.
-func (CacheAgnostic) SortRecorded(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+// SortRecorded implements obliv.RecordingSorter: the plane sort, recording
+// one swap bit per comparator when rec is non-nil.
+func (CacheAgnostic) SortRecorded(c *forkjoin.Ctx, _ *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
 	if n <= 1 {
 		return
 	}
 	networkCalls.Add(1)
-	SortCARecorded(c, a, scr, ks, kscr, rec, lo, n, true, 0)
+	SortCAPlanes(c, ws, wscr, k, rec, lo, n, true, 0)
 }
 
 // Unsort implements obliv.RecordingSorter by replaying the record backwards
@@ -82,8 +82,9 @@ func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, vs, vscr *obliv.KeySc
 }
 
 // Recorder is srt's obliv.RecordingSorter, or CacheAgnostic for a sorter
-// that does not record (the shuffle backend, the selection network, a test
-// or timing decorator): a recorded sort always has a network to run on.
+// that does not sort planes (the shuffle backend, the selection network, a
+// test or timing decorator): a plane sort always has a network to run on,
+// and never the shuffle path's coin-addressed scratch.
 func Recorder(srt obliv.ScheduledSorter) obliv.RecordingSorter {
 	if rs, ok := srt.(obliv.RecordingSorter); ok {
 		return rs

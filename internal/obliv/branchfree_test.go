@@ -13,9 +13,10 @@ import (
 )
 
 // rawKernels are the raw block kernels whose compiled code must not branch
-// on data: the comparator run, its recording twin, the word-plane replay
-// and the element move they share.
-var rawKernels = []string{"CondSwap", "cexRun", "cexRunRecord", "replayRun"}
+// on data: the element comparator run and the element move it shares with
+// the Beneš switch, the word-plane comparator (sorting, merging and
+// recording) and the word-plane replay.
+var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun"}
 
 // branchGolden lists, per raw kernel, every conditional jump the compiler
 // may emit that is not a bounds check, and why it does not depend on the
@@ -30,8 +31,11 @@ var branchGolden = []branchSite{
 	{"cexRun", 7, "JLE", "loop test on cnt, public"},
 	{"cexRun", 13, "JE", "k1 != nil: the schedule width, public"},
 	{"cexRun", 22, "JE", "k1 != nil: the schedule width, public; its taken edge continues the loop"},
-	{"cexRunRecord", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
-	{"cexRunRecord", 3, "JLE", "loop test on cnt, public"},
+	{"planeRun", 1, "JLE", "loop test on pairs, public"},
+	{"planeRun", 8, "JE", "k1 != nil: the number of key planes, public"},
+	{"planeRun", 16, "JE", "k1 != nil: the number of key planes, public"},
+	{"planeRun", 21, "JE", "v != nil: the number of carried planes, public"},
+	{"planeRun", 26, "JE", "rec != nil: whether the sort records, public"},
 	{"replayRun", 1, "JLE", "loop test on pairs, public"},
 }
 

@@ -1,6 +1,7 @@
 package obliv
 
 import (
+	"fmt"
 	"math/bits"
 
 	"oblivmc/internal/forkjoin"
@@ -17,27 +18,33 @@ import (
 // (i+t, i+stride+t), t = 0..cnt-1, all in one direction — so the executor
 // question ("instrumented or not") is asked once, when the CexKernel is
 // made, instead of once per word. A run has four modes: it
-// compare-exchanges elements by cached key, also records each pair's swap
-// bit, replays recorded bits over word planes (no elements, no key), or
-// compare-exchanges elements by a key closure. Every sorter runs the first
-// three; the closure mode is the paper's cost model, in which an element
-// carries its key, and only the Theorem E.1 ablation's networks run it. A
-// replay moves only the words its caller reads back — one value plane
-// where a run over elements would drag every 48-byte record through the
-// layer. Under the metered executor a run is literally a loop over
-// CompareExchangeCachedW (replaying: a read of the bit's word, then per
-// plane a read and a rewrite of both positions; by closure:
-// CompareExchange): that per-access loop is the specification. Under the
-// serial and pool executors widths 1 and 2 (width 1 when recording, the
-// merges' width) go over the raw slices with a comparator that never
-// branches on the comparison outcome: the outcome becomes an
-// all-ones/all-zero mask and both positions are rewritten with
-// mask-selected words, so neither the address sequence nor the branch
-// history of a leaf depends on the data (TestCompiledKernelsBranchFree
-// checks the compiled raw kernels). Wider schedules, and recording at
-// width 2 (the relational layer builds neither), take the per-access loop
-// under every executor, and so does the closure mode: the paper's cost
-// model charges the closure per comparator.
+// compare-exchanges elements by cached key; it compare-exchanges word
+// planes alone — one or two key planes compared lexicographically, the
+// rest carried — and may record each pair's swap bit; it replays recorded
+// bits over word planes (no key, no compare); or it compare-exchanges
+// elements by a key closure. The element sorts run the first; the PRAM
+// layer, whose payload is one word, sorts and merges planes with the
+// second, so a comparator moves two or three words where an element
+// comparator drags a 48-byte record and its recomputed TiePos pair through
+// the layer; a replay moves only the words its caller reads back; and only
+// the Theorem E.1 ablation's networks run the closure mode, the paper's
+// cost model, in which an element carries its key. Under the metered
+// executor a run is literally a loop over CompareExchangeCachedW (on
+// planes: per pair a read of every plane at both positions, the compare,
+// a rewrite of both, and a read and rewrite of the bit's word when
+// recording; replaying: the bit's word, then per plane a read and a
+// rewrite of both positions; by closure: CompareExchange): that
+// per-access loop is the specification. Under the serial and pool
+// executors element widths 1 and 2, plane sorts of one or two key planes
+// with at most one carried plane, and replays over one or two planes go
+// over the raw slices with a comparator that never branches on the
+// comparison outcome: the outcome becomes an all-ones/all-zero mask and
+// both positions are rewritten with mask-selected words, so neither the
+// address sequence nor the branch history of a leaf depends on the data
+// (TestCompiledKernelsBranchFree checks the compiled raw kernels). Wider
+// schedules take the per-access loop under every executor, and so does
+// the closure mode: the paper's cost model charges the closure per
+// comparator.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -76,19 +83,28 @@ func CondSwap(x, y *Elem, m uint64) {
 // slot j to its right, ascending — or, with alt, ascending only in even
 // blocks. j is a power of two, and either j divides cnt (a butterfly layer)
 // or cnt <= j (a half-cleaner run). Each leaf hands its comparators to k as
-// maximal runs. A recording or replaying k numbers comparator v = b·cnt + u
-// as bit q+v. Leaves record concurrently, so a recording layer of more than
-// passGrain comparators must give each leaf whole words — q a multiple of
-// 64 and nb·cnt a power of two — as every merge layer does.
+// maximal runs — a plane or replay kernel, which numbers pairs as the
+// layer does, as one run per block. A recording plane kernel or a
+// replaying k numbers comparator v = b·cnt + u as bit q+v. Leaves record
+// concurrently, so a recording layer of more than passGrain comparators
+// must give each leaf whole words — q a multiple of 64 and nb·cnt a power
+// of two — as every merge layer does.
 func Layer(c *forkjoin.Ctx, k CexKernel, q, nb, gap, cnt, j int, alt bool) {
 	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		kern := k
 		kern.c = c // the raw views depend on the executor kind only
 		b, u := lo/cnt, lo%cnt
 		for v := lo; v < hi; {
-			off := u & (j - 1)
-			m := min(j-off, cnt-u, hi-v)
-			kern.run(b*gap+(u-off)<<1+off, j, m, !alt || b&1 == 0, q+v)
+			asc := !alt || b&1 == 0
+			var m int
+			if k.a == nil {
+				m = min(cnt-u, hi-v)
+				kern.pairs(b*gap, j, u, u+m, 0, asc, q+v-u)
+			} else {
+				off := u & (j - 1)
+				m = min(j-off, cnt-u, hi-v)
+				kern.run(b*gap+(u-off)<<1+off, j, m, asc)
+			}
 			v += m
 			if u += m; u == cnt {
 				b, u = b+1, 0
@@ -120,39 +136,28 @@ func Stages(c *forkjoin.Ctx, k CexKernel, n, K int) {
 }
 
 // CexKernel is the block comparator bound to one array and one kind of
-// executor: NewCexKernel, NewCexKernelRecord, NewCexKernelReplay and
+// executor: NewCexKernel, NewCexKernelPlanes, NewCexKernelReplay and
 // NewCexKernelFunc decide once whether runs go through the per-access
 // specification or over the raw slices.
 type CexKernel struct {
-	c   *forkjoin.Ctx
-	a   *mem.Array[Elem]   // nil: replay rec over the planes of ks
-	key func(Elem) uint64  // non-nil: compare-exchange by key, per access
-	ks  *KeySchedule       // the key schedule, or the replayed word planes
-	rec *mem.Array[uint64] // nil: compare-exchange only
+	c    *forkjoin.Ctx
+	a    *mem.Array[Elem]   // the elements; nil in the plane and replay modes
+	key  func(Elem) uint64  // non-nil: compare-exchange by key, per access
+	ks   *KeySchedule       // the key schedule, or the sorted or replayed word planes
+	nkey int                // plane mode: the leading planes of ks that are the key; 0 replays
+	rec  *mem.Array[uint64] // the swap record a plane sort writes and a replay reads
 
 	// Raw views, nil when runs take the per-access path.
-	e      []Elem
-	k0, k1 []uint64
-	bits   []uint64
+	e         []Elem
+	k0, k1, v []uint64
+	bits      []uint64
 }
 
 // NewCexKernel binds the comparator to a, ks (indexed identically) and the
 // executor behind c.
 func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKernel {
-	return NewCexKernelRecord(c, a, ks, nil)
-}
-
-// NewCexKernelFunc binds the comparator to a and a key closure: every pair
-// runs per access through CompareExchange, whatever the executor.
-func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64) CexKernel {
-	return CexKernel{c: c, a: a, key: key}
-}
-
-// NewCexKernelRecord is NewCexKernel that also records each pair's swap bit
-// into rec (Layer's q names the bits); a nil rec records nothing.
-func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, rec *mem.Array[uint64]) CexKernel {
-	k := CexKernel{c: c, a: a, ks: ks, rec: rec}
-	if w := len(ks.planes); w > 2 || w == 2 && rec != nil {
+	k := CexKernel{c: c, a: a, ks: ks}
+	if len(ks.planes) > 2 {
 		return k
 	}
 	if k.e = a.Raw(c); k.e == nil {
@@ -162,16 +167,49 @@ func NewCexKernelRecord(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, re
 	if len(ks.planes) == 2 {
 		k.k1 = ks.planes[1].Raw(c)
 	}
-	if rec != nil {
-		k.bits = rec.Raw(c)
-	}
 	return k
+}
+
+// NewCexKernelFunc binds the comparator to a and a key closure: every pair
+// runs per access through CompareExchange, whatever the executor.
+func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64) CexKernel {
+	return CexKernel{c: c, a: a, key: key}
+}
+
+// NewCexKernelPlanes binds the comparator's plane mode to the word planes
+// of ws, with no element array: a pair is ordered by the first k planes
+// (k = 1 or 2) compared lexicographically, and the remaining planes move
+// with their key. Equal keys are full ties — there is no TiePos to read —
+// so they hold on ascending comparators and swap on descending ones. A
+// non-nil rec receives each pair's swap bit (Layer's q names the bits),
+// from which NewCexKernelReplay undoes the moves.
+func NewCexKernelPlanes(c *forkjoin.Ctx, ws *KeySchedule, k int, rec *mem.Array[uint64]) CexKernel {
+	if k < 1 || k > 2 || k > len(ws.planes) {
+		panic(fmt.Sprintf("obliv: plane comparator over %d key planes of %d", k, len(ws.planes)))
+	}
+	kern := CexKernel{c: c, ks: ws, nkey: k, rec: rec}
+	if len(ws.planes)-k > 1 {
+		return kern
+	}
+	if kern.k0 = ws.planes[0].Raw(c); kern.k0 == nil {
+		return kern
+	}
+	if k == 2 {
+		kern.k1 = ws.planes[1].Raw(c)
+	}
+	if len(ws.planes) > k {
+		kern.v = ws.planes[k].Raw(c)
+	}
+	if rec != nil {
+		kern.bits = rec.Raw(c)
+	}
+	return kern
 }
 
 // NewCexKernelReplay binds the comparator's replay mode to the recorded
 // swap bits rec and the word planes of ws, which it moves as a recorded run
-// moved the elements (Layer's q names the bits). The planes are whatever
-// the caller wants carried back — a routed value, an index — not keys: a
+// moved its planes (Layer's q names the bits). The planes are whatever the
+// caller wants carried back — a routed value, an index — not keys: a
 // replay compares nothing.
 func NewCexKernelReplay(c *forkjoin.Ctx, ws *KeySchedule, rec *mem.Array[uint64]) CexKernel {
 	k := CexKernel{c: c, ks: ws, rec: rec}
@@ -188,32 +226,15 @@ func NewCexKernelReplay(c *forkjoin.Ctx, ws *KeySchedule, rec *mem.Array[uint64]
 	return k
 }
 
-// run compare-exchanges the pairs (i+t, i+stride+t) for t = 0..cnt-1 in
-// ascending t, every pair ordered ascending by cached key if asc and
-// descending otherwise: exactly cnt calls of CompareExchangeCachedW. A
-// recording kernel then stores pair t's outcome as bit q+t of its record —
-// under the metered executor a read and a rewrite of the bit's word, at an
-// address fixed by q+t; the raw kernel writes the bit with mask arithmetic
-// and never branches on it. A replaying kernel instead exchanges the words
-// of pair t in every plane iff bit q+t is set, ignoring asc (its stride
-// must be a power of two, as in every network); a closure kernel makes the
-// cnt calls of CompareExchange instead.
-func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
+// run compare-exchanges the element pairs (i+t, i+stride+t) for t =
+// 0..cnt-1 in ascending t, every pair ordered ascending by cached key if
+// asc and descending otherwise: exactly cnt calls of
+// CompareExchangeCachedW; a closure kernel makes the cnt calls of
+// CompareExchange instead. The plane and replay modes run through pairs.
+func (k *CexKernel) run(i, stride, cnt int, asc bool) {
 	j := i + stride
-	if k.a == nil {
-		k.replay(i, stride, cnt, q)
-		return
-	}
 	if k.e != nil {
-		var desc uint64
-		if !asc {
-			desc = ^uint64(0)
-		}
-		if k.bits != nil {
-			cexRunRecord(k.e, k.k0, i, j, cnt, desc, k.bits, q)
-			return
-		}
-		cexRun(k.e, k.k0, k.k1, i, j, cnt, desc)
+		cexRun(k.e, k.k0, k.k1, i, j, cnt, descMask(asc))
 		return
 	}
 	c, a := k.c, k.a
@@ -224,36 +245,96 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool, q int) {
 		return
 	}
 	for t := 0; t < cnt; t++ {
-		swapped := CompareExchangeCachedW(c, a, k.ks, i+t, j+t, asc)
+		CompareExchangeCachedW(c, a, k.ks, i+t, j+t, asc)
+	}
+}
+
+// descMask is the direction of a run as a mask: all ones for descending.
+func descMask(asc bool) uint64 {
+	if asc {
+		return 0
+	}
+	return ^uint64(0)
+}
+
+// pairs runs the plane or replay mode over the pairs u0 <= u < u1 of a
+// butterfly layer at lo — pair u joins lo+pos(u) and stride slots on, with
+// pos(u) = (u/stride)·2·stride + u%stride (stride a power of two) — its
+// swap bit being q+u. A plane sort orders pair u ascending if
+// (pos(u)&^(stride-1))&period == 0 equals asc — period 0 is one
+// direction, period p the layer of a bitonic sort building sorted runs of
+// p — and records its outcome as bit q+u if the kernel has a record: under
+// the metered executor a read and a rewrite of the bit's word, at an
+// address fixed by q+u; the raw kernel writes the bit with mask arithmetic
+// and never branches on it. A replay instead exchanges the words of pair u
+// in every plane iff bit q+u is set, ignoring asc.
+func (k *CexKernel) pairs(lo, stride, u0, u1, period int, asc bool, q int) {
+	if k.nkey == 0 {
+		k.replay(lo, stride, u0, u1, q)
+		return
+	}
+	k.planes(lo, stride, u0, u1, period, asc, q)
+}
+
+// planes is the plane sort of pairs: per access it reads every plane at
+// both positions of a pair, compares, rewrites both positions of every
+// plane and, recording, reads and rewrites the bit's word; raw, it is one
+// planeRun.
+func (k *CexKernel) planes(lo, stride, u0, u1, period int, asc bool, q int) {
+	if k.k0 != nil {
+		planeRun(k.k0, k.k1, k.v, lo, stride, u0, u1, period, descMask(asc), k.bits, q)
+		return
+	}
+	c := k.c
+	var x, y [MaxScheduleWidth]uint64
+	for u := u0; u < u1; u++ {
+		i0 := (u &^ (stride - 1)) << 1
+		i := lo + i0 + u&(stride-1)
+		for p, pl := range k.ks.planes {
+			x[p], y[p] = pl.Get(c, i), pl.Get(c, i+stride)
+		}
+		c.Op(1) // the comparison
+		gt := false
+		for p := 0; p < k.nkey; p++ {
+			if x[p] != y[p] {
+				gt = x[p] > y[p]
+				break
+			}
+		}
+		swap := gt == (i0&period == 0 == asc)
+		if swap {
+			x, y = y, x
+		}
+		for p, pl := range k.ks.planes {
+			pl.Set(c, i, x[p])
+			pl.Set(c, i+stride, y[p])
+		}
 		if k.rec != nil {
 			var bit uint64
-			if swapped {
+			if swap {
 				bit = 1
 			}
-			b := q + t
+			b := q + u
 			w := k.rec.Get(c, b>>6)
 			k.rec.Set(c, b>>6, w&^(1<<(b&63))|bit<<(b&63))
 		}
 	}
 }
 
-// replay exchanges, for u = 0..pairs-1, the words of every plane at
-// lo+pos(u) and stride slots on iff bit q+u is set, where pos(u) =
-// (u/stride)·2·stride + u%stride numbers the pairs of a butterfly layer at
-// that stride (a power of two): pairs <= stride is one run, n/2 pairs the
-// whole layer over n slots. Per access it reads the bit's word, then reads
-// and rewrites both positions of each plane; raw, it is replayRun once per
-// plane.
-func (k *CexKernel) replay(lo, stride, pairs, q int) {
+// replay is the replay of pairs: it exchanges the words of every plane at
+// both positions of pair u iff bit q+u is set. Per access it reads the
+// bit's word, then reads and rewrites both positions of each plane; raw,
+// it is replayRun once per plane.
+func (k *CexKernel) replay(lo, stride, u0, u1, q int) {
 	if k.k0 != nil {
-		replayRun(k.k0, lo, stride, pairs, k.bits, q)
+		replayRun(k.k0, lo, stride, u0, u1, k.bits, q)
 		if k.k1 != nil {
-			replayRun(k.k1, lo, stride, pairs, k.bits, q)
+			replayRun(k.k1, lo, stride, u0, u1, k.bits, q)
 		}
 		return
 	}
 	c := k.c
-	for u := 0; u < pairs; u++ {
+	for u := u0; u < u1; u++ {
 		i := lo + (u&^(stride-1))<<1 + u&(stride-1)
 		b := q + u
 		w := k.rec.Get(c, b>>6)
@@ -275,19 +356,19 @@ func (k *CexKernel) replay(lo, stride, pairs, q int) {
 // ascending i0. A run is ordered ascending if (i0&period == 0) == asc and
 // descending otherwise — period 0 is a merge layer (one direction), period
 // k the layer of a bitonic sort building sorted sequences of length k. A
-// recording or replaying kernel keeps the layer's n/2 swap bits at q..,
-// pair t of the run at i0 as bit q + i0/2 + t. It is the serial leaf loop
-// of the bitonic sorts: unlike the forked Layer it does no per-run index
-// arithmetic, which matters at strides 1 and 2. A replay takes the whole
-// layer in one loop (a word swap is too cheap to pay a call per run of
-// one pair).
+// recording plane kernel or a replaying one keeps the layer's n/2 swap
+// bits at q.., pair t of the run at i0 as bit q + i0/2 + t. It is the
+// serial leaf loop of the bitonic sorts: unlike the forked Layer it does
+// no per-run index arithmetic, which matters at strides 1 and 2. The plane
+// and replay modes take the whole layer in one loop (a word move is too
+// cheap to pay a call per run of one pair).
 func (k *CexKernel) Layer(lo, n, stride, period int, asc bool, q int) {
 	if k.a == nil {
-		k.replay(lo, stride, n>>1, q)
+		k.pairs(lo, stride, 0, n>>1, period, asc, q)
 		return
 	}
 	for i0 := 0; i0 < n; i0 += 2 * stride {
-		k.run(lo+i0, stride, stride, (i0&period == 0) == asc, q+i0>>1)
+		k.run(lo+i0, stride, stride, (i0&period == 0) == asc)
 	}
 }
 
@@ -331,37 +412,54 @@ func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc uint64) {
 	}
 }
 
-// cexRunRecord is cexRun at width 1 that also stores the swap mask's low
-// bit — not the borrow, which differs on descending comparators — as bit
-// q+t of rec for pair t. It is a separate kernel because a record test
-// inside cexRun slows the sorts' comparator, which never records.
-func cexRunRecord(e []Elem, k0 []uint64, i, j, cnt int, desc uint64, rec []uint64, q int) {
-	ei, ej := e[i:i+cnt], e[j:j+cnt]
-	k0i, k0j := k0[i:i+cnt], k0[j:j+cnt]
-	for t := range ei {
-		x, y := &ei[t], &ej[t]
-		xh, xl := posWords(x)
-		yh, yl := posWords(y)
-		_, after := bits.Sub64(yl, xl, 0)
-		_, after = bits.Sub64(yh, xh, after)
-		x0, y0 := k0i[t], k0j[t]
+// planeRun is planes over raw slices: one or two key planes (k1 nil or
+// not), at most one carried plane (v nil or not) and an optional record
+// (rec nil or not) — all public. "x sorts after y" is the borrow out of the
+// multiword subtraction y − x, as in cexRun, and pair u's direction mask
+// is desc flipped when its run's offset i0 has the period bit set, which
+// is arithmetic on public indices: (f | −f) >> 63 is f != 0 as a bit.
+// Both positions of every plane are rewritten with mask-selected words and
+// the swap mask's low bit is stored as bit q+u, so no branch depends on
+// the data.
+func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
+	for u := u0; u < u1; u++ {
+		i0 := (u &^ (stride - 1)) << 1
+		i := lo + i0 + u&(stride-1)
+		j := i + stride
+		f := uint64(i0 & period)
+		x0, y0 := k0[i], k0[j]
+		var after uint64
+		if k1 != nil {
+			_, after = bits.Sub64(k1[j], k1[i], 0)
+		}
 		_, after = bits.Sub64(y0, x0, after)
-		m := -after ^ desc
+		m := -after ^ desc ^ -((f | -f) >> 63)
 
 		d := (x0 ^ y0) & m
-		k0i[t], k0j[t] = x0^d, y0^d
-		CondSwap(x, y, m)
-		b := q + t
-		w := &rec[b>>6]
-		*w = *w&^(1<<(b&63)) | m&1<<(b&63)
+		k0[i], k0[j] = x0^d, y0^d
+		if k1 != nil {
+			x1, y1 := k1[i], k1[j]
+			d = (x1 ^ y1) & m
+			k1[i], k1[j] = x1^d, y1^d
+		}
+		if v != nil {
+			xv, yv := v[i], v[j]
+			d = (xv ^ yv) & m
+			v[i], v[j] = xv^d, yv^d
+		}
+		if rec != nil {
+			b := q + u
+			w := &rec[b>>6]
+			*w = *w&^(1<<(b&63)) | m&1<<(b&63)
+		}
 	}
 }
 
 // replayRun is replay over one raw word plane, exchanging with mask
 // arithmetic — d := (x^y)&m, m the bit widened to a mask — so the loads,
 // stores and branches are those of every other outcome.
-func replayRun(p []uint64, lo, stride, pairs int, rec []uint64, q int) {
-	for u := 0; u < pairs; u++ {
+func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
+	for u := u0; u < u1; u++ {
 		i := lo + (u&^(stride-1))<<1 + u&(stride-1)
 		b := q + u
 		m := -(rec[b>>6] >> (b & 63) & 1)

@@ -8,13 +8,16 @@ import (
 	"oblivmc/internal/prng"
 )
 
-// BenchmarkCexRun times one raw width-1 TiePos run of 2^9 pairs (a leaf's
-// longest run, L1-resident) over three key orders, plain and recording each
-// pair's swap bit. The three orders must cost the same: the comparator
-// turns the outcome into a mask, so an always-hold input (sorted), an
-// always-swap input (reverse) and a coin-flip input (random) retire the
-// same instructions with the same branch history. A random/sorted ratio
-// well above 1 means a data-dependent branch came back.
+// BenchmarkCexRun times one raw width-1 run of 2^9 pairs (a leaf's longest
+// run, L1-resident) over three key orders, in two modes: the element
+// comparator (TiePos), and the plane comparator over one key plane and one
+// carried plane, recording each pair's swap bit — the PRAM merge's
+// comparator. The three orders must cost the same in each mode: the
+// comparator turns the outcome into a mask, so an always-hold input
+// (sorted), an always-swap input (reverse) and a coin-flip input (random)
+// retire the same instructions with the same branch history. A
+// random/sorted ratio well above 1 means a data-dependent branch came
+// back.
 func BenchmarkCexRun(b *testing.B) {
 	const pairs = 1 << 9
 	orders := []struct {
@@ -25,11 +28,11 @@ func BenchmarkCexRun(b *testing.B) {
 		{"random", func(src *prng.Source, _ int) uint64 { return src.Uint64n(1 << 40) }},
 		{"reverse", func(_ *prng.Source, i int) uint64 { return uint64(2*pairs - i) }},
 	}
-	for _, record := range []bool{false, true} {
+	for _, planes := range []bool{false, true} {
 		for _, o := range orders {
 			name := o.name
-			if record {
-				name = "record-" + name
+			if planes {
+				name = "planes-record-" + name
 			}
 			b.Run(name, func(b *testing.B) {
 				sp := mem.NewSpace()
@@ -39,12 +42,13 @@ func BenchmarkCexRun(b *testing.B) {
 					in[i] = Elem{Key: o.key(src, i), Val: uint64(i), Aux: uint64(i), Kind: Real}
 				}
 				a := mem.FromSlice(sp, in)
-				ks := AllocKeySchedule(sp, 2*pairs, 1)
-				var rec *mem.Array[uint64]
-				if record {
-					rec = mem.Alloc[uint64](sp, pairs/64)
+				ks := AllocKeySchedule(sp, 2*pairs, 2) // plane 1: the carried value
+				var kern CexKernel
+				if planes {
+					kern = NewCexKernelPlanes(forkjoin.Serial(), ks, 1, mem.Alloc[uint64](sp, pairs/64))
+				} else {
+					kern = NewCexKernel(forkjoin.Serial(), a, &KeySchedule{planes: ks.planes[:1]})
 				}
-				kern := NewCexKernelRecord(forkjoin.Serial(), a, ks, rec)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// Reload untimed: a run leaves its pairs ordered, which
@@ -54,9 +58,14 @@ func BenchmarkCexRun(b *testing.B) {
 					copy(a.Data(), in)
 					for j, e := range in {
 						ks.Plane(0).Data()[j] = e.Key
+						ks.Plane(1).Data()[j] = e.Val
 					}
 					b.StartTimer()
-					kern.run(0, pairs, pairs, true, 0)
+					if planes {
+						kern.pairs(0, pairs, 0, pairs, 0, true, 0)
+					} else {
+						kern.run(0, pairs, pairs, true)
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 			})

@@ -149,7 +149,7 @@ func DistributeOrdered(
 		}
 	})
 
-	mergeBitonic(c, w, ks, wLen, nil)
+	mergeBitonic(c, w, ks, wLen)
 
 	// Latest-participant scan: position p learns the participant with the
 	// largest destination at or before p. The schedule moved through the
@@ -198,22 +198,26 @@ func DistributeOrdered(
 // cached key schedule: one Merge, a half-cleaner cascade of log2(n)
 // data-independent layers of n/2 comparators. n must be a power of two.
 // The comparator sequence is a function of n alone.
-//
-// A non-nil rec (mergeRecordWords(n) words) receives one swap bit per
-// comparator — bit l·n/2 + v for comparator v of layer l — from which
-// unmergeBitonic undoes the merge. A nil rec records nothing, so
-// DistributeOrdered's merge runs the plain comparator.
-func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int, rec *mem.Array[uint64]) {
-	Merge(c, NewCexKernelRecord(c, a, ks, rec), 0, 1, n, n, false)
+func mergeBitonic(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule, n int) {
+	Merge(c, NewCexKernel(c, a, ks), 0, 1, n, n, false)
 }
 
-// unmergeBitonic undoes mergeBitonic(c, _, _, n, rec) on the word planes of
-// ws: it replays the recorded layers in reverse, stride 1 up to n/2,
+// mergePlanes is mergeBitonic over the word planes of ws with no element
+// array: the first plane is the key, the rest ride along, and rec
+// (mergeRecordWords(n) words) receives one swap bit per comparator — bit
+// l·n/2 + v for comparator v of layer l — from which unmergeBitonic undoes
+// the merge.
+func mergePlanes(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint64]) {
+	Merge(c, NewCexKernelPlanes(c, ws, 1, rec), 0, 1, n, n, false)
+}
+
+// unmergeBitonic undoes mergePlanes(c, _, n, rec) on the word planes of ws:
+// it replays the recorded layers in reverse, stride 1 up to n/2,
 // exchanging exactly the pairs the merge exchanged, so every word of every
-// plane returns to the position its element held before the merge. Neither
-// elements nor keys are read or moved — the planes carry whatever the
-// caller wants back (send-receive's routed values). The access pattern is
-// a function of n and the width of ws alone.
+// plane returns to the position it held before the merge. No key is read
+// — the planes carry whatever the caller wants back (send-receive's routed
+// values). The access pattern is a function of n and the width of ws
+// alone.
 func unmergeBitonic(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint64]) {
 	k := NewCexKernelReplay(c, ws, rec)
 	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
@@ -221,7 +225,7 @@ func unmergeBitonic(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint
 	}
 }
 
-// mergeRecordWords is the length of mergeBitonic's swap record for n
+// mergeRecordWords is the length of mergePlanes's swap record for n
 // elements: log2(n) layers of n/2 bits, packed 64 to a word.
 func mergeRecordWords(n int) int {
 	return (Log2(n)*(n>>1) + 63) >> 6

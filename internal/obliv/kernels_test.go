@@ -61,9 +61,24 @@ func dupHeavyInput(sp *mem.Space, seed uint64, n, w int) (*mem.Array[Elem], *Key
 	return a, ks
 }
 
+// dupHeavyPlanes allocates w word planes of n slots over very few distinct
+// low and high words, so key ties and full ties both occur.
+func dupHeavyPlanes(sp *mem.Space, seed uint64, n, w int) *KeySchedule {
+	src := prng.New(seed)
+	ws := AllocKeySchedule(sp, n, w)
+	for p := 0; p < w; p++ {
+		for i := range n {
+			ws.Plane(p).Data()[i] = src.Uint64n(3) << (61 * src.Uint64n(2))
+		}
+	}
+	return ws
+}
+
 // TestCexKernelMatchesPerAccess holds the block comparator's raw runs and
 // serial leaf layers to the metered per-access spec: compare-exchange by
-// cached key in both directions, and replay over word planes.
+// cached key in both directions, the plane sort over one or two key planes
+// with no, one or two carried planes (two: the per-access fallback),
+// recording, and replay over word planes.
 func TestCexKernelMatchesPerAccess(t *testing.T) {
 	for _, w := range []int{1, 2, 3} { // 3: the generic-width fallback
 		for _, asc := range []bool{true, false} {
@@ -71,8 +86,8 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 			oblivtest.SameOnEveryExecutor(t, "run "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 				a, ks := dupHeavyInput(sp, 21, 160, w)
 				kern := NewCexKernel(c, a, ks)
-				kern.run(3, 61, 57, asc, 0)
-				kern.run(0, 1, 1, asc, 0)
+				kern.run(3, 61, 57, asc)
+				kern.run(0, 1, 1, asc)
 				return snapshotKeyed(a, ks)
 			})
 			oblivtest.SameOnEveryExecutor(t, "layers "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
@@ -85,6 +100,30 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 					kern.Layer(5, 128, j, 16, asc, 0) // a sort layer group: direction flips every 16
 				}
 				return snapshotKeyed(a, ks)
+			})
+		}
+		// The plane mode's serial leaf loop: a merge, then a sort layer
+		// group whose direction flips every 16 — over w planes, the first
+		// one or two the key — recording from mid-word.
+		for _, k := range []int{1, 2} {
+			if k > w {
+				continue
+			}
+			oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("plane layers w=%d k=%d", w, k), func(c *forkjoin.Ctx, sp *mem.Space) layerState {
+				ws := dupHeavyPlanes(sp, 25, 140, w)
+				rec := mem.Alloc[uint64](sp, 16)
+				kern := NewCexKernelPlanes(c, ws, k, rec)
+				q := 5
+				for j := 64; j > 0; j >>= 1 {
+					kern.Layer(5, 128, j, 0, false, q)
+					q += 64
+				}
+				for j := 8; j > 0; j >>= 1 {
+					kern.Layer(5, 128, j, 16, true, q)
+					q += 64
+				}
+				kern.pairs(3, 64, 0, 57, 0, true, q)
+				return layerState{Keyed: keyedState{Planes: planesOf(ws)}, Record: append([]uint64(nil), rec.Data()...)}
 			})
 		}
 		// The replay mode's serial leaf loop over w word planes, on bits
@@ -100,7 +139,7 @@ func TestCexKernelMatchesPerAccess(t *testing.T) {
 			for j := 1; j <= 64; j <<= 1 {
 				kern.Layer(5, 128, j, 0, true, 7*(j-1))
 			}
-			kern.run(3, 64, 57, true, 9)
+			kern.pairs(3, 64, 0, 57, 0, true, 9)
 			return planesOf(vs)
 		})
 	}
@@ -113,7 +152,7 @@ func TestCexKernelOrdersLikeComparator(t *testing.T) {
 	sp := mem.NewSpace()
 	a, ks := dupHeavyInput(sp, 23, 512, 2)
 	kern := NewCexKernel(forkjoin.Serial(), a, ks)
-	kern.run(0, 256, 256, true, 0)
+	kern.run(0, 256, 256, true)
 	for i := 0; i < 256; i++ {
 		x, y := a.Data()[i], a.Data()[i+256]
 		for p := 0; p < 2; p++ {
@@ -152,15 +191,22 @@ func slotPlanes(sp *mem.Space, n, w int) *KeySchedule {
 	return vs
 }
 
-// checkReplayed reports the first slot i at which the replayed planes vs do
-// not carry home the slot number of the element that came from i: the
-// element recorded from orig[i] must sit at slot vs[0][i] of sorted, and
-// every other plane must carry the same slot.
-func checkReplayed(orig, sorted []Elem, vs *KeySchedule) (int, bool) {
-	for i := range orig {
+// checkPlanesReplayed reports the first slot i at which the replayed
+// planes vs do not carry home the slot number of the entry that came from
+// i: every plane of the sorted planes at slot vs[0][i] must hold what orig
+// held at i, and every other plane of vs must carry the same slot.
+func checkPlanesReplayed(orig, sorted [][]uint64, vs *KeySchedule) (int, bool) {
+	seen := make([]bool, len(sorted[0]))
+	for i := range orig[0] {
 		r := vs.Plane(0).Data()[i]
-		if r >= uint64(len(sorted)) || sorted[r] != orig[i] {
+		if r >= uint64(len(seen)) || seen[r] {
 			return i, false
+		}
+		seen[r] = true
+		for p := range orig {
+			if sorted[p][r] != orig[p][i] {
+				return i, false
+			}
 		}
 		for p := 1; p < vs.Width(); p++ {
 			if vs.Plane(p).Data()[i] != r*uint64(2*p+1) {
@@ -172,17 +218,18 @@ func checkReplayed(orig, sorted []Elem, vs *KeySchedule) (int, bool) {
 }
 
 // TestLayerMatchesPerAccess holds the forked layer driver's raw leaves to
-// the metered per-access spec in all four modes of the block comparator —
-// the replay over w word planes (w = 3: the per-access fallback) after the
-// record —
+// the metered per-access spec in all four modes of the block comparator
 // (the closure mode runs per access everywhere, so its row checks the
-// driver's leaves and the kernel's rebinding to them),
-// over every layer shape the keyed networks use — butterfly layers (j
-// divides cnt), half-cleaner runs (cnt < j) over several blocks, alt
-// directions, layers long enough that a pool leaf ends mid-run — and over
-// the top-k tournament's whole layer sequence. Recording shapes keep each
-// leaf's bits in whole words (see Layer); the ragged shapes, whose pool
-// leaves also end mid-block, only compare-exchange.
+// driver's leaves and the kernel's rebinding to them) over every layer
+// shape the keyed networks use — butterfly layers (j divides cnt),
+// half-cleaner runs (cnt < j) over several blocks, alt directions, layers
+// long enough that a pool leaf ends mid-run — and over the top-k
+// tournament's whole layer sequence. The plane rows sort k = 1 or 2 key
+// planes carrying 0, 1 or 2 more (2: the per-access fallback), compare the
+// planes and the record bits, then replay the record over w = 1, 2 or 3
+// word planes and check that it carries every slot home. Recording shapes
+// keep each leaf's bits in whole words (see Layer); the ragged shapes,
+// whose pool leaves also end mid-block, sort without recording.
 func TestLayerMatchesPerAccess(t *testing.T) {
 	shapes := []struct {
 		name   string
@@ -210,9 +257,7 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 				}
 				return append([]Elem(nil), a.Data()...)
 			})
-		}
-		for _, w := range []int{1, 2, 3} {
-			for _, flip := range []bool{false, true} { // flip: every layer's alt inverted
+			for _, w := range []int{1, 2, 3} {
 				label := fmt.Sprintf("%s w=%d flip=%v", sh.name, w, flip)
 				oblivtest.SameOnEveryExecutor(t, label+" cex", func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 					a, ks := dupHeavyInput(sp, uint64(n+w), n, w)
@@ -221,36 +266,44 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 					}
 					return snapshotKeyed(a, ks)
 				})
-				if !sh.record {
-					continue
-				}
-				oblivtest.SameOnEveryExecutor(t, label+" record", func(c *forkjoin.Ctx, sp *mem.Space) layerState {
-					a, ks := dupHeavyInput(sp, uint64(n+w), n, w)
-					orig := append([]Elem(nil), a.Data()...)
-					rec := mem.Alloc[uint64](sp, words)
-					for i := range rec.Data() {
-						rec.Data()[i] = 0x5555_5555_5555_5555 // stale bits must be overwritten
-					}
-					qs := make([]int, len(sh.layers))
-					for l, s := range sh.layers {
-						if l > 0 {
-							p := sh.layers[l-1]
-							qs[l] = qs[l-1] + (p.nb*p.cnt+63)&^63
+			}
+			for _, k := range []int{1, 2} {
+				for carried := 0; carried <= 2; carried++ {
+					label := fmt.Sprintf("%s planes k=%d carried=%d flip=%v", sh.name, k, carried, flip)
+					oblivtest.SameOnEveryExecutor(t, label, func(c *forkjoin.Ctx, sp *mem.Space) layerState {
+						ws := dupHeavyPlanes(sp, uint64(n+k+carried), n, k+carried)
+						if !sh.record {
+							for _, s := range sh.layers {
+								Layer(c, NewCexKernelPlanes(c, ws, k, nil), 0, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+							}
+							return layerState{Keyed: keyedState{Planes: planesOf(ws)}}
 						}
-						Layer(c, NewCexKernelRecord(c, a, ks, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
-					}
-					st := layerState{Keyed: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
-					vs := slotPlanes(sp, n, w)
-					for l := len(sh.layers) - 1; l >= 0; l-- {
-						s := sh.layers[l]
-						Layer(c, NewCexKernelReplay(c, vs, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
-					}
-					st.Replayed = planesOf(vs)
-					if i, ok := checkReplayed(orig, a.Data(), vs); !ok {
-						t.Errorf("%s: the replay did not carry slot %d home", label, i) // Errorf: may run on a pool worker
-					}
-					return st
-				})
+						orig := planesOf(ws)
+						rec := mem.Alloc[uint64](sp, words)
+						for i := range rec.Data() {
+							rec.Data()[i] = 0x5555_5555_5555_5555 // stale bits must be overwritten
+						}
+						qs := make([]int, len(sh.layers))
+						for l, s := range sh.layers {
+							if l > 0 {
+								p := sh.layers[l-1]
+								qs[l] = qs[l-1] + (p.nb*p.cnt+63)&^63
+							}
+							Layer(c, NewCexKernelPlanes(c, ws, k, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						}
+						st := layerState{Keyed: keyedState{Planes: planesOf(ws)}, Record: append([]uint64(nil), rec.Data()...)}
+						vs := slotPlanes(sp, n, 1+(k+carried)%3)
+						for l := len(sh.layers) - 1; l >= 0; l-- {
+							s := sh.layers[l]
+							Layer(c, NewCexKernelReplay(c, vs, rec), qs[l], s.nb, s.gap, s.cnt, s.j, s.alt != flip)
+						}
+						st.Replayed = planesOf(vs)
+						if i, ok := checkPlanesReplayed(orig, st.Keyed.Planes, vs); !ok {
+							t.Errorf("%s: the replay did not carry slot %d home", label, i) // Errorf: may run on a pool worker
+						}
+						return st
+					})
+				}
 			}
 		}
 	}
@@ -290,23 +343,50 @@ type mergeState struct {
 	Unmerged [][]uint64
 }
 
+// bitonicPlanes allocates w planes of n slots whose first plane ascends
+// then descends over few distinct words (a bitonic key with many ties) and
+// whose other planes number the slots, so a merge's output names where
+// each entry came from.
+func bitonicPlanes(sp *mem.Space, src *prng.Source, n, w int) *KeySchedule {
+	ws := AllocKeySchedule(sp, n, w)
+	keys := ws.Plane(0).Data()
+	for i := range keys {
+		keys[i] = src.Uint64n(8)
+	}
+	up := int(src.Uint64n(uint64(n) + 1))
+	slices.Sort(keys[:up])
+	slices.Sort(keys[up:])
+	slices.Reverse(keys[up:])
+	for p := 1; p < w; p++ {
+		for i := range n {
+			ws.Plane(p).Data()[i] = uint64(i) * uint64(2*p+1)
+		}
+	}
+	return ws
+}
+
+// TestMergeBitonicMatchesPerAccess: the element merge DistributeOrdered
+// runs, and the recorded plane merge send-receive runs (a key plane and a
+// carried one) with its un-merge over 1, 2 and 3 word planes in turn, leave
+// the same bytes on every executor.
 func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 	for _, record := range []bool{false, true} {
 		for n := 1; n <= 4096; n <<= 1 {
 			w := 1 + n%3 // un-merge widths 1, 2 and 3 (per access) in turn
 			label := fmt.Sprintf("mergeBitonic n=%d record=%t", n, record)
 			oblivtest.SameOnEveryExecutor(t, label, func(c *forkjoin.Ctx, sp *mem.Space) mergeState {
-				a, ks := dupHeavyInput(sp, uint64(n), n, 1)
 				if !record {
-					mergeBitonic(c, a, ks, n, nil)
+					a, ks := dupHeavyInput(sp, uint64(n), n, 1)
+					mergeBitonic(c, a, ks, n)
 					return mergeState{Merged: snapshotKeyed(a, ks)}
 				}
+				ws := bitonicPlanes(sp, prng.New(uint64(n)), n, 2)
 				rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
 				for i := range rec.Data() {
 					rec.Data()[i] = 0x5555_5555_5555_5555 // stale bits must be overwritten
 				}
-				mergeBitonic(c, a, ks, n, rec)
-				st := mergeState{Merged: snapshotKeyed(a, ks), Record: append([]uint64(nil), rec.Data()...)}
+				mergePlanes(c, ws, n, rec)
+				st := mergeState{Merged: keyedState{Planes: planesOf(ws)}, Record: append([]uint64(nil), rec.Data()...)}
 				vs := slotPlanes(sp, n, w)
 				unmergeBitonic(c, vs, n, rec)
 				st.Unmerged = planesOf(vs)
@@ -316,69 +396,54 @@ func TestMergeBitonicMatchesPerAccess(t *testing.T) {
 	}
 }
 
-// TestMergeUnmergeRoundTrip: a recorded merge sorts a bitonic input exactly
-// like the unrecorded one, and the un-merge, replaying the record over
-// planes that number the merged slots, carries each slot number back to
-// the position its element held before the merge.
+// TestMergeUnmergeRoundTrip: a recorded plane merge sorts a bitonic key
+// plane exactly like the element merge over the same keys, and the
+// un-merge, replaying the record over planes that number the merged slots,
+// carries each slot number back to the position its entry held before the
+// merge.
 func TestMergeUnmergeRoundTrip(t *testing.T) {
 	for n := 1; n <= 4096; n <<= 1 {
 		sp := mem.NewSpace()
-		src := prng.New(uint64(n))
+		ws := bitonicPlanes(sp, prng.New(uint64(n)), n, 2)
+		orig := planesOf(ws)
+
 		a := mem.Alloc[Elem](sp, n)
 		ks := AllocKeySchedule(sp, n, 1)
-		// Ascending then descending keys with many ties, every field set.
-		up := int(src.Uint64n(uint64(n) + 1))
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = src.Uint64n(8)
+		for i, k := range orig[0] {
+			a.Data()[i] = Elem{Key: k, Kind: Real}
+			ks.Plane(0).Data()[i] = k
 		}
-		slices.Sort(keys[:up])
-		slices.Sort(keys[up:])
-		slices.Reverse(keys[up:])
-		for i := range n {
-			a.Data()[i] = Elem{Key: keys[i], Val: src.Uint64(), Aux: uint64(i), Lbl: src.Uint64(), Kind: Real}
-			ks.Plane(0).Data()[i] = keys[i]
-		}
-		orig := append([]Elem(nil), a.Data()...)
-
-		plainA := mem.FromSlice(sp, orig)
-		plainKs := AllocKeySchedule(sp, n, 1)
-		copy(plainKs.Plane(0).Data(), keys)
-		mergeBitonic(forkjoin.Serial(), plainA, plainKs, n, nil)
+		mergeBitonic(forkjoin.Serial(), a, ks, n)
 
 		rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
-		mergeBitonic(forkjoin.Serial(), a, ks, n, rec)
-		if !slices.Equal(a.Data(), plainA.Data()) {
-			t.Fatalf("n=%d: the recorded merge ordered differently from the plain one", n)
+		mergePlanes(forkjoin.Serial(), ws, n, rec)
+		if !slices.Equal(ws.Plane(0).Data(), ks.Plane(0).Data()) {
+			t.Fatalf("n=%d: the plane merge ordered the keys differently from the element merge", n)
 		}
-		for i := 1; i < n; i++ {
-			if ks.Plane(0).Data()[i-1] > ks.Plane(0).Data()[i] {
-				t.Fatalf("n=%d: merge output not sorted at %d", n, i)
-			}
+		if !slices.IsSorted(ws.Plane(0).Data()) {
+			t.Fatalf("n=%d: merge output not sorted", n)
 		}
 		vs := slotPlanes(sp, n, 2)
 		unmergeBitonic(forkjoin.Serial(), vs, n, rec)
-		if i, ok := checkReplayed(orig, a.Data(), vs); !ok {
+		if i, ok := checkPlanesReplayed(orig, planesOf(ws), vs); !ok {
 			t.Fatalf("n=%d: the un-merge did not carry slot %d home", n, i)
 		}
 	}
 }
 
-// TestUnmergeTraceLockstep: the recorded merge and its word un-merge, over
-// one plane and over two, touch the same addresses for every bitonic input
-// of one size and every carried word.
+// TestUnmergeTraceLockstep: the recorded plane merge and its word
+// un-merge, over one plane and over two, touch the same addresses for
+// every bitonic input of one size and every carried word.
 func TestUnmergeTraceLockstep(t *testing.T) {
 	oblivtest.Lockstep(t, "merge+unmerge", 4, 3, 93, func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
 		n := 1 << (1 + shape.Intn(8))
 		w := 1 + shape.Intn(2)
-		a, ks := dupHeavyInput(sp, content.Uint64(), n, 1)
-		keys := ks.Plane(0).Data()
-		up := int(content.Uint64n(uint64(n) + 1))
-		slices.Sort(keys[:up])
-		slices.Sort(keys[up:])
-		slices.Reverse(keys[up:])
+		ws := bitonicPlanes(sp, content, n, 2)
+		for i := range n {
+			ws.Plane(1).Data()[i] = content.Uint64()
+		}
 		rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
-		mergeBitonic(c, a, ks, n, rec)
+		mergePlanes(c, ws, n, rec)
 		vs := AllocKeySchedule(sp, n, w)
 		for p := 0; p < w; p++ {
 			for r := range n {

@@ -217,8 +217,9 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // covering >= n elements — that must not alias a or ks; sorters that sort
 // strictly in place ignore them (nil is then permitted).
 //
-// This is the one sorter seam: the relational, graph, PRAM and serving
-// layers call SortScheduled, and the paper reproduction's closure-key call
+// This is the one sorter seam: the relational, graph and serving layers
+// call SortScheduled (the PRAM layer sorts word planes through
+// RecordingSorter instead), and the paper reproduction's closure-key call
 // sites (BinPlace, core's REC-ORBA / ORP / REC-SORT, internal/oram, the
 // experiments) call Sort on the same configured backend. Sort sorts
 // a[lo:lo+n) ascending by the one-word key closure, equal keys by TiePos:
@@ -235,27 +236,32 @@ type ScheduledSorter interface {
 	SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, lo, n int)
 }
 
-// RecordingSorter is the optional capability of a sorter whose keyed sort
-// can record its permutation and later undo it without a key. SortRecorded
-// is SortScheduled that also writes the sort's swap record into
-// rec[0:RecordWords(c, n)); Unsort, given that record, returns every word
-// of each plane of vs[lo:lo+n) to the slot its element held before the
+// RecordingSorter is the optional capability of a sorter that sorts word
+// planes alone and can record the permutation and later undo it without a
+// key. SortRecorded sorts the planes of ws[lo:lo+n) ascending by their
+// first k (1 or 2) compared lexicographically, the remaining planes
+// carried with their key; equal keys are full ties, ordered by the
+// network, so the result is a deterministic function of the input and the
+// same on every executor. wscr (ws's width, >= n slots) is its scratch. A
+// non-nil rec receives the sort's swap record, rec[0:RecordWords(c, n));
+// a nil rec sorts without recording. Unsort, given that record, returns
+// every word of each plane of vs[lo:lo+n) to the slot it held before the
 // recorded sort — the inverse permutation, applied to whatever values the
-// sort's caller has since written there — and reads no key and no element
-// (vscr, vs's width over >= n slots, is its scratch). The record length is
-// a function of n and of the executor behind c (metered or not), and so is
-// the access pattern of both calls; an un-sort must run under the same
-// kind of executor as the sort it undoes. A record is secret data held at
-// fixed addresses, like the elements themselves.
+// sort's caller has since written there — and reads no key (vscr, vs's
+// width over >= n slots, is its scratch). The record length is a function
+// of n and of the executor behind c (metered or not), and so is the access
+// pattern of both calls; an un-sort must run under the same kind of
+// executor as the sort it undoes. A record is secret data held at fixed
+// addresses, like the planes themselves.
 //
-// pram.Gatherer records its request sort once and un-sorts each gather's
-// routed values by replay instead of sorting them back, over the sort's own
-// key plane and key scratch, dead once the sort is done; a sorter that
-// does not record falls back to the cache-agnostic bitonic network
-// (bitonic.Recorder).
+// pram runs every sort on it: a Gatherer records its request sort once and
+// un-sorts each gather's routed values by replay instead of sorting them
+// back, and conflict resolution sorts (address, priority) with the value
+// carried. A sorter that does not record falls back to the cache-agnostic
+// bitonic network (bitonic.Recorder).
 type RecordingSorter interface {
 	RecordWords(c *forkjoin.Ctx, n int) int
-	SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, rec *mem.Array[uint64], lo, n int)
+	SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *KeySchedule, k int, rec *mem.Array[uint64], lo, n int)
 	Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *KeySchedule, rec *mem.Array[uint64], lo, n int)
 }
 
@@ -273,7 +279,7 @@ func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Arra
 }
 
 // KeyedSort is the keyed-sort recipe of every call site without a
-// relops.Arena (the graph and PRAM bulk steps, send-receive, GroupTotals):
+// relops.Arena (the graph bulk steps, send-receive, GroupTotals):
 // it owns one width-1 key schedule, its scratch twin and the element
 // scratch, and reuses all three across a caller's consecutive sorts.
 type KeyedSort struct {

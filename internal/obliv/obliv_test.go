@@ -660,12 +660,27 @@ func TestSendReceiveParallelMatchesSerial(t *testing.T) {
 }
 
 // TestSendReceiveSortedTraceOblivious: per mode (sorted union, merge of
-// sorted sides) the trace is a function of (ns, nd) alone — different
-// keys, duplicate and missing keys and non-Real entries on either side
-// leave it unchanged — while another shape or the other mode changes it.
+// sorted word planes) the trace is a function of (ns, nd) alone —
+// different keys, duplicate and missing keys and inert entries on either
+// side leave it unchanged — while another shape or the other mode changes
+// it.
 func TestSendReceiveSortedTraceOblivious(t *testing.T) {
 	body := func(srt ScheduledSorter, sk, dk []uint64, real func(i int) bool) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
+			if srt == nil {
+				var keys, vals []uint64
+				for i, k := range sk {
+					if real(i) {
+						keys, vals = append(keys, k), append(vals, k+1)
+					}
+				}
+				for len(keys) < len(sk) { // inert sources key InfKey and go last
+					keys, vals = append(keys, InfKey), append(vals, 0)
+				}
+				dsts := mem.FromSlice(sp, dk)
+				SendReceiveSorted(c, sp, mem.FromSlice(sp, keys), mem.FromSlice(sp, vals), dsts, dsts, mem.Alloc[uint64](sp, len(dk)))
+				return
+			}
 			srcs := make([]Elem, len(sk))
 			for i, k := range sk {
 				srcs[i] = Elem{Key: k, Val: k + 1, Kind: Real}
@@ -676,10 +691,6 @@ func TestSendReceiveSortedTraceOblivious(t *testing.T) {
 			dsts := make([]Elem, len(dk))
 			for j, k := range dk {
 				dsts[j] = Elem{Key: k, Kind: Real}
-			}
-			if srt == nil {
-				SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), mem.Alloc[uint64](sp, len(dsts)))
-				return
 			}
 			SendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), srt)
 		}

@@ -20,7 +20,13 @@ func ScanOp[T any](c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[T], op func(T, T
 	if n == 0 {
 		return
 	}
-	tree := mem.Alloc[T](sp, 2*n-1)
+	scanWith(c, a, mem.Alloc[T](sp, 2*n-1), op, id, inclusive)
+}
+
+// scanWith is ScanOp over the non-empty a with a caller-held tree of
+// 2·len(a)−1 slots, for a caller that scans the same length repeatedly.
+func scanWith[T any](c *forkjoin.Ctx, a, tree *mem.Array[T], op func(T, T) T, id T, inclusive bool) {
+	n := a.Len()
 	// Cancellation checkpoints between the two sweeps: the sweep boundary
 	// is a function of n alone, so an abort reveals only which public
 	// sweep was running.

@@ -13,7 +13,7 @@ import (
 // the key was found, Filler otherwise (the ⊥ case). It is the engine's one
 // primary-key join: the public Join and Lookup, the graph layer's list
 // ranking and Euler tour route through it, and (as SendReceiveSorted, its
-// merge form) every pram.Gather and ScatterResolve.
+// merge form over word planes) every pram.Gather and ScatterResolve.
 //
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
@@ -38,7 +38,7 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 	ns, nd := sources.Len(), dests.Len()
 	wLen := NextPow2(ns + nd)
 	w := mem.Alloc[Elem](sp, wLen) // unwritten slots are fillers
-	loadSources(c, w, sources, nil)
+	loadSources(c, w, sources)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			d := dests.Get(c, j)
@@ -87,84 +87,161 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 }
 
 // SendReceiveSorted is SendReceive for callers that already hold both
-// sides in key order — which is call-site structure, never data — and read
-// back one word per destination. Instead of sorting the union it merges:
-// the sources ascend at the front of a NextPow2(ns+nd) work array and the
-// destinations descend at its back, so one recorded bitonic merge
-// interleaves them and the propagation routes. The routed values then go
-// into the merge's key plane, dead since the merge, and only that plane
-// replays the recorded swaps backwards (the un-merge): every destination's
-// value returns to its slot without moving a single element. No sort at
-// all: log2 of the work length comparator layers each way, plus one swap
-// bit per comparator.
+// sides in key order — which is call-site structure, never data — and
+// carry one value word per entry: it routes word planes, not records.
+// Instead of sorting the union it merges: the sources ascend at the front
+// of a NextPow2(ns+nd) work array of two planes (a routing word and the
+// value) and the destinations descend at its back, so one recorded bitonic
+// merge on the routing word, the value carried, interleaves them and a
+// propagation over the planes routes. The value plane then replays the
+// recorded swaps backwards (the un-merge): every destination's value
+// returns to its slot. No sort and no element: log2 of the work length
+// comparator layers each way, two words per comparator forward and one
+// back, plus one swap bit per comparator.
 //
-// It writes into out[j], for j < nd, the value routed to dests[j] — or
-// dests[j].Val when the key is not found (⊥), so a caller picks what ⊥
-// reads (a cell's current value, a combine's identity) and needs no found
-// bit. Everything else a caller knows of a destination (its Key, its Aux)
-// it holds in dests itself. out may be any array of at least nd words that
-// aliases neither side.
+// Source i keys srcKeys[i] and sends srcVals[i]; destination j keys
+// dstKeys[j] and receives, into out[j], the value of the source with its
+// key — or, when no source has it (⊥), its own dstVals[j], so a caller
+// picks what ⊥ reads (a cell's current value) and needs no found bit. A
+// nil key plane keys entry i by i, as a memory's cells are keyed; a nil
+// dstVals reads 0 for ⊥. There are srcVals.Len() sources and out.Len()
+// destinations. out may be dstVals itself — the destinations are read
+// before out is written — but no other plane of either side.
 //
-// Precondition: sources ascend by Key, and at equal keys every Real
-// source precedes every non-Real one (a non-Real source stays inert but
-// keeps its place in the run, so its Key must not break the order); dests
-// ascend by Key and every non-Real destination comes last. Violating it
+// Precondition: both key planes ascend, and every key is below MaxKey or
+// is InfKey, which marks an entry that takes no part (a source with it
+// sends nothing, a destination with it reads ⊥). At equal source keys
+// only the first source sends — a neighbour compare in the load marks the
+// later ones inert — so a caller that sorts its candidates best-first
+// gets the best one (pram's conflict resolution). Violating the order
 // yields wrong values, never a different trace: the access pattern is a
-// function of (ns, nd) alone.
-func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], out *mem.Array[uint64]) {
-	ns, nd := sources.Len(), dests.Len()
-	wLen := NextPow2(ns + nd)
-	w := mem.Alloc[Elem](sp, wLen) // unwritten slots are fillers
-	ks := AllocKeySchedule(sp, wLen, 1)
-	plane := ks.Plane(0)
-	loadSources(c, w, sources, plane)
+// function of (ns, nd) and of which key planes are nil alone.
+func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
+	NewRouter(sp, srcVals.Len(), out.Len()).Route(c, srcKeys, srcVals, dstKeys, dstVals, out)
+}
+
+// Router holds the work space of SendReceiveSorted for ns sources and nd
+// destinations — the merge's two planes, its swap record, the
+// propagation's carrier and scan tree — so a caller that routes the same
+// shape again and again (pram.Gatherer, once per gather) allocates it
+// once. Its routes must be issued sequentially.
+type Router struct {
+	ns, nd int
+	ws     *KeySchedule // plane 0 the routing word, plane 1 the value
+	vs     *KeySchedule // the value plane alone: what the un-merge moves
+	rec    *mem.Array[uint64]
+	pv     *mem.Array[propVal]
+	tree   *mem.Array[propVal]
+}
+
+// NewRouter allocates from sp the work space of routes from ns sources to
+// nd destinations.
+func NewRouter(sp *mem.Space, ns, nd int) *Router {
+	n := NextPow2(ns + nd)
+	ws := AllocKeySchedule(sp, n, 2)
+	return &Router{
+		ns: ns, nd: nd, ws: ws,
+		vs:   &KeySchedule{planes: ws.planes[1:]},
+		rec:  mem.Alloc[uint64](sp, mergeRecordWords(n)),
+		pv:   mem.Alloc[propVal](sp, n),
+		tree: mem.Alloc[propVal](sp, 2*n-1),
+	}
+}
+
+// Route is SendReceiveSorted on the router's work space.
+func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
+	ns, nd := r.ns, r.nd
+	if srcVals.Len() != ns || out.Len() != nd {
+		panic("obliv: Route shape differs from the router's")
+	}
+	words, vals := r.ws.planes[0], r.ws.planes[1]
+	n := words.Len()
+	top := n - 1
 
 	// Sources up, InfKey fillers, key-ordered destinations down at
-	// w[wLen-1-j] — bitonic by construction. A destination carries its own
-	// Val, which it reads back if nothing is routed to it.
-	top := wLen - 1
+	// [n-1-j] — bitonic by construction. A source keys key<<1 and a
+	// destination key<<1|1, so each key's source merges just before its
+	// destinations; a later source of the same key keys key<<1|1 too and
+	// sends nothing.
+	forkjoin.ParallelRange(c, 0, ns, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key := keyAt(c, srcKeys, i)
+			var later uint64
+			if i > 0 && srcKeys != nil {
+				prev := srcKeys.Get(c, i-1)
+				c.Op(1)
+				if prev == key {
+					later = 1
+				}
+			}
+			words.Set(c, i, routeWord(key, later))
+			vals.Set(c, i, srcVals.Get(c, i))
+		}
+	})
+	forkjoin.ParallelRange(c, ns, n-nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			words.Set(c, p, InfKey)
+			vals.Set(c, p, 0)
+		}
+	})
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			d := dests.Get(c, j)
-			e := destEntry(d, d.Aux)
-			e.Val = d.Val
-			c.Op(1)
-			w.Set(c, top-j, e)
-			plane.Set(c, top-j, routeKey(e))
-		}
-	})
-	forkjoin.ParallelRange(c, ns, wLen-nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plane.Set(c, p, InfKey)
-		}
-	})
-	rec := mem.Alloc[uint64](sp, mergeRecordWords(wLen))
-	mergeBitonic(c, w, ks, wLen, rec)
-
-	// Propagate each key-group's source value to the whole group, delivered
-	// into the key plane: a Real entry whose group has a source takes its
-	// value, and every other entry (⊥, a non-Real destination) its own Val.
-	pv := propagateScan(c, sp, w, sameRoute, sourceVal)
-	forkjoin.ParallelRange(c, 0, wLen, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := w.Get(c, i)
-			p := pv.Get(c, i)
-			c.Op(1)
-			v := e.Val
-			if p.has && e.Kind == Real {
-				v = p.v
+			var v uint64
+			if dstVals != nil {
+				v = dstVals.Get(c, j)
 			}
-			plane.Set(c, i, v)
+			words.Set(c, top-j, routeWord(keyAt(c, dstKeys, j), 1))
+			vals.Set(c, top-j, v)
+		}
+	})
+	mergePlanes(c, r.ws, n, r.rec)
+
+	// Propagate each key's source value over its run of equal keys, into
+	// the value plane. The scan leaves at every position the value of the
+	// first source at or before it in its run, or the position's own
+	// value where there is none — the ⊥ a destination reads.
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := words.Get(c, i)
+			boundary := i == 0
+			if i > 0 {
+				prev := words.Get(c, i-1)
+				c.Op(1)
+				boundary = prev>>1 != w>>1
+			}
+			r.pv.Set(c, i, propVal{v: vals.Get(c, i), has: w&1 == 0, boundary: boundary})
+		}
+	})
+	scanWith(c, r.pv, r.tree, propOp, propVal{}, true)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vals.Set(c, i, r.pv.Get(c, i).v)
 		}
 	})
 
 	// Every destination's value back at the slot it was merged from.
-	unmergeBitonic(c, ks, wLen, rec)
+	unmergeBitonic(c, r.vs, n, r.rec)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			out.Set(c, j, plane.Get(c, top-j))
+			out.Set(c, j, vals.Get(c, top-j))
 		}
 	})
+}
+
+// keyAt is entry i's key: keys[i], or i for a nil plane.
+func keyAt(c *forkjoin.Ctx, keys *mem.Array[uint64], i int) uint64 {
+	if keys == nil {
+		return uint64(i)
+	}
+	return keys.Get(c, i)
+}
+
+// routeWord is the merge key of an entry keyed key: key<<1 | cls — cls 0
+// sends, 1 receives or is inert — or InfKey for key InfKey, which sorts
+// last and shares its run with no source. Keys below MaxKey keep their
+// order and never collide.
+func routeWord(key, cls uint64) uint64 {
+	return key<<1 | cls | -(key >> 63)
 }
 
 const (
@@ -205,11 +282,9 @@ func destEntry(d Elem, aux uint64) Elem {
 	return e
 }
 
-// loadSources writes the work-array entries of the sources into w[0:ns) —
-// a non-Real source contributes a filler — and, into a non-nil plane, the
-// merge's key words: a sorted source keys its bare Key even when it is not
-// Real, so the source run ascends as the caller sorted it.
-func loadSources(c *forkjoin.Ctx, w *mem.Array[Elem], sources *mem.Array[Elem], plane *mem.Array[uint64]) {
+// loadSources writes the work-array entries of the sources into w[0:ns);
+// a non-Real source contributes a filler.
+func loadSources(c *forkjoin.Ctx, w *mem.Array[Elem], sources *mem.Array[Elem]) {
 	forkjoin.ParallelRange(c, 0, sources.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := sources.Get(c, i)
@@ -219,9 +294,6 @@ func loadSources(c *forkjoin.Ctx, w *mem.Array[Elem], sources *mem.Array[Elem], 
 				e = Elem{Key: s.Key, Val: s.Val, Aux: uint64(i), Tag: tagSource, Kind: Real}
 			}
 			w.Set(c, i, e)
-			if plane != nil {
-				plane.Set(c, i, s.Key)
-			}
 		}
 	})
 }

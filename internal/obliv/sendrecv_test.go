@@ -11,17 +11,17 @@ import (
 	"oblivmc/internal/prng"
 )
 
-// sendRecvCase draws a send-receive input with both sides in
-// SendReceiveSorted's order: sources ascending by Key with Real entries
-// first at equal keys, destinations in key order with every non-Real one
-// last. Few distinct keys, so duplicate source and destination keys are
-// common, about one entry in five not Real on either side, and now and
-// then the largest legal key. Each destination's Aux is its draw index.
+// sendRecvCase draws a send-receive input with both sides in key order:
+// sources ascending by Key with Real entries first at equal keys,
+// destinations in key order with every non-Real one last. Few distinct
+// keys, so duplicate source and destination keys are common, about one
+// entry in five not Real on either side, and now and then the largest key
+// SendReceiveSorted takes. Each destination's Aux is its draw index.
 func sendRecvCase(seed uint64, ns, nd int) (srcs, dsts []obliv.Elem) {
 	src := prng.New(seed)
 	key := func() uint64 {
 		if src.Uint64n(16) == 0 {
-			return obliv.InfKey - 1
+			return obliv.MaxKey - 1
 		}
 		return src.Uint64n(uint64(ns+nd)/2 + 2)
 	}
@@ -58,9 +58,29 @@ func realRank(e obliv.Elem) int {
 	return 1
 }
 
-// TestSendReceiveSortedMatchesSendReceive: the merge-based send-receive
-// routes exactly SendReceive's values — and, where SendReceive answers ⊥,
-// the destination's own Val — on the serial and pool executors. (Sorted
+// planesOf is one side of a send-receive as SendReceiveSorted takes it: a
+// Real entry keys its Key, and every other entry InfKey, which sends
+// nothing and reads ⊥. The stable sort keeps equal-key sources in draw
+// order, so the first one still wins.
+func planesOf(es []obliv.Elem) (keys, vals []uint64) {
+	es = slices.Clone(es)
+	for i := range es {
+		if es[i].Kind != obliv.Real {
+			es[i].Key = obliv.InfKey
+		}
+	}
+	slices.SortStableFunc(es, func(x, y obliv.Elem) int { return cmp.Compare(x.Key, y.Key) })
+	for _, e := range es {
+		keys, vals = append(keys, e.Key), append(vals, e.Val)
+	}
+	return keys, vals
+}
+
+// TestSendReceiveSortedMatchesSendReceive: the merge of word planes routes
+// exactly SendReceive's values — and, where SendReceive answers ⊥, the
+// destination's own value — on the serial and pool executors, with
+// duplicate source keys (the first sends), the largest legal key and inert
+// entries on either side; and a nil key plane keys entry i by i. (Sorted
 // sources against unsorted requests are pram.Gatherer's case, tested
 // there.)
 func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
@@ -86,18 +106,44 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 					want[j] = e.Val
 				}
 			}
+			sk, sv := planesOf(srcs)
+			dk, dv := planesOf(dsts) // non-Real destinations are already last
 			for _, ex := range execs {
 				var got []uint64
 				ex.run(func(c *forkjoin.Ctx) {
 					sp := mem.NewSpace()
 					out := mem.Alloc[uint64](sp, nd)
-					obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), out)
+					obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), out)
 					got = append([]uint64(nil), out.Data()...)
 				})
 				if !slices.Equal(got, want) {
 					t.Fatalf("ns=%d nd=%d on %s:\n got %v\nwant %v", ns, nd, ex.name, got, want)
 				}
 			}
+
+			// The same sources sent to a memory of ns cells keyed by index:
+			// cell j reads the first Real source keyed j, else its own value,
+			// here written straight back into the cells.
+			cells := make([]uint64, ns)
+			wantCells := make([]uint64, ns)
+			for j := range cells {
+				cells[j] = uint64(j) * 3
+				wantCells[j] = cells[j]
+				for _, e := range srcs {
+					if e.Kind == obliv.Real && e.Key == uint64(j) {
+						wantCells[j] = e.Val
+						break
+					}
+				}
+			}
+			forkjoin.RunParallel(2, func(c *forkjoin.Ctx) {
+				sp := mem.NewSpace()
+				m := mem.FromSlice(sp, cells)
+				obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), nil, m, m)
+				if !slices.Equal(m.Data(), wantCells) {
+					t.Errorf("ns=%d into %d cells:\n got %v\nwant %v", ns, ns, m.Data(), wantCells)
+				}
+			})
 		}
 	}
 }

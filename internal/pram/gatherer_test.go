@@ -2,6 +2,7 @@ package pram
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -107,18 +108,75 @@ func TestGathererMatchesGatherAndDirect(t *testing.T) {
 
 // TestGathererTraceOblivious: building a gatherer and gathering twice
 // touches the same addresses whatever the addresses requested and the
-// memory contents.
+// memory contents — random addresses with duplicates, every request at one
+// address (all ties), and all-distinct addresses, in range and out.
 func TestGathererTraceOblivious(t *testing.T) {
-	run := func(seed uint64) *forkjoin.Metrics {
-		addrs, mems := gatherCase(seed, 20, 37)
+	const s, p = 20, 37
+	run := func(addrs []uint64, seed uint64) *forkjoin.Metrics {
+		_, mems := gatherCase(seed, s, p)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			g := NewGatherer(c, sp, 20, mem.FromSlice(sp, addrs), srt)
+			g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt)
 			g.Values(c, sp, mem.FromSlice(sp, mems[0]))
 			g.Values(c, sp, mem.FromSlice(sp, mems[1]))
 		})
 	}
-	if !run(1).Trace.Equal(run(2).Trace) {
-		t.Fatal("gatherer access pattern depends on the addresses or the memory")
+	random1, _ := gatherCase(1, s, p)
+	random2, _ := gatherCase(2, s, p)
+	tied := make([]uint64, p)
+	distinct := make([]uint64, p)
+	for i := range p {
+		tied[i] = 7
+		distinct[i] = uint64(p - 1 - i) // 0..19 in range, 20..36 out of range
+	}
+	want := run(random1, 1).Trace
+	for _, c := range []struct {
+		name  string
+		addrs []uint64
+	}{{"random", random2}, {"tie-heavy", tied}, {"all-distinct", distinct}} {
+		if !run(c.addrs, 3).Trace.Equal(want) {
+			t.Fatalf("%s addresses: the gatherer's access pattern depends on the addresses or the memory", c.name)
+		}
 	}
 }
+
+// TestGathererValuesAllocs: a warmed gatherer's gather allocates no work
+// array — the send-receive's planes, swap record and propagation carrier
+// and the un-sort's planes are the gatherer's own — only the small Go
+// objects of its fork tree (the closures of the elementwise passes, merge
+// and un-merge layers, scan sweeps and un-sort), a count fixed by the
+// shape: at most maxValuesAllocs, and fewer bytes in all than one word
+// plane of the work length, on the serial executor over alternating
+// memory contents.
+func TestGathererValuesAllocs(t *testing.T) {
+	const s, p = 600, 1024
+	c := forkjoin.Serial()
+	addrs, mems := gatherCase(5, s, p)
+	sp := mem.NewSpace()
+	g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt)
+	m := [2]*mem.Array[uint64]{mem.FromSlice(sp, mems[0]), mem.FromSlice(sp, mems[1])}
+	g.Values(c, sp, m[0])
+	const runs = 20
+	k := 0
+	gather := func() {
+		k++
+		g.Values(c, sp, m[k%2])
+	}
+	allocs := testing.AllocsPerRun(runs, gather)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		gather()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	plane := uint64(8 * obliv.NextPow2(s+p))
+	if allocs > maxValuesAllocs || bytes >= plane {
+		t.Fatalf("a warmed gather allocates %v objects, %d bytes; want at most %d objects and under one %d-byte work plane", allocs, bytes, maxValuesAllocs, plane)
+	}
+}
+
+// maxValuesAllocs bounds a warmed serial gather's Go allocations at
+// (s, p) = (600, 1024): about two closures per elementwise pass, merge and
+// un-merge layer and scan level.
+const maxValuesAllocs = 128

@@ -11,13 +11,14 @@ import (
 // parallels addrs, entry i holding Key = addrs[i], Aux = i and Val =
 // memory[addrs[i]] with Kind = Real, or Val = 0 with Kind = Filler if the
 // address is out of range (⊥). It is one gather of a fresh Gatherer: one
-// recorded sort of the P = NextPow2(p) requests by address, one
-// send-receive that merges them with the cells (already in address order)
-// over NextPow2(s+P) slots and un-merges the routed values, and one
-// un-sort that replays the recorded sort backwards over those values —
-// O(Wsort(p) + (s+p) log(s+p)) with a single sort. Kind comes from the
-// caller's own addresses, not from the routing: it is this entry point's
-// convenience for the reproduction's callers that test ⊥.
+// recorded sort of the P = NextPow2(p) request addresses, one send-receive
+// that merges them with the cells (already in address order) over
+// NextPow2(s+P) slots and un-merges the routed values, and one un-sort
+// that replays the recorded sort backwards over those values —
+// O(Wsort(p) + (s+p) log(s+p)) with a single sort, all of it over word
+// planes. Kind comes from the caller's own addresses, not from the
+// routing: it is this entry point's convenience for the reproduction's
+// callers that test ⊥.
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
 	s, p := memory.Len(), addrs.Len()
 	vals := NewGatherer(c, sp, s, addrs, srt).Values(c, sp, memory)
@@ -38,45 +39,48 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 
 // Gatherer is the §4.1 read step over a fixed address list, for callers
 // that read the same addresses of changing memory contents (the graph
-// kernels' static endpoint requests): the requests are sorted by address
-// once, with the sort's swap record kept, and each gather is one
-// send-receive with both sides in key order (merge, propagate, un-merge of
-// the routed values — no sort) followed by an un-sort of those values by
-// replay. Only value words travel back: the un-sort runs over the request
-// sort's key plane and key scratch, which are dead once the sort is done,
-// so a gatherer holds its sorted requests, two words per request and the
-// record, and no element scratch. A Gatherer's gathers must be issued
-// sequentially (they share those planes) under the kind of executor
-// (metered or not) it was built under.
+// kernels' static endpoint requests): the request addresses are sorted
+// once, as one word plane with the sort's swap record kept, and each
+// gather is one send-receive with both sides in key order (merge,
+// propagate, un-merge of the routed values — no sort) followed by an
+// un-sort of those values by replay. Only words travel: a gatherer holds
+// the sorted addresses, a value plane and its scratch, the record, and the
+// send-receive's work space, all allocated once, so a gather allocates no
+// work array. A Gatherer's gathers must be issued sequentially (they share
+// those planes) under the kind of executor (metered or not) it was built
+// under.
 type Gatherer struct {
-	srt        obliv.RecordingSorter
-	s, p       int
-	reqs       *mem.Array[obliv.Elem] // the NextPow2(p) requests in address order, fillers last
-	vals, vscr *obliv.KeySchedule     // the sort's key plane and scratch: the un-sort's plane and scratch
-	rec        *mem.Array[uint64]     // the request sort's swap record
+	srt       obliv.RecordingSorter
+	s         int
+	addrs     *mem.Array[uint64] // the NextPow2(p) request keys in address order, padding last
+	vals, scr *obliv.KeySchedule // the routed values and the un-sort's scratch
+	out       *mem.Array[uint64] // the first p routed values: what a gather returns
+	rec       *mem.Array[uint64] // the request sort's swap record
+	route     *obliv.Router
 }
 
 // NewGatherer builds the gatherer of addrs against memories of s cells:
-// the padded request array, record-sorted by address through srt — or
-// through the cache-agnostic bitonic network if srt does not record. An
-// address at or beyond s is out of range and will read ⊥. addrs is read
-// here only. The access pattern is a function of (s, len(addrs)) and the
-// executor kind alone.
+// the padded request addresses, record-sorted through srt — or through the
+// cache-agnostic bitonic network if srt does not record. An address at or
+// beyond s is out of range and will read ⊥. addrs is read here only. The
+// access pattern is a function of (s, len(addrs)) and the executor kind
+// alone.
 func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *Gatherer {
 	rs := bitonic.Recorder(srt)
 	p := addrs.Len()
 	n := obliv.NextPow2(p)
-	g := &Gatherer{srt: rs, s: s, p: p, reqs: mem.Alloc[obliv.Elem](sp, n)}
+	keys := obliv.AllocKeySchedule(sp, n, 1)
+	g := &Gatherer{srt: rs, s: s, addrs: keys.Plane(0)}
 	g.vals = obliv.AllocKeySchedule(sp, n, 1)
-	g.vscr = obliv.AllocKeySchedule(sp, n, 1)
-	scr := mem.Alloc[obliv.Elem](sp, n) // the sort's alone
+	g.scr = obliv.AllocKeySchedule(sp, n, 1) // the sort's scratch, then the un-sort's
+	g.out = g.vals.Plane(0).View(0, p)
 	g.rec = mem.Alloc[uint64](sp, rs.RecordWords(c, n))
-	keys := g.vals.Plane(0)
+	g.route = obliv.NewRouter(sp, s, n)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Request i keys its address, or a distinct not-found key beyond
 			// every cell; the padding keys InfKey and sorts last.
-			e, key := obliv.Elem{}, obliv.InfKey
+			key := obliv.InfKey
 			if i < p {
 				a := addrs.Get(c, i)
 				key = a
@@ -84,13 +88,11 @@ func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64]
 				if a >= uint64(s) {
 					key = uint64(s) + uint64(i)
 				}
-				e = obliv.Elem{Key: key, Aux: uint64(i), Kind: obliv.Real}
 			}
-			g.reqs.Set(c, i, e)
-			keys.Set(c, i, key)
+			g.addrs.Set(c, i, key)
 		}
 	})
-	rs.SortRecorded(c, sp, g.reqs, g.vals, scr, g.vscr, g.rec, 0, n)
+	rs.SortRecorded(c, sp, keys, g.scr, 1, g.rec, 0, n)
 	return g
 }
 
@@ -102,31 +104,30 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 	if memory.Len() != g.s {
 		panic("pram: Gather memory length differs from the gatherer's")
 	}
-	sources := mem.Alloc[obliv.Elem](sp, g.s)
-	forkjoin.ParallelRange(c, 0, g.s, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sources.Set(c, i, obliv.Elem{Key: uint64(i), Val: memory.Get(c, i), Kind: obliv.Real})
-		}
-	})
-	// The routed values parallel the sorted requests, whose Val of 0 is
-	// what ⊥ reads; the un-sort takes each one home.
+	// The cells, keyed by their index, send to the sorted requests; a
+	// request nothing is routed to reads 0. The un-sort takes each value
+	// home.
 	v := g.vals.Plane(0)
-	obliv.SendReceiveSorted(c, sp, sources, g.reqs, v)
-	g.srt.Unsort(c, sp, g.vals, g.vscr, g.rec, 0, v.Len())
-	return v.View(0, g.p)
+	g.route.Route(c, nil, memory, g.addrs, nil, v)
+	g.srt.Unsort(c, sp, g.vals, g.scr, g.rec, 0, v.Len())
+	return g.out
 }
 
 // ScatterResolve obliviously applies a batch of priority-CRCW writes to
 // memory: each request Elem carries Key = address, Val = value, Aux =
-// priority (lower wins, any value), with Kind = Filler for no-ops. Tag
-// must be zero, as every caller leaves it: the request sort keys on the
-// bare address, and its TiePos tie-break reads Tag before Aux. Duplicate
-// addresses are suppressed by one oblivious sort by address + propagation
-// (§4.1 write step), then a send-receive updates every memory cell (cells
-// whose address receives no write keep their value; every cell is
-// rewritten so the pattern is fixed). Both sides of that send-receive are
-// already in address order, so it is a merge and an un-merge with no sort:
-// cost one sort of NextPow2(p) plus O((s+p) log(s+p)).
+// priority (lower wins, any value), with Kind = Filler for no-ops; a Real
+// request addressed at or beyond len(memory) writes nothing. Duplicate
+// addresses are suppressed by one oblivious sort (§4.1 write step) of
+// (address, priority) word planes with the value carried — no element
+// moves — after which the winner of each address is the first entry of
+// its run; a send-receive then updates every memory cell (cells whose
+// address receives no write keep their value; every cell is rewritten so
+// the pattern is fixed). Its sources send only the first entry of each
+// address, by a neighbour compare, and both of its sides are already in
+// address order, so it is a merge and an un-merge with no sort: cost one
+// sort of NextPow2(p) plus O((s+p) log(s+p)). Requests tied on (address,
+// priority) are ordered by the network, the same way on every executor,
+// and the first of them wins.
 func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
 	scatterResolve(c, sp, memory, reqs, srt, false)
 }
@@ -134,71 +135,53 @@ func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 // ScatterResolveMin is ScatterResolve with combining update semantics:
 // each addressed cell keeps min(current value, winning request's value)
 // instead of being overwritten. The access pattern is identical to
-// ScatterResolve's — the combine happens inside the fixed cell-rewrite
-// pass. The graph layer's label-hooking steps use it so labels only ever
-// decrease regardless of write ordering.
+// ScatterResolve's up to one fixed combine pass over the cells. The graph
+// layer's label-hooking steps use it so labels only ever decrease
+// regardless of write ordering.
 func ScatterResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
 	scatterResolve(c, sp, memory, reqs, srt, true)
 }
 
 func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter, combineMin bool) {
 	s, p := memory.Len(), reqs.Len()
-	// Copy requests into a pow2 working array and sort by address; TiePos
-	// orders each address's requests by priority (Aux), fillers last. Every
-	// filler, the pow2 padding included, is keyed InfKey: the sorted
-	// requests are the send-receive's sorted sources below, and a filler
-	// keeping its Key (0 for the padding) would break their ascending run.
-	w := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(p))
-	forkjoin.ParallelRange(c, 0, w.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
+	// The requests as three planes over a pow2 working length — address,
+	// priority, value — sorted by (address, priority). Every request that
+	// writes nothing, the pow2 padding included, is addressed InfKey and
+	// sorts last, so the first p sorted entries are the send-receive's
+	// ascending sources.
+	n := obliv.NextPow2(p)
+	ws := obliv.AllocKeySchedule(sp, n, 3)
+	wscr := obliv.AllocKeySchedule(sp, n, 3)
+	addr, prio, val := ws.Plane(0), ws.Plane(1), ws.Plane(2)
+	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := obliv.Elem{}
+			var e obliv.Elem
 			if i < p {
 				e = reqs.Get(c, i)
-				e.Mark = 0
 			}
+			a := obliv.InfKey
 			c.Op(1)
-			if e.Kind != obliv.Real {
-				e.Key = obliv.InfKey
+			if e.Kind == obliv.Real && e.Key < uint64(s) {
+				a = e.Key
 			}
-			w.Set(c, i, e)
+			addr.Set(c, i, a)
+			prio.Set(c, i, e.Aux)
+			val.Set(c, i, e.Val)
 		}
 	})
-	addrOf := func(e obliv.Elem) uint64 { return e.Key }
-	obliv.SortKeyed(c, sp, w, w.Len(), addrOf, srt)
+	bitonic.Recorder(srt).SortRecorded(c, sp, ws, wscr, 2, nil, 0, n)
 
-	// The first request of each address group wins; all others become
-	// fillers. Propagate the winner's priority and compare. A loser keeps
-	// its address: it sorts after that address's Real requests, so the run
-	// still ascends in the send-receive's (Key, TiePos) order.
-	obliv.PropagateFirst(c, sp, w, addrOf,
-		func(e obliv.Elem, i int) (uint64, bool) { return e.Aux, e.Kind == obliv.Real },
-		func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
-			if e.Kind == obliv.Real && (!ok || e.Aux != v) {
-				e.Kind = obliv.Filler
-			}
-			return e
-		})
-
-	// Route winner values to the memory cells, which are in address order
-	// too; every cell is rewritten. A cell no winner names reads its
-	// destination's own value: its current one when overwriting, so the
-	// routing writes memory directly, and the min identity when combining.
-	dests := mem.Alloc[obliv.Elem](sp, s)
-	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := obliv.Elem{Key: uint64(i), Val: ^uint64(0), Kind: obliv.Real}
-			if !combineMin {
-				e.Val = memory.Get(c, i)
-			}
-			dests.Set(c, i, e)
-		}
-	})
+	// Route winner values to the memory cells, keyed by their index; every
+	// cell is rewritten. A cell no winner names reads its own current
+	// value, so an overwrite routes straight into memory, and the min
+	// combine of that value with itself leaves the cell unchanged.
+	srcKeys, srcVals := addr.View(0, p), val.View(0, p)
 	if !combineMin {
-		obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, memory)
+		obliv.SendReceiveSorted(c, sp, srcKeys, srcVals, nil, memory, memory)
 		return
 	}
 	routed := mem.Alloc[uint64](sp, s)
-	obliv.SendReceiveSorted(c, sp, w.View(0, p), dests, routed)
+	obliv.SendReceiveSorted(c, sp, srcKeys, srcVals, nil, memory, routed)
 	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, old := routed.Get(c, i), memory.Get(c, i)

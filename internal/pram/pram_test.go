@@ -207,6 +207,80 @@ func TestScatterResolveWidePriority(t *testing.T) {
 	}
 }
 
+// TestScatterResolveTiedPriority: requests tied on (address, priority)
+// resolve to one of the tied values, the same one on the serial, 2-worker
+// pool and metered executors, whether the tie is for the win or behind a
+// unique winner, with priorities at and above 2^63 — and the min-combining
+// scatter keeps the smaller of that value and the cell's.
+func TestScatterResolveTiedPriority(t *testing.T) {
+	const hi = 1 << 63
+	cases := []struct {
+		reqs []obliv.Elem
+		win  []uint64 // the values that may land in cell 2
+	}{
+		{[]obliv.Elem{ // a tie for the win
+			{Key: 2, Val: 700, Aux: hi + 9, Kind: obliv.Real},
+			{Key: 2, Val: 800, Aux: hi + 1, Kind: obliv.Real},
+			{Key: 2, Val: 900, Aux: hi + 1, Kind: obliv.Real},
+			{Key: 3, Val: 5, Aux: hi + 1, Kind: obliv.Real},
+		}, []uint64{800, 900}},
+		{[]obliv.Elem{ // a tie behind the winner, which sits above 2^63 too
+			{Key: 2, Val: 700, Aux: ^uint64(0), Kind: obliv.Real},
+			{Key: 2, Val: 800, Aux: ^uint64(0), Kind: obliv.Real},
+			{Key: 2, Val: 900, Aux: hi, Kind: obliv.Real},
+		}, []uint64{900}},
+		{[]obliv.Elem{ // four equal requests and fillers around them
+			{Key: 2, Val: 10, Aux: 4, Kind: obliv.Real},
+			{Key: 2, Val: 20, Aux: 4, Kind: obliv.Real},
+			{Kind: obliv.Filler},
+			{Key: 2, Val: 30, Aux: 4, Kind: obliv.Real},
+			{Key: 2, Val: 40, Aux: 4, Kind: obliv.Real},
+			{Key: 2, Val: 1, Aux: 0},
+		}, []uint64{10, 20, 30, 40}},
+	}
+	execs := []func(func(c *forkjoin.Ctx)){
+		func(f func(c *forkjoin.Ctx)) { f(forkjoin.Serial()) },
+		func(f func(c *forkjoin.Ctx)) { forkjoin.RunParallel(2, f) },
+		func(f func(c *forkjoin.Ctx)) { forkjoin.RunMetered(forkjoin.MeterOpts{}, f) },
+	}
+	for ci, tc := range cases {
+		for _, combineMin := range []bool{false, true} {
+			var first []uint64
+			for ei, run := range execs {
+				var got []uint64
+				run(func(c *forkjoin.Ctx) {
+					sp := mem.NewSpace()
+					memory := mem.FromSlice(sp, []uint64{1, 2, 850, 4})
+					reqs := mem.FromSlice(sp, tc.reqs)
+					if combineMin {
+						ScatterResolveMin(c, sp, memory, reqs, srt)
+					} else {
+						ScatterResolve(c, sp, memory, reqs, srt)
+					}
+					got = slices.Clone(memory.Data())
+				})
+				w := got[2]
+				if combineMin {
+					w = 0
+					for _, v := range tc.win {
+						if min(v, 850) == got[2] {
+							w = v
+						}
+					}
+				}
+				if !slices.Contains(tc.win, w) {
+					t.Fatalf("case %d min=%t executor %d: cell 2 = %d, want one of %v", ci, combineMin, ei, got[2], tc.win)
+				}
+				if ei == 0 {
+					first = got
+				} else if !slices.Equal(got, first) {
+					t.Fatalf("case %d min=%t: executor %d wrote %v, the serial one %v", ci, combineMin, ei, got, first)
+				}
+			}
+		}
+	}
+}
+
 func TestScatterResolveAllFillers(t *testing.T) {
 	sp := mem.NewSpace()
 	memory := mem.FromSlice(sp, []uint64{7, 8, 9})

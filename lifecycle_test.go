@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/faultinject"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -33,8 +34,25 @@ func lcRows(n int) []Row {
 
 // sortPassHits marks every sort its inner sorter runs as a "sort.pass"
 // fault-injection hit, so the SlowEvery + Hits pattern also reaches the
-// graph kernels, whose sorts never pass relops' own sort.pass seam.
+// graph kernels, whose sorts never pass relops' own sort.pass seam — the
+// PRAM layer's plane sorts (RecordingSorter, run on the inner sorter's
+// network) included.
 type sortPassHits struct{ obliv.ScheduledSorter }
+
+var _ obliv.RecordingSorter = sortPassHits{}
+
+func (s sortPassHits) RecordWords(c *forkjoin.Ctx, n int) int {
+	return bitonic.Recorder(s.ScheduledSorter).RecordWords(c, n)
+}
+
+func (s sortPassHits) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
+	faultinject.Hit("sort.pass")
+	bitonic.Recorder(s.ScheduledSorter).SortRecorded(c, sp, ws, wscr, k, rec, lo, n)
+}
+
+func (s sortPassHits) Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+	bitonic.Recorder(s.ScheduledSorter).Unsort(c, sp, vs, vscr, rec, lo, n)
+}
 
 func (s sortPassHits) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
 	faultinject.Hit("sort.pass")

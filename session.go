@@ -135,16 +135,16 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
-// The recording methods count a recorded sort as a pass and forward to
-// bitonic.Recorder of the session's sorter: the cache-agnostic network on
-// both backends.
+// The plane-sort methods count a plane sort, recorded or not, as a pass and
+// forward to bitonic.Recorder of the session's sorter: the cache-agnostic
+// network on both backends.
 func (s passCounter) RecordWords(c *forkjoin.Ctx, n int) int {
 	return bitonic.Recorder(s.inner).RecordWords(c, n)
 }
 
-func (s passCounter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+func (s passCounter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
 	*s.n++
-	bitonic.Recorder(s.inner).SortRecorded(c, sp, a, ks, scr, kscr, rec, lo, n)
+	bitonic.Recorder(s.inner).SortRecorded(c, sp, ws, wscr, k, rec, lo, n)
 }
 
 func (s passCounter) Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {

@@ -50,6 +50,20 @@ import (
 // merge's dead key plane, then the request sort's key plane and key
 // scratch — instead of over element arrays: the metered model charges one
 // address per element and per word alike, so only the addresses moved.
+// The components row was re-recorded (every other row unchanged) when the
+// PRAM layer stopped moving elements: the gather's request sort became a
+// recorded sort of one address plane, the scatter's sort a sort of
+// (address, priority) planes carrying the value, whose winner the
+// send-receive picks by a neighbour compare instead of a propagation, and
+// send-receive a merge of (routing word, value) planes whose un-merge
+// replays the value plane, its work space allocated once per gatherer. A
+// plane comparator reads and rewrites one address per plane where the
+// element comparator touched the element and its key word, so the
+// scatter's three-plane sort costs a memory operation more per side and
+// the gather's one-plane sort one fewer: W 18317780 → 18289312, Span
+// 52997 → 49908, MemOps 11382940 → 11422892, Forks 2943674 → 2943252,
+// trace count 17270288 → 17309396 (hash 1625243168940545884 →
+// 4998677507959125296).
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -166,8 +180,8 @@ func TestMeteredSpecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := specCounts{Work: 18317780, Span: 52997, MemOps: 11382940, Forks: 2943674,
-			Trace: trace.Fingerprint{Hash: 1625243168940545884, Count: 17270288}}
+		want := specCounts{Work: 18289312, Span: 49908, MemOps: 11422892, Forks: 2943252,
+			Trace: trace.Fingerprint{Hash: 4998677507959125296, Count: 17309396}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
