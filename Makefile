@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke examples-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke examples-smoke repro-smoke docker clean
 
 all: vet build test
 
@@ -134,6 +134,13 @@ serve-smoke:
 # fails on the first one that exits non-zero.
 examples-smoke:
 	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null; done
+
+# repro-smoke runs the paper reproduction end to end at the quick sizes:
+# every table, figure and ablation of cmd/oblivbench on the metered
+# executor, and its trace-equality checks (oblivcheck), which make the
+# command exit non-zero on any FAIL.
+repro-smoke:
+	$(GO) run ./cmd/oblivbench -exp all -quick >/dev/null
 
 # docker builds the oblivserve container image (multi-stage, static
 # binary on scratch-ish alpine). Override the tag with DOCKER_TAG.

@@ -175,8 +175,8 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 type WeightedEdge = graph.WEdge
 
 // MinimumSpanningForest obliviously computes the minimum spanning forest
-// (Theorem 5.2(ii) via Borůvka star-hooking; see DESIGN.md for the PR02
-// substitution) and returns the indices of the chosen edges. Ties are
+// (Theorem 5.2(ii) via Borůvka star-hooking; see README, "Deviations from
+// the paper", 4, for the PR02 substitution) and returns the indices of the chosen edges. Ties are
 // broken by edge index, making the forest unique. Requirements: n, m <
 // 2^21, weights < 2^20.
 func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Report, error) {

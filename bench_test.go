@@ -2,9 +2,9 @@ package oblivmc
 
 // Benchmark harness: one testing.B benchmark per table/figure of the paper
 // (wall-clock, parallel executor). The shape analysis with exact
-// work/span/cache metrics lives in cmd/oblivbench (see DESIGN.md §4 and
-// EXPERIMENTS.md); these benchmarks measure real multicore runtime of the
-// same code paths.
+// work/span/cache metrics lives in cmd/oblivbench, which lists the
+// experiments; these benchmarks measure real multicore runtime of the same
+// code paths.
 
 import (
 	"fmt"
@@ -379,36 +379,35 @@ func BenchmarkTable2PRAMStep_Direct(b *testing.B) {
 
 // --- Figure 1 / Theorem E.1: bitonic variants ---------------------------------
 
-// benchBitonic times one 2^12-element sort of the Theorem E.1 ablation's
-// networks, on the key-closure comparator like the ablation.
-func benchBitonic(b *testing.B, sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64)) {
+// benchBitonic times one 2^12-key sort of the Theorem E.1 ablation's
+// networks, over one key plane like the ablation.
+func benchBitonic(b *testing.B, sort func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, n int)) {
 	const n = 1 << 12
 	keys := benchKeys(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPool.Run(func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
-			a := benchElems(sp, keys)
-			sort(c, sp, a, n, func(e obliv.Elem) uint64 { return e.Key })
+			sort(c, sp, obliv.NewKeySchedule(mem.FromSlice(sp, keys), n, 1), n)
 		})
 	}
 }
 
 func BenchmarkFig1Bitonic_CacheAgnostic(b *testing.B) {
-	benchBitonic(b, func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
-		bitonic.SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), 0, n, true, 0, key)
+	benchBitonic(b, func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, n int) {
+		bitonic.SortCAPlanes(c, ks, obliv.AllocKeySchedule(sp, n, 1), 1, nil, 0, n, true, 0)
 	})
 }
 
 func BenchmarkFig1Bitonic_Naive(b *testing.B) {
-	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
-		bitonic.SortIterative(c, a, 0, n, key)
+	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, n int) {
+		bitonic.SortIterative(c, ks, 0, n)
 	})
 }
 
 func BenchmarkFig1Bitonic_OddEven(b *testing.B) {
-	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int, key func(obliv.Elem) uint64) {
-		bitonic.SortOddEven(c, a, 0, n, key)
+	benchBitonic(b, func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, n int) {
+		bitonic.SortOddEven(c, ks, 0, n)
 	})
 }
 

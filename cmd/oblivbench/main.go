@@ -1,5 +1,5 @@
-// Command oblivbench regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index). All measurements come from the
+// Command oblivbench regenerates the paper's tables and figures (the
+// experiments are listed below). All measurements come from the
 // metered executor: exact work, span and ideal-cache misses, normalized by
 // the paper's bounds.
 //

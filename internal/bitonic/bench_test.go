@@ -14,9 +14,8 @@ import (
 // executor and on a 2-worker pool. It is the measurement behind DefaultLeaf:
 // the leaf is where the raw block comparator runs, so a larger leaf trades
 // forks, transposes and their closures for straight-line runs until the
-// leaf outgrows the cache. The closure leg runs the same network at
-// DefaultLeaf with the key closure, per access — the Theorem E.1
-// ablation's path.
+// leaf outgrows the cache. The plane leg runs the same network at
+// DefaultLeaf over the key plane alone — the Theorem E.1 ablation's path.
 func BenchmarkBitonicLeaf(b *testing.B) {
 	const n = 1 << 15
 	in := randElems(3, n)
@@ -54,7 +53,7 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 	for _, leaf := range []int{32, 256, 512, 1024, 2048, 4096} {
 		bench(fmt.Sprintf("leaf=%d", leaf), func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, leaf) })
 	}
-	bench("closure", func(c *forkjoin.Ctx) { SortCA(c, a, scr, 0, n, true, DefaultLeaf, keyFn) })
+	bench("plane", func(c *forkjoin.Ctx) { SortCAPlanes(c, ks, kscr, 1, nil, 0, n, true, DefaultLeaf) })
 }
 
 // BenchmarkBitonicRecord prices the PRAM layer's recorded plane sort and
@@ -124,15 +123,15 @@ func BenchmarkBitonicRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkIterativeNetworks sorts 2^12 elements through the Theorem E.1
+// BenchmarkIterativeNetworks sorts 2^12 keys through the Theorem E.1
 // ablation's two layer-by-layer networks, the naive bitonic
-// (SortIterative) and Batcher's odd–even (SortOddEven), with the key
-// closure on the serial executor and on a 2-worker pool. Each layer is one
+// (SortIterative) and Batcher's odd–even (SortOddEven), over one key plane
+// on the serial executor and on a 2-worker pool. Each layer is one
 // obliv.Layer fork tree, so a pool leaf runs up to 1024 comparators.
 func BenchmarkIterativeNetworks(b *testing.B) {
 	const n = 1 << 12
-	in := randElems(7, n)
-	a := mem.FromSlice(mem.NewSpace(), in)
+	in := randKeys(7, n)
+	ks := keyPlane(mem.NewSpace(), in)
 	pool := forkjoin.NewPool(2)
 	defer pool.Close()
 	execs := []struct {
@@ -146,15 +145,15 @@ func BenchmarkIterativeNetworks(b *testing.B) {
 		name string
 		sort func(c *forkjoin.Ctx)
 	}{
-		{"naive", func(c *forkjoin.Ctx) { SortIterative(c, a, 0, n, keyFn) }},
-		{"odd-even", func(c *forkjoin.Ctx) { SortOddEven(c, a, 0, n, keyFn) }},
+		{"naive", func(c *forkjoin.Ctx) { SortIterative(c, ks, 0, n) }},
+		{"odd-even", func(c *forkjoin.Ctx) { SortOddEven(c, ks, 0, n) }},
 	}
 	for _, nw := range nets {
 		for _, ex := range execs {
 			b.Run(nw.name+"/"+ex.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					copy(a.Data(), in)
+					copy(ks.Plane(0).Data(), in)
 					b.StartTimer()
 					ex.run(nw.sort)
 				}

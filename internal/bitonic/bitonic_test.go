@@ -32,22 +32,22 @@ func (l atLeaf) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.
 	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, int(l))
 }
 
-// closureNet is one of the Theorem E.1 ablation's networks on the
-// key-closure comparator, run the way the ablation runs it.
-type closureNet struct {
+// planeNet is one of the Theorem E.1 ablation's networks, sorting a key
+// plane (plane 0; any further plane carried) the way the ablation runs it.
+type planeNet struct {
 	name string
-	sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int)
+	sort func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, lo, n int)
 }
 
 var (
-	closureCA = closureNet{"cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
-		SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), lo, n, true, 0, keyFn)
+	planeCA = planeNet{"cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, lo, n int) {
+		SortCAPlanes(c, ks, obliv.AllocKeySchedule(sp, n, ks.Width()), 1, nil, lo, n, true, 0)
 	}}
-	naive = closureNet{"naive", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
-		SortIterative(c, a, lo, n, keyFn)
+	naive = planeNet{"naive", func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, lo, n int) {
+		SortIterative(c, ks, lo, n)
 	}}
-	oddEven = closureNet{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
-		SortOddEven(c, a, lo, n, keyFn)
+	oddEven = planeNet{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, lo, n int) {
+		SortOddEven(c, ks, lo, n)
 	}}
 )
 
@@ -60,22 +60,35 @@ func randElems(seed uint64, n int) []obliv.Elem {
 	return out
 }
 
-func assertSorted(t *testing.T, data []obliv.Elem, label string) {
+// randKeys is the keys of randElems(seed, n).
+func randKeys(seed uint64, n int) []uint64 { return keysOf(randElems(seed, n)) }
+
+func keysOf(es []obliv.Elem) []uint64 {
+	keys := make([]uint64, len(es))
+	for i, e := range es {
+		keys[i] = e.Key
+	}
+	return keys
+}
+
+// keyPlane is a one-plane schedule in sp holding a copy of keys.
+func keyPlane(sp *mem.Space, keys []uint64) *obliv.KeySchedule {
+	return obliv.NewKeySchedule(mem.FromSlice(sp, keys), len(keys), 1)
+}
+
+func assertSorted(t *testing.T, keys []uint64, label string) {
 	t.Helper()
-	for i := 1; i < len(data); i++ {
-		if data[i-1].Key > data[i].Key {
-			t.Fatalf("%s: not sorted at %d (%d > %d)", label, i, data[i-1].Key, data[i].Key)
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] > keys[i] {
+			t.Fatalf("%s: not sorted at %d (%d > %d)", label, i, keys[i-1], keys[i])
 		}
 	}
 }
 
-func assertSameMultiset(t *testing.T, got, want []obliv.Elem, label string) {
+func assertSameMultiset(t *testing.T, got, want []uint64, label string) {
 	t.Helper()
-	g := make([]uint64, len(got))
-	w := make([]uint64, len(want))
-	for i := range got {
-		g[i], w[i] = got[i].Key, want[i].Key
-	}
+	g := append([]uint64(nil), got...)
+	w := append([]uint64(nil), want...)
 	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	for i := range g {
@@ -85,69 +98,70 @@ func assertSameMultiset(t *testing.T, got, want []obliv.Elem, label string) {
 	}
 }
 
-func runSorter(t *testing.T, name string, sortFn func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int)) {
-	t.Helper()
+func TestCacheAgnosticSorts(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 32, 128, 1024} {
 		for seed := uint64(0); seed < 3; seed++ {
 			raw := randElems(seed*100+uint64(n), n)
 			s := mem.NewSpace()
 			a := mem.FromSlice(s, raw)
-			sortFn(forkjoin.Serial(), s, a, n)
-			assertSorted(t, a.Data(), name)
-			assertSameMultiset(t, a.Data(), raw, name)
+			CacheAgnostic{}.Sort(forkjoin.Serial(), s, a, 0, n, keyFn)
+			assertSorted(t, keysOf(a.Data()), "cache-agnostic")
+			assertSameMultiset(t, keysOf(a.Data()), keysOf(raw), "cache-agnostic")
 		}
 	}
 }
 
-func TestIterativeSorts(t *testing.T) {
-	runSorter(t, "iterative", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-		SortIterative(c, a, 0, n, keyFn)
-	})
+// runPlaneNet sorts random key planes through one of the Theorem E.1
+// ablation's networks.
+func runPlaneNet(t *testing.T, nw planeNet) {
+	t.Helper()
+	for _, n := range []int{1, 2, 4, 8, 32, 128, 1024} {
+		for seed := uint64(0); seed < 3; seed++ {
+			raw := randKeys(seed*100+uint64(n), n)
+			s := mem.NewSpace()
+			ks := keyPlane(s, raw)
+			nw.sort(forkjoin.Serial(), s, ks, 0, n)
+			assertSorted(t, ks.Plane(0).Data(), nw.name)
+			assertSameMultiset(t, ks.Plane(0).Data(), raw, nw.name)
+		}
+	}
 }
 
-func TestCacheAgnosticSorts(t *testing.T) {
-	runSorter(t, "cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-		CacheAgnostic{}.Sort(c, sp, a, 0, n, keyFn)
-	})
-}
+func TestIterativeSorts(t *testing.T) { runPlaneNet(t, naive) }
+
+func TestOddEvenSorts(t *testing.T) { runPlaneNet(t, oddEven) }
 
 func TestCacheAgnosticSmallLeaf(t *testing.T) {
 	// Force deep recursion with a tiny leaf to exercise the transpose path
 	// on every level, including odd log2 sizes.
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
-		raw := randElems(uint64(n), n)
+		raw := randKeys(uint64(n), n)
 		s := mem.NewSpace()
-		a := mem.FromSlice(s, raw)
-		scratch := mem.Alloc[obliv.Elem](s, n)
-		SortCA(forkjoin.Serial(), a, scratch, 0, n, true, 2, keyFn)
-		assertSorted(t, a.Data(), "leaf=2")
-		assertSameMultiset(t, a.Data(), raw, "leaf=2")
+		ks := keyPlane(s, raw)
+		SortCAPlanes(forkjoin.Serial(), ks, obliv.AllocKeySchedule(s, n, 1), 1, nil, 0, n, true, 2)
+		assertSorted(t, ks.Plane(0).Data(), "leaf=2")
+		assertSameMultiset(t, ks.Plane(0).Data(), raw, "leaf=2")
 	}
 }
 
-func TestOddEvenSorts(t *testing.T) {
-	runSorter(t, "odd-even", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-		SortOddEven(c, a, 0, n, keyFn)
-	})
-}
-
 func TestNaiveSorterSubrange(t *testing.T) {
-	raw := randElems(9, 48)
+	raw := randKeys(9, 48)
 	s := mem.NewSpace()
-	a := mem.FromSlice(s, raw)
-	SortIterative(forkjoin.Serial(), a, 8, 32, keyFn)
+	ks := keyPlane(s, raw)
+	SortIterative(forkjoin.Serial(), ks, 8, 32)
+	got := ks.Plane(0).Data()
 	// Outside the range untouched.
 	for i := 0; i < 8; i++ {
-		if a.Data()[i] != raw[i] {
+		if got[i] != raw[i] {
 			t.Fatal("prefix modified")
 		}
 	}
 	for i := 40; i < 48; i++ {
-		if a.Data()[i] != raw[i] {
+		if got[i] != raw[i] {
 			t.Fatal("suffix modified")
 		}
 	}
-	assertSorted(t, a.Data()[8:40], "subrange")
+	assertSorted(t, got[8:40], "subrange")
 }
 
 func TestCacheAgnosticSubrange(t *testing.T) {
@@ -165,7 +179,7 @@ func TestCacheAgnosticSubrange(t *testing.T) {
 			t.Fatal("suffix modified")
 		}
 	}
-	assertSorted(t, a.Data()[16:80], "subrange")
+	assertSorted(t, keysOf(a.Data()[16:80]), "subrange")
 }
 
 func TestMergeCAOnBitonicInput(t *testing.T) {
@@ -175,11 +189,11 @@ func TestMergeCAOnBitonicInput(t *testing.T) {
 		sort.Slice(raw[:n/2], func(i, j int) bool { return raw[i].Key < raw[j].Key })
 		sort.Slice(raw[n/2:], func(i, j int) bool { return raw[n/2+i].Key > raw[n/2+j].Key })
 		s := mem.NewSpace()
-		a := mem.FromSlice(s, raw)
+		a := mem.FromSlice(s, append(make([]obliv.Elem, 3), raw...)) // lo = 3
 		scratch := mem.Alloc[obliv.Elem](s, n)
-		MergeCA(forkjoin.Serial(), a, scratch, 0, n, true, 4, keyFn)
-		assertSorted(t, a.Data(), "mergeCA")
-		assertSameMultiset(t, a.Data(), raw, "mergeCA")
+		MergeCA(forkjoin.Serial(), a, scratch, 3, n, true, 4, keyFn)
+		assertSorted(t, keysOf(a.Data()[3:]), "mergeCA")
+		assertSameMultiset(t, keysOf(a.Data()[3:]), keysOf(raw), "mergeCA")
 	}
 }
 
@@ -228,74 +242,58 @@ func TestStability01Principle(t *testing.T) {
 
 // TestExecutedNetworks01Principle applies the 0–1 principle to the
 // executed networks rather than to the Schedule data: every 0/1 input of
-// n = 2, 4, 8, 16 elements through SortIterative, SortOddEven and
-// Stages + Merge on the keyed and on the closure comparator, and every 0/1
-// key plane through the plane sort (SortCAPlanes over one key plane and a
-// carried one, and over two key planes) and Stages + Merge on the plane
-// comparator, on the serial, 2-worker pool and metered executors.
-// Stages(n, n/2) must leave the two halves sorted in opposite directions
-// and the Merge must finish the sort; a carried word must stay with its
-// key. Equal keys are full ties (no TiePos order), so each comparator acts
-// on the 0/1 keys alone.
+// n = 2, 4, 8, 16 elements through Stages + Merge on the keyed comparator,
+// and every 0/1 key plane through SortIterative, SortOddEven, the plane
+// sort (SortCAPlanes over one key plane and a carried one, and over two
+// key planes) and Stages + Merge on the plane comparator, on the serial,
+// 2-worker pool and metered executors. Stages(n, n/2) must leave the two
+// halves sorted in opposite directions and the Merge must finish the sort;
+// a carried word must stay with its key. Equal keys are full ties (no
+// TiePos order), so each comparator acts on the 0/1 keys alone.
 func TestExecutedNetworks01Principle(t *testing.T) {
-	stagesMerge := func(c *forkjoin.Ctx, k obliv.CexKernel, a *mem.Array[obliv.Elem], n int) {
-		obliv.Stages(c, k, n, n/2)
-		for i := 1; i < n/2; i++ {
-			if d := a.Data(); d[i-1].Key > d[i].Key || d[n/2+i-1].Key < d[n/2+i].Key {
-				t.Errorf("n=%d: Stages(n, n/2) left the halves unsorted: %v", n, d) // Errorf: may run on a pool worker
-				break
+	oblivtest.SameOnEveryExecutor(t, "stages+merge keyed", func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
+		var out []uint64 // every output, 0/1 keys packed one word per input
+		for n := 2; n <= 16; n <<= 1 {
+			a := mem.Alloc[obliv.Elem](sp, n)
+			ks := obliv.AllocKeySchedule(sp, n, 1)
+			for mask := 0; mask < 1<<n; mask++ {
+				for i := range n {
+					a.Data()[i] = obliv.Elem{Key: uint64(mask >> i & 1), Kind: obliv.Real}
+					ks.Plane(0).Data()[i] = uint64(mask >> i & 1)
+				}
+				k := obliv.NewCexKernel(c, a, ks)
+				obliv.Stages(c, k, n, n/2)
+				for i := 1; i < n/2; i++ {
+					if d := a.Data(); d[i-1].Key > d[i].Key || d[n/2+i-1].Key < d[n/2+i].Key {
+						t.Errorf("n=%d: Stages(n, n/2) left the halves unsorted: %v", n, d) // Errorf: may run on a pool worker
+						break
+					}
+				}
+				obliv.Merge(c, k, 0, 1, n, n, false)
+				var w uint64
+				for i, e := range a.Data() {
+					if i > 0 && a.Data()[i-1].Key > e.Key {
+						t.Errorf("stages+merge keyed n=%d: mask %b not sorted: %v", n, mask, a.Data())
+						break
+					}
+					w |= e.Key << i
+				}
+				out = append(out, w)
 			}
 		}
-		obliv.Merge(c, k, 0, 1, n, n, false)
-	}
-	networks := []struct {
-		name string
-		sort func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, n int)
-	}{
-		{"naive", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
-			SortIterative(c, a, 0, n, keyFn)
-		}},
-		{"odd-even", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
-			SortOddEven(c, a, 0, n, keyFn)
-		}},
-		{"stages+merge keyed", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, n int) {
-			stagesMerge(c, obliv.NewCexKernel(c, a, ks), a, n)
-		}},
-		{"stages+merge closure", func(c *forkjoin.Ctx, a *mem.Array[obliv.Elem], _ *obliv.KeySchedule, n int) {
-			stagesMerge(c, obliv.NewCexKernelFunc(c, a, keyFn), a, n)
-		}},
-	}
-	for _, nw := range networks {
-		oblivtest.SameOnEveryExecutor(t, nw.name, func(c *forkjoin.Ctx, sp *mem.Space) []uint64 {
-			var out []uint64 // every output, 0/1 keys packed one word per input
-			for n := 2; n <= 16; n <<= 1 {
-				a := mem.Alloc[obliv.Elem](sp, n)
-				ks := obliv.AllocKeySchedule(sp, n, 1)
-				for mask := 0; mask < 1<<n; mask++ {
-					for i := range n {
-						a.Data()[i] = obliv.Elem{Key: uint64(mask >> i & 1), Kind: obliv.Real}
-						ks.Plane(0).Data()[i] = uint64(mask >> i & 1)
-					}
-					nw.sort(c, a, ks, n)
-					var w uint64
-					for i, e := range a.Data() {
-						if i > 0 && a.Data()[i-1].Key > e.Key {
-							t.Errorf("%s n=%d: mask %b not sorted: %v", nw.name, n, mask, a.Data())
-							break
-						}
-						w |= e.Key << i
-					}
-					out = append(out, w)
-				}
-			}
-			return out
-		})
-	}
+		return out
+	})
 	planeNets := []struct {
 		name string
 		k    int
 		sort func(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k, n int)
 	}{
+		{"naive", 1, func(c *forkjoin.Ctx, ws, _ *obliv.KeySchedule, _, n int) {
+			SortIterative(c, ws, 0, n)
+		}},
+		{"odd-even", 1, func(c *forkjoin.Ctx, ws, _ *obliv.KeySchedule, _, n int) {
+			SortOddEven(c, ws, 0, n)
+		}},
 		{"plane sort k=1", 1, func(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k, n int) {
 			SortCAPlanes(c, ws, wscr, k, nil, 0, n, true, 0)
 		}},
@@ -305,6 +303,13 @@ func TestExecutedNetworks01Principle(t *testing.T) {
 		{"stages+merge planes", 1, func(c *forkjoin.Ctx, ws, _ *obliv.KeySchedule, k, n int) {
 			kern := obliv.NewCexKernelPlanes(c, ws, k, nil)
 			obliv.Stages(c, kern, n, n/2)
+			key := ws.Plane(0).Data()
+			for i := 1; i < n/2; i++ {
+				if key[i-1] > key[i] || key[n/2+i-1] < key[n/2+i] {
+					t.Errorf("n=%d: Stages(n, n/2) left the halves unsorted: %v", n, key) // Errorf: may run on a pool worker
+					break
+				}
+			}
 			obliv.Merge(c, kern, 0, 1, n, n, false)
 		}},
 	}
@@ -361,34 +366,39 @@ func TestScheduleShape(t *testing.T) {
 
 func TestTraceObliviousAllVariants(t *testing.T) {
 	const n = 256
-	variants := []closureNet{
-		{"CacheAgnostic.Sort", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
-			CacheAgnostic{}.Sort(c, sp, a, lo, n, keyFn)
-		}},
-		closureCA, naive, oddEven,
-	}
-	for _, v := range variants {
-		run := func(seed uint64) *forkjoin.Metrics {
-			raw := randElems(seed, n)
+	run := func(sort func(c *forkjoin.Ctx, sp *mem.Space, seed uint64)) func(uint64) *forkjoin.Metrics {
+		return func(seed uint64) *forkjoin.Metrics {
 			s := mem.NewSpace()
-			a := mem.FromSlice(s, raw)
 			return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-				v.sort(c, s, a, 0, n)
+				sort(c, s, seed)
 			})
 		}
-		if !run(1).Trace.Equal(run(2).Trace) {
-			t.Fatalf("%s: access pattern depends on data", v.name)
+	}
+	variants := map[string]func(uint64) *forkjoin.Metrics{
+		"CacheAgnostic.Sort": run(func(c *forkjoin.Ctx, s *mem.Space, seed uint64) {
+			CacheAgnostic{}.Sort(c, s, mem.FromSlice(s, randElems(seed, n)), 0, n, keyFn)
+		}),
+	}
+	for _, nw := range []planeNet{planeCA, naive, oddEven} {
+		variants[nw.name] = run(func(c *forkjoin.Ctx, s *mem.Space, seed uint64) {
+			nw.sort(c, s, keyPlane(s, randKeys(seed, n)), 0, n)
+		})
+	}
+	for name, m := range variants {
+		if !m(1).Trace.Equal(m(2).Trace) {
+			t.Fatalf("%s: access pattern depends on data", name)
 		}
 	}
 }
 
-// TestScheduledMatchesClosureSort pins the keysched contract of the
+// TestScheduledMatchesPlaneSort pins the keysched contract of the
 // production network: SortScheduled against a cached key schedule must
-// produce exactly the permutation the closure-key network (SortCA, the
-// Theorem E.1 ablation's) produces at the same leaf (same comparator
-// schedule, same outcomes: randElems leaves equal keys full TiePos ties),
-// and must keep the key array in lockstep.
-func TestScheduledMatchesClosureSort(t *testing.T) {
+// produce exactly the permutation the one-key-plane sort (SortCAPlanes,
+// the Theorem E.1 ablation's network) produces at the same leaf, read off
+// an index plane it carries (same comparator schedule, same outcomes: the
+// plane sort has no TiePos, and randElems leaves equal keys full TiePos
+// ties), and must keep the key array in lockstep.
+func TestScheduledMatchesPlaneSort(t *testing.T) {
 	variants := []struct {
 		v    obliv.ScheduledSorter
 		leaf int
@@ -400,8 +410,13 @@ func TestScheduledMatchesClosureSort(t *testing.T) {
 				raw := randElems(seed*31+uint64(n), n)
 
 				s1 := mem.NewSpace()
-				want := mem.FromSlice(s1, raw)
-				SortCA(forkjoin.Serial(), want, mem.Alloc[obliv.Elem](s1, n), 0, n, true, vl.leaf, keyFn)
+				ws, wscr := obliv.AllocKeySchedule(s1, n, 2), obliv.AllocKeySchedule(s1, n, 2)
+				for i, e := range raw {
+					ws.Plane(0).Data()[i], ws.Plane(1).Data()[i] = e.Key, uint64(i)
+				}
+				if n > 1 {
+					SortCAPlanes(forkjoin.Serial(), ws, wscr, 1, nil, 0, n, true, vl.leaf)
+				}
 
 				s2 := mem.NewSpace()
 				got := mem.FromSlice(s2, raw)
@@ -412,9 +427,9 @@ func TestScheduledMatchesClosureSort(t *testing.T) {
 				v.SortScheduled(forkjoin.Serial(), s2, got, ks, scr, kscr, 0, n)
 
 				for i := 0; i < n; i++ {
-					if got.Data()[i] != want.Data()[i] {
-						t.Fatalf("%s n=%d seed=%d: keyed sort diverges from closure sort at %d (%v vs %v)",
-							v.Name(), n, seed, i, got.Data()[i], want.Data()[i])
+					if want := raw[ws.Plane(1).Data()[i]]; got.Data()[i] != want {
+						t.Fatalf("%s n=%d seed=%d: keyed sort diverges from the plane sort at %d (%v vs %v)",
+							v.Name(), n, seed, i, got.Data()[i], want)
 					}
 					if ks.Plane(0).Data()[i] != keyFn(got.Data()[i]) {
 						t.Fatalf("%s n=%d seed=%d: key schedule out of lockstep at %d", v.Name(), n, seed, i)
@@ -447,7 +462,7 @@ func TestScheduledSubrange(t *testing.T) {
 				t.Fatalf("%s: suffix modified", v.Name())
 			}
 		}
-		assertSorted(t, a.Data()[16:80], v.Name()+" keyed subrange")
+		assertSorted(t, keysOf(a.Data()[16:80]), v.Name()+" keyed subrange")
 	}
 }
 
@@ -479,10 +494,9 @@ func TestWorkMatchesComparatorCount(t *testing.T) {
 	// 2 reads + 2 writes + 1 comparison op = 5 work in the iterative net.
 	const n, k = 64, 6
 	comparators := int64(n / 2 * k * (k + 1) / 2)
-	s := mem.NewSpace()
-	a := mem.FromSlice(s, randElems(3, n))
+	ks := keyPlane(mem.NewSpace(), randKeys(3, n))
 	m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-		SortIterative(c, a, 0, n, keyFn)
+		SortIterative(c, ks, 0, n)
 	})
 	if m.MemOps != 4*comparators {
 		t.Fatalf("memops = %d, want %d", m.MemOps, 4*comparators)
@@ -496,10 +510,9 @@ func TestOddEvenWorkMatchesComparatorCount(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		n := 1 << k
 		comparators := int64((k*k-k+4)<<k/4 - 1)
-		s := mem.NewSpace()
-		a := mem.FromSlice(s, randElems(uint64(k), n))
+		ks := keyPlane(mem.NewSpace(), randKeys(uint64(k), n))
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-			SortOddEven(c, a, 0, n, keyFn)
+			SortOddEven(c, ks, 0, n)
 		})
 		if m.MemOps != 4*comparators {
 			t.Fatalf("n=%d: memops = %d, want %d", n, m.MemOps, 4*comparators)
@@ -512,11 +525,11 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 	// (n/B)·log_M n·log(n/M) vs the naive (n/B)·log² n, so the ratio
 	// recursive/naive must (a) stay below 1 and (b) shrink as n grows.
 	const M, B = 1 << 8, 1 << 4
-	miss := func(s closureNet, n int) int64 {
+	miss := func(s planeNet, n int) int64 {
 		sp := mem.NewSpace()
-		a := mem.FromSlice(sp, randElems(5, n))
+		ks := keyPlane(sp, randKeys(5, n))
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{CacheM: M, CacheB: B}, func(c *forkjoin.Ctx) {
-			s.sort(c, sp, a, 0, n)
+			s.sort(c, sp, ks, 0, n)
 		})
 		return m.CacheMisses
 	}
@@ -537,8 +550,8 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 		return float64(n) / B * lg(n) * lg(n) / 2
 	}
 	const n1, n2 = 1 << 11, 1 << 14
-	caF1 := float64(miss(closureCA, n1)) / caTheory(n1)
-	caF2 := float64(miss(closureCA, n2)) / caTheory(n2)
+	caF1 := float64(miss(planeCA, n1)) / caTheory(n1)
+	caF2 := float64(miss(planeCA, n2)) / caTheory(n2)
 	nvF1 := float64(miss(naive, n1)) / naiveTheory(n1)
 	nvF2 := float64(miss(naive, n2)) / naiveTheory(n2)
 	if caF2 > 1.7*caF1 || caF1 > 1.7*caF2 {
@@ -547,7 +560,7 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 	if nvF2 > 1.7*nvF1 || nvF1 > 1.7*nvF2 {
 		t.Fatalf("naive misses do not track the (n/B)log²n bound: factors %.2f vs %.2f", nvF1, nvF2)
 	}
-	if m1, m2 := miss(closureCA, n2), miss(naive, n2); m1 >= m2 {
+	if m1, m2 := miss(planeCA, n2), miss(naive, n2); m1 >= m2 {
 		t.Fatalf("cache-agnostic (%d misses) not better than naive (%d)", m1, m2)
 	}
 }
@@ -555,15 +568,15 @@ func TestCacheAgnosticBeatsNaiveOnCache(t *testing.T) {
 func TestCacheAgnosticBeatsNaiveOnSpan(t *testing.T) {
 	// Span: O(log²n · loglog n) vs O(log³ n).
 	const n = 1 << 12
-	span := func(s closureNet) int64 {
+	span := func(s planeNet) int64 {
 		sp := mem.NewSpace()
-		a := mem.FromSlice(sp, randElems(6, n))
+		ks := keyPlane(sp, randKeys(6, n))
 		m := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-			s.sort(c, sp, a, 0, n)
+			s.sort(c, sp, ks, 0, n)
 		})
 		return m.Span
 	}
-	if ca, nv := span(closureCA), span(naive); ca >= nv {
+	if ca, nv := span(planeCA), span(naive); ca >= nv {
 		t.Fatalf("cache-agnostic span %d not below naive %d", ca, nv)
 	}
 }
@@ -572,15 +585,18 @@ func TestQuickRandomInputsAllSorters(t *testing.T) {
 	f := func(seed uint64, sizeExp uint8) bool {
 		n := 1 << (sizeExp%8 + 1) // 2..256
 		raw := randElems(seed, n)
-		keyed := closureNet{"keyed leaf=4", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int) {
-			atLeaf(4).Sort(c, sp, a, lo, n, keyFn)
-		}}
-		for _, v := range []closureNet{keyed, naive, oddEven} {
-			s := mem.NewSpace()
-			a := mem.FromSlice(s, raw)
-			v.sort(forkjoin.Serial(), s, a, 0, n)
+		s := mem.NewSpace()
+		a := mem.FromSlice(s, raw)
+		atLeaf(4).Sort(forkjoin.Serial(), s, a, 0, n, keyFn)
+		sorted := [][]uint64{keysOf(a.Data())}
+		for _, v := range []planeNet{naive, oddEven} {
+			ks := keyPlane(s, keysOf(raw))
+			v.sort(forkjoin.Serial(), s, ks, 0, n)
+			sorted = append(sorted, ks.Plane(0).Data())
+		}
+		for _, keys := range sorted {
 			for i := 1; i < n; i++ {
-				if a.Data()[i-1].Key > a.Data()[i].Key {
+				if keys[i-1] > keys[i] {
 					return false
 				}
 			}
@@ -593,14 +609,13 @@ func TestQuickRandomInputsAllSorters(t *testing.T) {
 }
 
 func TestNonPow2Panics(t *testing.T) {
-	s := mem.NewSpace()
-	a := mem.FromSlice(s, randElems(1, 12))
+	ks := keyPlane(mem.NewSpace(), randKeys(1, 12))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-power-of-two n")
 		}
 	}()
-	SortIterative(forkjoin.Serial(), a, 0, 12, keyFn)
+	SortIterative(forkjoin.Serial(), ks, 0, 12)
 }
 
 // wideKeyWords emits the (Key, Key2) two-word lexicographic schedule.

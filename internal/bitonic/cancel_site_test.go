@@ -34,7 +34,7 @@ func TestKeyedCancelSite(t *testing.T) {
 			ws.Plane(0).Data()[i], ws.Plane(1).Data()[i] = e.Key, uint64(i)
 		}
 	}
-	sorted := func(label string) func() { return func() { assertSorted(t, a.Data(), label) } }
+	sorted := func(label string) func() { return func() { assertSorted(t, keysOf(a.Data()), label) } }
 	runs := []struct {
 		name  string
 		run   func(c *forkjoin.Ctx)

@@ -54,12 +54,12 @@ func dupHeavy(seed uint64, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule) {
 // metered executor (per-access specification, leaf 2) and the serial and
 // pool executors (raw kernels) must leave identical elements and key planes
 // — at the production leaf in both directions, and at a leaf that forces
-// forks and transposes above small blocks. The closure-key sort and merge
-// run the same recursion with a comparator that goes per access on every
-// executor; their rows pin that its leaves apply the comparators of the
-// fully forked network, directions included, so equal keys end up in the
-// order of the metered specification (the CacheAgnostic rows sort above one
-// leaf, where the second half is a descending leaf).
+// forks and transposes above small blocks. The plane sort and merge run the
+// same recursion over a key plane and a carried plane alone, with no TiePos
+// to separate equal keys; their rows pin that its leaves apply the
+// comparators of the fully forked network, directions included, so equal
+// keys end up in the order of the metered specification (the CacheAgnostic
+// rows sort above one leaf, where the second half is a descending leaf).
 func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 	type variant struct {
 		leaf int
@@ -89,29 +89,35 @@ func TestKeyedNetworkMatchesPerAccess(t *testing.T) {
 				})
 				oblivtest.SameOnEveryExecutor(t, "merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) keyedState {
 					a, scr, ks, kscr := setup(sp)
-					newNetwork(c, a, scr, ks, kscr, nil, 3, n, v.leaf).merge(c, 0, n, v.asc, 0)
+					newNetwork(c, a, scr, ks, kscr, 3, n, v.leaf).merge(c, 0, n, v.asc, 0)
 					return snapshotKeyed(a, ks)
 				})
 			}
 			label := fmt.Sprintf("n=%d leaf=%d asc=%v", n, v.leaf, v.asc)
-			setup := func(sp *mem.Space) (a, scr *mem.Array[obliv.Elem]) {
-				a, scr = mem.Alloc[obliv.Elem](sp, n+5), mem.Alloc[obliv.Elem](sp, n)
-				dupHeavy(uint64(n), a, obliv.AllocKeySchedule(sp, n+5, 1))
+			setup := func(sp *mem.Space) (a *mem.Array[obliv.Elem], ws, wscr *obliv.KeySchedule) {
+				a = mem.Alloc[obliv.Elem](sp, n+5)
+				ws, wscr = obliv.AllocKeySchedule(sp, n+5, 2), obliv.AllocKeySchedule(sp, n, 2)
+				dupHeavy(uint64(n), a, obliv.NewKeySchedule(ws.Plane(0), n+5, 1))
+				for i, e := range a.Data() {
+					ws.Plane(1).Data()[i] = e.Val // carried
+				}
 				return
 			}
-			oblivtest.SameOnEveryExecutor(t, "closure sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
-				a, scr := setup(sp)
-				SortCA(c, a, scr, 3, n, v.asc, v.leaf, keyFn)
-				return a.Data()
+			oblivtest.SameOnEveryExecutor(t, "plane sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) [][]uint64 {
+				_, ws, wscr := setup(sp)
+				SortCAPlanes(c, ws, wscr, 1, nil, 3, n, v.asc, v.leaf)
+				return planes(ws)
 			})
-			oblivtest.SameOnEveryExecutor(t, "closure merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
-				a, scr := setup(sp)
-				MergeCA(c, a, scr, 3, n, v.asc, v.leaf, keyFn)
-				return a.Data()
+			oblivtest.SameOnEveryExecutor(t, "plane merge "+label, func(c *forkjoin.Ctx, sp *mem.Space) [][]uint64 {
+				_, ws, wscr := setup(sp)
+				nw := newNetwork(c, nil, nil, ws, wscr, 3, n, v.leaf)
+				nw.keys = 1
+				nw.merge(c, 0, n, v.asc, 0)
+				return planes(ws)
 			})
 			if n > DefaultLeaf {
 				oblivtest.SameOnEveryExecutor(t, "CacheAgnostic.Sort "+label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
-					a, _ := setup(sp)
+					a, _, _ := setup(sp)
 					CacheAgnostic{}.Sort(c, sp, a, 3, n, keyFn)
 					return a.Data()
 				})

@@ -23,38 +23,30 @@ const DefaultLeaf = 1024
 
 // network is the state of one run of the cache-agnostic recursion: the
 // element array and its scratch (the merge's transposes move the elements
-// from one to the other and back), and the comparator's key. That key is
-// either a cached key schedule with its scratch, which move through every
-// transpose in lockstep with the elements — the network of every sorter,
-// each comparator reading cached key words (obliv.BuildKeySchedule) — or a
-// key closure invoked twice per comparator: the paper's cost model, in
-// which an element carries its key. Only the Theorem E.1 ablation runs the
-// closure network (SortCA; MergeCA for the merge probe). In the metered
-// model the keyed network also transposes its key planes and reads and
-// rewrites two key words per comparator, and at the ablation's sizes that
-// costs it the span and cache lead over the naive network that the
-// theorem states, so the ablation keeps the model the theorem is stated
-// in. The comparator schedule is the same either way: same layers,
-// positions and directions, all functions of n alone, so on distinct keys
-// the two sorts leave the same permutation, and a schedule of W words per
-// element widens each comparator's fixed read/write set and nothing else.
-// lo offsets are relative to the start of the top-level range and valid in
-// both buffers.
+// from one to the other and back) and the cached key schedule with its
+// scratch, which moves through every transpose in lockstep with the
+// elements — the network of every sorter, each comparator reading cached
+// key words (obliv.BuildKeySchedule). The comparator schedule is a
+// function of n alone: same layers, positions and directions whatever the
+// comparator, and a schedule of W words per element widens each
+// comparator's fixed read/write set and nothing else. lo offsets are
+// relative to the start of the top-level range and valid in both buffers.
 //
 // A network with no element array runs over word planes alone, and the
 // transposes move only them: with keys > 0 it sorts them on the
 // comparator's plane mode — the first keys planes of ks the key, the rest
-// carried (the PRAM layer's requests) — recording one bit per comparator,
-// set iff it exchanged its pair, when it has a swap record; with keys 0 it
-// replays a record backwards, the un-sort, over planes that hold the
-// values being carried home (the gather's routed values). Bit offsets
-// follow the fork tree: a sort's record is its two halves' records, then
-// its merge's; a merge's is its column merges', then its row merges'; a
-// leaf's is its layers' in order, n/2 bits each (layout).
+// carried (the PRAM layer's requests; one key plane and nothing carried is
+// the Theorem E.1 ablation, in which a compare-exchange touches one word
+// per side) — recording one bit per comparator, set iff it exchanged its
+// pair, when it has a swap record; with keys 0 it replays a record
+// backwards, the un-sort, over planes that hold the values being carried
+// home (the gather's routed values). Bit offsets follow the fork tree: a
+// sort's record is its two halves' records, then its merge's; a merge's
+// is its column merges', then its row merges'; a leaf's is its layers' in
+// order, n/2 bits each (layout).
 type network struct {
 	a, scr   *mem.Array[obliv.Elem]
 	ks, kscr *obliv.KeySchedule
-	key      func(obliv.Elem) uint64
 	keys     int
 	rec      *mem.Array[uint64]
 	bits     *layout
@@ -75,18 +67,15 @@ func leafFor(c *forkjoin.Ctx, leaf int) int {
 }
 
 // newNetwork views a[lo:lo+n] and the first n elements of scratch (if
-// there are elements) and of ks, kscr (if keyed or replaying) as a
-// network's buffers, with the leaf size resolved.
-func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, key func(obliv.Elem) uint64, lo, n, leaf int) network {
+// there are elements) and ks[lo:lo+n], kscr[0:n] as a network's buffers,
+// with the leaf size resolved.
+func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, lo, n, leaf int) network {
 	if !obliv.IsPow2(n) {
 		panic("bitonic: n must be a power of two")
 	}
-	nw := network{key: key, leaf: leafFor(c, leaf)}
+	nw := network{ks: ks.View(lo, n), kscr: kscr.View(0, n), leaf: leafFor(c, leaf)}
 	if a != nil {
 		nw.a, nw.scr = a.View(lo, n), scratch.View(0, n)
-	}
-	if ks != nil {
-		nw.ks, nw.kscr = ks.View(lo, n), kscr.View(0, n)
 	}
 	return nw
 }
@@ -161,23 +150,18 @@ func (nw network) mergeBits(n int) int {
 	return nw.bits.merge[obliv.Log2(n)]
 }
 
-// SortCA is the paper's cache-agnostic, binary fork-join BITONIC-SORT
-// (§E.1.1): recursively sort the two halves in opposite directions, then
-// BITONIC-MERGE. It sorts a[lo:lo+n] by the key closure (the Theorem E.1
-// ablation's comparator; sorters run SortCAKeyed); scratch must have
-// length >= n and not alias it. n must be a power of two.
+// SortCAKeyed is the paper's cache-agnostic, binary fork-join BITONIC-SORT
+// (§E.1.1) against a cached key schedule: recursively sort the two halves
+// in opposite directions, then BITONIC-MERGE. It sorts a[lo:lo+n] by ks,
+// which is indexed identically to a (ks[lo:lo+n) cache the keys of
+// a[lo:lo+n)); scratch must have length >= n, kscr must match ks's width
+// and cover >= n elements, and neither may alias a or ks. n must be a
+// power of two.
 //
 // Costs (Theorem E.1): O(n log² n) work, O(log² n · log log n) span,
 // O((n/B)·log_M n·log(n/M)) cache misses for n > M >= B².
-func SortCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, n int, asc bool, leaf int, key func(obliv.Elem) uint64) {
-	newNetwork(c, a, scratch, nil, nil, key, lo, n, leaf).sort(c, 0, n, asc, 0)
-}
-
-// SortCAKeyed is SortCA against a cached key schedule: kscr must match ks's
-// width and cover >= n elements, and neither may alias a or ks. ks is
-// indexed identically to a (ks[lo:lo+n) cache the keys of a[lo:lo+n)).
 func SortCAKeyed(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule, lo, n int, asc bool, leaf int) {
-	newNetwork(c, a, scratch, ks, kscr, nil, lo, n, leaf).sort(c, 0, n, asc, 0)
+	newNetwork(c, a, scratch, ks, kscr, lo, n, leaf).sort(c, 0, n, asc, 0)
 }
 
 // RecordWords is the length in words of the swap record of an n-element
@@ -195,12 +179,14 @@ func RecordWords(c *forkjoin.Ctx, n, leaf int) int {
 // the rest carried with their key, on the comparator's plane mode; wscr
 // (ws's width, >= n slots) is the transposes' scratch. Equal keys are full
 // ties, ordered by the network: the same on every executor and at every
-// leaf size. A non-nil rec, which must hold RecordWords(c, n, leaf) words,
-// receives every comparator's swap bit; the record depends on nothing but
-// the comparators' outcomes, so UnsortCA can carry values written into the
+// leaf size. With k = 1 and nothing carried it is the Theorem E.1
+// ablation's cache-agnostic network, one word per comparator side. A
+// non-nil rec, which must hold RecordWords(c, n, leaf) words, receives
+// every comparator's swap bit; the record depends on nothing but the
+// comparators' outcomes, so UnsortCA can carry values written into the
 // sorted slots back to their original ones.
 func SortCAPlanes(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int, asc bool, leaf int) {
-	nw := newNetwork(c, nil, nil, ws, wscr, nil, lo, n, leaf)
+	nw := newNetwork(c, nil, nil, ws, wscr, lo, n, leaf)
 	nw.keys = k
 	if rec != nil {
 		nw = nw.recorded(c, rec)
@@ -220,12 +206,17 @@ func SortCAPlanes(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k int, rec *mem.
 // (metered or not) as the recorded sort; its access pattern is a function
 // of n, the width of vs and that kind alone.
 func UnsortCA(c *forkjoin.Ctx, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n, leaf int) {
-	newNetwork(c, nil, nil, vs, vscr, nil, lo, n, leaf).recorded(c, rec).unsort(c, 0, n, 0)
+	newNetwork(c, nil, nil, vs, vscr, lo, n, leaf).recorded(c, rec).unsort(c, 0, n, 0)
 }
 
 // MergeCA is the paper's cache-agnostic BITONIC-MERGE (§E.1.2) applied to
 // the bitonic sequence a[lo:lo+m]; scratch must have length >= m and not
-// alias a. m must be a power of two.
+// alias a. m must be a power of two. It builds the one-word key schedule of
+// key and runs the keyed merge of the CacheAgnostic network (ties by
+// TiePos). It exists only for the benchmark harness's merge probe, which
+// calls it with this signature: the schedule is allocated in a private
+// address space, so it is not for metered use, and it goes once the
+// harness moves to the sorters' own calls (ROADMAP item 1 slice 2).
 //
 // The m-input reverse butterfly is evaluated as
 //
@@ -235,17 +226,19 @@ func UnsortCA(c *forkjoin.Ctx, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint6
 // with m1 = 2^⌈k/2⌉, m2 = m/m1. The recursion structure mirrors the FFT of
 // Frigo et al. [FLPR99].
 func MergeCA(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], lo, m int, asc bool, leaf int, key func(obliv.Elem) uint64) {
-	newNetwork(c, a, scratch, nil, nil, key, lo, m, leaf).merge(c, 0, m, asc, 0)
+	sp := mem.NewSpace()
+	ks, kscr := obliv.AllocKeySchedule(sp, m, 1), obliv.AllocKeySchedule(sp, m, 1)
+	a = a.View(lo, m)
+	obliv.BuildKeySchedule(c, a, ks, 0, m, func(e obliv.Elem, out []uint64) { out[0] = key(e) })
+	newNetwork(c, a, scratch, ks, kscr, 0, m, leaf).merge(c, 0, m, asc, 0)
 }
 
-// kernel is the block comparator of the network's key, bound to its
-// element array — or, with no element array, the plane sort (recording
+// kernel is the block comparator of the network bound to its element array
+// by cached key — or, with no element array, the plane sort (recording
 // into the network's record when it has one) or the record's replay over
 // its word planes — and to the executor behind c.
 func (nw network) kernel(c *forkjoin.Ctx) obliv.CexKernel {
 	switch {
-	case nw.key != nil:
-		return obliv.NewCexKernelFunc(c, nw.a, nw.key)
 	case nw.a != nil:
 		return obliv.NewCexKernel(c, nw.a, nw.ks)
 	case nw.keys == 0:
@@ -265,9 +258,7 @@ func (nw network) at(lo, m int) network {
 	if nw.a != nil {
 		nw.a, nw.scr = nw.a.View(lo, m), nw.scr.View(lo, m)
 	}
-	if nw.ks != nil {
-		nw.ks, nw.kscr = nw.ks.View(lo, m), nw.kscr.View(lo, m)
-	}
+	nw.ks, nw.kscr = nw.ks.View(lo, m), nw.kscr.View(lo, m)
 	return nw
 }
 
@@ -277,10 +268,8 @@ func (nw network) transpose(c *forkjoin.Ctx, rows, cols int) {
 	if nw.a != nil {
 		matrix.Transpose(c, nw.scr, nw.a, rows, cols)
 	}
-	if nw.ks != nil {
-		for p := 0; p < nw.ks.Width(); p++ {
-			matrix.Transpose(c, nw.kscr.Plane(p), nw.ks.Plane(p), rows, cols)
-		}
+	for p := 0; p < nw.ks.Width(); p++ {
+		matrix.Transpose(c, nw.kscr.Plane(p), nw.ks.Plane(p), rows, cols)
 	}
 }
 

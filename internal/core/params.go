@@ -23,7 +23,7 @@ type Params struct {
 	Gamma int
 	// Sorter is the oblivious sorter used for the small poly-logarithmic
 	// subproblems (AKS in the theory bound, bitonic in the practical
-	// variant — see DESIGN.md deviation 1). It must support the
+	// variant — see README, "Deviations from the paper", 1). It must support the
 	// key-schedule seam (obliv.ScheduledSorter): the graph and PRAM bulk
 	// operations route every sort through cached-key schedules, which is
 	// how they inherit backend selection.

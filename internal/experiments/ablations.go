@@ -35,34 +35,43 @@ func Fig1(w io.Writer) {
 
 // BitonicAblation regenerates the Theorem E.1 comparison: the paper's
 // cache-agnostic BITONIC-SORT vs the naive per-layer parallelization and
-// the odd-even network, all three on the key-closure comparator (an
-// element carries its key, the model the theorem is stated in).
+// the odd-even network, all three sorting one key plane (a
+// compare-exchange touches one word per side, the model the theorem is
+// stated in).
 func BitonicAblation(w io.Writer, cacheM, cacheB int, quick bool) {
 	sizes := []int{1 << 10, 1 << 12, 1 << 14}
 	if quick {
 		sizes = []int{1 << 10, 1 << 12}
 	}
+	writeRows(w, "Theorem E.1 — bitonic variants", bitonicRows(cacheM, cacheB, sizes))
+	fmt.Fprintln(w, `
+Claim: the cache-agnostic variant matches the naive network's O(n log² n)
+work while cutting span from O(log³ n) to O(log² n·loglog n) and cache
+misses from (n/B)·log² n to (n/B)·log_M n·log(n/M).`)
+}
+
+// bitonicRows measures the three networks of BitonicAblation at each size.
+func bitonicRows(cacheM, cacheB int, sizes []int) []Row {
 	var rows []Row
-	key := func(e obliv.Elem) uint64 { return e.Key }
 	variants := []struct {
 		name string
-		sort func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int)
+		sort func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, n int)
 	}{
-		{"bitonic-cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], n int) {
-			bitonic.SortCA(c, a, mem.Alloc[obliv.Elem](sp, n), 0, n, true, 0, key)
+		{"bitonic-cache-agnostic", func(c *forkjoin.Ctx, sp *mem.Space, ks *obliv.KeySchedule, n int) {
+			bitonic.SortCAPlanes(c, ks, obliv.AllocKeySchedule(sp, n, 1), 1, nil, 0, n, true, 0)
 		}},
-		{"bitonic-naive", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int) {
-			bitonic.SortIterative(c, a, 0, n, key)
+		{"bitonic-naive", func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, n int) {
+			bitonic.SortIterative(c, ks, 0, n)
 		}},
-		{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[obliv.Elem], n int) {
-			bitonic.SortOddEven(c, a, 0, n, key)
+		{"odd-even", func(c *forkjoin.Ctx, _ *mem.Space, ks *obliv.KeySchedule, n int) {
+			bitonic.SortOddEven(c, ks, 0, n)
 		}},
 	}
 	for _, n := range sizes {
 		keys := distinctKeys(uint64(n), n)
 		for _, v := range variants {
 			m := Meter(cacheM, cacheB, func(c *forkjoin.Ctx, sp *mem.Space) {
-				v.sort(c, sp, elemsOf(sp, keys), n)
+				v.sort(c, sp, obliv.NewKeySchedule(mem.FromSlice(sp, keys), n, 1), n)
 			})
 			normS := lg(n) * lg(n) * lg(n) // naive
 			normQ := float64(n) / float64(cacheB) * lg(n) * lg(n)
@@ -78,11 +87,7 @@ func BitonicAblation(w io.Writer, cacheM, cacheB int, quick bool) {
 			})
 		}
 	}
-	writeRows(w, "Theorem E.1 — bitonic variants", rows)
-	fmt.Fprintln(w, `
-Claim: the cache-agnostic variant matches the naive network's O(n log² n)
-work while cutting span from O(log³ n) to O(log² n·loglog n) and cache
-misses from (n/B)·log² n to (n/B)·log_M n·log(n/M).`)
+	return rows
 }
 
 func float64ToInt(v float64) int {

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper
-// (see DESIGN.md §4 for the experiment index): measured work, span and
+// (cmd/oblivbench lists the experiments): measured work, span and
 // ideal-cache misses come from the metered executor, and each row is
 // printed next to the paper's asymptotic claim plus a normalized factor
 // (measured / bound), which should stay roughly flat across sizes when the

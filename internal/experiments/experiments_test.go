@@ -80,3 +80,41 @@ func TestQuickTablesRun(t *testing.T) {
 		t.Fatal("ORBA ablation rows missing")
 	}
 }
+
+// TestBitonicAblationCounts pins the Theorem E.1 ablation's quick rows at
+// the harness cache (M = 4096, B = 32): work, span and cache misses of the
+// cache-agnostic, naive and odd–even networks. The counts are the
+// one-word-per-side comparator model's; any change to the networks' schedules,
+// their transposes or the comparator's access set moves them.
+func TestBitonicAblationCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	type counts struct{ work, span, misses int64 }
+	want := map[int]map[string]counts{
+		1 << 10: {
+			"bitonic-cache-agnostic": {520390, 1373, 64},
+			"bitonic-naive":          {197010, 1265, 32},
+			"odd-even":               {168331, 1247, 32},
+		},
+		1 << 12: {
+			"bitonic-cache-agnostic": {3026822, 2074, 1260},
+			"bitonic-naive":          {1118052, 2106, 128},
+			"odd-even":               {974685, 2084, 128},
+		},
+	}
+	rows := bitonicRows(DefaultCacheM, DefaultCacheB, []int{1 << 10, 1 << 12})
+	if len(rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(rows))
+	}
+	for _, r := range rows {
+		w, ok := want[r.N][r.Impl]
+		if !ok {
+			t.Fatalf("unexpected row %s n=%d", r.Impl, r.N)
+		}
+		got := counts{r.M.Work, r.M.Span, r.M.CacheMisses}
+		if got != w {
+			t.Errorf("%s n=%d: work/span/misses = %v, want %v", r.Impl, r.N, got, w)
+		}
+	}
+}

@@ -31,7 +31,7 @@ const (
 // deterministically — weights are made distinct by edge-id tie-breaking),
 // and pointer-jumps once. Returns the indices of the chosen edges.
 //
-// Deviation from Table 1 noted in DESIGN.md/EXPERIMENTS.md: the paper
+// Deviation from Table 1 (README, "Deviations from the paper", 4): the paper
 // reaches O(log n) bulk steps via the randomized PR02 machine; Borůvka
 // star-hooking needs O(log² n) in the worst case, and the iteration count
 // (until no live cross edge remains) is revealed. Requirements: n, m <

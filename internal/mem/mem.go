@@ -6,7 +6,7 @@
 // memory operations, drive the ideal-cache simulator, and record the access
 // pattern that constitutes the adversary's view (§B of the paper). One array
 // element occupies one address ("word"); the cache block size B is measured
-// in elements (see DESIGN.md §5, deviation 5).
+// in elements (README, "Deviations from the paper", 5).
 //
 // Outside metered mode Get/Set compile down to a nil check and a slice
 // index (forkjoin.(*Ctx).Access inlines; CI pins that), and hot leaves go

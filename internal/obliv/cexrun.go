@@ -13,27 +13,26 @@ import (
 // bitonic stage and merge loops, written once), the bitonic merge and its
 // recorded un-merge, the top-k tournament, and the Theorem E.1 ablation's
 // naive bitonic and odd–even networks. The cache-agnostic bitonic recursion
-// runs its leaves on the same comparator, in all four modes. A network is a
-// fixed sequence of layers, and a layer a fixed sequence of runs — the pairs
-// (i+t, i+stride+t), t = 0..cnt-1, all in one direction — so the executor
-// question ("instrumented or not") is asked once, when the CexKernel is
-// made, instead of once per word. A run has four modes: it
+// runs its leaves on the same comparator, in all three modes. A network is
+// a fixed sequence of layers, and a layer a fixed sequence of runs — the
+// pairs (i+t, i+stride+t), t = 0..cnt-1, all in one direction — so the
+// executor question ("instrumented or not") is asked once, when the
+// CexKernel is made, instead of once per word. A run has three modes: it
 // compare-exchanges elements by cached key; it compare-exchanges word
 // planes alone — one or two key planes compared lexicographically, the
-// rest carried — and may record each pair's swap bit; it replays recorded
-// bits over word planes (no key, no compare); or it compare-exchanges
-// elements by a key closure. The element sorts run the first; the PRAM
-// layer, whose payload is one word, sorts and merges planes with the
-// second, so a comparator moves two or three words where an element
-// comparator drags a 48-byte record and its recomputed TiePos pair through
-// the layer; a replay moves only the words its caller reads back; and only
-// the Theorem E.1 ablation's networks run the closure mode, the paper's
-// cost model, in which an element carries its key. Under the metered
-// executor a run is literally a loop over CompareExchangeCachedW (on
-// planes: per pair a read of every plane at both positions, the compare,
-// a rewrite of both, and a read and rewrite of the bit's word when
-// recording; replaying: the bit's word, then per plane a read and a
-// rewrite of both positions; by closure: CompareExchange): that
+// rest carried — and may record each pair's swap bit; or it replays
+// recorded bits over word planes (no key, no compare). The element sorts
+// run the first. The PRAM layer, whose payload is one word, sorts and
+// merges planes with the second, so a comparator moves two or three words
+// where an element comparator drags a 48-byte record and its recomputed
+// TiePos pair through the layer; the Theorem E.1 ablation's networks run
+// it over one key plane, the paper's cost model, in which a
+// compare-exchange touches one word per side. A replay moves only the
+// words its caller reads back. Under the metered executor a run is
+// literally a loop over CompareExchangeCachedW (on planes: per pair a read
+// of every plane at both positions, the compare, a rewrite of both, and a
+// read and rewrite of the bit's word when recording; replaying: the bit's
+// word, then per plane a read and a rewrite of both positions): that
 // per-access loop is the specification. Under the serial and pool
 // executors element widths 1 and 2, plane sorts of one or two key planes
 // with at most one carried plane, and replays over one or two planes go
@@ -42,9 +41,7 @@ import (
 // both positions are rewritten with mask-selected words, so neither the
 // address sequence nor the branch history of a leaf depends on the data
 // (TestCompiledKernelsBranchFree checks the compiled raw kernels). Wider
-// schedules take the per-access loop under every executor, and so does
-// the closure mode: the paper's cost model charges the closure per
-// comparator.
+// schedules take the per-access loop under every executor.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -136,13 +133,13 @@ func Stages(c *forkjoin.Ctx, k CexKernel, n, K int) {
 }
 
 // CexKernel is the block comparator bound to one array and one kind of
-// executor: NewCexKernel, NewCexKernelPlanes, NewCexKernelReplay and
-// NewCexKernelFunc decide once whether runs go through the per-access
-// specification or over the raw slices.
+// executor in one of its three modes: NewCexKernel (elements by cached
+// key), NewCexKernelPlanes (word planes) and NewCexKernelReplay decide once
+// whether runs go through the per-access specification or over the raw
+// slices.
 type CexKernel struct {
 	c    *forkjoin.Ctx
 	a    *mem.Array[Elem]   // the elements; nil in the plane and replay modes
-	key  func(Elem) uint64  // non-nil: compare-exchange by key, per access
 	ks   *KeySchedule       // the key schedule, or the sorted or replayed word planes
 	nkey int                // plane mode: the leading planes of ks that are the key; 0 replays
 	rec  *mem.Array[uint64] // the swap record a plane sort writes and a replay reads
@@ -168,12 +165,6 @@ func NewCexKernel(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule) CexKerne
 		k.k1 = ks.planes[1].Raw(c)
 	}
 	return k
-}
-
-// NewCexKernelFunc binds the comparator to a and a key closure: every pair
-// runs per access through CompareExchange, whatever the executor.
-func NewCexKernelFunc(c *forkjoin.Ctx, a *mem.Array[Elem], key func(Elem) uint64) CexKernel {
-	return CexKernel{c: c, a: a, key: key}
 }
 
 // NewCexKernelPlanes binds the comparator's plane mode to the word planes
@@ -229,8 +220,7 @@ func NewCexKernelReplay(c *forkjoin.Ctx, ws *KeySchedule, rec *mem.Array[uint64]
 // run compare-exchanges the element pairs (i+t, i+stride+t) for t =
 // 0..cnt-1 in ascending t, every pair ordered ascending by cached key if
 // asc and descending otherwise: exactly cnt calls of
-// CompareExchangeCachedW; a closure kernel makes the cnt calls of
-// CompareExchange instead. The plane and replay modes run through pairs.
+// CompareExchangeCachedW. The plane and replay modes run through pairs.
 func (k *CexKernel) run(i, stride, cnt int, asc bool) {
 	j := i + stride
 	if k.e != nil {
@@ -238,12 +228,6 @@ func (k *CexKernel) run(i, stride, cnt int, asc bool) {
 		return
 	}
 	c, a := k.c, k.a
-	if k.key != nil {
-		for t := 0; t < cnt; t++ {
-			CompareExchange(c, a, i+t, j+t, asc, k.key)
-		}
-		return
-	}
 	for t := 0; t < cnt; t++ {
 		CompareExchangeCachedW(c, a, k.ks, i+t, j+t, asc)
 	}

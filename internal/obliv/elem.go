@@ -89,24 +89,6 @@ func Log2(n int) int {
 // Log2Ceil returns ceil(log2(n)), 0 for n <= 1.
 func Log2Ceil(n int) int { return Log2(NextPow2(n)) }
 
-// CompareExchange obliviously orders positions i and j of a (ascending by
-// key if asc). Both positions are always read and always rewritten, so the
-// access pattern is independent of the comparison outcome. It is the
-// key-closure comparator — an element carries its key, as in the paper's
-// cost model — and runs only in the Theorem E.1 ablation's networks
-// (CexKernel's closure mode); every sorter compares cached key words
-// (CompareExchangeCachedW).
-func CompareExchange(c *forkjoin.Ctx, a *mem.Array[Elem], i, j int, asc bool, key func(Elem) uint64) {
-	x := a.Get(c, i)
-	y := a.Get(c, j)
-	c.Op(1) // the comparison
-	if (key(x) > key(y)) == asc {
-		x, y = y, x
-	}
-	a.Set(c, i, x)
-	a.Set(c, j, y)
-}
-
 // SelectionNetwork is an O(n²)-comparator oblivious sorter (a brute-force
 // network of all pairs). It handles any n and exists as a tiny, obviously
 // correct reference implementation for tests and micro-baselines.

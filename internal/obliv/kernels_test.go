@@ -218,13 +218,11 @@ func checkPlanesReplayed(orig, sorted [][]uint64, vs *KeySchedule) (int, bool) {
 }
 
 // TestLayerMatchesPerAccess holds the forked layer driver's raw leaves to
-// the metered per-access spec in all four modes of the block comparator
-// (the closure mode runs per access everywhere, so its row checks the
-// driver's leaves and the kernel's rebinding to them) over every layer
-// shape the keyed networks use — butterfly layers (j divides cnt),
-// half-cleaner runs (cnt < j) over several blocks, alt directions, layers
-// long enough that a pool leaf ends mid-run — and over the top-k
-// tournament's whole layer sequence. The plane rows sort k = 1 or 2 key
+// the metered per-access spec in all three modes of the block comparator
+// over every layer shape the keyed networks use — butterfly layers (j
+// divides cnt), half-cleaner runs (cnt < j) over several blocks, alt
+// directions, layers long enough that a pool leaf ends mid-run — and over
+// the top-k tournament's whole layer sequence. The plane rows sort k = 1 or 2 key
 // planes carrying 0, 1 or 2 more (2: the per-access fallback), compare the
 // planes and the record bits, then replay the record over w = 1, 2 or 3
 // word planes and check that it carries every slot home. Recording shapes
@@ -249,14 +247,6 @@ func TestLayerMatchesPerAccess(t *testing.T) {
 			words += (s.nb*s.cnt + 63) >> 6
 		}
 		for _, flip := range []bool{false, true} { // flip: every layer's alt inverted
-			oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("%s flip=%v closure", sh.name, flip), func(c *forkjoin.Ctx, sp *mem.Space) []Elem {
-				a, _ := dupHeavyInput(sp, uint64(n), n, 1)
-				kern := NewCexKernelFunc(c, a, func(e Elem) uint64 { return e.Key })
-				for _, s := range sh.layers {
-					Layer(c, kern, 0, s.nb, s.gap, s.cnt, s.j, s.alt != flip)
-				}
-				return append([]Elem(nil), a.Data()...)
-			})
 			for _, w := range []int{1, 2, 3} {
 				label := fmt.Sprintf("%s w=%d flip=%v", sh.name, w, flip)
 				oblivtest.SameOnEveryExecutor(t, label+" cex", func(c *forkjoin.Ctx, sp *mem.Space) keyedState {

@@ -30,28 +30,35 @@ func TestIsPow2Log2(t *testing.T) {
 	}
 }
 
+// keyPair is a one-plane schedule holding the keys x, y.
+func keyPair(sp *mem.Space, x, y uint64) *KeySchedule {
+	return NewKeySchedule(mem.FromSlice(sp, []uint64{x, y}), 2, 1)
+}
+
+// TestCompareExchange runs one compare-exchange of the one-key-plane
+// comparator (the Theorem E.1 ablation's) in both directions.
 func TestCompareExchange(t *testing.T) {
-	s := mem.NewSpace()
 	c := forkjoin.Serial()
-	key := func(e Elem) uint64 { return e.Key }
-	a := mem.FromSlice(s, []Elem{{Key: 5}, {Key: 2}})
-	CompareExchange(c, a, 0, 1, true, key)
-	if a.Data()[0].Key != 2 || a.Data()[1].Key != 5 {
+	ks := keyPair(mem.NewSpace(), 5, 2)
+	kern := NewCexKernelPlanes(c, ks, 1, nil)
+	Layer(c, kern, 0, 1, 2, 1, 1, false)
+	if d := ks.Plane(0).Data(); d[0] != 2 || d[1] != 5 {
 		t.Fatal("ascending exchange failed")
 	}
-	CompareExchange(c, a, 0, 1, false, key)
-	if a.Data()[0].Key != 5 || a.Data()[1].Key != 2 {
+	kern.Layer(0, 2, 1, 0, false, 0)
+	if d := ks.Plane(0).Data(); d[0] != 5 || d[1] != 2 {
 		t.Fatal("descending exchange failed")
 	}
 }
 
+// TestCompareExchangeObliviousTrace: one compare-exchange of the
+// one-key-plane comparator reads and rewrites both words whatever their
+// order.
 func TestCompareExchangeObliviousTrace(t *testing.T) {
-	key := func(e Elem) uint64 { return e.Key }
 	run := func(x, y uint64) *forkjoin.Metrics {
-		s := mem.NewSpace()
-		a := mem.FromSlice(s, []Elem{{Key: x}, {Key: y}})
+		ks := keyPair(mem.NewSpace(), x, y)
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			CompareExchange(c, a, 0, 1, true, key)
+			Layer(c, NewCexKernelPlanes(c, ks, 1, nil), 0, 1, 2, 1, 1, false)
 		})
 	}
 	if !run(1, 2).Trace.Equal(run(2, 1).Trace) {

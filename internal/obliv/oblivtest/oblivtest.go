@@ -1,6 +1,6 @@
 // Package oblivtest is the reusable obliviousness property-test harness.
 //
-// The module-wide testing strategy (DESIGN.md §3) is to run a data-oblivious
+// The module-wide testing strategy (README, "Testing and benchmarks") is to run a data-oblivious
 // computation on different inputs of the same public shape under the metered
 // executor and assert the adversary's views — the trace fingerprints — are
 // identical: a divergence means secret contents leak through the access

@@ -1,6 +1,6 @@
 // Package oram implements the large-space oblivious simulation substrate of
 // §4.2 (Theorem 4.2): a batched, recursive tree ORAM in the style of
-// Circuit OPRAM [CCS17], adapted per DESIGN.md deviation 3.
+// Circuit OPRAM [CCS17], adapted per README, "Deviations from the paper", 3.
 //
 // Structure: logical space s = 2^D words. A small flat oblivious map holds
 // the position labels for the first tree level; recursion levels
@@ -18,7 +18,7 @@
 // reverse-lexicographic paths are evicted per tree with an oblivious
 // greedy placement built on bin placement (§C.1).
 //
-// Known deviations (documented in DESIGN.md): eviction is Path-ORAM-style
+// Known deviations (README, "Deviations from the paper", 3): eviction is Path-ORAM-style
 // greedy rather than Circuit ORAM's single-scan eviction; fresh labels
 // come from a PRF-style mixer rather than true randomness; stash occupancy
 // is monitored empirically (Stats) rather than proven.

@@ -1,7 +1,7 @@
 package relops
 
-// Obliviousness regression tests (DESIGN.md §3 strategy, as in
-// TestCompareExchangeObliviousTrace): run each relational operator on
+// Obliviousness regression tests (the strategy of README's "Testing and
+// benchmarks", as in TestCompareExchangeObliviousTrace): run each relational operator on
 // different record contents of the same shape (relation sizes and key
 // widths) under the metered executor and assert the adversary's views —
 // the trace fingerprints — are identical. A divergence means record

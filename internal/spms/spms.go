@@ -2,14 +2,14 @@
 // Table 1's "previous best" column. The genuine SPMS algorithm of Cole and
 // Ramachandran [CR17b] attains O(n log n) work, O(log n·log log n) span and
 // optimal cache-agnostic caching simultaneously; reproducing it exactly is
-// out of scope (DESIGN.md deviation 2), so this package supplies two
+// out of scope (README, "Deviations from the paper", 2), so this package supplies two
 // baselines that between them cover all three axes:
 //
 //   - SampleSort: SPMS's recursion shape (n → ~√n buckets per level,
 //     log log n levels). Buckets are carved out by a binary tree of
 //     stable parallel partitions (prefix-sum based), giving O(n log n)
 //     work and O(log² n) span overall — the span-shape baseline (a log
-//     factor above true SPMS, noted in EXPERIMENTS.md);
+//     factor above true SPMS, noted in the same deviation);
 //
 //   - MergeSort: cache-agnostic parallel mergesort, optimal O(n log n)
 //     work and Θ((n/B)·log(n/M)) caching with O(log³ n) span — the

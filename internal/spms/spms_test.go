@@ -127,7 +127,7 @@ func TestSortSpanShapes(t *testing.T) {
 	// normalized factors must stay roughly flat across a 16x size change.
 	// (Constants differ — SampleSort's partition tree is span-heavier at
 	// laptop sizes — so shapes, not absolute spans, are compared; see
-	// EXPERIMENTS.md.)
+	// README, "Deviations from the paper", 2.)
 	span := func(f func(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem]), n int) float64 {
 		raw := randElems(13, n, true)
 		sp := mem.NewSpace()

@@ -7,7 +7,7 @@
 // diagnostics. Two executions have the same view iff their fingerprints
 // and counts agree (up to hash collisions, negligible for test purposes).
 //
-// Obliviousness testing strategy (see DESIGN.md §3): the library draws all
+// Obliviousness testing strategy (README, "Testing and benchmarks"): the library draws all
 // coins from pre-generated tapes, so for a data-oblivious algorithm the
 // view is a deterministic function of (input length, tape). The test suite
 // runs each algorithm on different inputs of the same length with the same
