@@ -112,6 +112,6 @@ Each component ran on two different inputs of equal size under the same
 random tape; PASS means the full address-and-DAG fingerprints matched.
 (Randomized components with data-dependent *revealed* quantities — the
 practical sort after ORP, MSF's convergence, ORAM leaves — are checked by
-distribution tests in the unit suites instead; see DESIGN.md §3.)`)
+distribution tests in the unit suites instead; see README, Testing and benchmarks.)`)
 	return allOK
 }

@@ -197,7 +197,7 @@ Reading guide: W/T/Q divided by the paper's bound for that row; flat
 factors across n confirm the claimed shape. Paper bounds (Table 1):
 Sort/LR/ET: W=n log n, T=Õ(log n..log² n), Q=(n/B)log_M n.
 TC†/CC†/MSF†: the oblivious span Õ(log² n) improves the insecure Õ(log³ n).
-MSF note: Borůvka substrate (not PR02) — W carries one extra log (DESIGN.md).`)
+MSF note: Borůvka substrate (not PR02) — W carries one extra log (README, deviation 4).`)
 }
 
 // --- input generators -----------------------------------------------------

@@ -110,7 +110,7 @@ Paper bounds (Table 2): Aggr/Prop W=O(n), T=O(log n), Q=O(n/B) — prior
 best span was O(log² n). S-R within the sorting bound, T=Õ(log n) with an
 O(log n)-factor span gap to the naive prior. PRAM step: W=O(Wsort(p+s)),
 T=O(Tsort(p+s)), Q=O(Qsort(p+s)). Network sorts are bitonic (AKS
-stand-in), so sorting-bound rows carry one extra log in W (DESIGN.md §5).`)
+stand-in), so sorting-bound rows carry one extra log in W (README, deviation 1).`)
 }
 
 // ORAMScaling demonstrates Theorem 4.2's shape: per-batch work grows

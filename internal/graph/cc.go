@@ -134,12 +134,52 @@ func hook(c *forkjoin.Ctx, sp *mem.Space, d, star, us, vs *mem.Array[uint64], m2
 	pram.ScatterResolve(c, sp, d, reqs, srt)
 }
 
-// jumpOnce applies one pointer-jumping round D[w] <- D[D[w]].
+// jumpOnce applies one pointer-jumping round D[w] <- D[D[w]] on a fresh
+// jumper.
 func jumpOnce(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64], srt obliv.ScheduledSorter) {
+	newJumper(sp, d.Len(), srt, nil).jump(c, sp, d)
+}
+
+// reader gathers from memories of one size at changing address lists of
+// one length through one gatherer, re-sorted onto each list
+// (pram.Gatherer.Readdress), so a gather after the first allocates no work
+// array.
+type reader struct {
+	srt   obliv.ScheduledSorter
+	route *obliv.Router  // nil: the gatherer's own
+	g     *pram.Gatherer // built by the first gather
+}
+
+// gather is the graph layer's gather on the reader's gatherer: memory at
+// addrs, the values alone in request order.
+func (r *reader) gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64]) *mem.Array[uint64] {
+	if r.g == nil {
+		r.g = pram.NewGatherer(c, sp, memory.Len(), addrs, r.srt, r.route)
+	} else {
+		r.g.Readdress(c, sp, addrs)
+	}
+	return r.g.Values(c, sp, memory)
+}
+
+// jumper is pointer jumping over one n-cell D for a whole run: a reader of
+// n cells at n addresses and the copy of D that addresses a jump. Its
+// gather serves any other such read in between (MSF's 2-cycle check).
+type jumper struct {
+	reader
+	dw *mem.Array[uint64]
+}
+
+// newJumper allocates a jumper over n cells whose gathers route on route
+// (nil: the gatherer's own).
+func newJumper(sp *mem.Space, n int, srt obliv.ScheduledSorter, route *obliv.Router) *jumper {
+	return &jumper{reader: reader{srt: srt, route: route}, dw: mem.Alloc[uint64](sp, n)}
+}
+
+// jump is jumpOnce on the jumper's copy and gatherer.
+func (j *jumper) jump(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64]) {
 	n := d.Len()
-	dw := mem.Alloc[uint64](sp, n)
-	mem.CopyPar(c, dw, 0, d, 0, n)
-	dd := gather(c, sp, d, dw, srt)
+	mem.CopyPar(c, j.dw, 0, d, 0, n)
+	dd := j.gather(c, sp, d, j.dw)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			d.Set(c, w, dd.Get(c, w))
@@ -152,7 +192,7 @@ func jumpOnce(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64], srt obliv.Sc
 // address): the graph kernels read nothing else, so they skip
 // pram.Gather's Elem wrapping.
 func gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[uint64] {
-	return pram.NewGatherer(c, sp, memory.Len(), addrs, srt).Values(c, sp, memory)
+	return pram.NewGatherer(c, sp, memory.Len(), addrs, srt, nil).Values(c, sp, memory)
 }
 
 // ConnectedComponentsDirect is the insecure baseline: the same

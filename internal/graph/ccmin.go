@@ -17,6 +17,9 @@ import (
 // jumps), 3 oblivious sorts and 3 un-sorts: the endpoint addresses are
 // static, so their request sort is recorded once, in the first round, and
 // every round's endpoint gather only replays it (pram.Gatherer). The
+// run allocates its PRAM work space once: the scatter's request planes
+// (pram.Scatterer), one gatherer the jumps re-sort onto each jump's
+// addresses, and one router all of them share. The
 // Awerbuch–Shiloach iteration sorts 34 times — the difference between a
 // fixed 3·⌈log₂ n⌉+5 iteration bound and a data-dependent round count.
 //
@@ -65,11 +68,20 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 		}
 	})
 
+	// One router serves every send-receive of the run: the endpoint
+	// gather's n + NextPow2(2m) slots cover the scatter's m + n, and the
+	// jumps' n + NextPow2(n) are the other bound. The scatter's request
+	// planes and the jumps' gatherer are allocated once, too.
+	route := obliv.NewRouter(sp, n, max(obliv.NextPow2(2*m), obliv.NextPow2(n)))
+	jumps := newJumper(sp, n, srt, route)
 	var endpoints *pram.Gatherer // recorded in the first round
+	var hooks *pram.Scatterer
+	if m > 0 {
+		hooks = pram.NewScatterer(sp, n, m, srt, route)
+	}
 	fixed := rounds > 0
 	prev := mem.Alloc[uint64](sp, n)
 	changed := mem.Alloc[uint64](sp, n)
-	reqs := mem.Alloc[obliv.Elem](sp, max(m, 1))
 	executed := 0
 	for {
 		if fixed && executed == rounds {
@@ -89,13 +101,15 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 			// to the vertex named by the larger, with the smaller label as
 			// priority — so each written vertex receives the minimum
 			// proposal, and the min-combining scatter keeps labels
-			// monotonically decreasing.
+			// monotonically decreasing. An edge inside one component
+			// requests InfKey, which writes nothing.
 			if endpoints == nil {
 				// After the first round's checkpoint, so the round
 				// boundary stays the first cancellation site.
-				endpoints = pram.NewGatherer(c, sp, n, addrs, srt)
+				endpoints = pram.NewGatherer(c, sp, n, addrs, srt, route)
 			}
 			labels := endpoints.Values(c, sp, d)
+			addr, prio, val := hooks.Requests()
 			forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, fr, to int) {
 				for e := fr; e < to; e++ {
 					du := labels.Get(c, 2*e)
@@ -104,20 +118,22 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 					if lo > hi {
 						lo, hi = hi, lo
 					}
-					r := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
+					a := obliv.InfKey
 					c.Op(1)
 					if lo != hi {
-						r = obliv.Elem{Key: hi, Val: lo, Aux: lo, Kind: obliv.Real}
+						a = hi
 					}
-					reqs.Set(c, e, r)
+					addr.Set(c, e, a)
+					prio.Set(c, e, lo)
+					val.Set(c, e, lo)
 				}
 			})
-			pram.ScatterResolveMin(c, sp, d, reqs, srt)
+			hooks.ResolveMin(c, sp, d)
 		}
 
 		// Double pointer jump: D[w] <- D[D[w]], twice.
-		jumpOnce(c, sp, d, srt)
-		jumpOnce(c, sp, d, srt)
+		jumps.jump(c, sp, d)
+		jumps.jump(c, sp, d)
 		executed++
 
 		if !fixed {

@@ -74,12 +74,24 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		}
 	})
 
+	// One router serves every send-receive of the run: n + NextPow2(2m)
+	// slots for the endpoint and star gathers and the hook scatter,
+	// NextPow2(2m) + m for the chosen-edge scatter, n + NextPow2(n) for the
+	// 2-cycle gather and the jump.
+	nsel := obliv.NextPow2(m2)
+	route := obliv.NewRouter(sp, max(n, m), max(nsel, obliv.NextPow2(n)))
 	// The endpoint requests are static: record their sorts once.
-	gu := pram.NewGatherer(c, sp, n, us, srt)
-	gv := pram.NewGatherer(c, sp, n, vs, srt)
+	gu := pram.NewGatherer(c, sp, n, us, srt, route)
+	gv := pram.NewGatherer(c, sp, n, vs, srt, route)
+	// The per-iteration gathers and scatters keep one shape each, so their
+	// work space is allocated once too.
+	stars := reader{srt: srt, route: route}
+	jumps := newJumper(sp, n, srt, route)
+	hooks := pram.NewScatterer(sp, n, nsel, srt, route)
+	picks := pram.NewScatterer(sp, m, nsel, srt, route)
 
 	maxIters := (obliv.Log2Ceil(n) + 2) * (obliv.Log2Ceil(n) + 2)
-	sel := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(m2))
+	sel := mem.Alloc[obliv.Elem](sp, nsel)
 	for it := 0; it < maxIters; it++ {
 		// Borůvka round boundaries: the iteration count is revealed by the
 		// convergence check (see doc), so a cancellation here leaks nothing
@@ -171,33 +183,36 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 				sRoot.Set(c, e, a)
 			}
 		})
-		starOf := gather(c, sp, star, sRoot, srt) // ⊥ (a non-Real sel) reads 0
-		hookReqs := mem.Alloc[obliv.Elem](sp, sel.Len())
-		chosenReqs := mem.Alloc[obliv.Elem](sp, sel.Len())
+		starOf := stars.gather(c, sp, star, sRoot) // ⊥ (a non-Real sel) reads 0
+		// A star root hooks along its min edge, with its position as
+		// priority, and marks the edge chosen; every other entry requests
+		// InfKey, which writes nothing.
+		hAddr, hPrio, hVal := hooks.Requests()
+		pAddr, pPrio, pVal := picks.Requests()
 		forkjoin.ParallelRange(c, 0, sel.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for e := lo; e < hi; e++ {
 				el := sel.Get(c, e)
 				st := starOf.Get(c, e)
-				hr := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
-				cr := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
+				ha, pa := obliv.InfKey, obliv.InfKey
 				c.Op(1)
 				if el.Kind == obliv.Real && st == 1 {
-					other := el.Val >> msfIDBits
-					id := el.Val & (1<<msfIDBits - 1)
-					hr = obliv.Elem{Key: el.Aux, Val: other, Aux: uint64(e), Kind: obliv.Real}
-					cr = obliv.Elem{Key: id, Val: 1, Aux: uint64(e), Kind: obliv.Real}
+					ha, pa = el.Aux, el.Val&(1<<msfIDBits-1)
 				}
-				hookReqs.Set(c, e, hr)
-				chosenReqs.Set(c, e, cr)
+				hAddr.Set(c, e, ha)
+				hPrio.Set(c, e, uint64(e))
+				hVal.Set(c, e, el.Val>>msfIDBits) // the other endpoint's label
+				pAddr.Set(c, e, pa)
+				pPrio.Set(c, e, uint64(e))
+				pVal.Set(c, e, 1)
 			}
 		})
-		pram.ScatterResolve(c, sp, d, hookReqs, srt)
-		pram.ScatterResolve(c, sp, chosen, chosenReqs, srt)
+		hooks.Resolve(c, sp, d)
+		picks.Resolve(c, sp, chosen)
 
 		// Break 2-cycles: if D[D[r]] == r keep the smaller id as root.
-		dw := mem.Alloc[uint64](sp, n)
+		dw := jumps.dw
 		mem.CopyPar(c, dw, 0, d, 0, n)
-		dd := gather(c, sp, d, dw, srt)
+		dd := jumps.gather(c, sp, d, dw)
 		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for w := lo; w < hi; w++ {
 				dv := dw.Get(c, w)
@@ -211,7 +226,7 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 			}
 		})
 
-		jumpOnce(c, sp, d, srt)
+		jumps.jump(c, sp, d)
 	}
 
 	var out []int

@@ -87,27 +87,36 @@ func CondSwap(x, y *Elem, m uint64) {
 // must give each leaf whole words — q a multiple of 64 and nb·cnt a power
 // of two — as every merge layer does.
 func Layer(c *forkjoin.Ctx, k CexKernel, q, nb, gap, cnt, j int, alt bool) {
+	if nb*cnt <= passGrain && !c.Metered() {
+		// The one leaf ParallelRange would run, without its fork closures.
+		k.layer(c, q, gap, cnt, j, alt, 0, nb*cnt)
+		return
+	}
 	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		kern := k
-		kern.c = c // the raw views depend on the executor kind only
-		b, u := lo/cnt, lo%cnt
-		for v := lo; v < hi; {
-			asc := !alt || b&1 == 0
-			var m int
-			if k.a == nil {
-				m = min(cnt-u, hi-v)
-				kern.pairs(b*gap, j, u, u+m, 0, asc, q+v-u)
-			} else {
-				off := u & (j - 1)
-				m = min(j-off, cnt-u, hi-v)
-				kern.run(b*gap+(u-off)<<1+off, j, m, asc)
-			}
-			v += m
-			if u += m; u == cnt {
-				b, u = b+1, 0
-			}
-		}
+		k.layer(c, q, gap, cnt, j, alt, lo, hi)
 	})
+}
+
+// layer runs comparators [lo, hi) of a Layer on k rebound to c.
+func (k CexKernel) layer(c *forkjoin.Ctx, q, gap, cnt, j int, alt bool, lo, hi int) {
+	k.c = c // the raw views depend on the executor kind only
+	b, u := lo/cnt, lo%cnt
+	for v := lo; v < hi; {
+		asc := !alt || b&1 == 0
+		var m int
+		if k.a == nil {
+			m = min(cnt-u, hi-v)
+			k.pairs(b*gap, j, u, u+m, 0, asc, q+v-u)
+		} else {
+			off := u & (j - 1)
+			m = min(j-off, cnt-u, hi-v)
+			k.run(b*gap+(u-off)<<1+off, j, m, asc)
+		}
+		v += m
+		if u += m; u == cnt {
+			b, u = b+1, 0
+		}
+	}
 }
 
 // Merge runs a bitonic merge of m elements on each of nb blocks, block b

@@ -120,42 +120,65 @@ func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, srcKeys, srcVals, dstKeys
 	NewRouter(sp, srcVals.Len(), out.Len()).Route(c, srcKeys, srcVals, dstKeys, dstVals, out)
 }
 
-// Router holds the work space of SendReceiveSorted for ns sources and nd
-// destinations — the merge's two planes, its swap record, the
-// propagation's carrier and scan tree — so a caller that routes the same
-// shape again and again (pram.Gatherer, once per gather) allocates it
-// once. Its routes must be issued sequentially.
+// Router holds the work space of SendReceiveSorted — the merge's two
+// planes, its swap record, the propagation's carrier and scan tree — so a
+// caller that routes again and again (pram.Gatherer once per gather, a
+// graph kernel across its gathers and scatters) allocates it once. A
+// router sized for n slots routes any ns sources to nd destinations with
+// NextPow2(ns+nd) ≤ n, on a prefix of its planes, record, carrier and
+// tree. Its routes must be issued sequentially.
 type Router struct {
-	ns, nd int
+	n      int
 	ws     *KeySchedule // plane 0 the routing word, plane 1 the value
-	vs     *KeySchedule // the value plane alone: what the un-merge moves
 	rec    *mem.Array[uint64]
 	pv     *mem.Array[propVal]
 	tree   *mem.Array[propVal]
+	spaces []*routeSpace // the prefix of each work length, by its log2; built on first use
+}
+
+// routeSpace is a Router's work space cut to one power-of-two work length.
+type routeSpace struct {
+	ws, vs   *KeySchedule // vs is ws's value plane alone: what the un-merge moves
+	pv, tree *mem.Array[propVal]
 }
 
 // NewRouter allocates from sp the work space of routes from ns sources to
-// nd destinations.
+// nd destinations: NextPow2(ns+nd) slots.
 func NewRouter(sp *mem.Space, ns, nd int) *Router {
 	n := NextPow2(ns + nd)
-	ws := AllocKeySchedule(sp, n, 2)
 	return &Router{
-		ns: ns, nd: nd, ws: ws,
-		vs:   &KeySchedule{planes: ws.planes[1:]},
-		rec:  mem.Alloc[uint64](sp, mergeRecordWords(n)),
-		pv:   mem.Alloc[propVal](sp, n),
-		tree: mem.Alloc[propVal](sp, 2*n-1),
+		n:      n,
+		ws:     AllocKeySchedule(sp, n, 2),
+		rec:    mem.Alloc[uint64](sp, mergeRecordWords(n)),
+		pv:     mem.Alloc[propVal](sp, n),
+		tree:   mem.Alloc[propVal](sp, 2*n-1),
+		spaces: make([]*routeSpace, Log2(n)+1),
 	}
 }
 
-// Route is SendReceiveSorted on the router's work space.
-func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
-	ns, nd := r.ns, r.nd
-	if srcVals.Len() != ns || out.Len() != nd {
-		panic("obliv: Route shape differs from the router's")
+// space is the router's work space for a work length of n slots.
+func (r *Router) space(n int) *routeSpace {
+	if n > r.n {
+		panic("obliv: Route shape exceeds the router's")
 	}
-	words, vals := r.ws.planes[0], r.ws.planes[1]
-	n := words.Len()
+	l := Log2(n)
+	if r.spaces[l] == nil {
+		ws := r.ws.View(0, n)
+		r.spaces[l] = &routeSpace{
+			ws: ws, vs: &KeySchedule{planes: ws.planes[1:]},
+			pv: r.pv.View(0, n), tree: r.tree.View(0, 2*n-1),
+		}
+	}
+	return r.spaces[l]
+}
+
+// Route is SendReceiveSorted on the router's work space, over the
+// NextPow2(ns+nd) slots the shape needs.
+func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
+	ns, nd := srcVals.Len(), out.Len()
+	n := NextPow2(ns + nd)
+	rs := r.space(n)
+	words, vals := rs.ws.planes[0], rs.ws.planes[1]
 	top := n - 1
 
 	// Sources up, InfKey fillers, key-ordered destinations down at
@@ -194,7 +217,7 @@ func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out 
 			vals.Set(c, top-j, v)
 		}
 	})
-	mergePlanes(c, r.ws, n, r.rec)
+	mergePlanes(c, rs.ws, n, r.rec)
 
 	// Propagate each key's source value over its run of equal keys, into
 	// the value plane. The scan leaves at every position the value of the
@@ -209,18 +232,18 @@ func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out 
 				c.Op(1)
 				boundary = prev>>1 != w>>1
 			}
-			r.pv.Set(c, i, propVal{v: vals.Get(c, i), has: w&1 == 0, boundary: boundary})
+			rs.pv.Set(c, i, propVal{v: vals.Get(c, i), has: w&1 == 0, boundary: boundary})
 		}
 	})
-	scanWith(c, r.pv, r.tree, propOp, propVal{}, true)
+	scanWith(c, rs.pv, rs.tree, propOp, propVal{}, true)
 	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			vals.Set(c, i, r.pv.Get(c, i).v)
+			vals.Set(c, i, rs.pv.Get(c, i).v)
 		}
 	})
 
 	// Every destination's value back at the slot it was merged from.
-	unmergeBitonic(c, r.vs, n, r.rec)
+	unmergeBitonic(c, rs.vs, n, r.rec)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			out.Set(c, j, vals.Get(c, top-j))

@@ -147,3 +147,44 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterServesSmallerShapes: one router, sized for the largest shape,
+// routes a sequence of smaller and equal shapes — interleaved, so each
+// prefix is reused after a different one — exactly as a fresh
+// SendReceiveSorted does, on the serial, pool and metered executors; a
+// shape beyond its slots panics.
+func TestRouterServesSmallerShapes(t *testing.T) {
+	shapes := [][2]int{{100, 100}, {3, 5}, {64, 64}, {0, 1}, {13, 31}, {3, 5}, {1, 0}, {100, 100}, {31, 13}}
+	execs := []struct {
+		name string
+		run  func(func(c *forkjoin.Ctx))
+	}{
+		{"serial", func(f func(c *forkjoin.Ctx)) { f(forkjoin.Serial()) }},
+		{"pool", func(f func(c *forkjoin.Ctx)) { forkjoin.RunParallel(2, f) }},
+		{"metered", func(f func(c *forkjoin.Ctx)) { forkjoin.RunMetered(forkjoin.MeterOpts{}, f) }},
+	}
+	for _, ex := range execs {
+		ex.run(func(c *forkjoin.Ctx) {
+			sp := mem.NewSpace()
+			r := obliv.NewRouter(sp, 100, 100)
+			for k, sh := range shapes {
+				srcs, dsts := sendRecvCase(uint64(200+k), sh[0], sh[1])
+				sk, sv := planesOf(srcs)
+				dk, dv := planesOf(dsts)
+				want := mem.Alloc[uint64](sp, sh[1])
+				obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), want)
+				got := mem.Alloc[uint64](sp, sh[1])
+				r.Route(c, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), got)
+				if !slices.Equal(got.Data(), want.Data()) {
+					t.Fatalf("%s shape %d (%d, %d) on a 256-slot router:\n got %v\nwant %v", ex.name, k, sh[0], sh[1], got.Data(), want.Data())
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a 512-slot shape routed on a 256-slot router", ex.name)
+				}
+			}()
+			r.Route(c, nil, mem.Alloc[uint64](sp, 200), nil, nil, mem.Alloc[uint64](sp, 57))
+		})
+	}
+}

@@ -80,7 +80,7 @@ func TestGathererMatchesGatherAndDirect(t *testing.T) {
 					ex.run(func(c *forkjoin.Ctx) {
 						sp := mem.NewSpace()
 						a := mem.FromSlice(sp, slices.Clone(addrs))
-						g := NewGatherer(c, sp, s, a, mk())
+						g := NewGatherer(c, sp, s, a, mk(), nil)
 						for k, m := range mems {
 							memory := mem.FromSlice(sp, slices.Clone(m))
 							vals := slices.Clone(g.Values(c, sp, memory).Data())
@@ -116,7 +116,7 @@ func TestGathererTraceOblivious(t *testing.T) {
 		_, mems := gatherCase(seed, s, p)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt)
+			g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt, nil)
 			g.Values(c, sp, mem.FromSlice(sp, mems[0]))
 			g.Values(c, sp, mem.FromSlice(sp, mems[1]))
 		})
@@ -153,7 +153,7 @@ func TestGathererValuesAllocs(t *testing.T) {
 	c := forkjoin.Serial()
 	addrs, mems := gatherCase(5, s, p)
 	sp := mem.NewSpace()
-	g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt)
+	g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt, nil)
 	m := [2]*mem.Array[uint64]{mem.FromSlice(sp, mems[0]), mem.FromSlice(sp, mems[1])}
 	g.Values(c, sp, m[0])
 	const runs = 20
@@ -176,7 +176,8 @@ func TestGathererValuesAllocs(t *testing.T) {
 	}
 }
 
-// maxValuesAllocs bounds a warmed serial gather's Go allocations at
-// (s, p) = (600, 1024): about two closures per elementwise pass, merge and
-// un-merge layer and scan level.
-const maxValuesAllocs = 128
+// maxValuesAllocs bounds a warmed serial gather's or scatter's Go
+// allocations at (s, p) = (600, 1024): about three per elementwise pass,
+// sort call and scan level. A merge or un-merge layer of at most obliv's
+// pass grain of comparators runs as one leaf with no fork closure.
+const maxValuesAllocs = 80

@@ -7,6 +7,12 @@ import (
 	"oblivmc/internal/obliv"
 )
 
+// passGrain is the leaf size of the gatherer's and scatterer's elementwise
+// passes outside metered mode, obliv's pass grain: cheap loop bodies, where
+// a leaf of forkjoin's default 64 items costs as much in fork closures as
+// in work. Metered runs are pinned to grain 1, so no trace depends on it.
+const passGrain = 1 << 10
+
 // Gather obliviously reads memory at the p requested addresses: the result
 // parallels addrs, entry i holding Key = addrs[i], Aux = i and Val =
 // memory[addrs[i]] with Kind = Real, or Val = 0 with Kind = Filler if the
@@ -21,7 +27,7 @@ import (
 // callers that test ⊥.
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
 	s, p := memory.Len(), addrs.Len()
-	vals := NewGatherer(c, sp, s, addrs, srt).Values(c, sp, memory)
+	vals := NewGatherer(c, sp, s, addrs, srt, nil).Values(c, sp, memory)
 	out := mem.Alloc[obliv.Elem](sp, p)
 	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -46,14 +52,15 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 // un-sort of those values by replay. Only words travel: a gatherer holds
 // the sorted addresses, a value plane and its scratch, the record, and the
 // send-receive's work space, all allocated once, so a gather allocates no
-// work array. A Gatherer's gathers must be issued sequentially (they share
-// those planes) under the kind of executor (metered or not) it was built
-// under.
+// work array. Readdress re-sorts it onto another address list of the same
+// length, on the same planes and record (a pointer jump's addresses). A
+// Gatherer's gathers must be issued sequentially (they share those
+// planes) under the kind of executor (metered or not) it was built under.
 type Gatherer struct {
 	srt       obliv.RecordingSorter
 	s         int
-	addrs     *mem.Array[uint64] // the NextPow2(p) request keys in address order, padding last
-	vals, scr *obliv.KeySchedule // the routed values and the un-sort's scratch
+	keys      *obliv.KeySchedule // the NextPow2(p) request keys in address order, padding last
+	vals, scr *obliv.KeySchedule // the routed values and the sort's and un-sort's scratch
 	out       *mem.Array[uint64] // the first p routed values: what a gather returns
 	rec       *mem.Array[uint64] // the request sort's swap record
 	route     *obliv.Router
@@ -63,20 +70,40 @@ type Gatherer struct {
 // the padded request addresses, record-sorted through srt — or through the
 // cache-agnostic bitonic network if srt does not record. An address at or
 // beyond s is out of range and will read ⊥. addrs is read here only. The
-// access pattern is a function of (s, len(addrs)) and the executor kind
-// alone.
-func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *Gatherer {
+// gathers route on route, which must hold NextPow2(s+NextPow2(len(addrs)))
+// slots and may be shared with other sequential users; a nil route
+// allocates the gatherer's own. The access pattern is a function of
+// (s, len(addrs)) and the executor kind alone.
+func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter, route *obliv.Router) *Gatherer {
 	rs := bitonic.Recorder(srt)
 	p := addrs.Len()
 	n := obliv.NextPow2(p)
-	keys := obliv.AllocKeySchedule(sp, n, 1)
-	g := &Gatherer{srt: rs, s: s, addrs: keys.Plane(0)}
+	g := &Gatherer{srt: rs, s: s, keys: obliv.AllocKeySchedule(sp, n, 1)}
 	g.vals = obliv.AllocKeySchedule(sp, n, 1)
 	g.scr = obliv.AllocKeySchedule(sp, n, 1) // the sort's scratch, then the un-sort's
 	g.out = g.vals.Plane(0).View(0, p)
 	g.rec = mem.Alloc[uint64](sp, rs.RecordWords(c, n))
-	g.route = obliv.NewRouter(sp, s, n)
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	if route == nil {
+		route = obliv.NewRouter(sp, s, n)
+	}
+	g.route = route
+	g.Readdress(c, sp, addrs)
+	return g
+}
+
+// Readdress re-sorts the gatherer onto addrs, which must be as long as the
+// list it was built on: its later gathers read at these addresses. It
+// writes the gatherer's own key plane and record and allocates nothing, at
+// the cost of NewGatherer's key pass and recorded sort; addrs is read here
+// only.
+func (g *Gatherer) Readdress(c *forkjoin.Ctx, sp *mem.Space, addrs *mem.Array[uint64]) {
+	p, s := g.out.Len(), g.s
+	if addrs.Len() != p {
+		panic("pram: Readdress address count differs from the gatherer's")
+	}
+	keys := g.keys.Plane(0)
+	n := keys.Len()
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Request i keys its address, or a distinct not-found key beyond
 			// every cell; the padding keys InfKey and sorts last.
@@ -89,11 +116,10 @@ func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64]
 					key = uint64(s) + uint64(i)
 				}
 			}
-			g.addrs.Set(c, i, key)
+			keys.Set(c, i, key)
 		}
 	})
-	rs.SortRecorded(c, sp, keys, g.scr, 1, g.rec, 0, n)
-	return g
+	g.srt.SortRecorded(c, sp, g.keys, g.scr, 1, g.rec, 0, n)
 }
 
 // Values reads memory, which must hold s cells, at the gatherer's
@@ -108,7 +134,7 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 	// request nothing is routed to reads 0. The un-sort takes each value
 	// home.
 	v := g.vals.Plane(0)
-	g.route.Route(c, nil, memory, g.addrs, nil, v)
+	g.route.Route(c, nil, memory, g.keys.Plane(0), nil, v)
 	g.srt.Unsort(c, sp, g.vals, g.scr, g.rec, 0, v.Len())
 	return g.out
 }
@@ -127,7 +153,7 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 // address order, so it is a merge and an un-merge with no sort: cost one
 // sort of NextPow2(p) plus O((s+p) log(s+p)). Requests tied on (address,
 // priority) are ordered by the network, the same way on every executor,
-// and the first of them wins.
+// and the first of them wins. It is one write of a fresh Scatterer.
 func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
 	scatterResolve(c, sp, memory, reqs, srt, false)
 }
@@ -143,17 +169,11 @@ func ScatterResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]
 }
 
 func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter, combineMin bool) {
-	s, p := memory.Len(), reqs.Len()
-	// The requests as three planes over a pow2 working length — address,
-	// priority, value — sorted by (address, priority). Every request that
-	// writes nothing, the pow2 padding included, is addressed InfKey and
-	// sorts last, so the first p sorted entries are the send-receive's
-	// ascending sources.
-	n := obliv.NextPow2(p)
-	ws := obliv.AllocKeySchedule(sp, n, 3)
-	wscr := obliv.AllocKeySchedule(sp, n, 3)
-	addr, prio, val := ws.Plane(0), ws.Plane(1), ws.Plane(2)
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	// The request elements into the planes, addressed as clamp leaves them.
+	w := NewScatterer(sp, memory.Len(), reqs.Len(), srt, nil)
+	s, p := uint64(w.s), reqs.Len()
+	addr, prio, val := w.ws.Plane(0), w.ws.Plane(1), w.ws.Plane(2)
+	forkjoin.ParallelRange(c, 0, addr.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var e obliv.Elem
 			if i < p {
@@ -161,7 +181,7 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 			}
 			a := obliv.InfKey
 			c.Op(1)
-			if e.Kind == obliv.Real && e.Key < uint64(s) {
+			if e.Kind == obliv.Real && e.Key < s {
 				a = e.Key
 			}
 			addr.Set(c, i, a)
@@ -169,22 +189,115 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 			val.Set(c, i, e.Val)
 		}
 	})
-	bitonic.Recorder(srt).SortRecorded(c, sp, ws, wscr, 2, nil, 0, n)
+	w.write(c, sp, memory, combineMin)
+}
+
+// Scatterer is the §4.1 write step for a fixed shape — p requests into
+// memories of s cells — for callers that write that shape again and again
+// (the graph kernels' hook scatters, once per round): it holds the
+// (address, priority, value) request planes over NextPow2(p) entries,
+// their sort scratch, a min-combining write's routed plane and the
+// send-receive's work space, so a write allocates no work array. The
+// caller fills the first p entries of the request planes (Requests) and
+// calls Resolve or ResolveMin: ScatterResolve and ScatterResolveMin with no
+// request elements. Its writes must be issued sequentially under the kind
+// of executor (metered or not) it was built under.
+type Scatterer struct {
+	srt             obliv.RecordingSorter
+	s               int
+	ws, wscr        *obliv.KeySchedule // address, priority and value planes, and the sort's scratch
+	addr, prio, val *mem.Array[uint64] // the first p entries of each plane: the requests
+	routed          *mem.Array[uint64] // a min-combining write's routed values
+	route           *obliv.Router
+}
+
+// NewScatterer allocates from sp the request planes of p requests into
+// memories of s cells and their scratch. The writes route on route, which
+// must hold NextPow2(p+s) slots and may be shared with other sequential
+// users; a nil route allocates the scatterer's own at its first write,
+// after the routed plane of a first min-combining write.
+func NewScatterer(sp *mem.Space, s, p int, srt obliv.ScheduledSorter, route *obliv.Router) *Scatterer {
+	n := obliv.NextPow2(p)
+	w := &Scatterer{srt: bitonic.Recorder(srt), s: s, route: route}
+	w.ws = obliv.AllocKeySchedule(sp, n, 3)
+	w.wscr = obliv.AllocKeySchedule(sp, n, 3)
+	w.addr, w.prio, w.val = w.ws.Plane(0).View(0, p), w.ws.Plane(1).View(0, p), w.ws.Plane(2).View(0, p)
+	return w
+}
+
+// Requests returns the request planes, p entries each: request i writes
+// val[i] to cell addr[i] with priority prio[i] (lower wins, any value); an
+// address at or beyond s — InfKey, say — writes nothing. A write consumes
+// them: the caller fills all three before each one.
+func (w *Scatterer) Requests() (addr, prio, val *mem.Array[uint64]) {
+	return w.addr, w.prio, w.val
+}
+
+// Resolve applies the requests to memory, which must hold s cells, as
+// ScatterResolve does.
+func (w *Scatterer) Resolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) {
+	w.clamp(c)
+	w.write(c, sp, memory, false)
+}
+
+// ResolveMin applies the requests to memory, which must hold s cells, as
+// ScatterResolveMin does.
+func (w *Scatterer) ResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64]) {
+	w.clamp(c)
+	w.write(c, sp, memory, true)
+}
+
+// clamp addresses every request that writes nothing, the pow2 padding
+// included, InfKey: it sorts last, so the first p sorted entries are the
+// send-receive's ascending sources.
+func (w *Scatterer) clamp(c *forkjoin.Ctx) {
+	s, p := uint64(w.s), w.addr.Len()
+	addr := w.ws.Plane(0)
+	forkjoin.ParallelRange(c, 0, addr.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := obliv.InfKey
+			if i < p {
+				a = addr.Get(c, i)
+				c.Op(1)
+				if a >= s {
+					a = obliv.InfKey
+				}
+			}
+			addr.Set(c, i, a)
+		}
+	})
+}
+
+// write sorts the loaded request planes by (address, priority) and routes
+// each address's first — winning — value to memory.
+func (w *Scatterer) write(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], combineMin bool) {
+	s := w.s
+	if memory.Len() != s {
+		panic("pram: Scatter memory length differs from the scatterer's")
+	}
+	w.srt.SortRecorded(c, sp, w.ws, w.wscr, 2, nil, 0, w.ws.Len())
 
 	// Route winner values to the memory cells, keyed by their index; every
 	// cell is rewritten. A cell no winner names reads its own current
 	// value, so an overwrite routes straight into memory, and the min
 	// combine of that value with itself leaves the cell unchanged.
-	srcKeys, srcVals := addr.View(0, p), val.View(0, p)
+	out := memory
+	if combineMin {
+		if w.routed == nil {
+			w.routed = mem.Alloc[uint64](sp, s)
+		}
+		out = w.routed
+	}
+	if w.route == nil {
+		w.route = obliv.NewRouter(sp, w.addr.Len(), s)
+	}
+	w.route.Route(c, w.addr, w.val, nil, memory, out)
 	if !combineMin {
-		obliv.SendReceiveSorted(c, sp, srcKeys, srcVals, nil, memory, memory)
 		return
 	}
-	routed := mem.Alloc[uint64](sp, s)
-	obliv.SendReceiveSorted(c, sp, srcKeys, srcVals, nil, memory, routed)
-	forkjoin.ParallelRange(c, 0, s, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	forkjoin.ParallelRange(c, 0, s, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v, old := routed.Get(c, i), memory.Get(c, i)
+			v, old := out.Get(c, i), memory.Get(c, i)
 			c.Op(1)
 			memory.Set(c, i, min(v, old))
 		}

@@ -37,7 +37,7 @@ func BenchmarkGather(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
 	})
 	b.Run("reused", func(b *testing.B) {
-		g := NewGatherer(c, mem.NewSpace(), s, addrs, srt)
+		g := NewGatherer(c, mem.NewSpace(), s, addrs, srt, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.Values(c, mem.NewSpace(), memory)
@@ -48,7 +48,11 @@ func BenchmarkGather(b *testing.B) {
 
 // BenchmarkScatterResolveMin times one min-combining conflict-resolved
 // write of 2^13 random requests into as many cells (one request sort, then
-// a merge with the cells), serial, on the production bitonic network.
+// a merge with the cells), serial, on the production bitonic network:
+// "oneshot" is ScatterResolveMin (request elements loaded into fresh
+// planes, a fresh router), "reused" one more ResolveMin of a Scatterer
+// built outside the timer, its request planes refilled each time (the hook
+// scatter of a graph round). Both report allocations.
 func BenchmarkScatterResolveMin(b *testing.B) {
 	const p = 1 << 13
 	sp := mem.NewSpace()
@@ -62,9 +66,26 @@ func BenchmarkScatterResolveMin(b *testing.B) {
 		memory.Data()[i] = p
 	}
 	c := forkjoin.Serial()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScatterResolveMin(c, mem.NewSpace(), memory, reqs, srt)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ScatterResolveMin(c, mem.NewSpace(), memory, reqs, srt)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	})
+	b.Run("reused", func(b *testing.B) {
+		w := NewScatterer(mem.NewSpace(), p, p, srt, nil)
+		addr, prio, val := w.Requests()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, e := range reqs.Data() {
+				addr.Set(c, j, e.Key)
+				prio.Set(c, j, e.Aux)
+				val.Set(c, j, e.Val)
+			}
+			w.ResolveMin(c, mem.NewSpace(), memory)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
+	})
 }

@@ -63,7 +63,17 @@ import (
 // the gather's one-plane sort one fewer: W 18317780 → 18289312, Span
 // 52997 → 49908, MemOps 11382940 → 11422892, Forks 2943674 → 2943252,
 // trace count 17270288 → 17309396 (hash 1625243168940545884 →
-// 4998677507959125296).
+// 4998677507959125296). Its trace hash was re-recorded (4998677507959125296
+// → 11008180800158423161; every count unchanged: W 18289312, Span 49908,
+// MemOps 11422892, Forks 2943252, trace count 17309396) when min-hook CC
+// began allocating its PRAM work space once per run: the scatter's request
+// planes (pram.Scatterer, written directly by the hook pass instead of
+// through an element array and a load pass — three writes per request
+// there, one read and one write per request in the scatterer's address
+// clamp, the same count), one gatherer re-sorted onto each pointer jump's
+// addresses, and one obliv.Router all of them share on prefixes of its
+// planes. Reused buffers keep their addresses from round to round, so only
+// the addresses moved.
 
 type specCounts struct {
 	Work, Span, MemOps, Forks int64
@@ -181,7 +191,7 @@ func TestMeteredSpecGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := specCounts{Work: 18289312, Span: 49908, MemOps: 11422892, Forks: 2943252,
-			Trace: trace.Fingerprint{Hash: 4998677507959125296, Count: 17309396}}
+			Trace: trace.Fingerprint{Hash: 11008180800158423161, Count: 17309396}}
 		if got := countsOf(rep); got != want {
 			t.Fatalf("Components rounds 4 on 2^10 edges: %+v, recorded %+v", got, want)
 		}
