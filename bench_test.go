@@ -675,6 +675,7 @@ func BenchmarkGraphMSF(b *testing.B) {
 	b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 		t := benchEdgeTable(b, m)
 		cfg := Config{Seed: 1, DeterministicShuffle: true}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := MSF(cfg, t); err != nil {

@@ -153,7 +153,8 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 // vertex id of its component. It runs the min-hook labeling
 // (graph.ConnectedComponentsMinHook): each round is one batched endpoint
 // gather, one min-combining conflict-resolved scatter, and two pointer
-// jumps, every sort on the configured backend (Config.SortBackend).
+// jumps. Its gathers and scatters record their sorts, so every sort runs
+// on the cache-agnostic bitonic network whatever Config.SortBackend says.
 //
 // rounds > 0 runs exactly that many rounds: the access pattern is a fixed
 // function of (n, m, rounds) — full shape-only obliviousness — but too few
@@ -194,9 +195,11 @@ func components(e exec, n int, el []WeightedEdge, rounds int) (Table, *Report, e
 // weighted graph carried by a width-2 edge table (Borůvka star-hooking,
 // Theorem 5.2(ii)) and returns the chosen edges as a width-2 edge table in
 // input-edge order. Ties are broken by edge index, so the forest is unique
-// and backend-independent. Every sort runs on the configured backend
-// (Config.SortBackend). Requirements: vertices and edges < 2^21, weights
-// < 2^20.
+// and backend-independent. Each iteration picks every component's minimum
+// edge by one conflict-resolved scatter with the edge weight as priority;
+// like Components, it sorts on the cache-agnostic bitonic network whatever
+// Config.SortBackend says. Requirements: vertices and edges < 2^21,
+// weights < 2^20.
 func MSF(cfg Config, edges Table) (Table, *Report, error) {
 	e, done := oneShot(cfg)
 	defer done()
@@ -204,7 +207,7 @@ func MSF(cfg Config, edges Table) (Table, *Report, error) {
 	return out, rep, err
 }
 
-// checkMSF enforces the bounds of the MSF selection sort's packed keys
+// checkMSF enforces the bounds of the MSF selection's packed words
 // (graph.MinimumSpanningForestOblivious) for both MSF entry points: fewer
 // than 2^21 vertices and edges, weights below 2^20.
 func checkMSF(n int, edges []WeightedEdge) error {

@@ -274,6 +274,21 @@ func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 	if GraphOpComponents.plan(n, len(el), 0).TotalSorts() != -1 {
 		t.Fatal("convergence mode must report -1 (unbounded) total sorts")
 	}
+
+	// MSF reveals its iteration count k: the run must execute BaseSorts +
+	// k·SortsPerRound sorts and k·ReplaysPerRound un-sorts, plus the two
+	// endpoint replays of the converged check, for one k within the bound.
+	mp := GraphOpMSF.plan(n, len(el), 0)
+	before, replays = bitonic.NetworkCalls(), bitonic.ReplayCalls()
+	if _, _, err := MSF(Config{SortBackend: SortBitonic}, tab); err != nil {
+		t.Fatal(err)
+	}
+	sorts, unsorts := int(bitonic.NetworkCalls()-before), int(bitonic.ReplayCalls()-replays)
+	k := (sorts - mp.BaseSorts) / mp.SortsPerRound
+	if k < 1 || k > mp.Rounds || sorts != mp.BaseSorts+k*mp.SortsPerRound || unsorts != k*mp.ReplaysPerRound+2 {
+		t.Fatalf("MSF executed %d sorts and %d un-sorts; plan %s predicts %d + k·%d and k·%d + 2 for one k in [1, %d]",
+			sorts, unsorts, mp, mp.BaseSorts, mp.SortsPerRound, mp.ReplaysPerRound, mp.Rounds)
+	}
 }
 
 func TestGraphExplainStrings(t *testing.T) {
@@ -284,7 +299,7 @@ func TestGraphExplainStrings(t *testing.T) {
 	}{
 		{GraphOpComponents, 4, []string{"cc-minhook", "[1 + 3 sorts/round × 4 rounds = 13 sorts, 12 replays]"}},
 		{GraphOpComponents, 0, []string{"cc-minhook", "[1 + 3 sorts/round, 3 replays/round, rounds revealed]"}},
-		{GraphOpMSF, 0, []string{"msf", "[2 + 9 sorts/round, 7 replays/round × ≤", "revealed"}},
+		{GraphOpMSF, 0, []string{"msf", "[2 + 6 sorts/round, 6 replays/round × ≤", "revealed"}},
 		{GraphOpPageRank, 5, []string{"pagerank", "5"}},
 	}
 	for _, tc := range cases {

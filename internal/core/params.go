@@ -24,9 +24,9 @@ type Params struct {
 	// Sorter is the oblivious sorter used for the small poly-logarithmic
 	// subproblems (AKS in the theory bound, bitonic in the practical
 	// variant — see README, "Deviations from the paper", 1). It must support the
-	// key-schedule seam (obliv.ScheduledSorter): the graph and PRAM bulk
-	// operations route every sort through cached-key schedules, which is
-	// how they inherit backend selection.
+	// key-schedule seam (obliv.ScheduledSorter). The PRAM layer's gathers
+	// and scatters sort word planes through bitonic.Recorder of it: the
+	// cache-agnostic network unless the sorter records itself.
 	Sorter obliv.ScheduledSorter
 
 	// SampleRate: REC-SORT samples each element with probability

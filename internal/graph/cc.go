@@ -16,6 +16,13 @@ import (
 // non-blackbox" style of §5.3. The iteration count is the fixed public
 // bound 3·⌈log₂ n⌉ + 5, so the access pattern depends only on (n, m).
 //
+// The run allocates its PRAM work space once: gatherers on the static
+// endpoint lists, whose sorts are recorded before the first iteration and
+// only replayed after, the request planes of the hook and star-test
+// scatters, one jumper for the star tests and the jump, and one router all
+// of them share. An iteration sorts 7 times: 2 per star test, 1 per hook
+// and 1 for the jump.
+//
 // Returns a label per vertex; two vertices share a label iff connected.
 func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, p core.Params) []int {
 	if n == 0 {
@@ -44,21 +51,71 @@ func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [
 		}
 	})
 
-	iters := 3*obliv.Log2Ceil(n) + 5
+	// One router serves every send-receive of the run: n + NextPow2(2m)
+	// slots for the endpoint gathers and the hook scatter, n + NextPow2(n)
+	// for the star tests and the jump.
+	route := obliv.NewRouter(sp, n, max(obliv.NextPow2(m2), obliv.NextPow2(n)))
 	star := mem.Alloc[uint64](sp, n)
+	jumps := newJumper(sp, n, srt, route)
+	clear := pram.NewScatterer(sp, n, n, srt, route)
+	ds := mem.Alloc[uint64](sp, n) // D[w]<<1 | star[w]: the tail gather reads both
+	var gu, gv *pram.Gatherer
+	var hooks *pram.Scatterer
+	if m2 > 0 {
+		gu = pram.NewGatherer(c, sp, n, us, srt, route)
+		gv = pram.NewGatherer(c, sp, n, vs, srt, route)
+		hooks = pram.NewScatterer(sp, n, m2, srt, route)
+	}
+	// hook issues the (un)conditional star-hooking writes of one AS step:
+	// a star tail u hooks its root D[u] onto D[v], the lowest edge winning
+	// a contested root.
+	hook := func(unconditional bool) {
+		if m2 == 0 {
+			return
+		}
+		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+			for w := lo; w < hi; w++ {
+				ds.Set(c, w, d.Get(c, w)<<1|star.Get(c, w))
+			}
+		})
+		dsu := gu.Values(c, sp, ds)
+		dv := gv.Values(c, sp, d)
+		addr, prio, val := hooks.Requests()
+		forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
+			for e := lo; e < hi; e++ {
+				x := dsu.Get(c, e)
+				duv, dvv := x>>1, dv.Get(c, e)
+				cond := dvv < duv
+				if unconditional {
+					cond = dvv != duv
+				}
+				a := obliv.InfKey
+				c.Op(1)
+				if x&1 == 1 && cond {
+					a = duv
+				}
+				addr.Set(c, e, a)
+				prio.Set(c, e, uint64(e))
+				val.Set(c, e, dvv)
+			}
+		})
+		hooks.Resolve(c, sp, d)
+	}
+
+	iters := 3*obliv.Log2Ceil(n) + 5
 	for it := 0; it < iters; it++ {
 		// Round boundaries are a function of n alone (fixed iteration
 		// bound), so a cancellation here reveals only the round index.
 		c.Check("graph.round")
 		// Conditional hooking: if star(u) and D[v] < D[u], D[D[u]] <- D[v].
-		computeStars(c, sp, d, star, srt)
-		hook(c, sp, d, star, us, vs, m2, false, srt)
+		computeStars(c, sp, jumps, clear, d, star)
+		hook(false)
 		// Unconditional hooking for stagnant stars: if star(u) and
 		// D[v] != D[u], hook regardless.
-		computeStars(c, sp, d, star, srt)
-		hook(c, sp, d, star, us, vs, m2, true, srt)
+		computeStars(c, sp, jumps, clear, d, star)
+		hook(true)
 		// Pointer jumping: D[w] <- D[D[w]].
-		jumpOnce(c, sp, d, srt)
+		jumps.jump(c, sp, d)
 	}
 
 	out := make([]int, n)
@@ -69,35 +126,37 @@ func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [
 }
 
 // computeStars fills star[w] ∈ {0,1}: star(w) iff w's tree in the D forest
-// is a star (everything points directly at the root).
-func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], srt obliv.ScheduledSorter) {
+// is a star (everything points directly at the root). Its work space is
+// the run's: the jumper, whose gatherer reads D[D[w]] and then star[D[w]]
+// at the one address list D — the second read a replay, with no sort —
+// and clear, a scatterer of n requests into the n cells of star.
+func computeStars(c *forkjoin.Ctx, sp *mem.Space, j *jumper, clear *pram.Scatterer, d, star *mem.Array[uint64]) {
 	n := d.Len()
-	dw := mem.Alloc[uint64](sp, n)
+	dw := j.dw
 	mem.CopyPar(c, dw, 0, d, 0, n)
-	dd := gather(c, sp, d, dw, srt) // D[D[w]]
+	dd := j.gather(c, sp, d, dw) // D[D[w]]
 
-	mem.Fill(c, star, 1)
 	// If D[w] != D[D[w]]: star[w] = 0 and star[D[D[w]]] = 0.
-	reqs := mem.Alloc[obliv.Elem](sp, n)
+	addr, prio, val := clear.Requests()
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			dv := dw.Get(c, w)
 			ddv := dd.Get(c, w)
-			r := obliv.Elem{Kind: obliv.Filler, Aux: uint64(w)}
-			z := star.Get(c, w)
+			z, a := uint64(1), obliv.InfKey
 			c.Op(1)
 			if ddv != dv {
-				z = 0
-				r = obliv.Elem{Key: ddv, Val: 0, Aux: uint64(w), Kind: obliv.Real}
+				z, a = 0, ddv
 			}
 			star.Set(c, w, z)
-			reqs.Set(c, w, r)
+			addr.Set(c, w, a)
+			prio.Set(c, w, 0)
+			val.Set(c, w, 0)
 		}
 	})
-	pram.ScatterResolve(c, sp, star, reqs, srt)
+	clear.Resolve(c, sp, star)
 	// star[w] = star[w] ∧ star[D[w]]: a vertex cleared above stays cleared
 	// even when its parent (a child of the root) was not.
-	sOfD := gather(c, sp, star, dw, srt)
+	sOfD := j.g.Values(c, sp, star)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			star.Set(c, w, star.Get(c, w)&sOfD.Get(c, w))
@@ -105,77 +164,37 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, d, star *mem.Array[uint64], sr
 	})
 }
 
-// hook issues the (un)conditional star-hooking writes of one AS step.
-func hook(c *forkjoin.Ctx, sp *mem.Space, d, star, us, vs *mem.Array[uint64], m2 int, unconditional bool, srt obliv.ScheduledSorter) {
-	if m2 == 0 {
-		return
-	}
-	du := gather(c, sp, d, us, srt)
-	dv := gather(c, sp, d, vs, srt)
-	su := gather(c, sp, star, us, srt)
-	reqs := mem.Alloc[obliv.Elem](sp, m2)
-	forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for e := lo; e < hi; e++ {
-			duv := du.Get(c, e)
-			dvv := dv.Get(c, e)
-			isStar := su.Get(c, e) == 1
-			cond := dvv < duv
-			if unconditional {
-				cond = dvv != duv
-			}
-			r := obliv.Elem{Kind: obliv.Filler, Aux: uint64(e)}
-			c.Op(1)
-			if isStar && cond {
-				r = obliv.Elem{Key: duv, Val: dvv, Aux: uint64(e), Kind: obliv.Real}
-			}
-			reqs.Set(c, e, r)
-		}
-	})
-	pram.ScatterResolve(c, sp, d, reqs, srt)
-}
-
-// jumpOnce applies one pointer-jumping round D[w] <- D[D[w]] on a fresh
-// jumper.
-func jumpOnce(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64], srt obliv.ScheduledSorter) {
-	newJumper(sp, d.Len(), srt, nil).jump(c, sp, d)
-}
-
-// reader gathers from memories of one size at changing address lists of
-// one length through one gatherer, re-sorted onto each list
-// (pram.Gatherer.Readdress), so a gather after the first allocates no work
-// array.
-type reader struct {
+// jumper is pointer jumping over one n-cell D for a whole run: one
+// gatherer of n cells at n addresses, re-sorted onto each address list
+// (pram.Gatherer.Readdress), and the copy of D that addresses a jump, so a
+// gather after the first allocates no work array. Its gather serves any
+// other such read in between (the star test, MSF's 2-cycle check).
+type jumper struct {
 	srt   obliv.ScheduledSorter
 	route *obliv.Router  // nil: the gatherer's own
 	g     *pram.Gatherer // built by the first gather
-}
-
-// gather is the graph layer's gather on the reader's gatherer: memory at
-// addrs, the values alone in request order.
-func (r *reader) gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64]) *mem.Array[uint64] {
-	if r.g == nil {
-		r.g = pram.NewGatherer(c, sp, memory.Len(), addrs, r.srt, r.route)
-	} else {
-		r.g.Readdress(c, sp, addrs)
-	}
-	return r.g.Values(c, sp, memory)
-}
-
-// jumper is pointer jumping over one n-cell D for a whole run: a reader of
-// n cells at n addresses and the copy of D that addresses a jump. Its
-// gather serves any other such read in between (MSF's 2-cycle check).
-type jumper struct {
-	reader
-	dw *mem.Array[uint64]
+	dw    *mem.Array[uint64]
 }
 
 // newJumper allocates a jumper over n cells whose gathers route on route
 // (nil: the gatherer's own).
 func newJumper(sp *mem.Space, n int, srt obliv.ScheduledSorter, route *obliv.Router) *jumper {
-	return &jumper{reader: reader{srt: srt, route: route}, dw: mem.Alloc[uint64](sp, n)}
+	return &jumper{srt: srt, route: route, dw: mem.Alloc[uint64](sp, n)}
 }
 
-// jump is jumpOnce on the jumper's copy and gatherer.
+// gather reads memory at addrs on the jumper's gatherer: the values alone,
+// in request order.
+func (j *jumper) gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64]) *mem.Array[uint64] {
+	if j.g == nil {
+		j.g = pram.NewGatherer(c, sp, memory.Len(), addrs, j.srt, j.route)
+	} else {
+		j.g.Readdress(c, sp, addrs)
+	}
+	return j.g.Values(c, sp, memory)
+}
+
+// jump applies one pointer-jumping round D[w] <- D[D[w]] on the jumper's
+// copy and gatherer.
 func (j *jumper) jump(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64]) {
 	n := d.Len()
 	mem.CopyPar(c, j.dw, 0, d, 0, n)
@@ -185,14 +204,6 @@ func (j *jumper) jump(c *forkjoin.Ctx, sp *mem.Space, d *mem.Array[uint64]) {
 			d.Set(c, w, dd.Get(c, w))
 		}
 	})
-}
-
-// gather obliviously reads memory at addrs through a fresh pram.Gatherer
-// and returns the values alone, in request order (0 for an out-of-range
-// address): the graph kernels read nothing else, so they skip
-// pram.Gather's Elem wrapping.
-func gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[uint64] {
-	return pram.NewGatherer(c, sp, memory.Len(), addrs, srt, nil).Values(c, sp, memory)
 }
 
 // ConnectedComponentsDirect is the insecure baseline: the same

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"runtime"
 	"testing"
 
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -575,4 +577,51 @@ func TestEvalTreeDirectMatchesSeq(t *testing.T) {
 			t.Fatalf("leaves=%d: got %d, want %d", leaves, got, want)
 		}
 	}
+}
+
+// TestMSFAllocsIndependentOfIterations: the run allocates its work space
+// once, so a warmed MSF run allocates the same work arrays whatever its
+// revealed iteration count. A star converges in one iteration and a path
+// with increasing weights in several; at one (n, m) the bytes they allocate
+// in objects of at least 4 KiB differ by less than one n-word plane on the
+// serial executor. Smaller objects — the closures of fork trees, bound
+// comparator kernels, sort layouts — are paid per pass and are not work
+// space.
+func TestMSFAllocsIndependentOfIterations(t *testing.T) {
+	const n = 1 << 10
+	star := make([]WEdge, 0, n-1)
+	path := make([]WEdge, 0, n-1)
+	for v := 1; v < n; v++ {
+		star = append(star, WEdge{U: 0, V: v, W: uint64(v)})
+		path = append(path, WEdge{U: v - 1, V: v, W: uint64(v)})
+	}
+	run := func(edges []WEdge) (bytes uint64, sorts int64) {
+		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, testParams())
+		before, calls := arrayBytes(), bitonic.NetworkCalls()
+		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, testParams())
+		return arrayBytes() - before, bitonic.NetworkCalls() - calls
+	}
+	sb, ss := run(star)
+	pb, ps := run(path)
+	if ss == ps {
+		t.Fatalf("star and path both ran %d sorts: the iteration counts must differ", ss)
+	}
+	if diff := max(sb, pb) - min(sb, pb); diff >= 8*n {
+		t.Fatalf("star run allocates %d bytes of arrays in %d sorts, path run %d in %d sorts: %d apart, want under one %d-byte plane",
+			sb, ss, pb, ps, diff, 8*n)
+	}
+}
+
+// arrayBytes is the bytes allocated so far in heap objects of at least
+// 4 KiB: the cumulative total less every smaller size class.
+func arrayBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b := ms.TotalAlloc
+	for _, c := range ms.BySize {
+		if c.Size < 4096 {
+			b -= c.Mallocs * uint64(c.Size)
+		}
+	}
+	return b
 }

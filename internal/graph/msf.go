@@ -16,20 +16,29 @@ type WEdge struct {
 	W    uint64
 }
 
-// Field widths for the packed min-edge selection keys: components and edge
-// ids below 2^21, weights below 2^20.
+// Field widths of the packed selection words: components and edge ids
+// below 2^21 (weights below 2^20 keep a weight and an edge id within 41
+// bits).
 const (
 	msfIDBits = 21
-	msfWBits  = 20
+	msfIDMask = 1<<msfIDBits - 1
 )
 
 // MinimumSpanningForestOblivious computes the minimum spanning forest by
 // Borůvka star-hooking realized with oblivious bulk operations: each
-// iteration finds every star component's minimum incident cross edge (one
-// oblivious sort + propagation over the 2m directed edges), hooks star
-// roots along those edges (pseudo-forest with only 2-cycles, broken
-// deterministically — weights are made distinct by edge-id tie-breaking),
-// and pointer-jumps once. Returns the indices of the chosen edges.
+// iteration finds every component's minimum incident cross edge by one
+// priority-CRCW write of the 2m directed edges (pram.Scatterer, the edge
+// weight as priority), hooks star roots along those edges (pseudo-forest
+// with only 2-cycles, broken deterministically — weights are made distinct
+// by edge-id tie-breaking), and pointer-jumps once. Returns the indices of
+// the chosen edges.
+//
+// The run allocates its PRAM work space once, so its allocation does not
+// depend on the revealed iteration count: gatherers on the static endpoint
+// lists, recorded before the first iteration and only replayed after, the
+// request planes of the three scatters (star test, selection, picks), one
+// jumper for the star test, the 2-cycle check and the jump, and one router
+// all of them share. An iteration sorts 6 times and replays 6.
 //
 // Deviation from Table 1 (README, "Deviations from the paper", 4): the paper
 // reaches O(log n) bulk steps via the randomized PR02 machine; Borůvka
@@ -54,11 +63,14 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 	}
 	chosen := mem.Alloc[uint64](sp, m)
 	star := mem.Alloc[uint64](sp, n)
+	best := mem.Alloc[uint64](sp, n) // InfKey between iterations
+	mem.Fill(c, best, obliv.InfKey)
+	live := mem.Alloc[uint64](sp, m2)
+	liveSum := mem.Alloc[uint64](sp, 2*m2-1)
 
 	us := mem.Alloc[uint64](sp, m2)
 	vs := mem.Alloc[uint64](sp, m2)
 	ws := mem.Alloc[uint64](sp, m2)
-	ids := mem.Alloc[uint64](sp, m2)
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for e := lo; e < hi; e++ {
 			us.Set(c, 2*e, uint64(edges[e].U))
@@ -69,29 +81,22 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 			wTie := edges[e].W<<msfIDBits | uint64(e)
 			ws.Set(c, 2*e, wTie)
 			ws.Set(c, 2*e+1, wTie)
-			ids.Set(c, 2*e, uint64(e))
-			ids.Set(c, 2*e+1, uint64(e))
 		}
 	})
 
 	// One router serves every send-receive of the run: n + NextPow2(2m)
-	// slots for the endpoint and star gathers and the hook scatter,
-	// NextPow2(2m) + m for the chosen-edge scatter, n + NextPow2(n) for the
-	// 2-cycle gather and the jump.
-	nsel := obliv.NextPow2(m2)
-	route := obliv.NewRouter(sp, max(n, m), max(nsel, obliv.NextPow2(n)))
-	// The endpoint requests are static: record their sorts once.
+	// slots for the endpoint gathers and the selection (2m requests into n
+	// cells), n + m for the picks (n requests into m cells), n +
+	// NextPow2(n) for the star test and the jumps.
+	route := obliv.NewRouter(sp, max(n, m), max(obliv.NextPow2(m2), obliv.NextPow2(n)))
 	gu := pram.NewGatherer(c, sp, n, us, srt, route)
 	gv := pram.NewGatherer(c, sp, n, vs, srt, route)
-	// The per-iteration gathers and scatters keep one shape each, so their
-	// work space is allocated once too.
-	stars := reader{srt: srt, route: route}
 	jumps := newJumper(sp, n, srt, route)
-	hooks := pram.NewScatterer(sp, n, nsel, srt, route)
-	picks := pram.NewScatterer(sp, m, nsel, srt, route)
+	clear := pram.NewScatterer(sp, n, n, srt, route)
+	sel := pram.NewScatterer(sp, n, m2, srt, route)
+	picks := pram.NewScatterer(sp, m, n, srt, route)
 
 	maxIters := (obliv.Log2Ceil(n) + 2) * (obliv.Log2Ceil(n) + 2)
-	sel := mem.Alloc[obliv.Elem](sp, nsel)
 	for it := 0; it < maxIters; it++ {
 		// Borůvka round boundaries: the iteration count is revealed by the
 		// convergence check (see doc), so a cancellation here leaks nothing
@@ -100,113 +105,57 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 		cu := gu.Values(c, sp, d)
 		cv := gv.Values(c, sp, d)
 
-		// Live cross edges and convergence check (count revealed; see doc).
-		live := mem.Alloc[uint64](sp, m2)
-		forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
-			for e := lo; e < hi; e++ {
-				l := uint64(0)
-				c.Op(1)
-				if cu.Get(c, e) != cv.Get(c, e) {
-					l = 1
-				}
-				live.Set(c, e, l)
-			}
-		})
-		if obliv.SumU64(c, sp, live) == 0 {
-			break
-		}
-
-		computeStars(c, sp, d, star, srt)
-
-		// Min cross edge per component label: sort (label, weight) and
-		// propagate the minimum's (other endpoint, edge id) to the group.
+		// Min cross edge per component label, a priority-CRCW write: a
+		// directed cross edge writes (head label, edge id) to the cell of
+		// its tail label, its distinct weight the priority; an edge inside
+		// one component requests InfKey, which writes nothing. The same
+		// pass marks the live cross edges for the convergence check (count
+		// revealed; see doc).
+		addr, prio, val := sel.Requests()
 		forkjoin.ParallelRange(c, 0, m2, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for e := lo; e < hi; e++ {
 				cuv := cu.Get(c, e)
 				cvv := cv.Get(c, e)
 				wv := ws.Get(c, e)
-				id := ids.Get(c, e)
-				el := obliv.Elem{Kind: obliv.Filler}
+				a, l := obliv.InfKey, uint64(0)
 				c.Op(1)
 				if cuv != cvv {
-					// wv already packs (weight, edge id) in WBits+IDBits
-					// bits; prefixing the component label keeps the whole
-					// key below 2^62.
-					el = obliv.Elem{
-						Key:  cuv<<(msfWBits+msfIDBits) | wv,
-						Val:  cvv<<msfIDBits | id,
-						Aux:  cuv,
-						Kind: obliv.Real,
-					}
+					a, l = cuv, 1
 				}
-				sel.Set(c, e, el)
+				live.Set(c, e, l)
+				addr.Set(c, e, a)
+				prio.Set(c, e, wv)
+				val.Set(c, e, cvv<<msfIDBits|wv&msfIDMask)
 			}
 		})
-		// Clear the pow2 padding tail.
-		forkjoin.ParallelRange(c, m2, sel.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
-			for e := lo; e < hi; e++ {
-				sel.Set(c, e, obliv.Elem{Kind: obliv.Filler})
-			}
-		})
-		selKey := func(e obliv.Elem) uint64 {
-			if e.Kind != obliv.Real {
-				return obliv.InfKey
-			}
-			return e.Key
+		if obliv.SumU64With(c, live, liveSum) == 0 {
+			break
 		}
-		obliv.SortKeyed(c, sp, sel, sel.Len(), selKey, srt)
-		groupOf := func(e obliv.Elem) uint64 {
-			if e.Kind != obliv.Real {
-				return obliv.InfKey
-			}
-			return e.Aux // component label
-		}
-		obliv.PropagateFirst(c, sp, sel, groupOf,
-			func(e obliv.Elem, i int) (uint64, bool) { return e.Val, e.Kind == obliv.Real },
-			func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
-				if e.Kind == obliv.Real && ok {
-					e.Val = v
-				}
-				return e
-			})
 
-		// Hook star roots along their min edge; mark chosen edges.
-		sRoot := mem.Alloc[uint64](sp, sel.Len())
-		forkjoin.ParallelRange(c, 0, sel.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
-			for e := lo; e < hi; e++ {
-				el := sel.Get(c, e)
-				a := el.Aux
-				c.Op(1)
-				if el.Kind != obliv.Real {
-					a = uint64(n) + uint64(e) // ⊥ query
-				}
-				sRoot.Set(c, e, a)
-			}
-		})
-		starOf := stars.gather(c, sp, star, sRoot) // ⊥ (a non-Real sel) reads 0
-		// A star root hooks along its min edge, with its position as
-		// priority, and marks the edge chosen; every other entry requests
-		// InfKey, which writes nothing.
-		hAddr, hPrio, hVal := hooks.Requests()
+		computeStars(c, sp, jumps, clear, d, star)
+		sel.Resolve(c, sp, best)
+
+		// A star root hooks along its min edge and marks the edge chosen
+		// (a star's members all carry its root's label, so best names no
+		// other vertex of a star); best is reset for the next iteration.
 		pAddr, pPrio, pVal := picks.Requests()
-		forkjoin.ParallelRange(c, 0, sel.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
-			for e := lo; e < hi; e++ {
-				el := sel.Get(c, e)
-				st := starOf.Get(c, e)
-				ha, pa := obliv.InfKey, obliv.InfKey
+		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				b := best.Get(c, r)
+				st := star.Get(c, r)
+				dr := d.Get(c, r)
+				pa := obliv.InfKey
 				c.Op(1)
-				if el.Kind == obliv.Real && st == 1 {
-					ha, pa = el.Aux, el.Val&(1<<msfIDBits-1)
+				if st == 1 && b != obliv.InfKey {
+					dr, pa = b>>msfIDBits, b&msfIDMask
 				}
-				hAddr.Set(c, e, ha)
-				hPrio.Set(c, e, uint64(e))
-				hVal.Set(c, e, el.Val>>msfIDBits) // the other endpoint's label
-				pAddr.Set(c, e, pa)
-				pPrio.Set(c, e, uint64(e))
-				pVal.Set(c, e, 1)
+				d.Set(c, r, dr)
+				best.Set(c, r, obliv.InfKey)
+				pAddr.Set(c, r, pa)
+				pPrio.Set(c, r, uint64(r))
+				pVal.Set(c, r, 1)
 			}
 		})
-		hooks.Resolve(c, sp, d)
 		picks.Resolve(c, sp, chosen)
 
 		// Break 2-cycles: if D[D[r]] == r keep the smaller id as root.

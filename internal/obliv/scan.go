@@ -149,8 +149,13 @@ func SumU64(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[uint64]) uint64 {
 	if n == 0 {
 		return 0
 	}
-	tree := mem.Alloc[uint64](sp, 2*n-1)
+	return SumU64With(c, a, mem.Alloc[uint64](sp, 2*n-1))
+}
+
+// SumU64With is SumU64 over the non-empty a with a caller-held tree of
+// 2·len(a)−1 slots, for a caller that sums the same length repeatedly.
+func SumU64With(c *forkjoin.Ctx, a, tree *mem.Array[uint64]) uint64 {
 	c.Check("scan.sweep")
-	scanUp(c, a, tree, 0, 0, n, func(x, y uint64) uint64 { return x + y })
+	scanUp(c, a, tree, 0, 0, a.Len(), func(x, y uint64) uint64 { return x + y })
 	return tree.Get(c, 0)
 }

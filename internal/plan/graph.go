@@ -20,8 +20,10 @@ const (
 	scatterSorts  = 1
 	jumpSorts     = gatherSorts // one pointer jump = one D[D[w]] gather
 	jumpReplays   = gatherReplays
-	starsSorts    = gatherSorts + scatterSorts + gatherSorts
-	starsReplays  = 2 * gatherReplays
+	// The star test reads D[D[w]] and star[D[w]] at the one address list
+	// D: one sort, two replays, and the scatter between them.
+	starsSorts   = gatherSorts + scatterSorts
+	starsReplays = 2 * gatherReplays
 )
 
 // Per-round / per-iteration sort and replay counts of the graph operators,
@@ -31,19 +33,18 @@ const (
 //	min-hook CC round  = static endpoint gather (replay only) + min-scatter
 //	                     + 2 jumps; base: the endpoint gather's sort
 //	MSF iteration      = 2 static endpoint gathers (replays only) + stars
-//	                     + selection sort + star-root gather + 2 scatters
-//	                     + D[D] gather + jump; base: the 2 endpoint sorts
+//	                     + min-edge scatter + pick scatter + D[D] gather
+//	                     + jump; base: the 2 endpoint sorts
 //	PageRank iteration = join-all (3 staged sorts) + grouped sum (2)
 const (
 	ccMinHookRoundSorts   = scatterSorts + 2*jumpSorts
 	ccMinHookRoundReplays = gatherReplays + 2*jumpReplays
 	ccMinHookBaseSorts    = gatherSorts
-	msfIterSorts          = starsSorts + 1 + gatherSorts + 2*scatterSorts +
-		gatherSorts + jumpSorts
-	msfIterReplays    = 2*gatherReplays + starsReplays + 2*gatherReplays + jumpReplays
-	msfBaseSorts      = 2 * gatherSorts
-	pageRankIterSorts = joinSorts + 2
-	pageRankBaseSorts = 2 // the one-off out-degree grouped count
+	msfIterSorts          = starsSorts + 2*scatterSorts + gatherSorts + jumpSorts
+	msfIterReplays        = 2*gatherReplays + starsReplays + gatherReplays + jumpReplays
+	msfBaseSorts          = 2 * gatherSorts
+	pageRankIterSorts     = joinSorts + 2
+	pageRankBaseSorts     = 2 // the one-off out-degree grouped count
 )
 
 // GraphKind enumerates the planned graph workloads.
@@ -142,7 +143,7 @@ func (p GraphPlan) String() string {
 	case GraphCC:
 		passes = "gather → scatter-min → jump → jump"
 	case GraphMSF:
-		passes = "gather² → stars → sort(sel) → gather → scatter² → gather → jump"
+		passes = "gather² → stars → scatter² → gather → jump"
 	case GraphPageRank:
 		passes = "join-all → group-sum"
 	default:
