@@ -58,7 +58,10 @@ func Shuffle(cfg Config, keys []uint64) ([]uint64, *Report, error) {
 // succ[i] is i's successor (succ[i] == i marks the tail); the result's
 // entry i is the sum of weights of the elements strictly ahead of i
 // (weights nil = unit weights, i.e. distance to the tail). Weights must be
-// < 2^32.
+// < 2^32. The oblivious random permutation's bin sorts run on
+// cfg.SortBackend; the routing around the pointer jumps — two
+// conflict-resolved scatters and one gather over word planes — sorts on
+// the cache-agnostic bitonic network whatever the backend.
 func ListRank(cfg Config, succ []int, weights []uint64) ([]uint64, *Report, error) {
 	if len(succ) == 0 {
 		return nil, nil, ErrEmptyInput
@@ -90,7 +93,10 @@ type TreeInfo struct {
 // TreeFunctions roots the tree (given as an edge list over vertices
 // 0..n-1) at root and obliviously computes parent, depth, preorder and
 // postorder numbers, and subtree sizes via Euler tour + list ranking
-// (§5.2).
+// (§5.2): one recorded sort of the arc keys and its un-sort for the tour,
+// two list rankings (see ListRank), and three conflict-resolved vertex
+// writes. Every sort but the rankings' permutation bin sorts runs on the
+// cache-agnostic bitonic network whatever cfg.SortBackend says.
 func TreeFunctions(cfg Config, n int, edges [][2]int, root int) (TreeInfo, *Report, error) {
 	if n <= 0 {
 		return TreeInfo{}, nil, ErrEmptyInput
@@ -131,7 +137,10 @@ const (
 
 // EvaluateExpressionTree evaluates t by oblivious tree contraction
 // (Theorem 5.2(i)): Kosaraju–Delcher rake rounds with oblivious bulk
-// operations and per-round oblivious compaction.
+// operations and per-round oblivious compaction, after one list ranking
+// that numbers the leaves (see ListRank). A round's gathers, writes and
+// compaction sort run on the cache-agnostic bitonic network whatever
+// cfg.SortBackend says: 20 sorts per round, ⌈log₂ leaves⌉ rounds.
 func EvaluateExpressionTree(cfg Config, t ExpressionTree) (uint64, *Report, error) {
 	gt := graph.ExprTree(t)
 	if !gt.Validate() {

@@ -99,6 +99,13 @@ func OblivCheck(w io.Writer) bool {
 			pram.RunOblivious(c, sp, m, m.InitialMemory(), srt)
 		})
 	})
+	check("Euler tour (§5.2)", func(v uint64) *forkjoin.Metrics {
+		edges := randomTreeEdges(v, 40)
+		sp := mem.NewSpace()
+		return forkjoin.RunMetered(trace, func(c *forkjoin.Ctx) {
+			graph.EulerTourOblivious(c, sp, 40, edges, 0, 1, core.Params{Z: 32, Gamma: 4})
+		})
+	})
 	check("connected components (§5.3)", func(v uint64) *forkjoin.Metrics {
 		edges := randomGraphEdges(v, 12, 10)
 		sp := mem.NewSpace()

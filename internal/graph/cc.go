@@ -168,7 +168,9 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, j *jumper, clear *pram.Scatter
 // gatherer of n cells at n addresses, re-sorted onto each address list
 // (pram.Gatherer.Readdress), and the copy of D that addresses a jump, so a
 // gather after the first allocates no work array. Its gather serves any
-// other such read in between (the star test, MSF's 2-cycle check).
+// other such read in between (the star test, MSF's 2-cycle check), and
+// any n reads of n cells: a tree-contraction round reads its parent,
+// sibling and relabel addresses through one, the siblings held in dw.
 type jumper struct {
 	srt   obliv.ScheduledSorter
 	route *obliv.Router  // nil: the gatherer's own
@@ -328,4 +330,20 @@ func ConnectedComponentsSeq(n int, edges [][2]int) []int {
 		out[v] = find(v)
 	}
 	return out
+}
+
+// scatter fills the requests of w — request i writes val to cell addr,
+// priority i, or nothing at an address at or beyond the memory — by req
+// and resolves them into memory.
+func scatter(c *forkjoin.Ctx, sp *mem.Space, w *pram.Scatterer, memory *mem.Array[uint64], req func(c *forkjoin.Ctx, i int) (addr, val uint64)) {
+	addr, prio, val := w.Requests()
+	forkjoin.ParallelRange(c, 0, addr.Len(), 0, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a, v := req(c, i)
+			addr.Set(c, i, a)
+			prio.Set(c, i, uint64(i))
+			val.Set(c, i, v)
+		}
+	})
+	w.Resolve(c, sp, memory)
 }

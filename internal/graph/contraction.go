@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -67,12 +68,17 @@ func EvalTreeSeq(t ExprTree) uint64 {
 	return rec(t.Root)
 }
 
-// treeState is the flat node state of a contraction in progress.
+// treeState is the flat node state of a contraction in progress: one word
+// plane per field, NextPow2(n) slots each, of which the first size hold
+// the live tree. The compaction sorts the planes in place, the left
+// plane the sort key and the right one both children while it runs.
 type treeState struct {
 	size    int
-	parent  *mem.Array[uint64] // none for root
+	planes  *obliv.KeySchedule // the fields below, in plane order
+	scr     *obliv.KeySchedule // the compaction sort's scratch
 	left    *mem.Array[uint64] // none for leaves
 	right   *mem.Array[uint64]
+	parent  *mem.Array[uint64] // none for root
 	flags   *mem.Array[uint64]
 	affA    *mem.Array[uint64] // pending affine a·x+b on the edge to parent
 	affB    *mem.Array[uint64]
@@ -80,11 +86,35 @@ type treeState struct {
 	leafNum *mem.Array[uint64] // 1-based left-to-right leaf number
 }
 
+// statePlanes is the number of node fields, each one plane of a treeState.
+const statePlanes = 8
+
+// newTreeState allocates the planes of a tree of n nodes.
+func newTreeState(sp *mem.Space, n int) treeState {
+	w := obliv.NextPow2(n)
+	st := treeState{planes: obliv.AllocKeySchedule(sp, w, statePlanes), scr: obliv.AllocKeySchedule(sp, w, statePlanes)}
+	st.cut(n)
+	return st
+}
+
+// cut views the first size slots of each plane as the live tree.
+func (st *treeState) cut(size int) {
+	st.size = size
+	fields := [statePlanes]**mem.Array[uint64]{&st.left, &st.right, &st.parent, &st.flags, &st.affA, &st.affB, &st.leafVal, &st.leafNum}
+	for p, f := range fields {
+		*f = st.planes.Plane(p).View(0, size)
+	}
+}
+
 // EvalTreeOblivious evaluates t by the paper's oblivious tree contraction
 // (Theorem 5.2(i)): Kosaraju–Delcher rake rounds — all odd-numbered leaves
 // that are left children, then those that are right children — realized
 // with oblivious gathers/scatters, followed by an oblivious compaction
 // that removes the (deterministically sized) dead fraction each round.
+// Each round allocates its PRAM work space once (rakeSpace) and sorts 20
+// times: per half round one gatherer sort at the parent addresses, one
+// re-sort onto the sibling addresses and six writes, then three relabel
+// re-sorts and the compaction's one plane sort.
 // Work O(Wsort(n)), span O(log n · Tsort(n)), cache O(Qsort(n)).
 func EvalTreeOblivious(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, p core.Params) uint64 {
 	if !t.Validate() {
@@ -107,10 +137,11 @@ func EvalTreeOblivious(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, 
 		// Fixed public round count (leaf count halves per round); an abort
 		// here reveals only the round index.
 		c.Check("graph.round")
-		rakeHalfRound(c, sp, &st, true, p)
-		rakeHalfRound(c, sp, &st, false, p)
+		w := newRakeSpace(sp, st.size, p.Sorter)
+		rakeHalfRound(c, sp, &st, w, true)
+		rakeHalfRound(c, sp, &st, w, false)
 		renumberLeaves(c, &st)
-		compact(c, sp, &st, p)
+		compact(c, sp, &st, w, p.Sorter)
 	}
 	if st.size != 1 {
 		panic("graph: contraction did not converge (non-full tree?)")
@@ -131,17 +162,7 @@ func EvalTreeOblivious(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, 
 // is input marshalling (static write order, secret values only).
 func initState(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, p core.Params) treeState {
 	n := t.N
-	st := treeState{
-		size:    n,
-		parent:  mem.Alloc[uint64](sp, n),
-		left:    mem.Alloc[uint64](sp, n),
-		right:   mem.Alloc[uint64](sp, n),
-		flags:   mem.Alloc[uint64](sp, n),
-		affA:    mem.Alloc[uint64](sp, n),
-		affB:    mem.Alloc[uint64](sp, n),
-		leafVal: mem.Alloc[uint64](sp, n),
-		leafNum: mem.Alloc[uint64](sp, n),
-	}
+	st := newTreeState(sp, n)
 	parent := make([]int, n)
 	side := make([]uint64, n)
 	for v := 0; v < n; v++ {
@@ -235,128 +256,138 @@ func initState(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, p core.P
 	return st
 }
 
-// rakeHalfRound rakes every alive odd-numbered leaf on the given side.
-func rakeHalfRound(c *forkjoin.Ctx, sp *mem.Space, st *treeState, leftSide bool, p core.Params) {
+// rakeSpace is one contraction round's PRAM work space over the m nodes of
+// the tree it starts with: a jumper whose gatherer reads at the parent
+// addresses and is re-addressed to the sibling list (the jumper's held
+// address plane) and to the compaction's relabel lists; a scatterer of m
+// requests for the writes into node fields and one of 3m requests for the
+// flag writes; and the parent and sibling reads a half round holds. One
+// router serves them all.
+type rakeSpace struct {
+	j                      *jumper
+	one, kill              *pram.Scatterer
+	pf, pa, pb, gp, sa, sb *mem.Array[uint64]
+}
+
+func newRakeSpace(sp *mem.Space, m int, srt obliv.ScheduledSorter) *rakeSpace {
+	// The flag writes' NextPow2(4m) slots bound the gathers' and the node
+	// writes'.
+	route := obliv.NewRouter(sp, m, obliv.NextPow2(3*m))
+	w := &rakeSpace{
+		j:    newJumper(sp, m, srt, route),
+		one:  pram.NewScatterer(sp, m, m, srt, route),
+		kill: pram.NewScatterer(sp, m, 3*m, srt, route),
+	}
+	for _, a := range []**mem.Array[uint64]{&w.pf, &w.pa, &w.pb, &w.gp, &w.sa, &w.sb} {
+		*a = mem.Alloc[uint64](sp, m)
+	}
+	return w
+}
+
+// rakeHalfRound rakes every alive odd-numbered leaf on the given side: one
+// gatherer sort at the parent addresses serves the five parent reads by
+// replay, one re-sort onto the sibling addresses the three sibling reads,
+// and six writes apply the rake.
+func rakeHalfRound(c *forkjoin.Ctx, sp *mem.Space, st *treeState, w *rakeSpace, leftSide bool) {
 	m := st.size
-	srt := p.Sorter
+	j := w.j
+	hold := func(dst, vals *mem.Array[uint64]) { mem.CopyPar(c, dst, 0, vals, 0, m) }
 
-	// Gather the parent's record for every node (root queries ⊥).
-	pLeft := pram.Gather(c, sp, st.left, st.parent, srt)
-	pRight := pram.Gather(c, sp, st.right, st.parent, srt)
-	pFlags := pram.Gather(c, sp, st.flags, st.parent, srt)
-	pA := pram.Gather(c, sp, st.affA, st.parent, srt)
-	pB := pram.Gather(c, sp, st.affB, st.parent, srt)
-	pParent := pram.Gather(c, sp, st.parent, st.parent, srt)
-
-	// Sibling ids (valid only for rakers; ⊥ queries otherwise).
-	sib := mem.Alloc[uint64](sp, m)
-	raker := mem.Alloc[uint64](sp, m)
+	// The parent's record for every node (the root reads 0). A raker's
+	// sibling is its parent's other child: the right one on the left side.
+	hold(w.pf, j.gather(c, sp, st.flags, st.parent))
+	other := st.left
+	if leftSide {
+		other = st.right
+	}
+	pOther := j.g.Values(c, sp, other)
+	// sib names a raker's sibling and is none for every other node: the
+	// sibling reads at it, and the writes addressed by it write nothing.
+	sib := j.dw
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			fl := st.flags.Get(c, u)
 			num := st.leafNum.Get(c, u)
-			pf := pFlags.Get(c, u)
-			isRaker := fl&flagAlive != 0 && fl&flagIsLeaf != 0 && num%2 == 1 &&
-				(fl&flagIsLeft != 0) == leftSide && pf.Kind == obliv.Real
+			par := st.parent.Get(c, u)
+			o := pOther.Get(c, u)
 			s := none
 			c.Op(2)
-			if isRaker {
-				if leftSide {
-					s = pRight.Get(c, u).Val
-				} else {
-					s = pLeft.Get(c, u).Val
-				}
-				raker.Set(c, u, 1)
-			} else {
-				// Balance the conditional access pattern: one dummy read.
-				if leftSide {
-					pRight.Get(c, u)
-				} else {
-					pLeft.Get(c, u)
-				}
-				raker.Set(c, u, 0)
+			if fl&flagAlive != 0 && fl&flagIsLeaf != 0 && num%2 == 1 &&
+				(fl&flagIsLeft != 0) == leftSide && par < uint64(m) {
+				s = o
 			}
 			sib.Set(c, u, s)
 		}
 	})
-	sA := pram.Gather(c, sp, st.affA, sib, srt)
-	sB := pram.Gather(c, sp, st.affB, sib, srt)
-	sFlags := pram.Gather(c, sp, st.flags, sib, srt)
+	hold(w.pa, j.g.Values(c, sp, st.affA))
+	hold(w.pb, j.g.Values(c, sp, st.affB))
+	hold(w.gp, j.g.Values(c, sp, st.parent))
+	hold(w.sa, j.gather(c, sp, st.affA, sib))
+	hold(w.sb, j.g.Values(c, sp, st.affB))
+	sFlags := j.g.Values(c, sp, st.flags)
 
-	// Build all write requests.
-	reqSibParent := mem.Alloc[obliv.Elem](sp, m)
-	reqSibA := mem.Alloc[obliv.Elem](sp, m)
-	reqSibB := mem.Alloc[obliv.Elem](sp, m)
-	reqLeft := mem.Alloc[obliv.Elem](sp, m)
-	reqRight := mem.Alloc[obliv.Elem](sp, m)
-	reqFlags := mem.Alloc[obliv.Elem](sp, 3*m)
+	// The raked sibling s takes the parent's place: s's edge function
+	// becomes the composition through p, s inherits p's parent and side,
+	// and the grandparent's child pointer moves from p to s. The new edge
+	// function goes to pa, pb, which only this half round reads.
+	na, nb := w.pa, w.pb
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			isRaker := raker.Get(c, u) == 1
-			s := sib.Get(c, u)
-			gp := pParent.Get(c, u)
-			pf := pFlags.Get(c, u)
-			pa, pb := pA.Get(c, u).Val, pB.Get(c, u).Val
-			sa, sb := sA.Get(c, u).Val, sB.Get(c, u).Val
-			sf := sFlags.Get(c, u).Val
-			a := st.affA.Get(c, u)
-			b := st.affB.Get(c, u)
-			lv := st.leafVal.Get(c, u)
-			myParent := st.parent.Get(c, u)
-			myFlags := st.flags.Get(c, u)
-
-			fill := obliv.Elem{Kind: obliv.Filler}
-			sp2, sa2, sb2, lg, rg := fill, fill, fill, fill, fill
-			fU, fP, fS := fill, fill, fill
-			c.Op(8)
-			if isRaker {
-				cu := a*lv + b
-				var na, nb uint64
-				if pf.Val&flagOpMul != 0 {
-					na = pa * sa * cu
-					nb = pa*(sb*cu) + pb
-				} else {
-					na = pa * sa
-					nb = pa*(sb+cu) + pb
-				}
-				gpID := none
-				if gp.Kind == obliv.Real {
-					gpID = gp.Val
-				}
-				sp2 = obliv.Elem{Key: s, Val: gpID, Aux: uint64(u), Kind: obliv.Real}
-				sa2 = obliv.Elem{Key: s, Val: na, Aux: uint64(u), Kind: obliv.Real}
-				sb2 = obliv.Elem{Key: s, Val: nb, Aux: uint64(u), Kind: obliv.Real}
-				// New flags for s: inherit p's side bit.
-				nsf := (sf &^ uint64(flagIsLeft)) | (pf.Val & flagIsLeft)
-				fS = obliv.Elem{Key: s, Val: nsf, Aux: uint64(u), Kind: obliv.Real}
-				// gp's child pointer that pointed to p now points to s.
-				if gpID != none {
-					if pf.Val&flagIsLeft != 0 {
-						lg = obliv.Elem{Key: gpID, Val: s, Aux: uint64(u), Kind: obliv.Real}
-					} else {
-						rg = obliv.Elem{Key: gpID, Val: s, Aux: uint64(u), Kind: obliv.Real}
-					}
-				}
-				// Kill u and p.
-				fU = obliv.Elem{Key: uint64(u), Val: myFlags &^ uint64(flagAlive), Aux: uint64(u), Kind: obliv.Real}
-				fP = obliv.Elem{Key: myParent, Val: pf.Val &^ uint64(flagAlive), Aux: uint64(u), Kind: obliv.Real}
+			pf := w.pf.Get(c, u)
+			pa, pb := w.pa.Get(c, u), w.pb.Get(c, u)
+			sa, sb := w.sa.Get(c, u), w.sb.Get(c, u)
+			cu := st.affA.Get(c, u)*st.leafVal.Get(c, u) + st.affB.Get(c, u)
+			a, b := pa*sa, pa*(sb+cu)+pb
+			c.Op(4)
+			if pf&flagOpMul != 0 {
+				a, b = pa*sa*cu, pa*(sb*cu)+pb
 			}
-			reqSibParent.Set(c, u, sp2)
-			reqSibA.Set(c, u, sa2)
-			reqSibB.Set(c, u, sb2)
-			reqLeft.Set(c, u, lg)
-			reqRight.Set(c, u, rg)
-			reqFlags.Set(c, u, fS)
-			reqFlags.Set(c, m+u, fU)
-			reqFlags.Set(c, 2*m+u, fP)
+			na.Set(c, u, a)
+			nb.Set(c, u, b)
 		}
 	})
-	pram.ScatterResolve(c, sp, st.parent, reqSibParent, srt)
-	pram.ScatterResolve(c, sp, st.affA, reqSibA, srt)
-	pram.ScatterResolve(c, sp, st.affB, reqSibB, srt)
-	pram.ScatterResolve(c, sp, st.left, reqLeft, srt)
-	pram.ScatterResolve(c, sp, st.right, reqRight, srt)
-	pram.ScatterResolve(c, sp, st.flags, reqFlags, srt)
+	scatter(c, sp, w.one, st.parent, func(c *forkjoin.Ctx, u int) (uint64, uint64) {
+		return sib.Get(c, u), w.gp.Get(c, u)
+	})
+	scatter(c, sp, w.one, st.affA, func(c *forkjoin.Ctx, u int) (uint64, uint64) {
+		return sib.Get(c, u), na.Get(c, u)
+	})
+	scatter(c, sp, w.one, st.affB, func(c *forkjoin.Ctx, u int) (uint64, uint64) {
+		return sib.Get(c, u), nb.Get(c, u)
+	})
+	for _, child := range []struct {
+		arr  *mem.Array[uint64]
+		left bool
+	}{{st.left, true}, {st.right, false}} {
+		scatter(c, sp, w.one, child.arr, func(c *forkjoin.Ctx, u int) (uint64, uint64) {
+			s, gp, pf := sib.Get(c, u), w.gp.Get(c, u), w.pf.Get(c, u)
+			a := none
+			c.Op(1)
+			if s != none && (pf&flagIsLeft != 0) == child.left {
+				a = gp // none when p is the root: nothing to repoint
+			}
+			return a, s
+		})
+	}
+	// Flags: s inherits p's side bit; the raker and its parent die.
+	scatter(c, sp, w.kill, st.flags, func(c *forkjoin.Ctx, i int) (uint64, uint64) {
+		u := i % m
+		s, pf := sib.Get(c, u), w.pf.Get(c, u)
+		var a, f uint64
+		switch i / m {
+		case 0:
+			a, f = s, (sFlags.Get(c, u)&^uint64(flagIsLeft))|(pf&flagIsLeft)
+		case 1:
+			a, f = uint64(u), st.flags.Get(c, u)&^uint64(flagAlive)
+		default:
+			a, f = st.parent.Get(c, u), pf&^uint64(flagAlive)
+		}
+		c.Op(1)
+		if s == none {
+			a = none
+		}
+		return a, f
+	})
 }
 
 // renumberLeaves halves every alive leaf's number (all odd numbers were
@@ -371,14 +402,13 @@ func renumberLeaves(c *forkjoin.Ctx, st *treeState) {
 }
 
 // compact removes dead nodes: new ids by oblivious prefix sum over alive
-// flags, reference relabeling by oblivious gathers, then two packed
-// oblivious sorts that move the alive records to the front. The alive
-// count is a deterministic function of the round (the rake schedule kills
-// exactly the odd leaves and their parents), so revealing it leaks
-// nothing.
-func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, p core.Params) {
+// flags, reference relabeling by the round's gatherer re-addressed to each
+// reference list, then one oblivious sort of the state's planes, in place,
+// that moves the alive records to the front. The alive count is
+// a deterministic function of the round (the rake schedule kills exactly
+// the odd leaves and their parents), so revealing it leaks nothing.
+func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, w *rakeSpace, srt obliv.ScheduledSorter) {
 	m := st.size
-	srt := p.Sorter
 
 	alive := mem.Alloc[uint64](sp, m)
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
@@ -391,87 +421,53 @@ func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, p core.Params) {
 	obliv.PrefixSumU64(c, sp, newID, false)
 	newSize := int(newID.Get(c, m-1) + alive.Get(c, m-1))
 
-	// Relabel parent/left/right to new ids (none stays none via ⊥).
-	relabel := func(arr *mem.Array[uint64]) {
-		routed := pram.Gather(c, sp, newID, arr, srt)
+	// Relabel parent/left/right to new ids; none reads ⊥ and stays none.
+	for _, arr := range []*mem.Array[uint64]{st.parent, st.left, st.right} {
+		routed := w.j.gather(c, sp, newID, arr)
 		forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for u := lo; u < hi; u++ {
-				r := routed.Get(c, u)
-				v := none
+				v, r := arr.Get(c, u), routed.Get(c, u)
 				c.Op(1)
-				if r.Kind == obliv.Real {
-					v = r.Val
+				if v < uint64(m) {
+					v = r
 				}
 				arr.Set(c, u, v)
 			}
 		})
 	}
-	relabel(st.parent)
-	relabel(st.left)
-	relabel(st.right)
 
-	// Pack and obliviously sort records: alive first, stable by id.
-	wl := obliv.NextPow2(m)
-	wA := mem.Alloc[obliv.Elem](sp, wl)
-	wB := mem.Alloc[obliv.Elem](sp, wl)
+	// Sort the records by (dead, id), alive first and stable by id, on the
+	// left plane, every field carried; the padding keys InfKey. Children
+	// pack into 32 bits each in the right plane; none becomes mask32 (node
+	// ids are < 2^31, so any value >= newSize unpacks as none).
 	const mask32 = 1<<32 - 1
-	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
+	wl := obliv.NextPow2(m)
+	keys, kids := st.planes.Plane(0), st.planes.Plane(1)
+	forkjoin.ParallelRange(c, 0, wl, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			fl := st.flags.Get(c, u)
-			deadBit := uint64(1)
-			if fl&flagAlive != 0 {
-				deadBit = 0
+			key, lr := obliv.InfKey, uint64(0)
+			if u < m {
+				l, r := keys.Get(c, u), kids.Get(c, u)
+				key = uint64(u)
+				c.Op(3)
+				if st.flags.Get(c, u)&flagAlive == 0 {
+					key |= 1 << 41
+				}
+				lr = min(l, mask32)<<32 | min(r, mask32)
 			}
-			key := deadBit<<41 | uint64(u)
-			// Pack children into 32 bits each; none becomes mask32 (node
-			// ids are < 2^31, so any value >= newSize unpacks as none).
-			l, r := st.left.Get(c, u), st.right.Get(c, u)
-			c.Op(2)
-			if l >= mask32 {
-				l = mask32
-			}
-			if r >= mask32 {
-				r = mask32
-			}
-			wA.Set(c, u, obliv.Elem{
-				Key: key, Val: st.parent.Get(c, u),
-				Aux: l<<32 | r,
-				Lbl: st.leafNum.Get(c, u), Kind: obliv.Real,
-			})
-			wB.Set(c, u, obliv.Elem{
-				Key: key, Val: st.affA.Get(c, u), Aux: st.affB.Get(c, u),
-				Lbl: st.leafVal.Get(c, u), Tag: uint32(fl), Kind: obliv.Real,
-			})
+			keys.Set(c, u, key)
+			kids.Set(c, u, lr)
 		}
 	})
-	packKey := func(e obliv.Elem) uint64 {
-		if e.Kind != obliv.Real {
-			return obliv.InfKey
-		}
-		return e.Key
-	}
-	obliv.SortKeyed(c, sp, wA.View(0, wl), wl, packKey, srt)
-	obliv.SortKeyed(c, sp, wB.View(0, wl), wl, packKey, srt)
+	bitonic.Recorder(srt).SortRecorded(c, sp, st.planes, st.scr, 1, nil, 0, wl)
 
-	ns := treeState{
-		size:    newSize,
-		parent:  mem.Alloc[uint64](sp, newSize),
-		left:    mem.Alloc[uint64](sp, newSize),
-		right:   mem.Alloc[uint64](sp, newSize),
-		flags:   mem.Alloc[uint64](sp, newSize),
-		affA:    mem.Alloc[uint64](sp, newSize),
-		affB:    mem.Alloc[uint64](sp, newSize),
-		leafVal: mem.Alloc[uint64](sp, newSize),
-		leafNum: mem.Alloc[uint64](sp, newSize),
-	}
+	// The first newSize records are the new tree; restore none markers
+	// (anything outside the live id range).
+	st.cut(newSize)
 	forkjoin.ParallelRange(c, 0, newSize, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			ea := wA.Get(c, u)
-			eb := wB.Get(c, u)
-			ns.parent.Set(c, u, ea.Val)
-			l := ea.Aux >> 32
-			r := ea.Aux & mask32
-			// Restore none markers (anything outside the live id range).
+			lr := st.right.Get(c, u)
+			l, r := lr>>32, lr&mask32
 			c.Op(2)
 			if l >= uint64(newSize) {
 				l = none
@@ -479,16 +475,10 @@ func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, p core.Params) {
 			if r >= uint64(newSize) {
 				r = none
 			}
-			ns.left.Set(c, u, l)
-			ns.right.Set(c, u, r)
-			ns.leafNum.Set(c, u, ea.Lbl)
-			ns.affA.Set(c, u, eb.Val)
-			ns.affB.Set(c, u, eb.Aux)
-			ns.leafVal.Set(c, u, eb.Lbl)
-			ns.flags.Set(c, u, uint64(eb.Tag))
+			st.left.Set(c, u, l)
+			st.right.Set(c, u, r)
 		}
 	})
-	*st = ns
 }
 
 // EvalTreeDirect is the insecure baseline for tree contraction: a parallel

@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -297,6 +298,46 @@ func TestListRankDifferentialBackends(t *testing.T) {
 							t.Fatalf("%s: rank[%d] = %d, want %d", label, i, got[i], want[i])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeKernelsDifferentialBackends: tree functions and tree
+// contraction match their sequential references across backends and
+// execution modes on a path, a star and random trees / expression trees.
+func TestTreeKernelsDifferentialBackends(t *testing.T) {
+	const n = 24
+	path, star := make([][2]int, 0, n-1), make([][2]int, 0, n-1)
+	for v := 1; v < n; v++ {
+		path = append(path, [2]int{v - 1, v})
+		star = append(star, [2]int{v, 0})
+	}
+	trees := [][][2]int{path, star, randomTree(31, n)}
+	exprs := []ExprTree{spineExprTree(9), balancedExprTree(12), randomExprTree(32, 17)}
+	for _, be := range diffBackends() {
+		for _, ex := range diffExecs() {
+			for i, edges := range trees {
+				want := TreeFunctionsSeq(n, edges, i)
+				var got TreeFuncs
+				ex.run(func(c *forkjoin.Ctx) {
+					got = TreeFunctionsOblivious(c, mem.NewSpace(), n, edges, i, 9, diffParams(be.srt()))
+				})
+				if !sameInts(got.Parent, want.Parent) || !slices.Equal(got.Depth, want.Depth) ||
+					!slices.Equal(got.Preorder, want.Preorder) || !slices.Equal(got.Postorder, want.Postorder) ||
+					!slices.Equal(got.SubtreeSize, want.SubtreeSize) {
+					t.Fatalf("tree %d/%s/%s: %+v, want %+v", i, be.name, ex.name, got, want)
+				}
+			}
+			for i, tr := range exprs {
+				want := EvalTreeSeq(tr)
+				var got uint64
+				ex.run(func(c *forkjoin.Ctx) {
+					got = EvalTreeOblivious(c, mem.NewSpace(), tr, 9, diffParams(be.srt()))
+				})
+				if got != want {
+					t.Fatalf("expression tree %d/%s/%s: %d, want %d", i, be.name, ex.name, got, want)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -21,10 +22,14 @@ func arcKey(u, v uint64) uint64 { return u<<vertexBits | v }
 // EulerTourOblivious computes the Euler tour successor τ of every arc
 // (§5.2), rooted at root: the returned slice maps arc index to successor
 // arc index, with the tour's final arc mapping to 2(n-1) (the end
-// sentinel). The steps — reverse arcs, oblivious sort by first endpoint,
-// neighbor inspection plus oblivious propagation for the circular
-// adjacency successor, and one oblivious send-receive for
-// τ(u,v) = Adjsucc(v,u) — are all within the sorting bound.
+// sentinel). It runs over word planes: one recorded sort of the packed
+// (u,v) arc keys, the arc index carried, groups each vertex's arcs; a
+// neighbour compare and one segmented scan on the sorted planes give every
+// arc its successor in the circular adjacency list Adj(u); one un-sort
+// replays the recorded sort backwards, taking each successor home to its
+// arc; and τ(u,v) = Adjsucc(v,u) is then a read at the fixed address a^1.
+// One sort and one un-sort of NextPow2(2(n-1)) words, within the sorting
+// bound; the access pattern is a function of n alone.
 func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) []int {
 	m := 2 * len(edges)
 	if m == 0 {
@@ -34,124 +39,113 @@ func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, r
 		panic("graph: too many vertices for packed arc keys")
 	}
 	p = p.Normalized(m)
+	rs := bitonic.Recorder(p.Sorter)
 
-	// Build arcs: Key = packed (u,v), Val = own arc index.
-	arcs := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(m))
-	forkjoin.ParallelRange(c, 0, len(edges), 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for e := lo; e < hi; e++ {
-			u, v := uint64(edges[e][0]), uint64(edges[e][1])
-			arcs.Set(c, 2*e, obliv.Elem{Key: arcKey(u, v), Val: uint64(2 * e), Kind: obliv.Real})
-			arcs.Set(c, 2*e+1, obliv.Elem{Key: arcKey(v, u), Val: uint64(2*e + 1), Kind: obliv.Real})
+	// Sort planes: the packed (u,v) key and the arc index; the padding
+	// keys InfKey and sorts last.
+	w := obliv.NextPow2(m)
+	ws, scr := obliv.AllocKeySchedule(sp, w, 2), obliv.AllocKeySchedule(sp, w, 2)
+	keys, idx := ws.Plane(0), ws.Plane(1)
+	forkjoin.ParallelRange(c, 0, w, 0, func(c *forkjoin.Ctx, lo, hi int) {
+		for a := lo; a < hi; a++ {
+			key := obliv.InfKey
+			if a < m {
+				u, v := arcEnds(edges, a)
+				key = arcKey(u, v)
+			}
+			keys.Set(c, a, key)
+			idx.Set(c, a, uint64(a))
 		}
 	})
+	rec := mem.Alloc[uint64](sp, rs.RecordWords(c, w))
+	rs.SortRecorded(c, sp, ws, scr, 1, rec, 0, w)
 
-	// Oblivious sort by (u, v): each vertex's arcs become consecutive.
-	keyFn := func(e obliv.Elem) uint64 {
-		if e.Kind != obliv.Real {
-			return obliv.InfKey
-		}
-		return e.Key
-	}
-	obliv.SortKeyed(c, sp, arcs, arcs.Len(), keyFn, p.Sorter)
-
-	// Adjacency successor: each arc's successor in the circular list
-	// Adj(u) is its right neighbor if that shares u; the last arc of the
-	// group learns the group's first arc via oblivious propagation.
-	uOf := func(e obliv.Elem) uint64 {
-		if e.Kind != obliv.Real {
-			return obliv.InfKey
-		}
-		return e.Key >> vertexBits
-	}
-	// Pass 1: Aux <- right neighbor's arc index, or sentinel if the group
-	// ends here.
-	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := arcs.Get(c, i)
-			nxt := uint64(m) // sentinel: group ends
-			if i+1 < m {
-				r := arcs.Get(c, i+1)
-				c.Op(1)
-				if uOf(r) == uOf(e) {
-					nxt = r.Val
-				}
-			} else {
-				c.Op(1)
-			}
-			e.Aux = nxt
-			arcs.Set(c, i, e)
-		}
-	})
-	// Pass 2: propagate the group's first arc index to close the circle.
-	obliv.PropagateFirst(c, sp, arcs, uOf,
-		func(e obliv.Elem, i int) (uint64, bool) { return e.Val, e.Kind == obliv.Real },
-		func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
-			c.Op(1)
-			if e.Kind == obliv.Real && e.Aux == uint64(m) && ok {
-				e.Aux = v
-			}
-			return e
-		})
-
-	// Identify e0 = first arc of Adj(root) (the tour start): exactly one
-	// sorted arc is its group's first with u == root; sum (Val+1) over the
-	// matching positions.
+	// Each sorted arc carries its own index and whether it opens its
+	// vertex's group; a segmented scan hands every arc its group's first
+	// arc. The one arc that opens Adj(root) is the tour's start e0.
+	first := mem.Alloc[groupFirst](sp, m)
 	marks := mem.Alloc[uint64](sp, m)
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := arcs.Get(c, i)
-			first := i == 0
+			u, a := keys.Get(c, i)>>vertexBits, idx.Get(c, i)
+			start := i == 0
 			if i > 0 {
-				prev := arcs.Get(c, i-1)
+				prev := keys.Get(c, i-1)
 				c.Op(1)
-				first = uOf(prev) != uOf(e)
+				start = prev>>vertexBits != u
 			}
-			v := uint64(0)
-			if first && uOf(e) == uint64(root) {
-				v = e.Val + 1
+			first.Set(c, i, groupFirst{arc: a, start: start})
+			mark := uint64(0)
+			c.Op(1)
+			if start && u == uint64(root) {
+				mark = a + 1
 			}
-			marks.Set(c, i, v)
+			marks.Set(c, i, mark)
 		}
 	})
-	e0 := obliv.SumU64(c, sp, marks.View(0, m)) - 1
+	obliv.ScanOp(c, sp, first, firstOfGroup, groupFirst{}, true)
+	e0 := obliv.SumU64(c, sp, marks) - 1
 
-	// τ(u,v) = Adjsucc(v,u): each arc requests its reversal's Aux.
-	sources := mem.Alloc[obliv.Elem](sp, m)
-	dests := mem.Alloc[obliv.Elem](sp, m)
+	// Adjsucc of a sorted arc: its right neighbour if that shares u, else
+	// its group's first arc. The un-sort takes each home to its arc.
+	adj, adjScr := obliv.AllocKeySchedule(sp, w, 1), obliv.AllocKeySchedule(sp, w, 1)
+	succ := adj.Plane(0)
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := arcs.Get(c, i)
-			sources.Set(c, i, obliv.Elem{Key: e.Key, Val: e.Aux, Kind: obliv.Real})
-			u, v := e.Key>>vertexBits, e.Key&((1<<vertexBits)-1)
-			dests.Set(c, i, obliv.Elem{Key: arcKey(v, u), Aux: e.Val, Kind: obliv.Real})
+			s := first.Get(c, i).arc
+			if i+1 < m {
+				u, r := keys.Get(c, i)>>vertexBits, keys.Get(c, i+1)>>vertexBits
+				next := idx.Get(c, i+1)
+				c.Op(1)
+				if r == u {
+					s = next
+				}
+			}
+			succ.Set(c, i, s)
 		}
 	})
-	routed := obliv.SendReceive(c, sp, sources, dests, p.Sorter)
+	rs.Unsort(c, sp, adj, adjScr, rec, 0, w)
 
-	// routed[i] parallels dests: the arc with original index
-	// dests[i].Aux has τ = routed[i].Val; break the cycle at τ == e0.
-	// Scatter τ values into original arc order obliviously.
-	tau := mem.Alloc[uint64](sp, m)
-	reqs := mem.Alloc[obliv.Elem](sp, m)
+	// τ(a) = Adjsucc(a^1), the cycle broken at e0.
+	tau := make([]int, m)
 	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := routed.Get(c, i)
-			d := dests.Get(c, i)
-			t := r.Val
+		for a := lo; a < hi; a++ {
+			t := succ.Get(c, a^1)
 			c.Op(1)
 			if t == e0 {
 				t = uint64(m) // end of tour
 			}
-			reqs.Set(c, i, obliv.Elem{Key: d.Aux, Val: t, Aux: uint64(i), Kind: obliv.Real})
+			tau[a] = int(t)
 		}
 	})
-	pram.ScatterResolve(c, sp, tau, reqs, p.Sorter)
+	return tau
+}
 
-	out := make([]int, m)
-	for i := range out {
-		out[i] = int(tau.Data()[i])
+// arcEnds is arc a's (tail, head): edge a/2 in its own orientation for an
+// even a, reversed for an odd one.
+func arcEnds(edges [][2]int, a int) (u, v uint64) {
+	e := edges[a/2]
+	u, v = uint64(e[0]), uint64(e[1])
+	if a%2 == 1 {
+		u, v = v, u
 	}
-	return out
+	return u, v
+}
+
+// groupFirst is the segmented scan's carrier over the sorted arcs: an arc
+// index and whether its arc opens a group.
+type groupFirst struct {
+	arc   uint64
+	start bool
+}
+
+// firstOfGroup is the scan's operator: a group's opening arc overrides what
+// came before it, so an inclusive scan leaves every arc its group's first.
+func firstOfGroup(x, y groupFirst) groupFirst {
+	if y.start {
+		return y
+	}
+	return x
 }
 
 // TreeFuncs carries the per-vertex results of the Euler-tour based tree
@@ -166,8 +160,15 @@ type TreeFuncs struct {
 
 // TreeFunctionsOblivious roots the tree at root and computes parent,
 // depth, preorder and postorder numbers, and subtree sizes, by an
-// oblivious Euler tour followed by oblivious (weighted) list rankings on
-// the tour — the §5.2 recipe; performance is dominated by list ranking.
+// oblivious Euler tour followed by oblivious list rankings on the tour —
+// the §5.2 recipe; performance is dominated by list ranking. Two rankings
+// suffice: the unweighted one gives tour positions, hence which arcs run
+// forward (away from the root), and the one weighted by forward arcs
+// counts them; every arc weighs 1, so the backward count is the
+// difference. The vertex values then reach their vertices by three
+// conflict-resolved writes of one pram.Scatterer — (parent, depth) and
+// (preorder, subtree size) packed two to a word from the forward arc into
+// each vertex, postorder from the backward arc out of it.
 func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) TreeFuncs {
 	m := 2 * len(edges)
 	tf := TreeFuncs{
@@ -204,84 +205,55 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 
 	// Forward arc = traversed before its reversal (static pairing a^1).
 	forward := make([]bool, m)
+	wF := make([]uint64, m)
+	var totF uint64
 	for a := 0; a < m; a++ {
 		forward[a] = pos[a] < pos[a^1]
-	}
-
-	// Weighted rankings: forward-arc count and backward-arc count.
-	wF := make([]uint64, m)
-	wB := make([]uint64, m)
-	var totF, totB uint64
-	for a := 0; a < m; a++ {
 		if forward[a] {
 			wF[a] = 1
 			totF++
-		} else {
-			wB[a] = 1
-			totB++
 		}
 	}
 	rankF := ListRankOblivious(c, sp, succ, wF, seed+2, p)
-	rankB := ListRankOblivious(c, sp, succ, wB, seed+3, p)
+	totB := uint64(m) - totF
 
 	// Per-arc inclusive prefix counts: F(a) = totF - rankF(a) counts
-	// forward arcs up to and including a (when a is forward), etc.
-	// Scatter vertex values obliviously from arcs.
-	parentArr := mem.Alloc[uint64](sp, n)
-	depthArr := mem.Alloc[uint64](sp, n)
-	preArr := mem.Alloc[uint64](sp, n)
-	postArr := mem.Alloc[uint64](sp, n)
-	sizeArr := mem.Alloc[uint64](sp, n)
-
-	edgeOf := func(a int) (uint64, uint64) {
-		e := edges[a/2]
-		u, v := uint64(e[0]), uint64(e[1])
-		if a%2 == 1 {
-			u, v = v, u
-		}
-		return u, v
-	}
-
-	reqP := mem.Alloc[obliv.Elem](sp, m)
-	reqD := mem.Alloc[obliv.Elem](sp, m)
-	reqPre := mem.Alloc[obliv.Elem](sp, m)
-	reqPost := mem.Alloc[obliv.Elem](sp, m)
-	reqSize := mem.Alloc[obliv.Elem](sp, m)
-	forkjoin.ParallelRange(c, 0, m, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for a := lo; a < hi; a++ {
-			u, v := edgeOf(a)
-			c.Op(4)
-			if forward[a] {
-				fIncl := totF - rankF[a]
-				bIncl := totB - rankB[a]
-				sub := (pos[a^1] - pos[a] + 1) / 2
-				reqP.Set(c, a, obliv.Elem{Key: v, Val: u, Aux: uint64(a), Kind: obliv.Real})
-				reqD.Set(c, a, obliv.Elem{Key: v, Val: fIncl - bIncl, Aux: uint64(a), Kind: obliv.Real})
-				reqPre.Set(c, a, obliv.Elem{Key: v, Val: fIncl, Aux: uint64(a), Kind: obliv.Real})
-				reqSize.Set(c, a, obliv.Elem{Key: v, Val: sub, Aux: uint64(a), Kind: obliv.Real})
-				reqPost.Set(c, a, obliv.Elem{Kind: obliv.Filler})
-			} else {
-				bIncl := totB - rankB[a]
-				reqP.Set(c, a, obliv.Elem{Kind: obliv.Filler})
-				reqD.Set(c, a, obliv.Elem{Kind: obliv.Filler})
-				reqPre.Set(c, a, obliv.Elem{Kind: obliv.Filler})
-				reqSize.Set(c, a, obliv.Elem{Kind: obliv.Filler})
-				reqPost.Set(c, a, obliv.Elem{Key: u, Val: bIncl - 1, Aux: uint64(a), Kind: obliv.Real})
+	// forward arcs up to and including a (when a is forward), B(a) the
+	// backward ones.
+	w := pram.NewScatterer(sp, n, m, p.Sorter, nil)
+	write := func(memory *mem.Array[uint64], fwd bool, req func(a int, u, v uint64) (cell, x uint64)) {
+		scatter(c, sp, w, memory, func(c *forkjoin.Ctx, a int) (uint64, uint64) {
+			u, v := arcEnds(edges, a)
+			cell, x := req(a, u, v)
+			c.Op(1)
+			if forward[a] != fwd {
+				cell = none
 			}
-		}
+			return cell, x
+		})
+	}
+	const lo32 = 1<<32 - 1
+	parentDepth := mem.Alloc[uint64](sp, n)
+	preSize := mem.Alloc[uint64](sp, n)
+	post := mem.Alloc[uint64](sp, n)
+	write(parentDepth, true, func(a int, u, v uint64) (uint64, uint64) {
+		fIncl, bIncl := totF-rankF[a], totB-(rankAfter[a]-rankF[a])
+		return v, u<<32 | (fIncl - bIncl)
 	})
-	pram.ScatterResolve(c, sp, parentArr, reqP, p.Sorter)
-	pram.ScatterResolve(c, sp, depthArr, reqD, p.Sorter)
-	pram.ScatterResolve(c, sp, preArr, reqPre, p.Sorter)
-	pram.ScatterResolve(c, sp, postArr, reqPost, p.Sorter)
-	pram.ScatterResolve(c, sp, sizeArr, reqSize, p.Sorter)
+	write(preSize, true, func(a int, u, v uint64) (uint64, uint64) {
+		return v, (totF-rankF[a])<<32 | (pos[a^1]-pos[a]+1)/2
+	})
+	write(post, false, func(a int, u, v uint64) (uint64, uint64) {
+		return u, totB - (rankAfter[a] - rankF[a]) - 1
+	})
 
 	for v := 0; v < n; v++ {
-		tf.Parent[v] = int(parentArr.Data()[v])
-		tf.Depth[v] = depthArr.Data()[v]
-		tf.Preorder[v] = preArr.Data()[v]
-		tf.Postorder[v] = postArr.Data()[v]
-		tf.SubtreeSize[v] = sizeArr.Data()[v]
+		pd, ps := parentDepth.Data()[v], preSize.Data()[v]
+		tf.Parent[v] = int(pd >> 32)
+		tf.Depth[v] = pd & lo32
+		tf.Preorder[v] = ps >> 32
+		tf.SubtreeSize[v] = ps & lo32
+		tf.Postorder[v] = post.Data()[v]
 	}
 	tf.Parent[root] = root
 	tf.Depth[root] = 0

@@ -3,11 +3,13 @@ package graph
 // Native fuzz targets for the graph operators: the fuzzer mutates
 // (seed, n, m, backend) tuples, each input derives a random graph —
 // self-loops and duplicate edges included — and replays the oblivious
-// op against its plain sequential reference. `go test` runs the seed
+// op against its plain sequential reference; the tree targets do the same
+// with (seed, size, root, backend) and a random tree. `go test` runs the seed
 // corpus as regular tests; CI's `make fuzz-smoke` step runs each target
 // under -fuzz for a short budget.
 
 import (
+	"slices"
 	"testing"
 
 	"oblivmc/internal/core"
@@ -82,4 +84,72 @@ func FuzzMSF(f *testing.F) {
 			t.Fatalf("msf(n=%d, m=%d, seed=%d): chose %v, want %v", nv, len(wedges), seed, got, want)
 		}
 	})
+}
+
+// fuzzTree folds raw fuzz bytes into a random tree on n in [1, 64]
+// vertices: vertex v > 0 hangs off a uniformly drawn earlier vertex, under
+// a random relabelling, so paths, stars and bushy trees all occur.
+func fuzzTree(seed uint64, n uint8) (int, [][2]int) {
+	nv := int(n%64) + 1
+	src := prng.New(seed)
+	label := src.Perm(nv)
+	edges := make([][2]int, 0, nv-1)
+	for v := 1; v < nv; v++ {
+		edges = append(edges, [2]int{label[src.Intn(v)], label[v]})
+	}
+	return nv, edges
+}
+
+func FuzzTreeFunctions(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(63), uint8(40), uint8(1))
+	f.Add(uint64(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(4), uint8(1), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, n, root, backend uint8) {
+		nv, edges := fuzzTree(seed, n)
+		r := int(root) % nv
+		want := TreeFunctionsSeq(nv, edges, r)
+		got := TreeFunctionsOblivious(forkjoin.Serial(), mem.NewSpace(), nv, edges, r, seed, fuzzSorter(backend))
+		if !sameInts(got.Parent, want.Parent) || !slices.Equal(got.Depth, want.Depth) ||
+			!slices.Equal(got.Preorder, want.Preorder) || !slices.Equal(got.Postorder, want.Postorder) ||
+			!slices.Equal(got.SubtreeSize, want.SubtreeSize) {
+			t.Fatalf("tree functions(n=%d, root=%d, seed=%d): %+v, want %+v", nv, r, seed, got, want)
+		}
+	})
+}
+
+func FuzzEvalTree(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(40), uint8(7), uint8(1))
+	f.Add(uint64(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(4), uint8(2), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, leaves, shape, backend uint8) {
+		tr := fuzzExprTree(seed, int(leaves%48)+1, shape)
+		want := EvalTreeSeq(tr)
+		if got := EvalTreeOblivious(forkjoin.Serial(), mem.NewSpace(), tr, seed, fuzzSorter(backend)); got != want {
+			t.Fatalf("eval tree(leaves=%d, shape=%d, seed=%d): %d, want %d", (tr.N+1)/2, shape%3, seed, got, want)
+		}
+	})
+}
+
+// fuzzExprTree is a full binary expression tree over the given leaf count,
+// of one of three shapes picked by shape: random, left spine or balanced.
+// The spine's and the balanced tree's leaf values and operators are drawn
+// from seed over the whole word, so the ring arithmetic wraps.
+func fuzzExprTree(seed uint64, leaves int, shape uint8) ExprTree {
+	var tr ExprTree
+	switch shape % 3 {
+	case 0:
+		return randomExprTree(seed, leaves)
+	case 1:
+		tr = spineExprTree(leaves)
+	default:
+		tr = balancedExprTree(leaves)
+	}
+	src := prng.New(seed)
+	for v := 0; v < tr.N; v++ {
+		tr.LeafVal[v] = src.Uint64()
+		tr.Op[v] = uint8(src.Intn(2))
+	}
+	return tr
 }

@@ -11,6 +11,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/pram"
 )
 
 // Tail marks a list tail: succ[i] == i.
@@ -20,11 +21,16 @@ import (
 // ahead of i (between i and the tail); with nil weights every element
 // weighs 1, so rank[i] is the number of elements ahead of i.
 //
-// Pipeline per §5.1: obliviously permute the entries (ORP), route each
-// entry its successor's permuted position (send-receive), run the
-// insecure pointer-jumping ranking on the permuted array — its accesses
-// are distributed independently of the list structure because the
-// permutation is — and route the answers back obliviously.
+// Pipeline per §5.1: obliviously permute the entries (ORP), give each
+// permuted entry its successor's permuted position, run the insecure
+// pointer-jumping ranking on the permuted array — its accesses are
+// distributed independently of the list structure because the permutation
+// is — and route the answers back obliviously. The routing runs on the
+// PRAM layer's word planes: one scatter writes every entry's permuted
+// position and weight to the cell of its original index, one gather reads
+// them back at the successors' original indices, and the same scatterer
+// writes the ranks home: three sorts and one un-sort of NextPow2(n) words
+// besides the ORP's.
 //
 // Requirements: weights < 2^32, n < 2^31.
 func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64, seed uint64, p core.Params) []uint64 {
@@ -47,41 +53,35 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 
 	perm, _ := core.MustRandomPermutation(c, sp, in, seed, p)
 
-	// Route each permuted entry the (position, weight) of its successor.
-	// Sources: (origIndex → pos<<32|weight); dests keyed by successor's
-	// original index, with tails asking for ⊥.
-	sources := mem.Alloc[obliv.Elem](sp, n)
-	dests := mem.Alloc[obliv.Elem](sp, n)
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			e := perm.Get(c, pos)
-			sources.Set(c, pos, obliv.Elem{Key: e.Aux, Val: uint64(pos)<<32 | (e.Val & 0xffffffff), Kind: obliv.Real})
-			d := obliv.Elem{Key: e.Key, Kind: obliv.Real}
-			c.Op(1)
-			if e.Key == e.Aux { // tail
-				d.Kind = obliv.Filler
-			}
-			dests.Set(c, pos, d)
-		}
+	// Each permuted entry writes pos<<32|weight to the cell of its
+	// original index and names its successor's; a tail names its own.
+	route := obliv.NewRouter(sp, n, obliv.NextPow2(n))
+	home := pram.NewScatterer(sp, n, n, p.Sorter, route)
+	next := mem.Alloc[uint64](sp, n)
+	cells := mem.Alloc[uint64](sp, n)
+	scatter(c, sp, home, cells, func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
+		e := perm.Get(c, pos)
+		next.Set(c, pos, e.Key)
+		return e.Aux, uint64(pos)<<32 | (e.Val & 0xffffffff)
 	})
-	routed := obliv.SendReceive(c, sp, sources, dests, p.Sorter)
+	routed := pram.NewGatherer(c, sp, n, next, p.Sorter, route).Values(c, sp, cells)
 
-	// Permuted-order successor and rank arrays. S == n marks the tail.
+	// Permuted-order successor and rank arrays. S == n marks the tail, the
+	// one entry whose successor sits at its own position.
 	s0 := mem.Alloc[uint64](sp, n)
 	r0 := mem.Alloc[uint64](sp, n)
 	s1 := mem.Alloc[uint64](sp, n)
 	r1 := mem.Alloc[uint64](sp, n)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for pos := lo; pos < hi; pos++ {
-			e := routed.Get(c, pos)
+			x := routed.Get(c, pos)
+			s, r := x>>32, x&0xffffffff // the successor's position and weight
 			c.Op(1)
-			if e.Kind == obliv.Real {
-				s0.Set(c, pos, e.Val>>32)
-				r0.Set(c, pos, e.Val&0xffffffff) // successor's weight
-			} else {
-				s0.Set(c, pos, uint64(n))
-				r0.Set(c, pos, 0)
+			if s == uint64(pos) {
+				s, r = uint64(n), 0
 			}
+			s0.Set(c, pos, s)
+			r0.Set(c, pos, r)
 		}
 	})
 
@@ -114,23 +114,14 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 		cr, nr = nr, cr
 	}
 
-	// Route ranks back to original order: sources keyed by original index,
-	// destinations requesting 0..n-1 in order.
-	back := mem.Alloc[obliv.Elem](sp, n)
-	want := mem.Alloc[obliv.Elem](sp, n)
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			e := perm.Get(c, pos)
-			back.Set(c, pos, obliv.Elem{Key: e.Aux, Val: cr.Get(c, pos), Kind: obliv.Real})
-			want.Set(c, pos, obliv.Elem{Key: uint64(pos), Kind: obliv.Real})
-		}
+	// Route the ranks back to original order: the same scatter, each
+	// permuted entry writing its rank to the cell of its original index.
+	scatter(c, sp, home, cells, func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
+		return perm.Get(c, pos).Aux, cr.Get(c, pos)
 	})
-	final := obliv.SendReceive(c, sp, back, want, p.Sorter)
 
 	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = final.Data()[i].Val
-	}
+	copy(out, cells.Data())
 	return out
 }
 

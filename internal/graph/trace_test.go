@@ -118,3 +118,113 @@ func TestGraphFingerprintUnaffectedByParallelRuns(t *testing.T) {
 		t.Fatalf("metered fingerprint moved across parallel runs: %v != %v", after, before)
 	}
 }
+
+// TestEulerTourLockstep: the Euler tour draws no randomness, so its whole
+// trace is a function of n — two trees of the same size, rooted at
+// different vertices, must give identical views; a different n must not.
+func TestEulerTourLockstep(t *testing.T) {
+	tour := func(n int, seed uint64, root int) oblivtest.Body {
+		edges := randomTree(seed, n)
+		return func(c *forkjoin.Ctx, sp *mem.Space) {
+			EulerTourOblivious(c, sp, n, edges, root, 1, testParams())
+		}
+	}
+	oblivtest.FingerprintEqual(t, "euler tour n=40", tour(40, 1, 0), tour(40, 2, 0), tour(40, 3, 17))
+	oblivtest.Different(t, "euler tour n", tour(40, 1, 0), tour(41, 1, 0))
+}
+
+// TestTreeKernelCostsShapeIndependent: tree functions and tree contraction
+// run list ranking, whose pointer jumps are distribution-oblivious only
+// (TestListRankObliviousTraceIndependent), so their traces differ across
+// tree shapes; their work, span and memory operations must not. A path, a
+// star and a random tree of one size; a left spine, a balanced tree and a
+// random tree of one leaf count.
+func TestTreeKernelCostsShapeIndependent(t *testing.T) {
+	const n = 32
+	path, star := make([][2]int, 0, n-1), make([][2]int, 0, n-1)
+	for v := 1; v < n; v++ {
+		path = append(path, [2]int{v - 1, v})
+		star = append(star, [2]int{0, v})
+	}
+	var tf []*forkjoin.Metrics
+	for _, edges := range [][][2]int{path, star, randomTree(5, n)} {
+		tf = append(tf, oblivtest.Metered(func(c *forkjoin.Ctx, sp *mem.Space) {
+			TreeFunctionsOblivious(c, sp, n, edges, 3, 7, testParams())
+		}))
+	}
+	sameCosts(t, "tree functions", tf)
+
+	const leaves = 16
+	var tc []*forkjoin.Metrics
+	for _, tr := range []ExprTree{spineExprTree(leaves), balancedExprTree(leaves), randomExprTree(9, leaves)} {
+		tc = append(tc, oblivtest.Metered(func(c *forkjoin.Ctx, sp *mem.Space) {
+			EvalTreeOblivious(c, sp, tr, 7, testParams())
+		}))
+	}
+	sameCosts(t, "tree contraction", tc)
+}
+
+// sameCosts fails t unless every run's work, span and memory operations
+// equal the first's.
+func sameCosts(t *testing.T, label string, runs []*forkjoin.Metrics) {
+	t.Helper()
+	for i, m := range runs[1:] {
+		if m.Work != runs[0].Work || m.Span != runs[0].Span || m.MemOps != runs[0].MemOps {
+			t.Errorf("%s: shape %d costs W=%d T=%d ops=%d, shape 0 W=%d T=%d ops=%d", label, i+1,
+				m.Work, m.Span, m.MemOps, runs[0].Work, runs[0].Span, runs[0].MemOps)
+		}
+	}
+}
+
+// spineExprTree is the left spine (((v0 op v1) op v2) ...) over leaves
+// leaves, leaf i valued i+1.
+func spineExprTree(leaves int) ExprTree {
+	tr := newExprTree(leaves)
+	cur := 0
+	for i := 1; i < leaves; i++ {
+		v := leaves + i - 1
+		tr.Left[v], tr.Right[v], tr.Op[v] = cur, i, uint8(i%2)
+		cur = v
+	}
+	tr.Root = cur
+	return tr
+}
+
+// balancedExprTree is the balanced binary tree over leaves leaves, built
+// level by level by pairing neighbours; an odd one out moves up a level.
+func balancedExprTree(leaves int) ExprTree {
+	tr := newExprTree(leaves)
+	level := make([]int, leaves)
+	for i := range level {
+		level[i] = i
+	}
+	next := leaves
+	for len(level) > 1 {
+		up := level[:0:0]
+		for i := 0; i+1 < len(level); i += 2 {
+			tr.Left[next], tr.Right[next], tr.Op[next] = level[i], level[i+1], uint8(next%2)
+			up = append(up, next)
+			next++
+		}
+		if len(level)%2 == 1 {
+			up = append(up, level[len(level)-1])
+		}
+		level = up
+	}
+	tr.Root = level[0]
+	return tr
+}
+
+// newExprTree is a tree of 2·leaves−1 nodes with no internal structure
+// yet: nodes [0, leaves) are leaves valued i+1, every child id −1.
+func newExprTree(leaves int) ExprTree {
+	n := 2*leaves - 1
+	tr := ExprTree{N: n, Left: make([]int, n), Right: make([]int, n), Op: make([]uint8, n), LeafVal: make([]uint64, n)}
+	for i := range tr.Left {
+		tr.Left[i], tr.Right[i] = -1, -1
+		if i < leaves {
+			tr.LeafVal[i] = uint64(i + 1)
+		}
+	}
+	return tr
+}

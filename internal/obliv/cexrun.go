@@ -92,6 +92,13 @@ func Layer(c *forkjoin.Ctx, k CexKernel, q, nb, gap, cnt, j int, alt bool) {
 		k.layer(c, q, gap, cnt, j, alt, 0, nb*cnt)
 		return
 	}
+	layerForked(c, k, q, nb, gap, cnt, j, alt)
+}
+
+// layerForked is Layer's fork tree. Its closure captures k, which moves k
+// to the heap; kept out of Layer, it does so only on the forked path, and
+// the unforked leaf path keeps its k on the stack.
+func layerForked(c *forkjoin.Ctx, k CexKernel, q, nb, gap, cnt, j int, alt bool) {
 	forkjoin.ParallelRange(c, 0, nb*cnt, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		k.layer(c, q, gap, cnt, j, alt, lo, hi)
 	})
