@@ -88,8 +88,9 @@ bench-build:
 # FuzzGroupByBackends differentially fuzzes the shuffle backend against the
 # bitonic backend (a GroupBy, and a TopK with a fuzzed k over tie-heavy
 # values, so the value sort's tie-break is exercised too); the graph targets replay oblivious CC/MSF against their
-# sequential references on fuzzer-shaped graphs, and the tree functions
-# and tree contraction on fuzzer-shaped trees; FuzzServeSpec feeds raw
+# sequential references on fuzzer-shaped graphs, list ranking and a rerank
+# of the same list under second weights on fuzzer-shaped lists, and the
+# tree functions and tree contraction on fuzzer-shaped trees; FuzzServeSpec feeds raw
 # request bodies through the server's strict decode and compile (typed
 # errors only; equal cache keys must mean equal rows).
 FUZZTIME ?= 10s
@@ -102,6 +103,7 @@ fuzz-smoke:
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzGroupByBackends$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzConnectedComponents$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzMSF$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzListRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzTreeFunctions$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzEvalTree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeSpec$$' -fuzztime $(FUZZTIME)

@@ -94,9 +94,12 @@ type TreeInfo struct {
 // 0..n-1) at root and obliviously computes parent, depth, preorder and
 // postorder numbers, and subtree sizes via Euler tour + list ranking
 // (§5.2): one recorded sort of the arc keys and its un-sort for the tour,
-// two list rankings (see ListRank), and three conflict-resolved vertex
-// writes. Every sort but the rankings' permutation bin sorts runs on the
-// cache-agnostic bitonic network whatever cfg.SortBackend says.
+// two list rankings of the tour (see ListRank) that share one permutation
+// and one successor routing — the second, weighted by the forward arcs,
+// only replays the successor gather, jumps and writes its ranks home —
+// and three conflict-resolved vertex writes. Every sort but the
+// permutation's bin sorts runs on the cache-agnostic bitonic network
+// whatever cfg.SortBackend says.
 func TreeFunctions(cfg Config, n int, edges [][2]int, root int) (TreeInfo, *Report, error) {
 	if n <= 0 {
 		return TreeInfo{}, nil, ErrEmptyInput

@@ -19,9 +19,9 @@ import (
 // every round's endpoint gather only replays it (pram.Gatherer). The
 // run allocates its PRAM work space once: the scatter's request planes
 // (pram.Scatterer), one gatherer the jumps re-sort onto each jump's
-// addresses, and one router all of them share. An Awerbuch–Shiloach
-// iteration (ConnectedComponentsOblivious) sorts 7 times, against 3 here,
-// and runs a fixed 3·⌈log₂ n⌉+5 of them.
+// addresses, one router all of them share, and the convergence test's
+// scan tree. An Awerbuch–Shiloach iteration (ConnectedComponentsOblivious)
+// sorts 7 times, against 3 here, and runs a fixed 3·⌈log₂ n⌉+5 of them.
 //
 // Correctness invariants: labels are always vertex ids of the own
 // component and only ever decrease (the scatter is min-combining, and
@@ -82,6 +82,10 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 	fixed := rounds > 0
 	prev := mem.Alloc[uint64](sp, n)
 	changed := mem.Alloc[uint64](sp, n)
+	var changedSum *mem.Array[uint64] // the convergence test's scan tree
+	if !fixed {
+		changedSum = mem.Alloc[uint64](sp, 2*n-1)
+	}
 	executed := 0
 	for {
 		if fixed && executed == rounds {
@@ -147,7 +151,7 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 					changed.Set(c, v, ch)
 				}
 			})
-			if obliv.SumU64(c, sp, changed) == 0 {
+			if obliv.SumU64With(c, changed, changedSum) == 0 {
 				break
 			}
 		}

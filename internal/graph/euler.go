@@ -158,19 +158,10 @@ type TreeFuncs struct {
 	SubtreeSize []uint64 // SubtreeSize[root] = n
 }
 
-// TreeFunctionsOblivious roots the tree at root and computes parent,
-// depth, preorder and postorder numbers, and subtree sizes, by an
-// oblivious Euler tour followed by oblivious list rankings on the tour —
-// the §5.2 recipe; performance is dominated by list ranking. Two rankings
-// suffice: the unweighted one gives tour positions, hence which arcs run
-// forward (away from the root), and the one weighted by forward arcs
-// counts them; every arc weighs 1, so the backward count is the
-// difference. The vertex values then reach their vertices by three
-// conflict-resolved writes of one pram.Scatterer — (parent, depth) and
-// (preorder, subtree size) packed two to a word from the forward arc into
-// each vertex, postorder from the backward arc out of it.
-func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) TreeFuncs {
-	m := 2 * len(edges)
+// newTreeFuncs allocates the results for n vertices with the root's own
+// values set: it is its own parent, at depth and preorder 0, postorder n-1
+// and subtree size n. No tour arc writes the root.
+func newTreeFuncs(n, root int) TreeFuncs {
 	tf := TreeFuncs{
 		Parent:      make([]int, n),
 		Depth:       make([]uint64, n),
@@ -178,17 +169,74 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 		Postorder:   make([]uint64, n),
 		SubtreeSize: make([]uint64, n),
 	}
-	if n == 1 {
-		tf.Parent[root] = root
-		tf.Postorder[root] = 0
-		tf.SubtreeSize[root] = 1
+	tf.Parent[root] = root
+	tf.Postorder[root] = uint64(n - 1)
+	tf.SubtreeSize[root] = uint64(n)
+	return tf
+}
+
+// tour is an Euler tour of m arcs ranked twice, as §5.2 ranks it: the
+// unweighted ranks give each arc's position, hence whether it runs forward
+// (away from the root, before its reversal), and the ranks weighted by the
+// forward arcs count them; every arc weighs 1, so the backward count is
+// the difference.
+type tour struct {
+	after, fwd []uint64 // the unweighted and the forward-weighted ranks
+	pos        []uint64 // tour positions
+	forward    []bool
+	totF, totB uint64 // forward and backward arcs
+}
+
+// rankTour derives the tour from its unweighted ranks after and ranks it
+// again by rerank, weighted by the forward arcs.
+func rankTour(after []uint64, rerank func(weights []uint64) []uint64) tour {
+	m := len(after)
+	t := tour{after: after, pos: make([]uint64, m), forward: make([]bool, m)}
+	for a := range m {
+		t.pos[a] = uint64(m-1) - after[a]
+	}
+	wF := make([]uint64, m)
+	for a := range m {
+		t.forward[a] = t.pos[a] < t.pos[a^1]
+		if t.forward[a] {
+			wF[a] = 1
+			t.totF++
+		}
+	}
+	t.totB = uint64(m) - t.totF
+	t.fwd = rerank(wF)
+	return t
+}
+
+// incl counts the forward and the backward arcs up to and including arc a.
+func (t *tour) incl(a int) (f, b uint64) {
+	return t.totF - t.fwd[a], t.totB - (t.after[a] - t.fwd[a])
+}
+
+// size is the subtree size below the forward arc a: half the arcs from a
+// to its reversal.
+func (t *tour) size(a int) uint64 { return (t.pos[a^1] - t.pos[a] + 1) / 2 }
+
+// TreeFunctionsOblivious roots the tree at root and computes parent,
+// depth, preorder and postorder numbers, and subtree sizes, by an
+// oblivious Euler tour followed by oblivious list rankings on the tour —
+// the §5.2 recipe; performance is dominated by list ranking. Both
+// rankings (tour) share one permutation and one successor routing: the
+// forward-weighted one is a rerank of the unweighted one. The vertex
+// values then reach their vertices by three conflict-resolved writes of
+// one pram.Scatterer — (parent, depth) and (preorder, subtree size) packed
+// two to a word from the forward arc into each vertex, postorder from the
+// backward arc out of it.
+func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) TreeFuncs {
+	m := 2 * len(edges)
+	tf := newTreeFuncs(n, root)
+	if m == 0 {
 		return tf
 	}
 	p = p.Normalized(m)
 	tau := EulerTourOblivious(c, sp, n, edges, root, seed, p)
 
-	// Tour positions via unweighted list ranking over arcs: the end arc
-	// maps to itself (tail convention of ListRankOblivious).
+	// The end arc maps to itself (tail convention of list ranking).
 	succ := make([]int, m)
 	for a := 0; a < m; a++ {
 		if tau[a] == m {
@@ -197,36 +245,16 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 			succ[a] = tau[a]
 		}
 	}
-	rankAfter := ListRankOblivious(c, sp, succ, nil, seed+1, p)
-	pos := make([]uint64, m)
-	for a := 0; a < m; a++ {
-		pos[a] = uint64(m-1) - rankAfter[a]
-	}
+	t := rankTour(rankList(c, sp, succ, nil, seed+1, p))
 
-	// Forward arc = traversed before its reversal (static pairing a^1).
-	forward := make([]bool, m)
-	wF := make([]uint64, m)
-	var totF uint64
-	for a := 0; a < m; a++ {
-		forward[a] = pos[a] < pos[a^1]
-		if forward[a] {
-			wF[a] = 1
-			totF++
-		}
-	}
-	rankF := ListRankOblivious(c, sp, succ, wF, seed+2, p)
-	totB := uint64(m) - totF
-
-	// Per-arc inclusive prefix counts: F(a) = totF - rankF(a) counts
-	// forward arcs up to and including a (when a is forward), B(a) the
-	// backward ones.
 	w := pram.NewScatterer(sp, n, m, p.Sorter, nil)
-	write := func(memory *mem.Array[uint64], fwd bool, req func(a int, u, v uint64) (cell, x uint64)) {
+	write := func(memory *mem.Array[uint64], fwd bool, req func(a int, u, v, f, b uint64) (cell, x uint64)) {
 		scatter(c, sp, w, memory, func(c *forkjoin.Ctx, a int) (uint64, uint64) {
 			u, v := arcEnds(edges, a)
-			cell, x := req(a, u, v)
+			f, b := t.incl(a)
+			cell, x := req(a, u, v, f, b)
 			c.Op(1)
-			if forward[a] != fwd {
+			if t.forward[a] != fwd {
 				cell = none
 			}
 			return cell, x
@@ -236,18 +264,20 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 	parentDepth := mem.Alloc[uint64](sp, n)
 	preSize := mem.Alloc[uint64](sp, n)
 	post := mem.Alloc[uint64](sp, n)
-	write(parentDepth, true, func(a int, u, v uint64) (uint64, uint64) {
-		fIncl, bIncl := totF-rankF[a], totB-(rankAfter[a]-rankF[a])
-		return v, u<<32 | (fIncl - bIncl)
+	write(parentDepth, true, func(a int, u, v, f, b uint64) (uint64, uint64) {
+		return v, u<<32 | (f - b)
 	})
-	write(preSize, true, func(a int, u, v uint64) (uint64, uint64) {
-		return v, (totF-rankF[a])<<32 | (pos[a^1]-pos[a]+1)/2
+	write(preSize, true, func(a int, u, v, f, b uint64) (uint64, uint64) {
+		return v, f<<32 | t.size(a)
 	})
-	write(post, false, func(a int, u, v uint64) (uint64, uint64) {
-		return u, totB - (rankAfter[a] - rankF[a]) - 1
+	write(post, false, func(a int, u, v, f, b uint64) (uint64, uint64) {
+		return u, b - 1
 	})
 
-	for v := 0; v < n; v++ {
+	for v := range n {
+		if v == root {
+			continue
+		}
 		pd, ps := parentDepth.Data()[v], preSize.Data()[v]
 		tf.Parent[v] = int(pd >> 32)
 		tf.Depth[v] = pd & lo32
@@ -255,11 +285,6 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 		tf.SubtreeSize[v] = ps & lo32
 		tf.Postorder[v] = post.Data()[v]
 	}
-	tf.Parent[root] = root
-	tf.Depth[root] = 0
-	tf.Preorder[root] = 0
-	tf.Postorder[root] = uint64(n - 1)
-	tf.SubtreeSize[root] = uint64(n)
 	return tf
 }
 
@@ -316,37 +341,13 @@ func EulerTourSeq(n int, edges [][2]int, root int) []int {
 // interval containment — so the shared formulas are independently checked.)
 func TreeFunctionsSeq(n int, edges [][2]int, root int) TreeFuncs {
 	m := 2 * len(edges)
-	tf := TreeFuncs{
-		Parent:      make([]int, n),
-		Depth:       make([]uint64, n),
-		Preorder:    make([]uint64, n),
-		Postorder:   make([]uint64, n),
-		SubtreeSize: make([]uint64, n),
-	}
-	tf.Parent[root] = root
-	tf.SubtreeSize[root] = uint64(n)
-	tf.Postorder[root] = uint64(n - 1)
-	if n == 1 {
-		tf.Postorder[root] = 0
-		tf.SubtreeSize[root] = 1
-		return tf
-	}
+	tf := newTreeFuncs(n, root)
 	tau := EulerTourSeq(n, edges, root)
 	// Tour start: the (u,v)-smallest arc out of root.
 	e0, bestKey := -1, uint64(0)
-	for e, ed := range edges {
-		for k := 0; k < 2; k++ {
-			a := 2*e + k
-			u, v := uint64(ed[0]), uint64(ed[1])
-			if k == 1 {
-				u, v = v, u
-			}
-			if int(u) == root {
-				key := arcKey(u, v)
-				if e0 < 0 || key < bestKey {
-					e0, bestKey = a, key
-				}
-			}
+	for a := range m {
+		if u, v := arcEnds(edges, a); int(u) == root && (e0 < 0 || arcKey(u, v) < bestKey) {
+			e0, bestKey = a, arcKey(u, v)
 		}
 	}
 	pos := make([]uint64, m)
@@ -362,13 +363,10 @@ func TreeFunctionsSeq(n int, edges [][2]int, root int) TreeFuncs {
 	cur = e0
 	for step := 0; step < m; step++ {
 		a := cur
-		u, v := edges[a/2][0], edges[a/2][1]
-		if a%2 == 1 {
-			u, v = v, u
-		}
+		u, v := arcEnds(edges, a)
 		if pos[a] < pos[a^1] { // forward
 			fIncl++
-			tf.Parent[v] = u
+			tf.Parent[v] = int(u)
 			tf.Depth[v] = fIncl - bIncl
 			tf.Preorder[v] = fIncl
 			tf.SubtreeSize[v] = (pos[a^1] - pos[a] + 1) / 2
@@ -387,23 +385,13 @@ func TreeFunctionsSeq(n int, edges [][2]int, root int) TreeFuncs {
 // TreeFunctionsDirect is the insecure baseline for the §5.2 tree
 // computations: the same Euler-tour pipeline with direct (data-dependent)
 // memory accesses — an insecure comparison sort over the arcs, direct
-// neighbor/successor links, direct weighted list rankings, and direct
-// scatters. Work O(n log n), span O(log² n)-shaped.
+// neighbor/successor links, two direct list rankings of the tour (the
+// second weighted by the forward arcs, as in tour), and direct scatters.
+// Work O(n log n), span O(log² n)-shaped.
 func TreeFunctionsDirect(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64) TreeFuncs {
 	m := 2 * len(edges)
-	tf := TreeFuncs{
-		Parent:      make([]int, n),
-		Depth:       make([]uint64, n),
-		Preorder:    make([]uint64, n),
-		Postorder:   make([]uint64, n),
-		SubtreeSize: make([]uint64, n),
-	}
-	tf.Parent[root] = root
-	tf.SubtreeSize[root] = uint64(n)
-	tf.Postorder[root] = uint64(n - 1)
-	if n == 1 {
-		tf.Postorder[root] = 0
-		tf.SubtreeSize[root] = 1
+	tf := newTreeFuncs(n, root)
+	if m == 0 {
 		return tf
 	}
 
@@ -458,47 +446,20 @@ func TreeFunctionsDirect(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, 
 		succ[a] = t
 	}
 
-	rankAfter := ListRankDirect(c, sp, succ, nil)
-	pos := make([]uint64, m)
+	t := rankTour(ListRankDirect(c, sp, succ, nil), func(weights []uint64) []uint64 {
+		return ListRankDirect(c, sp, succ, weights)
+	})
 	for a := 0; a < m; a++ {
-		pos[a] = uint64(m-1) - rankAfter[a]
-	}
-	forward := make([]bool, m)
-	wF := make([]uint64, m)
-	wB := make([]uint64, m)
-	var totF, totB uint64
-	for a := 0; a < m; a++ {
-		forward[a] = pos[a] < pos[a^1]
-		if forward[a] {
-			wF[a] = 1
-			totF++
+		u, v := arcEnds(edges, a)
+		f, b := t.incl(a)
+		if t.forward[a] {
+			tf.Parent[v] = int(u)
+			tf.Depth[v] = f - b
+			tf.Preorder[v] = f
+			tf.SubtreeSize[v] = t.size(a)
 		} else {
-			wB[a] = 1
-			totB++
+			tf.Postorder[u] = b - 1
 		}
 	}
-	rankF := ListRankDirect(c, sp, succ, wF)
-	rankB := ListRankDirect(c, sp, succ, wB)
-	for a := 0; a < m; a++ {
-		u, v := edges[a/2][0], edges[a/2][1]
-		if a%2 == 1 {
-			u, v = v, u
-		}
-		if forward[a] {
-			fIncl := totF - rankF[a]
-			bIncl := totB - rankB[a]
-			tf.Parent[v] = u
-			tf.Depth[v] = fIncl - bIncl
-			tf.Preorder[v] = fIncl
-			tf.SubtreeSize[v] = (pos[a^1] - pos[a] + 1) / 2
-		} else {
-			tf.Postorder[u] = totB - rankB[a] - 1
-		}
-	}
-	tf.Parent[root] = root
-	tf.Depth[root] = 0
-	tf.Preorder[root] = 0
-	tf.Postorder[root] = uint64(n - 1)
-	tf.SubtreeSize[root] = uint64(n)
 	return tf
 }

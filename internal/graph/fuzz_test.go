@@ -3,10 +3,10 @@ package graph
 // Native fuzz targets for the graph operators: the fuzzer mutates
 // (seed, n, m, backend) tuples, each input derives a random graph —
 // self-loops and duplicate edges included — and replays the oblivious
-// op against its plain sequential reference; the tree targets do the same
-// with (seed, size, root, backend) and a random tree. `go test` runs the seed
-// corpus as regular tests; CI's `make fuzz-smoke` step runs each target
-// under -fuzz for a short budget.
+// op against its plain sequential reference; the list and tree targets do
+// the same with (seed, size, …, backend) and a random list or tree.
+// `go test` runs the seed corpus as regular tests; CI's `make fuzz-smoke`
+// step runs each target under -fuzz for a short budget.
 
 import (
 	"slices"
@@ -82,6 +82,41 @@ func FuzzMSF(f *testing.F) {
 		got := MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), nv, wedges, fuzzSorter(backend))
 		if !sameInts(got, want) {
 			t.Fatalf("msf(n=%d, m=%d, seed=%d): chose %v, want %v", nv, len(wedges), seed, got, want)
+		}
+	})
+}
+
+// FuzzListRank ranks a fuzzer-shaped list of n in [1, 128] entries and
+// reranks it under a second weight vector on the same permutation and
+// routing. Weights are drawn below bound+1, so bound 0 reranks all-zero
+// weights; the first ranking is unweighted at an even bound.
+func FuzzListRank(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(127), uint8(9), uint8(1))
+	f.Add(uint64(3), uint8(0), uint8(1), uint8(0))
+	f.Add(uint64(4), uint8(1), uint8(255), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, n, bound, backend uint8) {
+		nv := int(n%128) + 1
+		succ := randomListSucc(seed, nv)
+		src := prng.New(seed ^ 0x5eed)
+		draw := func() []uint64 {
+			w := make([]uint64, nv)
+			for i := range w {
+				w[i] = src.Uint64n(uint64(bound) + 1)
+			}
+			return w
+		}
+		var w0 []uint64
+		if bound%2 == 1 {
+			w0 = draw()
+		}
+		w1 := draw()
+		rank, rerank := rankList(forkjoin.Serial(), mem.NewSpace(), succ, w0, seed, fuzzSorter(backend))
+		if want := ListRankSeq(succ, w0); !slices.Equal(rank, want) {
+			t.Fatalf("rank(n=%d, seed=%d): %v, want %v", nv, seed, rank, want)
+		}
+		if got, want := rerank(w1), ListRankSeq(succ, w1); !slices.Equal(got, want) {
+			t.Fatalf("rerank(n=%d, seed=%d): %v, want %v", nv, seed, got, want)
 		}
 	})
 }

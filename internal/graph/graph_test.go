@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"oblivmc/internal/bitonic"
@@ -71,6 +72,35 @@ func TestListRankDirectMatchesSeq(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("direct rank[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestListRankRerank: several weight vectors reranked on one rankList —
+// one permutation and one successor routing — match the sequential
+// reference, on both sort backends.
+func TestListRankRerank(t *testing.T) {
+	for _, be := range diffBackends() {
+		for _, n := range []int{1, 2, 3, 64, 100} {
+			succ := randomListSucc(uint64(n), n)
+			src := prng.New(uint64(n) + 17)
+			random := func() []uint64 {
+				w := make([]uint64, n)
+				for i := range w {
+					w[i] = src.Uint64n(1000)
+				}
+				return w
+			}
+			w0 := random()
+			rank, rerank := rankList(forkjoin.Serial(), mem.NewSpace(), succ, w0, 5, diffParams(be.srt()))
+			if want := ListRankSeq(succ, w0); !slices.Equal(rank, want) {
+				t.Fatalf("%s n=%d: ranks %v, want %v", be.name, n, rank, want)
+			}
+			for k, w := range [][]uint64{nil, make([]uint64, n), random(), random(), nil} {
+				if got, want := rerank(w), ListRankSeq(succ, w); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d rerank %d: %v, want %v", be.name, n, k, got, want)
+				}
+			}
 		}
 	}
 }
@@ -609,6 +639,36 @@ func TestMSFAllocsIndependentOfIterations(t *testing.T) {
 	if diff := max(sb, pb) - min(sb, pb); diff >= 8*n {
 		t.Fatalf("star run allocates %d bytes of arrays in %d sorts, path run %d in %d sorts: %d apart, want under one %d-byte plane",
 			sb, ss, pb, ps, diff, 8*n)
+	}
+}
+
+// TestMinHookAllocsIndependentOfRounds is TestMSFAllocsIndependentOfIterations
+// for min-hook CC run to convergence: the run allocates its work space,
+// the convergence test's scan tree included, once, so the work arrays a
+// warmed run allocates do not grow with its revealed round count. A star
+// converges in two rounds and a path in several.
+func TestMinHookAllocsIndependentOfRounds(t *testing.T) {
+	const n = 1 << 10
+	star := make([][2]int, 0, n-1)
+	path := make([][2]int, 0, n-1)
+	for v := 1; v < n; v++ {
+		star = append(star, [2]int{0, v})
+		path = append(path, [2]int{v - 1, v})
+	}
+	run := func(edges [][2]int) (bytes uint64, rounds int) {
+		ConnectedComponentsMinHook(forkjoin.Serial(), mem.NewSpace(), n, edges, 0, testParams())
+		before := arrayBytes()
+		_, rounds = ConnectedComponentsMinHook(forkjoin.Serial(), mem.NewSpace(), n, edges, 0, testParams())
+		return arrayBytes() - before, rounds
+	}
+	sb, sr := run(star)
+	pb, pr := run(path)
+	if sr == pr {
+		t.Fatalf("star and path both ran %d rounds: the round counts must differ", sr)
+	}
+	if diff := max(sb, pb) - min(sb, pb); diff >= 8*n {
+		t.Fatalf("star run allocates %d bytes of arrays in %d rounds, path run %d in %d rounds: %d apart, want under one %d-byte plane",
+			sb, sr, pb, pr, diff, 8*n)
 	}
 }
 

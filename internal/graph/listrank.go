@@ -34,9 +34,24 @@ import (
 //
 // Requirements: weights < 2^32, n < 2^31.
 func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64, seed uint64, p core.Params) []uint64 {
+	rank, _ := rankList(c, sp, succ, weights, seed, p)
+	return rank
+}
+
+// rankList is ListRankOblivious, which also returns rerank: the ranks of
+// the same list under other weights, on the same permutation and routing.
+// A rerank puts the weights in the cells by original index, replays the
+// recorded successor gather, jumps and writes the ranks home — one sort
+// and one un-sort, no ORP. Its jumps read the addresses the first
+// ranking's read, a function of the permutation and the list alone, and
+// the gather and the scatter depend on n alone, so a rerank reveals
+// nothing new. The first rerank keeps the successor positions out of the
+// first gather's plane, which its own gather overwrites. Reranks run
+// sequentially, on the executor of the first ranking.
+func rankList(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64, seed uint64, p core.Params) (rank []uint64, rerank func(weights []uint64) []uint64) {
 	n := len(succ)
 	if n == 0 {
-		return nil
+		return nil, func([]uint64) []uint64 { return nil }
 	}
 	p = p.Normalized(n)
 
@@ -44,11 +59,7 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 	// Val = weight, Aux = own original index.
 	in := mem.Alloc[obliv.Elem](sp, n)
 	for i := 0; i < n; i++ {
-		w := uint64(1)
-		if weights != nil {
-			w = weights[i]
-		}
-		in.Data()[i] = obliv.Elem{Key: uint64(succ[i]), Val: w, Aux: uint64(i), Kind: obliv.Real}
+		in.Data()[i] = obliv.Elem{Key: uint64(succ[i]), Val: weightOf(weights, i), Aux: uint64(i), Kind: obliv.Real}
 	}
 
 	perm, _ := core.MustRandomPermutation(c, sp, in, seed, p)
@@ -64,65 +75,101 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 		next.Set(c, pos, e.Key)
 		return e.Aux, uint64(pos)<<32 | (e.Val & 0xffffffff)
 	})
-	routed := pram.NewGatherer(c, sp, n, next, p.Sorter, route).Values(c, sp, cells)
+	succs := pram.NewGatherer(c, sp, n, next, p.Sorter, route)
 
-	// Permuted-order successor and rank arrays. S == n marks the tail, the
-	// one entry whose successor sits at its own position.
-	s0 := mem.Alloc[uint64](sp, n)
-	r0 := mem.Alloc[uint64](sp, n)
-	s1 := mem.Alloc[uint64](sp, n)
-	r1 := mem.Alloc[uint64](sp, n)
-	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			x := routed.Get(c, pos)
-			s, r := x>>32, x&0xffffffff // the successor's position and weight
-			c.Op(1)
-			if s == uint64(pos) {
-				s, r = uint64(n), 0
-			}
-			s0.Set(c, pos, s)
-			r0.Set(c, pos, r)
-		}
-	})
-
-	// Wyllie pointer jumping on the permuted arrays (insecure accesses,
-	// safe by the random-permutation argument), fixed ⌈log₂ n⌉ rounds.
-	rounds := 0
-	for (1 << rounds) < n {
-		rounds++
-	}
-	cs, cr, ns, nr := s0, r0, s1, r1
-	for round := 0; round < rounds; round++ {
-		// Pointer-jumping round count is ⌈log₂ n⌉ — public shape, so a
-		// cancellation here reveals only the round index.
-		c.Check("graph.round")
+	// jump ranks the permuted list from each entry's successor position
+	// and weight, read by link — a tail names its own position — and
+	// writes the ranks home: the same scatter, each permuted entry writing
+	// its rank to the cell of its original index.
+	s, r := mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, n)
+	s1, r1 := mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, n)
+	jump := func(link func(c *forkjoin.Ctx, pos int) (s, r uint64)) []uint64 {
 		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for pos := lo; pos < hi; pos++ {
-				s := cs.Get(c, pos)
-				r := cr.Get(c, pos)
+				sn, w := link(c, pos)
 				c.Op(1)
-				if s < uint64(n) {
-					nr.Set(c, pos, r+cr.Get(c, int(s)))
-					ns.Set(c, pos, cs.Get(c, int(s)))
+				if sn == uint64(pos) {
+					sn, w = uint64(n), 0
+				}
+				s.Set(c, pos, sn)
+				r.Set(c, pos, w)
+			}
+		})
+		ranks := wyllie(c, s, r, s1, r1)
+		scatter(c, sp, home, cells, func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
+			return perm.Get(c, pos).Aux, ranks.Get(c, pos)
+		})
+		out := make([]uint64, n)
+		copy(out, cells.Data())
+		return out
+	}
+	routed := succs.Values(c, sp, cells)
+	rank = jump(func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
+		x := routed.Get(c, pos)
+		return x >> 32, x & 0xffffffff
+	})
+
+	var at *mem.Array[uint64] // the successor positions, kept at the first rerank
+	rerank = func(weights []uint64) []uint64 {
+		if at == nil {
+			at = mem.Alloc[uint64](sp, n)
+			forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+				for pos := lo; pos < hi; pos++ {
+					at.Set(c, pos, routed.Get(c, pos)>>32)
+				}
+			})
+		}
+		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				cells.Set(c, i, weightOf(weights, i))
+			}
+		})
+		w := succs.Values(c, sp, cells)
+		return jump(func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
+			return at.Get(c, pos), w.Get(c, pos)
+		})
+	}
+	return rank, rerank
+}
+
+// wyllie ranks a list by Wyllie pointer jumping: s[i] names entry i's
+// successor, or n at the tail, and r[i] holds that successor's weight, 0
+// at the tail. Each of ⌈log₂ n⌉ rounds jumps every entry over its
+// successor into the other buffers ns and nr; wyllie returns the plane
+// holding the ranks. Its reads follow s, so its access pattern is the
+// list's: the oblivious kernel jumps on a randomly permuted list only.
+func wyllie(c *forkjoin.Ctx, s, r, ns, nr *mem.Array[uint64]) *mem.Array[uint64] {
+	n := s.Len()
+	for range obliv.Log2Ceil(n) {
+		// The round count is public shape, so a cancellation here reveals
+		// only the round index.
+		c.Check("graph.round")
+		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				si := s.Get(c, i)
+				ri := r.Get(c, i)
+				c.Op(1)
+				if si < uint64(n) {
+					nr.Set(c, i, ri+r.Get(c, int(si)))
+					ns.Set(c, i, s.Get(c, int(si)))
 				} else {
-					nr.Set(c, pos, r)
-					ns.Set(c, pos, s)
+					nr.Set(c, i, ri)
+					ns.Set(c, i, si)
 				}
 			}
 		})
-		cs, ns = ns, cs
-		cr, nr = nr, cr
+		s, ns = ns, s
+		r, nr = nr, r
 	}
+	return r
+}
 
-	// Route the ranks back to original order: the same scatter, each
-	// permuted entry writing its rank to the cell of its original index.
-	scatter(c, sp, home, cells, func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
-		return perm.Get(c, pos).Aux, cr.Get(c, pos)
-	})
-
-	out := make([]uint64, n)
-	copy(out, cells.Data())
-	return out
+// weightOf is entry i's weight: 1 when weights is nil.
+func weightOf(weights []uint64, i int) uint64 {
+	if weights == nil {
+		return 1
+	}
+	return weights[i]
 }
 
 // ListRankDirect is the insecure baseline: Wyllie pointer jumping with
@@ -133,55 +180,21 @@ func ListRankDirect(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64
 	if n == 0 {
 		return nil
 	}
-	s0 := mem.Alloc[uint64](sp, n)
-	r0 := mem.Alloc[uint64](sp, n)
-	s1 := mem.Alloc[uint64](sp, n)
-	r1 := mem.Alloc[uint64](sp, n)
-	w := func(i int) uint64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
+	s, r := mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, n)
+	s1, r1 := mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, n)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if succ[i] == i {
-				s0.Set(c, i, uint64(n))
-				r0.Set(c, i, 0)
+				s.Set(c, i, uint64(n))
+				r.Set(c, i, 0)
 			} else {
-				s0.Set(c, i, uint64(succ[i]))
-				r0.Set(c, i, w(succ[i]))
+				s.Set(c, i, uint64(succ[i]))
+				r.Set(c, i, weightOf(weights, succ[i]))
 			}
 		}
 	})
-	rounds := 0
-	for (1 << rounds) < n {
-		rounds++
-	}
-	cs, cr, ns, nr := s0, r0, s1, r1
-	for round := 0; round < rounds; round++ {
-		c.Check("graph.round")
-		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s := cs.Get(c, i)
-				r := cr.Get(c, i)
-				c.Op(1)
-				if s < uint64(n) {
-					nr.Set(c, i, r+cr.Get(c, int(s)))
-					ns.Set(c, i, cs.Get(c, int(s)))
-				} else {
-					nr.Set(c, i, r)
-					ns.Set(c, i, s)
-				}
-			}
-		})
-		cs, ns = ns, cs
-		cr, nr = nr, cr
-	}
 	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = cr.Data()[i]
-	}
+	copy(out, wyllie(c, s, r, s1, r1).Data())
 	return out
 }
 
@@ -205,16 +218,10 @@ func ListRankSeq(succ []int, weights []uint64) []uint64 {
 	if tail < 0 {
 		return out
 	}
-	w := func(i int) uint64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
 	acc := uint64(0)
 	for v := tail; v >= 0; v = pred[v] {
 		out[v] = acc
-		acc += w(v)
+		acc += weightOf(weights, v)
 	}
 	return out
 }

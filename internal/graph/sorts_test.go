@@ -57,13 +57,16 @@ func TestTreeKernelSortsPinned(t *testing.T) {
 		ListRankOblivious(c, mem.NewSpace(), randomListSucc(seed, n), nil, seed, p)
 	}, orpSorts(n, seed, p.Normalized(n))+3, 1)
 
-	// Tree functions, n = 256: the Euler tour (1, 1), two list rankings of
-	// the m = 510 arcs (seeds seed+1 and seed+2), and three vertex writes.
+	// Tree functions, n = 256: the Euler tour (1 sort, 1 un-sort); the
+	// unweighted list ranking of the m = 510 arcs (its ORP from seed+1,
+	// then the position scatter, the successor gather and the rank
+	// scatter: 3 sorts, 1 un-sort); the forward-weighted rerank on the same
+	// permutation and routing (the gather replayed — 1 un-sort — and the
+	// rank scatter — 1 sort); and three vertex writes (3 sorts).
 	const m = 2 * (n - 1)
-	pm := p.Normalized(m)
 	check("tree functions n=256", func() {
 		TreeFunctionsOblivious(c, mem.NewSpace(), n, randomTree(seed, n), 0, seed, p)
-	}, 1+orpSorts(m, seed+1, pm)+3+orpSorts(m, seed+2, pm)+3+3, 1+1+1)
+	}, 1+orpSorts(m, seed+1, p.Normalized(m))+3+1+3, 1+1+1)
 
 	// Tree contraction, 64 leaves (127 nodes): the leaf numbering's list
 	// ranking of the 254 structural arcs, then log2 64 = 6 rounds (the

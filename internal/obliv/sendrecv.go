@@ -11,9 +11,11 @@ import (
 // if no source holds it. The result array parallels dests: entry j has the
 // destination's Key, Aux = j, Val = the routed value, and Kind = Real if
 // the key was found, Filler otherwise (the ⊥ case). It is the engine's one
-// primary-key join: the public Join and Lookup, the graph layer's list
-// ranking and Euler tour route through it, and (as SendReceiveSorted, its
-// merge form over word planes) every pram.Gather and ScatterResolve.
+// primary-key join: the public Join and Lookup and the ORAM's direct
+// accesses route through it, and (as SendReceiveSorted, its merge form
+// over word planes, on an obliv.Router) every pram gather and scatter,
+// which carry the graph kernels — list ranking and the Euler tour
+// included.
 //
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
