@@ -81,16 +81,18 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs each native fuzz target (operator vs plain-Go reference,
-# see internal/relops/fuzz_test.go, internal/graph/fuzz_test.go and the
-# public Join's join_test.go) for a
+# see internal/relops/fuzz_test.go, internal/graph/fuzz_test.go, the
+# public Join's join_test.go and PageRank's graph_test.go) for a
 # short exploration budget beyond the committed seed corpus. Go allows one
 # -fuzz pattern per invocation, so the targets run back to back.
 # FuzzGroupByBackends differentially fuzzes the shuffle backend against the
 # bitonic backend (a GroupBy, and a TopK with a fuzzed k over tie-heavy
 # values, so the value sort's tie-break is exercised too); the graph targets replay oblivious CC/MSF against their
 # sequential references on fuzzer-shaped graphs, list ranking and a rerank
-# of the same list under second weights on fuzzer-shaped lists, and the
-# tree functions and tree contraction on fuzzer-shaped trees; FuzzServeSpec feeds raw
+# of the same list under second weights on fuzzer-shaped lists, the
+# tree functions and tree contraction on fuzzer-shaped trees, and PageRank
+# on fuzzer-shaped graphs with self-loops, duplicate edges, sinks and
+# isolated vertices against its integer reference; FuzzServeSpec feeds raw
 # request bodies through the server's strict decode and compile (typed
 # errors only; equal cache keys must mean equal rows).
 FUZZTIME ?= 10s
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzListRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzTreeFunctions$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzEvalTree$$' -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz '^FuzzPageRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeSpec$$' -fuzztime $(FUZZTIME)
 
 # chaos-smoke is the query-lifecycle leg: under -race, the fault-injection

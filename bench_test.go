@@ -686,6 +686,33 @@ func BenchmarkGraphMSF(b *testing.B) {
 	})
 }
 
+// BenchmarkGraphPageRank is 5 PageRank iterations over 2^10 vertices and
+// 2^13 uniform random edges (the graph_cc_det shape) on both sort backends.
+func BenchmarkGraphPageRank(b *testing.B) {
+	const n, m = 1 << 10, 1 << 13
+	edges := testEdges(44, n, m, 1)
+	edges[0].V = n - 1 // fixes the vertex count at n
+	t, err := NewEdgeTable(edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, be := range []struct {
+		name    string
+		backend SortBackend
+	}{{"bitonic", SortBitonic}, {"shuffle", SortShuffle}} {
+		b.Run(be.name, func(b *testing.B) {
+			cfg := Config{Seed: 1, SortBackend: be.backend, DeterministicShuffle: true}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := PageRank(cfg, t, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+		})
+	}
+}
+
 // --- Theorem 4.2: OPRAM batches -------------------------------------------------
 
 func BenchmarkOPRAMBatch(b *testing.B) {

@@ -19,24 +19,15 @@ const (
 	// GraphOpMSF — Borůvka minimum spanning forest (MSF /
 	// MinimumSpanningForest).
 	GraphOpMSF
-	// GraphOpPageRank — the relational PageRank iterated aggregate
+	// GraphOpPageRank — PageRank's fixed-point iterated aggregate
 	// (PageRank).
 	GraphOpPageRank
 )
 
-func (op GraphOp) planKind() plan.GraphKind {
-	switch op {
-	case GraphOpMSF:
-		return plan.GraphMSF
-	case GraphOpPageRank:
-		return plan.GraphPageRank
-	}
-	return plan.GraphCC
-}
-
-// plan is the operator's sort-pass accounting at the public shape.
+// plan is the operator's sort-pass accounting at the public shape: the
+// GraphOp values are plan's GraphKinds, in the same order.
 func (op GraphOp) plan(n, m, rounds int) plan.GraphPlan {
-	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds})
+	return plan.BuildGraph(plan.GraphShape{Kind: plan.GraphKind(op), N: n, M: m, Rounds: rounds})
 }
 
 // GraphExplain renders the sort-pass accounting of a graph operator at the
@@ -111,10 +102,11 @@ func graphShape(edges []WeightedEdge) int {
 }
 
 // runGraph is the one graph execution path: the public Components / MSF /
-// PageRank and Session.RunGraphCtx all land here, as the relational
-// surfaces land in runQuery. It converts the edge table once, derives the
-// public shape, and runs op in e's environment. The returned plan is the
-// operator's accounting at that shape, for the caller's bookkeeping.
+// PageRank and Session.RunGraphCtx all land here. It converts the edge
+// table once, derives the public shape, checks op's arguments against it,
+// and runs op's one internal/graph kernel in one run of e's environment.
+// The returned plan is the operator's accounting at that shape, for the
+// caller's bookkeeping.
 func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan.GraphPlan, error) {
 	fail := func(err error) (Table, *Report, plan.GraphPlan, error) {
 		return Table{}, nil, plan.GraphPlan{}, err
@@ -127,24 +119,57 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 		return fail(ErrEmptyInput)
 	}
 	n := graphShape(el)
-	var (
-		out Table
-		rep *Report
-	)
-	switch op {
-	case GraphOpComponents:
-		out, rep, err = components(e, n, el, rounds)
-	case GraphOpMSF:
-		out, rep, err = msf(e, n, el)
-	case GraphOpPageRank:
-		out, rep, err = pageRank(e, n, el, rounds)
-	default:
+	switch {
+	case op == GraphOpComponents && rounds < 0:
+		err = fmt.Errorf("oblivmc: negative round count %d", rounds)
+	case op == GraphOpMSF:
+		err = checkMSF(n, el)
+	case op == GraphOpPageRank && rounds < 1:
+		err = fmt.Errorf("oblivmc: PageRank needs at least 1 iteration, got %d", rounds)
+	case op == GraphOpPageRank && int64(n+len(el)) > relops.MaxRows:
+		err = fmt.Errorf("%w (%d vertices + %d edges)", ErrTooManyRows, n, len(el))
+	case op < GraphOpComponents || op > GraphOpPageRank:
 		err = fmt.Errorf("oblivmc: unknown graph operator %d", op)
 	}
 	if err != nil {
 		return fail(err)
 	}
+	var out Table
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		p := e.graphParams()
+		switch op {
+		case GraphOpComponents:
+			pairs := make([][2]int, len(el))
+			for i, ed := range el {
+				pairs[i] = [2]int{ed.U, ed.V}
+			}
+			labels, _ := graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, p)
+			out = vertexTable(labels)
+		case GraphOpMSF:
+			chosen := graph.MinimumSpanningForestOblivious(c, sp, n, el, p)
+			// A forest with no edges (self-loop-only input) is an empty
+			// edge table.
+			out = Table{recs: make([]relops.Record, len(chosen)), width: 2}
+			for i, ci := range chosen {
+				out.recs[i] = relops.Record{Key: uint64(el[ci].U), Key2: uint64(el[ci].V), Val: el[ci].W}
+			}
+		case GraphOpPageRank:
+			out = vertexTable(graph.PageRankOblivious(c, sp, n, el, rounds, p))
+		}
+	})
+	if err != nil {
+		return fail(err)
+	}
 	return out, rep, op.plan(n, len(el), rounds), nil
+}
+
+// vertexTable is the width-1 table mapping every vertex v to vals[v].
+func vertexTable[T int | uint64](vals []T) Table {
+	recs := make([]relops.Record, len(vals))
+	for v, x := range vals {
+		recs[v] = relops.Record{Key: uint64(v), Val: uint64(x)}
+	}
+	return Table{recs: recs, width: 1}
 }
 
 // Components obliviously labels the connected components of the undirected
@@ -167,28 +192,6 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 	defer done()
 	out, rep, _, err := runGraph(e, edges, GraphOpComponents, rounds)
 	return out, rep, err
-}
-
-func components(e exec, n int, el []WeightedEdge, rounds int) (Table, *Report, error) {
-	if rounds < 0 {
-		return Table{}, nil, fmt.Errorf("oblivmc: negative round count %d", rounds)
-	}
-	pairs := make([][2]int, len(el))
-	for i, ed := range el {
-		pairs[i] = [2]int{ed.U, ed.V}
-	}
-	var labels []int
-	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, e.graphParams())
-	})
-	if err != nil {
-		return Table{}, nil, err
-	}
-	recs := make([]relops.Record, n)
-	for v, l := range labels {
-		recs[v] = relops.Record{Key: uint64(v), Val: uint64(l)}
-	}
-	return Table{recs: recs, width: 1}, rep, nil
 }
 
 // MSF obliviously computes the minimum spanning forest of the undirected
@@ -222,184 +225,24 @@ func checkMSF(n int, edges []WeightedEdge) error {
 	return nil
 }
 
-func msf(e exec, n int, el []WeightedEdge) (Table, *Report, error) {
-	if err := checkMSF(n, el); err != nil {
-		return Table{}, nil, err
-	}
-	var chosen []int
-	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, el, e.graphParams())
-	})
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if len(chosen) == 0 {
-		// A forest with no edges (self-loop-only input): an empty edge table.
-		return Table{width: 2}, rep, nil
-	}
-	recs := make([]relops.Record, len(chosen))
-	for i, ci := range chosen {
-		recs[i] = relops.Record{Key: uint64(el[ci].U), Key2: uint64(el[ci].V), Val: el[ci].W}
-	}
-	return Table{recs: recs, width: 2}, rep, nil
-}
-
 // PageRankScale is the fixed-point unit of PageRank ranks: a rank of
 // PageRankScale is the stationary weight 1.0.
-const PageRankScale uint64 = 1 << 20
+const PageRankScale = graph.PageRankScale
 
-// pageRankDampNum/Den encode the standard 0.85 damping factor as an exact
-// integer ratio.
-const (
-	pageRankDampNum = 85
-	pageRankDampDen = 100
-)
-
-// PageRank runs iters rounds of the PageRank iterated aggregate over the
-// directed graph carried by a width-2 edge table (key column 0 = source,
-// column 1 = destination; weights are ignored) and returns a width-1 table
-// mapping every vertex 0..n-1 to its rank in PageRankScale fixed point.
-//
-// The iteration is built from the relational operators, exercising the
-// join/group pipeline as a graph workload: each round joins the per-vertex
-// share table against the edge table on the source column (JoinAllRows with
-// the exact public capacity m — every edge matches exactly one share row),
-// re-keys the matches by destination, and folds them with a grouped sum
-// (GroupByCols/AggSum) over a zero-sentinel row per vertex, so the output
-// always has exactly n rows in vertex order. All arithmetic is integer
-// fixed point: share(u) = (rank(u)·85/100)/outdeg(u), next rank(v) =
-// PageRankScale·15/100 + Σ incoming shares. Vertices with no out-edges
-// drop their mass (the simple "dangling mass lost" variant), so ranks sum
-// to slightly less than n·PageRankScale on graphs with sinks.
-//
-// Every constituent operator runs in one environment under cfg (backend,
-// mode, workers) — the pool, space, arena and sorter of one throwaway
-// Session — so the returned Report is exactly a Session's RunGraphCtx
-// Report: the counter-sum over all 1+2·iters operator runs, with a combined
-// trace fingerprint (nil outside ModeMetered).
+// PageRank runs iters rounds of PageRank over the directed graph carried by
+// a width-2 edge table (key column 0 = source, column 1 = destination;
+// weights are ignored) and returns a width-1 table mapping every vertex
+// 0..n-1 to its rank in PageRankScale fixed point. The arithmetic is exact
+// integer fixed point: share(u) = (rank(u)·85/100)/outdeg(u), next rank(v)
+// = PageRankScale·15/100 + Σ incoming shares. Vertices with no out-edges
+// drop their mass, so ranks sum to slightly less than n·PageRankScale on
+// graphs with sinks. It runs graph.PageRankOblivious: the edges are grouped
+// once, by recorded sorts, an iteration sorts nothing, and the division by
+// a secret out-degree takes fixed time. Like Components, it sorts on the
+// cache-agnostic bitonic network whatever Config.SortBackend says.
 func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	e, done := oneShot(cfg)
 	defer done()
 	out, rep, _, err := runGraph(e, edges, GraphOpPageRank, iters)
 	return out, rep, err
-}
-
-// pageRank runs the 1+2·iters constituent operators in e's one environment
-// (pool, space, arena and sorter), over records it builds itself (vertex
-// ids and edge endpoints, all below n ≤ MaxRows), so its intermediate
-// tables wrap them directly.
-func pageRank(e exec, n int, el []WeightedEdge, iters int) (Table, *Report, error) {
-	if iters < 1 {
-		return Table{}, nil, fmt.Errorf("oblivmc: PageRank needs at least 1 iteration, got %d", iters)
-	}
-	m := len(el)
-	if int64(n+m) > relops.MaxRows {
-		return Table{}, nil, fmt.Errorf("%w (%d vertices + %d edges)", ErrTooManyRows, n, m)
-	}
-	var total *Report
-	groupSum := func(recs []relops.Record) ([]relops.Record, error) {
-		out, rep, _, err := runQuery(e, Table{recs: recs, width: 1}, Query{GroupBy: AggSum})
-		if err != nil {
-			return nil, err
-		}
-		mergeReport(&total, rep)
-		return out.recs, nil
-	}
-
-	// Out-degrees: one grouped count over a unit row per edge source plus a
-	// zero sentinel per vertex, so every vertex appears and the key-sorted
-	// output is exactly vertex order.
-	degRecs := make([]relops.Record, 0, n+m)
-	for v := 0; v < n; v++ {
-		degRecs = append(degRecs, relops.Record{Key: uint64(v), Val: 0})
-	}
-	for _, ed := range el {
-		degRecs = append(degRecs, relops.Record{Key: uint64(ed.U), Val: 1})
-	}
-	degOut, err := groupSum(degRecs)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	deg := make([]uint64, n)
-	for _, r := range degOut {
-		deg[r.Key] = r.Val
-	}
-
-	edgeRecs := make([]relops.Record, m)
-	for i, ed := range el {
-		edgeRecs[i] = relops.Record{Key: uint64(ed.U), Val: uint64(ed.V)}
-	}
-	edgeTbl := Table{recs: edgeRecs, width: 1}
-
-	ranks := make([]uint64, n)
-	for v := range ranks {
-		ranks[v] = PageRankScale
-	}
-	base := PageRankScale * (pageRankDampDen - pageRankDampNum) / pageRankDampDen
-
-	for it := 0; it < iters; it++ {
-		shareRecs := make([]relops.Record, n)
-		for v := 0; v < n; v++ {
-			s := uint64(0)
-			if deg[v] > 0 {
-				s = ranks[v] * pageRankDampNum / pageRankDampDen / deg[v]
-			}
-			shareRecs[v] = relops.Record{Key: uint64(v), Val: s}
-		}
-		shareTbl := Table{recs: shareRecs, width: 1}
-		// Every edge row matches exactly one share row (shares cover all
-		// vertices, with distinct keys), so m is the exact public capacity.
-		joined, rep, err := joinAllRows(e, shareTbl, edgeTbl, m)
-		if err != nil {
-			return Table{}, nil, err
-		}
-		mergeReport(&total, rep)
-
-		contribRecs := make([]relops.Record, 0, n+m)
-		for v := 0; v < n; v++ {
-			contribRecs = append(contribRecs, relops.Record{Key: uint64(v), Val: 0})
-		}
-		for _, j := range joined {
-			contribRecs = append(contribRecs, relops.Record{Key: j.RightVal, Val: j.LeftVal})
-		}
-		summed, err := groupSum(contribRecs)
-		if err != nil {
-			return Table{}, nil, err
-		}
-		for _, r := range summed {
-			ranks[r.Key] = base + r.Val
-		}
-	}
-
-	outRecs := make([]relops.Record, n)
-	for v := 0; v < n; v++ {
-		outRecs[v] = relops.Record{Key: uint64(v), Val: ranks[v]}
-	}
-	return Table{recs: outRecs, width: 1}, total, nil
-}
-
-// mergeReport folds one operator run's report into an accumulated total:
-// counters and spans add (the composition is sequential), and the trace
-// fingerprints fold with an order-sensitive hash combine, so two metered
-// compositions match iff every constituent fingerprint matches in order.
-func mergeReport(total **Report, r *Report) {
-	if r == nil {
-		return
-	}
-	if *total == nil {
-		cp := *r
-		*total = &cp
-		return
-	}
-	t := *total
-	t.Work += r.Work
-	t.Span += r.Span
-	t.MemOps += r.MemOps
-	t.Reads += r.Reads
-	t.Writes += r.Writes
-	t.Forks += r.Forks
-	t.CacheMisses += r.CacheMisses
-	t.CacheAccesses += r.CacheAccesses
-	t.TraceFingerprint.Hash = t.TraceFingerprint.Hash*0x100000001b3 ^ r.TraceFingerprint.Hash
-	t.TraceFingerprint.Count += r.TraceFingerprint.Count
 }

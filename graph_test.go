@@ -196,6 +196,63 @@ func TestPageRankMatchesIntegerReference(t *testing.T) {
 	}
 }
 
+// FuzzPageRank runs PageRank on a fuzzer-shaped graph against pageRankRef:
+// up to 32 vertices, a quarter of them isolated (no edge names them, though
+// a higher vertex fixes n), up to 64 edges among the rest, of which about a
+// quarter are self-loops and a quarter repeat an earlier edge, so sinks,
+// parallel edges and self-loops all occur. The iteration count is 1–4, on
+// either sort backend.
+func FuzzPageRank(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(10), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(31), uint8(63), uint8(3), uint8(1))
+	f.Add(uint64(3), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(4), uint8(1), uint8(5), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m, iters, backend uint8) {
+		nv, mv := int(n%32)+1, int(m%64)+1
+		src := prng.New(seed)
+		used := []int{nv - 1}
+		for v := 0; v < nv-1; v++ {
+			if src.Intn(4) != 0 {
+				used = append(used, v)
+			}
+		}
+		edges := make([]WeightedEdge, 0, mv)
+		for len(edges) < mv {
+			e := WeightedEdge{U: used[src.Intn(len(used))], V: used[src.Intn(len(used))]}
+			switch src.Intn(4) {
+			case 0:
+				e.V = e.U
+			case 1:
+				if len(edges) > 0 {
+					e = edges[src.Intn(len(edges))]
+				}
+			}
+			edges = append(edges, e)
+		}
+		edges[0].V = nv - 1 // so n is nv
+		k := int(iters%4) + 1
+		cfg := Config{SortBackend: SortBitonic}
+		if backend%2 == 1 {
+			cfg = Config{SortBackend: SortShuffle, Seed: seed, DeterministicShuffle: true}
+		}
+		out, _, err := PageRank(cfg, mustEdgeTable(t, edges), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pageRankRef(nv, edges, k)
+		rows := out.Rows()
+		if len(rows) != nv {
+			t.Fatalf("%d rows, want %d", len(rows), nv)
+		}
+		for v, r := range rows {
+			if r.Key != uint64(v) || r.Val != want[v] {
+				t.Fatalf("pagerank(n=%d, m=%d, iters=%d, seed=%d): row %d = %+v, want rank %d",
+					nv, mv, k, seed, v, r, want[v])
+			}
+		}
+	})
+}
+
 func TestEdgeTableRoundTripAndErrors(t *testing.T) {
 	edges := []WeightedEdge{{U: 0, V: 3, W: 7}, {U: 2, V: 2, W: 1}, {U: 5, V: 1, W: 0}}
 	tab := mustEdgeTable(t, edges)
@@ -236,7 +293,7 @@ func TestEdgeTableRoundTripAndErrors(t *testing.T) {
 }
 
 // TestGraphSortsPinnedToExecutedSorts: the plan layer's sort and replay
-// accounting for fixed-round components must equal the number of sorts and
+// accounting for fixed-round components and PageRank must equal the number of sorts and
 // un-sorts the run actually executes, counted at the bitonic network (one
 // call per sort pass on the bitonic backend, a recorded sort included; one
 // per un-sort).
@@ -289,6 +346,24 @@ func TestGraphSortsPinnedToExecutedSorts(t *testing.T) {
 		t.Fatalf("MSF executed %d sorts and %d un-sorts; plan %s predicts %d + k·%d and k·%d + 2 for one k in [1, %d]",
 			sorts, unsorts, mp, mp.BaseSorts, mp.SortsPerRound, mp.ReplaysPerRound, mp.Rounds)
 	}
+
+	// PageRank sorts only in its setup, 0 sorts per iteration; its
+	// iterations replay the source gather and the in-edge sums' un-sort,
+	// plus the out-degree sums' un-sort once, outside the loop.
+	pp := GraphOpPageRank.plan(n, len(el), rounds)
+	if pp.SortsPerRound != 0 || pp.TotalSorts() != 3 || pp.TotalReplays() != 2*rounds {
+		t.Fatalf("plan %s: %d sorts/round, %d sorts, %d replays; want 0, 3 and %d", pp, pp.SortsPerRound, pp.TotalSorts(), pp.TotalReplays(), 2*rounds)
+	}
+	before, replays = bitonic.NetworkCalls(), bitonic.ReplayCalls()
+	if _, _, err := PageRank(Config{SortBackend: SortBitonic}, tab, rounds); err != nil {
+		t.Fatal(err)
+	}
+	if got := int(bitonic.NetworkCalls() - before); got != pp.TotalSorts() {
+		t.Fatalf("PageRank executed %d bitonic sorts, plan predicts %d", got, pp.TotalSorts())
+	}
+	if got := int(bitonic.ReplayCalls() - replays); got != pp.TotalReplays()+1 {
+		t.Fatalf("PageRank executed %d un-sorts, plan predicts %d + 1", got, pp.TotalReplays())
+	}
 }
 
 func TestGraphExplainStrings(t *testing.T) {
@@ -300,7 +375,9 @@ func TestGraphExplainStrings(t *testing.T) {
 		{GraphOpComponents, 4, []string{"cc-minhook", "[1 + 3 sorts/round × 4 rounds = 13 sorts, 12 replays]"}},
 		{GraphOpComponents, 0, []string{"cc-minhook", "[1 + 3 sorts/round, 3 replays/round, rounds revealed]"}},
 		{GraphOpMSF, 0, []string{"msf", "[2 + 6 sorts/round, 6 replays/round × ≤", "revealed"}},
-		{GraphOpPageRank, 5, []string{"pagerank", "5"}},
+		// 3 setup sorts (two edge groupings, the source gather's request
+		// sort); per iteration the gather's and the in-edge sums' replays.
+		{GraphOpPageRank, 5, []string{"pagerank", "[3 + 0 sorts/round × 5 rounds = 3 sorts, 10 replays]"}},
 	}
 	for _, tc := range cases {
 		s := GraphExplain(tc.op, 1<<10, 1<<12, tc.rounds)
@@ -315,7 +392,7 @@ func TestGraphExplainStrings(t *testing.T) {
 // TestGraphFingerprintsShapeOnly: at the public layer, two metered runs
 // over different edge CONTENTS of the same public shape (n, m, rounds)
 // report identical trace fingerprints — for the fixed-round components
-// kernel and for the relationally-composed PageRank.
+// kernel and for PageRank.
 func TestGraphFingerprintsShapeOnly(t *testing.T) {
 	const n, m = 24, 36
 	mk := func(seed uint64) Table {

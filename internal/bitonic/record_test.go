@@ -3,6 +3,7 @@ package bitonic
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"oblivmc/internal/forkjoin"
@@ -186,4 +187,49 @@ func TestRecordUnsortTraceLockstep(t *testing.T) {
 		}
 		UnsortCA(c, vs, vscr, rec, 0, n, 0)
 	})
+}
+
+// TestRecordedSortAllocs: a recorded plane sort and its un-sort look their
+// record layout up rather than computing a fresh one per call, so a warmed
+// unmetered SortCAPlanes + UnsortCA pair at 2^10 — one leaf at the default
+// leaf size — allocates only the network's plane views (newNetwork's
+// KeySchedule.View calls): 14 objects. Computing a layout per call made it
+// 16.
+func TestRecordedSortAllocs(t *testing.T) {
+	const n = 1 << 10
+	c, sp := forkjoin.Serial(), mem.NewSpace()
+	ws, scr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
+	vs, vscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+	rec := mem.Alloc[uint64](sp, RecordWords(c, n, DefaultLeaf))
+	src := prng.New(7)
+	for i := 0; i < n; i++ {
+		ws.Plane(0).Data()[i] = src.Uint64n(n)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		SortCAPlanes(c, ws, scr, 1, rec, 0, n, true, DefaultLeaf)
+		UnsortCA(c, vs, vscr, rec, 0, n, DefaultLeaf)
+	}); a > 14 {
+		t.Fatalf("recorded sort + un-sort at n = %d allocate %.0f objects per run, want at most 14", n, a)
+	}
+}
+
+// TestLayoutCacheConcurrent: goroutines racing to the first use of a leaf
+// size's layout all read one equal to a fresh computation (run it under
+// -race).
+func TestLayoutCacheConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, leaf := range []int{4, 16, 64, 256} {
+				for _, dense := range []bool{false, true} {
+					if got, want := *layoutFor(leaf, dense), *newLayout(leaf, dense); got != want {
+						t.Errorf("leaf %d, dense %t: cached layout differs from a fresh one", leaf, dense)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,6 +1,8 @@
 package bitonic
 
 import (
+	"sync/atomic"
+
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/matrix"
 	"oblivmc/internal/mem"
@@ -84,7 +86,7 @@ func newNetwork(c *forkjoin.Ctx, a, scratch *mem.Array[obliv.Elem], ks, kscr *ob
 // RecordWords(c, n, leaf) words for the network's n elements.
 func (nw network) recorded(c *forkjoin.Ctx, rec *mem.Array[uint64]) network {
 	n := nw.ks.Len()
-	nw.rec, nw.bits = rec, newLayout(n, nw.leaf, c.Metered())
+	nw.rec, nw.bits = rec, layoutFor(nw.leaf, c.Metered())
 	if rec.Len() < nw.bits.words(n) {
 		panic("bitonic: swap record too short")
 	}
@@ -104,12 +106,39 @@ func (nw network) recorded(c *forkjoin.Ctx, rec *mem.Array[uint64]) network {
 // n/32·log²n bytes, plus at most one word per padded leaf — 105 KiB dense
 // at n = 2^14 and 110 KiB padded.
 type layout struct {
-	sort, merge [64]int
+	sort, merge [layoutLogs]int
 }
 
-// newLayout is the layout of sorts of up to n elements at the resolved leaf
-// size: packed densely, or with every leaf padded to whole words.
-func newLayout(n, leaf int, dense bool) *layout {
+// layoutLogs bounds the sizes a layout covers: up to 2^(layoutLogs-1)
+// elements, beyond any array an executor holds.
+const layoutLogs = 48
+
+// layouts holds the layout of each executor kind and leaf size 2^i at
+// [dense][i], computed at first use (twice, equal, if two race) and read
+// without a lock after.
+var layouts [2][64]atomic.Pointer[layout]
+
+// layoutFor is the layout of recorded sorts at the resolved leaf size,
+// packed densely or with every leaf padded to whole words.
+func layoutFor(leaf int, dense bool) *layout {
+	if !obliv.IsPow2(leaf) {
+		return newLayout(leaf, dense)
+	}
+	slot := &layouts[0][obliv.Log2(leaf)]
+	if dense {
+		slot = &layouts[1][obliv.Log2(leaf)]
+	}
+	l := slot.Load()
+	if l == nil {
+		l = newLayout(leaf, dense)
+		slot.Store(l)
+	}
+	return l
+}
+
+// newLayout computes the layout of sorts at the resolved leaf size: packed
+// densely, or with every leaf padded to whole words.
+func newLayout(leaf int, dense bool) *layout {
 	pad := func(b int) int {
 		if dense {
 			return b
@@ -117,7 +146,7 @@ func newLayout(n, leaf int, dense bool) *layout {
 		return (b + 63) &^ 63
 	}
 	l := new(layout)
-	for k := 1; 1<<k <= n; k++ {
+	for k := 1; k < layoutLogs; k++ {
 		m := 1 << k
 		if m <= leaf {
 			l.merge[k] = pad(m / 2 * k)
@@ -171,7 +200,7 @@ func RecordWords(c *forkjoin.Ctx, n, leaf int) int {
 	if n <= 1 {
 		return 0
 	}
-	return newLayout(n, leafFor(c, leaf), c.Metered()).words(n)
+	return layoutFor(leafFor(c, leaf), c.Metered()).words(n)
 }
 
 // SortCAPlanes is SortCAKeyed over the word planes of ws alone: it sorts

@@ -672,6 +672,30 @@ func TestMinHookAllocsIndependentOfRounds(t *testing.T) {
 	}
 }
 
+// TestPageRankAllocsIndependentOfIterations is
+// TestMSFAllocsIndependentOfIterations for PageRank: the run allocates its
+// groupings, gatherer and scan tree once, so a warmed run of 6 iterations
+// allocates the same work arrays as one of 2.
+func TestPageRankAllocsIndependentOfIterations(t *testing.T) {
+	const n, m = 1 << 10, 1 << 12
+	src := prng.New(25)
+	edges := make([]WEdge, m)
+	for i := range edges {
+		edges[i] = WEdge{U: src.Intn(n), V: src.Intn(n)}
+	}
+	run := func(iters int) uint64 {
+		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters, testParams())
+		before := arrayBytes()
+		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters, testParams())
+		return arrayBytes() - before
+	}
+	b2, b6 := run(2), run(6)
+	if diff := max(b2, b6) - min(b2, b6); diff >= 8*n {
+		t.Fatalf("2 iterations allocate %d bytes of arrays, 6 allocate %d: %d apart, want under one %d-byte plane",
+			b2, b6, diff, 8*n)
+	}
+}
+
 // arrayBytes is the bytes allocated so far in heap objects of at least
 // 4 KiB: the cumulative total less every smaller size class.
 func arrayBytes() uint64 {

@@ -15,8 +15,9 @@ import (
 // rawKernels are the raw block kernels whose compiled code must not branch
 // on data: the element comparator run and the element move it shares with
 // the Beneš switch, the word-plane comparator (sorting, merging and
-// recording) and the word-plane replay.
-var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun"}
+// recording), the word-plane replay, and the fixed-time division by a
+// secret divisor.
+var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun", "DivU64"}
 
 // branchGolden lists, per raw kernel, every conditional jump the compiler
 // may emit that is not a bounds check, and why it does not depend on the
@@ -37,6 +38,7 @@ var branchGolden = []branchSite{
 	{"planeRun", 21, "JE", "v != nil: the number of carried planes, public"},
 	{"planeRun", 26, "JE", "rec != nil: whether the sort records, public"},
 	{"replayRun", 1, "JLE", "loop test on pairs, public"},
+	{"DivU64", 2, "JGE", "loop test on the step counter: 64 steps for every operand"},
 }
 
 // branchSite is one conditional jump: kernel, source line relative to the

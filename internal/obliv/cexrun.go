@@ -73,6 +73,27 @@ func CondSwap(x, y *Elem, m uint64) {
 	x.Mark, y.Mark = x.Mark^dm, y.Mark^dm
 }
 
+// DivU64 returns a / d, or 0 when d is 0, in fixed time: 64 restoring
+// shift-subtract steps with no branch on a or d and no hardware divide,
+// whose latency varies with its operands. It is never inlined, so its one
+// compiled copy is what the branch-freedom test checks.
+//
+//go:noinline
+func DivU64(a, d uint64) uint64 {
+	var q, r uint64
+	for i := 63; i >= 0; i-- {
+		// r < d, so 2r + 1 needs at most 65 bits, the 65th shifted out of
+		// r; r − d wraps to the true difference whenever a step subtracts.
+		hi := r >> 63
+		r = r<<1 | a>>i&1
+		_, borrow := bits.Sub64(r, d, 0)
+		ge := hi | borrow ^ 1
+		r -= d & -ge
+		q |= ge << i
+	}
+	return q & -((d | -d) >> 63)
+}
+
 // Layer runs one layer of a comparator network as a single fork tree over
 // its nb·cnt comparators on the block comparator k, rebound to each leaf's
 // context. Block b (b < nb) starts at b·gap and holds cnt comparators;

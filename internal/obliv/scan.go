@@ -143,6 +143,12 @@ func PrefixSumU64(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[uint64], inclusiv
 	ScanOp(c, sp, a, func(x, y uint64) uint64 { return x + y }, 0, inclusive)
 }
 
+// PrefixSumU64With is PrefixSumU64 over the non-empty a with a caller-held
+// tree of 2·len(a)−1 slots, for a caller that scans one length repeatedly.
+func PrefixSumU64With(c *forkjoin.Ctx, a, tree *mem.Array[uint64], inclusive bool) {
+	scanWith(c, a, tree, func(x, y uint64) uint64 { return x + y }, 0, inclusive)
+}
+
 // SumU64 returns the total of a without modifying it (an up-sweep only).
 func SumU64(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[uint64]) uint64 {
 	n := a.Len()

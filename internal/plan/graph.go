@@ -35,7 +35,10 @@ const (
 //	MSF iteration      = 2 static endpoint gathers (replays only) + stars
 //	                     + min-edge scatter + pick scatter + D[D] gather
 //	                     + jump; base: the 2 endpoint sorts
-//	PageRank iteration = join-all (3 staged sorts) + grouped sum (2)
+//	PageRank iteration = static source gather (replay only) + in-edge sums'
+//	                     un-sort; base: the source and destination
+//	                     groupings + the gather's sort (the out-degree
+//	                     sums' un-sort, outside the iterations, is uncounted)
 const (
 	ccMinHookRoundSorts   = scatterSorts + 2*jumpSorts
 	ccMinHookRoundReplays = gatherReplays + 2*jumpReplays
@@ -43,8 +46,8 @@ const (
 	msfIterSorts          = starsSorts + 2*scatterSorts + gatherSorts + jumpSorts
 	msfIterReplays        = 2*gatherReplays + starsReplays + gatherReplays + jumpReplays
 	msfBaseSorts          = 2 * gatherSorts
-	pageRankIterSorts     = joinSorts + 2
-	pageRankBaseSorts     = 2 // the one-off out-degree grouped count
+	pageRankIterReplays   = gatherReplays + 1
+	pageRankBaseSorts     = 2 + gatherSorts
 )
 
 // GraphKind enumerates the planned graph workloads.
@@ -57,8 +60,8 @@ const (
 	GraphCC GraphKind = iota
 	// GraphMSF — Borůvka star-hooking minimum spanning forest.
 	GraphMSF
-	// GraphPageRank — the relational PageRank iterated aggregate
-	// (join-all + grouped sum per iteration).
+	// GraphPageRank — PageRank's fixed-point iterated aggregate (a share
+	// pass, a static gather, a prefix sum and an un-sort per iteration).
 	GraphPageRank
 )
 
@@ -100,8 +103,8 @@ type GraphPlan struct {
 	// ReplaysPerRound counts the un-sorts of one round/iteration: replays
 	// of a recorded sort, which are not sorts.
 	ReplaysPerRound int
-	// BaseSorts counts the sorts outside the iteration (PageRank's
-	// out-degree pass; the recorded sorts of the static endpoint gathers).
+	// BaseSorts counts the sorts outside the iteration (the recorded sorts
+	// of the static gathers and of PageRank's edge groupings).
 	BaseSorts int
 	// Rounds is the round count the totals are computed over: the exact
 	// public count when Fixed, else the worst-case bound of a revealed
@@ -145,7 +148,7 @@ func (p GraphPlan) String() string {
 	case GraphMSF:
 		passes = "gather² → stars → scatter² → gather → jump"
 	case GraphPageRank:
-		passes = "join-all → group-sum"
+		passes = "share → gather → prefix-sum → unsort"
 	default:
 		passes = "?"
 	}
@@ -196,7 +199,7 @@ func BuildGraph(s GraphShape) GraphPlan {
 		b := log2ceil(s.N) + 2
 		p.Rounds = b * b // revealed early-exit bound, not a fixed count
 	case GraphPageRank:
-		p.SortsPerRound = pageRankIterSorts
+		p.ReplaysPerRound = pageRankIterReplays
 		p.BaseSorts = pageRankBaseSorts
 		p.Rounds = s.Rounds
 		p.Fixed = true

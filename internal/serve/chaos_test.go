@@ -39,18 +39,22 @@ func chaosServer(t *testing.T, lanes int, queryTimeout time.Duration) *Server {
 // lifecycleSpecs is what the timeout, disconnect and panic tests each
 // drive: one relational spec and one graph spec (over tables "t" and "g"),
 // which take the same path through ExecuteCtx and must fail — and recover —
-// the same way. PageRank's constituent runs all cross the sort.pass seam.
-var lifecycleSpecs = []QuerySpec{
-	{Table: "t", GroupBy: "sum", KeyOrderOut: true},
-	{Table: "g", Graph: "pagerank"},
+// the same way. Each is armed at a fault site it crosses: the relational
+// pipeline at every sort pass, the PageRank kernel at every round.
+var lifecycleSpecs = []struct {
+	QuerySpec
+	site string
+}{
+	{QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true}, "sort.pass"},
+	{QuerySpec{Table: "g", Graph: "pagerank"}, "graph.round"},
 }
 
 // TestChaosStorm is the acceptance chaos run: >= 50 concurrent mixed
 // queries against a 2-lane server while a panic rule fires on every 9th
-// sort pass, a slow rule stretches every 4th, and a third of the clients
-// cancel their contexts early. Afterwards: no lane leaked, every error
-// was typed, and with the faults cleared the server still executes and
-// caches.
+// sort pass and every 9th graph round, a slow rule stretches every 4th of
+// each, and a third of the clients cancel their contexts early.
+// Afterwards: no lane leaked, every error was typed, and with the faults
+// cleared the server still executes and caches.
 func TestChaosStorm(t *testing.T) {
 	defer faultinject.Reset()
 	s := chaosServer(t, 2, 0)
@@ -60,6 +64,8 @@ func TestChaosStorm(t *testing.T) {
 
 	faultinject.PanicEvery("sort.pass", 9)
 	faultinject.SlowEvery("sort.pass", 4, 2*time.Millisecond)
+	faultinject.PanicEvery("graph.round", 9)
+	faultinject.SlowEvery("graph.round", 4, 2*time.Millisecond)
 
 	specs := []QuerySpec{
 		{Table: "sales", GroupBy: "sum"},
@@ -139,11 +145,12 @@ func TestChaosStorm(t *testing.T) {
 // Options.QueryTimeout aborts with oblivmc.ErrDeadline, mapped to HTTP
 // 504, and returns its lane.
 //
-// The two constants move together. The slowed first sort pass alone
-// outlasts the timeout, so the slowed run must miss its deadline; the
-// un-slowed recovery run of the 5-round PageRank spec takes 30–37 ms under
-// -race on a 2-CPU machine, so the timeout leaves it 4× that. (At 25 ms
-// and 40 ms the recovery run itself hit the deadline under -race.)
+// The two constants move together. The slowed first hit of the spec's
+// fault site alone outlasts the timeout, so the slowed run must miss its
+// deadline; the un-slowed recovery run of the 5-round PageRank spec must
+// fit well inside it under -race on a 2-CPU machine. (When PageRank was
+// composed of relational runs, that run took 30–37 ms there, and at 25 ms
+// and 40 ms timeouts it hit the deadline itself.)
 func TestQueryTimeoutReturns504(t *testing.T) {
 	const (
 		timeout = 150 * time.Millisecond
@@ -154,8 +161,9 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 	mustLoad(t, s, "t", testRows(256, 8, 3))
 	mustLoad(t, s, "g", ringEdges(16))
 
-	for _, spec := range lifecycleSpecs {
-		faultinject.SlowEvery("sort.pass", 1, slow)
+	for _, tc := range lifecycleSpecs {
+		spec := tc.QuerySpec
+		faultinject.SlowEvery(tc.site, 1, slow)
 		_, err := s.Execute(spec)
 		if !errors.Is(err, oblivmc.ErrDeadline) {
 			t.Fatalf("slow %+v: err = %v, want ErrDeadline", spec, err)
@@ -192,9 +200,10 @@ func TestLaneRetiredAfterPanic(t *testing.T) {
 		s.lanes <- sess
 		return sess
 	}
-	for _, spec := range lifecycleSpecs {
+	for _, tc := range lifecycleSpecs {
+		spec := tc.QuerySpec
 		panicked := idle()
-		faultinject.PanicAt("sort.pass", 1)
+		faultinject.PanicAt(tc.site, 1)
 		_, err := s.Execute(spec)
 		if !errors.Is(err, oblivmc.ErrInternal) {
 			t.Fatalf("injected panic in %+v: err = %v, want ErrInternal", spec, err)
@@ -308,12 +317,13 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	mustLoad(t, s, "t", testRows(256, 8, 6))
 	mustLoad(t, s, "g", ringEdges(16))
 
-	for _, spec := range lifecycleSpecs {
+	for _, tc := range lifecycleSpecs {
+		spec := tc.QuerySpec
 		faultinject.Reset()
-		faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
+		faultinject.SlowEvery(tc.site, 1, 40*time.Millisecond)
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
-			for faultinject.Hits("sort.pass") == 0 {
+			for faultinject.Hits(tc.site) == 0 {
 				time.Sleep(500 * time.Microsecond)
 			}
 			cancel()

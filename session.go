@@ -19,8 +19,7 @@ import (
 // runs under: the executor config, the work-stealing pool (ModeParallel
 // only), the address space, the relational scratch arena and the run's one
 // sorter. Only Session.exec builds one, so a package-level call (a
-// throwaway Session, oneShot) and a Session run get the same environment,
-// and the constituent runs of a composite operator like PageRank share it.
+// throwaway Session, oneShot) and a Session run get the same environment.
 type exec struct {
 	cfg  Config
 	pool *forkjoin.Pool
@@ -260,8 +259,8 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 // GraphOpPageRank — the ones with an edge-table form; rounds as in
 // GraphExplain) over the edge table t exactly like the package-level
 // Components / MSF / PageRank, but under the session's pooled resources and
-// the RunQueryCtx lifecycle: a composite operator's constituent runs all
-// share the pool, space, arena and sorter, and ctx cancels them all.
+// the RunQueryCtx lifecycle: the operator's one kernel run uses the
+// session's pool, space and sorter, and ctx cancels it.
 // SortPasses is the executed count (graph results carry no order token, so
 // ColdSortPasses equals it) and Plan the GraphExplainTable rendering.
 func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds int) (Table, QueryStats, error) {

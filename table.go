@@ -527,18 +527,11 @@ func joinErr(err error, matches, maxOut int) error {
 // cannot overflow, at no extra pass — at the cost of revealing that bound
 // as public shape.
 func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
-	e, done := oneShot(cfg)
-	defer done()
-	return joinAllRows(e, left, right, maxOut)
-}
-
-// joinAllRows is JoinAllRows under an execution environment (e's executor,
-// arena and sorter) — the form PageRank composes, so its join rounds share
-// the environment of its other runs.
-func joinAllRows(e exec, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
 	if err := checkJoinTables(left, right, maxOut); err != nil {
 		return nil, nil, err
 	}
+	e, done := oneShot(cfg)
+	defer done()
 	w := left.Width()
 	var out []WideJoinedRow
 	var runErr error
@@ -758,8 +751,7 @@ func queryJoin(e exec, c *forkjoin.Ctx, sp *mem.Space, j *JoinSpec, r relops.Rel
 }
 
 // runQuery is the one relational execution path: RunQuery, the
-// one-operator wrappers, Session.RunQueryCtx and PageRank's grouped sums all
-// land here. It validates q against t, compiles q's shape — including the
+// one-operator wrappers and Session.RunQueryCtx all land here. It validates q against t, compiles q's shape — including the
 // input table's sorted-by token, the cross-query seam — and executes the
 // fused pass sequence under e's executor, with e's scratch arena and e's one
 // sorter (the shuffle backend is stateful, so one instance serves all of a
