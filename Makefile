@@ -116,14 +116,15 @@ fuzz-smoke:
 # client cancellations against a tight-admission server), the deadline /
 # lane-retirement / drain (running and queued stragglers) / disconnect pins
 # in internal/serve, the
-# session-level cancellation and poisoning tests at the root, and the pool
-# cancellation/panic-isolation tests in internal/forkjoin. Bounded well
-# under a minute; the faultinject registry is process-global, so the legs
-# run package by package.
+# session-level cancellation and poisoning tests at the root (the graph
+# operators' plane sorts tripping the sort-pass fault site included), and
+# the pool cancellation/panic-isolation and sort-pass count tests in
+# internal/forkjoin. Bounded well under a minute; the faultinject registry
+# is process-global, so the legs run package by package.
 chaos-smoke:
 	$(GO) test -race ./internal/serve -run 'TestChaos|TestQueryTimeout|TestLaneRetired|TestShutdownDrain|TestClientDisconnect' -count 1
-	$(GO) test -race . -run 'TestCancelCtxAfterFirstSortPass|TestSessionCancelMidQuery|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
-	$(GO) test -race ./internal/forkjoin -run 'TestSerialCheck|TestRunCancel|TestForkPanic|TestCanceledError' -count 1
+	$(GO) test -race . -run 'TestCancelCtxAfterFirstSortPass|TestGraphSortPassInjection|TestSessionCancelMidQuery|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
+	$(GO) test -race ./internal/forkjoin -run 'TestSerialCheck|TestRunCancel|TestForkPanic|TestCanceledError|TestSortPassCount' -count 1
 
 # serve-smoke is the end-to-end serving check: build oblivserve, start it
 # on a random free port, load the generated example through the client,

@@ -173,8 +173,8 @@ func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, err
 		}
 	}
 	var out []int
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, e.graphParams())
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.ConnectedComponentsOblivious(c, sp, n, edges)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -204,8 +204,8 @@ func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Rep
 		}
 	}
 	var out []int
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, edges, e.graphParams())
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = graph.MinimumSpanningForestOblivious(c, sp, n, edges)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -226,8 +226,8 @@ func SimulatePRAM(cfg Config, m PRAMMachine, memInit []uint64) ([]uint64, *Repor
 		return nil, nil, ErrEmptyInput
 	}
 	var out []uint64
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		out = pram.RunOblivious(c, sp, m, memInit, e.srt)
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
+		out = pram.RunOblivious(c, sp, m, memInit)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -242,7 +242,7 @@ func BenchmarkTable1CC_Oblivious(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPool.Run(func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
-			graph.ConnectedComponentsOblivious(c, sp, n, edges, core.Params{})
+			graph.ConnectedComponentsOblivious(c, sp, n, edges)
 		})
 	}
 }
@@ -278,7 +278,7 @@ func BenchmarkTable1MSF_Oblivious(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPool.Run(func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
-			graph.MinimumSpanningForestOblivious(c, sp, n, edges, core.Params{})
+			graph.MinimumSpanningForestOblivious(c, sp, n, edges)
 		})
 	}
 }
@@ -355,12 +355,11 @@ func BenchmarkTable2SendReceive(b *testing.B) {
 func BenchmarkTable2PRAMStep_Oblivious(b *testing.B) {
 	const n = 128
 	mach := &pram.AddConstMachine{N: n, K: 1}
-	srt := bitonic.CacheAgnostic{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPool.Run(func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
-			pram.RunOblivious(c, sp, mach, make([]uint64, n), srt)
+			pram.RunOblivious(c, sp, mach, make([]uint64, n))
 		})
 	}
 }

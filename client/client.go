@@ -87,8 +87,8 @@ type Stats struct {
 	// Cached reports a result-cache hit: the query ran zero oblivious
 	// sorts (or any other passes) — the response is the materialization.
 	Cached bool `json:"cached"`
-	// SortPasses is the executed sort-pass count, measured at the sorter
-	// seam for queries and graph operators alike (0 on a cache hit).
+	// SortPasses is the executed sort-pass count, counted where each pass
+	// starts, for queries and graph operators alike (0 on a cache hit).
 	SortPasses int `json:"sort_passes"`
 	// ColdSortPasses is the plan's cost with no input-order token — the
 	// baseline the cross-query skip is measured against.

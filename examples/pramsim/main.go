@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"oblivmc"
-	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/pram"
@@ -58,7 +57,7 @@ func main() {
 		mm := &pram.PointerJumpMachine{N: n, Succ: randomList(seed, n)}
 		sp := mem.NewSpace()
 		met := forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			pram.RunOblivious(c, sp, mm, mm.InitialMemory(), bitonic.CacheAgnostic{})
+			pram.RunOblivious(c, sp, mm, mm.InitialMemory())
 		})
 		return fmt.Sprintf("%016x", met.Trace.Hash)
 	}

@@ -3,6 +3,7 @@ package oblivmc
 import (
 	"fmt"
 
+	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/graph"
 	"oblivmc/internal/mem"
@@ -136,17 +137,16 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 	}
 	var out Table
 	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := e.graphParams()
 		switch op {
 		case GraphOpComponents:
 			pairs := make([][2]int, len(el))
 			for i, ed := range el {
 				pairs[i] = [2]int{ed.U, ed.V}
 			}
-			labels, _ := graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, p)
+			labels, _ := graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, core.Params{})
 			out = vertexTable(labels)
 		case GraphOpMSF:
-			chosen := graph.MinimumSpanningForestOblivious(c, sp, n, el, p)
+			chosen := graph.MinimumSpanningForestOblivious(c, sp, n, el)
 			// A forest with no edges (self-loop-only input) is an empty
 			// edge table.
 			out = Table{recs: make([]relops.Record, len(chosen)), width: 2}
@@ -154,7 +154,7 @@ func runGraph(e exec, edges Table, op GraphOp, rounds int) (Table, *Report, plan
 				out.recs[i] = relops.Record{Key: uint64(el[ci].U), Key2: uint64(el[ci].V), Val: el[ci].W}
 			}
 		case GraphOpPageRank:
-			out = vertexTable(graph.PageRankOblivious(c, sp, n, el, rounds, p))
+			out = vertexTable(graph.PageRankOblivious(c, sp, n, el, rounds))
 		}
 	})
 	if err != nil {

@@ -194,22 +194,29 @@ func TestRecordUnsortTraceLockstep(t *testing.T) {
 // unmetered SortCAPlanes + UnsortCA pair at 2^10 — one leaf at the default
 // leaf size — allocates only the network's plane views (newNetwork's
 // KeySchedule.View calls): 14 objects. Computing a layout per call made it
-// 16.
+// 16. Above the leaf, at 2^14, the rest is the fork tree's closures and
+// views: 984 objects while a task runs a leaf's worth of row merges (or
+// un-merges), 4568 when every row was a task of its own.
 func TestRecordedSortAllocs(t *testing.T) {
-	const n = 1 << 10
-	c, sp := forkjoin.Serial(), mem.NewSpace()
-	ws, scr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
-	vs, vscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
-	rec := mem.Alloc[uint64](sp, RecordWords(c, n, DefaultLeaf))
-	src := prng.New(7)
-	for i := 0; i < n; i++ {
-		ws.Plane(0).Data()[i] = src.Uint64n(n)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		SortCAPlanes(c, ws, scr, 1, rec, 0, n, true, DefaultLeaf)
-		UnsortCA(c, vs, vscr, rec, 0, n, DefaultLeaf)
-	}); a > 14 {
-		t.Fatalf("recorded sort + un-sort at n = %d allocate %.0f objects per run, want at most 14", n, a)
+	for _, tc := range []struct {
+		n   int
+		max float64
+	}{{1 << 10, 14}, {1 << 14, 1000}} {
+		n := tc.n
+		c, sp := forkjoin.Serial(), mem.NewSpace()
+		ws, scr := obliv.AllocKeySchedule(sp, n, 2), obliv.AllocKeySchedule(sp, n, 2)
+		vs, vscr := obliv.AllocKeySchedule(sp, n, 1), obliv.AllocKeySchedule(sp, n, 1)
+		rec := mem.Alloc[uint64](sp, RecordWords(c, n, DefaultLeaf))
+		src := prng.New(7)
+		for i := 0; i < n; i++ {
+			ws.Plane(0).Data()[i] = src.Uint64n(uint64(n))
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			SortCAPlanes(c, ws, scr, 1, rec, 0, n, true, DefaultLeaf)
+			UnsortCA(c, vs, vscr, rec, 0, n, DefaultLeaf)
+		}); a > tc.max {
+			t.Fatalf("recorded sort + un-sort at n = %d allocate %.0f objects per run, want at most %.0f", n, a, tc.max)
+		}
 	}
 }
 

@@ -385,17 +385,22 @@ func (nw network) merge(c *forkjoin.Ctx, lo, m int, asc bool, q int) {
 	blk := nw.at(lo, m)
 	blk.transpose(c, m1, m2)
 	sw := nw.swapped()
-	forkjoin.ParallelFor(c, 0, m2, 1, func(c *forkjoin.Ctx, i int) {
+	forkjoin.ParallelFor(c, 0, m2, nw.rowGrain(m1), func(c *forkjoin.Ctx, i int) {
 		sw.merge(c, lo+i*m1, m1, asc, q+i*b1)
 	})
 
 	// Phase 2: transpose back and run the remaining layers as merges of
 	// length m2 on the now-contiguous rows.
 	blk.swapped().transpose(c, m2, m1)
-	forkjoin.ParallelFor(c, 0, m1, 1, func(c *forkjoin.Ctx, i int) {
+	forkjoin.ParallelFor(c, 0, m1, nw.rowGrain(m2), func(c *forkjoin.Ctx, i int) {
 		nw.merge(c, lo+i*m2, m2, asc, q+m2*b1+i*b2)
 	})
 }
+
+// rowGrain is the number of row merges (or un-merges) of length rowLen one
+// task runs: a leaf's worth of elements, so a short row is not a task of
+// its own. The metered executor forks every row whatever the grain.
+func (nw network) rowGrain(rowLen int) int { return max(1, nw.leaf/rowLen) }
 
 // unmerge replays merge(c, lo, m, _, q) backwards: the row merges are
 // undone first, then the same two transposes bracket the undone column
@@ -413,13 +418,13 @@ func (nw network) unmerge(c *forkjoin.Ctx, lo, m, q int) {
 	}
 	m1, m2 := mergeShape(m)
 	b1, b2 := nw.mergeBits(m1), nw.mergeBits(m2)
-	forkjoin.ParallelFor(c, 0, m1, 1, func(c *forkjoin.Ctx, i int) {
+	forkjoin.ParallelFor(c, 0, m1, nw.rowGrain(m2), func(c *forkjoin.Ctx, i int) {
 		nw.unmerge(c, lo+i*m2, m2, q+m2*b1+i*b2)
 	})
 	blk := nw.at(lo, m)
 	blk.transpose(c, m1, m2)
 	sw := nw.swapped()
-	forkjoin.ParallelFor(c, 0, m2, 1, func(c *forkjoin.Ctx, i int) {
+	forkjoin.ParallelFor(c, 0, m2, nw.rowGrain(m1), func(c *forkjoin.Ctx, i int) {
 		sw.unmerge(c, lo+i*m1, m1, q+i*b1)
 	})
 	blk.swapped().transpose(c, m2, m1)

@@ -21,8 +21,8 @@ var networkCalls atomic.Int64
 // run and assert on the delta.
 func NetworkCalls() int64 { return networkCalls.Load() }
 
-// replayCalls counts un-sorts (CacheAgnostic.Unsort calls that run a
-// replay), the recorded sorts' inverses; advisory like networkCalls.
+// replayCalls counts un-sorts (Unsort calls that run a replay), the
+// recorded sorts' inverses; advisory like networkCalls.
 var replayCalls atomic.Int64
 
 // ReplayCalls returns the number of un-sorts since process start.
@@ -34,10 +34,7 @@ func ReplayCalls() int64 { return replayCalls.Load() }
 // the practical configuration. n must be a power of two.
 type CacheAgnostic struct{}
 
-var (
-	_ obliv.ScheduledSorter = CacheAgnostic{}
-	_ obliv.RecordingSorter = CacheAgnostic{}
-)
+var _ obliv.ScheduledSorter = CacheAgnostic{}
 
 // Name implements obliv.ScheduledSorter.
 func (CacheAgnostic) Name() string { return "bitonic-cache-agnostic" }
@@ -58,36 +55,28 @@ func (CacheAgnostic) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Array[o
 	SortCAKeyed(c, a, scr, ks, kscr, lo, n, true, 0)
 }
 
-// RecordWords implements obliv.RecordingSorter.
-func (CacheAgnostic) RecordWords(c *forkjoin.Ctx, n int) int { return RecordWords(c, n, 0) }
-
-// SortRecorded implements obliv.RecordingSorter: the plane sort, recording
-// one swap bit per comparator when rec is non-nil.
-func (CacheAgnostic) SortRecorded(c *forkjoin.Ctx, _ *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
+// SortRecorded is the word-plane sort of the PRAM layer, the entry of every
+// plane sort a kernel runs: a sort-pass checkpoint (forkjoin.Ctx.SortPass,
+// which counts it on the run's token), then SortCAPlanes ascending over
+// ws[0:n) at the default leaf — by the first k planes, the rest carried,
+// recording one swap bit per comparator into rec (RecordWords(c, n, 0)
+// words) when rec is non-nil. n must be a power of two.
+func SortRecorded(c *forkjoin.Ctx, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], n int) {
+	c.SortPass("bitonic.layer")
 	if n <= 1 {
 		return
 	}
 	networkCalls.Add(1)
-	SortCAPlanes(c, ws, wscr, k, rec, lo, n, true, 0)
+	SortCAPlanes(c, ws, wscr, k, rec, 0, n, true, 0)
 }
 
-// Unsort implements obliv.RecordingSorter by replaying the record backwards
-// over the word planes of vs.
-func (CacheAgnostic) Unsort(c *forkjoin.Ctx, _ *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
+// Unsort undoes SortRecorded's recorded sort on the word planes of
+// vs[0:n) by replaying rec backwards (UnsortCA at the default leaf); it
+// reads no key and is not a sort pass.
+func Unsort(c *forkjoin.Ctx, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], n int) {
 	if n <= 1 {
 		return
 	}
 	replayCalls.Add(1)
-	UnsortCA(c, vs, vscr, rec, lo, n, 0)
-}
-
-// Recorder is srt's obliv.RecordingSorter, or CacheAgnostic for a sorter
-// that does not sort planes (the shuffle backend, the selection network, a
-// test or timing decorator): a plane sort always has a network to run on,
-// and never the shuffle path's coin-addressed scratch.
-func Recorder(srt obliv.ScheduledSorter) obliv.RecordingSorter {
-	if rs, ok := srt.(obliv.RecordingSorter); ok {
-		return rs
-	}
-	return CacheAgnostic{}
+	UnsortCA(c, vs, vscr, rec, 0, n, 0)
 }

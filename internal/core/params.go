@@ -25,8 +25,8 @@ type Params struct {
 	// subproblems (AKS in the theory bound, bitonic in the practical
 	// variant — see README, "Deviations from the paper", 1). It must support the
 	// key-schedule seam (obliv.ScheduledSorter). The PRAM layer's gathers
-	// and scatters sort word planes through bitonic.Recorder of it: the
-	// cache-agnostic network unless the sorter records itself.
+	// and scatters do not use it: they sort word planes on the
+	// cache-agnostic bitonic network (bitonic.SortRecorded).
 	Sorter obliv.ScheduledSorter
 
 	// SampleRate: REC-SORT samples each element with probability

@@ -96,7 +96,7 @@ func OblivCheck(w io.Writer) bool {
 		m := &pram.PointerJumpMachine{N: n, Succ: succ}
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(trace, func(c *forkjoin.Ctx) {
-			pram.RunOblivious(c, sp, m, m.InitialMemory(), srt)
+			pram.RunOblivious(c, sp, m, m.InitialMemory())
 		})
 	})
 	check("Euler tour (§5.2)", func(v uint64) *forkjoin.Metrics {
@@ -110,7 +110,7 @@ func OblivCheck(w io.Writer) bool {
 		edges := randomGraphEdges(v, 12, 10)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(trace, func(c *forkjoin.Ctx) {
-			graph.ConnectedComponentsOblivious(c, sp, 12, edges, core.Params{Z: 32, Gamma: 4})
+			graph.ConnectedComponentsOblivious(c, sp, 12, edges)
 		})
 	})
 

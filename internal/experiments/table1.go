@@ -152,7 +152,7 @@ func Table1(w io.Writer, cacheM, cacheB int, quick bool) {
 		mEdges := 2 * n
 		edges := randomGraphEdges(uint64(n), n, mEdges)
 		m := Meter(cacheM, cacheB, func(c *forkjoin.Ctx, sp *mem.Space) {
-			graph.ConnectedComponentsOblivious(c, sp, n, edges, core.Params{})
+			graph.ConnectedComponentsOblivious(c, sp, n, edges)
 		})
 		rows = append(rows, Row{
 			Task: "CC", Impl: "oblivious", N: n, M: m,
@@ -172,7 +172,7 @@ func Table1(w io.Writer, cacheM, cacheB int, quick bool) {
 
 		wedges := randomWeightedEdges(uint64(n), n, mEdges)
 		m = Meter(cacheM, cacheB, func(c *forkjoin.Ctx, sp *mem.Space) {
-			graph.MinimumSpanningForestOblivious(c, sp, n, wedges, core.Params{})
+			graph.MinimumSpanningForestOblivious(c, sp, n, wedges)
 		})
 		rows = append(rows, Row{
 			Task: "MSF", Impl: "oblivious(Boruvka)", N: n, M: m,

@@ -87,7 +87,7 @@ func Table2(w io.Writer, cacheM, cacheB int, quick bool) {
 	for _, n := range pramSizes {
 		mach := &pram.AddConstMachine{N: n, K: 1}
 		m := Meter(cacheM, cacheB, func(c *forkjoin.Ctx, sp *mem.Space) {
-			pram.RunOblivious(c, sp, mach, make([]uint64, n), srt)
+			pram.RunOblivious(c, sp, mach, make([]uint64, n))
 		})
 		rows = append(rows, Row{
 			Task: "PRAM-step", Impl: "oblivious(Thm4.1)", N: n, M: m,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+
+	"oblivmc/internal/faultinject"
 )
 
 // stackTrace captures the panicking goroutine's stack. Called only inside
@@ -21,9 +23,12 @@ func stackTrace() []byte { return debug.Stack() }
 // placed only at public-shape points (between sort passes, network layers,
 // graph rounds), so an execution whose token never trips has an access
 // pattern byte-identical to one with no token at all, and an abort reveals
-// only the public site name of the pass that observed it.
+// only the public site name of the pass that observed it. The token also
+// counts the run's sort passes (Ctx.SortPass), a public quantity the
+// canceled error and the run's stats report.
 type Cancel struct {
-	flag atomic.Bool
+	flag   atomic.Bool
+	passes atomic.Int64
 }
 
 // Cancel trips the token. Safe to call from any goroutine, repeatedly.
@@ -31,6 +36,15 @@ func (cn *Cancel) Cancel() { cn.flag.Store(true) }
 
 // Canceled reports whether the token has been tripped. Nil-safe.
 func (cn *Cancel) Canceled() bool { return cn != nil && cn.flag.Load() }
+
+// SortPasses is the number of sort passes started under the token
+// (Ctx.SortPass), on every worker. Nil-safe.
+func (cn *Cancel) SortPasses() int {
+	if cn == nil {
+		return 0
+	}
+	return int(cn.passes.Load())
+}
 
 // CanceledError is the panic payload of a tripped Check: Site names the
 // public checkpoint (e.g. "benes.level", "graph.round") that observed the
@@ -88,5 +102,18 @@ func (c *Ctx) WithCancel(cn *Cancel) *Ctx {
 func (c *Ctx) Check(site string) {
 	if c != nil && c.cancel.Canceled() {
 		panic(&CanceledError{Site: site})
+	}
+}
+
+// SortPass is the checkpoint at the start of a full sort pass — a relational
+// sort or a word-plane sort of the PRAM layer: Check(site), then the
+// "sort.pass" fault-injection site, then one count on the run's token (none
+// without a token). Like Check it makes no instrumented memory access, and
+// the number of passes is a function of public shape.
+func (c *Ctx) SortPass(site string) {
+	c.Check(site)
+	faultinject.Hit("sort.pass")
+	if c != nil && c.cancel != nil {
+		c.cancel.passes.Add(1)
 	}
 }

@@ -144,3 +144,48 @@ func TestCanceledErrorPassesThroughWrap(t *testing.T) {
 		t.Fatal("wrapPanic(raw) must wrap into *TaskPanic")
 	}
 }
+
+// TestSortPassCount pins the sort-pass checkpoint's count: one pass per
+// SortPass on the run's token, whichever pool worker runs it, added up
+// across runs and executors on the same token; no count without a token or
+// with a nil context; and a tripped token panics at the site like Check,
+// before counting.
+func TestSortPassCount(t *testing.T) {
+	const n = 1000
+	cn := new(Cancel)
+	p := NewPool(4)
+	defer p.Close()
+	p.RunCancel(cn, func(c *Ctx) {
+		ParallelFor(c, 0, n, 1, func(c *Ctx, _ int) { c.SortPass("test.sort") })
+	})
+	if got := cn.SortPasses(); got != n {
+		t.Fatalf("a pool run of %d sort passes counted %d", n, got)
+	}
+	SerialCancel(cn).SortPass("test.sort")
+	RunMetered(MeterOpts{Cancel: cn}, func(c *Ctx) { c.SortPass("test.sort") })
+	if got := cn.SortPasses(); got != n+2 {
+		t.Fatalf("a serial and a metered pass on the same token: count %d, want %d", got, n+2)
+	}
+
+	// No token: nothing to count, and nothing panics.
+	Serial().SortPass("test.sort")
+	var nilCtx *Ctx
+	nilCtx.SortPass("test.sort")
+	var nilToken *Cancel
+	if got := nilToken.SortPasses(); got != 0 {
+		t.Fatalf("a nil token reports %d sort passes", got)
+	}
+
+	cn.Cancel()
+	var caught any
+	func() {
+		defer func() { caught = recover() }()
+		SerialCancel(cn).SortPass("tripped.sort")
+	}()
+	if ce, ok := caught.(*CanceledError); !ok || ce.Site != "tripped.sort" {
+		t.Fatalf("SortPass on a tripped token panicked %T (%v), want *CanceledError at tripped.sort", caught, caught)
+	}
+	if got := cn.SortPasses(); got != n+2 {
+		t.Fatalf("a tripped SortPass counted a pass: %d, want %d", got, n+2)
+	}
+}

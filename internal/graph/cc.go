@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -24,12 +23,10 @@ import (
 // and 1 for the jump.
 //
 // Returns a label per vertex; two vertices share a label iff connected.
-func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, p core.Params) []int {
+func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int) []int {
 	if n == 0 {
 		return nil
 	}
-	p = p.Normalized(n + len(edges))
-	srt := p.Sorter
 	m2 := 2 * len(edges)
 
 	d := mem.Alloc[uint64](sp, n)
@@ -56,15 +53,15 @@ func ConnectedComponentsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [
 	// for the star tests and the jump.
 	route := obliv.NewRouter(sp, n, max(obliv.NextPow2(m2), obliv.NextPow2(n)))
 	star := mem.Alloc[uint64](sp, n)
-	jumps := newJumper(sp, n, srt, route)
-	clear := pram.NewScatterer(sp, n, n, srt, route)
+	jumps := newJumper(sp, n, route)
+	clear := pram.NewScatterer(sp, n, n, route)
 	ds := mem.Alloc[uint64](sp, n) // D[w]<<1 | star[w]: the tail gather reads both
 	var gu, gv *pram.Gatherer
 	var hooks *pram.Scatterer
 	if m2 > 0 {
-		gu = pram.NewGatherer(c, sp, n, us, srt, route)
-		gv = pram.NewGatherer(c, sp, n, vs, srt, route)
-		hooks = pram.NewScatterer(sp, n, m2, srt, route)
+		gu = pram.NewGatherer(c, sp, n, us, route)
+		gv = pram.NewGatherer(c, sp, n, vs, route)
+		hooks = pram.NewScatterer(sp, n, m2, route)
 	}
 	// hook issues the (un)conditional star-hooking writes of one AS step:
 	// a star tail u hooks its root D[u] onto D[v], the lowest edge winning
@@ -172,7 +169,6 @@ func computeStars(c *forkjoin.Ctx, sp *mem.Space, j *jumper, clear *pram.Scatter
 // any n reads of n cells: a tree-contraction round reads its parent,
 // sibling and relabel addresses through one, the siblings held in dw.
 type jumper struct {
-	srt   obliv.ScheduledSorter
 	route *obliv.Router  // nil: the gatherer's own
 	g     *pram.Gatherer // built by the first gather
 	dw    *mem.Array[uint64]
@@ -180,15 +176,15 @@ type jumper struct {
 
 // newJumper allocates a jumper over n cells whose gathers route on route
 // (nil: the gatherer's own).
-func newJumper(sp *mem.Space, n int, srt obliv.ScheduledSorter, route *obliv.Router) *jumper {
-	return &jumper{srt: srt, route: route, dw: mem.Alloc[uint64](sp, n)}
+func newJumper(sp *mem.Space, n int, route *obliv.Router) *jumper {
+	return &jumper{route: route, dw: mem.Alloc[uint64](sp, n)}
 }
 
 // gather reads memory at addrs on the jumper's gatherer: the values alone,
 // in request order.
 func (j *jumper) gather(c *forkjoin.Ctx, sp *mem.Space, memory, addrs *mem.Array[uint64]) *mem.Array[uint64] {
 	if j.g == nil {
-		j.g = pram.NewGatherer(c, sp, memory.Len(), addrs, j.srt, j.route)
+		j.g = pram.NewGatherer(c, sp, memory.Len(), addrs, j.route)
 	} else {
 		j.g.Readdress(c, sp, addrs)
 	}

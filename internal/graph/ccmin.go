@@ -42,14 +42,15 @@ import (
 //
 // Labels serve as scatter priorities, which the address-keyed conflict
 // resolution orders exactly at any value, so n has no cap of its own.
-// Returns the labels and the number of rounds executed.
+// Returns the labels and the number of rounds executed. p is unused — every
+// sort is the bitonic network's word-plane sort, whatever p.Sorter is — and
+// stays only because the benchmark harness passes it, until that harness
+// stops calling the kernel (ROADMAP item 1 slice 2).
 func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, rounds int, p core.Params) ([]int, int) {
 	if n == 0 {
 		return nil, 0
 	}
 	m := len(edges)
-	p = p.Normalized(n + 2*m)
-	srt := p.Sorter
 
 	d := mem.Alloc[uint64](sp, n)
 	forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
@@ -73,11 +74,11 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 	// jumps' n + NextPow2(n) are the other bound. The scatter's request
 	// planes and the jumps' gatherer are allocated once, too.
 	route := obliv.NewRouter(sp, n, max(obliv.NextPow2(2*m), obliv.NextPow2(n)))
-	jumps := newJumper(sp, n, srt, route)
+	jumps := newJumper(sp, n, route)
 	var endpoints *pram.Gatherer // recorded in the first round
 	var hooks *pram.Scatterer
 	if m > 0 {
-		hooks = pram.NewScatterer(sp, n, m, srt, route)
+		hooks = pram.NewScatterer(sp, n, m, route)
 	}
 	fixed := rounds > 0
 	prev := mem.Alloc[uint64](sp, n)
@@ -110,7 +111,7 @@ func ConnectedComponentsMinHook(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][
 			if endpoints == nil {
 				// After the first round's checkpoint, so the round
 				// boundary stays the first cancellation site.
-				endpoints = pram.NewGatherer(c, sp, n, addrs, srt, route)
+				endpoints = pram.NewGatherer(c, sp, n, addrs, route)
 			}
 			labels := endpoints.Values(c, sp, d)
 			addr, prio, val := hooks.Requests()

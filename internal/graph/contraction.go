@@ -137,11 +137,11 @@ func EvalTreeOblivious(c *forkjoin.Ctx, sp *mem.Space, t ExprTree, seed uint64, 
 		// Fixed public round count (leaf count halves per round); an abort
 		// here reveals only the round index.
 		c.Check("graph.round")
-		w := newRakeSpace(sp, st.size, p.Sorter)
+		w := newRakeSpace(sp, st.size)
 		rakeHalfRound(c, sp, &st, w, true)
 		rakeHalfRound(c, sp, &st, w, false)
 		renumberLeaves(c, &st)
-		compact(c, sp, &st, w, p.Sorter)
+		compact(c, sp, &st, w)
 	}
 	if st.size != 1 {
 		panic("graph: contraction did not converge (non-full tree?)")
@@ -269,14 +269,14 @@ type rakeSpace struct {
 	pf, pa, pb, gp, sa, sb *mem.Array[uint64]
 }
 
-func newRakeSpace(sp *mem.Space, m int, srt obliv.ScheduledSorter) *rakeSpace {
+func newRakeSpace(sp *mem.Space, m int) *rakeSpace {
 	// The flag writes' NextPow2(4m) slots bound the gathers' and the node
 	// writes'.
 	route := obliv.NewRouter(sp, m, obliv.NextPow2(3*m))
 	w := &rakeSpace{
-		j:    newJumper(sp, m, srt, route),
-		one:  pram.NewScatterer(sp, m, m, srt, route),
-		kill: pram.NewScatterer(sp, m, 3*m, srt, route),
+		j:    newJumper(sp, m, route),
+		one:  pram.NewScatterer(sp, m, m, route),
+		kill: pram.NewScatterer(sp, m, 3*m, route),
 	}
 	for _, a := range []**mem.Array[uint64]{&w.pf, &w.pa, &w.pb, &w.gp, &w.sa, &w.sb} {
 		*a = mem.Alloc[uint64](sp, m)
@@ -407,7 +407,7 @@ func renumberLeaves(c *forkjoin.Ctx, st *treeState) {
 // that moves the alive records to the front. The alive count is
 // a deterministic function of the round (the rake schedule kills exactly
 // the odd leaves and their parents), so revealing it leaks nothing.
-func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, w *rakeSpace, srt obliv.ScheduledSorter) {
+func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, w *rakeSpace) {
 	m := st.size
 
 	alive := mem.Alloc[uint64](sp, m)
@@ -459,7 +459,7 @@ func compact(c *forkjoin.Ctx, sp *mem.Space, st *treeState, w *rakeSpace, srt ob
 			kids.Set(c, u, lr)
 		}
 	})
-	bitonic.Recorder(srt).SortRecorded(c, sp, st.planes, st.scr, 1, nil, 0, wl)
+	bitonic.SortRecorded(c, st.planes, st.scr, 1, nil, wl)
 
 	// The first newSize records are the new tree; restore none markers
 	// (anything outside the live id range).

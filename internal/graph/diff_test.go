@@ -216,26 +216,25 @@ func TestCCMinHookDifferentialFamilies(t *testing.T) {
 
 // TestCCASDifferentialFamilies: the Awerbuch–Shiloach labeling induces
 // the same partition as the union-find reference on every family, and is
-// byte-identical across backends and execution modes.
+// byte-identical across execution modes (its sorts are the bitonic
+// network's word-plane sorts on every backend).
 func TestCCASDifferentialFamilies(t *testing.T) {
 	for _, fam := range graphFamilies() {
 		want := ConnectedComponentsSeq(fam.n, fam.edges)
 		var ref []int
-		for _, be := range diffBackends() {
-			for _, ex := range diffExecs() {
-				label := fmt.Sprintf("%s/%s/%s", fam.name, be.name, ex.name)
-				var got []int
-				ex.run(func(c *forkjoin.Ctx) {
-					got = ConnectedComponentsOblivious(c, mem.NewSpace(), fam.n, fam.edges, diffParams(be.srt()))
-				})
-				if !samePartition(got, want) {
-					t.Fatalf("%s: partition %v, want %v", label, got, want)
-				}
-				if ref == nil {
-					ref = got
-				} else if !sameInts(got, ref) {
-					t.Fatalf("%s: combo diverged from first combo:\n got %v\n ref %v", label, got, ref)
-				}
+		for _, ex := range diffExecs() {
+			label := fmt.Sprintf("%s/%s", fam.name, ex.name)
+			var got []int
+			ex.run(func(c *forkjoin.Ctx) {
+				got = ConnectedComponentsOblivious(c, mem.NewSpace(), fam.n, fam.edges)
+			})
+			if !samePartition(got, want) {
+				t.Fatalf("%s: partition %v, want %v", label, got, want)
+			}
+			if ref == nil {
+				ref = got
+			} else if !sameInts(got, ref) {
+				t.Fatalf("%s: combo diverged from first combo:\n got %v\n ref %v", label, got, ref)
 			}
 		}
 	}
@@ -243,28 +242,26 @@ func TestCCASDifferentialFamilies(t *testing.T) {
 
 // TestMSFDifferentialFamilies: the oblivious minimum spanning forest
 // chooses exactly the Kruskal reference's edge indices (the edge-id
-// tie-break makes the forest unique) on every weighted family, backend,
-// and execution mode.
+// tie-break makes the forest unique) on every weighted family and
+// execution mode.
 func TestMSFDifferentialFamilies(t *testing.T) {
 	for _, fam := range graphFamilies() {
 		wedges := familyWeights(fam, 1000+uint64(len(fam.edges)))
 		want := MinimumSpanningForestSeq(fam.n, wedges)
 		var ref []int
-		for _, be := range diffBackends() {
-			for _, ex := range diffExecs() {
-				label := fmt.Sprintf("%s/%s/%s", fam.name, be.name, ex.name)
-				var got []int
-				ex.run(func(c *forkjoin.Ctx) {
-					got = MinimumSpanningForestOblivious(c, mem.NewSpace(), fam.n, wedges, diffParams(be.srt()))
-				})
-				if !sameInts(got, want) {
-					t.Fatalf("%s: chose %v, want %v", label, got, want)
-				}
-				if ref == nil {
-					ref = got
-				} else if !sameInts(got, ref) {
-					t.Fatalf("%s: combo diverged from first combo", label)
-				}
+		for _, ex := range diffExecs() {
+			label := fmt.Sprintf("%s/%s", fam.name, ex.name)
+			var got []int
+			ex.run(func(c *forkjoin.Ctx) {
+				got = MinimumSpanningForestOblivious(c, mem.NewSpace(), fam.n, wedges)
+			})
+			if !sameInts(got, want) {
+				t.Fatalf("%s: chose %v, want %v", label, got, want)
+			}
+			if ref == nil {
+				ref = got
+			} else if !sameInts(got, ref) {
+				t.Fatalf("%s: combo diverged from first combo", label)
 			}
 		}
 	}

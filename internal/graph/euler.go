@@ -29,7 +29,8 @@ func arcKey(u, v uint64) uint64 { return u<<vertexBits | v }
 // replays the recorded sort backwards, taking each successor home to its
 // arc; and τ(u,v) = Adjsucc(v,u) is then a read at the fixed address a^1.
 // One sort and one un-sort of NextPow2(2(n-1)) words, within the sorting
-// bound; the access pattern is a function of n alone.
+// bound, on the bitonic network; the access pattern is a function of n
+// alone. seed and p are unused: they keep the tree kernels' one signature.
 func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) []int {
 	m := 2 * len(edges)
 	if m == 0 {
@@ -38,8 +39,6 @@ func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, r
 	if n >= 1<<vertexBits {
 		panic("graph: too many vertices for packed arc keys")
 	}
-	p = p.Normalized(m)
-	rs := bitonic.Recorder(p.Sorter)
 
 	// Sort planes: the packed (u,v) key and the arc index; the padding
 	// keys InfKey and sorts last.
@@ -57,8 +56,8 @@ func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, r
 			idx.Set(c, a, uint64(a))
 		}
 	})
-	rec := mem.Alloc[uint64](sp, rs.RecordWords(c, w))
-	rs.SortRecorded(c, sp, ws, scr, 1, rec, 0, w)
+	rec := mem.Alloc[uint64](sp, bitonic.RecordWords(c, w, 0))
+	bitonic.SortRecorded(c, ws, scr, 1, rec, w)
 
 	// Each sorted arc carries its own index and whether it opens its
 	// vertex's group; a segmented scan hands every arc its group's first
@@ -104,7 +103,7 @@ func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, r
 			succ.Set(c, i, s)
 		}
 	})
-	rs.Unsort(c, sp, adj, adjScr, rec, 0, w)
+	bitonic.Unsort(c, adj, adjScr, rec, w)
 
 	// τ(a) = Adjsucc(a^1), the cycle broken at e0.
 	tau := make([]int, m)
@@ -247,7 +246,7 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 	}
 	t := rankTour(rankList(c, sp, succ, nil, seed+1, p))
 
-	w := pram.NewScatterer(sp, n, m, p.Sorter, nil)
+	w := pram.NewScatterer(sp, n, m, nil)
 	write := func(memory *mem.Array[uint64], fwd bool, req func(a int, u, v, f, b uint64) (cell, x uint64)) {
 		scatter(c, sp, w, memory, func(c *forkjoin.Ctx, a int) (uint64, uint64) {
 			u, v := arcEnds(edges, a)

@@ -57,7 +57,7 @@ func FuzzConnectedComponents(f *testing.F) {
 		if !sameInts(got, want) {
 			t.Fatalf("minhook(n=%d, m=%d, seed=%d): labels %v, want %v", nv, len(edges), seed, got, want)
 		}
-		as := ConnectedComponentsOblivious(forkjoin.Serial(), mem.NewSpace(), nv, edges, fuzzSorter(backend))
+		as := ConnectedComponentsOblivious(forkjoin.Serial(), mem.NewSpace(), nv, edges)
 		if !samePartition(as, want) {
 			t.Fatalf("as(n=%d, m=%d, seed=%d): partition %v, want %v", nv, len(edges), seed, as, want)
 		}
@@ -79,7 +79,7 @@ func FuzzMSF(f *testing.F) {
 			wedges[i] = WEdge{U: e[0], V: e[1], W: src.Uint64n(6)}
 		}
 		want := MinimumSpanningForestSeq(nv, wedges)
-		got := MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), nv, wedges, fuzzSorter(backend))
+		got := MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), nv, wedges)
 		if !sameInts(got, want) {
 			t.Fatalf("msf(n=%d, m=%d, seed=%d): chose %v, want %v", nv, len(wedges), seed, got, want)
 		}

@@ -453,7 +453,7 @@ func TestCCObliviousMatchesUnionFind(t *testing.T) {
 		edges := randomGraph(uint64(cs.n*cs.m), cs.n, cs.m)
 		want := ConnectedComponentsSeq(cs.n, edges)
 		sp := mem.NewSpace()
-		got := ConnectedComponentsOblivious(forkjoin.Serial(), sp, cs.n, edges, testParams())
+		got := ConnectedComponentsOblivious(forkjoin.Serial(), sp, cs.n, edges)
 		if !samePartition(got, want) {
 			t.Fatalf("n=%d m=%d: partition mismatch\n got %v\nwant %v", cs.n, cs.m, got, want)
 		}
@@ -463,7 +463,7 @@ func TestCCObliviousMatchesUnionFind(t *testing.T) {
 func TestCCObliviousEdgeCases(t *testing.T) {
 	sp := mem.NewSpace()
 	// No edges: all singletons.
-	got := ConnectedComponentsOblivious(forkjoin.Serial(), sp, 5, nil, testParams())
+	got := ConnectedComponentsOblivious(forkjoin.Serial(), sp, 5, nil)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
 			if got[i] == got[j] {
@@ -490,7 +490,7 @@ func TestCCObliviousTraceIndependent(t *testing.T) {
 		edges := randomGraph(seed, n, m)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			ConnectedComponentsOblivious(c, sp, n, edges, testParams())
+			ConnectedComponentsOblivious(c, sp, n, edges)
 		})
 	}
 	if !run(1).Trace.Equal(run(2).Trace) {
@@ -524,7 +524,7 @@ func TestMSFObliviousMatchesKruskal(t *testing.T) {
 		edges := randomWeightedGraph(uint64(cs.n+cs.m), cs.n, cs.m)
 		want := MinimumSpanningForestSeq(cs.n, edges)
 		sp := mem.NewSpace()
-		got := MinimumSpanningForestOblivious(forkjoin.Serial(), sp, cs.n, edges, testParams())
+		got := MinimumSpanningForestOblivious(forkjoin.Serial(), sp, cs.n, edges)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d edges chosen, want %d", cs.n, len(got), len(want))
 		}
@@ -560,7 +560,7 @@ func TestMSFDisconnected(t *testing.T) {
 	// Two components: forest has n - #components edges.
 	edges := []WEdge{{0, 1, 5}, {1, 2, 3}, {3, 4, 7}}
 	sp := mem.NewSpace()
-	got := MinimumSpanningForestOblivious(forkjoin.Serial(), sp, 5, edges, testParams())
+	got := MinimumSpanningForestOblivious(forkjoin.Serial(), sp, 5, edges)
 	if len(got) != 3 {
 		t.Fatalf("chose %d edges, want 3", len(got))
 	}
@@ -570,11 +570,11 @@ func TestGraphParallelMatchesSerial(t *testing.T) {
 	const n, m = 20, 30
 	edges := randomGraph(7, n, m)
 	sp1 := mem.NewSpace()
-	want := ConnectedComponentsOblivious(forkjoin.Serial(), sp1, n, edges, testParams())
+	want := ConnectedComponentsOblivious(forkjoin.Serial(), sp1, n, edges)
 	var got []int
 	forkjoin.RunParallel(4, func(c *forkjoin.Ctx) {
 		sp2 := mem.NewSpace()
-		got = ConnectedComponentsOblivious(c, sp2, n, edges, testParams())
+		got = ConnectedComponentsOblivious(c, sp2, n, edges)
 	})
 	if !samePartition(got, want) {
 		t.Fatal("parallel CC differs from serial")
@@ -626,9 +626,9 @@ func TestMSFAllocsIndependentOfIterations(t *testing.T) {
 		path = append(path, WEdge{U: v - 1, V: v, W: uint64(v)})
 	}
 	run := func(edges []WEdge) (bytes uint64, sorts int64) {
-		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, testParams())
+		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges)
 		before, calls := arrayBytes(), bitonic.NetworkCalls()
-		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, testParams())
+		MinimumSpanningForestOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges)
 		return arrayBytes() - before, bitonic.NetworkCalls() - calls
 	}
 	sb, ss := run(star)
@@ -684,9 +684,9 @@ func TestPageRankAllocsIndependentOfIterations(t *testing.T) {
 		edges[i] = WEdge{U: src.Intn(n), V: src.Intn(n)}
 	}
 	run := func(iters int) uint64 {
-		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters, testParams())
+		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters)
 		before := arrayBytes()
-		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters, testParams())
+		PageRankOblivious(forkjoin.Serial(), mem.NewSpace(), n, edges, iters)
 		return arrayBytes() - before
 	}
 	b2, b6 := run(2), run(6)

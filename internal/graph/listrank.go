@@ -67,7 +67,7 @@ func rankList(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64, seed
 	// Each permuted entry writes pos<<32|weight to the cell of its
 	// original index and names its successor's; a tail names its own.
 	route := obliv.NewRouter(sp, n, obliv.NextPow2(n))
-	home := pram.NewScatterer(sp, n, n, p.Sorter, route)
+	home := pram.NewScatterer(sp, n, n, route)
 	next := mem.Alloc[uint64](sp, n)
 	cells := mem.Alloc[uint64](sp, n)
 	scatter(c, sp, home, cells, func(c *forkjoin.Ctx, pos int) (uint64, uint64) {
@@ -75,7 +75,7 @@ func rankList(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uint64, seed
 		next.Set(c, pos, e.Key)
 		return e.Aux, uint64(pos)<<32 | (e.Val & 0xffffffff)
 	})
-	succs := pram.NewGatherer(c, sp, n, next, p.Sorter, route)
+	succs := pram.NewGatherer(c, sp, n, next, route)
 
 	// jump ranks the permuted list from each entry's successor position
 	// and weight, read by link — a tail names its own position — and

@@ -3,7 +3,6 @@ package graph
 import (
 	"sort"
 
-	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -45,7 +44,7 @@ const (
 // star-hooking needs O(log² n) in the worst case, and the iteration count
 // (until no live cross edge remains) is revealed. Requirements: n, m <
 // 2^21, weights < 2^20.
-func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge, p core.Params) []int {
+func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge) []int {
 	m := len(edges)
 	if n == 0 || m == 0 {
 		return nil
@@ -53,8 +52,6 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 	if n >= 1<<msfIDBits || m >= 1<<msfIDBits {
 		panic("graph: MSF graph too large for packed keys")
 	}
-	p = p.Normalized(n + m)
-	srt := p.Sorter
 	m2 := 2 * m
 
 	d := mem.Alloc[uint64](sp, n)
@@ -89,12 +86,12 @@ func MinimumSpanningForestOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges
 	// cells), n + m for the picks (n requests into m cells), n +
 	// NextPow2(n) for the star test and the jumps.
 	route := obliv.NewRouter(sp, max(n, m), max(obliv.NextPow2(m2), obliv.NextPow2(n)))
-	gu := pram.NewGatherer(c, sp, n, us, srt, route)
-	gv := pram.NewGatherer(c, sp, n, vs, srt, route)
-	jumps := newJumper(sp, n, srt, route)
-	clear := pram.NewScatterer(sp, n, n, srt, route)
-	sel := pram.NewScatterer(sp, n, m2, srt, route)
-	picks := pram.NewScatterer(sp, m, n, srt, route)
+	gu := pram.NewGatherer(c, sp, n, us, route)
+	gv := pram.NewGatherer(c, sp, n, vs, route)
+	jumps := newJumper(sp, n, route)
+	clear := pram.NewScatterer(sp, n, n, route)
+	sel := pram.NewScatterer(sp, n, m2, route)
+	picks := pram.NewScatterer(sp, m, n, route)
 
 	maxIters := (obliv.Log2Ceil(n) + 2) * (obliv.Log2Ceil(n) + 2)
 	for it := 0; it < maxIters; it++ {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"oblivmc/internal/bitonic"
-	"oblivmc/internal/core"
 	"oblivmc/internal/faultinject"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -30,19 +29,17 @@ const PageRankScale uint64 = 1 << 20
 // prefix home, and a pass subtracting consecutive sentinels' prefixes. The
 // out-degrees are the same recipe grouped by source with a unit carried.
 // Setup runs 3 sorts and 1 un-sort, a round no sort and 2 un-sorts, all on
-// the bitonic network whatever p.Sorter is; the access pattern is a
-// function of (n, len(edges), iters) and the executor kind alone.
-func PageRankOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge, iters int, p core.Params) []uint64 {
+// the bitonic network; the access pattern is a function of (n, len(edges),
+// iters) and the executor kind alone.
+func PageRankOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge, iters int) []uint64 {
 	m := len(edges)
 	w := obliv.NextPow2(n + m)
-	srt := p.Normalized(w).Sorter
-	rs := bitonic.Recorder(srt)
 	// The grouping's key and carried planes (edge e in slot e, vertex v's
 	// sentinel in slot m+v, padding after), scratch, the record and the
 	// prefix sum's tree.
 	ws, scr := obliv.AllocKeySchedule(sp, w, 2), obliv.AllocKeySchedule(sp, w, 2)
 	uscr, tree := obliv.AllocKeySchedule(sp, w, 1), mem.Alloc[uint64](sp, 2*w-1)
-	rec := mem.Alloc[uint64](sp, rs.RecordWords(c, w))
+	rec := mem.Alloc[uint64](sp, bitonic.RecordWords(c, w, 0))
 
 	// group record-sorts the entries by vertex: edge e keyed by its
 	// destination (byDst) or source, shifted left, carrying its source or
@@ -63,13 +60,13 @@ func PageRankOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge, ite
 				ws.Plane(1).Set(c, i, x)
 			}
 		})
-		rs.SortRecorded(c, sp, ws, scr, 1, rec, 0, w)
+		bitonic.SortRecorded(c, ws, scr, 1, rec, w)
 	}
 	// sums sets out[v] = base + the sum of pre (w words in the last
 	// grouping's order, overwritten) over v's edges.
 	sums := func(pre, out *mem.Array[uint64], base uint64) {
 		obliv.PrefixSumU64With(c, pre, tree, true)
-		rs.Unsort(c, sp, obliv.NewKeySchedule(pre, w, 1), uscr, rec, 0, w)
+		bitonic.Unsort(c, obliv.NewKeySchedule(pre, w, 1), uscr, rec, w)
 		forkjoin.ParallelRange(c, 0, n, 0, func(c *forkjoin.Ctx, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				s := pre.Get(c, m+v)
@@ -86,7 +83,7 @@ func PageRankOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges []WEdge, ite
 	group(false, 0)
 	sums(ws.Plane(1), deg, 0)
 	group(true, uint64(n))
-	srcs := pram.NewGatherer(c, sp, n, ws.Plane(1), srt, nil)
+	srcs := pram.NewGatherer(c, sp, n, ws.Plane(1), nil)
 
 	mem.Fill(c, rank, PageRankScale)
 	for range iters {

@@ -52,7 +52,7 @@ func TestCCASLockstep(t *testing.T) {
 		func(c *forkjoin.Ctx, sp *mem.Space, shape, content *prng.Source) {
 			n := 6 + shape.Intn(14)
 			m := n/2 + shape.Intn(n)
-			ConnectedComponentsOblivious(c, sp, n, lockstepEdges(content, n, m), testParams())
+			ConnectedComponentsOblivious(c, sp, n, lockstepEdges(content, n, m))
 		})
 }
 
@@ -83,7 +83,7 @@ func TestMSFFingerprintValueDistributions(t *testing.T) {
 			for i := range edges {
 				edges[i] = WEdge{U: 0, V: i + 1, W: draw(i)}
 			}
-			MinimumSpanningForestOblivious(c, sp, n, edges, testParams())
+			MinimumSpanningForestOblivious(c, sp, n, edges)
 		}
 	}
 	small := prng.New(5)

@@ -217,9 +217,10 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // covering >= n elements — that must not alias a or ks; sorters that sort
 // strictly in place ignore them (nil is then permitted).
 //
-// This is the one sorter seam: the relational, graph and serving layers
-// call SortScheduled (the PRAM layer sorts word planes through
-// RecordingSorter instead), and the paper reproduction's closure-key call
+// This is the one sorter seam of element sorts: the relational and serving
+// layers call SortScheduled (the PRAM layer's word-plane sorts are not
+// sorter calls: they run the cache-agnostic bitonic network directly,
+// bitonic.SortRecorded), and the paper reproduction's closure-key call
 // sites (BinPlace, core's REC-ORBA / ORP / REC-SORT, internal/oram, the
 // experiments) call Sort on the same configured backend. Sort sorts
 // a[lo:lo+n) ascending by the one-word key closure, equal keys by TiePos:
@@ -234,35 +235,6 @@ type ScheduledSorter interface {
 	Name() string
 	Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], lo, n int, key func(Elem) uint64)
 	SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], ks *KeySchedule, scr *mem.Array[Elem], kscr *KeySchedule, lo, n int)
-}
-
-// RecordingSorter is the optional capability of a sorter that sorts word
-// planes alone and can record the permutation and later undo it without a
-// key. SortRecorded sorts the planes of ws[lo:lo+n) ascending by their
-// first k (1 or 2) compared lexicographically, the remaining planes
-// carried with their key; equal keys are full ties, ordered by the
-// network, so the result is a deterministic function of the input and the
-// same on every executor. wscr (ws's width, >= n slots) is its scratch. A
-// non-nil rec receives the sort's swap record, rec[0:RecordWords(c, n));
-// a nil rec sorts without recording. Unsort, given that record, returns
-// every word of each plane of vs[lo:lo+n) to the slot it held before the
-// recorded sort — the inverse permutation, applied to whatever values the
-// sort's caller has since written there — and reads no key (vscr, vs's
-// width over >= n slots, is its scratch). The record length is a function
-// of n and of the executor behind c (metered or not), and so is the access
-// pattern of both calls; an un-sort must run under the same kind of
-// executor as the sort it undoes. A record is secret data held at fixed
-// addresses, like the planes themselves.
-//
-// pram runs every sort on it: a Gatherer records its request sort once and
-// un-sorts each gather's routed values by replay instead of sorting them
-// back, and conflict resolution sorts (address, priority) with the value
-// carried. A sorter that does not record falls back to the cache-agnostic
-// bitonic network (bitonic.Recorder).
-type RecordingSorter interface {
-	RecordWords(c *forkjoin.Ctx, n int) int
-	SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *KeySchedule, k int, rec *mem.Array[uint64], lo, n int)
-	Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *KeySchedule, rec *mem.Array[uint64], lo, n int)
 }
 
 var _ ScheduledSorter = SelectionNetwork{}

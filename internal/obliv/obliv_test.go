@@ -666,12 +666,12 @@ func TestSendReceiveParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSendReceiveSortedTraceOblivious: per mode (sorted union, merge of
+// TestRouteTraceOblivious: per mode (sorted union, merge of
 // sorted word planes) the trace is a function of (ns, nd) alone —
 // different keys, duplicate and missing keys and inert entries on either
 // side leave it unchanged — while another shape or the other mode changes
 // it.
-func TestSendReceiveSortedTraceOblivious(t *testing.T) {
+func TestRouteTraceOblivious(t *testing.T) {
 	body := func(srt ScheduledSorter, sk, dk []uint64, real func(i int) bool) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
 			if srt == nil {
@@ -685,7 +685,7 @@ func TestSendReceiveSortedTraceOblivious(t *testing.T) {
 					keys, vals = append(keys, InfKey), append(vals, 0)
 				}
 				dsts := mem.FromSlice(sp, dk)
-				SendReceiveSorted(c, sp, mem.FromSlice(sp, keys), mem.FromSlice(sp, vals), dsts, dsts, mem.Alloc[uint64](sp, len(dk)))
+				NewRouter(sp, len(vals), len(dk)).Route(c, mem.FromSlice(sp, keys), mem.FromSlice(sp, vals), dsts, dsts, mem.Alloc[uint64](sp, len(dk)))
 				return
 			}
 			srcs := make([]Elem, len(sk))

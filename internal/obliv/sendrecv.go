@@ -12,10 +12,9 @@ import (
 // destination's Key, Aux = j, Val = the routed value, and Kind = Real if
 // the key was found, Filler otherwise (the ⊥ case). It is the engine's one
 // primary-key join: the public Join and Lookup and the ORAM's direct
-// accesses route through it, and (as SendReceiveSorted, its merge form
-// over word planes, on an obliv.Router) every pram gather and scatter,
-// which carry the graph kernels — list ranking and the Euler tour
-// included.
+// accesses route through it, and (as Router.Route, its merge form over
+// word planes) every pram gather and scatter, which carry the graph
+// kernels — list ranking and the Euler tour included.
 //
 // Construction per [CS17]: O(1) oblivious sorts plus one oblivious
 // propagation, all within the sorting bound — with the cache-agnostic,
@@ -88,47 +87,13 @@ func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem]
 	return out
 }
 
-// SendReceiveSorted is SendReceive for callers that already hold both
-// sides in key order — which is call-site structure, never data — and
-// carry one value word per entry: it routes word planes, not records.
-// Instead of sorting the union it merges: the sources ascend at the front
-// of a NextPow2(ns+nd) work array of two planes (a routing word and the
-// value) and the destinations descend at its back, so one recorded bitonic
-// merge on the routing word, the value carried, interleaves them and a
-// propagation over the planes routes. The value plane then replays the
-// recorded swaps backwards (the un-merge): every destination's value
-// returns to its slot. No sort and no element: log2 of the work length
-// comparator layers each way, two words per comparator forward and one
-// back, plus one swap bit per comparator.
-//
-// Source i keys srcKeys[i] and sends srcVals[i]; destination j keys
-// dstKeys[j] and receives, into out[j], the value of the source with its
-// key — or, when no source has it (⊥), its own dstVals[j], so a caller
-// picks what ⊥ reads (a cell's current value) and needs no found bit. A
-// nil key plane keys entry i by i, as a memory's cells are keyed; a nil
-// dstVals reads 0 for ⊥. There are srcVals.Len() sources and out.Len()
-// destinations. out may be dstVals itself — the destinations are read
-// before out is written — but no other plane of either side.
-//
-// Precondition: both key planes ascend, and every key is below MaxKey or
-// is InfKey, which marks an entry that takes no part (a source with it
-// sends nothing, a destination with it reads ⊥). At equal source keys
-// only the first source sends — a neighbour compare in the load marks the
-// later ones inert — so a caller that sorts its candidates best-first
-// gets the best one (pram's conflict resolution). Violating the order
-// yields wrong values, never a different trace: the access pattern is a
-// function of (ns, nd) and of which key planes are nil alone.
-func SendReceiveSorted(c *forkjoin.Ctx, sp *mem.Space, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
-	NewRouter(sp, srcVals.Len(), out.Len()).Route(c, srcKeys, srcVals, dstKeys, dstVals, out)
-}
-
-// Router holds the work space of SendReceiveSorted — the merge's two
-// planes, its swap record, the propagation's carrier and scan tree — so a
-// caller that routes again and again (pram.Gatherer once per gather, a
-// graph kernel across its gathers and scatters) allocates it once. A
-// router sized for n slots routes any ns sources to nd destinations with
-// NextPow2(ns+nd) ≤ n, on a prefix of its planes, record, carrier and
-// tree. Its routes must be issued sequentially.
+// Router holds the work space of Route — the merge's two planes, its swap
+// record, the propagation's carrier and scan tree — so a caller that
+// routes again and again (pram.Gatherer once per gather, a graph kernel
+// across its gathers and scatters) allocates it once. A router sized for n
+// slots routes any ns sources to nd destinations with NextPow2(ns+nd) ≤ n,
+// on a prefix of its planes, record, carrier and tree. Its routes must be
+// issued sequentially.
 type Router struct {
 	n      int
 	ws     *KeySchedule // plane 0 the routing word, plane 1 the value
@@ -174,8 +139,37 @@ func (r *Router) space(n int) *routeSpace {
 	return r.spaces[l]
 }
 
-// Route is SendReceiveSorted on the router's work space, over the
-// NextPow2(ns+nd) slots the shape needs.
+// Route is SendReceive for callers that already hold both
+// sides in key order — which is call-site structure, never data — and
+// carry one value word per entry: it routes word planes, not records.
+// Instead of sorting the union it merges: the sources ascend at the front
+// of a NextPow2(ns+nd) work array of two planes (a routing word and the
+// value) and the destinations descend at its back, so one recorded bitonic
+// merge on the routing word, the value carried, interleaves them and a
+// propagation over the planes routes. The value plane then replays the
+// recorded swaps backwards (the un-merge): every destination's value
+// returns to its slot. No sort and no element: log2 of the work length
+// comparator layers each way, two words per comparator forward and one
+// back, plus one swap bit per comparator. It runs on the router's work
+// space, over the NextPow2(ns+nd) slots the shape needs.
+//
+// Source i keys srcKeys[i] and sends srcVals[i]; destination j keys
+// dstKeys[j] and receives, into out[j], the value of the source with its
+// key — or, when no source has it (⊥), its own dstVals[j], so a caller
+// picks what ⊥ reads (a cell's current value) and needs no found bit. A
+// nil key plane keys entry i by i, as a memory's cells are keyed; a nil
+// dstVals reads 0 for ⊥. There are srcVals.Len() sources and out.Len()
+// destinations. out may be dstVals itself — the destinations are read
+// before out is written — but no other plane of either side.
+//
+// Precondition: both key planes ascend, and every key is below MaxKey or
+// is InfKey, which marks an entry that takes no part (a source with it
+// sends nothing, a destination with it reads ⊥). At equal source keys
+// only the first source sends — a neighbour compare in the load marks the
+// later ones inert — so a caller that sorts its candidates best-first
+// gets the best one (pram's conflict resolution). Violating the order
+// yields wrong values, never a different trace: the access pattern is a
+// function of (ns, nd) and of which key planes are nil alone.
 func (r *Router) Route(c *forkjoin.Ctx, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
 	ns, nd := srcVals.Len(), out.Len()
 	n := NextPow2(ns + nd)

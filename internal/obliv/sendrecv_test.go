@@ -16,7 +16,7 @@ import (
 // destinations in key order with every non-Real one last. Few distinct
 // keys, so duplicate source and destination keys are common, about one
 // entry in five not Real on either side, and now and then the largest key
-// SendReceiveSorted takes. Each destination's Aux is its draw index.
+// Router.Route takes. Each destination's Aux is its draw index.
 func sendRecvCase(seed uint64, ns, nd int) (srcs, dsts []obliv.Elem) {
 	src := prng.New(seed)
 	key := func() uint64 {
@@ -51,6 +51,11 @@ func sendRecvCase(seed uint64, ns, nd int) (srcs, dsts []obliv.Elem) {
 	return srcs, dsts
 }
 
+// route routes on a fresh router sized for the shape.
+func route(c *forkjoin.Ctx, sp *mem.Space, srcKeys, srcVals, dstKeys, dstVals, out *mem.Array[uint64]) {
+	obliv.NewRouter(sp, srcVals.Len(), out.Len()).Route(c, srcKeys, srcVals, dstKeys, dstVals, out)
+}
+
 func realRank(e obliv.Elem) int {
 	if e.Kind == obliv.Real {
 		return 0
@@ -58,7 +63,7 @@ func realRank(e obliv.Elem) int {
 	return 1
 }
 
-// planesOf is one side of a send-receive as SendReceiveSorted takes it: a
+// planesOf is one side of a send-receive as Router.Route takes it: a
 // Real entry keys its Key, and every other entry InfKey, which sends
 // nothing and reads ⊥. The stable sort keeps equal-key sources in draw
 // order, so the first one still wins.
@@ -76,14 +81,14 @@ func planesOf(es []obliv.Elem) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// TestSendReceiveSortedMatchesSendReceive: the merge of word planes routes
-// exactly SendReceive's values — and, where SendReceive answers ⊥, the
+// TestRouteMatchesSendReceive: the merge of word planes routes exactly
+// SendReceive's values — and, where SendReceive answers ⊥, the
 // destination's own value — on the serial and pool executors, with
 // duplicate source keys (the first sends), the largest legal key and inert
 // entries on either side; and a nil key plane keys entry i by i. (Sorted
 // sources against unsorted requests are pram.Gatherer's case, tested
 // there.)
-func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
+func TestRouteMatchesSendReceive(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 5, 8, 13, 31, 64, 100}
 	execs := []struct {
 		name string
@@ -113,7 +118,7 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 				ex.run(func(c *forkjoin.Ctx) {
 					sp := mem.NewSpace()
 					out := mem.Alloc[uint64](sp, nd)
-					obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), out)
+					route(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), out)
 					got = append([]uint64(nil), out.Data()...)
 				})
 				if !slices.Equal(got, want) {
@@ -139,7 +144,7 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 			forkjoin.RunParallel(2, func(c *forkjoin.Ctx) {
 				sp := mem.NewSpace()
 				m := mem.FromSlice(sp, cells)
-				obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), nil, m, m)
+				route(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), nil, m, m)
 				if !slices.Equal(m.Data(), wantCells) {
 					t.Errorf("ns=%d into %d cells:\n got %v\nwant %v", ns, ns, m.Data(), wantCells)
 				}
@@ -150,9 +155,9 @@ func TestSendReceiveSortedMatchesSendReceive(t *testing.T) {
 
 // TestRouterServesSmallerShapes: one router, sized for the largest shape,
 // routes a sequence of smaller and equal shapes — interleaved, so each
-// prefix is reused after a different one — exactly as a fresh
-// SendReceiveSorted does, on the serial, pool and metered executors; a
-// shape beyond its slots panics.
+// prefix is reused after a different one — exactly as a fresh router
+// does, on the serial, pool and metered executors; a shape beyond its
+// slots panics.
 func TestRouterServesSmallerShapes(t *testing.T) {
 	shapes := [][2]int{{100, 100}, {3, 5}, {64, 64}, {0, 1}, {13, 31}, {3, 5}, {1, 0}, {100, 100}, {31, 13}}
 	execs := []struct {
@@ -172,7 +177,7 @@ func TestRouterServesSmallerShapes(t *testing.T) {
 				sk, sv := planesOf(srcs)
 				dk, dv := planesOf(dsts)
 				want := mem.Alloc[uint64](sp, sh[1])
-				obliv.SendReceiveSorted(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), want)
+				route(c, sp, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), want)
 				got := mem.Alloc[uint64](sp, sh[1])
 				r.Route(c, mem.FromSlice(sp, sk), mem.FromSlice(sp, sv), mem.FromSlice(sp, dk), mem.FromSlice(sp, dv), got)
 				if !slices.Equal(got.Data(), want.Data()) {

@@ -59,7 +59,7 @@ func (o *OPRAM) Access(c *forkjoin.Ctx, sp *mem.Space, reqs []Req) []uint64 {
 		}
 		addrs.Set(c, i, a)
 	})
-	got := pram.Gather(c, sp, o.base, addrs, o.opt.Sorter)
+	got := pram.Gather(c, sp, o.base, addrs, nil)
 	upd := mem.Alloc[obliv.Elem](sp, p)
 	forkjoin.ParallelFor(c, 0, p, 0, func(c *forkjoin.Ctx, i int) {
 		e := obliv.Elem{Kind: obliv.Filler, Aux: uint64(i)}
@@ -72,7 +72,7 @@ func (o *OPRAM) Access(c *forkjoin.Ctx, sp *mem.Space, reqs []Req) []uint64 {
 		}
 		upd.Set(c, i, e)
 	})
-	pram.ScatterResolve(c, sp, o.base, upd, o.opt.Sorter)
+	pram.ScatterResolve(c, sp, o.base, upd)
 
 	// Walk the trees.
 	for _, t := range o.trees {
@@ -104,8 +104,8 @@ func (o *OPRAM) accessFlat(c *forkjoin.Ctx, sp *mem.Space, reqs []Req) []uint64 
 		addrs.Set(c, i, a)
 		wr.Set(c, i, e)
 	})
-	got := pram.Gather(c, sp, o.flat, addrs, o.opt.Sorter)
-	pram.ScatterResolve(c, sp, o.flat, wr, o.opt.Sorter)
+	got := pram.Gather(c, sp, o.flat, addrs, nil)
+	pram.ScatterResolve(c, sp, o.flat, wr)
 	out := make([]uint64, len(reqs))
 	for i := range out {
 		out[i] = got.Data()[i].Val

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -52,16 +51,9 @@ func gatherCase(seed uint64, s, p int) (addrs []uint64, mems [3][]uint64) {
 // where the test's own address check says ⊥, and Gather Key = the
 // requested address, Kind ⊥ out of range —
 // for power-of-two and other request counts, p = 1, out-of-range and
-// duplicate addresses, on a sorter that records (the network, the shuffle
-// backend) and one that does not (the selection network, which falls back
-// to the network), on the serial and pool executors.
+// duplicate addresses, on the serial and pool executors.
 func TestGathererMatchesGatherAndDirect(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 13, 31, 64, 100}
-	sorters := []func() obliv.ScheduledSorter{
-		func() obliv.ScheduledSorter { return srt },
-		func() obliv.ScheduledSorter { return &core.ShuffleSorter{Crossover: 2} },
-		func() obliv.ScheduledSorter { return obliv.SelectionNetwork{} },
-	}
 	execs := []struct {
 		name string
 		run  func(func(c *forkjoin.Ctx))
@@ -74,33 +66,31 @@ func TestGathererMatchesGatherAndDirect(t *testing.T) {
 		for _, p := range sizes {
 			seed++
 			addrs, mems := gatherCase(seed, s, p)
-			for si, mk := range sorters {
-				for _, ex := range execs {
-					label := fmt.Sprintf("s=%d p=%d sorter %d on %s", s, p, si, ex.name)
-					ex.run(func(c *forkjoin.Ctx) {
-						sp := mem.NewSpace()
-						a := mem.FromSlice(sp, slices.Clone(addrs))
-						g := NewGatherer(c, sp, s, a, mk(), nil)
-						for k, m := range mems {
-							memory := mem.FromSlice(sp, slices.Clone(m))
-							vals := slices.Clone(g.Values(c, sp, memory).Data())
-							fresh := Gather(c, sp, memory, a, mk()).Data()
-							want := directGather(m, addrs)
-							for i := range want {
-								if fresh[i] != want[i] {
-									t.Fatalf("%s memory %d request %d: fresh Gather %+v, want %+v", label, k, i, fresh[i], want[i])
-								}
-								var v uint64 // ⊥ reads 0
-								if addrs[i] < uint64(s) {
-									v = m[addrs[i]]
-								}
-								if vals[i] != v {
-									t.Fatalf("%s memory %d request %d: reused gatherer read %d, want %d", label, k, i, vals[i], v)
-								}
+			for _, ex := range execs {
+				label := fmt.Sprintf("s=%d p=%d on %s", s, p, ex.name)
+				ex.run(func(c *forkjoin.Ctx) {
+					sp := mem.NewSpace()
+					a := mem.FromSlice(sp, slices.Clone(addrs))
+					g := NewGatherer(c, sp, s, a, nil)
+					for k, m := range mems {
+						memory := mem.FromSlice(sp, slices.Clone(m))
+						vals := slices.Clone(g.Values(c, sp, memory).Data())
+						fresh := Gather(c, sp, memory, a, nil).Data()
+						want := directGather(m, addrs)
+						for i := range want {
+							if fresh[i] != want[i] {
+								t.Fatalf("%s memory %d request %d: fresh Gather %+v, want %+v", label, k, i, fresh[i], want[i])
+							}
+							var v uint64 // ⊥ reads 0
+							if addrs[i] < uint64(s) {
+								v = m[addrs[i]]
+							}
+							if vals[i] != v {
+								t.Fatalf("%s memory %d request %d: reused gatherer read %d, want %d", label, k, i, vals[i], v)
 							}
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
@@ -116,7 +106,7 @@ func TestGathererTraceOblivious(t *testing.T) {
 		_, mems := gatherCase(seed, s, p)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt, nil)
+			g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), nil)
 			g.Values(c, sp, mem.FromSlice(sp, mems[0]))
 			g.Values(c, sp, mem.FromSlice(sp, mems[1]))
 		})
@@ -153,7 +143,7 @@ func TestGathererValuesAllocs(t *testing.T) {
 	c := forkjoin.Serial()
 	addrs, mems := gatherCase(5, s, p)
 	sp := mem.NewSpace()
-	g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), srt, nil)
+	g := NewGatherer(c, sp, s, mem.FromSlice(sp, addrs), nil)
 	m := [2]*mem.Array[uint64]{mem.FromSlice(sp, mems[0]), mem.FromSlice(sp, mems[1])}
 	g.Values(c, sp, m[0])
 	const runs = 20

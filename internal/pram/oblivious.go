@@ -24,10 +24,13 @@ const passGrain = 1 << 10
 // O(Wsort(p) + (s+p) log(s+p)) with a single sort, all of it over word
 // planes. Kind comes from the caller's own addresses, not from the
 // routing: it is this entry point's convenience for the reproduction's
-// callers that test ⊥.
+// callers that test ⊥. srt is unused — the sorts run on the bitonic
+// network whatever the caller's sorter is — and stays only because the
+// benchmark harness passes it, until that harness stops calling Gather
+// (ROADMAP item 1 slice 2).
 func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *mem.Array[uint64], srt obliv.ScheduledSorter) *mem.Array[obliv.Elem] {
 	s, p := memory.Len(), addrs.Len()
-	vals := NewGatherer(c, sp, s, addrs, srt, nil).Values(c, sp, memory)
+	vals := NewGatherer(c, sp, s, addrs, nil).Values(c, sp, memory)
 	out := mem.Alloc[obliv.Elem](sp, p)
 	forkjoin.ParallelRange(c, 0, p, 0, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -49,15 +52,15 @@ func Gather(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], addrs *me
 // once, as one word plane with the sort's swap record kept, and each
 // gather is one send-receive with both sides in key order (merge,
 // propagate, un-merge of the routed values — no sort) followed by an
-// un-sort of those values by replay. Only words travel: a gatherer holds
-// the sorted addresses, a value plane and its scratch, the record, and the
-// send-receive's work space, all allocated once, so a gather allocates no
-// work array. Readdress re-sorts it onto another address list of the same
+// un-sort of those values by replay, both on the cache-agnostic bitonic
+// network (bitonic.SortRecorded, a sort pass, and bitonic.Unsort). Only
+// words travel: a gatherer holds the sorted addresses, a value plane and
+// its scratch, the record, and the send-receive's work space, all
+// allocated once, so a gather allocates no work array. Readdress re-sorts it onto another address list of the same
 // length, on the same planes and record (a pointer jump's addresses). A
 // Gatherer's gathers must be issued sequentially (they share those
 // planes) under the kind of executor (metered or not) it was built under.
 type Gatherer struct {
-	srt       obliv.RecordingSorter
 	s         int
 	keys      *obliv.KeySchedule // the NextPow2(p) request keys in address order, padding last
 	vals, scr *obliv.KeySchedule // the routed values and the sort's and un-sort's scratch
@@ -67,22 +70,20 @@ type Gatherer struct {
 }
 
 // NewGatherer builds the gatherer of addrs against memories of s cells:
-// the padded request addresses, record-sorted through srt — or through the
-// cache-agnostic bitonic network if srt does not record. An address at or
-// beyond s is out of range and will read ⊥. addrs is read here only. The
-// gathers route on route, which must hold NextPow2(s+NextPow2(len(addrs)))
-// slots and may be shared with other sequential users; a nil route
-// allocates the gatherer's own. The access pattern is a function of
-// (s, len(addrs)) and the executor kind alone.
-func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], srt obliv.ScheduledSorter, route *obliv.Router) *Gatherer {
-	rs := bitonic.Recorder(srt)
+// the padded request addresses, record-sorted. An address at or beyond s
+// is out of range and will read ⊥. addrs is read here only. The gathers
+// route on route, which must hold NextPow2(s+NextPow2(len(addrs))) slots
+// and may be shared with other sequential users; a nil route allocates the
+// gatherer's own. The access pattern is a function of (s, len(addrs)) and
+// the executor kind alone.
+func NewGatherer(c *forkjoin.Ctx, sp *mem.Space, s int, addrs *mem.Array[uint64], route *obliv.Router) *Gatherer {
 	p := addrs.Len()
 	n := obliv.NextPow2(p)
-	g := &Gatherer{srt: rs, s: s, keys: obliv.AllocKeySchedule(sp, n, 1)}
+	g := &Gatherer{s: s, keys: obliv.AllocKeySchedule(sp, n, 1)}
 	g.vals = obliv.AllocKeySchedule(sp, n, 1)
 	g.scr = obliv.AllocKeySchedule(sp, n, 1) // the sort's scratch, then the un-sort's
 	g.out = g.vals.Plane(0).View(0, p)
-	g.rec = mem.Alloc[uint64](sp, rs.RecordWords(c, n))
+	g.rec = mem.Alloc[uint64](sp, bitonic.RecordWords(c, n, 0))
 	if route == nil {
 		route = obliv.NewRouter(sp, s, n)
 	}
@@ -119,7 +120,7 @@ func (g *Gatherer) Readdress(c *forkjoin.Ctx, sp *mem.Space, addrs *mem.Array[ui
 			keys.Set(c, i, key)
 		}
 	})
-	g.srt.SortRecorded(c, sp, g.keys, g.scr, 1, g.rec, 0, n)
+	bitonic.SortRecorded(c, g.keys, g.scr, 1, g.rec, n)
 }
 
 // Values reads memory, which must hold s cells, at the gatherer's
@@ -135,7 +136,7 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 	// home.
 	v := g.vals.Plane(0)
 	g.route.Route(c, nil, memory, g.keys.Plane(0), nil, v)
-	g.srt.Unsort(c, sp, g.vals, g.scr, g.rec, 0, v.Len())
+	bitonic.Unsort(c, g.vals, g.scr, g.rec, v.Len())
 	return g.out
 }
 
@@ -154,8 +155,8 @@ func (g *Gatherer) Values(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 // sort of NextPow2(p) plus O((s+p) log(s+p)). Requests tied on (address,
 // priority) are ordered by the network, the same way on every executor,
 // and the first of them wins. It is one write of a fresh Scatterer.
-func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
-	scatterResolve(c, sp, memory, reqs, srt, false)
+func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem]) {
+	scatterResolve(c, sp, memory, reqs, false)
 }
 
 // ScatterResolveMin is ScatterResolve with combining update semantics:
@@ -163,14 +164,15 @@ func ScatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 // instead of being overwritten. The access pattern is identical to
 // ScatterResolve's up to one fixed combine pass over the cells. The graph
 // layer's label-hooking steps use it so labels only ever decrease
-// regardless of write ordering.
+// regardless of write ordering. srt is unused, as Gather's is, and stays
+// for the same reason.
 func ScatterResolveMin(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) {
-	scatterResolve(c, sp, memory, reqs, srt, true)
+	scatterResolve(c, sp, memory, reqs, true)
 }
 
-func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], srt obliv.ScheduledSorter, combineMin bool) {
+func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], reqs *mem.Array[obliv.Elem], combineMin bool) {
 	// The request elements into the planes, addressed as clamp leaves them.
-	w := NewScatterer(sp, memory.Len(), reqs.Len(), srt, nil)
+	w := NewScatterer(sp, memory.Len(), reqs.Len(), nil)
 	s, p := uint64(w.s), reqs.Len()
 	addr, prio, val := w.ws.Plane(0), w.ws.Plane(1), w.ws.Plane(2)
 	forkjoin.ParallelRange(c, 0, addr.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
@@ -196,14 +198,14 @@ func scatterResolve(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint64], r
 // memories of s cells — for callers that write that shape again and again
 // (the graph kernels' hook scatters, once per round): it holds the
 // (address, priority, value) request planes over NextPow2(p) entries,
-// their sort scratch, a min-combining write's routed plane and the
+// their sort scratch (a write's sort is bitonic.SortRecorded with no
+// record, a sort pass), a min-combining write's routed plane and the
 // send-receive's work space, so a write allocates no work array. The
 // caller fills the first p entries of the request planes (Requests) and
 // calls Resolve or ResolveMin: ScatterResolve and ScatterResolveMin with no
 // request elements. Its writes must be issued sequentially under the kind
 // of executor (metered or not) it was built under.
 type Scatterer struct {
-	srt             obliv.RecordingSorter
 	s               int
 	ws, wscr        *obliv.KeySchedule // address, priority and value planes, and the sort's scratch
 	addr, prio, val *mem.Array[uint64] // the first p entries of each plane: the requests
@@ -216,9 +218,9 @@ type Scatterer struct {
 // must hold NextPow2(p+s) slots and may be shared with other sequential
 // users; a nil route allocates the scatterer's own at its first write,
 // after the routed plane of a first min-combining write.
-func NewScatterer(sp *mem.Space, s, p int, srt obliv.ScheduledSorter, route *obliv.Router) *Scatterer {
+func NewScatterer(sp *mem.Space, s, p int, route *obliv.Router) *Scatterer {
 	n := obliv.NextPow2(p)
-	w := &Scatterer{srt: bitonic.Recorder(srt), s: s, route: route}
+	w := &Scatterer{s: s, route: route}
 	w.ws = obliv.AllocKeySchedule(sp, n, 3)
 	w.wscr = obliv.AllocKeySchedule(sp, n, 3)
 	w.addr, w.prio, w.val = w.ws.Plane(0).View(0, p), w.ws.Plane(1).View(0, p), w.ws.Plane(2).View(0, p)
@@ -275,7 +277,7 @@ func (w *Scatterer) write(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 	if memory.Len() != s {
 		panic("pram: Scatter memory length differs from the scatterer's")
 	}
-	w.srt.SortRecorded(c, sp, w.ws, w.wscr, 2, nil, 0, w.ws.Len())
+	bitonic.SortRecorded(c, w.ws, w.wscr, 2, nil, w.ws.Len())
 
 	// Route winner values to the memory cells, keyed by their index; every
 	// cell is rewritten. A cell no winner names reads its own current
@@ -308,7 +310,7 @@ func (w *Scatterer) write(c *forkjoin.Ctx, sp *mem.Space, memory *mem.Array[uint
 // and returns the final memory. With a fixed machine shape (p, s, steps),
 // the access pattern is independent of memInit and of every value read —
 // the property asserted by the package tests.
-func RunOblivious(c *forkjoin.Ctx, sp *mem.Space, m Machine, memInit []uint64, srt obliv.ScheduledSorter) []uint64 {
+func RunOblivious(c *forkjoin.Ctx, sp *mem.Space, m Machine, memInit []uint64) []uint64 {
 	p, s := m.Procs(), m.Space()
 	memory := mem.Alloc[uint64](sp, s)
 	for i, v := range memInit {
@@ -329,7 +331,7 @@ func RunOblivious(c *forkjoin.Ctx, sp *mem.Space, m Machine, memInit []uint64, s
 			}
 			addrs.Set(c, i, uint64(a))
 		})
-		fetched := Gather(c, sp, memory, addrs, srt)
+		fetched := Gather(c, sp, memory, addrs, nil)
 
 		// Local computation phase.
 		forkjoin.ParallelFor(c, 0, p, 1, func(c *forkjoin.Ctx, i int) {
@@ -346,7 +348,7 @@ func RunOblivious(c *forkjoin.Ctx, sp *mem.Space, m Machine, memInit []uint64, s
 		})
 
 		// Write phase with oblivious conflict resolution.
-		ScatterResolve(c, sp, memory, reqs, srt)
+		ScatterResolve(c, sp, memory, reqs)
 	}
 	out := make([]uint64, s)
 	copy(out, memory.Data())

@@ -32,12 +32,12 @@ func BenchmarkGather(b *testing.B) {
 	c := forkjoin.Serial()
 	b.Run("fresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Gather(c, mem.NewSpace(), memory, addrs, srt)
+			Gather(c, mem.NewSpace(), memory, addrs, nil)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
 	})
 	b.Run("reused", func(b *testing.B) {
-		g := NewGatherer(c, mem.NewSpace(), s, addrs, srt, nil)
+		g := NewGatherer(c, mem.NewSpace(), s, addrs, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.Values(c, mem.NewSpace(), memory)
@@ -69,12 +69,12 @@ func BenchmarkScatterResolveMin(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ScatterResolveMin(c, mem.NewSpace(), memory, reqs, srt)
+			ScatterResolveMin(c, mem.NewSpace(), memory, reqs, nil)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/req")
 	})
 	b.Run("reused", func(b *testing.B) {
-		w := NewScatterer(mem.NewSpace(), p, p, srt, nil)
+		w := NewScatterer(mem.NewSpace(), p, p, nil)
 		addr, prio, val := w.Requests()
 		b.ReportAllocs()
 		b.ResetTimer()

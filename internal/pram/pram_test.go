@@ -4,14 +4,11 @@ import (
 	"slices"
 	"testing"
 
-	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
 	"oblivmc/internal/prng"
 )
-
-var srt = bitonic.CacheAgnostic{}
 
 // randomList builds a random successor array for a single list over n
 // nodes; returns (succ, referenceRanks).
@@ -52,7 +49,7 @@ func TestObliviousPointerJumpMatchesDirect(t *testing.T) {
 		succ, want := randomList(uint64(n)+3, n)
 		m := &PointerJumpMachine{N: n, Succ: succ}
 		sp := mem.NewSpace()
-		final := RunOblivious(forkjoin.Serial(), sp, m, m.InitialMemory(), srt)
+		final := RunOblivious(forkjoin.Serial(), sp, m, m.InitialMemory())
 		got := m.Ranks(final)
 		for i := range want {
 			if got[i] != want[i] {
@@ -80,7 +77,7 @@ func TestMaxMachineBothSimulators(t *testing.T) {
 		t.Fatalf("direct max = %d, want %d", direct[0], want)
 	}
 	sp2 := mem.NewSpace()
-	obliv := RunOblivious(forkjoin.Serial(), sp2, m, m.InitialMemory(), srt)
+	obliv := RunOblivious(forkjoin.Serial(), sp2, m, m.InitialMemory())
 	if obliv[0] != want {
 		t.Fatalf("oblivious max = %d, want %d", obliv[0], want)
 	}
@@ -94,7 +91,7 @@ func TestAddConstMachine(t *testing.T) {
 		init[i] = uint64(i * 10)
 	}
 	sp := mem.NewSpace()
-	got := RunOblivious(forkjoin.Serial(), sp, m, init, srt)
+	got := RunOblivious(forkjoin.Serial(), sp, m, init)
 	for i := range init {
 		if got[i] != init[i]+7 {
 			t.Fatalf("cell %d = %d, want %d", i, got[i], init[i]+7)
@@ -110,7 +107,7 @@ func TestPriorityConflictResolution(t *testing.T) {
 		t.Fatalf("direct priority CRCW kept %d, want 100 (proc 0)", direct[0])
 	}
 	sp2 := mem.NewSpace()
-	obl := RunOblivious(forkjoin.Serial(), sp2, m, make([]uint64, 4), srt)
+	obl := RunOblivious(forkjoin.Serial(), sp2, m, make([]uint64, 4))
 	if obl[0] != 100 {
 		t.Fatalf("oblivious priority CRCW kept %d, want 100 (proc 0)", obl[0])
 	}
@@ -126,7 +123,7 @@ func TestObliviousSimulationTraceOblivious(t *testing.T) {
 		m := &PointerJumpMachine{N: n, Succ: succ}
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			RunOblivious(c, sp, m, m.InitialMemory(), srt)
+			RunOblivious(c, sp, m, m.InitialMemory())
 		})
 	}
 	if !run(1).Trace.Equal(run(2).Trace) {
@@ -155,7 +152,7 @@ func TestGatherBasic(t *testing.T) {
 	sp := mem.NewSpace()
 	memory := mem.FromSlice(sp, []uint64{10, 20, 30, 40})
 	addrs := mem.FromSlice(sp, []uint64{2, 0, 3, 99, 1})
-	out := Gather(forkjoin.Serial(), sp, memory, addrs, srt)
+	out := Gather(forkjoin.Serial(), sp, memory, addrs, nil)
 	want := []struct {
 		val uint64
 		ok  bool
@@ -180,7 +177,7 @@ func TestScatterResolveBasic(t *testing.T) {
 		{Key: 3, Val: 300, Aux: 9, Kind: obliv.Real},
 		{Kind: obliv.Filler},
 	})
-	ScatterResolve(forkjoin.Serial(), sp, memory, reqs, srt)
+	ScatterResolve(forkjoin.Serial(), sp, memory, reqs)
 	want := []uint64{1, 200, 3, 300}
 	for i, w := range want {
 		if memory.Data()[i] != w {
@@ -200,7 +197,7 @@ func TestScatterResolveWidePriority(t *testing.T) {
 	} {
 		sp := mem.NewSpace()
 		memory := mem.FromSlice(sp, []uint64{1, 2, 3, 4})
-		ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+		ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs))
 		if got := memory.Data()[2]; got != 600 {
 			t.Fatalf("requests %+v: memory[2] = %d, want the lower priority's 600", reqs, got)
 		}
@@ -253,9 +250,9 @@ func TestScatterResolveTiedPriority(t *testing.T) {
 					memory := mem.FromSlice(sp, []uint64{1, 2, 850, 4})
 					reqs := mem.FromSlice(sp, tc.reqs)
 					if combineMin {
-						ScatterResolveMin(c, sp, memory, reqs, srt)
+						ScatterResolveMin(c, sp, memory, reqs, nil)
 					} else {
-						ScatterResolve(c, sp, memory, reqs, srt)
+						ScatterResolve(c, sp, memory, reqs)
 					}
 					got = slices.Clone(memory.Data())
 				})
@@ -285,7 +282,7 @@ func TestScatterResolveAllFillers(t *testing.T) {
 	sp := mem.NewSpace()
 	memory := mem.FromSlice(sp, []uint64{7, 8, 9})
 	reqs := mem.Alloc[obliv.Elem](sp, 5) // all fillers
-	ScatterResolve(forkjoin.Serial(), sp, memory, reqs, srt)
+	ScatterResolve(forkjoin.Serial(), sp, memory, reqs)
 	for i, w := range []uint64{7, 8, 9} {
 		if memory.Data()[i] != w {
 			t.Fatalf("memory changed: %v", memory.Data())
@@ -307,9 +304,9 @@ func TestGatherScatterTraceOblivious(t *testing.T) {
 			reqs.Data()[i] = obliv.Elem{Key: src.Uint64n(32), Val: src.Uint64(), Aux: uint64(i), Kind: obliv.Real}
 		}
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
-			out := Gather(c, sp, memory, addrs, srt)
+			out := Gather(c, sp, memory, addrs, nil)
 			_ = out
-			ScatterResolve(c, sp, memory, reqs, srt)
+			ScatterResolve(c, sp, memory, reqs)
 		})
 	}
 	if !run(1).Trace.Equal(run(2).Trace) {
@@ -324,7 +321,7 @@ func TestObliviousStepCostScalesWithSpace(t *testing.T) {
 		m := &AddConstMachine{N: n, K: 1}
 		sp := mem.NewSpace()
 		mm := forkjoin.RunMetered(forkjoin.MeterOpts{}, func(c *forkjoin.Ctx) {
-			RunOblivious(c, sp, m, make([]uint64, n), srt)
+			RunOblivious(c, sp, m, make([]uint64, n))
 		})
 		return mm.Work
 	}
@@ -340,11 +337,11 @@ func TestParallelObliviousMatchesSerial(t *testing.T) {
 	succ, _ := randomList(77, n)
 	m := &PointerJumpMachine{N: n, Succ: succ}
 	sp1 := mem.NewSpace()
-	serial := RunOblivious(forkjoin.Serial(), sp1, m, m.InitialMemory(), srt)
+	serial := RunOblivious(forkjoin.Serial(), sp1, m, m.InitialMemory())
 	var par []uint64
 	forkjoin.RunParallel(4, func(c *forkjoin.Ctx) {
 		sp2 := mem.NewSpace()
-		par = RunOblivious(c, sp2, m, m.InitialMemory(), srt)
+		par = RunOblivious(c, sp2, m, m.InitialMemory())
 	})
 	for i := range serial {
 		if serial[i] != par[i] {
@@ -417,9 +414,9 @@ func TestScatterResolveMatchesReference(t *testing.T) {
 				sp := mem.NewSpace()
 				memory := mem.FromSlice(sp, init)
 				if combineMin {
-					ScatterResolveMin(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+					ScatterResolveMin(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), nil)
 				} else {
-					ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs), srt)
+					ScatterResolve(forkjoin.Serial(), sp, memory, mem.FromSlice(sp, reqs))
 				}
 				if got := memory.Data(); !slices.Equal(got, want) {
 					t.Fatalf("s=%d p=%d min=%t: memory %v, want %v", s, len(reqs), combineMin, got, want)

@@ -87,7 +87,7 @@ func TestScattererMatchesScatterResolve(t *testing.T) {
 							if shared {
 								route = obliv.NewRouter(sp, 2*s, 2*p)
 							}
-							w := NewScatterer(sp, s, p, srt, route)
+							w := NewScatterer(sp, s, p, route)
 							src := prng.New(seed)
 							reused := mem.Alloc[uint64](sp, s)
 							for i := range s {
@@ -100,10 +100,10 @@ func TestScattererMatchesScatterResolve(t *testing.T) {
 								r := mem.FromSlice(sp, reqs)
 								if combineMin {
 									w.ResolveMin(c, sp, reused)
-									ScatterResolveMin(c, sp, fresh, r, srt)
+									ScatterResolveMin(c, sp, fresh, r, nil)
 								} else {
 									w.Resolve(c, sp, reused)
-									ScatterResolve(c, sp, fresh, r, srt)
+									ScatterResolve(c, sp, fresh, r)
 								}
 								if !slices.Equal(reused.Data(), fresh.Data()) {
 									t.Fatalf("%s round %d: reused scatterer wrote\n %v\nfresh ScatterResolve\n %v", label, round, reused.Data(), fresh.Data())
@@ -141,11 +141,11 @@ func TestGathererReaddressMatchesFresh(t *testing.T) {
 							addrs, mems := gatherCase(seed*8+uint64(round), s, p)
 							a := mem.FromSlice(sp, addrs)
 							if g == nil {
-								g = NewGatherer(c, sp, s, a, srt, route)
+								g = NewGatherer(c, sp, s, a, route)
 							} else {
 								g.Readdress(c, sp, a)
 							}
-							fg := NewGatherer(c, sp, s, a, srt, nil)
+							fg := NewGatherer(c, sp, s, a, nil)
 							for k, m := range mems[:2] {
 								memory := mem.FromSlice(sp, m)
 								got := slices.Clone(g.Values(c, sp, memory).Data())
@@ -171,7 +171,7 @@ func TestScattererTraceOblivious(t *testing.T) {
 	run := func(reqs func(round int) []obliv.Elem, combineMin bool) *forkjoin.Metrics {
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
-			w := NewScatterer(sp, s, p, srt, obliv.NewRouter(sp, s, 2*p))
+			w := NewScatterer(sp, s, p, obliv.NewRouter(sp, s, 2*p))
 			memory := mem.Alloc[uint64](sp, s)
 			for round := range 3 {
 				fill(c, w, reqs(round))
@@ -221,7 +221,7 @@ func TestGathererReaddressTraceOblivious(t *testing.T) {
 		return forkjoin.RunMetered(forkjoin.MeterOpts{EnableTrace: true}, func(c *forkjoin.Ctx) {
 			sp := mem.NewSpace()
 			memory := mem.FromSlice(sp, mems[0])
-			g := NewGatherer(c, sp, s, mem.FromSlice(sp, lists[0]), srt, obliv.NewRouter(sp, s, 2*p))
+			g := NewGatherer(c, sp, s, mem.FromSlice(sp, lists[0]), obliv.NewRouter(sp, s, 2*p))
 			g.Values(c, sp, memory)
 			for _, l := range lists[1:] {
 				g.Readdress(c, sp, mem.FromSlice(sp, l))
@@ -258,7 +258,7 @@ func TestScattererAllocs(t *testing.T) {
 	memory := mem.Alloc[uint64](sp, s)
 	reqs := [2][]obliv.Elem{scatterCase(1, s, p), scatterCase(2, s, p)}
 	for _, combineMin := range []bool{false, true} {
-		w := NewScatterer(sp, s, p, srt, nil)
+		w := NewScatterer(sp, s, p, nil)
 		k := 0
 		write := func() {
 			k++

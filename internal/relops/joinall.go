@@ -309,6 +309,7 @@ func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut 
 
 	// Step 4d: compact to the public output order with the snapshotted
 	// schedule; everything but the matched copies becomes a filler.
+	c.SortPass("relops.sort")
 	srt.SortScheduled(c, sp, wrk.A, ks, ar.ElemScratch(sp, n), kscr, 0, n)
 	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -58,7 +58,6 @@ package relops
 import (
 	"fmt"
 
-	"oblivmc/internal/faultinject"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -338,10 +337,7 @@ func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Ele
 	if n <= 1 {
 		return
 	}
-	// Sort-pass seam: cancellation checkpoint plus the chaos harness's
-	// injection point (a no-op unless a test armed it).
-	c.Check("relops.sort")
-	faultinject.Hit("sort.pass")
+	c.SortPass("relops.sort")
 	ks := ar.Keys(sp, n, sc.w)
 	kscr := ar.KeyScratch(sp, n, sc.w)
 	obliv.BuildKeySchedule(c, a, ks, 0, n, sc.emit)

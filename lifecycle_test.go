@@ -13,11 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"oblivmc/internal/bitonic"
 	"oblivmc/internal/faultinject"
-	"oblivmc/internal/forkjoin"
-	"oblivmc/internal/mem"
-	"oblivmc/internal/obliv"
 	"oblivmc/internal/prng"
 )
 
@@ -30,38 +26,6 @@ func lcRows(n int) []Row {
 		rows[i] = Row{Key: src.Uint64n(16), Val: src.Uint64n(1000)}
 	}
 	return rows
-}
-
-// sortPassHits marks every sort its inner sorter runs as a "sort.pass"
-// fault-injection hit, so the SlowEvery + Hits pattern also reaches the
-// graph kernels, whose sorts never pass relops' own sort.pass seam — the
-// PRAM layer's plane sorts (RecordingSorter, run on the inner sorter's
-// network) included.
-type sortPassHits struct{ obliv.ScheduledSorter }
-
-var _ obliv.RecordingSorter = sortPassHits{}
-
-func (s sortPassHits) RecordWords(c *forkjoin.Ctx, n int) int {
-	return bitonic.Recorder(s.ScheduledSorter).RecordWords(c, n)
-}
-
-func (s sortPassHits) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
-	faultinject.Hit("sort.pass")
-	bitonic.Recorder(s.ScheduledSorter).SortRecorded(c, sp, ws, wscr, k, rec, lo, n)
-}
-
-func (s sortPassHits) Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
-	bitonic.Recorder(s.ScheduledSorter).Unsort(c, sp, vs, vscr, rec, lo, n)
-}
-
-func (s sortPassHits) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	faultinject.Hit("sort.pass")
-	s.ScheduledSorter.Sort(c, sp, a, lo, n, key)
-}
-
-func (s sortPassHits) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
-	faultinject.Hit("sort.pass")
-	s.ScheduledSorter.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
 // TestCancelCtxAfterFirstSortPass cancels a query and each edge-table graph
@@ -94,7 +58,6 @@ func TestCancelCtxAfterFirstSortPass(t *testing.T) {
 	for _, tc := range cases {
 		faultinject.Reset()
 		sess := NewSession(Config{Mode: ModeSerial})
-		sess.srt = sortPassHits{sess.srt}
 		// Stretch every sort pass so the cancel lands mid-run.
 		faultinject.SlowEvery("sort.pass", 1, 20*time.Millisecond)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -112,6 +75,37 @@ func TestCancelCtxAfterFirstSortPass(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "(at ") || !passes.MatchString(err.Error()) {
 			t.Fatalf("%s: canceled error %q lacks its public site or executed pass count", tc.name, err)
+		}
+	}
+}
+
+// TestGraphSortPassInjection arms the "sort.pass" fault site alone, with no
+// sorter decorator: a Session's Components, MSF and PageRank runs each
+// reach it at their first plane sort, fail typed (ErrInternal carrying the
+// injected panic) and leave the session poisoned.
+func TestGraphSortPassInjection(t *testing.T) {
+	defer faultinject.Reset()
+	edges := mustEdgeTable(t, testEdges(7, 24, 48, 50))
+	for _, tc := range []struct {
+		name   string
+		op     GraphOp
+		rounds int
+	}{{"cc", GraphOpComponents, 4}, {"msf", GraphOpMSF, 0}, {"pagerank", GraphOpPageRank, 2}} {
+		faultinject.Reset()
+		faultinject.PanicAt("sort.pass", 1)
+		sess := NewSession(Config{Mode: ModeSerial})
+		_, _, err := sess.RunGraphCtx(context.Background(), edges, tc.op, tc.rounds)
+		poisoned := sess.Poisoned()
+		sess.Close()
+		var pe *PanicError
+		if !errors.Is(err, ErrInternal) || !errors.As(err, &pe) {
+			t.Fatalf("%s with sort.pass armed: err = %v, want a *PanicError (ErrInternal)", tc.name, err)
+		}
+		if _, ok := pe.Val.(*faultinject.Injected); !ok {
+			t.Fatalf("%s: PanicError.Val = %T (%v), want *faultinject.Injected", tc.name, pe.Val, pe.Val)
+		}
+		if !poisoned {
+			t.Fatalf("%s: the session that tripped is not poisoned", tc.name)
 		}
 	}
 }

@@ -139,8 +139,9 @@ type Config struct {
 }
 
 // graphParams are the paper's default parameters with e's sorter attached
-// — what every graph entry point runs under (the session's one sorter,
-// throwaway or not).
+// — what the tree kernels run under: their ORP's bin sorts take the
+// session's one sorter, throwaway or not (every other graph sort is a
+// word-plane sort on the bitonic network).
 func (e exec) graphParams() core.Params { return core.Params{Sorter: e.srt} }
 
 // Report carries the metrics of a metered run; nil in other modes.

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -38,7 +37,7 @@ type exec struct {
 
 // oneShot is the environment of a package-level call: a throwaway
 // Session's, released by the returned func once the call is done. It runs
-// on the session's raw sorter, without runOn's pass counter or token.
+// on the session's sorter without runOn's token, so it counts no passes.
 func oneShot(cfg Config) (exec, func()) {
 	s := NewSession(cfg)
 	return s.exec(), s.Close
@@ -80,14 +79,16 @@ func (e exec) run(fn func(c *forkjoin.Ctx, sp *mem.Space)) (rep *Report, err err
 }
 
 // QueryStats is the public bookkeeping of one Session run (RunQuery or
-// RunGraphCtx): the executed sort-pass count (measured at the sorter seam,
-// not planned), the cold-plan baseline the cross-query savings are measured
-// against, and the rendered plan. Everything here is a function of public
+// RunGraphCtx): the executed sort-pass count (counted where each pass
+// starts, on the run's token — not planned), the cold-plan baseline the
+// cross-query savings are measured against, and the rendered plan. Everything here is a function of public
 // query shape — plus, for the graph operators' revealed loops (a
 // convergence Components, MSF), the round count they reveal by design.
 type QueryStats struct {
-	// SortPasses counts the full sorting-network passes the query
-	// executed (0 for an identity plan or a fully order-covered one).
+	// SortPasses counts the full sort passes the run executed — each
+	// relational sort and each PRAM word-plane sort, counted at its start
+	// (forkjoin.Ctx.SortPass) — 0 for an identity plan or a fully
+	// order-covered one.
 	SortPasses int
 	// ColdSortPasses is what the same query plans with no input order
 	// token — the baseline a token-covered query beats. Graph operators
@@ -101,53 +102,6 @@ type QueryStats struct {
 	// Report carries the metered metrics when the session runs
 	// ModeMetered (nil otherwise).
 	Report *Report
-}
-
-// passCounter wraps the session's scheduled sorter and counts executed
-// full sorting passes — the counter QueryStats.SortPasses reports and the
-// serve-level tests assert on. Only runOn installs it: the counter is a
-// plain int, and the paper façade's core.RandomPermutation calls its sorter
-// concurrently, so package-level calls keep the raw sorter.
-type passCounter struct {
-	inner obliv.ScheduledSorter
-	n     *int
-}
-
-var (
-	_ obliv.ScheduledSorter = passCounter{}
-	_ obliv.RecordingSorter = passCounter{}
-)
-
-func (s passCounter) Name() string { return s.inner.Name() }
-
-// Sort counts a pass and forwards to the inner sorter's Sort — a key-build
-// pass and that sorter's keyed network — not to SortScheduled, which on
-// the shuffle backend is the stateful sample sort the closure-key callers
-// must not reach.
-func (s passCounter) Sort(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], lo, n int, key func(obliv.Elem) uint64) {
-	*s.n++
-	s.inner.Sort(c, sp, a, lo, n, key)
-}
-
-func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, scr *mem.Array[obliv.Elem], kscr *obliv.KeySchedule, lo, n int) {
-	*s.n++
-	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
-}
-
-// The plane-sort methods count a plane sort, recorded or not, as a pass and
-// forward to bitonic.Recorder of the session's sorter: the cache-agnostic
-// network on both backends.
-func (s passCounter) RecordWords(c *forkjoin.Ctx, n int) int {
-	return bitonic.Recorder(s.inner).RecordWords(c, n)
-}
-
-func (s passCounter) SortRecorded(c *forkjoin.Ctx, sp *mem.Space, ws, wscr *obliv.KeySchedule, k int, rec *mem.Array[uint64], lo, n int) {
-	*s.n++
-	bitonic.Recorder(s.inner).SortRecorded(c, sp, ws, wscr, k, rec, lo, n)
-}
-
-func (s passCounter) Unsort(c *forkjoin.Ctx, sp *mem.Space, vs, vscr *obliv.KeySchedule, rec *mem.Array[uint64], lo, n int) {
-	bitonic.Recorder(s.inner).Unsort(c, sp, vs, vscr, rec, lo, n)
 }
 
 // Session is a reusable execution context for the table operators — queries
@@ -273,11 +227,11 @@ func (s *Session) RunGraphCtx(ctx context.Context, t Table, op GraphOp, rounds i
 
 // runOn is the lifecycle of one session run, shared by every operator kind
 // (P is the kind's plan type): refuse a closed or poisoned session and an
-// already-done context, arm a fresh per-run token that ctx trips, hand op
-// the session's environment with its sorter pass-counted, poison the
-// session when op panicked out of the execution, and stamp a canceled run
-// with the executed pass count. The stats it returns carry everything but
-// the cold baseline, which only the caller's plan knows.
+// already-done context, arm a fresh per-run token that ctx trips and that
+// counts the run's sort passes, hand op the session's environment, poison
+// the session when op panicked out of the execution, and stamp a canceled
+// run with the executed pass count. The stats it returns carry everything
+// but the cold baseline, which only the caller's plan knows.
 func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Table, *Report, P, error)) (Table, QueryStats, P, error) {
 	fail := func(err error) (Table, QueryStats, P, error) {
 		var noPlan P
@@ -292,13 +246,11 @@ func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Tab
 	if ctx != nil && ctx.Err() != nil {
 		return fail(ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled)))
 	}
-	passes := 0
 	cn := new(forkjoin.Cancel)
 	if ctx != nil {
 		defer context.AfterFunc(ctx, cn.Cancel)()
 	}
 	e := s.exec()
-	e.srt = passCounter{inner: e.srt, n: &passes}
 	e.cancel = cn
 	out, rep, pl, err := op(e)
 	if err != nil {
@@ -307,9 +259,9 @@ func runOn[P fmt.Stringer](ctx context.Context, s *Session, op func(e exec) (Tab
 		}
 		if errors.Is(err, ErrCanceled) {
 			// The executed pass count is public shape, like the site.
-			err = fmt.Errorf("%w (after %d executed sort passes)", ctxErrOf(ctx, err), passes)
+			err = fmt.Errorf("%w (after %d executed sort passes)", ctxErrOf(ctx, err), cn.SortPasses())
 		}
 		return fail(err)
 	}
-	return out, QueryStats{SortPasses: passes, Plan: pl.String(), Order: out.order, Report: rep}, pl, nil
+	return out, QueryStats{SortPasses: cn.SortPasses(), Plan: pl.String(), Order: out.order, Report: rep}, pl, nil
 }

@@ -20,13 +20,10 @@ import (
 // subrange, at n = 1, 2, 64 and 2^10.
 func TestEverySortMatchesSelectionNetwork(t *testing.T) {
 	seed := uint64(3)
-	var passes int
 	sorters := []obliv.ScheduledSorter{
 		bitonic.CacheAgnostic{},
 		&core.ShuffleSorter{},
 		&core.ShuffleSorter{FixedSeed: &seed, Crossover: 2},
-		passCounter{inner: bitonic.CacheAgnostic{}, n: &passes},
-		passCounter{inner: &core.ShuffleSorter{Crossover: 2}, n: &passes},
 	}
 	key := func(e obliv.Elem) uint64 {
 		if e.Kind != obliv.Real {
@@ -68,8 +65,5 @@ func TestEverySortMatchesSelectionNetwork(t *testing.T) {
 				}
 			}
 		}
-	}
-	if passes != 2*4 {
-		t.Fatalf("the pass counters counted %d sorts, want one per Sort call (8)", passes)
 	}
 }
