@@ -51,8 +51,9 @@ check-inline:
 
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
-# reverse keys, on elements and on word planes recording its swap bits
-# (the three orders must cost the same in each mode), the keyed bitonic
+# reverse keys, on elements, on word planes recording its swap bits and
+# as the fused tail over 8-slot blocks (the three orders must cost the
+# same in each mode), the keyed bitonic
 # sort per leaf size and the same network with the Theorem E.1 ablation's
 # key closure, the ablation's naive bitonic and odd–even networks (one
 # obliv.Layer fork tree per layer, key closure), the recorded plane

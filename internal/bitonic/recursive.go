@@ -319,13 +319,14 @@ func (nw network) sort(c *forkjoin.Ctx, lo, n int, asc bool, q int) {
 		// ascending and its second descending), and only the final merge
 		// (p = n) runs in direction asc. A leaf therefore leaves the same
 		// permutation — ties included — as the fully forked leaf-2 network a
-		// metered run executes.
+		// metered run executes. Each stage p is one kernel Merge, which on
+		// the raw plane and replay kernels fuses the stage's last three
+		// layers into one pass over 8-slot blocks with the same outcomes
+		// and record bits.
 		kern := nw.kernel(c)
 		for p := 2; p <= n; p <<= 1 {
-			for j := p >> 1; j > 0; j >>= 1 {
-				kern.Layer(lo, n, j, p, asc || p < n, q)
-				q += n >> 1
-			}
+			kern.Merge(lo, n, p, p, asc || p < n, q)
+			q += obliv.Log2(p) * (n >> 1)
 		}
 		return
 	}
@@ -349,10 +350,8 @@ func (nw network) unsort(c *forkjoin.Ctx, lo, n, q int) {
 		k := obliv.Log2(n)
 		q += k * (k + 1) / 2 * (n >> 1) // past the leaf's last layer
 		for p := n; p >= 2; p >>= 1 {
-			for j := 1; j < p; j <<= 1 {
-				q -= n >> 1
-				kern.Layer(lo, n, j, 0, true, q)
-			}
+			q -= obliv.Log2(p) * (n >> 1)
+			kern.Unmerge(lo, n, p, q)
 		}
 		return
 	}
@@ -369,11 +368,10 @@ func (nw network) unsort(c *forkjoin.Ctx, lo, n, q int) {
 // bit q.
 func (nw network) merge(c *forkjoin.Ctx, lo, m int, asc bool, q int) {
 	if m <= nw.leaf {
+		// One stage of the leaf loop: log2 m layers, the last three fused
+		// on the raw plane and replay kernels.
 		kern := nw.kernel(c)
-		for j := m >> 1; j > 0; j >>= 1 {
-			kern.Layer(lo, m, j, 0, asc, q)
-			q += m >> 1
-		}
+		kern.Merge(lo, m, m, 0, asc, q)
 		return
 	}
 	m1, m2 := mergeShape(m)
@@ -409,11 +407,7 @@ func (nw network) rowGrain(rowLen int) int { return max(1, nw.leaf/rowLen) }
 func (nw network) unmerge(c *forkjoin.Ctx, lo, m, q int) {
 	if m <= nw.leaf {
 		kern := nw.kernel(c)
-		q += obliv.Log2(m) * (m >> 1)
-		for j := 1; j < m; j <<= 1 {
-			q -= m >> 1
-			kern.Layer(lo, m, j, 0, true, q)
-		}
+		kern.Unmerge(lo, m, m, q)
 		return
 	}
 	m1, m2 := mergeShape(m)

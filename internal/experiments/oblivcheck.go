@@ -103,7 +103,7 @@ func OblivCheck(w io.Writer) bool {
 		edges := randomTreeEdges(v, 40)
 		sp := mem.NewSpace()
 		return forkjoin.RunMetered(trace, func(c *forkjoin.Ctx) {
-			graph.EulerTourOblivious(c, sp, 40, edges, 0, 1, core.Params{Z: 32, Gamma: 4})
+			graph.EulerTourOblivious(c, sp, 40, edges, 0)
 		})
 	})
 	check("connected components (§5.3)", func(v uint64) *forkjoin.Metrics {

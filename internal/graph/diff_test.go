@@ -176,39 +176,38 @@ func sameInts(a, b []int) bool {
 
 // TestCCMinHookDifferentialFamilies: the min-hook CC labeling equals the
 // sequential union-find reference exactly (converged labels are the
-// minimum vertex id per component) on every family, backend, and
-// execution mode, and the executed round count plus a fixed-rounds re-run
-// agree across the whole matrix.
+// minimum vertex id per component) on every family and execution mode,
+// and the executed round count plus a fixed-rounds re-run agree across
+// the modes. Min-hook sorts on the bitonic network whatever the sort
+// backend, so there is no backend axis.
 func TestCCMinHookDifferentialFamilies(t *testing.T) {
 	for _, fam := range graphFamilies() {
 		want := ConnectedComponentsSeq(fam.n, fam.edges)
 		var ref []int
 		refRounds := -1
-		for _, be := range diffBackends() {
-			for _, ex := range diffExecs() {
-				label := fmt.Sprintf("%s/%s/%s", fam.name, be.name, ex.name)
-				var got []int
-				var rounds int
-				ex.run(func(c *forkjoin.Ctx) {
-					got, rounds = ConnectedComponentsMinHook(c, mem.NewSpace(), fam.n, fam.edges, 0, diffParams(be.srt()))
-				})
-				if !sameInts(got, want) {
-					t.Fatalf("%s: labels %v, want %v", label, got, want)
-				}
-				if ref == nil {
-					ref, refRounds = got, rounds
-				} else if !sameInts(got, ref) || rounds != refRounds {
-					t.Fatalf("%s: combo diverged from first combo (rounds %d vs %d)", label, rounds, refRounds)
-				}
-				// Fixed public round count: same labels, no revealed
-				// convergence check.
-				var fixed []int
-				ex.run(func(c *forkjoin.Ctx) {
-					fixed, _ = ConnectedComponentsMinHook(c, mem.NewSpace(), fam.n, fam.edges, refRounds, diffParams(be.srt()))
-				})
-				if !sameInts(fixed, want) {
-					t.Fatalf("%s: fixed-rounds(%d) labels %v, want %v", label, refRounds, fixed, want)
-				}
+		for _, ex := range diffExecs() {
+			label := fmt.Sprintf("%s/%s", fam.name, ex.name)
+			var got []int
+			var rounds int
+			ex.run(func(c *forkjoin.Ctx) {
+				got, rounds = ConnectedComponentsMinHook(c, mem.NewSpace(), fam.n, fam.edges, 0, testParams())
+			})
+			if !sameInts(got, want) {
+				t.Fatalf("%s: labels %v, want %v", label, got, want)
+			}
+			if ref == nil {
+				ref, refRounds = got, rounds
+			} else if !sameInts(got, ref) || rounds != refRounds {
+				t.Fatalf("%s: combo diverged from first combo (rounds %d vs %d)", label, rounds, refRounds)
+			}
+			// Fixed public round count: same labels, no revealed
+			// convergence check.
+			var fixed []int
+			ex.run(func(c *forkjoin.Ctx) {
+				fixed, _ = ConnectedComponentsMinHook(c, mem.NewSpace(), fam.n, fam.edges, refRounds, testParams())
+			})
+			if !sameInts(fixed, want) {
+				t.Fatalf("%s: fixed-rounds(%d) labels %v, want %v", label, refRounds, fixed, want)
 			}
 		}
 	}

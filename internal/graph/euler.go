@@ -30,8 +30,8 @@ func arcKey(u, v uint64) uint64 { return u<<vertexBits | v }
 // arc; and τ(u,v) = Adjsucc(v,u) is then a read at the fixed address a^1.
 // One sort and one un-sort of NextPow2(2(n-1)) words, within the sorting
 // bound, on the bitonic network; the access pattern is a function of n
-// alone. seed and p are unused: they keep the tree kernels' one signature.
-func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int, seed uint64, p core.Params) []int {
+// alone.
+func EulerTourOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]int, root int) []int {
 	m := 2 * len(edges)
 	if m == 0 {
 		return nil
@@ -233,7 +233,7 @@ func TreeFunctionsOblivious(c *forkjoin.Ctx, sp *mem.Space, n int, edges [][2]in
 		return tf
 	}
 	p = p.Normalized(m)
-	tau := EulerTourOblivious(c, sp, n, edges, root, seed, p)
+	tau := EulerTourOblivious(c, sp, n, edges, root)
 
 	// The end arc maps to itself (tail convention of list ranking).
 	succ := make([]int, m)

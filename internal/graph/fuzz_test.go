@@ -43,17 +43,17 @@ func fuzzSorter(backend uint8) core.Params {
 }
 
 func FuzzConnectedComponents(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(10), uint8(0))
-	f.Add(uint64(2), uint8(31), uint8(47), uint8(1))
-	f.Add(uint64(3), uint8(2), uint8(1), uint8(0))
-	f.Add(uint64(4), uint8(20), uint8(5), uint8(1))
+	f.Add(uint64(1), uint8(8), uint8(10))
+	f.Add(uint64(2), uint8(31), uint8(47))
+	f.Add(uint64(3), uint8(2), uint8(1))
+	f.Add(uint64(4), uint8(20), uint8(5))
 	// n=12, m=11: AS's star check once re-promoted a depth-2 vertex whose
 	// parent was still marked, and the graph under-merged.
-	f.Add(uint64(28), uint8('J'), uint8(':'), uint8('R'))
-	f.Fuzz(func(t *testing.T, seed uint64, n, m, backend uint8) {
+	f.Add(uint64(28), uint8('J'), uint8(':'))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m uint8) {
 		nv, edges := fuzzGraph(seed, n, m)
 		want := ConnectedComponentsSeq(nv, edges)
-		got, _ := ConnectedComponentsMinHook(forkjoin.Serial(), mem.NewSpace(), nv, edges, 0, fuzzSorter(backend))
+		got, _ := ConnectedComponentsMinHook(forkjoin.Serial(), mem.NewSpace(), nv, edges, 0, testParams())
 		if !sameInts(got, want) {
 			t.Fatalf("minhook(n=%d, m=%d, seed=%d): labels %v, want %v", nv, len(edges), seed, got, want)
 		}

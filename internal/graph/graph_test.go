@@ -150,7 +150,7 @@ func TestEulerTourObliviousIsValidTour(t *testing.T) {
 		edges := randomTree(uint64(n), n)
 		root := 0
 		sp := mem.NewSpace()
-		tau := EulerTourOblivious(forkjoin.Serial(), sp, n, edges, root, 3, testParams())
+		tau := EulerTourOblivious(forkjoin.Serial(), sp, n, edges, root)
 		m := 2 * len(edges)
 		// Walk from the start arc; must visit every arc exactly once.
 		start := -1

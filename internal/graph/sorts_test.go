@@ -46,7 +46,7 @@ func TestTreeKernelSortsPinned(t *testing.T) {
 	// Euler tour, n = 64: one recorded sort of the 126 arc keys and its
 	// un-sort.
 	check("euler tour n=64", func() {
-		EulerTourOblivious(c, mem.NewSpace(), 64, randomTree(seed, 64), 0, seed, p)
+		EulerTourOblivious(c, mem.NewSpace(), 64, randomTree(seed, 64), 0)
 	}, 1, 1)
 
 	// List ranking, n = 256: the ORP's bin sorts, then the position

@@ -126,7 +126,7 @@ func TestEulerTourLockstep(t *testing.T) {
 	tour := func(n int, seed uint64, root int) oblivtest.Body {
 		edges := randomTree(seed, n)
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
-			EulerTourOblivious(c, sp, n, edges, root, 1, testParams())
+			EulerTourOblivious(c, sp, n, edges, root)
 		}
 	}
 	oblivtest.FingerprintEqual(t, "euler tour n=40", tour(40, 1, 0), tour(40, 2, 0), tour(40, 3, 17))

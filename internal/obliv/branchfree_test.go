@@ -15,9 +15,11 @@ import (
 // rawKernels are the raw block kernels whose compiled code must not branch
 // on data: the element comparator run and the element move it shares with
 // the Beneš switch, the word-plane comparator (sorting, merging and
-// recording), the word-plane replay, and the fixed-time division by a
-// secret divisor.
-var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun", "DivU64"}
+// recording) in chunks and pair by pair, the word-plane replay likewise,
+// the fused tail of both over 8-slot blocks (its drivers, the block sorts
+// on one and two key planes, and the carried block's move and its undo),
+// and the fixed-time division by a secret divisor.
+var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun", "planePairs", "replayPairs", "planeTail", "replayTail", "sort8", "sort8x2", "move8", "unmove8", "DivU64"}
 
 // branchGolden lists, per raw kernel, every conditional jump the compiler
 // may emit that is not a bounds check, and why it does not depend on the
@@ -32,12 +34,35 @@ var branchGolden = []branchSite{
 	{"cexRun", 7, "JLE", "loop test on cnt, public"},
 	{"cexRun", 13, "JE", "k1 != nil: the schedule width, public"},
 	{"cexRun", 22, "JE", "k1 != nil: the schedule width, public; its taken edge continues the loop"},
-	{"planeRun", 1, "JLE", "loop test on pairs, public"},
-	{"planeRun", 8, "JE", "k1 != nil: the number of key planes, public"},
-	{"planeRun", 16, "JE", "k1 != nil: the number of key planes, public"},
-	{"planeRun", 21, "JE", "v != nil: the number of carried planes, public"},
-	{"planeRun", 26, "JE", "rec != nil: whether the sort records, public"},
-	{"replayRun", 1, "JLE", "loop test on pairs, public"},
+	{"planeRun", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
+	{"planeRun", 1, "JLE", "loop test on the chunks: pair range, public"},
+	{"planeRun", 3, "JL", "min of the chunk bounds (run end, range end, record word end): public indices"},
+	{"planeRun", 3, "JG", "min of the chunk bounds (run end, range end, record word end): public indices"},
+	{"planeRun", 11, "JE", "k1 != nil: the number of key planes, public"},
+	{"planeRun", 15, "JGE", "loop test on a chunk's pairs: its length, public"},
+	{"planeRun", 18, "JE", "k1 != nil: the number of key planes, public"},
+	{"planeRun", 25, "JE", "k1 != nil: the number of key planes, public"},
+	{"planeRun", 32, "JE", "v != nil: the number of carried planes, public"},
+	{"planeRun", 34, "JL", "loop test on a chunk's carried pairs: its length, public"},
+	{"planeRun", 40, "JE", "rec != nil: whether the sort records, public"},
+	{"replayRun", 1, "JLE", "loop test on the chunks: pair range, public"},
+	{"replayRun", 3, "JL", "min of the chunk bounds (run end, range end, record word end): public indices"},
+	{"replayRun", 3, "JG", "min of the chunk bounds (run end, range end, record word end): public indices"},
+	{"replayRun", 8, "JL", "loop test on a chunk's pairs: its length, public"},
+	{"planePairs", 1, "JLE", "loop test on pairs, public"},
+	{"planePairs", 8, "JE", "k1 != nil: the number of key planes, public"},
+	{"planePairs", 16, "JE", "k1 != nil: the number of key planes, public"},
+	{"planePairs", 21, "JE", "v != nil: the number of carried planes, public"},
+	{"planePairs", 26, "JE", "rec != nil: whether the sort records, public"},
+	{"replayPairs", 1, "JLE", "loop test on pairs, public"},
+	{"planeTail", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
+	{"planeTail", 1, "JLE", "loop test on the 8-slot blocks: block range, public"},
+	{"planeTail", 5, "JE", "k1 == nil: the number of key planes, public"},
+	{"planeTail", 10, "JE", "v != nil: the number of carried planes, public"},
+	{"planeTail", 13, "JE", "rec != nil: whether the sort records, public"},
+	{"replayTail", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
+	{"replayTail", 1, "JLE", "loop test on the 8-slot blocks: block range, public"},
+	{"sort8x2", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
 	{"DivU64", 2, "JGE", "loop test on the step counter: 64 steps for every operand"},
 }
 

@@ -41,7 +41,12 @@ import (
 // both positions are rewritten with mask-selected words, so neither the
 // address sequence nor the branch history of a leaf depends on the data
 // (TestCompiledKernelsBranchFree checks the compiled raw kernels). Wider
-// schedules take the per-access loop under every executor.
+// schedules take the per-access loop under every executor. The raw plane
+// and replay kernels also fuse the last three layers of a merge stage
+// (strides 4, 2 and 1) into one tail pass over 8-slot blocks, whose words
+// are compare-exchanged in registers, with the outcomes and record bits of
+// the three layers; the per-access path and the element comparator run
+// every layer, so no trace moves.
 
 // posWords packs the TiePos triple of e into two words ordered
 // lexicographically like PosAfter: (non-Real bit, Tag), then Aux.
@@ -150,12 +155,45 @@ func (k CexKernel) layer(c *forkjoin.Ctx, q, gap, cnt, j int, alt bool, lo, hi i
 // Merge runs a bitonic merge of m elements on each of nb blocks, block b
 // starting at b·gap: log2 m half-cleaner layers (distances m/2 down to 1),
 // each one Layer, ascending — or, with alt, ascending only in even blocks.
-// Recording, layer l's bits start at q + l·nb·m/2.
+// Recording, layer l's bits start at q + l·nb·m/2. When the blocks are
+// contiguous (gap = m) and k fuses (see CexKernel.fuses), the last three
+// layers run as one tail pass over 8-slot blocks, forked like a Layer, with
+// the same outcomes and record bits.
 func Merge(c *forkjoin.Ctx, k CexKernel, q, nb, gap, m int, alt bool) {
+	period := 0
+	if alt {
+		period = m
+	}
+	fused := gap == m && k.fuses(false, m, period, q)
 	for j := m >> 1; j > 0; j >>= 1 {
+		if fused && j == 4 {
+			tail(c, k, q, nb*m, period)
+			return
+		}
 		Layer(c, k, q, nb, gap, m>>1, j, alt)
 		q += nb * m >> 1
 	}
+}
+
+// tail runs the layers at strides 4, 2 and 1 of a merge over the n slots of
+// k — replaying, at strides 1, 2 and 4 — whose stride-4 layer records at
+// bit q, as one fork tree over the 8-slot blocks. A leaf of passGrain/4
+// blocks covers passGrain comparators of each layer, so when the tail
+// forks (n > 2·passGrain, q a multiple of 64, as Layer requires) each
+// leaf's bits are whole words. k must fuse.
+func tail(c *forkjoin.Ctx, k CexKernel, q, n, period int) {
+	if n <= 2*passGrain {
+		k.tail(0, 0, n, period, true, q, n>>1)
+		return
+	}
+	tailForked(c, k, q, n, period)
+}
+
+// tailForked is tail's fork tree, kept apart for the reason layerForked is.
+func tailForked(c *forkjoin.Ctx, k CexKernel, q, n, period int) {
+	forkjoin.ParallelRange(c, 0, n>>3, passGrain>>2, func(_ *forkjoin.Ctx, lo, hi int) {
+		k.tail(0, lo<<3, hi<<3, period, true, q, n>>1)
+	})
 }
 
 // Stages runs the first log2 K stages of Batcher's bitonic sort over the n
@@ -300,10 +338,14 @@ func (k *CexKernel) pairs(lo, stride, u0, u1, period int, asc bool, q int) {
 // planes is the plane sort of pairs: per access it reads every plane at
 // both positions of a pair, compares, rewrites both positions of every
 // plane and, recording, reads and rewrites the bit's word; raw, it is one
-// planeRun.
+// planeRun (planePairs below runMin).
 func (k *CexKernel) planes(lo, stride, u0, u1, period int, asc bool, q int) {
 	if k.k0 != nil {
-		planeRun(k.k0, k.k1, k.v, lo, stride, u0, u1, period, descMask(asc), k.bits, q)
+		run := planeRun
+		if stride < runMin {
+			run = planePairs
+		}
+		run(k.k0, k.k1, k.v, lo, stride, u0, u1, period, descMask(asc), k.bits, q)
 		return
 	}
 	c := k.c
@@ -345,12 +387,16 @@ func (k *CexKernel) planes(lo, stride, u0, u1, period int, asc bool, q int) {
 // replay is the replay of pairs: it exchanges the words of every plane at
 // both positions of pair u iff bit q+u is set. Per access it reads the
 // bit's word, then reads and rewrites both positions of each plane; raw,
-// it is replayRun once per plane.
+// it is replayRun (replayPairs below runMin) once per plane.
 func (k *CexKernel) replay(lo, stride, u0, u1, q int) {
 	if k.k0 != nil {
-		replayRun(k.k0, lo, stride, u0, u1, k.bits, q)
+		run := replayRun
+		if stride < runMin {
+			run = replayPairs
+		}
+		run(k.k0, lo, stride, u0, u1, k.bits, q)
 		if k.k1 != nil {
-			replayRun(k.k1, lo, stride, u0, u1, k.bits, q)
+			run(k.k1, lo, stride, u0, u1, k.bits, q)
 		}
 		return
 	}
@@ -378,11 +424,12 @@ func (k *CexKernel) replay(lo, stride, u0, u1, q int) {
 // descending otherwise — period 0 is a merge layer (one direction), period
 // k the layer of a bitonic sort building sorted sequences of length k. A
 // recording plane kernel or a replaying one keeps the layer's n/2 swap
-// bits at q.., pair t of the run at i0 as bit q + i0/2 + t. It is the
-// serial leaf loop of the bitonic sorts: unlike the forked Layer it does
-// no per-run index arithmetic, which matters at strides 1 and 2. The plane
-// and replay modes take the whole layer in one loop (a word move is too
-// cheap to pay a call per run of one pair).
+// bits at q.., pair t of the run at i0 as bit q + i0/2 + t. Unlike the
+// forked Layer it does no per-run index arithmetic of its own. The plane
+// and replay modes take the whole layer in one raw kernel call, which
+// walks each run as contiguous sub-slices, or pair by pair when runs are
+// shorter than runMin (a word move is too cheap to pay a call per run of
+// one pair). The bitonic leaves reach it through Merge and Unmerge.
 func (k *CexKernel) Layer(lo, n, stride, period int, asc bool, q int) {
 	if k.a == nil {
 		k.pairs(lo, stride, 0, n>>1, period, asc, q)
@@ -391,6 +438,67 @@ func (k *CexKernel) Layer(lo, n, stride, period int, asc bool, q int) {
 	for i0 := 0; i0 < n; i0 += 2 * stride {
 		k.run(lo+i0, stride, stride, (i0&period == 0) == asc)
 	}
+}
+
+// Merge runs the bitonic merges of the blocks of p slots of [lo, lo+n): the
+// butterfly layers at strides p/2 down to 1, each one Layer(lo, n, j,
+// period, asc, q) with q advancing n/2 per layer. It is the serial leaf
+// loop of the bitonic sorts and merges. On a kernel that fuses, the layers
+// at strides 4, 2 and 1 run as one tail pass over 8-slot blocks, with the
+// outcomes and record bits of the three Layers.
+func (k *CexKernel) Merge(lo, n, p, period int, asc bool, q int) {
+	fused := k.fuses(false, p, period, q)
+	for j := p >> 1; j > 0; j >>= 1 {
+		if fused && j == 4 {
+			k.tail(lo, 0, n, period, asc, q, n>>1)
+			return
+		}
+		k.Layer(lo, n, j, period, asc, q)
+		q += n >> 1
+	}
+}
+
+// Unmerge replays Merge(lo, n, p, _, _, q) backwards on a replay kernel: the
+// layers at strides 1 up to p/2, the first three fused when the kernel
+// fuses.
+func (k *CexKernel) Unmerge(lo, n, p, q int) {
+	j, l := 1, Log2(p)-1 // l: the merge's index of the layer at stride j
+	if k.fuses(true, p, 0, q) {
+		k.tail(lo, 0, n, 0, true, q+(l-2)*(n>>1), n>>1)
+		j, l = 8, l-3
+	}
+	for ; j < p; j, l = j<<1, l-1 {
+		k.Layer(lo, n, j, 0, true, q+l*(n>>1))
+	}
+}
+
+// fuses reports whether a merge of blocks of p slots at the given period,
+// recording from bit q — or, replaying, its undoing — runs the three
+// layers at strides 4, 2 and 1 as one tail pass: only the raw plane kernel
+// merging and the raw replay kernel undoing a merge do (the element
+// comparator and the per-access path run every layer, and a kernel run in
+// the other order runs its layers one by one), and only for p >= 8, a
+// period of 0 or a multiple of 8 — one direction per 8-slot block — and q
+// on a 4-bit boundary, so a layer's four bits of a block lie in one record
+// word. Every input is public.
+func (k *CexKernel) fuses(replay bool, p, period, q int) bool {
+	return k.a == nil && k.k0 != nil && (k.nkey == 0) == replay && p >= 8 && period&7 == 0 && q&3 == 0
+}
+
+// tail runs the layers at strides 4, 2 and 1 — replaying, 1, 2 and 4 — over
+// the 8-slot blocks at base+o, o0 <= o < o1 (multiples of 8), as Layer(base,
+// 2h, j, period, asc, q + l·h) for the layers l = 0, 1, 2 at j = 4, 2, 1
+// would over those blocks: a block's direction is asc flipped when o&period
+// is set, and its bits in layer l are q + l·h + o/2 .. +3. k must fuse.
+func (k *CexKernel) tail(base, o0, o1, period int, asc bool, q, h int) {
+	if k.nkey == 0 {
+		replayTail(k.k0, base, o0, o1, k.bits, q, h)
+		if k.k1 != nil {
+			replayTail(k.k1, base, o0, o1, k.bits, q, h)
+		}
+		return
+	}
+	planeTail(k.k0, k.k1, k.v, base, o0, o1, period, descMask(asc), k.bits, q, h)
 }
 
 // cexRun is run over raw slices at width 1 (k1 nil) or 2. "x sorts after y"
@@ -433,16 +541,106 @@ func cexRun(e []Elem, k0, k1 []uint64, i, j, cnt int, desc uint64) {
 	}
 }
 
-// planeRun is planes over raw slices: one or two key planes (k1 nil or
-// not), at most one carried plane (v nil or not) and an optional record
-// (rec nil or not) — all public. "x sorts after y" is the borrow out of the
+// runMin is the shortest run the raw plane and replay kernels walk as
+// contiguous chunks (planeRun, replayRun); layers with shorter runs go one
+// pair at a time (planePairs, replayPairs). Measured on one 2^9-pair
+// layer over one key plane and one carried plane, recording: at stride 1,
+// chunks of one pair cost 2–4× the pair-at-a-time loop; at stride 8 the
+// two are level, and from stride 16 on the chunks win.
+const runMin = 8
+
+// planeRun is planes over raw slices, for runs of at least runMin pairs:
+// one or two key planes (k1 nil or not), at most one carried plane (v nil
+// or not) and an optional record (rec nil or not) — all public. It walks
+// the pairs in chunks that lie in one run and whose bits lie in one record
+// word, each chunk a pair of contiguous sub-slices, so the loop over a
+// chunk's pairs does no index arithmetic; the chunk's direction mask is
+// desc flipped when its run's offset i0 has the period bit set, which is
+// arithmetic on public indices: (f | −f) >> 63 is f != 0 as a bit. "x
+// sorts after y" is the borrow out of the multiword subtraction y − x, as
+// in cexRun. Both positions of every plane are rewritten with
+// mask-selected words, the swap masks' low bits gather in a register, and
+// one masked store writes a chunk's bits, so no branch depends on the
+// data.
+func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
+	for u := u0; u < u1; {
+		off, b := u&(stride-1), q+u
+		cnt := min(stride-off, u1-u, 64-b&63)
+		i0 := (u - off) << 1
+		i, j := lo+i0+off, lo+i0+off+stride
+		f := uint64(i0 & period)
+		dir := desc ^ -((f | -f) >> 63)
+		xs := k0[i : i+cnt]
+		ys := k0[j:][:len(xs)]
+		var x1, y1 []uint64
+		if k1 != nil {
+			x1, y1 = k1[i:][:len(xs)], k1[j:][:len(xs)]
+		}
+		var r uint64
+		for t, x := range xs {
+			y := ys[t]
+			var after uint64
+			if k1 != nil {
+				_, after = bits.Sub64(y1[t], x1[t], 0)
+			}
+			_, after = bits.Sub64(y, x, after)
+			m := -after ^ dir
+			d := (x ^ y) & m
+			xs[t], ys[t] = x^d, y^d
+			if k1 != nil {
+				x, y = x1[t], y1[t]
+				d = (x ^ y) & m
+				x1[t], y1[t] = x^d, y^d
+			}
+			r |= m & 1 << (t & 63)
+		}
+		if v != nil {
+			xv, yv := v[i:][:len(xs)], v[j:][:len(xs)]
+			for t, x := range xv {
+				y := yv[t]
+				d := (x ^ y) & -(r >> (t & 63) & 1)
+				xv[t], yv[t] = x^d, y^d
+			}
+		}
+		if rec != nil {
+			w, s := &rec[b>>6], b&63
+			*w = *w&^(^uint64(0)>>(64-cnt)<<s) | r<<s
+		}
+		u += cnt
+	}
+}
+
+// replayRun is replay over one raw word plane, in planeRun's chunks: a
+// chunk's bits are one word load, and each pair exchanges with mask
+// arithmetic — d := (x^y)&m, m the bit widened to a mask — so the loads,
+// stores and branches are those of every other outcome.
+func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
+	for u := u0; u < u1; {
+		off, b := u&(stride-1), q+u
+		cnt := min(stride-off, u1-u, 64-b&63)
+		i := lo + (u-off)<<1 + off
+		r := rec[b>>6] >> (b & 63)
+		xs := p[i : i+cnt]
+		ys := p[i+stride:][:len(xs)]
+		for t, x := range xs {
+			y := ys[t]
+			d := (x ^ y) & -(r >> (t & 63) & 1)
+			xs[t], ys[t] = x^d, y^d
+		}
+		u += cnt
+	}
+}
+
+// planePairs is planeRun one pair at a time, for layers whose runs are
+// shorter than runMin pairs: a chunk of one or two pairs would cost more
+// in setup than the pair. "x sorts after y" is the borrow out of the
 // multiword subtraction y − x, as in cexRun, and pair u's direction mask
 // is desc flipped when its run's offset i0 has the period bit set, which
 // is arithmetic on public indices: (f | −f) >> 63 is f != 0 as a bit.
 // Both positions of every plane are rewritten with mask-selected words and
 // the swap mask's low bit is stored as bit q+u, so no branch depends on
 // the data.
-func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
+func planePairs(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
 	for u := u0; u < u1; u++ {
 		i0 := (u &^ (stride - 1)) << 1
 		i := lo + i0 + u&(stride-1)
@@ -476,10 +674,11 @@ func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, r
 	}
 }
 
-// replayRun is replay over one raw word plane, exchanging with mask
-// arithmetic — d := (x^y)&m, m the bit widened to a mask — so the loads,
-// stores and branches are those of every other outcome.
-func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
+// replayPairs is replayRun one pair at a time, for the reason planePairs
+// is: it exchanges with mask arithmetic — d := (x^y)&m, m the bit widened
+// to a mask — so the loads, stores and branches are those of every other
+// outcome.
+func replayPairs(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
 	for u := u0; u < u1; u++ {
 		i := lo + (u&^(stride-1))<<1 + u&(stride-1)
 		b := q + u
@@ -489,3 +688,169 @@ func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
 		p[i], p[i+stride] = x^d, y^d
 	}
 }
+
+// planeTail is the plane mode of tail over raw slices, with planeRun's
+// planes and comparator: each 8-slot block is one call of sort8 (sort8x2
+// on two key planes), which compare-exchanges the block's key words in
+// place and returns each layer's four swap bits, one move8 of the carried
+// block by those bits, and one masked word update per layer's bits. Its
+// branches test which planes and whether a record exist, all public.
+func planeTail(k0, k1, v []uint64, base, o0, o1, period int, desc uint64, rec []uint64, q, h int) {
+	for o := o0; o < o1; o += 8 {
+		f := uint64(o & period)
+		dir := desc ^ -((f | -f) >> 63)
+		var r4, r2, r1 uint64
+		if k1 == nil {
+			r4, r2, r1 = sort8((*[8]uint64)(k0[base+o:]), dir)
+		} else {
+			r4, r2, r1 = sort8x2((*[8]uint64)(k0[base+o:]), (*[8]uint64)(k1[base+o:]), dir)
+		}
+		if v != nil {
+			move8((*[8]uint64)(v[base+o:]), r4, r2, r1)
+		}
+		if rec != nil {
+			b := q + o>>1
+			setNibble(rec, b, r4)
+			setNibble(rec, b+h, r2)
+			setNibble(rec, b+2*h, r1)
+		}
+	}
+}
+
+// replayTail is the replay mode of tail over one raw word plane: per 8-slot
+// block, the three layers' nibbles of bits and one unmove8.
+func replayTail(p []uint64, base, o0, o1 int, rec []uint64, q, h int) {
+	for o := o0; o < o1; o += 8 {
+		b := q + o>>1
+		unmove8((*[8]uint64)(p[base+o:]), getNibble(rec, b), getNibble(rec, b+h), getNibble(rec, b+2*h))
+	}
+}
+
+// sort8 runs the butterfly layers at strides 4 (pairs 0–4, 1–5, 2–6, 3–7),
+// 2 (0–2, 1–3, 4–6, 5–7) and 1 (0–1, 2–3, 4–5, 6–7) over the key block x
+// in direction dir, and returns each layer's swap bits, pair t as bit t.
+// The block's words are loaded once, exchanged in registers and stored
+// once: no bounds check, no index arithmetic, no branch, and no layer
+// waits on a store of the one before it.
+func sort8(x *[8]uint64, dir uint64) (r4, r2, r1 uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	var m0, m1, m2, m3 uint64
+	a0, a4, m0 = cs(a0, a4, dir)
+	a1, a5, m1 = cs(a1, a5, dir)
+	a2, a6, m2 = cs(a2, a6, dir)
+	a3, a7, m3 = cs(a3, a7, dir)
+	r4 = nibble(m0, m1, m2, m3)
+	a0, a2, m0 = cs(a0, a2, dir)
+	a1, a3, m1 = cs(a1, a3, dir)
+	a4, a6, m2 = cs(a4, a6, dir)
+	a5, a7, m3 = cs(a5, a7, dir)
+	r2 = nibble(m0, m1, m2, m3)
+	a0, a1, m0 = cs(a0, a1, dir)
+	a2, a3, m1 = cs(a2, a3, dir)
+	a4, a5, m2 = cs(a4, a5, dir)
+	a6, a7, m3 = cs(a6, a7, dir)
+	x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	return r4, r2, nibble(m0, m1, m2, m3)
+}
+
+// sort8x2 is sort8 on the two-word keys of the blocks x (more significant)
+// and y.
+func sort8x2(x, y *[8]uint64, dir uint64) (r4, r2, r1 uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	b0, b1, b2, b3, b4, b5, b6, b7 := y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7]
+	var m0, m1, m2, m3 uint64
+	a0, a4, b0, b4, m0 = cs2(a0, a4, b0, b4, dir)
+	a1, a5, b1, b5, m1 = cs2(a1, a5, b1, b5, dir)
+	a2, a6, b2, b6, m2 = cs2(a2, a6, b2, b6, dir)
+	a3, a7, b3, b7, m3 = cs2(a3, a7, b3, b7, dir)
+	r4 = nibble(m0, m1, m2, m3)
+	a0, a2, b0, b2, m0 = cs2(a0, a2, b0, b2, dir)
+	a1, a3, b1, b3, m1 = cs2(a1, a3, b1, b3, dir)
+	a4, a6, b4, b6, m2 = cs2(a4, a6, b4, b6, dir)
+	a5, a7, b5, b7, m3 = cs2(a5, a7, b5, b7, dir)
+	r2 = nibble(m0, m1, m2, m3)
+	a0, a1, b0, b1, m0 = cs2(a0, a1, b0, b1, dir)
+	a2, a3, b2, b3, m1 = cs2(a2, a3, b2, b3, dir)
+	a4, a5, b4, b5, m2 = cs2(a4, a5, b4, b5, dir)
+	a6, a7, b6, b7, m3 = cs2(a6, a7, b6, b7, dir)
+	x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7] = b0, b1, b2, b3, b4, b5, b6, b7
+	return r4, r2, nibble(m0, m1, m2, m3)
+}
+
+// move8 exchanges the pairs of the carried block w that sort8 exchanged,
+// from the swap bits it returned, in registers like sort8.
+func move8(w *[8]uint64, r4, r2, r1 uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+	a0, a4 = sw(a0, a4, r4)
+	a1, a5 = sw(a1, a5, r4>>1)
+	a2, a6 = sw(a2, a6, r4>>2)
+	a3, a7 = sw(a3, a7, r4>>3)
+	a0, a2 = sw(a0, a2, r2)
+	a1, a3 = sw(a1, a3, r2>>1)
+	a4, a6 = sw(a4, a6, r2>>2)
+	a5, a7 = sw(a5, a7, r2>>3)
+	a0, a1 = sw(a0, a1, r1)
+	a2, a3 = sw(a2, a3, r1>>1)
+	a4, a5 = sw(a4, a5, r1>>2)
+	a6, a7 = sw(a6, a7, r1>>3)
+	w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = a0, a1, a2, a3, a4, a5, a6, a7
+}
+
+// unmove8 undoes move8(w, r4, r2, r1): the layers in reverse.
+func unmove8(w *[8]uint64, r4, r2, r1 uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+	a0, a1 = sw(a0, a1, r1)
+	a2, a3 = sw(a2, a3, r1>>1)
+	a4, a5 = sw(a4, a5, r1>>2)
+	a6, a7 = sw(a6, a7, r1>>3)
+	a0, a2 = sw(a0, a2, r2)
+	a1, a3 = sw(a1, a3, r2>>1)
+	a4, a6 = sw(a4, a6, r2>>2)
+	a5, a7 = sw(a5, a7, r2>>3)
+	a0, a4 = sw(a0, a4, r4)
+	a1, a5 = sw(a1, a5, r4>>1)
+	a2, a6 = sw(a2, a6, r4>>2)
+	a3, a7 = sw(a3, a7, r4>>3)
+	w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = a0, a1, a2, a3, a4, a5, a6, a7
+}
+
+// cs compare-exchanges the key words x and y in direction dir — it swaps
+// them iff "x sorts after y", the borrow out of y − x, differs from dir —
+// and returns them with the swap mask.
+func cs(x, y, dir uint64) (uint64, uint64, uint64) {
+	_, after := bits.Sub64(y, x, 0)
+	m := -after ^ dir
+	d := (x ^ y) & m
+	return x ^ d, y ^ d, m
+}
+
+// cs2 is cs on the two-word keys (x, xl) and (y, yl), x and y the more
+// significant words.
+func cs2(x, y, xl, yl, dir uint64) (uint64, uint64, uint64, uint64, uint64) {
+	_, after := bits.Sub64(yl, xl, 0)
+	_, after = bits.Sub64(y, x, after)
+	m := -after ^ dir
+	d, dl := (x^y)&m, (xl^yl)&m
+	return x ^ d, y ^ d, xl ^ dl, yl ^ dl, m
+}
+
+// sw exchanges x and y iff the low bit of r is set.
+func sw(x, y, r uint64) (uint64, uint64) {
+	d := (x ^ y) & -(r & 1)
+	return x ^ d, y ^ d
+}
+
+// nibble packs the low bits of four swap masks, the first lowest.
+func nibble(m0, m1, m2, m3 uint64) uint64 {
+	return m0&1 | m1&1<<1 | m2&1<<2 | m3&1<<3
+}
+
+// setNibble writes the four bits r as bits b..b+3 of rec (b a multiple of
+// 4) with one masked word update; getNibble reads them back.
+func setNibble(rec []uint64, b int, r uint64) {
+	w, s := &rec[b>>6], b&60
+	*w = *w&^(15<<s) | r<<s
+}
+
+func getNibble(rec []uint64, b int) uint64 { return rec[b>>6] >> (b & 60) & 15 }

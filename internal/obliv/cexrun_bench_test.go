@@ -9,10 +9,12 @@ import (
 )
 
 // BenchmarkCexRun times one raw width-1 run of 2^9 pairs (a leaf's longest
-// run, L1-resident) over three key orders, in two modes: the element
-// comparator (TiePos), and the plane comparator over one key plane and one
+// run, L1-resident) over three key orders, in three modes: the element
+// comparator (TiePos); the plane comparator over one key plane and one
 // carried plane, recording each pair's swap bit — the PRAM merge's
-// comparator. The three orders must cost the same in each mode: the
+// comparator; and the fused tail of the same plane kernel, the layers at
+// strides 4, 2 and 1 over the run's 2^10 slots in 8-slot blocks (3·2^9
+// pairs). The three orders must cost the same in each mode: the
 // comparator turns the outcome into a mask, so an always-hold input
 // (sorted), an always-swap input (reverse) and a coin-flip input (random)
 // retire the same instructions with the same branch history. A
@@ -28,13 +30,10 @@ func BenchmarkCexRun(b *testing.B) {
 		{"random", func(src *prng.Source, _ int) uint64 { return src.Uint64n(1 << 40) }},
 		{"reverse", func(_ *prng.Source, i int) uint64 { return uint64(2*pairs - i) }},
 	}
-	for _, planes := range []bool{false, true} {
+	for _, mode := range []string{"", "planes-record-", "tail-record-"} {
+		planes := mode != ""
 		for _, o := range orders {
-			name := o.name
-			if planes {
-				name = "planes-record-" + name
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(mode+o.name, func(b *testing.B) {
 				sp := mem.NewSpace()
 				src := prng.New(9)
 				in := make([]Elem, 2*pairs)
@@ -45,7 +44,7 @@ func BenchmarkCexRun(b *testing.B) {
 				ks := AllocKeySchedule(sp, 2*pairs, 2) // plane 1: the carried value
 				var kern CexKernel
 				if planes {
-					kern = NewCexKernelPlanes(forkjoin.Serial(), ks, 1, mem.Alloc[uint64](sp, pairs/64))
+					kern = NewCexKernelPlanes(forkjoin.Serial(), ks, 1, mem.Alloc[uint64](sp, 3*pairs/64))
 				} else {
 					kern = NewCexKernel(forkjoin.Serial(), a, &KeySchedule{planes: ks.planes[:1]})
 				}
@@ -61,13 +60,20 @@ func BenchmarkCexRun(b *testing.B) {
 						ks.Plane(1).Data()[j] = e.Val
 					}
 					b.StartTimer()
-					if planes {
-						kern.pairs(0, pairs, 0, pairs, 0, true, 0)
-					} else {
+					switch mode {
+					case "":
 						kern.run(0, pairs, pairs, true)
+					case "planes-record-":
+						kern.pairs(0, pairs, 0, pairs, 0, true, 0)
+					default:
+						kern.tail(0, 0, 2*pairs, 0, true, 0, pairs)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+				perRun := pairs
+				if mode == "tail-record-" {
+					perRun = 3 * pairs
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(perRun), "ns/pair")
 			})
 		}
 	}

@@ -220,7 +220,12 @@ func mergePlanes(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint64]
 // alone.
 func unmergeBitonic(c *forkjoin.Ctx, ws *KeySchedule, n int, rec *mem.Array[uint64]) {
 	k := NewCexKernelReplay(c, ws, rec)
-	for j, l := 1, Log2(n)-1; j < n; j, l = j<<1, l-1 {
+	j, l := 1, Log2(n)-1 // l: the merge's index of the layer at stride j
+	if k.fuses(true, n, 0, 0) {
+		tail(c, k, (l-2)*(n>>1), n, 0)
+		j, l = 8, l-3
+	}
+	for ; j < n; j, l = j<<1, l-1 {
 		Layer(c, k, l*(n>>1), 1, n, n>>1, j, false)
 	}
 }

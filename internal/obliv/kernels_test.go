@@ -484,13 +484,14 @@ func TestScansMatchPerAccess(t *testing.T) {
 // TestLayerLeafAllocatesNothing: an unmetered layer of at most passGrain
 // comparators runs as one leaf with no fork tree, and its block comparator
 // stays on the stack — a merge or route of a small PRAM shape pays no heap
-// object per layer. Each of the three modes is checked.
+// object per layer, nor for its fused tail. Each of the three modes is
+// checked, on a Layer and on a whole Merge.
 func TestLayerLeafAllocatesNothing(t *testing.T) {
 	const n = 2 * passGrain
 	c, sp := forkjoin.Serial(), mem.NewSpace()
 	a, ks := dupHeavyInput(sp, 5, n, 1)
 	ws := AllocKeySchedule(sp, n, 2)
-	rec := mem.Alloc[uint64](sp, passGrain/64)
+	rec := mem.Alloc[uint64](sp, mergeRecordWords(n))
 	kernels := map[string]CexKernel{
 		"elements": NewCexKernel(c, a, ks),
 		"planes":   NewCexKernelPlanes(c, ws, 1, rec),
@@ -499,6 +500,9 @@ func TestLayerLeafAllocatesNothing(t *testing.T) {
 	for name, k := range kernels {
 		if got := testing.AllocsPerRun(20, func() { Layer(c, k, 0, 1, n, passGrain, passGrain, false) }); got != 0 {
 			t.Errorf("%s: a %d-comparator layer allocates %v objects, want 0", name, passGrain, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { Merge(c, k, 0, 1, n, n, false) }); got != 0 {
+			t.Errorf("%s: a %d-slot merge allocates %v objects, want 0", name, n, got)
 		}
 	}
 }
