@@ -118,13 +118,14 @@ fuzz-smoke:
 # lane-retirement / drain (running and queued stragglers) / disconnect pins
 # in internal/serve, the
 # session-level cancellation and poisoning tests at the root (the graph
-# operators' plane sorts tripping the sort-pass fault site included), and
+# operators' plane sorts and the one sort of Lookup, Join and GroupTotals
+# tripping the sort-pass fault site included), and
 # the pool cancellation/panic-isolation and sort-pass count tests in
 # internal/forkjoin. Bounded well under a minute; the faultinject registry
 # is process-global, so the legs run package by package.
 chaos-smoke:
 	$(GO) test -race ./internal/serve -run 'TestChaos|TestQueryTimeout|TestLaneRetired|TestShutdownDrain|TestClientDisconnect' -count 1
-	$(GO) test -race . -run 'TestCancelCtxAfterFirstSortPass|TestGraphSortPassInjection|TestSessionCancelMidQuery|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
+	$(GO) test -race . -run 'TestCancelCtxAfterFirstSortPass|TestGraphSortPassInjection|TestSendReceiveSortPassInjection|TestSessionCancelMidQuery|TestRunQueryCtx|TestPanic|TestUntrippedToken|TestCtxWatcher' -count 1
 	$(GO) test -race ./internal/forkjoin -run 'TestSerialCheck|TestRunCancel|TestForkPanic|TestCanceledError|TestSortPassCount' -count 1
 
 # serve-smoke is the end-to-end serving check: build oblivserve, start it

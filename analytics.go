@@ -3,6 +3,7 @@ package oblivmc
 import (
 	"fmt"
 
+	"oblivmc/internal/bitonic"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
@@ -15,10 +16,10 @@ import (
 // pattern depends only on the number of records: neither the group
 // structure nor the values leak. Group keys may repeat (they need not be
 // distinct); keys may span the full uint64 range below relops.KeyLimit and
-// the record count is bounded by relops.MaxRows — the schedule-derived
-// relational-layer bounds (the sorts run against an obliv.KeySchedule with
-// the in-register TiePos position tie-break rather than a packed
-// composite, so no bit-packing headroom constrains the key range).
+// the record count is bounded by relops.MaxRows. It is one recorded plane
+// sort by group with the value carried, a segmented run total
+// (obliv.RunTotals) and one un-sort, on the cache-agnostic bitonic network
+// whatever Config.SortBackend says; sums wrap modulo 2^64.
 func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error) {
 	n := len(groups)
 	if n == 0 {
@@ -36,55 +37,25 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 		}
 	}
 	out := make([]uint64, n)
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		// The two sorts run the configured relational backend: both are
-		// (key, position) schedules with distinct effective keys, so the
-		// shuffle composition applies above its crossover.
-		w := mem.Alloc[obliv.Elem](sp, obliv.NextPow2(n))
-		for i := 0; i < n; i++ {
-			w.Data()[i] = obliv.Elem{Key: groups[i], Val: values[i], Aux: uint64(i), Kind: obliv.Real}
-		}
-		m := w.Len()
-		ksort := obliv.NewKeyedSort(sp, m, e.srt)
-		// (key, position) order: one cached key plane, the position
-		// tie-break read in-register (TiePos) — deterministic under
-		// duplicate group keys, fillers (InfKey sentinel) last.
-		ksort.Sort(c, w, 0, m, func(e obliv.Elem) uint64 {
-			if e.Kind != obliv.Real {
-				return obliv.InfKey
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
+		// Two planes, the group key and the value; the padding keys InfKey
+		// and sorts last. One recorded sort by group carries the values,
+		// RunTotals gives every slot its group's total, and the un-sort
+		// takes each total home.
+		m := obliv.NextPow2(n)
+		planes, scr := mem.Alloc[uint64](sp, 2*m), mem.Alloc[uint64](sp, 2*m)
+		keys, vals := planes.View(0, m), planes.View(m, m)
+		for i := range m {
+			keys.Data()[i] = obliv.InfKey
+			if i < n {
+				keys.Data()[i], vals.Data()[i] = groups[i], values[i]
 			}
-			return e.Key
-		})
-		sameGroup := func(x, y obliv.Elem) bool {
-			return x.Kind == y.Kind && (x.Kind != obliv.Real || x.Key == y.Key)
 		}
-		// Suffix sums per group; the group's first entry holds the total.
-		obliv.AggregateSuffixBy(c, sp, w, sameGroup,
-			func(e obliv.Elem) uint64 { return e.Val },
-			func(x, y uint64) uint64 { return x + y },
-			func(e obliv.Elem, i int, agg uint64) obliv.Elem {
-				e.Lbl = agg
-				return e
-			})
-		// Propagate the total from the group's first entry to everyone.
-		obliv.PropagateFirstBy(c, sp, w, sameGroup,
-			func(e obliv.Elem, i int) (uint64, bool) { return e.Lbl, e.Kind == obliv.Real },
-			func(e obliv.Elem, i int, v uint64, ok bool) obliv.Elem {
-				if ok {
-					e.Lbl = v
-				}
-				return e
-			})
-		// Back to input order (single-word position schedule).
-		ksort.Sort(c, w, 0, m, func(e obliv.Elem) uint64 {
-			if e.Kind != obliv.Real {
-				return obliv.InfKey
-			}
-			return e.Aux
-		})
-		for i := 0; i < n; i++ {
-			out[i] = w.Data()[i].Lbl
-		}
+		rec := mem.Alloc[uint64](sp, bitonic.RecordWords(c, m, 0))
+		bitonic.SortRecorded(c, obliv.NewKeySchedule(planes, m, 2), obliv.NewKeySchedule(scr, m, 2), 1, rec, m)
+		obliv.RunTotals(c, sp, keys, vals)
+		bitonic.Unsort(c, obliv.NewKeySchedule(vals, m, 1), obliv.NewKeySchedule(scr, m, 1), rec, m)
+		copy(out, vals.Data()[:n])
 	})
 	if err != nil {
 		return nil, nil, err
@@ -97,8 +68,9 @@ func GroupTotals(cfg Config, groups, values []uint64) ([]uint64, *Report, error)
 // reports whether the key exists. Table keys must be distinct; all keys
 // must be below relops.KeyLimit, the table key bound (ErrKeyTooLarge
 // otherwise). The access pattern depends only on the table and query
-// sizes. The routing sorts run the configured sort backend
-// (Config.SortBackend), like every other relational operation.
+// sizes. The routing is one obliv.SendReceivePlanes: one plane sort and one
+// un-sort on the cache-agnostic bitonic network, whatever
+// Config.SortBackend says.
 func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []bool, *Report, error) {
 	if len(tableKeys) == 0 || len(queries) == 0 {
 		return nil, nil, nil, ErrEmptyInput
@@ -120,7 +92,7 @@ func Lookup(cfg Config, tableKeys, tableVals, queries []uint64) ([]uint64, []boo
 
 // sendReceive is the one loader of the primary-key joins (Lookup, Join):
 // it loads n (key, value) sources src(i) and m destination keys dst(j),
-// routes them through one obliv.SendReceive under cfg, and returns, for
+// routes them through one obliv.SendReceivePlanes, and returns, for
 // each destination, the value of the source holding its key and whether
 // one does. Keys must be below relops.KeyLimit; a duplicated source key
 // is an error.
@@ -135,20 +107,17 @@ func sendReceive(cfg Config, n, m int, src func(i int) (key, val uint64), dst fu
 	}
 	vals := make([]uint64, m)
 	found := make([]bool, m)
-	rep, err := run(cfg, func(e exec, c *forkjoin.Ctx, sp *mem.Space) {
-		sources := mem.Alloc[obliv.Elem](sp, n)
+	rep, err := run(cfg, func(_ exec, c *forkjoin.Ctx, sp *mem.Space) {
+		srcKeys, srcVals, dstKeys := mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, n), mem.Alloc[uint64](sp, m)
 		for i := range n {
-			k, v := src(i)
-			sources.Data()[i] = obliv.Elem{Key: k, Val: v, Kind: obliv.Real}
+			srcKeys.Data()[i], srcVals.Data()[i] = src(i)
 		}
-		dests := mem.Alloc[obliv.Elem](sp, m)
 		for j := range m {
-			dests.Data()[j] = obliv.Elem{Key: dst(j), Kind: obliv.Real}
+			dstKeys.Data()[j] = dst(j)
 		}
-		routed := obliv.SendReceive(c, sp, sources, dests, e.srt)
-		for j, r := range routed.Data() {
-			vals[j] = r.Val
-			found[j] = r.Kind == obliv.Real
+		got, hit := obliv.SendReceivePlanes(c, sp, srcKeys, srcVals, dstKeys)
+		for j := range m {
+			vals[j], found[j] = got.Data()[j], hit.Data()[j] != 0
 		}
 	})
 	if err != nil {

@@ -522,15 +522,64 @@ func BenchmarkGroupByWide(b *testing.B) {
 // BenchmarkJoin times the public primary-key Join (one send-receive) on
 // the bitonic backend.
 func BenchmarkJoin(b *testing.B) {
-	for _, n := range relopsSizes {
+	for _, be := range []struct {
+		name string
+		cfg  Config
+	}{{"SortBitonic", Config{SortBackend: SortBitonic}}, {"SortAuto", Config{}}} {
+		for _, n := range relopsSizes {
+			b.Run(fmt.Sprintf("%s/n=%d", be.name, n), func(b *testing.B) {
+				// Left: primary relation with distinct keys; right: n records
+				// over the same key range.
+				left := Table{recs: benchdata.LeftRecords(n), width: 1}
+				right := Table{recs: benchRecords(n), width: 1}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Join(be.cfg, left, right); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
+			})
+		}
+	}
+}
+
+// sendRecvSizes are the sizes of the Lookup and GroupTotals benchmarks.
+var sendRecvSizes = []int{1 << 12, 1 << 16}
+
+// BenchmarkLookup routes n queries over the canonical records' keys
+// (hits and misses) against a table of n distinct keys, on the default
+// backend.
+func BenchmarkLookup(b *testing.B) {
+	for _, n := range sendRecvSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			// Left: primary relation with distinct keys; right: n records
-			// over the same key range.
-			left := Table{recs: benchdata.LeftRecords(n), width: 1}
-			right := Table{recs: benchRecords(n), width: 1}
+			keys, vals, queries := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+			for i, r := range benchRecords(n) {
+				keys[i], vals[i], queries[i] = uint64(2*i), r.Val, r.Key
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Join(Config{SortBackend: SortBitonic}, left, right); err != nil {
+				if _, _, _, err := Lookup(Config{}, keys, vals, queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
+		})
+	}
+}
+
+// BenchmarkGroupTotals totals the canonical records' values by key, on the
+// default backend.
+func BenchmarkGroupTotals(b *testing.B) {
+	for _, n := range sendRecvSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			groups, values := make([]uint64, n), make([]uint64, n)
+			for i, r := range benchRecords(n) {
+				groups[i], values[i] = r.Key, r.Val
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := GroupTotals(Config{}, groups, values); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,6 +28,12 @@ var replayCalls atomic.Int64
 // ReplayCalls returns the number of un-sorts since process start.
 func ReplayCalls() int64 { return replayCalls.Load() }
 
+// The network obliv's send-receive sorts its union on: obliv sits below
+// this package, so it cannot call SortRecorded itself.
+func init() {
+	obliv.PlaneNetwork.SortRecorded, obliv.PlaneNetwork.Unsort, obliv.PlaneNetwork.RecordWords = SortRecorded, Unsort, RecordWords
+}
+
 // CacheAgnostic is the obliv.ScheduledSorter backed by the paper's
 // cache-agnostic BITONIC-SORT (§E.1) on the cached-key comparator. It is
 // the sorter used by REC-ORBA, REC-SORT and all higher-level primitives in

@@ -218,11 +218,13 @@ func CompareExchangeCachedW(c *forkjoin.Ctx, a *mem.Array[Elem], ks *KeySchedule
 // strictly in place ignore them (nil is then permitted).
 //
 // This is the one sorter seam of element sorts: the relational and serving
-// layers call SortScheduled (the PRAM layer's word-plane sorts are not
-// sorter calls: they run the cache-agnostic bitonic network directly,
-// bitonic.SortRecorded), and the paper reproduction's closure-key call
-// sites (BinPlace, core's REC-ORBA / ORP / REC-SORT, internal/oram, the
-// experiments) call Sort on the same configured backend. Sort sorts
+// layers call SortScheduled, and the paper reproduction's closure-key call
+// sites (BinPlace, core's REC-ORBA / ORP / REC-SORT, internal/oram's path
+// sorts, the experiments) call Sort on the same configured backend. Word-plane
+// sorts are not sorter calls: the PRAM and graph layer's, send-receive's
+// union (SendReceive, SendReceivePlanes: Join, Lookup, the ORAM's
+// multicast) and GroupTotals' run the cache-agnostic bitonic network
+// directly (bitonic.SortRecorded), whatever the backend. Sort sorts
 // a[lo:lo+n) ascending by the one-word key closure, equal keys by TiePos:
 // every implementation builds the key plane in one fixed elementwise pass
 // and runs a keyed network (SortKeyed; the shuffle backend's is the
@@ -250,58 +252,20 @@ func (SelectionNetwork) SortScheduled(c *forkjoin.Ctx, _ *mem.Space, a *mem.Arra
 	}
 }
 
-// KeyedSort is the keyed-sort recipe of every call site without a
-// relops.Arena (the graph bulk steps, send-receive, GroupTotals):
-// it owns one width-1 key schedule, its scratch twin and the element
-// scratch, and reuses all three across a caller's consecutive sorts.
-type KeyedSort struct {
-	sp       *mem.Space
-	srt      ScheduledSorter
-	ks, kscr *KeySchedule
-	scr      *mem.Array[Elem]
-}
-
-// NewKeyedSort allocates from sp (the space srt also draws its working
-// memory from) the buffers for sorts of up to n elements through srt: key
-// plane, key scratch, element scratch, in that order (addresses are part
-// of the trace, so the order is fixed).
-func NewKeyedSort(sp *mem.Space, n int, srt ScheduledSorter) KeyedSort {
-	ks := AllocKeySchedule(sp, n, 1)
-	kscr := AllocKeySchedule(sp, n, 1)
-	return KeyedSort{sp: sp, srt: srt, ks: ks, kscr: kscr, scr: mem.Alloc[Elem](sp, n)}
-}
-
-// Sort sorts a[lo:lo+n) ascending by the single-word closure key: the key
-// words are materialized once into the schedule (one fixed elementwise
-// pass) and the backend orders the cached words, so every caller inherits
-// backend selection and the cached-key comparators.
-func (k KeyedSort) Sort(c *forkjoin.Ctx, a *mem.Array[Elem], lo, n int, key func(Elem) uint64) {
-	if lo != 0 {
-		// Keep the schedule and the sorted range index-aligned.
-		a = a.View(lo, n)
-	}
-	BuildKeySchedule(c, a, k.ks, 0, n, func(e Elem, out []uint64) { out[0] = key(e) })
-	k.SortLoaded(c, a, n)
-}
-
-// Keys returns the key plane, indexed identically to the sorted array, for
-// callers that write the key words themselves (SortLoaded) or read them
-// back after a sort — the plane moves through the network in lockstep with
-// the elements.
-func (k KeyedSort) Keys() *mem.Array[uint64] { return k.ks.Plane(0) }
-
-// SortLoaded sorts a[0:n) ascending by the words currently in Keys().
-func (k KeyedSort) SortLoaded(c *forkjoin.Ctx, a *mem.Array[Elem], n int) {
-	k.srt.SortScheduled(c, k.sp, a, k.ks, k.scr, k.kscr, 0, n)
-}
-
-// SortKeyed sorts a[0:n) ascending by the single-word closure key through a
-// one-shot KeyedSort. Key ties resolve by the elements' (Kind, Tag, Aux)
-// triple (TiePos), never by network topology, so the output permutation is
-// a deterministic function of the input on every backend.
+// SortKeyed sorts a[0:n) ascending by the single-word closure key through
+// srt: it allocates from sp (the space srt also draws its working memory
+// from) a key plane, its scratch twin and the element scratch, in that
+// order (addresses are part of the trace), materializes the key words in
+// one fixed elementwise pass, and sorts by the cached words. Key ties
+// resolve by the elements' (Kind, Tag, Aux) triple (TiePos), never by
+// network topology, so the output permutation is a deterministic function
+// of the input on every backend.
 func SortKeyed(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[Elem], n int, key func(Elem) uint64, srt ScheduledSorter) {
 	if n <= 1 {
 		return
 	}
-	NewKeyedSort(sp, n, srt).Sort(c, a, 0, n, key)
+	ks, kscr := AllocKeySchedule(sp, n, 1), AllocKeySchedule(sp, n, 1)
+	scr := mem.Alloc[Elem](sp, n)
+	BuildKeySchedule(c, a, ks, 0, n, func(e Elem, out []uint64) { out[0] = key(e) })
+	srt.SortScheduled(c, sp, a, ks, scr, kscr, 0, n)
 }

@@ -192,3 +192,54 @@ func AggregateSuffixBy[V any](
 		}
 	})
 }
+
+// RunTotals replaces every word of vals by the wrapping sum of vals over
+// its run — the maximal run of adjacent slots with equal keys — in two
+// scans: a segmented suffix sum (a prefix scan of the slots in reverse,
+// boundaries at the runs' ends), which leaves each run's total at its
+// first slot, then a propagation of that slot over the run. keys and vals
+// have one length, and the access pattern is a function of it alone.
+func RunTotals(c *forkjoin.Ctx, sp *mem.Space, keys, vals *mem.Array[uint64]) {
+	n := vals.Len()
+	if n == 0 {
+		return
+	}
+	s, p := mem.Alloc[segVal[uint64]](sp, n), mem.Alloc[propVal](sp, n)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			start, end := i == 0, i == n-1
+			key := keys.Get(c, i)
+			if !start {
+				prev := keys.Get(c, i-1)
+				c.Op(1)
+				start = prev != key
+			}
+			if !end {
+				next := keys.Get(c, i+1)
+				c.Op(1)
+				end = next != key
+			}
+			s.Set(c, n-1-i, segVal[uint64]{v: vals.Get(c, i), boundary: end})
+			p.Set(c, i, propVal{has: start, boundary: start})
+		}
+	})
+	ScanOp(c, sp, s, func(x, y segVal[uint64]) segVal[uint64] {
+		if y.boundary {
+			return y
+		}
+		return segVal[uint64]{v: x.v + y.v, boundary: x.boundary}
+	}, segVal[uint64]{}, true)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			q := p.Get(c, i)
+			q.v = s.Get(c, n-1-i).v
+			p.Set(c, i, q)
+		}
+	})
+	ScanOp(c, sp, p, propOp, propVal{}, true)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vals.Set(c, i, p.Get(c, i).v)
+		}
+	})
+}

@@ -9,82 +9,146 @@ import (
 // oblivious routing): sources hold (Key, Val) pairs with distinct keys;
 // each destination requests a Key and learns the corresponding Val, or ⊥
 // if no source holds it. The result array parallels dests: entry j has the
-// destination's Key, Aux = j, Val = the routed value, and Kind = Real if
-// the key was found, Filler otherwise (the ⊥ case). It is the engine's one
-// primary-key join: the public Join and Lookup and the ORAM's direct
-// accesses route through it, and (as Router.Route, its merge form over
-// word planes) every pram gather and scatter, which carry the graph
-// kernels — list ranking and the Euler tour included.
-//
-// Construction per [CS17]: O(1) oblivious sorts plus one oblivious
-// propagation, all within the sorting bound — with the cache-agnostic,
-// binary fork-join sorter this realizes the Table 2 "S-R" row. Cost: two
-// sorts of NextPow2(ns+nd) elements (the union by key, then back to
-// request order) and one propagation. The sorts run through the
-// ScheduledSorter key-schedule seam (one width-1 schedule reused across
-// both passes), so the routing inherits whichever backend the caller
-// selected and the cached-key comparators. The routing sort keys on the
-// bare Key: TiePos breaks equal keys by (Kind, Tag, Aux), so each key's
-// sources (tag 0) sort before its destinations (tag 1).
+// destination's Key, Aux = j, Val = the routed value (0 for ⊥), and Kind =
+// Real if the key was found, Filler otherwise (the ⊥ case). It is
+// SendReceivePlanes for callers that hold elements — internal/oram's
+// multicast and the experiments; the public Join and Lookup call the plane
+// form directly — and (as Router.Route, its merge form over word planes)
+// the engine routes every pram gather and scatter the same way.
 //
 // Entries of either array with Kind != Real are inert: a non-Real source
 // sends nothing, and a non-Real destination occupies its output slot but
-// sorts after every Real entry, so it always receives ⊥.
-//
-// Requirements: source and destination keys must be < InfKey (the filler
+// always receives ⊥. Keys take any value below InfKey (the filler
 // sentinel). If the distinct-keys promise is violated, the first source in
-// *input* order wins (the TiePos tie-break orders equal-key sources by
-// their original index, deterministically on every backend).
-func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], srt ScheduledSorter) *mem.Array[Elem] {
-	ns, nd := sources.Len(), dests.Len()
-	wLen := NextPow2(ns + nd)
-	w := mem.Alloc[Elem](sp, wLen) // unwritten slots are fillers
-	loadSources(c, w, sources)
-	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			d := dests.Get(c, j)
-			c.Op(1)
-			w.Set(c, ns+j, destEntry(d, uint64(j)))
-		}
-	})
-	// One schedule plus scratch, shared by both sorts.
-	ksort := NewKeyedSort(sp, wLen, srt)
-	// Sort by key with sources before destinations at equal keys.
-	ksort.Sort(c, w, 0, wLen, routeKey)
-
-	// Propagate each key-group's source value to the whole group.
-	PropagateFirst(c, sp, w, routeKey, sourceVal,
-		func(e Elem, i int, v uint64, ok bool) Elem {
-			if e.Kind == Real && e.Tag == tagDest {
-				e.Val = v
-				e.Mark = 0
-				if ok {
-					e.Mark = 1
-				}
-			}
-			return e
-		})
-
-	// Sort destinations back to request order; everything else last.
-	ksort.Sort(c, w, 0, wLen, func(e Elem) uint64 {
-		if e.Tag == tagDest {
-			return e.Aux
-		}
-		return InfKey
-	})
-
+// input order wins.
+//
+// The sorter is not used: the union sorts on the cache-agnostic bitonic
+// network whatever the backend, as every plane sort does. The parameter
+// stays for the benchmark harness's send-receive probe, which passes one.
+func SendReceive(c *forkjoin.Ctx, sp *mem.Space, sources, dests *mem.Array[Elem], _ ScheduledSorter) *mem.Array[Elem] {
+	nd := dests.Len()
+	vals, found := sendReceive(c, sp, sources.Len(), nd,
+		func(c *forkjoin.Ctx, i int) (uint64, uint64) {
+			s := sources.Get(c, i)
+			return realKey(c, s), s.Val
+		},
+		func(c *forkjoin.Ctx, j int) uint64 { return realKey(c, dests.Get(c, j)) })
 	out := mem.Alloc[Elem](sp, nd)
 	forkjoin.ParallelRange(c, 0, nd, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			e := w.Get(c, j)
-			r := Elem{Key: e.Key, Val: e.Val, Aux: e.Aux, Kind: Real}
-			if e.Mark == 0 {
-				r.Kind = Filler // ⊥: key not found
+			r := Elem{Key: dests.Get(c, j).Key, Val: vals.Get(c, j), Aux: uint64(j), Kind: Filler}
+			c.Op(1)
+			if found.Get(c, j) != 0 {
+				r.Kind = Real
 			}
 			out.Set(c, j, r)
 		}
 	})
 	return out
+}
+
+// realKey is the key e takes part in a send-receive under: its Key if it
+// is Real, else InfKey, which marks it inert.
+func realKey(c *forkjoin.Ctx, e Elem) uint64 {
+	c.Op(1)
+	if e.Kind != Real {
+		return InfKey
+	}
+	return e.Key
+}
+
+// SendReceivePlanes is send-receive over word planes (§F, [CS17]: O(1)
+// oblivious sorts plus one oblivious propagation): source i keys srcKeys[i]
+// and sends srcVals[i]; destination j keys dstKeys[j] and reads, into
+// vals[j], the value of the first source (in input order) with its key,
+// with found[j] = 1 — or, when no source has it (⊥), 0 and found[j] = 0.
+// Keys take any value below InfKey; InfKey marks an inert entry (a source
+// with it sends nothing, a destination with it reads ⊥). The access pattern
+// is a function of (ns, nd) alone.
+func SendReceivePlanes(c *forkjoin.Ctx, sp *mem.Space, srcKeys, srcVals, dstKeys *mem.Array[uint64]) (vals, found *mem.Array[uint64]) {
+	return sendReceive(c, sp, srcKeys.Len(), dstKeys.Len(),
+		func(c *forkjoin.Ctx, i int) (uint64, uint64) { return srcKeys.Get(c, i), srcVals.Get(c, i) },
+		func(c *forkjoin.Ctx, j int) uint64 { return dstKeys.Get(c, j) })
+}
+
+// sendReceive routes ns sources src(i) = (key, value) to nd destinations
+// keyed dst(j), as SendReceivePlanes. Cost: one recorded sort and one
+// un-sort of NextPow2(ns+nd) slots on the cache-agnostic bitonic network,
+// whatever the caller's sort backend, and one propagation scan. The union
+// is three word planes: the key, then the class and slot (a source that
+// sends is class 0, every other entry class 1), then the value. The sort
+// orders the first two, so each key's senders come first, in input order,
+// and carries the value. The scan hands every slot its run's first
+// sender's value and whether there is one, and the un-sort replays those
+// two planes back to the slots the destinations were loaded at.
+func sendReceive(c *forkjoin.Ctx, sp *mem.Space, ns, nd int, src func(c *forkjoin.Ctx, i int) (uint64, uint64), dst func(c *forkjoin.Ctx, j int) uint64) (vals, found *mem.Array[uint64]) {
+	n := NextPow2(ns + nd)
+	ws, scr := AllocKeySchedule(sp, n, 3), AllocKeySchedule(sp, n, 3)
+	keys, tags, vs := ws.planes[0], ws.planes[1], ws.planes[2]
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			key, cls, v := InfKey, uint64(1), uint64(0)
+			switch {
+			case p < ns:
+				key, v = src(c, p)
+				c.Op(1)
+				if key != InfKey {
+					cls = 0
+				}
+			case p < ns+nd:
+				key = dst(c, p-ns)
+			}
+			keys.Set(c, p, key)
+			tags.Set(c, p, cls<<63|uint64(p))
+			vs.Set(c, p, v)
+		}
+	})
+	rec := mem.Alloc[uint64](sp, PlaneNetwork.RecordWords(c, n, 0))
+	PlaneNetwork.SortRecorded(c, ws, scr, 2, rec, n)
+
+	// Every run of equal keys starts with its senders: the scan leaves at
+	// each slot the run's first sender's value and whether there is one,
+	// or its own value (0 at a destination) where there is none.
+	pv := mem.Alloc[propVal](sp, n)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key := keys.Get(c, i)
+			boundary := i == 0
+			if i > 0 {
+				prev := keys.Get(c, i-1)
+				c.Op(1)
+				boundary = prev != key
+			}
+			pv.Set(c, i, propVal{v: vs.Get(c, i), has: tags.Get(c, i)>>63 == 0, boundary: boundary})
+		}
+	})
+	ScanOp(c, sp, pv, propOp, propVal{}, true)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := pv.Get(c, i)
+			var f uint64
+			c.Op(1)
+			if p.has {
+				f = 1
+			}
+			tags.Set(c, i, f)
+			vs.Set(c, i, p.v)
+		}
+	})
+	PlaneNetwork.Unsort(c, &KeySchedule{planes: ws.planes[1:]}, &KeySchedule{planes: scr.planes[1:]}, rec, n)
+	return vs.View(ns, nd), tags.View(ns, nd)
+}
+
+// PlaneNetwork is the network send-receive sorts and un-sorts its union on:
+// bitonic.SortRecorded (a sort pass: the cancellation check, the sort.pass
+// fault site and one count on the run's token), bitonic.Unsort and
+// bitonic.RecordWords, the cache-agnostic network every plane sort runs.
+// Package bitonic builds that network from this package's comparator, so
+// it imports obliv and fills these in from its init; nothing else should.
+var PlaneNetwork struct {
+	SortRecorded func(c *forkjoin.Ctx, ws, wscr *KeySchedule, k int, rec *mem.Array[uint64], n int)
+	Unsort       func(c *forkjoin.Ctx, vs, vscr *KeySchedule, rec *mem.Array[uint64], n int)
+	RecordWords  func(c *forkjoin.Ctx, n, leaf int) int
 }
 
 // Router holds the work space of Route — the merge's two planes, its swap
@@ -261,58 +325,4 @@ func keyAt(c *forkjoin.Ctx, keys *mem.Array[uint64], i int) uint64 {
 // order and never collide.
 func routeWord(key, cls uint64) uint64 {
 	return key<<1 | cls | -(key >> 63)
-}
-
-const (
-	tagSource = 0
-	tagDest   = 1
-)
-
-// routeKey is the routing key of a work-array entry: a Real entry keys its
-// Key; a non-Real destination (Temp) keys InfKey-1, behind every Real
-// entry (TiePos puts non-Real after Real at equal keys) yet ahead of the
-// fillers in request order — the order a distinct per-slot key past every
-// real key gives, which the shuffle backend's sample-sort stage also sees;
-// fillers key InfKey.
-func routeKey(e Elem) uint64 {
-	switch e.Kind {
-	case Real:
-		return e.Key
-	case Temp:
-		return InfKey - 1
-	}
-	return InfKey
-}
-
-// sameRoute groups the routed work array: a run of equal routing keys.
-func sameRoute(x, y Elem) bool { return routeKey(x) == routeKey(y) }
-
-// sourceVal is the propagation's source: a Real source sends its Val.
-func sourceVal(e Elem, _ int) (uint64, bool) {
-	return e.Val, e.Kind == Real && e.Tag == tagSource
-}
-
-// destEntry is the work-array entry of a destination d tagged aux.
-func destEntry(d Elem, aux uint64) Elem {
-	e := Elem{Key: d.Key, Aux: aux, Tag: tagDest, Kind: Real}
-	if d.Kind != Real {
-		e.Kind = Temp // keyed past every source, so it comes back ⊥
-	}
-	return e
-}
-
-// loadSources writes the work-array entries of the sources into w[0:ns);
-// a non-Real source contributes a filler.
-func loadSources(c *forkjoin.Ctx, w *mem.Array[Elem], sources *mem.Array[Elem]) {
-	forkjoin.ParallelRange(c, 0, sources.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := sources.Get(c, i)
-			e := Elem{} // non-Real source slots contribute nothing
-			c.Op(1)
-			if s.Kind == Real {
-				e = Elem{Key: s.Key, Val: s.Val, Aux: uint64(i), Tag: tagSource, Kind: Real}
-			}
-			w.Set(c, i, e)
-		}
-	})
 }

@@ -2,12 +2,14 @@ package obliv_test
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/obliv/oblivtest"
 	"oblivmc/internal/prng"
 )
 
@@ -191,5 +193,75 @@ func TestRouterServesSmallerShapes(t *testing.T) {
 			}()
 			r.Route(c, nil, mem.Alloc[uint64](sp, 200), nil, nil, mem.Alloc[uint64](sp, 57))
 		})
+	}
+}
+
+// wantSendReceive is SendReceive's reference: a map from each key to the
+// first Real source holding it, in input order; a Real destination with a
+// key in it reads that source's value, every other one ⊥ (Filler, 0).
+func wantSendReceive(srcs, dsts []obliv.Elem) []obliv.Elem {
+	first := map[uint64]uint64{}
+	for _, s := range srcs {
+		if _, dup := first[s.Key]; s.Kind == obliv.Real && !dup {
+			first[s.Key] = s.Val
+		}
+	}
+	want := make([]obliv.Elem, len(dsts))
+	for j, d := range dsts {
+		want[j] = obliv.Elem{Key: d.Key, Aux: uint64(j), Kind: obliv.Filler}
+		if v, ok := first[d.Key]; ok && d.Kind == obliv.Real {
+			want[j].Val, want[j].Kind = v, obliv.Real
+		}
+	}
+	return want
+}
+
+// TestSendReceiveMatchesMap: SendReceive equals its map reference on the
+// metered, serial and pool executors at 0, 1 and 2^k±1 entries a side,
+// with duplicate source keys (the first in input order sends), non-Real
+// sources and destinations (Filler and Temp, as the ORAM's multicast
+// passes them), the keys 0, 2^62, 2^63 and KeyLimit−1 (InfKey−1), and
+// with the sources aliasing the destinations, as the benchmark harness's
+// probe calls it.
+func TestSendReceiveMatchesMap(t *testing.T) {
+	pool := []uint64{0, 1, 2, 5, 1 << 62, 1 << 63, obliv.InfKey - 1}
+	draw := func(src *prng.Source, n int) []obliv.Elem {
+		es := make([]obliv.Elem, n)
+		for i := range es {
+			es[i] = obliv.Elem{Key: pool[src.Uint64n(uint64(len(pool)))], Val: src.Uint64(), Aux: src.Uint64(), Kind: obliv.Real}
+			switch src.Uint64n(8) {
+			case 0:
+				es[i].Kind = obliv.Filler
+			case 1:
+				es[i].Kind = obliv.Temp
+			}
+		}
+		return es
+	}
+	sizes := []int{0, 1, 3, 5, 7, 9, 31, 33, 127, 129}
+	for _, ns := range sizes {
+		for _, nd := range sizes {
+			src := prng.New(uint64(1000*ns + nd))
+			srcs, dsts := draw(src, ns), draw(src, nd)
+			label := fmt.Sprintf("ns=%d nd=%d", ns, nd)
+			var got []obliv.Elem
+			oblivtest.SameOnEveryExecutor(t, label, func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
+				got = slices.Clone(obliv.SendReceive(c, sp, mem.FromSlice(sp, srcs), mem.FromSlice(sp, dsts), nil).Data())
+				return got
+			})
+			if want := wantSendReceive(srcs, dsts); !slices.Equal(got, want) {
+				t.Fatalf("%s:\n got %v\nwant %v", label, got, want)
+			}
+		}
+		es := draw(prng.New(uint64(ns)), ns)
+		var got []obliv.Elem
+		oblivtest.SameOnEveryExecutor(t, fmt.Sprintf("aliased n=%d", ns), func(c *forkjoin.Ctx, sp *mem.Space) []obliv.Elem {
+			a := mem.FromSlice(sp, es)
+			got = slices.Clone(obliv.SendReceive(c, sp, a, a, nil).Data())
+			return got
+		})
+		if want := wantSendReceive(es, es); !slices.Equal(got, want) {
+			t.Fatalf("aliased n=%d:\n got %v\nwant %v", ns, got, want)
+		}
 	}
 }

@@ -47,9 +47,9 @@ type Options struct {
 	EvictFactor int
 	// Seed drives label generation and initialization.
 	Seed uint64
-	// Sorter is the oblivious sorter (default cache-agnostic bitonic).
-	// It must support the key-schedule seam (obliv.ScheduledSorter):
-	// the PRAM bulk steps underneath route through it.
+	// Sorter is the oblivious sorter of the path and stash bulk steps
+	// (default cache-agnostic bitonic). The multicast's send-receive does
+	// not use it: it runs the bitonic network on word planes.
 	Sorter obliv.ScheduledSorter
 }
 

@@ -47,8 +47,8 @@
 // planner compiles from a query shape — a stand-alone Filter, Distinct,
 // GroupBy or TopK is simply a one-stage shape. The binary join, JoinAll, is
 // an operator of its own and sizes its own output when asked to (CapAuto);
-// the primary-key join is obliv.SendReceive, which the public Join and
-// Lookup route through. Every sort goes through the key-schedule fast
+// the primary-key join is obliv.SendReceivePlanes, which the public Join
+// and Lookup route through. Every sort goes through the key-schedule fast
 // path (obliv.ScheduledSorter, the only sorter type the relational layer
 // accepts); TopK sorts nothing — its bitonic tournament runs the block
 // comparator (obliv.CexKernel) over the same cached schedule. Scratch

@@ -68,14 +68,15 @@ const (
 )
 
 // SortBackend selects the sorting machinery the relational layer (Table,
-// Query, GroupTotals) runs its schedule-driven sorts through. The choice —
-// like the crossover threshold — is public query shape: backend selection
-// is a function of the array length alone, never of the data. The PRAM
-// layer's sorts — every pram gather's request sort, recorded once and
+// Query) runs its schedule-driven sorts through. The choice — like the
+// crossover threshold — is public query shape: backend selection is a
+// function of the array length alone, never of the data. Word-plane sorts
+// run the cache-agnostic bitonic network on every backend, at every size:
+// the PRAM layer's — every pram gather's request sort, recorded once and
 // un-sorted by replaying its swap record, and every scatter's (address,
-// priority) sort, both over word planes with no element — run the
-// cache-agnostic bitonic network on every backend, at every size; the
-// graph operators issue them for every gather and scatter.
+// priority) sort, which the graph operators issue for every gather and
+// scatter — and the one recorded sort and un-sort of Lookup, Join,
+// GroupTotals and WithORAM's multicast.
 type SortBackend int
 
 const (
@@ -84,8 +85,9 @@ const (
 	// composition (Theorem 3.2: oblivious random permutation, then an
 	// insecure sample sort) at or above it, where its O(n log n) work
 	// overtakes the networks' O(n log² n). Above the crossover it carries
-	// SortShuffle's private-scratch assumption. PRAM sorts (the graph
-	// operators' gathers and scatters) run the network at every size.
+	// SortShuffle's private-scratch assumption. Plane sorts (the graph
+	// operators' gathers and scatters; Lookup, Join, GroupTotals and
+	// WithORAM's multicast) run the network at every size.
 	SortAuto SortBackend = iota
 	// SortBitonic forces the keyed bitonic networks at every size. Its
 	// trace is a deterministic function of the public shape alone — the
@@ -100,9 +102,9 @@ const (
 	// if the permutation stage's Θ(n) words of coin-addressed scratch (the
 	// Fisher–Yates draw and the Beneš routing, plain Go slices outside the
 	// traced memory) are private; see the package doc. SortBitonic needs no
-	// such assumption. PRAM sorts (the graph operators' gathers and
-	// scatters) never take this path: they run the network on every
-	// backend.
+	// such assumption. Plane sorts (the graph operators' gathers and
+	// scatters; Lookup, Join, GroupTotals and WithORAM's multicast) never
+	// take this path: they run the network on every backend.
 	SortShuffle
 )
 

@@ -7,9 +7,14 @@
 //
 //	go run ./scripts/abstat -spec BENCHMARK.json runs.jsonl
 //	go run ./scripts/abstat -spec BENCHMARK.json -workloads
+//	go run ./scripts/abstat -bench runs.txt
 //
 // Each input line is one run: {"workload": ..., "side": "base"|"change",
-// "pair": i, "result": <the harness's result line>}.
+// "pair": i, "result": <the harness's result line>}. With -bench the input
+// is `go test -bench` result lines instead, each prefixed by its side and
+// pair (abbench.sh --go-bench writes them): every benchmark is a workload
+// and every unit it reports (ns/op, B/op, allocs/op, custom units) a
+// metric, lower-is-better unless it is a rate (a unit ending in "/s").
 package main
 
 import (
@@ -22,32 +27,29 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 )
 
-// spec is the part of BENCHMARK.json abstat reads.
+// spec is the part of BENCHMARK.json abstat reads (encoding/json matches
+// the lower-case keys to these fields).
 type spec struct {
-	Workloads []struct {
-		Name string `json:"name"`
-	} `json:"workloads"`
-	EndToEnd []struct {
-		Name   string `json:"name"`
-		Better string `json:"better"`
-	} `json:"end_to_end"`
+	Workloads []struct{ Name string }
+	EndToEnd  []metricSpec `json:"end_to_end"`
 }
+
+type metricSpec struct{ Name, Better string }
 
 // run is one input line.
 type run struct {
-	Workload string `json:"workload"`
-	Side     string `json:"side"`
-	Pair     int    `json:"pair"`
+	Workload string
+	Side     string
+	Pair     int
 	Result   struct {
-		Attempted int `json:"attempted"`
-		Failed    int `json:"failed"`
-		Metrics   map[string]struct {
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	} `json:"result"`
+		Attempted, Failed int
+		Metrics           map[string]struct{ Value float64 }
+	}
 }
 
 // row is the comparison of one metric on one workload.
@@ -63,10 +65,14 @@ type row struct {
 func main() {
 	specPath := flag.String("spec", "BENCHMARK.json", "the benchmark declaration")
 	list := flag.Bool("workloads", false, "print the declared workload names and exit")
+	bench := flag.Bool("bench", false, "read side- and pair-prefixed `go test -bench` lines; no spec is read")
 	flag.Parse()
-	sp, err := readSpec(*specPath)
-	if err != nil {
-		log.Fatal(err)
+	var sp spec
+	var err error
+	if !*bench {
+		if sp, err = readSpec(*specPath); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *list {
 		for _, w := range sp.Workloads {
@@ -74,18 +80,23 @@ func main() {
 		}
 		return
 	}
-	var runs []run
+	var in []io.Reader
 	for _, path := range flag.Args() {
 		f, err := os.Open(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rs, err := readRuns(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		runs = append(runs, rs...)
+		defer f.Close()
+		in = append(in, f)
+	}
+	var runs []run
+	if *bench {
+		runs, sp, err = readBench(io.MultiReader(in...))
+	} else {
+		runs, err = readRuns(io.MultiReader(in...))
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	report(os.Stdout, runs, summarize(sp, runs))
 }
@@ -114,6 +125,53 @@ func readRuns(r io.Reader) ([]run, error) {
 		runs = append(runs, rn)
 	}
 	return runs, sc.Err()
+}
+
+// readBench reads `go test -bench` result lines prefixed by side and pair
+// ("base 3 BenchmarkLookup/n=4096-2  100  1234 ns/op  56 B/op  7 allocs/op"),
+// one run per line, and skips every other line. Its spec declares each
+// benchmark a workload and each unit a metric, in order of first
+// appearance: a rate (a unit ending in "/s") higher-is-better, every other
+// unit lower-is-better.
+func readBench(r io.Reader) ([]run, spec, error) {
+	var runs []run
+	var sp spec
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 6 || !strings.HasPrefix(f[2], "Benchmark") {
+			continue
+		}
+		pair, err := strconv.Atoi(f[1])
+		if err != nil {
+			return nil, sp, err
+		}
+		rn := run{Workload: f[2], Side: f[0], Pair: pair}
+		rn.Result.Attempted, rn.Result.Metrics = 1, map[string]struct{ Value float64 }{}
+		if !seen[f[2]] {
+			seen[f[2]] = true
+			sp.Workloads = append(sp.Workloads, struct{ Name string }{f[2]})
+		}
+		for k := 4; k+1 < len(f); k += 2 {
+			v, err := strconv.ParseFloat(f[k], 64)
+			if err != nil {
+				return nil, sp, err
+			}
+			u := f[k+1]
+			rn.Result.Metrics[u] = struct{ Value float64 }{v}
+			if !seen[u] {
+				seen[u] = true
+				better := "lower"
+				if strings.HasSuffix(u, "/s") {
+					better = "higher"
+				}
+				sp.EndToEnd = append(sp.EndToEnd, metricSpec{u, better})
+			}
+		}
+		runs = append(runs, rn)
+	}
+	return runs, sp, sc.Err()
 }
 
 // summarize compares the sides metric by metric, in the spec's workload

@@ -91,3 +91,47 @@ func TestSummarize(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBench reads side- and pair-prefixed `go test -bench` lines: the
+// binary's chatter is skipped, every (value, unit) pair is a metric, a
+// custom unit is lower-is-better and a rate higher-is-better.
+func TestReadBench(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 10; i++ {
+		for _, side := range []string{"base", "change"} {
+			ns, mbs := 2000+10*i, 50
+			if side == "change" {
+				ns, mbs = 1500+10*i, 40
+			}
+			fmt.Fprintf(&in, "%s %d goos: linux\n", side, i)
+			fmt.Fprintf(&in, "%s %d BenchmarkLookup/n=65536-2  \t 3\t %d ns/op\t %d MB/s\t 7.5 ns/elem\t 4096 B/op\t 12 allocs/op\n", side, i, ns, mbs)
+			fmt.Fprintf(&in, "%s %d PASS\n", side, i)
+		}
+	}
+	runs, sp, err := readBench(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 20 || runs[1].Side != "change" || runs[1].Pair != 0 || runs[1].Result.Metrics["ns/op"].Value != 1500 {
+		t.Fatalf("runs %+v", runs[:2])
+	}
+	if len(sp.Workloads) != 1 || sp.Workloads[0].Name != "BenchmarkLookup/n=65536-2" {
+		t.Fatalf("workloads %+v", sp.Workloads)
+	}
+	got := map[string]row{}
+	for _, r := range summarize(sp, runs) {
+		got[r.Metric] = r
+	}
+	if units := len(sp.EndToEnd); len(got) != 5 || units != 5 || sp.EndToEnd[0].Name != "ns/op" || sp.EndToEnd[1].Better != "higher" {
+		t.Fatalf("got metrics %v, want ns/op, MB/s, ns/elem, B/op, allocs/op", got)
+	}
+	if r := got["ns/op"]; r.Wins != 10 || r.Verdict != "better" || math.Abs(r.Base[1]-2045) > 1e-9 {
+		t.Fatalf("ns/op row %+v", r)
+	}
+	if r := got["MB/s"]; r.Wins != 0 || r.Verdict != "worse" {
+		t.Fatalf("MB/s row %+v", r)
+	}
+	if r := got["ns/elem"]; r.Verdict != "unresolved" || r.Ratio != 1 {
+		t.Fatalf("ns/elem row %+v", r)
+	}
+}

@@ -428,7 +428,8 @@ type JoinedRow struct {
 // Join obliviously computes the equi-join of left (a primary relation with
 // distinct keys) and right (a foreign relation): one output row per right
 // row whose key appears in left, in right's order. It is one §F
-// send-receive (two sorts), the construction Lookup runs: left rows are
+// send-receive (one plane sort and one un-sort on the bitonic network,
+// whatever the sort backend), the construction Lookup runs: left rows are
 // the sources, right keys the requests. Keys span the table range (below
 // relops.KeyLimit). The access pattern depends only on the two relation
 // sizes — the join selectivity is invisible to the adversary. Width-1
