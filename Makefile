@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke examples-smoke repro-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet cross-build fmt-check race check-inline bench-build bench-kernels fuzz-smoke chaos-smoke serve-smoke examples-smoke repro-smoke docker clean
 
 all: vet build test
 
@@ -32,6 +32,14 @@ race:
 vet:
 	$(GO) vet ./...
 
+# cross-build vets and builds the tree for arm64, where internal/obliv has
+# no assembly: its non-amd64 stub (cexrun_other.go) must keep compiling
+# and the raw plane kernels run their portable Go loops. On amd64, `make
+# vet` checks the assembly's frames against its Go declarations (asmdecl).
+cross-build:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+
 # fmt-check fails if any Go file in the tree is not gofmt-formatted.
 fmt-check:
 	test -z "$$(gofmt -l .)"
@@ -51,13 +59,17 @@ check-inline:
 
 # bench-kernels runs the in-package micro-benchmarks that sit next to the
 # block kernels: the branchless comparator run over sorted / random /
-# reverse keys, on elements, on word planes recording its swap bits and
-# as the fused tail over 8-slot blocks (the three orders must cost the
-# same in each mode), the keyed bitonic
+# reverse keys, on elements, on word planes recording its swap bits —
+# on the detected chunk loop (AVX-512 where the CPU has it) and, as
+# portable-planes-record-*, on the portable Go loop — and as the fused
+# tail over 8-slot blocks (the three orders must cost the same in each
+# mode, the vector leg included), the keyed bitonic
 # sort per leaf size and the same network with the Theorem E.1 ablation's
 # key closure, the ablation's naive bitonic and odd–even networks (one
 # obliv.Layer fork tree per layer, key closure), the recorded plane
-# sort and its un-sort beside the keyed sort, a routed Beneš
+# sort and its un-sort beside the keyed sort (planes / unsort on the
+# detected chunk loops, planes-portable / unsort-portable on the Go
+# ones), a routed Beneš
 # network and its switch over all-clear / all-set / random settings (the
 # three must cost the same), the shuffle
 # composition's per-stage split (permutation, routing, apply, tie words,
@@ -95,9 +107,13 @@ bench-build:
 # on fuzzer-shaped graphs with self-loops, duplicate edges, sinks and
 # isolated vertices against its integer reference; FuzzServeSpec feeds raw
 # request bodies through the server's strict decode and compile (typed
-# errors only; equal cache keys must mean equal rows).
+# errors only; equal cache keys must mean equal rows). FuzzPlaneRunVector
+# pits the AVX-512 plane and replay chunk loops against the portable Go
+# ones (counts, bit offsets, directions, modes and boundary keys); it
+# skips on a CPU without AVX-512.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test ./internal/obliv -run '^$$' -fuzz '^FuzzPlaneRunVector$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoinAll$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relops -run '^$$' -fuzz '^FuzzJoinAllCapacityAdvisor$$' -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime $(FUZZTIME)

@@ -3,6 +3,7 @@ package bitonic
 import (
 	"fmt"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
@@ -56,6 +57,14 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 	bench("plane", func(c *forkjoin.Ctx) { SortCAPlanes(c, ks, kscr, 1, nil, 0, n, true, DefaultLeaf) })
 }
 
+// vectorKernels is package obliv's switch between its AVX-512 plane and
+// replay chunk loops and the portable Go ones (obliv.useAVX512, set from
+// CPUID and unexported: no caller picks a path). BenchmarkBitonicRecord
+// turns it off for its portable legs.
+//
+//go:linkname vectorKernels oblivmc/internal/obliv.useAVX512
+var vectorKernels bool
+
 // BenchmarkBitonicRecord prices the PRAM layer's recorded plane sort and
 // its un-sort against the keyed element sort they stand beside, at 2^10
 // (one leaf) and 2^14 (the graph workload's gather requests), on the
@@ -63,7 +72,9 @@ func BenchmarkBitonicLeaf(b *testing.B) {
 // and carries one word, recording one swap bit per comparator — two words
 // and a bit per comparator side where the keyed leg moves a 48-byte
 // element and its key word and recomputes TiePos; the un-sort reads the
-// bits back and moves one word plane with no key and no compare.
+// bits back and moves one word plane with no key and no compare. Both run
+// on the detected chunk loops (AVX-512 where the CPU has it) and, as
+// planes-portable and unsort-portable, on the portable Go loops.
 func BenchmarkBitonicRecord(b *testing.B) {
 	pool := forkjoin.NewPool(2)
 	defer pool.Close()
@@ -95,21 +106,30 @@ func BenchmarkBitonicRecord(b *testing.B) {
 				ws.Plane(0).Data()[j], ws.Plane(1).Data()[j] = e.Key, e.Val
 			}
 		}
+		sortPlanes := func(c *forkjoin.Ctx) { SortCAPlanes(c, ws, wscr, 1, rec, 0, n, true, 0) }
+		unsort := func(c *forkjoin.Ctx) { UnsortCA(c, ks, kscr, rec, 0, n, 0) }
+		loadRecord := func() {
+			loadPlanes()
+			sortPlanes(forkjoin.Serial())
+		}
 		legs := []struct {
-			name  string
-			setup func()
-			run   func(c *forkjoin.Ctx)
+			name     string
+			portable bool
+			setup    func()
+			run      func(c *forkjoin.Ctx)
 		}{
-			{"keyed", load, func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }},
-			{"planes", loadPlanes, func(c *forkjoin.Ctx) { SortCAPlanes(c, ws, wscr, 1, rec, 0, n, true, 0) }},
-			{"unsort", func() {
-				loadPlanes()
-				SortCAPlanes(forkjoin.Serial(), ws, wscr, 1, rec, 0, n, true, 0)
-			}, func(c *forkjoin.Ctx) { UnsortCA(c, ks, kscr, rec, 0, n, 0) }},
+			{"keyed", false, load, func(c *forkjoin.Ctx) { SortCAKeyed(c, a, scr, ks, kscr, 0, n, true, 0) }},
+			{"planes", false, loadPlanes, sortPlanes},
+			{"planes-portable", true, loadPlanes, sortPlanes},
+			{"unsort", false, loadRecord, unsort},
+			{"unsort-portable", true, loadRecord, unsort},
 		}
 		for _, leg := range legs {
 			for _, ex := range execs {
 				b.Run(fmt.Sprintf("n=%d/%s/%s", n, leg.name, ex.name), func(b *testing.B) {
+					detected := vectorKernels
+					defer func() { vectorKernels = detected }()
+					vectorKernels = detected && !leg.portable
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
 						leg.setup()

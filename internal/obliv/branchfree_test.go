@@ -21,6 +21,12 @@ import (
 // and the fixed-time division by a secret divisor.
 var rawKernels = []string{"CondSwap", "cexRun", "planeRun", "replayRun", "planePairs", "replayPairs", "planeTail", "replayTail", "sort8", "sort8x2", "move8", "unmove8", "DivU64"}
 
+// asmKernels are the raw kernels written in assembly: the AVX-512 chunk
+// loops of the plane comparator and the replay (cexrun_amd64.s). Go's
+// disassembler does not decode their EVEX instructions, so their code is
+// read through the binary's line table instead (asmKernel).
+var asmKernels = []string{"planeRunAVX512", "replayRunAVX512"}
+
 // branchGolden lists, per raw kernel, every conditional jump the compiler
 // may emit that is not a bounds check, and why it does not depend on the
 // data. Line is the source line relative to the line of the kernel's func
@@ -64,6 +70,14 @@ var branchGolden = []branchSite{
 	{"replayTail", 1, "JLE", "loop test on the 8-slot blocks: block range, public"},
 	{"sort8x2", 0, "JBE", "prologue stack-growth check (runtime.morestack): stack depth, not data"},
 	{"DivU64", 2, "JGE", "loop test on the step counter: 64 steps for every operand"},
+	{"planeRunAVX512", 5, "JGE", "loop test on the chunks: pair range, public"},
+	{"planeRunAVX512", 68, "JEQ", "k1 == nil: the number of key planes, public"},
+	{"planeRunAVX512", 83, "JEQ", "k1 == nil: the number of key planes, public"},
+	{"planeRunAVX512", 91, "JEQ", "v == nil: the number of carried planes, public"},
+	{"planeRunAVX512", 105, "JLT", "loop test on a chunk's 8-lane groups: its length, public"},
+	{"planeRunAVX512", 110, "JEQ", "rec == nil: whether the sort records, public"},
+	{"replayRunAVX512", 5, "JGE", "loop test on the chunks: pair range, public"},
+	{"replayRunAVX512", 63, "JLT", "loop test on a chunk's 8-lane groups: its length, public"},
 }
 
 // branchSite is one conditional jump: kernel, source line relative to the
@@ -132,7 +146,67 @@ func disassemble(t *testing.T, goBin, bin, re string) map[string]*asmFunc {
 	return fns
 }
 
-// funcLine is the line of "func name(" in the source file.
+// asmKernel returns the assembly function sym of bin as the line table
+// sees it: go tool nm gives the symbol's extent, go tool addr2line the
+// source line of each of its bytes, and since a line of a TEXT block
+// assembles to exactly one instruction, each run of bytes from one line is
+// one instruction, whose mnemonic and operands are that line's text.
+func asmKernel(t *testing.T, goBin, bin, sym string) *asmFunc {
+	t.Helper()
+	out, err := exec.Command(goBin, "tool", "nm", "-size", bin).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool nm: %v\n%s", err, out)
+	}
+	var addr, size uint64
+	for _, ln := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(ln); len(f) == 4 && f[3] == "oblivmc/internal/obliv."+sym+".abi0" {
+			addr, _ = strconv.ParseUint(f[0], 16, 64)
+			size, _ = strconv.ParseUint(f[1], 10, 64)
+		}
+	}
+	if size == 0 {
+		t.Fatalf("%s not found in the test binary", sym)
+	}
+	var pcs strings.Builder
+	for a := addr; a < addr+size; a++ {
+		fmt.Fprintf(&pcs, "0x%x\n", a)
+	}
+	cmd := exec.Command(goBin, "tool", "addr2line", bin)
+	cmd.Stdin = strings.NewReader(pcs.String())
+	if out, err = cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go tool addr2line: %v\n%s", err, out)
+	}
+	res := strings.Split(strings.TrimSpace(string(out)), "\n") // per address: function, file:line
+	if len(res) != 2*int(size) {
+		t.Fatalf("go tool addr2line: %d lines for %d addresses", len(res), size)
+	}
+	file, _, _ := strings.Cut(res[1], ":")
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("reading the source of %s: %v", sym, err)
+	}
+	text := strings.Split(string(src), "\n")
+	f := &asmFunc{line: funcLine(t, file, sym)}
+	for i := 0; i < int(size); i++ {
+		_, lineStr, _ := strings.Cut(res[2*i+1], ":")
+		line, err := strconv.Atoi(lineStr)
+		if err != nil || line < 1 || line > len(text) {
+			t.Fatalf("%s+%d: bad source line %q", sym, i, res[2*i+1])
+		}
+		if n := len(f.insts); n > 0 && f.insts[n-1].line == line {
+			continue
+		}
+		op, arg, _ := strings.Cut(strings.TrimSpace(text[line-1]), " ")
+		if op == "" || strings.HasSuffix(op, ":") || strings.HasPrefix(op, "//") {
+			t.Fatalf("%s+%d: line %d (%q) is no instruction", sym, i, line, text[line-1])
+		}
+		f.insts = append(f.insts, asmInst{line: line, addr: addr + uint64(i), op: op, arg: strings.TrimSpace(arg)})
+	}
+	return f
+}
+
+// funcLine is the line of "func name(" — in an assembly file, "TEXT
+// ·name(SB)" — in the source file.
 func funcLine(t *testing.T, file, name string) int {
 	t.Helper()
 	src, err := os.ReadFile(file)
@@ -140,7 +214,7 @@ func funcLine(t *testing.T, file, name string) int {
 		t.Fatalf("reading the source of %s: %v", name, err)
 	}
 	for i, ln := range strings.Split(string(src), "\n") {
-		if strings.HasPrefix(ln, "func "+name+"(") {
+		if strings.HasPrefix(ln, "func "+name+"(") || strings.HasPrefix(ln, "TEXT ·"+name+"(SB)") {
 			return i + 1
 		}
 	}
@@ -219,12 +293,13 @@ func goTool(t *testing.T) string {
 
 // TestCompiledKernelsBranchFree checks branch-freedom where the branch
 // channel lives, in the code the compiler emitted: it builds this
-// package's test binary, disassembles the raw kernels and requires every
-// conditional jump either to lead to a runtime panic (a bounds check, which
-// depends on public lengths and offsets only) or to match a reviewed
-// branchGolden entry; a golden entry that matches nothing is stale and
-// fails too. A negative control — testdata/branchy, a compare-exchange
-// that swaps under an if on the keys — must be flagged.
+// package's test binary, disassembles the raw kernels and reads the
+// assembly ones through the line table, and requires every conditional
+// jump either to lead to a runtime panic (a bounds check, which depends on
+// public lengths and offsets only) or to match a reviewed branchGolden
+// entry; a golden entry that matches nothing is stale and fails too. A
+// negative control — testdata/branchy, a compare-exchange that swaps under
+// an if on the keys — must be flagged.
 func TestCompiledKernelsBranchFree(t *testing.T) {
 	goBin := goTool(t)
 	dir := t.TempDir()
@@ -233,13 +308,16 @@ func TestCompiledKernelsBranchFree(t *testing.T) {
 		t.Fatalf("go test -c: %v\n%s", err, out)
 	}
 	fns := disassemble(t, goBin, bin, `^oblivmc/internal/obliv\.(`+strings.Join(rawKernels, "|")+`)$`)
+	for _, fn := range asmKernels {
+		fns[fn] = asmKernel(t, goBin, bin, fn)
+	}
 
 	allowed := map[string]bool{}
 	for _, g := range branchGolden {
 		allowed[g.key()] = true
 	}
 	used := map[string]bool{}
-	for _, fn := range rawKernels {
+	for _, fn := range append(rawKernels, asmKernels...) {
 		f := fns[fn]
 		if f == nil {
 			t.Fatalf("%s not found in the test binary (inlined everywhere or renamed?)", fn)

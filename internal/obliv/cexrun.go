@@ -40,7 +40,12 @@ import (
 // comparison outcome: the outcome becomes an all-ones/all-zero mask and
 // both positions are rewritten with mask-selected words, so neither the
 // address sequence nor the branch history of a leaf depends on the data
-// (TestCompiledKernelsBranchFree checks the compiled raw kernels). Wider
+// (TestCompiledKernelsBranchFree checks the compiled raw kernels). Where
+// the CPU has AVX-512 F and DQ and the OS saves their registers — CPUID and
+// XGETBV, read once at start-up (useAVX512) — the raw plane and replay
+// chunk loops run in assembly, 8 pairs per step (cexrun_amd64.s), with the
+// same outcomes, bits and addresses; the Go loops are the portable path
+// elsewhere and the reference the vector ones are tested against. Wider
 // schedules take the per-access loop under every executor. The raw plane
 // and replay kernels also fuse the last three layers of a merge stage
 // (strides 4, 2 and 1) into one tail pass over 8-slot blocks, whose words
@@ -344,6 +349,8 @@ func (k *CexKernel) planes(lo, stride, u0, u1, period int, asc bool, q int) {
 		run := planeRun
 		if stride < runMin {
 			run = planePairs
+		} else if useAVX512 {
+			run = planeRunVector
 		}
 		run(k.k0, k.k1, k.v, lo, stride, u0, u1, period, descMask(asc), k.bits, q)
 		return
@@ -393,6 +400,8 @@ func (k *CexKernel) replay(lo, stride, u0, u1, q int) {
 		run := replayRun
 		if stride < runMin {
 			run = replayPairs
+		} else if useAVX512 {
+			run = replayRunVector
 		}
 		run(k.k0, lo, stride, u0, u1, k.bits, q)
 		if k.k1 != nil {
@@ -561,7 +570,13 @@ const runMin = 8
 // in cexRun. Both positions of every plane are rewritten with
 // mask-selected words, the swap masks' low bits gather in a register, and
 // one masked store writes a chunk's bits, so no branch depends on the
-// data.
+// data. It is the portable path: with useAVX512, planes runs the same
+// chunks on planeRunVector instead, 8 pairs per step, where VPCMPUQ
+// computes "x after y" as an unsigned compare into a mask register (GT on
+// k0, or EQ on k0 and GT on k1), KXORB flips it by the direction,
+// VPBLENDMQ exchanges every plane under it and KMOVB yields its 8 record
+// bits; a chunk's last group of fewer than 8 pairs loads and stores under
+// a lane mask made from the chunk's public length by shifts, not a jump.
 func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
 	for u := u0; u < u1; {
 		off, b := u&(stride-1), q+u
@@ -613,7 +628,10 @@ func planeRun(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, r
 // replayRun is replay over one raw word plane, in planeRun's chunks: a
 // chunk's bits are one word load, and each pair exchanges with mask
 // arithmetic — d := (x^y)&m, m the bit widened to a mask — so the loads,
-// stores and branches are those of every other outcome.
+// stores and branches are those of every other outcome. It is the
+// portable path: with useAVX512, replay runs replayRunVector, whose 8-lane
+// steps take their swap mask from the record word by KMOVB and exchange by
+// VPBLENDMQ, partial groups masked like planeRunVector's.
 func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
 	for u := u0; u < u1; {
 		off, b := u&(stride-1), q+u
@@ -628,6 +646,51 @@ func replayRun(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
 			xs[t], ys[t] = x^d, y^d
 		}
 		u += cnt
+	}
+}
+
+// useAVX512 selects the vector chunk loops of the raw plane comparator and
+// replay (planeRunAVX512 and replayRunAVX512, cexrun_amd64.s) over the
+// portable Go loops planeRun and replayRun, which stay as their reference.
+// It is set once from CPUID; tests flip it to run both paths.
+var useAVX512 = hasAVX512()
+
+// planeRunVector is planeRun on the vector kernel planeRunAVX512: it checks
+// once that every pair u0 <= u < u1 lies inside each plane and its bit
+// inside the record — the checks planeRun's slicing makes per chunk — and
+// hands the whole range to the assembly.
+func planeRunVector(k0, k1, v []uint64, lo, stride, u0, u1, period int, desc uint64, rec []uint64, q int) {
+	if u0 >= u1 {
+		return
+	}
+	checkRun(lo, stride, u0, u1, rec, q, k0, k1, v)
+	planeRunAVX512(k0, k1, v, lo, stride, u0, u1, period, desc, rec, q)
+}
+
+// replayRunVector is replayRun on the vector kernel replayRunAVX512, with
+// planeRunVector's checks.
+func replayRunVector(p []uint64, lo, stride, u0, u1 int, rec []uint64, q int) {
+	if u0 >= u1 {
+		return
+	}
+	checkRun(lo, stride, u0, u1, rec, q, p)
+	replayRunAVX512(p, lo, stride, u0, u1, rec, q)
+}
+
+// checkRun panics unless the first and last slots of the pairs u0 <= u < u1
+// (u0 < u1) — slot lo+pos(u) and stride slots on, increasing with u — lie
+// in every non-nil plane and, when rec is not nil, bits q+u0 and q+u1-1
+// in rec. Every input is public.
+func checkRun(lo, stride, u0, u1 int, rec []uint64, q int, planes ...[]uint64) {
+	first := lo + (u0&^(stride-1))<<1 + u0&(stride-1)
+	last := lo + ((u1-1)&^(stride-1))<<1 + (u1-1)&(stride-1) + stride
+	for _, p := range planes {
+		if p != nil {
+			_, _ = p[first], p[last]
+		}
+	}
+	if rec != nil {
+		_, _ = rec[(q+u0)>>6], rec[(q+u1-1)>>6]
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // run, L1-resident) over three key orders, in three modes: the element
 // comparator (TiePos); the plane comparator over one key plane and one
 // carried plane, recording each pair's swap bit — the PRAM merge's
-// comparator; and the fused tail of the same plane kernel, the layers at
-// strides 4, 2 and 1 over the run's 2^10 slots in 8-slot blocks (3·2^9
-// pairs). The three orders must cost the same in each mode: the
+// comparator — on the detected path (AVX-512 where the CPU has it) and on
+// the portable Go loop; and the fused tail of the same plane kernel, the
+// layers at strides 4, 2 and 1 over the run's 2^10 slots in 8-slot blocks
+// (3·2^9 pairs). The three orders must cost the same in each mode: the
 // comparator turns the outcome into a mask, so an always-hold input
 // (sorted), an always-swap input (reverse) and a coin-flip input (random)
 // retire the same instructions with the same branch history. A
@@ -30,10 +31,13 @@ func BenchmarkCexRun(b *testing.B) {
 		{"random", func(src *prng.Source, _ int) uint64 { return src.Uint64n(1 << 40) }},
 		{"reverse", func(_ *prng.Source, i int) uint64 { return uint64(2*pairs - i) }},
 	}
-	for _, mode := range []string{"", "planes-record-", "tail-record-"} {
+	for _, mode := range []string{"", "planes-record-", "portable-planes-record-", "tail-record-"} {
 		planes := mode != ""
 		for _, o := range orders {
 			b.Run(mode+o.name, func(b *testing.B) {
+				detected := useAVX512
+				defer func() { useAVX512 = detected }()
+				useAVX512 = detected && mode != "portable-planes-record-"
 				sp := mem.NewSpace()
 				src := prng.New(9)
 				in := make([]Elem, 2*pairs)
@@ -63,7 +67,7 @@ func BenchmarkCexRun(b *testing.B) {
 					switch mode {
 					case "":
 						kern.run(0, pairs, pairs, true)
-					case "planes-record-":
+					case "planes-record-", "portable-planes-record-":
 						kern.pairs(0, pairs, 0, pairs, 0, true, 0)
 					default:
 						kern.tail(0, 0, 2*pairs, 0, true, 0, pairs)

@@ -62,13 +62,15 @@ func dupHeavyInput(sp *mem.Space, seed uint64, n, w int) (*mem.Array[Elem], *Key
 }
 
 // dupHeavyPlanes allocates w word planes of n slots over very few distinct
-// low and high words, so key ties and full ties both occur.
+// low and high words, so key ties and full ties both occur; the high words
+// 2^62 and 2^63 lie on both sides of the sign bit, so only an unsigned
+// compare orders them.
 func dupHeavyPlanes(sp *mem.Space, seed uint64, n, w int) *KeySchedule {
 	src := prng.New(seed)
 	ws := AllocKeySchedule(sp, n, w)
 	for p := 0; p < w; p++ {
 		for i := range n {
-			ws.Plane(p).Data()[i] = src.Uint64n(3) << (61 * src.Uint64n(2))
+			ws.Plane(p).Data()[i] = src.Uint64n(3) << (62 * src.Uint64n(2))
 		}
 	}
 	return ws
@@ -78,8 +80,11 @@ func dupHeavyPlanes(sp *mem.Space, seed uint64, n, w int) *KeySchedule {
 // serial leaf layers to the metered per-access spec: compare-exchange by
 // cached key in both directions, the plane sort over one or two key planes
 // with no, one or two carried planes (two: the per-access fallback),
-// recording, and replay over word planes.
-func TestCexKernelMatchesPerAccess(t *testing.T) {
+// recording, and replay over word planes — on every raw-kernel path the
+// machine has (forEachPath).
+func TestCexKernelMatchesPerAccess(t *testing.T) { forEachPath(t, cexKernelMatchesPerAccess) }
+
+func cexKernelMatchesPerAccess(t *testing.T) {
 	for _, w := range []int{1, 2, 3} { // 3: the generic-width fallback
 		for _, asc := range []bool{true, false} {
 			label := fmt.Sprintf("w=%d asc=%v", w, asc)
@@ -227,8 +232,11 @@ func checkPlanesReplayed(orig, sorted [][]uint64, vs *KeySchedule) (int, bool) {
 // planes and the record bits, then replay the record over w = 1, 2 or 3
 // word planes and check that it carries every slot home. Recording shapes
 // keep each leaf's bits in whole words (see Layer); the ragged shapes,
-// whose pool leaves also end mid-block, sort without recording.
-func TestLayerMatchesPerAccess(t *testing.T) {
+// whose pool leaves also end mid-block, sort without recording. It runs
+// on every raw-kernel path the machine has (forEachPath).
+func TestLayerMatchesPerAccess(t *testing.T) { forEachPath(t, layerMatchesPerAccess) }
+
+func layerMatchesPerAccess(t *testing.T) {
 	shapes := []struct {
 		name   string
 		layers []layerShape

@@ -28,8 +28,11 @@ func staleRecord(sp *mem.Space, words int) *mem.Array[uint64] {
 // direction (period 0), a flip every block (period 8) and the whole block
 // (period n), at an offset lo != 0 and bits from a q that is not
 // word-aligned. The replay tail equals the three replay Layers it
-// replaces, over one and two planes.
-func TestTailMatchesLayers(t *testing.T) {
+// replaces, over one and two planes. Both run once per raw-kernel path
+// the machine has (forEachPath).
+func TestTailMatchesLayers(t *testing.T) { forEachPath(t, tailMatchesLayers) }
+
+func tailMatchesLayers(t *testing.T) {
 	const lo, q = 5, 20 // q on a 4-bit boundary, not a word boundary
 	c := forkjoin.Serial()
 	for _, n := range []int{8, 64, 1024} {
@@ -100,8 +103,10 @@ func TestTailMatchesLayers(t *testing.T) {
 // stride 8 replayed — equal the Layer-by-Layer loops they stand for, in a
 // sort layer group whose direction flips every p and in a whole-block
 // merge, from a q that is not word-aligned; a q off a 4-bit boundary and
-// p < 8 take the unfused loop.
-func TestKernelMergeMatchesLayers(t *testing.T) {
+// p < 8 take the unfused loop. It runs on every path (forEachPath).
+func TestKernelMergeMatchesLayers(t *testing.T) { forEachPath(t, kernelMergeMatchesLayers) }
+
+func kernelMergeMatchesLayers(t *testing.T) {
 	const lo, n = 3, 256
 	c := forkjoin.Serial()
 	for _, q := range []int{20, 6} {
